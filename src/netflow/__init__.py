@@ -3,7 +3,7 @@
 Edges are unit intervals carrying mass toward the parameter-0 end; a
 column-stochastic routing matrix redistributes what arrives at each
 vertex.  The package evolves piecewise-constant states exactly at
-rational speeds (arbitrary speeds via subdivision), solves the
+rational per-edge speeds (along backward characteristics), solves the
 stationary resolvent problem in closed form, perturbs the flow by
 pointwise absorption, and measures how rational approximations of the
 speeds converge to the irrational-speed dynamics.

@@ -8,9 +8,9 @@ strong sampled norm against the closed-form general-velocity resolvent,
 flows in weak pairings against the characteristic-tracing reference.
 
 Continued-fraction convergents are the default ladder: they are the best
-rational approximations per denominator size, and denominator size is what
-the subdivided evolution pays for (the subdivided edge count is driven by
-the lcm of the denominators).
+rational approximations per denominator size.  The exact evolution along
+characteristics pays for breakpoints, not for the lcm of the speeds, but
+large denominators still lengthen the exact arithmetic.
 """
 
 from __future__ import annotations

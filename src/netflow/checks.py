@@ -237,14 +237,18 @@ def _check_subdivision(seed, trials) -> CheckResult:
         if project_state(plan, lifted) != f:
             result.failures.append(f"trial {trial}: lift/project roundtrip broke")
         t = random_time(rng, 2)
-        if evolve_rational(g, vel, f, Fraction(0), plan=plan) != f:
+        if evolve_rational(g, vel, f, Fraction(0)) != f:
             result.failures.append(f"trial {trial}: rational identity at t=0 broke")
-        tilde_op = plan.operator
-        evolved = evolve_unit(tilde_op, lifted, plan.c * t)
+        evolved = evolve_unit(plan.operator, lifted, plan.c * t)
         if plan.weighted_mass(evolved) != plan.weighted_mass(lifted):
             result.failures.append(f"trial {trial}: weighted mass drifted at t={t}")
+        # the paper's subdivided unit flow is an independent exact oracle
+        if evolve_rational(g, vel, f, t) != project_state(plan, evolved):
+            result.failures.append(
+                f"trial {trial}: characteristics disagreed with subdivision at t={t}"
+            )
         fp = random_state(rng, g, 4, nonneg=True)
-        if not evolve_rational(g, vel, fp, t, plan=plan).is_nonnegative():
+        if not evolve_rational(g, vel, fp, t).is_nonnegative():
             result.failures.append(f"trial {trial}: rational positivity broke at t={t}")
 
     # lazy propagation ride-along: cheap and structural, one shot

@@ -10,8 +10,8 @@ velocities, failed report), 2 numeric-tolerance failure (precision gates,
 series truncation, contraction loss), 3 malformed input (unparseable
 files or flags, decimals where exactness is required).  Artifacts are
 deterministic: same inputs and flags give byte-identical files, so runs
-can be diffed.  NETFLOW_THREADS caps worker threads where the library
-parallelizes.
+can be diffed.  NETFLOW_THREADS caps the worker threads of the
+convergence ladders behind `approx`; everything else runs serially.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .semigroup import (
     evolve_absorbing,
     evolve_rational,
     evolve_unit,
-    subdivide,
 )
 from .states import TestFunction, boundary_residual, sample
 
@@ -196,8 +195,7 @@ def _cmd_simulate(args) -> int:
         evolve = lambda tt: evolve_unit(op, f, tt)
         bc_op = op
     else:
-        plan = subdivide(g, vel)
-        evolve = lambda tt: evolve_rational(g, vel, f, tt, plan=plan)
+        evolve = lambda tt: evolve_rational(g, vel, f, tt)
         bc_op = build_adjacency(g, vel)
 
     entries = []

@@ -39,7 +39,6 @@ __all__ = [
     "ValidationReport",
     "validate_graph",
     "build_adjacency",
-    "apply_adjacency",
 ]
 
 # Lazy columns longer than this are treated as a runaway callback.
@@ -537,7 +536,3 @@ def build_adjacency(g: MetricGraph, scaling: VelocityProfile | None = None) -> A
             raise MissingVelocityError(f"no velocity for edges {missing}")
     return AdjacencyOperator(g, scaling)
 
-
-def apply_adjacency(op: AdjacencyOperator, v: SparseVector) -> SparseVector:
-    """Apply the routing operator once: w_i = sum_j op(i, j) v_j."""
-    return op.apply(v)

@@ -11,17 +11,28 @@ arithmetic: breakpoints shift by exact amounts, values pass through B with
 Fraction weights, and two evolutions compose to exactly the evolution of
 the summed time.
 
-Rational velocity profiles reduce to the unit case by subdividing every
-edge j into ell_j pieces of equal traversal time 1/c, where c is the
-smallest rational making every ell_j = c / c_j a whole number.  Traversing
-a sub-edge then always takes time 1/c, so running the unit flow on the
-subdivided graph for time c*t and mapping back reproduces the original
-dynamics.  The vertex coupling of the subdivided graph must be the
+Rational velocity profiles are evolved along backward characteristics.
+A parcel at x on edge j either still sat on the edge at x + c_j t, or it
+crossed the tail at time t - (1 - x)/c_j and carries the feeders' head
+outflow from that moment, weighted (c_k / c_j) w_jk.  Each head outflow
+H_k is an exact step function of time: f_k(c_k s) until the initial
+profile has drained, the tail inflow delayed by 1/c_k afterwards.  The
+histories are extended together in stages of the shortest traversal
+time, so the cost follows the number of breakpoints in the answer, not
+the speeds' lcm.
+
+The paper's construction reduces rational speeds to the unit case
+instead: subdivide every edge j into ell_j pieces of equal traversal time
+1/c, where c is the smallest rational making every ell_j = c / c_j a
+whole number, run the unit flow on the subdivided graph for time c*t and
+map back.  The vertex coupling of the subdivided graph must be the
 velocity-conjugated matrix (entries (c_j / c_i) w_ij), because that is
 what couples the traces of the original system; inserted vertices just
 pass values through with weight one.  The subdivided columns then no
 longer sum to one when speeds differ, which is expected: the conserved
-functional picks up the weights 1/ell_j (see weighted_mass below).
+functional picks up the weights 1/ell_j (see weighted_mass below).  The
+absorbing series runs on the subdivided graph, and the subdivided unit
+flow is kept as an independent exact cross-check of evolve_rational.
 
 Absorption enters through a pointwise multiplier q.  The perturbed flow
 is summed as an iterated-integral series
@@ -36,6 +47,7 @@ so sampling panel midpoints never reads a value straddling a jump.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,6 +85,8 @@ __all__ = [
 # Guard rails for runaway subdivisions.
 MAX_WIDTH = 2**63
 MAX_SUBEDGES = 2_000_000
+# Guard rail for runaway characteristic histories in evolve_rational.
+MAX_HISTORY_BREAKPOINTS = 1_000_000
 
 
 def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
@@ -215,32 +229,35 @@ class SubdivisionPlan:
         return best
 
 
+def _lazy_speed(vel: VelocityProfile) -> Fraction:
+    """The one speed a lazy graph may carry: cutting an infinite graph
+    edge-by-edge would need a renumbering scheme nothing requires."""
+    pool = set(Fraction(v) for v in vel.values.values())
+    if vel.default is not None:
+        pool.add(Fraction(vel.default))
+    if not pool:
+        raise MalformedGraphError("velocity profile carries no speeds")
+    if len(pool) != 1:
+        raise MalformedGraphError(
+            "a lazy graph can only be evolved at a uniform velocity"
+        )
+    return pool.pop()
+
+
 def subdivide(g: MetricGraph, vel: VelocityProfile) -> SubdivisionPlan:
     """Build the equal-traversal-time subdivision for a rational profile.
 
     Lazy graphs are supported only at a uniform velocity (the plan is then
-    the identity and evolution is a pure time rescale); cutting an
-    infinite graph edge-by-edge would need a renumbering scheme nothing
-    currently requires.
+    the identity and evolution is a pure time rescale).
     """
     if not vel.is_rational():
         raise NotRationalError("subdivision needs exact rational velocities")
 
     if not g.is_finite:
-        pool = set(Fraction(v) for v in vel.values.values())
-        if vel.default is not None:
-            pool.add(Fraction(vel.default))
-        if not pool:
-            raise MalformedGraphError("velocity profile carries no speeds")
-        if len(pool) != 1:
-            raise MalformedGraphError(
-                "a lazy graph can only be subdivided at a uniform velocity"
-            )
-        c = pool.pop()
         return SubdivisionPlan(
             source=g,
             velocities=vel,
-            c=c,
+            c=_lazy_speed(vel),
             ell={},
             sub_edge_map={},
             graph=g,
@@ -371,25 +388,152 @@ def project_state(plan: SubdivisionPlan, h: NetworkState) -> NetworkState:
     return NetworkState(bps, pieces)
 
 
-def evolve_rational(
-    g: MetricGraph,
-    vel: VelocityProfile,
-    f: NetworkState,
-    t,
-    plan: SubdivisionPlan | None = None,
-) -> NetworkState:
-    """Exact evolution at rational velocities via the subdivided unit flow.
+def _window(starts: list, values: list, a, b) -> list:
+    """(start, value) segments of a step function on [a, b); the first
+    start is clamped to a."""
+    m = bisect.bisect_right(starts, a) - 1
+    out = [(a, values[m])]
+    for m in range(m + 1, len(starts)):
+        if starts[m] >= b:
+            break
+        out.append((starts[m], values[m]))
+    return out
 
-    Computes project(T~(c t) lift(f)): lift, run the unit semigroup on the
-    subdivided graph for the rescaled time, map back.  Passing a
-    precomputed `plan` skips rebuilding the subdivision.
+
+def _inflow(history: dict, feeders: list, a, b) -> list:
+    """Tail inflow sum_k coef_k H_k(s) on [a, b) as (start, value) segments."""
+    if not feeders:
+        return [(a, 0)]
+    windows = [(coef, _window(*history[k], a, b)) for k, coef in feeders]
+    out = []
+    at = [0] * len(windows)
+    for s in sorted({s for _, win in windows for s, _ in win}):
+        total = 0
+        for n, (coef, win) in enumerate(windows):
+            p = at[n]
+            while p + 1 < len(win) and win[p + 1][0] <= s:
+                p += 1
+            at[n] = p
+            if win[p][1]:
+                total += coef * win[p][1]
+        out.append((s, total))
+    return out
+
+
+def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
+    """Exact evolution at rational velocities along backward characteristics.
+
+    On a finite graph, the head outflow H_k of every edge is built as an
+    exact step function of time on [0, t): f_k(c_k s) while the initial
+    profile drains, then the tail inflow sum_i (c_i / c_k) w_ki H_i
+    delayed by 1/c_k.  All histories grow together in stages of the
+    shortest traversal time, each stage reading only what earlier stages
+    built.  Edge j then reads f_j(x + c_j t) where that stays on the edge
+    and the tail inflow at time t - (1 - x)/c_j elsewhere.  Lazy graphs
+    carry a uniform speed c and run the unit flow for time c*t.
     """
+    if not vel.is_rational():
+        raise NotRationalError("evolve_rational needs exact rational velocities")
     t = as_exact_time(t, "evolution time")
-    if plan is None:
-        plan = subdivide(g, vel)
-    lifted = lift_state(plan, f)
-    evolved = evolve_unit(plan.operator, lifted, plan.c * t)
-    return project_state(plan, evolved)
+    if t < 0:
+        raise ValueError(f"evolution time must be nonnegative, got {t}")
+    if not g.is_finite:
+        return evolve_unit(build_adjacency(g), f, _lazy_speed(vel) * t)
+    ids = g.edge_ids
+    speed = {j: vel.exact(j) for j in ids}
+    if t == 0:
+        return f
+
+    # f_j as a step function of the edge parameter, per edge
+    profile = {j: ([Fraction(0)], [0]) for j in ids}
+    for j in f.support():
+        starts, values = [], []
+        for lo, _, v in f.pieces():
+            x = v.get(j)
+            if not values or x != values[-1]:
+                starts.append(lo)
+                values.append(x)
+        profile[j] = (starts, values)
+    feeders = {
+        j: [(k, speed[k] / speed[j] * w) for k, w in g.feeders(j).items()]
+        for j in ids
+    }
+
+    # time runs in ticks of 1/D: every breakpoint, lag and stage end
+    # below is a whole number of ticks, so histories hold integers
+    f_den = math.lcm(*(b.denominator for b in f.breakpoints))
+    D = math.lcm(t.denominator, f_den * math.lcm(*(c.numerator for c in speed.values())))
+    T = t.numerator * (D // t.denominator)
+    lag = {j: D // c.numerator * c.denominator for j, c in speed.items()}
+
+    # head outflow H_j on [0, reach[j]): first f_j(c_j s) while edge j drains
+    history, reach = {}, {}
+    for j in ids:
+        c_j = speed[j]
+        reach[j] = min(lag[j], T)
+        segments = _window(*profile[j], Fraction(0), c_j * Fraction(reach[j], D))
+        history[j] = (
+            [y.numerator * (D // (y.denominator * c_j.numerator)) * c_j.denominator
+             for y, _ in segments],
+            [v for _, v in segments],
+        )
+    size = sum(len(starts) for starts, _ in history.values())
+
+    # then the tail inflow delayed by lag[j], one stage of the shortest
+    # traversal time at a time: a stage ending at `end` reads histories
+    # only up to end - min(lag), which earlier stages have built
+    step = min(lag.values())
+    end = step
+    while end < T:
+        end = min(end + step, T)
+        for j in ids:
+            if reach[j] >= end:
+                continue
+            starts, values = history[j]
+            for s, v in _inflow(history, feeders[j], reach[j] - lag[j], end - lag[j]):
+                if v != values[-1]:
+                    starts.append(s + lag[j])
+                    values.append(v)
+                    size += 1
+            reach[j] = end
+            if size > MAX_HISTORY_BREAKPOINTS:
+                worst = sorted(ids, key=lambda k: len(history[k][0]), reverse=True)[:4]
+                raise WidthOverflowError(
+                    f"characteristic histories exceed {MAX_HISTORY_BREAKPOINTS} breakpoints",
+                    edges=worst,
+                )
+
+    # edge j at x: f_j(x + c_j t) on the edge, else the tail inflow at
+    # time t - (1 - x)/c_j; collected as value changes keyed by position
+    changes: dict = {}
+    for j in ids:
+        c_j = speed[j]
+        segments = []
+        if c_j * t < 1:
+            segments += [(y - c_j * t, v) for y, v in _window(*profile[j], c_j * t, 1)]
+        # x = 1 - c_j (T - s) / D
+        den = c_j.denominator * D
+        segments += [
+            (Fraction(den - c_j.numerator * (T - s), den), v)
+            for s, v in _inflow(history, feeders[j], max(0, T - lag[j]), T)
+        ]
+        prev = 0
+        for x, v in segments:
+            if v != prev:
+                changes.setdefault(x, []).append((j, v))
+                prev = v
+
+    bps = sorted(changes.keys() | {Fraction(0)})
+    current: dict = {}
+    pieces = []
+    for x in bps:
+        for j, v in changes.get(x, ()):
+            if v == 0:
+                current.pop(j, None)
+            else:
+                current[j] = v
+        pieces.append(SparseVector(current))
+    return NetworkState(bps + [Fraction(1)], pieces)
 
 
 class AbsorptionProfile:

@@ -1,4 +1,4 @@
-"""Exact transport evolution: unit, subdivided rational, and absorbing."""
+"""Exact transport evolution: unit, rational along characteristics, subdivided, and absorbing."""
 
 import itertools
 import random
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from netflow import (
     AbsorptionProfile,
+    ApproximationSchedule,
+    MalformedGraphError,
     MetricGraph,
     NetworkState,
     PrecisionError,
@@ -29,7 +31,9 @@ from netflow import (
     subdivide,
     sup_norm,
     total_mass,
+    trace_samples,
 )
+from netflow import checks, semigroup
 
 
 def g2():
@@ -289,11 +293,19 @@ class TestEvolveRational:
     def test_semigroup_law(self, t, s):
         g = g2()
         vel = VelocityProfile({1: F(2), 2: F(1)})
-        plan = subdivide(g, vel)
         f = random_state(random.Random(4), (1, 2), pieces=3)
-        one = evolve_rational(g, vel, f, t + s, plan=plan)
-        two = evolve_rational(g, vel, evolve_rational(g, vel, f, s, plan=plan), t, plan=plan)
+        one = evolve_rational(g, vel, f, t + s)
+        two = evolve_rational(g, vel, evolve_rational(g, vel, f, s), t)
         assert one == two
+
+    @given(rational_times, rational_times, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_semigroup_law_mixed_speeds(self, t, s, seed):
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(5, 3)})
+        f = random_state(random.Random(seed), (1, 2, 3, 4, 5), pieces=4)
+        two_step = evolve_rational(g, vel, evolve_rational(g, vel, f, s), t)
+        assert two_step == evolve_rational(g, vel, f, t + s)
 
     def test_plain_mass_conserved_at_equal_ell(self):
         g = g2()
@@ -318,6 +330,73 @@ class TestEvolveRational:
         for t in (F(1, 8), F(1, 2), F(9, 4)):
             evolved = evolve_unit(plan.operator, lifted, plan.c * t)
             assert plan.weighted_mass(evolved) == before
+
+
+def subdivided_flow(g, vel, f, t):
+    """The paper's construction: unit flow on the subdivided graph, mapped back."""
+    plan = subdivide(g, vel)
+    return project_state(plan, evolve_unit(plan.operator, lift_state(plan, f), plan.c * t))
+
+
+class TestCharacteristicsAgainstSubdivision:
+    """evolve_rational follows characteristics; subdivision is the exact oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_exact(self, seed):
+        rng = random.Random(f"characteristics:{seed}")
+        for trial in range(60):
+            g = checks.random_graph(rng, 8)
+            vel = checks.random_velocities(rng, g)
+            f = checks.random_state(rng, g, 5, nonneg=trial % 2 == 0)
+            t = checks.random_time(rng, 3)
+            assert evolve_rational(g, vel, f, t) == subdivided_flow(g, vel, f, t), (trial, t)
+
+    def test_float_values(self):
+        rng = random.Random(17)
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1, 3)})
+        exact = random_state(rng, (1, 2, 3, 4, 5), pieces=6)
+        f = exact.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
+        for t in (F(1, 5), F(4, 3), F(11, 4)):
+            got = sample(evolve_rational(g, vel, f, t), 96)
+            want = sample(subdivided_flow(g, vel, f, t), 96)
+            assert float(got.distance(want)) <= 1e-12
+            assert all(isinstance(x, float) for v in got.samples for _, x in v.items())
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_g5_ladder_matches_tracer(self, level):
+        import math
+
+        target = {1: math.sqrt(2), 2: F(1), 3: math.sqrt(3) / 2, 4: F(3, 2), 5: F(1)}
+        schedule = ApproximationSchedule.build(VelocityProfile(target), (level,))
+        (vel,) = schedule.profiles
+        f = random_state(random.Random(level), (1, 2, 3, 4, 5), pieces=4)
+        out = evolve_rational(g5(), vel, f, F(1))
+        assert sample(out, 128) == trace_samples(g5(), vel, f, F(1), 128)
+
+    def test_lazy_graph_uniform_speed_rescales(self):
+        path = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
+        f = NetworkState(
+            [F(0), F(1, 2), F(1)],
+            [SparseVector({0: F(1)}), SparseVector({0: F(2)})],
+        )
+        vel = VelocityProfile({}, default=F(3, 2))
+        assert evolve_rational(path, vel, f, F(5, 3)) == evolve_unit(
+            build_adjacency(path), f, F(5, 2)
+        )
+        with pytest.raises(MalformedGraphError):
+            evolve_rational(path, VelocityProfile({0: F(1)}, default=F(2)), f, F(1))
+
+    def test_history_cap(self, monkeypatch):
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1, 3)})
+        f = random_state(random.Random(8), (1, 2, 3, 4, 5), pieces=6)
+        evolve_rational(g, vel, f, F(3))
+        monkeypatch.setattr(semigroup, "MAX_HISTORY_BREAKPOINTS", 40)
+        evolve_rational(g, vel, f, F(1, 10))
+        with pytest.raises(WidthOverflowError) as err:
+            evolve_rational(g, vel, f, F(3))
+        assert err.value.edges
 
 
 class TestEvolveAbsorbing:
