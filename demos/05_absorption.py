@@ -55,7 +55,7 @@ q_var = AbsorptionProfile({
 })
 res = evolve_absorbing(g, vel, q_var, f, t, order=8, quad_steps=256, grid=128)
 cap = math.exp(float(F(1, 2) * t))
-slack = res.error_bound  # the computed samples sit within this of the true flow
+slack = res.error_bound  # proven series tail plus the quadrature estimate
 ok = all(
     -slack <= res.state.samples[m].get(j)
     <= undamped.samples[m].get(j) * cap + slack

@@ -272,33 +272,40 @@ def _fmt(x) -> str:
 def emit_plotdata(state: SampledState, edges=None) -> str:
     """CSV text for a sampled state: column `s` plus one column per edge
     (or `_re`/`_im` pairs when any sample is complex), 17 significant
-    digits.  No edges means just the header line."""
+    digits.  No edges means just the header line.
+
+    `sample` hands one vector object to every grid point of a piece, so
+    each distinct vector is formatted once, keyed by its id while the
+    state holds it."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
         edges = list(edges)
     if not edges:
         return "s\n"
+    distinct = {id(v): v for v in state.samples}
     is_complex = any(
-        isinstance(v.get(e), complex) for v in state.samples for e in v.support()
+        isinstance(x, complex) for v in distinct.values() for _, x in v.items()
     )
     if is_complex:
         header = "s," + ",".join(f"edge_{e}_re,edge_{e}_im" for e in edges)
     else:
         header = "s," + ",".join(f"edge_{e}" for e in edges)
-    rows = [header]
+    cells = {}
+    for key, v in distinct.items():
+        if is_complex:
+            parts = []
+            for e in edges:
+                z = complex(v.get(e))
+                parts.append(_fmt(z.real))
+                parts.append(_fmt(z.imag))
+        else:
+            parts = [_fmt(v.get(e)) for e in edges]
+        cells[key] = ",".join(parts)
     M = state.grid_size
-    for m, v in enumerate(state.samples):
-        cells = [_fmt(Fraction(m, M))]
-        for e in edges:
-            z = v.get(e)
-            if is_complex:
-                z = complex(z)
-                cells.append(_fmt(z.real))
-                cells.append(_fmt(z.imag))
-            else:
-                cells.append(_fmt(z))
-        rows.append(",".join(cells))
+    # int/int true division rounds correctly, so m / M == float(Fraction(m, M))
+    rows = [header]
+    rows += [f"{m / M:.17g},{cells[id(v)]}" for m, v in enumerate(state.samples)]
     return "\n".join(rows) + "\n"
 
 

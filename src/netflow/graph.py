@@ -19,10 +19,11 @@ checked at all.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     MalformedGraphError,
@@ -44,6 +45,9 @@ __all__ = [
 # Lazy columns longer than this are treated as a runaway callback.
 MAX_LAZY_COLUMN = 100_000
 
+# Entry types the integer-numerator route of AdjacencyOperator accepts.
+_EXACT = (int, Fraction)
+
 
 class SparseVector:
     """Finitely supported edge-id -> value map.
@@ -60,6 +64,13 @@ class SparseVector:
             entries = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         self._entries = {j: v for j, v in items if v != 0}
+
+    @classmethod
+    def _from_nonzero(cls, entries: dict) -> "SparseVector":
+        """Adopt a dict whose values are already all nonzero, without a copy."""
+        self = object.__new__(cls)
+        self._entries = entries
+        return self
 
     @classmethod
     def unit(cls, j) -> "SparseVector":
@@ -380,53 +391,142 @@ class AdjacencyOperator:
     Unscaled, entry (i, j) is the weight w(i, j).  With a velocity profile
     attached the entry becomes (c_j / c_i) * w(i, j), which is the matrix
     that couples edge traces when speeds differ.  Columns are finitely
-    supported and cached; the cache is lock-protected because callers may
-    share one operator across threads.
+    supported and cached on first use.  When every entry is an exact
+    rational (always unscaled, and scaled by rational speeds) the cache
+    also keeps each column as integer numerators over the column's own
+    denominator: `apply_stack` routes exact vectors on those integers,
+    with one denominator shared by the whole stack, and builds Fractions
+    only for its results.  Cache misses are lock-protected because
+    callers may share one operator across threads.
     """
 
     def __init__(self, graph: MetricGraph, scaling: VelocityProfile | None = None):
         self.graph = graph
         self.scaling = scaling
+        # edge -> (column as SparseVector, (denominator, ((receiver, numerator), ...)))
         self._cache: dict = {}
         self._lock = threading.Lock()
+        self._exact = scaling is None or scaling.is_rational()
 
     @property
     def scaled(self) -> bool:
         return self.scaling is not None
 
-    def column(self, j) -> SparseVector:
-        with self._lock:
-            col = self._cache.get(j)
-        if col is not None:
-            return col
+    def _cached(self, j) -> tuple:
+        hit = self._cache.get(j)
+        if hit is not None:
+            return hit
         raw = self.graph.column(j)
         if self.scaling is None:
             col = SparseVector(raw)
         else:
             c_j = self.scaling.velocity(j)
             col = SparseVector({i: w * c_j / self.scaling.velocity(i) for i, w in raw.items()})
+        ints = None
+        if self._exact:
+            den = math.lcm(*(w.denominator for _, w in col.items()))
+            ints = (den, tuple((i, w.numerator * (den // w.denominator)) for i, w in col.items()))
         with self._lock:
-            self._cache[j] = col
-        return col
+            return self._cache.setdefault(j, (col, ints))
+
+    def column(self, j) -> SparseVector:
+        return self._cached(j)[0]
 
     def entry(self, i, j):
         return self.column(j).get(i, 0)
 
     def apply(self, v: SparseVector) -> SparseVector:
         """Matrix-vector product; touches only the columns in v's support."""
-        out: dict = {}
-        for j, a in v.items():
-            for i, w in self.column(j).items():
-                out[i] = out.get(i, 0) + w * a
-        return SparseVector(out)
+        return self.apply_stack((v,), 1)[0]
 
     def apply_power(self, v: SparseVector, n: int) -> SparseVector:
-        if n < 0:
+        return self.apply_stack((v,), n)[0]
+
+    def apply_stack(self, vectors: Sequence[SparseVector],
+                    powers: int | Sequence[int]) -> list:
+        """B^n v for every v of `vectors`, n its entry of `powers` (one int
+        applies to all).  A zeroth power returns the vector object itself.
+
+        Vectors of int and Fraction entries are routed together on integer
+        numerators; any other vector (floats, complex) takes the plain
+        multiply-add loop in the same order as a single product would.
+        """
+        if isinstance(powers, int):
+            powers = [powers] * len(vectors)
+        if len(powers) != len(vectors):
+            raise ValueError(f"{len(vectors)} vectors but {len(powers)} powers")
+        if any(n < 0 for n in powers):
             raise ValueError("negative matrix power")
+        out = list(vectors)
+        exact, loose = [], []
+        for k, (v, n) in enumerate(zip(vectors, powers)):
+            if n:
+                fits = self._exact and all(type(x) in _EXACT for _, x in v.items())
+                (exact if fits else loose).append(k)
+        if exact:
+            for k, v in zip(exact, self._route_exact([vectors[k] for k in exact],
+                                                     [powers[k] for k in exact])):
+                out[k] = v
+        for k in loose:
+            out[k] = self._route_loose(vectors[k], powers[k])
+        return out
+
+    def _route_exact(self, vectors: list, powers: list) -> list:
+        """Integer-numerator route: every stack entry is num / D for one D."""
+        D = math.lcm(*(x.denominator for v in vectors for _, x in v.items()))
+        nums = [{j: x.numerator * (D // x.denominator) for j, x in v.items()} for v in vectors]
+        out = [None] * len(vectors)
+        active = list(range(len(vectors)))
+        step = 0
+        while active:
+            step += 1
+            touched = set()
+            for k in active:
+                touched.update(nums[k])
+            cols = {j: self._cached(j)[1] for j in touched}
+            L = math.lcm(*(den for den, _ in cols.values()))
+            cols = {
+                j: col if den == L else tuple((i, w * (L // den)) for i, w in col)
+                for j, (den, col) in cols.items()
+            }
+            D *= L
+            g = D
+            for k in active:
+                acc: dict = {}
+                for j, a in nums[k].items():
+                    for i, w in cols[j]:
+                        acc[i] = acc.get(i, 0) + a * w
+                acc = {i: x for i, x in acc.items() if x}
+                if g != 1 and acc:
+                    g = math.gcd(g, *acc.values())
+                nums[k] = acc
+            if g != 1:
+                D //= g
+                for k in active:
+                    nums[k] = {i: x // g for i, x in nums[k].items()}
+            # routed values repeat a lot; build each Fraction once
+            memo: dict = {}
+            for k in active:
+                if powers[k] == step:
+                    vec = {}
+                    for i, x in nums[k].items():
+                        r = memo.get(x)
+                        if r is None:
+                            r = memo[x] = Fraction(x, D)
+                        vec[i] = r
+                    out[k] = SparseVector._from_nonzero(vec)
+            active = [k for k in active if powers[k] > step]
+        return out
+
+    def _route_loose(self, v: SparseVector, n: int) -> SparseVector:
         for _ in range(n):
             if v.is_zero():
                 break
-            v = self.apply(v)
+            out: dict = {}
+            for j, a in v.items():
+                for i, w in self.column(j).items():
+                    out[i] = out.get(i, 0) + w * a
+            v = SparseVector(out)
         return v
 
     def __repr__(self):

@@ -85,8 +85,11 @@ __all__ = [
 # Guard rails for runaway subdivisions.
 MAX_WIDTH = 2**63
 MAX_SUBEDGES = 2_000_000
-# Guard rail for runaway characteristic histories in evolve_rational.
+# Guard rails for runaway characteristic histories in evolve_rational,
+# and for runs whose stage count (t times the fastest speed) times the
+# edge count predicts minutes of work.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
+MAX_STAGE_EDGES = 2_000_000
 
 
 def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
@@ -108,28 +111,25 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     n0 = t.numerator // t.denominator
     theta = t - n0
-
-    base = list(f.values)
-    for _ in range(n0):
-        base = [op.apply(v) for v in base]
+    bps, values = f.breakpoints, f.values
     if theta == 0:
-        return NetworkState(f.breakpoints, base)
+        return NetworkState(bps, op.apply_stack(values, n0))
 
-    bps = f.breakpoints
+    # s in [0, 1-theta): argument t+s stays below n0+1, shift only; these
+    # are the pieces from `first` on.  s in [1-theta, 1): argument wrapped
+    # once more through the routing; these are the `wrapped` pieces left of
+    # theta, the last one cut at theta.
+    first = bisect.bisect_right(bps, theta) - 1
+    wrapped = bisect.bisect_left(bps, theta)
+    rest = 1 - theta
     out_bps = [Fraction(0)]
-    out_vals = []
-    # s in [0, 1-theta): argument t+s stays below n0+1, shift only.
-    for m, v in enumerate(base):
-        hi = bps[m + 1]
-        if hi > theta:
-            out_vals.append(v)
-            out_bps.append(hi - theta)
-    # s in [1-theta, 1): argument wrapped once more through the routing.
-    for m, v in enumerate(base):
-        lo, hi = bps[m], min(bps[m + 1], theta)
-        if lo < hi:
-            out_vals.append(op.apply(v))
-            out_bps.append(hi + 1 - theta)
+    out_bps += [b - theta for b in bps[first + 1:]]
+    out_bps += [b + rest for b in bps[1:wrapped]]
+    out_bps.append(Fraction(1))
+    out_vals = op.apply_stack(
+        values[first:] + values[:wrapped],
+        [n0] * (len(values) - first) + [n0 + 1] * wrapped,
+    )
     return NetworkState(out_bps, out_vals)
 
 
@@ -465,6 +465,16 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     D = math.lcm(t.denominator, f_den * math.lcm(*(c.numerator for c in speed.values())))
     T = t.numerator * (D // t.denominator)
     lag = {j: D // c.numerator * c.denominator for j, c in speed.items()}
+    # stages of the shortest traversal time end at step, 2 step, ..., T;
+    # each visits every edge, whatever the size of the answer
+    step = min(lag.values())
+    stages = -(-T // step) - 1
+    if stages * len(ids) > MAX_STAGE_EDGES:
+        fastest = sorted(ids, key=lag.get)[:4]
+        raise WidthOverflowError(
+            f"{stages} stages over {len(ids)} edges exceed {MAX_STAGE_EDGES} stage-edges",
+            edges=fastest,
+        )
 
     # head outflow H_j on [0, reach[j]): first f_j(c_j s) while edge j drains
     history, reach = {}, {}
@@ -482,7 +492,6 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     # then the tail inflow delayed by lag[j], one stage of the shortest
     # traversal time at a time: a stage ending at `end` reads histories
     # only up to end - min(lag), which earlier stages have built
-    step = min(lag.values())
     end = step
     while end < T:
         end = min(end + step, T)
@@ -583,12 +592,15 @@ class AbsorptionProfile:
 
 @dataclass
 class AbsorbingResult:
-    """Sampled perturbed evolution plus the bounds that qualify it.
+    """Sampled perturbed evolution plus the numbers that qualify it.
 
-    `tail_bound` dominates the dropped series orders; `quad_bound` is a
-    step-halving estimate of the quadrature error (zero when the panel
-    lattice makes the midpoint rule exact).  The truncation error of what
-    was returned is at most their sum.
+    `tail_bound` dominates the dropped series orders.  `quad_bound` is not
+    a proven bound: it is twice the sup distance between the run and one
+    with half the panels, an estimate of the quadrature error (zero when
+    the panel lattice makes the midpoint rule exact).  `error_bound`,
+    their sum, is therefore a proven tail plus an estimate, not a
+    guarantee.  Rates act with the sign they have: a constant positive
+    q0 grows mass as exp(q0 t), a negative one absorbs it.
     """
 
     state: SampledState
@@ -651,16 +663,20 @@ def evolve_absorbing(
 ) -> AbsorbingResult:
     """Transport with pointwise absorption, as a truncated iterated series.
 
-    Returns samples of sum_{k<=order} S_k(t) f on the uniform grid.  The
+    Returns samples of sum_{k<=order} S_k(t) f on the uniform grid, for
+    the generator d/ds + q: a positive rate grows mass (a constant q0
+    multiplies it by exp(q0 t)), a negative rate absorbs it.  The
     reported tail bound is
 
         (sum_j ell_j) * (|q| t)^{K+1} / (K+1)! * (geometric tail factor) * |f|
 
     measured in the norm the subdivided flow actually contracts; at a
     uniform velocity the leading factor is 1 and this reduces to the
-    familiar series remainder.  The quadrature bound comes from halving
-    quad_steps and comparing, doubled for safety, so exact-on-the-lattice
-    runs report zero.
+    familiar series remainder.  The quadrature figure is an estimate, not
+    a bound: the run is repeated with half the quad_steps and the sup
+    distance doubled, so exact-on-the-lattice runs report zero.  At t = 0
+    the input is returned sampled, with both figures zero, without
+    running the series.
     """
     t = as_exact_time(t, "evolution time")
     if t < 0:
@@ -673,6 +689,9 @@ def evolve_absorbing(
         raise ValueError(f"output grid must be >= 1, got {grid}")
 
     plan = subdivide(g, vel)
+    if t == 0:
+        # the series at h = 0 returns its input, and both bounds vanish
+        return AbsorbingResult(sample(f, grid), 0.0, 0.0, order, quad_steps)
     f_l = lift_state(plan, f)
     q_l = lift_state(plan, q.as_state())
 

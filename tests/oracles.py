@@ -34,20 +34,69 @@ def dense_power_apply(B: np.ndarray, ids, vec, n: int) -> dict:
 def brute_common_multiplier(cs, search_bound: int = 400) -> Fraction:
     """Smallest positive rational c with c/c_j a natural number for all j,
     found by scanning c = k/d over a denominator/numerator box instead of
-    using any lcm/gcd identity."""
-    cs = [Fraction(c) for c in cs]
-    dens = sorted({c.denominator for c in cs}, reverse=True)
+    using any lcm/gcd identity.
+
+    Pure integers: with c_j = p_j/q_j, c/c_j = k q_j / (d p_j) is whole
+    exactly when d p_j divides k q_j, and c >= best = bk/bd is the cross
+    product k bd >= bk d."""
+    cs = [(Fraction(c).numerator, Fraction(c).denominator) for c in cs]
     best = None
     for d in range(1, search_bound + 1):
         for k in range(1, search_bound + 1):
-            c = Fraction(k, d)
-            if best is not None and c >= best:
+            if best is not None and k * best[1] >= best[0] * d:
                 break
-            if all((c / cj).denominator == 1 for cj in cs):
-                best = c
+            if all((k * q) % (d * p) == 0 for p, q in cs):
+                best = (k, d)
     if best is None:
         raise AssertionError(f"no common multiplier below {search_bound} for {cs}")
-    return best
+    return Fraction(*best)
+
+
+def fraction_apply_power(g, vec, n: int) -> dict:
+    """B^n applied to a sparse vector, one entry at a time in plain
+    Fraction arithmetic over the graph's raw columns (lazy graphs too).
+    Zero entries are dropped, as SparseVector does."""
+    cur = dict(vec.items())
+    for _ in range(n):
+        out: dict = {}
+        for j, a in cur.items():
+            for i, w in g.column(j).items():
+                out[i] = out.get(i, 0) + w * a
+        cur = {i: x for i, x in out.items() if x != 0}
+    return cur
+
+
+def plotdata_reference(state, edges=None) -> str:
+    """CSV text of a sampled state, one cell at a time: every row formatted
+    from scratch and `s` taken as float(Fraction(m, M))."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    if edges is None:
+        edges = sorted(state.support(), key=repr)
+    edges = list(edges)
+    if not edges:
+        return "s\n"
+    is_complex = any(
+        isinstance(v.get(e), complex) for v in state.samples for e in v.support()
+    )
+    if is_complex:
+        header = "s," + ",".join(f"edge_{e}_re,edge_{e}_im" for e in edges)
+    else:
+        header = "s," + ",".join(f"edge_{e}" for e in edges)
+    rows = [header]
+    M = state.grid_size
+    for m, v in enumerate(state.samples):
+        cells = [fmt(Fraction(m, M))]
+        for e in edges:
+            z = v.get(e)
+            if is_complex:
+                z = complex(z)
+                cells += [fmt(z.real), fmt(z.imag)]
+            else:
+                cells.append(fmt(z))
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
 
 
 def riemann_pair(f, g, n: int = 4000):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from netflow import (
     MalformedInputError,
     SampledState,
@@ -12,6 +13,7 @@ from netflow import (
     parse_graph_text,
     parse_plotdata,
     parse_state_text,
+    sample,
     validate_graph,
     write_graph_text,
     write_state_text,
@@ -150,6 +152,38 @@ class TestPlotdata:
         back = parse_plotdata(text)
         assert back.samples[0].get(1) == 1 + 2j
         assert back.samples[1].get(1) == complex(0, -0.5)
+
+    def test_shared_rows_match_per_cell_reference(self):
+        # sample() hands one vector object to every grid point of a piece
+        f = NetworkState(
+            [F(0), F(1, 3), F(5, 7), F(1)],
+            [SparseVector({1: F(1, 3), 2: F(-2, 7)}), SparseVector({2: F(10, 9)}),
+             SparseVector({1: F(7), 3: F(1, 10**6)})],
+        )
+        s = sample(f, 50)
+        assert len({id(v) for v in s.samples}) == 3
+        for edges in (None, [1, 2, 3], [3, 9, 1]):
+            assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges)
+
+    def test_equal_vectors_in_distinct_objects(self):
+        rows = [SparseVector({1: F(k % 3, 7), 2: 0.1 * (k % 2)}) for k in range(9)]
+        s = SampledState(8, rows)
+        assert len({id(v) for v in s.samples}) == 9
+        assert emit_plotdata(s) == oracles.plotdata_reference(s)
+        assert emit_plotdata(s, edges=[2, 1]) == oracles.plotdata_reference(s, [2, 1])
+
+    def test_complex_rows_match_per_cell_reference(self):
+        a = SparseVector({1: 1 + 2j, 2: F(1, 3)})
+        b = SparseVector({2: complex(0, -0.5)})
+        s = SampledState(6, [a, a, b, a, b, b, SparseVector({3: 0.25})])
+        assert emit_plotdata(s) == oracles.plotdata_reference(s)
+        assert emit_plotdata(s, edges=[3, 1]) == oracles.plotdata_reference(s, [3, 1])
+
+    def test_grid_column_is_the_rounded_fraction(self):
+        M = 997
+        text = emit_plotdata(SampledState(M, [SparseVector({1: F(1)})] * (M + 1)))
+        cells = [line.split(",")[0] for line in text.splitlines()[1:]]
+        assert cells == [f"{float(F(m, M)):.17g}" for m in range(M + 1)]
 
     def test_empty_edge_list_is_header_only(self):
         assert emit_plotdata(SampledState.zeros(4), edges=[]) == "s\n"

@@ -1,5 +1,6 @@
 """Graph model, validation, and adjacency operator behavior."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from netflow import (
     build_adjacency,
     validate_graph,
 )
+from netflow import checks
 
 
 def g2():
@@ -150,6 +152,94 @@ class TestAdjacency:
         assert out.l1() <= v.l1()
         if all(x >= 0 for _, x in v.items()):
             assert out.total() == v.total()
+
+
+def random_vector(rng, ids, nonneg):
+    """Sparse exact vector on a random subset of `ids`, ints and Fractions mixed."""
+    vec = {}
+    for j in rng.sample(ids, rng.randint(0, len(ids))):
+        num = rng.randint(1, 9) if nonneg else rng.choice((-7, -3, -1, 1, 2, 5))
+        den = rng.randint(1, 12)
+        vec[j] = num if den == 1 else F(num, den)
+    return SparseVector(vec)
+
+
+class TestApplyStack:
+    """The integer-numerator stack route against a per-entry Fraction loop."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_exact(self, seed):
+        rng = random.Random(f"apply-stack:{seed}")
+        for trial in range(40):
+            g = checks.random_graph(rng, 12)
+            op = build_adjacency(g)
+            ids = g.edge_ids
+            vecs = [random_vector(rng, ids, nonneg=trial % 2 == 0) for _ in range(6)]
+            powers = [rng.randint(0, 6) for _ in vecs]
+            got = op.apply_stack(vecs, powers)
+            for v, n, out in zip(vecs, powers, got):
+                want = oracles.fraction_apply_power(g, v, n)
+                assert dict(out.items()) == want, (trial, n)
+                assert all(type(x) is F for _, x in out.items()) or n == 0
+                assert op.apply_power(v, n) == out
+            assert op.apply(vecs[0]) == op.apply_stack(vecs, 1)[0]
+
+    def test_zeroth_power_keeps_the_object(self):
+        op = build_adjacency(g5())
+        v = SparseVector({1: F(1, 3)})
+        w = SparseVector({2: 0.5})
+        assert op.apply_stack([v, w], 0) == [v, w]
+        assert op.apply_stack([v, w], 0)[0] is v
+        assert op.apply_power(w, 0) is w
+
+    def test_cancellation_drops_zero_entries(self):
+        op = build_adjacency(g5())
+        out = op.apply(SparseVector({4: F(1, 2), 5: F(-1, 2), 2: F(3)}))
+        assert dict(out.items()) == {4: F(3)}
+        assert op.apply(SparseVector({4: F(1), 5: F(-1)})).is_zero()
+
+    def test_scaled_rational_operator(self):
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1, 3)})
+        op = build_adjacency(g, vel)
+        v = SparseVector({1: F(3, 7), 2: F(-5), 4: F(1, 9)})
+        want = dict(v.items())
+        for n in range(1, 6):
+            acc = {}
+            for j, a in want.items():
+                for i, w in g.column(j).items():
+                    acc[i] = acc.get(i, 0) + w * vel.velocity(j) / vel.velocity(i) * a
+            want = {i: x for i, x in acc.items() if x != 0}
+            assert dict(op.apply_power(v, n).items()) == want
+
+    def test_float_and_complex_take_the_loop(self):
+        g = g5()
+        op = build_adjacency(g)
+        exact = SparseVector({1: F(1, 3), 4: F(-2), 5: F(5, 7)})
+        floats = SparseVector({j: float(x) / 7 for j, x in exact.items()})
+        cplx = SparseVector({1: 1 + 2j, 3: complex(-0.25, 0.5)})
+        got = op.apply_stack([floats, exact, cplx], [5, 5, 3])
+        assert dict(got[0].items()) == oracles.fraction_apply_power(g, floats, 5)
+        assert all(isinstance(x, float) for _, x in got[0].items())
+        assert dict(got[1].items()) == oracles.fraction_apply_power(g, exact, 5)
+        assert dict(got[2].items()) == oracles.fraction_apply_power(g, cplx, 3)
+        assert all(isinstance(x, complex) for _, x in got[2].items())
+
+    def test_float_speeds_take_the_loop(self):
+        g = g2()
+        vel = VelocityProfile({1: 2.0, 2: 0.5})
+        op = build_adjacency(g, vel)
+        out = op.apply_power(SparseVector({1: F(1, 3)}), 3)
+        assert dict(out.items()) == {2: 4.0 * F(1, 3)}
+
+    def test_bad_powers_rejected(self):
+        op = build_adjacency(g2())
+        with pytest.raises(ValueError):
+            op.apply_stack([SparseVector({1: F(1)})], [-1])
+        with pytest.raises(ValueError):
+            op.apply_power(SparseVector({1: F(1)}), -2)
+        with pytest.raises(ValueError):
+            op.apply_stack([SparseVector({1: F(1)})] * 2, [1])
 
 
 class TestLazyGraph:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from netflow import (
+    AbsorbingResult,
     AbsorptionProfile,
     ApproximationSchedule,
     MalformedGraphError,
@@ -153,6 +154,81 @@ class TestEvolveUnit:
             [SparseVector({2: F(2)}), SparseVector({3: F(1)})],
         )
         assert out == want
+
+
+def branching_path():
+    """Lazy infinite graph: two parallel edges (v, 0), (v, 1) from v to v+1,
+    each splitting its outflow over the next pair with its own weights."""
+    split = {0: (F(1, 3), F(2, 3)), 1: (F(3, 4), F(1, 4))}
+    return MetricGraph.lazy(
+        lambda j: [((j[0] + 1, 0), split[j[1]][0]), ((j[0] + 1, 1), split[j[1]][1])],
+        lambda j: (j[0], j[0] + 1),
+        name="branching",
+    )
+
+
+def pointwise_unit_flow(g, f, t, s):
+    """T(t)f(s) = B^n f(t + s - n), routed entry by entry in Fractions."""
+    y = t + s
+    n = y.numerator // y.denominator
+    return oracles.fraction_apply_power(g, f.value_at(y - n), n)
+
+
+class TestUnitKernel:
+    """evolve_unit through the integer stack route, against per-entry routing."""
+
+    def check_pointwise(self, g, f, t):
+        out = evolve_unit(build_adjacency(g), f, t)
+        probes = {F(m, 97) for m in range(97)} | set(out.breakpoints[:-1])
+        for s in sorted(probes):
+            assert dict(out.value_at(s).items()) == pointwise_unit_flow(g, f, t, s), (t, s)
+        return out
+
+    @pytest.mark.parametrize("nonneg", [True, False])
+    def test_lazy_path_long_times(self, nonneg):
+        rng = random.Random(f"lazy-kernel:{nonneg}")
+        g = branching_path()
+        edges = [(v, k) for v in range(3) for k in (0, 1)]
+        lo = 1 if nonneg else -4
+        bps = [F(0), F(1, 5), F(1, 2), F(5, 6), F(1)]
+        vals = [
+            SparseVector({e: F(rng.randint(lo, 4), rng.randint(1, 6)) for e in edges})
+            for _ in range(len(bps) - 1)
+        ]
+        f = NetworkState(bps, vals)
+        for t in (F(1, 3), F(5, 2), F(7), F(47, 4), F(12)):
+            out = self.check_pointwise(g, f, t)
+            assert total_mass(out) == total_mass(f)
+            if nonneg:
+                assert out.is_nonnegative()
+
+    def test_lazy_stack_powers_up_to_twelve(self):
+        g = branching_path()
+        op = build_adjacency(g)
+        vecs = [
+            SparseVector({(0, 0): F(1, 2), (0, 1): F(-3, 7)}),
+            SparseVector({(1, 1): 5}),
+            SparseVector({(2, 0): F(2, 9), (3, 1): F(1, 4)}),
+        ]
+        powers = [12, 7, 11]
+        for v, n, out in zip(vecs, powers, op.apply_stack(vecs, powers)):
+            assert dict(out.items()) == oracles.fraction_apply_power(g, v, n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_graphs_pointwise(self, seed):
+        rng = random.Random(f"unit-kernel:{seed}")
+        for trial in range(12):
+            g = checks.random_graph(rng, 10)
+            f = checks.random_state(rng, g, 5, nonneg=trial % 2 == 0)
+            self.check_pointwise(g, f, checks.random_time(rng, 4))
+
+    def test_float_state_takes_the_loop(self):
+        g = g5()
+        exact = random_state(random.Random(5), (1, 2, 3, 4, 5), pieces=5)
+        f = exact.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
+        for t in (F(2, 5), F(9, 4)):
+            out = self.check_pointwise(g, f, t)
+            assert all(isinstance(x, float) for v in out.values for _, x in v.items())
 
 
 class TestCommonMultiplier:
@@ -398,6 +474,24 @@ class TestCharacteristicsAgainstSubdivision:
             evolve_rational(g, vel, f, F(3))
         assert err.value.edges
 
+    def test_stage_cap(self, monkeypatch):
+        # speeds 1 and 3: stages of 1/3 end at 1/3, 2/3, ..., t, so t = 17
+        # runs 50 stages over 2 edges
+        g = g2()
+        vel = VelocityProfile({1: F(1), 2: F(3)})
+        f = NetworkState.constant(SparseVector({1: F(1), 2: F(1, 3)}))
+        monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 100)
+        assert total_mass(evolve_rational(g, vel, f, F(17))) == total_mass(f)
+
+        def no_stage(*_):
+            raise AssertionError("a stage ran before the guard")
+
+        monkeypatch.setattr(semigroup, "_inflow", no_stage)
+        with pytest.raises(WidthOverflowError) as err:
+            evolve_rational(g, vel, f, F(35, 2))
+        assert err.value.edges[0] == 2
+        assert "52 stages" in str(err.value)
+
 
 class TestEvolveAbsorbing:
     def setup_g2(self):
@@ -451,6 +545,20 @@ class TestEvolveAbsorbing:
             got = sum(abs(res.state.samples[m].get(j) - ref[j][cell]) for j in (1, 2))
             worst = max(worst, got)
         assert worst <= 1e-3
+
+    def test_time_zero_is_the_sampled_input(self):
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+        f = random_state(random.Random(3), (1, 2, 3, 4, 5), pieces=5)
+        q = AbsorptionProfile.constant({1: F(1, 2), 3: F(-1, 4)})
+        res = evolve_absorbing(g, vel, q, f, F(0), order=5, quad_steps=12, grid=40)
+        assert res == AbsorbingResult(sample(f, 40), 0.0, 0.0, 5, 12)
+        # the series itself returns its input at t = 0
+        plan = subdivide(g, vel)
+        series = semigroup._absorb_series(
+            plan, lift_state(plan, f), lift_state(plan, q.as_state()), F(0), 5, 12
+        )
+        assert sample(project_state(plan, series), 40) == res.state
 
     def test_tail_bound_shrinks_with_order(self):
         g, vel, f = self.setup_g2()
