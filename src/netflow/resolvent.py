@@ -1,28 +1,38 @@
 """Resolvents of the transport generator and the Laplace-transform oracle.
 
-Two independent formulas are implemented.  The unit-velocity series
+On edge j, at speed c_j, the resolvent u = (l - A)^{-1} f solves
+l u_j - c_j u_j' = f_j, and its head trace y = u(1) is what the tails
+route in, y = C u(0) with C_ij = (c_j / c_i) w_ij.  With mu_j = l / c_j
+every edge has the same closed form
 
-    u(s) = e^{ls} * sum_{k>=0} e^{-l(k+1)} B^{k+1} w  +  int_s^1 e^{l(s-t)} f(t) dt,
-    w = int_0^1 e^{-lt} f(t) dt,
+    u_j(s) = e^{-mu_j (1-s)} y_j + (1/c_j) int_s^1 e^{mu_j (s-t)} f_j(t) dt,
 
-needs only column access to B, so it runs on lazy infinite graphs; the
-series is truncated by an a priori geometric bound.  The general-velocity
-form works on finite graphs: the free part is the per-edge one-sided
-integral (R_l f)_j(s) = (1/c_j) int_s^1 e^{(l/c_j)(s-t)} f_j(t) dt, and the
-boundary part solves the trace fixed point through a Neumann series in
-B_l = diag(e^{-l/c_i}) . (velocity-conjugated B).
+and one sampler evaluates it on the grid for both solvers.  The local
+integral is closed-form per piece of f and summed backwards over the
+pieces; every exponential has a non-positive real exponent, so no l in
+the right half-plane overflows.  Read at s = 0 the local integral is the
+boundary moment d = u(0) - e^{-mu} y, and the solvers differ only in the
+series that turns d into y:
 
-All integrals of exponentials against step functions are closed-form per
-piece; the only quadrature in this module lives in laplace_oracle, which
-exists precisely to certify the closed forms against the time-domain
-definition of the resolvent.
+- resolvent_unit (unit speed): y = sum_{k>=0} e^{-lk} B^{k+1} d.  Each
+  term needs only columns of B reachable from the support of f, so it
+  runs on lazy infinite graphs; only edges in the support of f or y are
+  sampled.
+- resolvent_general (any positive speeds, finite graph): the Neumann
+  iteration of y = C (d + E y), E = diag(e^{-mu}).
 
-A note on the Neumann contraction check: the raw max-column-sum of B_l can
-exceed 1 on perfectly valid graphs (fast edge feeding a slow one), so the
-iteration is driven by the velocity-weighted column norm sum_i
-e^{-Re(l)/c_i} w_ij, which is <= e^{-Re(l)/c_max} < 1 whenever the columns
-are stochastic.  Both norms are reported in the metadata; the raw one for
-inspection, the weighted one because it is the certificate.
+An error in y reaches every sample through a factor |e^{-mu_j (1-s)}| <= 1,
+so both truncation bounds hold for the sampled sup-l1 norm as they stand.
+The Neumann certificate is the norm of v -> C E v in |v|_c = sum_j c_j |v_j|,
+at most q = max_j e^{-Re(l)/c_j} sum_i |w_ij|, which is e^{-Re(l)/c_max} < 1
+for stochastic columns.  The raw max-column-sum of C E can exceed 1 on
+perfectly valid graphs (a fast edge feeding a slow one); both norms are
+reported in the metadata, the raw one for inspection, q because it is the
+certificate.
+
+The only quadrature in this module lives in laplace_oracle, which exists
+precisely to certify the closed forms against the time-domain definition
+of the resolvent.
 """
 
 from __future__ import annotations
@@ -79,27 +89,67 @@ def _require_right_half_plane(lam) -> complex:
     return lam
 
 
-def _realify(values: dict, lam: complex) -> dict:
-    if lam.imag == 0:
-        return {e: v.real for e, v in values.items()}
-    return values
+def _piece_integrals(f: NetworkState, edges: list, mu: np.ndarray, lam) -> tuple:
+    """(V, G) on the rows `edges`: V[:, p] is f on piece p divided by l, and
+    G[:, p] = (1/c_j) int_{a_p}^1 e^{mu_j (a_p - t)} f_j(t) dt is the local
+    integral at the piece's left end a_p (G[:, P] = 0 at s = 1).  G[:, 0]
+    is the boundary moment d."""
+    pos = {e: k for k, e in enumerate(edges)}
+    V = np.zeros((len(edges), len(f.values)), dtype=mu.dtype)
+    for p, v in enumerate(f.values):
+        for e, x in v.items():
+            V[pos[e], p] = float(x)
+    V /= lam
+    G = np.zeros((len(edges), len(f.values) + 1), dtype=mu.dtype)
+    for p in reversed(range(len(f.values))):
+        x = -mu * float(f.breakpoints[p + 1] - f.breakpoints[p])
+        G[:, p] = np.exp(x) * G[:, p + 1] - np.expm1(x) * V[:, p]
+    return V, G
 
 
-def _piece_coefficient(lam_over_c: complex, a: Fraction, b: Fraction) -> complex:
-    """int_a^b e^{-mu t} dt * mu = e^{-mu a} - e^{-mu b}; callers divide by
-    the right scalar themselves (it telescopes to 1/lambda in both uses)."""
-    return cmath.exp(-lam_over_c * float(a)) - cmath.exp(-lam_over_c * float(b))
+def _sample(f: NetworkState, edges: list, mu: np.ndarray, lam, y: np.ndarray,
+            grid: int) -> SampledState:
+    """The closed form u_j(m / grid), m = 0..grid, on the rows `edges`, from
+    the per-edge exponent mu = l / c and the head trace y = u(1)."""
+    V, G = _piece_integrals(f, edges, mu, lam)
+    s = np.arange(grid + 1) / grid
+    # sample m lies in piece p when ceil(a_p grid) <= m < ceil(b_p grid);
+    # s = 1 belongs to the last piece
+    first = [-(-a.numerator * grid // a.denominator) for a in f.breakpoints[:-1]]
+    piece = np.repeat(np.arange(len(first)), np.diff(first + [grid + 1]))
+    right = np.array([float(b) for b in f.breakpoints[1:]])
+    # u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, built
+    # in u with one scratch buffer of the same size; b_p >= s and rounding
+    # is monotone, so the float b_p - s is never negative
+    u = (G[:, 1:] - V)[:, piece]
+    buf = np.multiply.outer(-mu, right[piece] - s)
+    u *= np.exp(buf, out=buf)
+    np.multiply.outer(-mu, 1 - s, out=buf)
+    np.exp(buf, out=buf)
+    buf *= y[:, None]
+    u += buf
+    u += np.take(V, piece, axis=1, out=buf)
+    return _sampled(edges, u)
+
+
+def _sampled(edges: list, u: np.ndarray) -> SampledState:
+    """SampledState of an edges x (grid + 1) array, zero entries dropped."""
+    return SampledState(u.shape[1] - 1,
+                        [SparseVector(zip(edges, col)) for col in u.T.tolist()])
 
 
 def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
                    grid: int = 256, tol: float = 1e-12) -> ResolventResult:
-    """Unit-velocity resolvent by the explicit routing series.
+    """Unit-velocity resolvent by the routing series for the head trace,
+    y = u(1) = sum_{k>=0} e^{-lk} B^{k+1} w with w = int_0^1 e^{-lt} f(t) dt.
 
     Truncation: K is the smallest count with
-    e^{-Re(l) K} / (1 - e^{-Re(l)}) * sup_norm(f) <= tol, so the dropped
-    part of the series is below tol before the e^{ls} <= e^{Re(l)} factor;
-    the reported tail_bound includes that factor.  Works on lazy graphs:
-    each series term only needs columns reachable from the support of f.
+    e^{-Re(l) K} / (1 - e^{-Re(l)}) * sup_norm(f) <= tol, and terms
+    k = 0..K are summed.  With stochastic columns each dropped term has l1
+    norm at most e^{-Re(l) k} |w|_1, so tail_bound =
+    |w|_1 e^{-Re(l)(K+1)} / (1 - e^{-Re(l)}) bounds what they add to any
+    sample.  Works on lazy graphs: each series term only needs columns
+    reachable from the support of f.
     """
     if op.scaled:
         raise WrongOperatorError(
@@ -128,53 +178,24 @@ def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
                 achieved=achieved,
             )
 
-    w: dict = {}
-    for a, b, v in f.pieces():
-        coeff = _piece_coefficient(lam, a, b) / lam
-        for e, val in v.items():
-            w[e] = w.get(e, 0j) + coeff * float(val)
-    w_vec = SparseVector(w)
-
-    x_acc: dict = {}
-    cur = w_vec
-    for k in range(K + 1):
+    # real arithmetic throughout when lambda is real
+    lam_num = re if lam.imag == 0 else lam
+    edges = list(dict.fromkeys(e for v in f.values for e in v.support()))
+    w = _piece_integrals(f, edges, np.full(len(edges), lam_num), lam_num)[1][:, 0]
+    cur = SparseVector(zip(edges, w.tolist()))
+    y: dict = {}
+    for z in np.exp(-lam_num * np.arange(K + 1)).tolist():
         cur = op.apply(cur)
-        scal = cmath.exp(-lam * (k + 1))
         for e, val in cur.items():
-            x_acc[e] = x_acc.get(e, 0j) + scal * val
+            y[e] = y.get(e, 0) + z * val
 
-    # Remaining terms carry |e^{-l(k+1)} B^{k+1} w| <= e^{-re(k+1)} |w|;
-    # the e^{ls} prefactor contributes at most e^{re}.
-    w_norm = float(w_vec.l1())
+    w_norm = float(np.abs(w).sum())
     tail = w_norm * math.exp(-re * (K + 1)) / (1 - decay)
 
-    samples: list = [None] * (grid + 1)
-    samples[grid] = SparseVector(_realify(dict(x_acc), lam)).scale(
-        cmath.exp(lam).real if lam.imag == 0 else cmath.exp(lam)
-    )
-    suffix: dict = {}
-    pieces = list(f.pieces())
-    m = grid - 1
-    for a, b, v in reversed(pieces):
-        exp_b = cmath.exp(-lam * float(b))
-        while m >= 0 and a * grid <= m:
-            s = Fraction(m, grid)
-            es = cmath.exp(lam * float(s))
-            vec: dict = {}
-            inner = cmath.exp(-lam * float(s)) - exp_b
-            for e, val in v.items():
-                vec[e] = inner * float(val) / lam
-            for e, val in suffix.items():
-                vec[e] = vec.get(e, 0j) + val
-            for e, val in x_acc.items():
-                vec[e] = vec.get(e, 0j) + val
-            samples[m] = SparseVector(_realify({e: es * z for e, z in vec.items()}, lam))
-            m -= 1
-        coeff = _piece_coefficient(lam, a, b) / lam
-        for e, val in v.items():
-            suffix[e] = suffix.get(e, 0j) + coeff * float(val)
-
-    state = SampledState(grid, samples)
+    edges = list(dict.fromkeys([*edges, *y]))
+    mu = np.full(len(edges), lam_num)
+    y_arr = np.array([y.get(e, 0) for e in edges], dtype=mu.dtype)
+    state = _sample(f, edges, mu, lam_num, y_arr, grid)
     return ResolventResult(
         state, lam, K + 1, tail,
         {"method": "unit-series", "K_used": K, "tol": tol, "w_norm": w_norm},
@@ -186,10 +207,12 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     """General-velocity resolvent on a finite graph.
 
     Velocities may be any positive reals (this is the path that serves
-    irrational-velocity references).  The Neumann iteration stops when the
-    weighted term norm falls below tol * (1 - weighted operator norm), so
-    the dropped boundary correction is below tol in that norm; the
-    reported tail_bound converts to the sampled sup-l1 norm.
+    irrational-velocity references).  The head trace y = u(1) is the
+    Neumann series y = sum_{k>=0} (C E)^k C d, with C, E, d, q and |.|_c
+    as in the module docstring.  It stops at the first N
+    with |term_N|_c / ((1 - q) c_min) <= tol, which bounds, in the sampled
+    sup-l1 norm, everything the dropped terms add; that quantity is the
+    reported tail_bound.
     """
     lam = _require_right_half_plane(lam)
     if grid < 1:
@@ -201,82 +224,52 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     n = len(ids)
     c = np.array([float(vel.velocity(j)) for j in ids])
     c_min = c.min()
+    # real arithmetic throughout when lambda is real
+    lam_num = lam.real if lam.imag == 0 else lam
+    mu = lam_num / c
 
-    B = np.zeros((n, n))
+    C = np.zeros((n, n))
     for j in ids:
         for i, w_ij in g.column(j).items():
-            B[idx[i], idx[j]] = float(w_ij)
-    Bc_lam = np.exp(-lam / c)[:, None] * B * (c[None, :] / c[:, None])
-
-    norm_raw = float(np.abs(Bc_lam).sum(axis=0).max())
-    weighted = np.exp(-lam.real / c)[:, None] * B
-    norm_weighted = float(weighted.sum(axis=0).max())
+            C[idx[i], idx[j]] = float(w_ij)
+    decay = np.exp(-lam.real / c)  # |e^{-mu_j}|
+    norm_weighted = float((decay * np.abs(C).sum(axis=0)).max())
     if norm_weighted >= 1:
         raise ContractionViolationError(
             f"weighted norm of the boundary operator is {norm_weighted:.6g} >= 1; "
             "the graph's columns cannot be stochastic"
         )
+    C *= c[None, :] / c[:, None]
+    norm_raw = float((decay * np.abs(C).sum(axis=0)).max())
 
-    mu = lam / c  # per-edge exponent l / c_j
+    def route(v):
+        # C @ v; a complex v is split so that C is never cast to complex
+        if v.dtype.kind == "c":
+            return C @ v.real + 1j * (C @ v.imag)
+        return C @ v
 
-    d = np.zeros(n, dtype=complex)
-    for a, b, v in f.pieces():
-        for e, val in v.items():
-            i = idx[e]
-            d[i] += (cmath.exp(-mu[i] * float(a)) - cmath.exp(-mu[i] * float(b))) \
-                * float(val) / lam
+    def bound(term):
+        return float((c * np.abs(term)).sum()) / ((1 - norm_weighted) * c_min)
 
-    def c_norm(vec):
-        return float((c * np.abs(vec)).sum())
-
-    x = np.zeros(n, dtype=complex)
-    term = Bc_lam @ d
+    d = _piece_integrals(f, ids, mu, lam_num)[1][:, 0]
+    E = np.exp(-mu)
+    y = np.zeros_like(d)
+    term = route(d)
+    tail = bound(term)
     nterms = 0
-    threshold = tol * (1 - norm_weighted)
-    while c_norm(term) >= threshold:
-        x += term
-        term = Bc_lam @ term
+    while tail > tol:
+        y += term
+        term = route(E * term)
+        tail = bound(term)
         nterms += 1
         if nterms > MAX_SERIES_TERMS:
             raise TruncationError(
                 f"Neumann tolerance {tol} not reachable within "
                 f"{MAX_SERIES_TERMS} terms",
-                achieved=c_norm(term),
+                achieved=tail,
             )
-    tail = math.exp(lam.real / c_min) * tol / c_min
 
-    s_arr = np.arange(grid + 1) / grid
-    u = np.zeros((n, grid + 1), dtype=complex)
-    for j in ids:
-        i = idx[j]
-        w_line = np.zeros(grid + 1, dtype=complex)
-        suffix = 0j
-        for a, b, v in reversed(list(f.pieces())):
-            val = v.get(j)
-            lo = math.ceil(a * grid)
-            hi = grid + 1 if b == 1 else math.ceil(b * grid)
-            if val != 0:
-                exp_b = cmath.exp(-mu[i] * float(b))
-                w_line[lo:hi] = (np.exp(-mu[i] * s_arr[lo:hi]) - exp_b) \
-                    * float(val) / lam
-            if suffix != 0:
-                w_line[lo:hi] += suffix
-            if val != 0:
-                suffix += (cmath.exp(-mu[i] * float(a)) - exp_b) * float(val) / lam
-        u[i] = np.exp(mu[i] * s_arr) * (w_line + x[i])
-
-    # the s=1 sample belongs to the last piece by the left-trace convention,
-    # which the closed form already honors (continuous in s)
-    real_out = lam.imag == 0
-    samples = []
-    for m in range(grid + 1):
-        vec = {}
-        for j in ids:
-            z = u[idx[j], m]
-            if z != 0:
-                vec[j] = z.real if real_out else complex(z)
-        samples.append(SparseVector(vec))
-    state = SampledState(grid, samples)
+    state = _sample(f, ids, mu, lam_num, y, grid)
     return ResolventResult(
         state, lam, nterms, tail,
         {
@@ -424,16 +417,8 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
             _add_corr(acc, grid, m, seg / 2 * phi_prev, val_prev)
             _add_corr(acc, grid, m, seg / 2 * phi_n, v_n)
 
-    real_out = lam.imag == 0
-    samples = []
-    for m in range(grid + 1):
-        vec = {}
-        for e, arr in acc.items():
-            z = arr[m]
-            if z != 0:
-                vec[e] = z.real if real_out else complex(z)
-        samples.append(SparseVector(vec))
-    state = SampledState(grid, samples)
+    u = np.array(list(acc.values())).reshape(len(acc), grid + 1)
+    state = _sampled(list(acc), u.real if lam.imag == 0 else u)
 
     tail_bound = math.exp(-re * float(t_max)) / re * float(f.sup_norm())
     return LaplaceResult(

@@ -8,6 +8,7 @@ dumb and slow; clarity beats speed.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,35 @@ def plotdata_reference(state, edges=None) -> str:
                 cells.append(fmt(z))
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
+
+
+def resolvent_closed_form(f, speed, lam, y: dict, grid: int) -> list:
+    """The resolvent's closed form from its head trace y = u(1), point by
+    point: at every s = m/grid and on every edge of supp f or supp y,
+
+        u_j(s) = e^{-mu_j (1-s)} y_j + (1/c_j) int_s^1 e^{mu_j (s-t)} f_j(t) dt,
+
+    mu_j = lam / c_j, c_j = speed(j), with the integral summed piece by
+    piece in cmath.  Every exponent is written relative to s, so none is
+    positive.  Returns one {edge: complex} dict per sample."""
+    lam = complex(lam)
+    edges = set(y) | f.support()
+    out = []
+    for m in range(grid + 1):
+        s = Fraction(m, grid)
+        vec = {}
+        for j in edges:
+            mu = lam / float(speed(j))
+            z = cmath.exp(-mu * float(1 - s)) * y.get(j, 0)
+            for a, b, v in f.pieces():
+                x = v.get(j)
+                if x != 0 and b > s:
+                    lo = max(a, s)
+                    z += (cmath.exp(-mu * float(lo - s))
+                          - cmath.exp(-mu * float(b - s))) * float(x) / lam
+            vec[j] = z
+        out.append(vec)
+    return out
 
 
 def riemann_pair(f, g, n: int = 4000):

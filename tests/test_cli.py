@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: verbs, artifacts, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -112,6 +113,17 @@ class TestResolvent:
         assert meta["mode"] == "general"
         assert 0 < meta["norm_Blambda_weighted"] < 1
         assert meta["neumann_terms"] >= 1
+
+    def test_large_lambda_writes_finite_samples(self, tmp_path):
+        code = main([
+            "resolvent", "--graph", G2, "--state", PULSE,
+            "--lambda", "800", "--grid", "16", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "resolvent.csv")
+        assert len(rows) == 17
+        assert all(math.isfinite(x) for row in rows for x in row)
+        assert rows[0][1] == pytest.approx(1 / 800, rel=1e-12)
 
     def test_unit_mode_needs_unit_velocities(self, tmp_path):
         code = main([

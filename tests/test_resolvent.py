@@ -1,11 +1,13 @@
 """Resolvent formulas, the Laplace-transform oracle, and their certificates."""
 
+import cmath
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from netflow import (
     ContractionViolationError,
     MetricGraph,
@@ -20,6 +22,7 @@ from netflow import (
     resolvent_identity_check,
     resolvent_unit,
 )
+from netflow import checks
 
 
 def g2():
@@ -191,6 +194,116 @@ class TestResolventGeneral:
         assert 0 < res.metadata["norm_Blambda_weighted"] < 1
         assert res.metadata["norm_Blambda"] > 0
         assert res.terms == res.metadata["neumann_terms"]
+
+
+class TestLargeLambda:
+    """Both solvers truncate on the head trace y = u(1), so their bounds
+    carry no e^{Re(l)/c_min} factor and hold at any Re(l) > 0."""
+
+    @pytest.mark.parametrize("lam", [10.0, 30.0, 50.0, 400.0])
+    def test_unit_and_general_agree(self, lam):
+        cases = [
+            (g2(), NetworkState.constant(SparseVector({1: F(1)}))),
+            (g5(), random_state(random.Random(23), (1, 2, 3, 4, 5))),
+        ]
+        for g, f in cases:
+            ru = resolvent_unit(build_adjacency(g), f, lam, grid=16)
+            rg = resolvent_general(g, unit_vel(g), f, lam, grid=16)
+            assert ru.tail_bound <= 1e-10 and rg.tail_bound <= 1e-10
+            assert rg.terms >= 1
+            assert ru.state.distance(rg.state) <= ru.tail_bound + rg.tail_bound + 1e-12
+
+    @pytest.mark.parametrize("lam", [800.0, 800 + 3j, 1e4])
+    def test_no_overflow(self, lam):
+        g = g5()
+        f = random_state(random.Random(24), (1, 2, 3, 4, 5))
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+        for res in (resolvent_unit(build_adjacency(g), f, lam, grid=32),
+                    resolvent_general(g, unit_vel(g), f, lam, grid=32),
+                    resolvent_general(g, vel, f, lam, grid=32)):
+            assert math.isfinite(res.tail_bound)
+            values = [x for v in res.state.samples for _, x in v.items()]
+            assert values and all(cmath.isfinite(x) for x in values)
+
+
+def assert_matches_closed_form(res, f, speed, lam):
+    """Every sample of `res` against the per-point closed form fed with
+    the head trace the solver found, u(1) = its last sample."""
+    M = res.state.grid_size
+    y = dict(res.state.samples[M].items())
+    want = oracles.resolvent_closed_form(f, speed, lam, y, M)
+    for got, ref in zip(res.state.samples, want):
+        assert set(got.support()) <= set(ref)
+        for j, z in ref.items():
+            assert abs(got.get(j) - z) <= 1e-12 * (1 + abs(z)), (j, got.get(j), z)
+
+
+def random_instance(rng):
+    g = checks.random_graph(rng, 8)
+    vel = VelocityProfile({j: F(rng.randint(1, 6), rng.randint(1, 4)) for j in g.edge_ids})
+    return g, vel, checks.random_state(rng, g, 6)
+
+
+class TestSharedSampler:
+    LAMBDAS = (0.5, 2.0, 1 + 1j, 3 - 2j, 30.0, 800.0, 800 + 5j)
+
+    def test_random_graphs_random_speeds(self):
+        rng = random.Random(31)
+        for trial in range(14):
+            g, vel, f = random_instance(rng)
+            lam = self.LAMBDAS[trial % len(self.LAMBDAS)]
+            # the state's breakpoints have denominators 8, 12, 16 or 24, so
+            # some grids put them on grid points and 7 never does
+            grid = rng.choice([7, 12, 16, 24, 48])
+            res = resolvent_general(g, vel, f, lam, grid=grid)
+            assert_matches_closed_form(res, f, vel.velocity, lam)
+
+    def test_pieces_narrower_than_a_cell(self):
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+        bps = [F(0), F(1, 100), F(1, 50), F(3, 8), F(3, 8) + F(1, 1000), F(1, 2), F(1)]
+        vals = [SparseVector({1: F(5)}), SparseVector({2: F(-3), 4: F(1)}),
+                SparseVector({3: F(1, 2)}), SparseVector({5: F(7)}),
+                SparseVector({1: F(1)}), SparseVector({4: F(2)})]
+        f = NetworkState(bps, vals)
+        for lam in self.LAMBDAS:
+            for grid in (4, 8, 9):
+                res = resolvent_general(g, vel, f, lam, grid=grid)
+                assert_matches_closed_form(res, f, vel.velocity, lam)
+                res = resolvent_unit(build_adjacency(g), f, lam, grid=grid)
+                assert_matches_closed_form(res, f, lambda j: 1, lam)
+
+    def test_lazy_one_way_path(self):
+        path = MetricGraph.lazy(
+            column_fn=lambda j: [(j + 1, F(1))],
+            endpoints_fn=lambda j: (j, j + 1),
+            name="path",
+        )
+        f = NetworkState(
+            [F(0), F(1, 3), F(1, 2), F(1)],
+            [SparseVector({0: F(1)}), SparseVector({2: F(-2)}), SparseVector({0: F(1, 2)})],
+        )
+        for lam in self.LAMBDAS:
+            res = resolvent_unit(build_adjacency(path), f, lam, grid=12)
+            assert_matches_closed_form(res, f, lambda j: 1, lam)
+
+    def test_head_trace_solves_the_boundary_condition(self):
+        # the truncated y misses C u(0) by exactly the first dropped term,
+        # whose l1 norm the reported tail bound dominates
+        rng = random.Random(32)
+        for trial in range(10):
+            g, vel, f = random_instance(rng)
+            lam = self.LAMBDAS[trial % len(self.LAMBDAS)]
+            res = resolvent_general(g, vel, f, lam, grid=8, tol=1e-9)
+            u0, u1 = res.state.samples[0], res.state.samples[-1]
+            residual = 0.0
+            for i in g.edge_ids:
+                routed = 0
+                for j in g.edge_ids:
+                    w = g.column(j).get(i, 0)
+                    routed += float(w * vel.velocity(j) / vel.velocity(i)) * u0.get(j)
+                residual += abs(u1.get(i) - routed)
+            assert residual <= res.tail_bound + 1e-12
 
 
 class TestLaplaceOracle:
