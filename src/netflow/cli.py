@@ -52,12 +52,7 @@ from .fileio import (
 )
 from .graph import MetricGraph, SparseVector, VelocityProfile, build_adjacency, validate_graph
 from .resolvent import resolvent_general, resolvent_unit
-from .semigroup import (
-    AbsorptionProfile,
-    evolve_absorbing,
-    evolve_rational,
-    evolve_unit,
-)
+from .semigroup import AbsorptionProfile, evolve_absorbing, evolve_rational
 from .states import TestFunction, boundary_residual, sample
 
 
@@ -190,18 +185,14 @@ def _cmd_simulate(args) -> int:
     t = _parse_time(args.t)
     out = Path(args.out)
 
-    if _is_unit(vel, g):
-        op = build_adjacency(g)
-        evolve = lambda tt: evolve_unit(op, f, tt)
-        bc_op = op
-    else:
-        evolve = lambda tt: evolve_rational(g, vel, f, tt)
-        bc_op = build_adjacency(g, vel)
+    if vel is None:
+        vel = VelocityProfile({}, default=Fraction(1))
+    bc_op = build_adjacency(g, vel)
 
     entries = []
     final = None
     for tt in _log_times(t, args.log_steps):
-        st = evolve(tt)
+        st = evolve_rational(g, vel, f, tt)
         entries.append({
             "t": str(tt),
             "sup_norm": float(st.sup_norm()),
@@ -238,7 +229,7 @@ def _cmd_absorb(args) -> int:
     out = Path(args.out)
     if vel is None:
         vel = VelocityProfile({}, default=Fraction(1))
-    bc_op = build_adjacency(g) if _is_unit(vel, g) else build_adjacency(g, vel)
+    bc_op = build_adjacency(g, vel)
 
     entries = []
     result = None

@@ -145,11 +145,12 @@ def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
 
     Truncation: K is the smallest count with
     e^{-Re(l) K} / (1 - e^{-Re(l)}) * sup_norm(f) <= tol, and terms
-    k = 0..K are summed.  With stochastic columns each dropped term has l1
-    norm at most e^{-Re(l) k} |w|_1, so tail_bound =
+    k = 0..K are summed.  With columns summing to at most one each dropped
+    term has l1 norm at most e^{-Re(l) k} |w|_1, so tail_bound =
     |w|_1 e^{-Re(l)(K+1)} / (1 - e^{-Re(l)}) bounds what they add to any
-    sample.  Works on lazy graphs: each series term only needs columns
-    reachable from the support of f.
+    sample; a routed column that sums to more raises
+    ContractionViolationError.  Works on lazy graphs: each series term
+    only needs columns reachable from the support of f.
     """
     if op.scaled:
         raise WrongOperatorError(
@@ -184,7 +185,14 @@ def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
     w = _piece_integrals(f, edges, np.full(len(edges), lam_num), lam_num)[1][:, 0]
     cur = SparseVector(zip(edges, w.tolist()))
     y: dict = {}
+    checked: set = set()
     for z in np.exp(-lam_num * np.arange(K + 1)).tolist():
+        for j in cur.support() - checked:
+            if op.column(j).total() > 1:
+                raise ContractionViolationError(
+                    f"column of edge {j!r} sums past 1; the routing series has no tail bound"
+                )
+        checked.update(cur.support())
         cur = op.apply(cur)
         for e, val in cur.items():
             y[e] = y.get(e, 0) + z * val

@@ -31,8 +31,8 @@ what couples the traces of the original system; inserted vertices just
 pass values through with weight one.  The subdivided columns then no
 longer sum to one when speeds differ, which is expected: the conserved
 functional picks up the weights 1/ell_j (see weighted_mass below).  The
-absorbing series runs on the subdivided graph, and the subdivided unit
-flow is kept as an independent exact cross-check of evolve_rational.
+subdivided unit flow is kept as an independent exact cross-check of
+evolve_rational, and its ell_j set the norm of the absorption tail bound.
 
 Absorption enters through a pointwise multiplier q.  The perturbed flow
 is summed as an iterated-integral series
@@ -40,9 +40,12 @@ is summed as an iterated-integral series
     S_0(t) = T(t),   S_{k+1}(t) f = integral_0^t T(t-s) M_q S_k(s) f ds,
 
 truncated at a requested order, each level integrated by composite
-midpoint quadrature.  Midpoint nodes are deliberate: with rational data
-the integrand is piecewise constant in s with jumps on the panel lattice,
-so sampling panel midpoints never reads a value straddling a jump.
+midpoint quadrature, every T an exact evolve_rational on the graph
+itself.  The series is linear and products with q commute with lifting,
+so it equals the series run on the subdivided graph and mapped back.
+Midpoint nodes are deliberate: with rational data the integrand is
+piecewise constant in s with jumps on the panel lattice, so sampling
+panel midpoints never reads a value straddling a jump.
 """
 
 from __future__ import annotations
@@ -204,12 +207,10 @@ class SubdivisionPlan:
         return self.graph is self.source
 
     def sub_edges(self) -> int:
-        return sum(self.ell.values()) if self.ell else len(self.source)
+        return sum(self.ell.values())
 
     def piece_weight(self, sub_edge) -> Fraction:
         """Weight 1/ell_j of a sub-edge in the conserved mass functional."""
-        if self.is_identity:
-            return Fraction(1)
         return Fraction(1, self.ell[self.owner[sub_edge]])
 
     def weighted_mass(self, h: NetworkState):
@@ -219,19 +220,10 @@ class SubdivisionPlan:
             total += (b2 - b1) * sum(self.piece_weight(e) * x for e, x in v.items())
         return total
 
-    def weighted_sup_norm(self, h: NetworkState):
-        """Sup over s of sum_e (1/ell) |h_e(s)|; the norm the subdivided flow contracts."""
-        best = 0
-        for v in h.values:
-            n = sum(self.piece_weight(e) * abs(x) for e, x in v.items())
-            if n > best:
-                best = n
-        return best
-
 
 def _lazy_speed(vel: VelocityProfile) -> Fraction:
-    """The one speed a lazy graph may carry: cutting an infinite graph
-    edge-by-edge would need a renumbering scheme nothing requires."""
+    """The one speed a lazy graph may carry: an infinite graph cannot be
+    followed edge by edge, only rescaled in time."""
     pool = set(Fraction(v) for v in vel.values.values())
     if vel.default is not None:
         pool.add(Fraction(vel.default))
@@ -245,25 +237,10 @@ def _lazy_speed(vel: VelocityProfile) -> Fraction:
 
 
 def subdivide(g: MetricGraph, vel: VelocityProfile) -> SubdivisionPlan:
-    """Build the equal-traversal-time subdivision for a rational profile.
-
-    Lazy graphs are supported only at a uniform velocity (the plan is then
-    the identity and evolution is a pure time rescale).
-    """
+    """Build the equal-traversal-time subdivision for a rational profile
+    on a finite graph."""
     if not vel.is_rational():
         raise NotRationalError("subdivision needs exact rational velocities")
-
-    if not g.is_finite:
-        return SubdivisionPlan(
-            source=g,
-            velocities=vel,
-            c=_lazy_speed(vel),
-            ell={},
-            sub_edge_map={},
-            graph=g,
-            operator=build_adjacency(g),
-            owner={},
-        )
 
     ids = g.edge_ids
     c, ell = common_multiplier(vel, ids)
@@ -429,18 +406,23 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     delayed by 1/c_k.  All histories grow together in stages of the
     shortest traversal time, each stage reading only what earlier stages
     built.  Edge j then reads f_j(x + c_j t) where that stays on the edge
-    and the tail inflow at time t - (1 - x)/c_j elsewhere.  Lazy graphs
-    carry a uniform speed c and run the unit flow for time c*t.
+    and the tail inflow at time t - (1 - x)/c_j elsewhere.  A graph whose
+    edges share one speed c, as every lazy graph must, runs the unit flow
+    for time c*t instead.
     """
     if not vel.is_rational():
         raise NotRationalError("evolve_rational needs exact rational velocities")
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
-    if not g.is_finite:
-        return evolve_unit(build_adjacency(g), f, _lazy_speed(vel) * t)
-    ids = g.edge_ids
-    speed = {j: vel.exact(j) for j in ids}
+    if g.is_finite:
+        ids = g.edge_ids
+        speed = {j: vel.exact(j) for j in ids}
+        uniform = set(speed.values())
+    else:
+        uniform = {_lazy_speed(vel)}
+    if len(uniform) == 1:
+        return evolve_unit(build_adjacency(g), f, uniform.pop() * t)
     if t == 0:
         return f
 
@@ -614,38 +596,59 @@ class AbsorbingResult:
         return self.tail_bound + self.quad_bound
 
 
-def _absorb_series(plan: SubdivisionPlan, f_l: NetworkState, q_l: NetworkState,
-                   t: Fraction, order: int, quad_steps: int) -> NetworkState:
-    """Truncated perturbation series on the subdivided graph, lifted states in,
-    lifted state out.  Midpoint panels, one shared node lattice per level."""
-    op = plan.operator
-    c = plan.c
-    P = quad_steps
-    h = t / P  # panel width in original time; subdivided steps are c*h
+def _weighted_sup_norm(f: NetworkState, ell: Mapping):
+    """sup over beta of sum_j (1/ell_j) sum_k |f_j((k + beta) / ell_j)|:
+    the norm the subdivided flow contracts, read off f without building
+    the subdivided graph.  Edges missing from `ell` count as ell_j = 1."""
+    support = sorted(f.support())
+    grid = {Fraction(0)}
+    for b in f.breakpoints[1:-1]:
+        for j in support:
+            grid.add(frac_part(ell.get(j, 1) * b))
+    best = 0
+    for beta in grid:
+        n = 0
+        for j in support:
+            L = ell.get(j, 1)
+            for k in range(L):
+                n += Fraction(1, L) * abs(f.value_at((k + beta) / L).get(j))
+        if n > best:
+            best = n
+    return best
 
-    total = evolve_unit(op, f_l, c * t)
-    if order == 0 or q_l.is_zero():
+
+def _absorb_series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
+                   q: NetworkState, t: Fraction, order: int,
+                   quad_steps: int) -> NetworkState:
+    """Truncated perturbation series on the graph itself, every transport
+    step an exact evolve_rational.  Midpoint panels, one shared node
+    lattice per level."""
+    P = quad_steps
+    h = t / P
+
+    total = evolve_rational(g, vel, f, t)
+    if order == 0 or q.is_zero():
         return total
 
     nodes = []
-    v = evolve_unit(op, f_l, c * h / 2)
+    v = evolve_rational(g, vel, f, h / 2)
     nodes.append(v)
     for _ in range(1, P):
-        v = evolve_unit(op, v, c * h)
+        v = evolve_rational(g, vel, v, h)
         nodes.append(v)
 
     zero = NetworkState.zero()
     for _ in range(1, order + 1):
-        gs = [node.hadamard(q_l) for node in nodes]
+        gs = [node.hadamard(q) for node in nodes]
         acc = zero
         new_nodes = []
         for p in range(P):
             # value at node p: full panels below it plus its own half panel
             new_nodes.append(acc.scale(h) + gs[p].scale(h / 2))
             if p < P - 1:
-                acc = evolve_unit(op, acc + gs[p], c * h)
+                acc = evolve_rational(g, vel, acc + gs[p], h)
             else:
-                final = evolve_unit(op, acc + gs[p], c * h / 2).scale(h)
+                final = evolve_rational(g, vel, acc + gs[p], h / 2).scale(h)
         total = total + final
         nodes = new_nodes
     return total
@@ -665,14 +668,18 @@ def evolve_absorbing(
 
     Returns samples of sum_{k<=order} S_k(t) f on the uniform grid, for
     the generator d/ds + q: a positive rate grows mass (a constant q0
-    multiplies it by exp(q0 t)), a negative rate absorbs it.  The
-    reported tail bound is
+    multiplies it by exp(q0 t)), a negative rate absorbs it.  The series
+    runs on the characteristic flow of evolve_rational; the paper's
+    subdivision is not built, but its ell_j = c / c_j (see
+    common_multiplier) set the norm of the reported tail bound
 
         (sum_j ell_j) * (|q| t)^{K+1} / (K+1)! * (geometric tail factor) * |f|
 
-    measured in the norm the subdivided flow actually contracts; at a
-    uniform velocity the leading factor is 1 and this reduces to the
-    familiar series remainder.  The quadrature figure is an estimate, not
+    with |f| = sup_beta sum_j (1/ell_j) sum_k |f_j((k + beta) / ell_j)|,
+    the norm the subdivided flow contracts; at a uniform velocity the
+    leading factor is 1 and this reduces to the familiar series
+    remainder.  Velocities must be exact rationals, and uniform on a lazy
+    graph, even at t = 0.  The quadrature figure is an estimate, not
     a bound: the run is repeated with half the quad_steps and the sup
     distance doubled, so exact-on-the-lattice runs report zero.  At t = 0
     the input is returned sampled, with both figures zero, without
@@ -688,20 +695,22 @@ def evolve_absorbing(
     if grid < 1:
         raise ValueError(f"output grid must be >= 1, got {grid}")
 
-    plan = subdivide(g, vel)
+    if not vel.is_rational():
+        raise NotRationalError("absorption needs exact rational velocities")
+    if g.is_finite:
+        ell = common_multiplier(vel, g.edge_ids)[1]
+    else:
+        _lazy_speed(vel)  # refuses a non-uniform profile
+        ell = {}
     if t == 0:
         # the series at h = 0 returns its input, and both bounds vanish
         return AbsorbingResult(sample(f, grid), 0.0, 0.0, order, quad_steps)
-    f_l = lift_state(plan, f)
-    q_l = lift_state(plan, q.as_state())
+    q_state = q.as_state()
 
-    full = _absorb_series(plan, f_l, q_l, t, order, quad_steps)
-    out = sample(project_state(plan, full), grid)
-
-    if quad_steps >= 2 and not q_l.is_zero() and t > 0:
-        half = _absorb_series(plan, f_l, q_l, t, order, quad_steps // 2)
-        out_half = sample(project_state(plan, half), grid)
-        quad_bound = 2.0 * float(out.distance(out_half))
+    out = sample(_absorb_series(g, vel, f, q_state, t, order, quad_steps), grid)
+    if quad_steps >= 2 and not q_state.is_zero():
+        half = _absorb_series(g, vel, f, q_state, t, order, quad_steps // 2)
+        quad_bound = 2.0 * float(out.distance(sample(half, grid)))
     else:
         quad_bound = 0.0
 
@@ -709,7 +718,7 @@ def evolve_absorbing(
     k1 = order + 1
     lead = x**k1 / math.factorial(k1)
     corr = 1.0 / (1.0 - x / (k1 + 1)) if x < k1 + 1 else math.exp(x)
-    equiv = 1.0 if plan.is_identity else float(plan.sub_edges())
-    tail_bound = equiv * lead * corr * float(plan.weighted_sup_norm(f_l))
+    equiv = float(sum(ell.values())) if any(L > 1 for L in ell.values()) else 1.0
+    tail_bound = equiv * lead * corr * float(_weighted_sup_norm(f, ell))
 
     return AbsorbingResult(out, tail_bound, quad_bound, order, quad_steps)

@@ -221,10 +221,6 @@ class SampledState:
     def zeros(cls, grid_size: int) -> "SampledState":
         return cls(grid_size, tuple(SparseVector() for _ in range(grid_size + 1)))
 
-    def grid(self):
-        M = self.grid_size
-        return [Fraction(m, M) for m in range(M + 1)]
-
     def support(self) -> set:
         out: set = set()
         for v in self.samples:
@@ -238,13 +234,6 @@ class SampledState:
         """Sup over the grid of the l1 distance; grids must match."""
         self._check_grid(other)
         return max((u - v).l1() for u, v in zip(self.samples, other.samples))
-
-    def add_scaled(self, other: "SampledState", a) -> "SampledState":
-        self._check_grid(other)
-        return SampledState(
-            self.grid_size,
-            tuple(u + v.scale(a) for u, v in zip(self.samples, other.samples)),
-        )
 
     def scale(self, a) -> "SampledState":
         return SampledState(self.grid_size, tuple(v.scale(a) for v in self.samples))

@@ -9,6 +9,7 @@ dumb and slow; clarity beats speed.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,57 @@ def crawl(g, vel, f, edge, x, t):
     if y < 1:
         return f.value_at(y).get(edge)
     return tail_value(edge, t - (1 - x) / c)
+
+
+def characteristic_absorb(g, vel, q_state, f, t: Fraction, grid: int) -> list:
+    """Transport with absorption summed over backward characteristic paths.
+
+    The parcel now at x on edge j either sat at x + c_j t on the edge at
+    time 0, or entered through the tail at t - (1 - x)/c_j, out of a
+    feeder k with weight (c_k / c_j) w_jk, and so on backwards.  Crossing
+    [a, b] of edge j takes (b - a)/c_j, so the rate adds the exact rational
+    (1/c_j) int_a^b q_j to the path's exponent, and each path contributes
+    weight * f(origin) * exp(exponent), with one float exp.  A positive
+    rate grows mass.  Returns one {edge: float} dict per grid point
+    s = m/grid; the last point is read as a left limit along the whole
+    path, like `sample`'s sample at 1.
+    """
+    rows: dict = {}
+    for j in g.edge_ids:
+        for i, w in g.column(j).items():
+            rows.setdefault(i, []).append((j, w))
+
+    def rate_integral(j, a, b):
+        total = Fraction(0)
+        for lo, hi, v in q_state.pieces():
+            lo, hi = max(lo, a), min(hi, b)
+            if lo < hi:
+                total += (hi - lo) * v.get(j)
+        return total
+
+    out = []
+    for m in range(grid + 1):
+        side = "left" if m == grid else "right"
+        values = {}
+        for edge in g.edge_ids:
+            total = 0.0
+            paths = [(edge, Fraction(m, grid), Fraction(t), Fraction(1), Fraction(0))]
+            while paths:
+                j, x, rem, weight, expo = paths.pop()
+                c = Fraction(vel.velocity(j))
+                y = x + c * rem
+                if y < 1 or (side == "left" and y == 1):
+                    val = f.value_at(y, side).get(j)
+                    if val:
+                        total += float(weight * val) * math.exp(expo + rate_integral(j, x, y) / c)
+                    continue
+                expo += rate_integral(j, x, Fraction(1)) / c
+                rem -= (1 - x) / c
+                for k, w in rows.get(j, ()):
+                    paths.append((k, Fraction(0), rem, weight * w * Fraction(vel.velocity(k)) / c, expo))
+            values[edge] = total
+        out.append(values)
+    return out
 
 
 def fv_absorb(g, q_state, f_state, t: Fraction, cells: int) -> dict:

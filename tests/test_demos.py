@@ -1,0 +1,34 @@
+"""The demos run to completion.
+
+Each runs as its own subprocess with `src` on PYTHONPATH, as the README
+shows.  demos/05_absorption.py is left out: it runs the absorbing series
+at 256 panels and takes about 25 s; the absorbing path it exercises is
+covered by the error-bound gate in test_semigroup.py
+(TestEvolveAbsorbing::test_error_bound_holds_against_characteristics).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = [
+    "01_flow_basics.py",
+    "02_mixed_speeds.py",
+    "03_resolvent.py",
+    "04_irrational_speeds.py",
+    "06_infinite_path.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -41,6 +41,13 @@ def g5():
     return MetricGraph.finite(edges, weights, name="g5")
 
 
+def g2_weighted(w):
+    """g2 with both routing weights w; columns no longer sum to one."""
+    return MetricGraph.finite(
+        [(1, 1, 2), (2, 2, 1)], {(1, 2): w, (2, 1): w}, name="g2w", stochastic=False
+    )
+
+
 def unit_vel(g):
     return VelocityProfile({j: F(1) for j in g.edge_ids})
 
@@ -120,6 +127,23 @@ class TestResolventUnit:
         for v in res.state.samples:
             for _, x in v.items():
                 assert x >= -1e-14
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    def test_columns_summing_past_one_refused(self, lam):
+        # |B^k|_1 <= 1 fails, so e^{-lk}-weighted terms bound nothing (and
+        # at lam = 0.3 the series diverges)
+        g = g2_weighted(F(3, 2))
+        f = NetworkState.constant(SparseVector({1: F(1)}))
+        with pytest.raises(ContractionViolationError):
+            resolvent_unit(build_adjacency(g), f, lam, grid=16)
+
+    def test_substochastic_columns_keep_their_bound(self):
+        g = g2_weighted(F(1, 2))
+        f = random_state(random.Random(23), (1, 2))
+        for lam in (0.3, 1.0):
+            ru = resolvent_unit(build_adjacency(g), f, lam, grid=16)
+            rg = resolvent_general(g, unit_vel(g), f, lam, grid=16)
+            assert ru.state.distance(rg.state) <= ru.tail_bound + rg.tail_bound + 1e-12
 
     def test_lazy_path_closed_form(self):
         # on the one-way path nothing returns: edge n's value is the

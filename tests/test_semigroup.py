@@ -16,6 +16,7 @@ from netflow import (
     MalformedGraphError,
     MetricGraph,
     NetworkState,
+    NotRationalError,
     PrecisionError,
     SparseVector,
     VelocityProfile,
@@ -414,6 +415,39 @@ def subdivided_flow(g, vel, f, t):
     return project_state(plan, evolve_unit(plan.operator, lift_state(plan, f), plan.c * t))
 
 
+def subdivided_absorb_series(g, vel, f, q, t, order, quad_steps):
+    """The absorbing series on the subdivided graph: f and q lifted, every
+    transport step the unit flow for c times as long, the sum mapped back."""
+    plan = subdivide(g, vel)
+    q_l = lift_state(plan, q)
+
+    def flow(v, dt):
+        return evolve_unit(plan.operator, v, plan.c * dt)
+
+    h = t / quad_steps
+    f_l = lift_state(plan, f)
+    total = flow(f_l, t)
+    nodes = [flow(f_l, h / 2)]
+    while len(nodes) < quad_steps:
+        nodes.append(flow(nodes[-1], h))
+    for _ in range(order):
+        acc, new_nodes = NetworkState.zero(), []
+        for p, node in enumerate(nodes):
+            g_p = node.hadamard(q_l)
+            new_nodes.append(acc.scale(h) + g_p.scale(h / 2))
+            acc = flow(acc + g_p, h if p < quad_steps - 1 else h / 2)
+        total = total + acc.scale(h)
+        nodes = new_nodes
+    return project_state(plan, total)
+
+
+def rates_of(state):
+    """The AbsorptionProfile whose rates are the entries of a state."""
+    return AbsorptionProfile(
+        {j: (state.breakpoints, [v.get(j) for v in state.values]) for j in state.support()}
+    )
+
+
 class TestCharacteristicsAgainstSubdivision:
     """evolve_rational follows characteristics; subdivision is the exact oracle."""
 
@@ -554,11 +588,8 @@ class TestEvolveAbsorbing:
         res = evolve_absorbing(g, vel, q, f, F(0), order=5, quad_steps=12, grid=40)
         assert res == AbsorbingResult(sample(f, 40), 0.0, 0.0, 5, 12)
         # the series itself returns its input at t = 0
-        plan = subdivide(g, vel)
-        series = semigroup._absorb_series(
-            plan, lift_state(plan, f), lift_state(plan, q.as_state()), F(0), 5, 12
-        )
-        assert sample(project_state(plan, series), 40) == res.state
+        series = semigroup._absorb_series(g, vel, f, q.as_state(), F(0), 5, 12)
+        assert sample(series, 40) == res.state
 
     def test_tail_bound_shrinks_with_order(self):
         g, vel, f = self.setup_g2()
@@ -603,3 +634,99 @@ class TestEvolveAbsorbing:
         )
         assert res.state.distance(ref) <= res.error_bound
         assert res.error_bound < 1e-5
+
+    def test_series_equals_the_subdivided_series(self):
+        rng = random.Random("absorb-series")
+        cases = 0
+        while cases < 24:
+            g = checks.random_graph(rng, 6)
+            vel = checks.random_velocities(rng, g)
+            if len(set(vel.values.values())) == 1:
+                continue
+            f = checks.random_state(rng, g, 4)
+            q = checks.random_state(rng, g, 3)
+            t = checks.random_time(rng, 1)
+            order, panels = rng.randint(1, 3), rng.randint(1, 4)
+            got = semigroup._absorb_series(g, vel, f, q, t, order, panels)
+            assert got == subdivided_absorb_series(g, vel, f, q, t, order, panels), cases
+            cases += 1
+
+    def test_tail_bound_is_measured_on_the_subdivision(self):
+        # (sum ell_j, or 1 at a uniform speed) * (|q| t)^2 / 2 * tail factor
+        # * the sup over the lifted state of sum_e (1/ell) |f_e|
+        rng = random.Random("absorb-norm")
+        for trial in range(30):
+            g = checks.random_graph(rng, 6)
+            vel = checks.random_velocities(rng, g)
+            f = checks.random_state(rng, g, 5)
+            plan = subdivide(g, vel)
+            lifted = lift_state(plan, f)
+            norm = max(
+                sum(plan.piece_weight(e) * abs(x) for e, x in v.items()) for v in lifted.values
+            )
+            assert semigroup._weighted_sup_norm(f, plan.ell) == norm, trial
+            q = AbsorptionProfile.constant({g.edge_ids[0]: F(3, 2)})
+            res = evolve_absorbing(g, vel, q, f, F(1, 3), order=1, quad_steps=1, grid=4)
+            equiv = 1.0 if plan.is_identity else float(plan.sub_edges())
+            assert res.tail_bound == equiv * (0.5**2 / 2) * (1 / (1 - 0.5 / 3)) * float(norm), trial
+
+    def test_no_subdivision_on_the_absorbing_path(self, monkeypatch):
+        import math
+
+        def refuse(*_):
+            raise AssertionError("absorption built the subdivided graph")
+
+        for name in ("subdivide", "lift_state", "project_state"):
+            monkeypatch.setattr(semigroup, name, refuse)
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+        f = random_state(random.Random(5), (1, 2, 3, 4, 5), pieces=4)
+        q = AbsorptionProfile.constant({1: F(1, 2), 3: F(-1, 4)})
+        res = evolve_absorbing(g, vel, q, f, F(1, 3), order=3, quad_steps=8, grid=16)
+        assert 0 < res.tail_bound < 1
+
+        # lazy path at speed 3/2 with one constant rate on every edge the
+        # flow reaches: the series is exp(q0 t) times the transport
+        path = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
+        vel = VelocityProfile({}, default=F(3, 2))
+        f = NetworkState(
+            [F(0), F(1, 2), F(1)],
+            [SparseVector({0: F(1)}), SparseVector({0: F(2), 1: F(1)})],
+        )
+        q0, t = F(1, 4), F(2, 3)
+        q = AbsorptionProfile.constant({j: q0 for j in range(4)})
+        res = evolve_absorbing(path, vel, q, f, t, order=6, quad_steps=16, grid=24)
+        ref = sample(evolve_rational(path, vel, f, t), 24).scale(math.exp(float(q0 * t)))
+        assert res.state.distance(ref) <= res.error_bound < 1e-4
+
+    @pytest.mark.parametrize("t", [F(0), F(1, 2)])
+    def test_velocity_errors_surface_at_any_time(self, t):
+        f = pulse_e1()
+        q = AbsorptionProfile.constant({1: F(1)})
+        with pytest.raises(NotRationalError):
+            evolve_absorbing(g2(), VelocityProfile({1: 1.5, 2: F(1)}), q, f, t)
+        with pytest.raises(WidthOverflowError):
+            evolve_absorbing(g2(), VelocityProfile({1: F(1), 2: F(1, 2_000_000)}), q, f, t)
+        path = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
+        with pytest.raises(NotRationalError):
+            evolve_absorbing(path, VelocityProfile({}, default=1.5), q, f, t)
+        with pytest.raises(MalformedGraphError):
+            evolve_absorbing(path, VelocityProfile({0: F(1)}, default=F(2)), q, f, t)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_error_bound_holds_against_characteristics(self, seed):
+        rng = random.Random(f"absorb-bound:{seed}")
+        g = checks.random_graph(rng, 5)
+        vel = checks.random_velocities(rng, g)
+        f = checks.random_state(rng, g, 4)
+        q_state = checks.random_state(rng, g, 3)
+        t = F(rng.randint(1, 12), 24)
+        res = evolve_absorbing(g, vel, rates_of(q_state), f, t,
+                               order=6, quad_steps=32, grid=16)
+        ref = oracles.characteristic_absorb(g, vel, q_state, f, t, 16)
+        actual = max(
+            sum(abs(float(got.get(j)) - want[j]) for j in g.edge_ids)
+            for got, want in zip(res.state.samples, ref)
+        )
+        assert actual <= res.error_bound, (actual, res.tail_bound, res.quad_bound)
+
