@@ -84,8 +84,6 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--rates", required=True, help="absorption rates, state file format")
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
-    sp.add_argument("--order", type=int, default=6, help="series truncation order")
-    sp.add_argument("--quad-steps", type=int, default=64, help="quadrature panels")
     sp.add_argument("--grid", type=int, default=128, help="output samples per edge")
     sp.add_argument("--log-steps", type=int, default=4, help="run-log entries after t=0")
     sp.set_defaults(fn=_cmd_absorb)
@@ -168,9 +166,9 @@ def _write_samples(out: Path, stem: str, sampled, g: MetricGraph) -> None:
 
 
 def _log_times(t: Fraction, steps: int) -> list:
-    if t == 0 or steps < 1:
-        return [Fraction(0)]
-    return [Fraction(k, steps) * t for k in range(steps + 1)]
+    # always ends at t: fewer than one step counts as one
+    steps = max(steps, 1)
+    return [Fraction(k, steps) * t for k in range(steps + 1 if t else 1)]
 
 
 def _sampled_mass(st) -> float:
@@ -234,8 +232,7 @@ def _cmd_absorb(args) -> int:
     entries = []
     result = None
     for tt in _log_times(t, args.log_steps):
-        result = evolve_absorbing(g, vel, q, f, tt, order=args.order,
-                                  quad_steps=args.quad_steps, grid=args.grid)
+        result = evolve_absorbing(g, vel, q, f, tt, grid=args.grid)
         st = result.state
         at0, at1 = st.samples[0], st.samples[-1]
         entries.append({
@@ -248,8 +245,7 @@ def _cmd_absorb(args) -> int:
     _write_samples(out, "absorb", result.state, g)
     write_runlog(out / "absorb.log.jsonl", entries)
     write_json(out / "absorb.meta.json", _metadata(
-        args, graph=name, tail_bound=result.tail_bound,
-        quad_bound=result.quad_bound, error_bound=result.error_bound,
+        args, graph=name, error_bound=result.error_bound,
     ))
     print(f"absorb: t={t}, error_bound={result.error_bound:.3g}, "
           f"wrote {out / 'absorb.csv'}")

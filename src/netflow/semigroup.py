@@ -32,20 +32,16 @@ pass values through with weight one.  The subdivided columns then no
 longer sum to one when speeds differ, which is expected: the conserved
 functional picks up the weights 1/ell_j (see weighted_mass below).  The
 subdivided unit flow is kept as an independent exact cross-check of
-evolve_rational, and its ell_j set the norm of the absorption tail bound.
+evolve_rational.
 
-Absorption enters through a pointwise multiplier q.  The perturbed flow
-is summed as an iterated-integral series
-
-    S_0(t) = T(t),   S_{k+1}(t) f = integral_0^t T(t-s) M_q S_k(s) f ds,
-
-truncated at a requested order, each level integrated by composite
-midpoint quadrature, every T an exact evolve_rational on the graph
-itself.  The series is linear and products with q commute with lifting,
-so it equals the series run on the subdivided graph and mapped back.
-Midpoint nodes are deliberate: with rational data the integrand is
-piecewise constant in s with jumps on the panel lattice, so sampling
-panel midpoints never reads a value straddling a jump.
+Absorption enters through a pointwise step-function rate q, and along a
+characteristic it only multiplies a parcel by exp of the exact rational
+integral of q over the path.  The same stage loop therefore builds the
+absorbing head outflows: while edge j drains, its outflow is
+f_j(c_j s) exp((1/c_j) int_0^{c_j s} q_j), and crossing the whole edge
+multiplies by exp(Q_j / c_j), Q_j = int_0^1 q_j.  Every history value is
+a short sum of terms r exp(beta + b s) with r, beta and b exact, and
+floats enter only when the answer is read at the grid points.
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ from typing import Mapping, Sequence
 from .errors import (
     MalformedGraphError,
     NotRationalError,
+    PrecisionError,
     WidthOverflowError,
     WrongOperatorError,
 )
@@ -209,15 +206,11 @@ class SubdivisionPlan:
     def sub_edges(self) -> int:
         return sum(self.ell.values())
 
-    def piece_weight(self, sub_edge) -> Fraction:
-        """Weight 1/ell_j of a sub-edge in the conserved mass functional."""
-        return Fraction(1, self.ell[self.owner[sub_edge]])
-
     def weighted_mass(self, h: NetworkState):
         """The functional sum_e (1/ell) * integral h_e; conserved by the unit flow."""
         total = 0
         for b1, b2, v in h.pieces():
-            total += (b2 - b1) * sum(self.piece_weight(e) * x for e, x in v.items())
+            total += (b2 - b1) * sum(x / self.ell[self.owner[e]] for e, x in v.items())
         return total
 
 
@@ -397,58 +390,37 @@ def _inflow(history: dict, feeders: list, a, b) -> list:
     return out
 
 
-def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
-    """Exact evolution at rational velocities along backward characteristics.
-
-    On a finite graph, the head outflow H_k of every edge is built as an
-    exact step function of time on [0, t): f_k(c_k s) while the initial
-    profile drains, then the tail inflow sum_i (c_i / c_k) w_ki H_i
-    delayed by 1/c_k.  All histories grow together in stages of the
-    shortest traversal time, each stage reading only what earlier stages
-    built.  Edge j then reads f_j(x + c_j t) where that stays on the edge
-    and the tail inflow at time t - (1 - x)/c_j elsewhere.  A graph whose
-    edges share one speed c, as every lazy graph must, runs the unit flow
-    for time c*t instead.
-    """
-    if not vel.is_rational():
-        raise NotRationalError("evolve_rational needs exact rational velocities")
-    t = as_exact_time(t, "evolution time")
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
-    if g.is_finite:
-        ids = g.edge_ids
-        speed = {j: vel.exact(j) for j in ids}
-        uniform = set(speed.values())
-    else:
-        uniform = {_lazy_speed(vel)}
-    if len(uniform) == 1:
-        return evolve_unit(build_adjacency(g), f, uniform.pop() * t)
-    if t == 0:
-        return f
-
-    # f_j as a step function of the edge parameter, per edge
-    profile = {j: ([Fraction(0)], [0]) for j in ids}
-    for j in f.support():
-        starts, values = [], []
-        for lo, _, v in f.pieces():
-            x = v.get(j)
-            if not values or x != values[-1]:
-                starts.append(lo)
-                values.append(x)
-        profile[j] = (starts, values)
-    feeders = {
-        j: [(k, speed[k] / speed[j] * w) for k, w in g.feeders(j).items()]
-        for j in ids
+def _feeders(speed: Mapping, rows) -> dict:
+    """Tail-inflow weights (c_k / c_j) w_jk of every edge j, read off its row."""
+    return {
+        j: [(k, speed[k] / c_j * w) for k, w in rows(j).items()]
+        for j, c_j in speed.items()
     }
 
+
+def _histories(speed: Mapping, feeders: Mapping, t: Fraction, den: int, drain, delay=None):
+    """Head outflows H_j on [0, t + 1/c_j) of the edges in `speed`, in
+    ticks of 1/D.  Edge j at x leaves the head at t + x/c_j, so H_j there
+    is the answer at x, up to the rate picked up on the way.
+
+    `drain(j)` gives edge j's outflow while its initial profile drains,
+    as (edge position, value) segments on [0, 1); `den` must be a multiple
+    of every position's denominator.  After draining, H_j is the tail
+    inflow sum_k coef H_k over `feeders[j]` 1/c_j earlier, passed through
+    `delay(j, value)` when one is given.  All histories grow together in
+    stages of the shortest traversal time, each stage reading only what
+    earlier stages built.  Returns (history, D, T, lag): H_j as (start
+    ticks, values), the ticks per time unit, and t and every 1/c_j in
+    ticks.
+    """
+    ids = list(speed)
     # time runs in ticks of 1/D: every breakpoint, lag and stage end
     # below is a whole number of ticks, so histories hold integers
-    f_den = math.lcm(*(b.denominator for b in f.breakpoints))
-    D = math.lcm(t.denominator, f_den * math.lcm(*(c.numerator for c in speed.values())))
+    D = math.lcm(t.denominator, den * math.lcm(*(c.numerator for c in speed.values())))
     T = t.numerator * (D // t.denominator)
     lag = {j: D // c.numerator * c.denominator for j, c in speed.items()}
-    # stages of the shortest traversal time end at step, 2 step, ..., T;
-    # each visits every edge, whatever the size of the answer
+    # stages of the shortest traversal time each visit every edge,
+    # whatever the size of the answer
     step = min(lag.values())
     stages = -(-T // step) - 1
     if stages * len(ids) > MAX_STAGE_EDGES:
@@ -458,61 +430,85 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
             edges=fastest,
         )
 
-    # head outflow H_j on [0, reach[j]): first f_j(c_j s) while edge j drains
-    history, reach = {}, {}
-    for j in ids:
-        c_j = speed[j]
-        reach[j] = min(lag[j], T)
-        segments = _window(*profile[j], Fraction(0), c_j * Fraction(reach[j], D))
-        history[j] = (
-            [y.numerator * (D // (y.denominator * c_j.numerator)) * c_j.denominator
-             for y, _ in segments],
-            [v for _, v in segments],
-        )
-    size = sum(len(starts) for starts, _ in history.values())
+    # head outflow H_j: first edge j's own drain on [0, lag[j])
+    history, size = {}, 0
+    for j, c_j in speed.items():
+        starts, values = history[j] = [], []
+        for y, v in drain(j):
+            if not values or v != values[-1]:
+                starts.append(y.numerator * (D // (y.denominator * c_j.numerator))
+                              * c_j.denominator)
+                values.append(v)
+        size += len(starts)
 
-    # then the tail inflow delayed by lag[j], one stage of the shortest
-    # traversal time at a time: a stage ending at `end` reads histories
-    # only up to end - min(lag), which earlier stages have built
-    end = step
-    while end < T:
-        end = min(end + step, T)
+    # then the tail inflow delayed by lag[j], read up to inflow time u in
+    # stages of the shortest traversal time.  A stage reads feeders only
+    # up to u, and an edge waits while its history already reaches the
+    # next stage's u.
+    read = dict.fromkeys(ids, 0)
+    u = 0
+    while u < T:
+        u = min(u + step, T)
         for j in ids:
-            if reach[j] >= end:
+            if u < T and read[j] + lag[j] >= min(u + step, T):
                 continue
             starts, values = history[j]
-            for s, v in _inflow(history, feeders[j], reach[j] - lag[j], end - lag[j]):
+            for s, v in _inflow(history, feeders[j], read[j], u):
+                if delay and v:
+                    v = delay(j, v)
                 if v != values[-1]:
                     starts.append(s + lag[j])
                     values.append(v)
                     size += 1
-            reach[j] = end
+            read[j] = u
             if size > MAX_HISTORY_BREAKPOINTS:
                 worst = sorted(ids, key=lambda k: len(history[k][0]), reverse=True)[:4]
                 raise WidthOverflowError(
                     f"characteristic histories exceed {MAX_HISTORY_BREAKPOINTS} breakpoints",
                     edges=worst,
                 )
+    return history, D, T, lag
 
-    # edge j at x: f_j(x + c_j t) on the edge, else the tail inflow at
-    # time t - (1 - x)/c_j; collected as value changes keyed by position
+
+def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
+    """Exact evolution at rational velocities along backward characteristics.
+
+    On a finite graph, the head outflow H_j of every edge is built as an
+    exact step function of time by _histories: f_j(c_j s) while the
+    initial profile drains, then the tail inflow sum_k (c_k / c_j) w_jk H_k
+    delayed by 1/c_j.  Edge j at x then reads H_j(t + x/c_j).  A graph
+    whose edges share one speed c, as every lazy graph must, runs the unit
+    flow for time c*t instead.
+    """
+    if not vel.is_rational():
+        raise NotRationalError("evolve_rational needs exact rational velocities")
+    t = as_exact_time(t, "evolution time")
+    if t < 0:
+        raise ValueError(f"evolution time must be nonnegative, got {t}")
+    if g.is_finite:
+        speed = {j: vel.exact(j) for j in g.edge_ids}
+        uniform = set(speed.values())
+    else:
+        uniform = {_lazy_speed(vel)}
+    if len(uniform) == 1:
+        return evolve_unit(build_adjacency(g), f, uniform.pop() * t)
+    if t == 0:
+        return f
+
+    support = f.support()
+    history, D, T, lag = _histories(
+        speed, _feeders(speed, g.feeders), t,
+        math.lcm(*(b.denominator for b in f.breakpoints)),
+        lambda j: zip(f.breakpoints, [v.get(j) for v in f.values]) if j in support else [(0, 0)],
+    )
+
+    # H_j on [T, T + lag_j) is edge j at x = (s - T) c_j / D, collected as
+    # value changes keyed by position (histories hold no equal neighbours)
     changes: dict = {}
-    for j in ids:
-        c_j = speed[j]
-        segments = []
-        if c_j * t < 1:
-            segments += [(y - c_j * t, v) for y, v in _window(*profile[j], c_j * t, 1)]
-        # x = 1 - c_j (T - s) / D
-        den = c_j.denominator * D
-        segments += [
-            (Fraction(den - c_j.numerator * (T - s), den), v)
-            for s, v in _inflow(history, feeders[j], max(0, T - lag[j]), T)
-        ]
-        prev = 0
-        for x, v in segments:
-            if v != prev:
-                changes.setdefault(x, []).append((j, v))
-                prev = v
+    for j, c_j in speed.items():
+        for s, v in _window(*history[j], T, T + lag[j]):
+            x = Fraction((s - T) * c_j.numerator, D * c_j.denominator)
+            changes.setdefault(x, []).append((j, v))
 
     bps = sorted(changes.keys() | {Fraction(0)})
     current: dict = {}
@@ -530,32 +526,22 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
 class AbsorptionProfile:
     """Per-edge absorption rates as step functions of the edge parameter.
 
-    Breakpoints must be exact rationals (they join the evolution lattice);
-    values may be any reals.  Edges not listed absorb nothing.
+    Breakpoints and rates must be exact rationals, since every rate
+    integral stays exact until the answer is sampled; anything else
+    raises NotRationalError.  Edges not listed absorb nothing.
     """
 
     def __init__(self, profiles: Mapping):
-        states = []
+        self._state = NetworkState.zero()
         for j, (bps, vals) in sorted(profiles.items(), key=lambda kv: repr(kv[0])):
             bps = [as_exact(b, what=f"absorption breakpoint on edge {j!r}") for b in bps]
+            vals = [as_exact(v, what=f"absorption rate on edge {j!r}") for v in vals]
             if len(vals) != len(bps) - 1:
                 raise MalformedGraphError(
                     f"absorption profile on edge {j!r}: {len(bps)} breakpoints "
                     f"need {len(bps) - 1} values"
                 )
-            states.append(
-                NetworkState(bps, [SparseVector({j: v}) for v in vals])
-            )
-        if states:
-            merged = states[0]
-            for s in states[1:]:
-                merged = merged + s
-        else:
-            merged = NetworkState.zero()
-        self._state = merged
-        self.sup_bound = max(
-            (abs(x) for v in merged.values for _, x in v.items()), default=0
-        )
+            self._state = self._state + NetworkState(bps, [SparseVector({j: v}) for v in vals])
 
     @classmethod
     def constant(cls, rates: Mapping) -> "AbsorptionProfile":
@@ -569,89 +555,93 @@ class AbsorptionProfile:
         return self._state
 
     def __repr__(self):
-        return f"AbsorptionProfile({len(self._state.support())} edges, bound {self.sup_bound})"
+        return f"AbsorptionProfile({len(self._state.support())} edges)"
 
 
 @dataclass
 class AbsorbingResult:
-    """Sampled perturbed evolution plus the numbers that qualify it.
-
-    `tail_bound` dominates the dropped series orders.  `quad_bound` is not
-    a proven bound: it is twice the sup distance between the run and one
-    with half the panels, an estimate of the quadrature error (zero when
-    the panel lattice makes the midpoint rule exact).  `error_bound`,
-    their sum, is therefore a proven tail plus an estimate, not a
-    guarantee.  Rates act with the sign they have: a constant positive
-    q0 grows mass as exp(q0 t), a negative one absorbs it.
-    """
+    """Sampled absorbing evolution and a proven bound on its error: the sup
+    over the grid of the l1 distance to the exact answer.  The closed form
+    truncates nothing, so the bound covers the floating rounding of the
+    final read (see _float_sum)."""
 
     state: SampledState
-    tail_bound: float
-    quad_bound: float
-    order: int
-    quad_steps: int
-
-    @property
-    def error_bound(self) -> float:
-        return self.tail_bound + self.quad_bound
+    error_bound: float
 
 
-def _weighted_sup_norm(f: NetworkState, ell: Mapping):
-    """sup over beta of sum_j (1/ell_j) sum_k |f_j((k + beta) / ell_j)|:
-    the norm the subdivided flow contracts, read off f without building
-    the subdivided graph.  Edges missing from `ell` count as ell_j = 1."""
-    support = sorted(f.support())
-    grid = {Fraction(0)}
-    for b in f.breakpoints[1:-1]:
-        for j in support:
-            grid.add(frac_part(ell.get(j, 1) * b))
-    best = 0
-    for beta in grid:
-        n = 0
-        for j in support:
-            L = ell.get(j, 1)
-            for k in range(L):
-                n += Fraction(1, L) * abs(f.value_at((k + beta) / L).get(j))
-        if n > best:
-            best = n
-    return best
+class _ExpSum(dict):
+    """The function s -> sum of r exp(beta + b s) over entries
+    {(beta, b): r}, all exact rationals.  Never empty: the zero function
+    is the plain 0, as in the exact histories."""
 
+    __slots__ = ()
 
-def _absorb_series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
-                   q: NetworkState, t: Fraction, order: int,
-                   quad_steps: int) -> NetworkState:
-    """Truncated perturbation series on the graph itself, every transport
-    step an exact evolve_rational.  Midpoint panels, one shared node
-    lattice per level."""
-    P = quad_steps
-    h = t / P
-
-    total = evolve_rational(g, vel, f, t)
-    if order == 0 or q.is_zero():
-        return total
-
-    nodes = []
-    v = evolve_rational(g, vel, f, h / 2)
-    nodes.append(v)
-    for _ in range(1, P):
-        v = evolve_rational(g, vel, v, h)
-        nodes.append(v)
-
-    zero = NetworkState.zero()
-    for _ in range(1, order + 1):
-        gs = [node.hadamard(q) for node in nodes]
-        acc = zero
-        new_nodes = []
-        for p in range(P):
-            # value at node p: full panels below it plus its own half panel
-            new_nodes.append(acc.scale(h) + gs[p].scale(h / 2))
-            if p < P - 1:
-                acc = evolve_rational(g, vel, acc + gs[p], h)
+    def __add__(self, other):
+        if not other:
+            return self
+        out = _ExpSum(self)
+        for key, r in other.items():
+            r += out.get(key, 0)
+            if r:
+                out[key] = r
             else:
-                final = evolve_rational(g, vel, acc + gs[p], h / 2).scale(h)
-        total = total + final
-        nodes = new_nodes
-    return total
+                del out[key]
+        return out or 0
+
+    __radd__ = __add__
+
+    def __rmul__(self, a):
+        return _ExpSum({key: a * r for key, r in self.items()})
+
+
+def _float_sum(terms: _ExpSum, s: Fraction, shift: Fraction) -> tuple:
+    """sum of r exp(beta + shift + b s) over the terms in floating point,
+    and a proven bound on its error, barring underflow; an exp or
+    coefficient beyond the float range raises PrecisionError.
+
+    In Higham's sense, with u = 2^-53, term i with exponent x_i is
+    rounded at most k_i = 6 + ceil|x_i| times: r to float (1), x_i to
+    float (a relative error u moves exp(x_i) by a factor within
+    (1 + u)^(ceil|x_i| + 1)), exp itself (within one ulp, 2u relative,
+    counted as 3) and the product (1); recursive summation of n terms
+    adds n - 1.  So the error is at most gamma_K sum_i |t_i| with
+    K = max k_i + n - 1 and gamma_K = K u / (1 - K u).  Reporting
+    gamma_2K times the computed sum of |t_i| also covers the rounding of
+    the computed |t_i|, of their sum and of the bound itself.
+    """
+    value = size = 0.0
+    k = 0
+    for (beta, b), r in terms.items():
+        x = beta + shift + b * s
+        try:
+            term = float(r) * math.exp(float(x))
+        except OverflowError:
+            raise PrecisionError(f"absorbed value overflows a float at exponent {x}") from None
+        value += term
+        size += abs(term)
+        k = max(k, math.ceil(abs(x)))
+    Ku = 2 * (k + 5 + len(terms)) * 2.0**-53
+    return value, Ku / (1 - Ku) * size
+
+
+def _cone(g: MetricGraph, support: list, steps: int) -> dict:
+    """Rows, within the cone, of the edges at most `steps` routing steps
+    from `support` on a lazy graph, built from column calls alone."""
+    cone = dict.fromkeys(support)
+    frontier = support
+    for _ in range(steps):
+        frontier = [i for j in frontier for i in g.column(j) if i not in cone]
+        cone.update(dict.fromkeys(frontier))
+        if len(cone) > MAX_STAGE_EDGES:
+            raise WidthOverflowError(
+                f"forward cone exceeds {MAX_STAGE_EDGES} edges", edges=frontier[:4]
+            )
+    rows = {i: {} for i in cone}
+    for j in cone:
+        for i, w in g.column(j).items():
+            if i in rows:
+                rows[i][j] = w
+    return rows
 
 
 def evolve_absorbing(
@@ -660,65 +650,77 @@ def evolve_absorbing(
     q: AbsorptionProfile,
     f: NetworkState,
     t,
-    order: int = 6,
-    quad_steps: int = 64,
     grid: int = 128,
 ) -> AbsorbingResult:
-    """Transport with pointwise absorption, as a truncated iterated series.
+    """Transport with pointwise absorption, in closed form along characteristics.
 
-    Returns samples of sum_{k<=order} S_k(t) f on the uniform grid, for
-    the generator d/ds + q: a positive rate grows mass (a constant q0
-    multiplies it by exp(q0 t)), a negative rate absorbs it.  The series
-    runs on the characteristic flow of evolve_rational; the paper's
-    subdivision is not built, but its ell_j = c / c_j (see
-    common_multiplier) set the norm of the reported tail bound
-
-        (sum_j ell_j) * (|q| t)^{K+1} / (K+1)! * (geometric tail factor) * |f|
-
-    with |f| = sup_beta sum_j (1/ell_j) sum_k |f_j((k + beta) / ell_j)|,
-    the norm the subdivided flow contracts; at a uniform velocity the
-    leading factor is 1 and this reduces to the familiar series
-    remainder.  Velocities must be exact rationals, and uniform on a lazy
-    graph, even at t = 0.  The quadrature figure is an estimate, not
-    a bound: the run is repeated with half the quad_steps and the sup
-    distance doubled, so exact-on-the-lattice runs report zero.  At t = 0
-    the input is returned sampled, with both figures zero, without
-    running the series.
+    Samples, on the uniform grid, the flow whose generator is c d/ds + q:
+    a positive rate grows mass (a constant q0 multiplies it by
+    exp(q0 t)), a negative one absorbs it.  _histories builds the head
+    outflows as sums r exp(beta + b s): edge j drains as f_j(c_j s)
+    exp((1/c_j) int_0^{c_j s} q_j), in windows cut at the breakpoints of
+    f_j and q_j, and crossing it multiplies by exp(Q_j / c_j), where
+    Q_j = int_0^1 q_j.  Edge j at x then reads H_j(t + x/c_j)
+    exp(-(1/c_j) int_0^x q_j).  Velocities must be exact rationals, and
+    uniform on a lazy graph, even at t = 0; a lazy graph runs on the edges
+    within ceil(c t) routing steps of supp f.  At t = 0 the input is
+    returned sampled, with bound zero.
     """
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if order < 0:
-        raise ValueError(f"series order must be >= 0, got {order}")
-    if quad_steps < 1:
-        raise ValueError(f"quad_steps must be >= 1, got {quad_steps}")
     if grid < 1:
         raise ValueError(f"output grid must be >= 1, got {grid}")
-
     if not vel.is_rational():
         raise NotRationalError("absorption needs exact rational velocities")
     if g.is_finite:
-        ell = common_multiplier(vel, g.edge_ids)[1]
+        speed = {j: vel.exact(j) for j in g.edge_ids}
+        rows = g.feeders
     else:
-        _lazy_speed(vel)  # refuses a non-uniform profile
-        ell = {}
-    if t == 0:
-        # the series at h = 0 returns its input, and both bounds vanish
-        return AbsorbingResult(sample(f, grid), 0.0, 0.0, order, quad_steps)
-    q_state = q.as_state()
+        c = _lazy_speed(vel)  # refuses a non-uniform profile
+        cone = _cone(g, sorted(f.support(), key=repr), math.ceil(c * t))
+        speed, rows = dict.fromkeys(cone, c), cone.__getitem__
+    if t == 0 or not speed:
+        return AbsorbingResult(sample(f, grid), 0.0)
 
-    out = sample(_absorb_series(g, vel, f, q_state, t, order, quad_steps), grid)
-    if quad_steps >= 2 and not q_state.is_zero():
-        half = _absorb_series(g, vel, f, q_state, t, order, quad_steps // 2)
-        quad_bound = 2.0 * float(out.distance(sample(half, grid)))
-    else:
-        quad_bound = 0.0
+    # per edge and piece of the common grid: (f_j, q_j, int_0^start q_j)
+    qs = q.as_state()
+    cuts = sorted(set(f.breakpoints) | set(qs.breakpoints))
+    starts = cuts[:-1]
+    profile, Q = {}, {}
+    for j in speed:
+        pieces, area = [], Fraction(0)
+        for lo, hi in zip(starts, cuts[1:]):
+            b = qs.value_at(lo).get(j)
+            pieces.append((f.value_at(lo).get(j), b, area))
+            area += b * (hi - lo)
+        profile[j], Q[j] = pieces, area
 
-    x = float(q.sup_bound) * float(t)
-    k1 = order + 1
-    lead = x**k1 / math.factorial(k1)
-    corr = 1.0 / (1.0 - x / (k1 + 1)) if x < k1 + 1 else math.exp(x)
-    equiv = float(sum(ell.values())) if any(L > 1 for L in ell.values()) else 1.0
-    tail_bound = equiv * lead * corr * float(_weighted_sup_norm(f, ell))
+    def drain(j):
+        return [(y, _ExpSum({((area - b * y) / speed[j], b): v}) if v else 0)
+                for y, (v, b, area) in zip(starts, profile[j])]
 
-    return AbsorbingResult(out, tail_bound, quad_bound, order, quad_steps)
+    def delay(j, v):
+        return _ExpSum({(beta + (Q[j] - b) / speed[j], b): r for (beta, b), r in v.items()})
+
+    history, D, T, _ = _histories(speed, _feeders(speed, rows), t,
+                                  math.lcm(*(b.denominator for b in cuts)), drain, delay)
+
+    samples, error_bound = [], 0.0
+    for m in range(grid + 1):
+        x = Fraction(m, grid)
+        # the sample at 1 is a left limit, as in `sample`
+        find = bisect.bisect_left if m == grid else bisect.bisect_right
+        lo = bisect.bisect_right(starts, x) - 1
+        vec, err = {}, 0.0
+        for j, c_j in speed.items():
+            tick = T + D * x / c_j
+            starts_j, values = history[j]
+            h = values[find(starts_j, tick) - 1]
+            if h:
+                _, b, area = profile[j][lo]
+                vec[j], e = _float_sum(h, tick / D, -(area + b * (x - starts[lo])) / c_j)
+                err += e
+        samples.append(SparseVector(vec))
+        error_bound = max(error_bound, err)
+    return AbsorbingResult(SampledState(grid, samples), error_bound)

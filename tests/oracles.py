@@ -9,7 +9,7 @@ dumb and slow; clarity beats speed.
 from __future__ import annotations
 
 import cmath
-import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -175,17 +175,19 @@ def crawl(g, vel, f, edge, x, t):
 
 
 def characteristic_absorb(g, vel, q_state, f, t: Fraction, grid: int) -> list:
-    """Transport with absorption summed over backward characteristic paths.
+    """Transport with absorption summed over backward characteristic paths,
+    in `decimal` at 50 significant digits.
 
     The parcel now at x on edge j either sat at x + c_j t on the edge at
     time 0, or entered through the tail at t - (1 - x)/c_j, out of a
     feeder k with weight (c_k / c_j) w_jk, and so on backwards.  Crossing
     [a, b] of edge j takes (b - a)/c_j, so the rate adds the exact rational
     (1/c_j) int_a^b q_j to the path's exponent, and each path contributes
-    weight * f(origin) * exp(exponent), with one float exp.  A positive
-    rate grows mass.  Returns one {edge: float} dict per grid point
-    s = m/grid; the last point is read as a left limit along the whole
-    path, like `sample`'s sample at 1.
+    weight * f(origin) * exp(exponent).  Decimal.exp is correctly rounded,
+    so the sums carry about 10^-50 relative error, far below a float's
+    rounding.  A positive rate grows mass.  Returns one {edge: Decimal}
+    dict per grid point s = m/grid; the last point is read as a left limit
+    along the whole path, like `sample`'s sample at 1.
     """
     rows: dict = {}
     for j in g.edge_ids:
@@ -200,28 +202,35 @@ def characteristic_absorb(g, vel, q_state, f, t: Fraction, grid: int) -> list:
                 total += (hi - lo) * v.get(j)
         return total
 
+    def dec(x: Fraction) -> Decimal:
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
     out = []
-    for m in range(grid + 1):
-        side = "left" if m == grid else "right"
-        values = {}
-        for edge in g.edge_ids:
-            total = 0.0
-            paths = [(edge, Fraction(m, grid), Fraction(t), Fraction(1), Fraction(0))]
-            while paths:
-                j, x, rem, weight, expo = paths.pop()
-                c = Fraction(vel.velocity(j))
-                y = x + c * rem
-                if y < 1 or (side == "left" and y == 1):
-                    val = f.value_at(y, side).get(j)
-                    if val:
-                        total += float(weight * val) * math.exp(expo + rate_integral(j, x, y) / c)
-                    continue
-                expo += rate_integral(j, x, Fraction(1)) / c
-                rem -= (1 - x) / c
-                for k, w in rows.get(j, ()):
-                    paths.append((k, Fraction(0), rem, weight * w * Fraction(vel.velocity(k)) / c, expo))
-            values[edge] = total
-        out.append(values)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for m in range(grid + 1):
+            side = "left" if m == grid else "right"
+            values = {}
+            for edge in g.edge_ids:
+                total = Decimal(0)
+                paths = [(edge, Fraction(m, grid), Fraction(t), Fraction(1), Fraction(0))]
+                while paths:
+                    j, x, rem, weight, expo = paths.pop()
+                    c = Fraction(vel.velocity(j))
+                    y = x + c * rem
+                    if y < 1 or (side == "left" and y == 1):
+                        val = f.value_at(y, side).get(j)
+                        if val:
+                            expo += rate_integral(j, x, y) / c
+                            total += dec(weight * val) * dec(expo).exp()
+                        continue
+                    expo += rate_integral(j, x, Fraction(1)) / c
+                    rem -= (1 - x) / c
+                    for k, w in rows.get(j, ()):
+                        coef = weight * w * Fraction(vel.velocity(k)) / c
+                        paths.append((k, Fraction(0), rem, coef, expo))
+                values[edge] = total
+            out.append(values)
     return out
 
 

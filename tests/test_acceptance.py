@@ -272,13 +272,12 @@ def test_criterion_10_dyson_phillips():
 
     q0 = F(1, 4)
     res_c = evolve_absorbing(g, vel, AbsorptionProfile.constant({1: q0, 2: q0}),
-                             f, t, order=8, quad_steps=256, grid=128)
+                             f, t, grid=128)
     ref = sample(evolve_rational(g, vel, f, t), 128).scale(math.exp(float(q0 * t)))
     d_const = res_c.state.distance(ref)
     const_ok = d_const <= res_c.error_bound <= 1e-6
 
-    res_0 = evolve_absorbing(g, vel, AbsorptionProfile.zero(), f, t,
-                             order=4, quad_steps=32, grid=128)
+    res_0 = evolve_absorbing(g, vel, AbsorptionProfile.zero(), f, t, grid=128)
     zero_ok = res_0.state.distance(sample(evolve_rational(g, vel, f, t), 128)) == 0
 
     q_state = NetworkState(
@@ -288,7 +287,7 @@ def test_criterion_10_dyson_phillips():
     q = AbsorptionProfile(
         {j: (q_state.breakpoints, [v.get(j) for v in q_state.values]) for j in (1, 2)}
     )
-    res_q = evolve_absorbing(g, vel, q, f, t, order=6, quad_steps=64, grid=128)
+    res_q = evolve_absorbing(g, vel, q, f, t, grid=128)
     cells = 12800
     fv = oracles.fv_absorb(g, q_state, f, t, cells)
     stride = cells // 128

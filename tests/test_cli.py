@@ -137,13 +137,27 @@ class TestAbsorb:
     def test_bounded_result(self, tmp_path):
         code = main([
             "absorb", "--graph", G2, "--state", PULSE, "--rates", RATES,
-            "--t", "1/2", "--order", "6", "--quad-steps", "32",
-            "--grid", "32", "--out", str(tmp_path),
+            "--t", "1/2", "--grid", "32", "--out", str(tmp_path),
         ])
         assert code == 0
         meta = json.loads((tmp_path / "absorb.meta.json").read_text())
-        assert 0 < meta["error_bound"] < 1e-4
+        assert 0 < meta["error_bound"] < 1e-13
+        assert "tail_bound" not in meta and "quad_bound" not in meta
         assert (tmp_path / "absorb.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "absorb"])
+def test_zero_log_steps_still_end_at_t(tmp_path, verb):
+    runs = []
+    for steps in ("0", "1"):
+        out = tmp_path / steps
+        argv = [verb, "--graph", G2, "--state", PULSE, "--t", "1/2",
+                "--grid", "16", "--log-steps", steps, "--out", str(out)]
+        if verb == "absorb":
+            argv += ["--rates", RATES]
+        assert main(argv) == 0
+        runs.append((out / f"{verb}.csv").read_bytes())
+    assert runs[0] == runs[1]
 
 
 class TestApprox:

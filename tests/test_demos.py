@@ -1,10 +1,7 @@
 """The demos run to completion.
 
 Each runs as its own subprocess with `src` on PYTHONPATH, as the README
-shows.  demos/05_absorption.py is left out: it runs the absorbing series
-at 256 panels and takes about 25 s; the absorbing path it exercises is
-covered by the error-bound gate in test_semigroup.py
-(TestEvolveAbsorbing::test_error_bound_holds_against_characteristics).
+shows.
 """
 
 import os
@@ -20,6 +17,7 @@ DEMOS = [
     "02_mixed_speeds.py",
     "03_resolvent.py",
     "04_irrational_speeds.py",
+    "05_absorption.py",
     "06_infinite_path.py",
 ]
 
