@@ -5,12 +5,30 @@ edge list is ever materialised.  A pulse started on one edge reaches at
 most t+1 edges after time t, and at unit speed the evolution is a pure
 translate, reproduced here exactly.
 
+Edges may also carry their own speeds: a few listed edges run faster
+than the default.  The answer at time t then depends only on the forward
+cone of the initial state, the edges inflow reaches before t, so a
+finite cycle holding that cone carries exactly the same flow, with and
+without absorption.
+
 Run: python3 demos/06_infinite_path.py
 """
 
+import math
 from fractions import Fraction as F
 
-from netflow import MetricGraph, NetworkState, SparseVector, build_adjacency, evolve_unit
+from netflow import (
+    AbsorptionProfile,
+    MetricGraph,
+    NetworkState,
+    SparseVector,
+    VelocityProfile,
+    build_adjacency,
+    evolve_absorbing,
+    evolve_rational,
+    evolve_unit,
+    sample,
+)
 
 path = MetricGraph.lazy(
     column_fn=lambda j: [(j + 1, F(1))],
@@ -37,3 +55,33 @@ want = NetworkState(
 )
 assert evolve_unit(op, f, F(5, 2)) == want
 print("\nt = 5/2 matches the hand translate exactly")
+
+# edges 1, 2 and 5 run at 3, 2 and 4, every other edge at the default 1;
+# by t = 4 the cone ends at edge 6, well inside a 16-edge cycle
+fast = {1: F(3), 2: F(2), 5: F(4)}
+vel = VelocityProfile(fast, default=F(1))
+n = 16
+cycle = MetricGraph.finite(
+    [(j, j, (j + 1) % n) for j in range(n)],
+    {((j + 1) % n, j): F(1) for j in range(n)},
+    name="16-edge cycle",
+)
+cycle_vel = VelocityProfile({j: vel.velocity(j) for j in range(n)})
+print("\nlisted faster edges", {j: str(c) for j, c in fast.items()}, "over default 1")
+for t in (F(1, 2), F(2), F(4)):
+    ft = evolve_rational(path, vel, f, t)
+    assert ft == evolve_rational(cycle, cycle_vel, f, t)
+    assert ft.total_mass() == f.total_mass()
+    print(f"t = {str(t):>4}   support on edges {sorted(ft.support())}, "
+          f"mass {ft.total_mass()}, equal to the cycle")
+
+# a constant rate q0 on every edge multiplies the flow by exp(q0 t)
+q0, t = F(-1, 3), F(4)
+q = AbsorptionProfile.constant({j: q0 for j in range(n)})
+res = evolve_absorbing(path, vel, q, f, t, grid=32)
+assert res == evolve_absorbing(cycle, cycle_vel, q, f, t, grid=32)
+ref = sample(evolve_rational(path, vel, f, t), 32).scale(math.exp(float(q0 * t)))
+err = res.state.distance(ref)
+assert err <= res.error_bound < 1e-13
+print(f"absorbing at q0 = {q0}, t = {t}: equal to the cycle, distance to "
+      f"exp(q0 t) times the transport {err:.2e} <= bound {res.error_bound:.2e}")

@@ -259,6 +259,14 @@ def _check_subdivision(seed, trials) -> CheckResult:
     out = evolve_unit(op, f, Fraction(5, 2))
     if out.support() - {2, 3}:
         outcome.failures.append(f"lazy path support leaked: {sorted(out.support(), key=repr)}")
+    # at listed speeds the path's forward cone at t = 7/3 ends at edge 4,
+    # so a 12-edge cycle carries the same flow
+    vel = VelocityProfile({1: Fraction(2), 2: Fraction(3), 4: Fraction(1, 2)}, default=Fraction(1))
+    cycle = MetricGraph.finite([(j, j, (j + 1) % 12) for j in range(12)],
+                               {((j + 1) % 12, j): Fraction(1) for j in range(12)})
+    t = Fraction(7, 3)
+    if evolve_rational(g, vel, f, t) != evolve_rational(cycle, vel, f, t):
+        outcome.failures.append("listed-speed lazy path disagreed with a finite cycle")
     return outcome
 
 

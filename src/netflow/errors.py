@@ -27,7 +27,9 @@ class NotRationalError(NetflowError):
 
 
 class PrecisionError(NetflowError):
-    """A time argument on an exact path was not an exact rational."""
+    """A time argument on an exact path was not an exact rational, an
+    absorbed value overflowed a float, or a convergence ladder failed its
+    gate (the Hoelder bound, or a resolvent ladder that lost ground)."""
 
 
 class WrongOperatorError(NetflowError):
@@ -35,7 +37,9 @@ class WrongOperatorError(NetflowError):
 
 
 class WidthOverflowError(NetflowError):
-    """A subdivision blew past the configured integer width."""
+    """A run blew past a configured size: the subdivision width, the
+    stages or history breakpoints of a characteristic run, or the forward
+    cone of a lazy graph."""
 
     def __init__(self, message, edges=()):
         super().__init__(message)

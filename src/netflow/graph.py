@@ -339,25 +339,21 @@ class VelocityProfile:
     """Per-edge transport speeds.
 
     Speeds are stored as given: `Fraction` values keep the exact paths
-    exact, floats are accepted for the approximation machinery.  For lazy
-    graphs a `default` speed covers the edges not listed explicitly; the
-    bounds must then be supplied or derivable.
+    exact, floats are accepted for the approximation machinery.  A
+    `default` speed covers the edges not listed, so a lazy graph can
+    carry listed speeds over a default; `c_min` and `c_max` bound them.
     """
 
-    def __init__(self, values: Mapping, *, default=None, bounds: tuple | None = None):
+    def __init__(self, values: Mapping, *, default=None):
         self.values = dict(values)
         self.default = default
         pool = list(self.values.values()) + ([default] if default is not None else [])
-        if not pool and bounds is None:
-            raise MissingVelocityError("velocity profile is empty and has no bounds")
+        if not pool:
+            raise MissingVelocityError("velocity profile is empty")
         for c in pool:
             if c <= 0:
                 raise MalformedGraphError(f"velocity {c} is not positive")
-        if bounds is None:
-            bounds = (min(pool), max(pool))
-        self.c_min, self.c_max = bounds
-        if not (0 < self.c_min <= self.c_max):
-            raise MalformedGraphError(f"velocity bounds {bounds} are not ordered positives")
+        self.c_min, self.c_max = min(pool), max(pool)
 
     def velocity(self, j):
         if j in self.values:

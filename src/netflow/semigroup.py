@@ -21,6 +21,11 @@ histories are extended together in stages of the shortest traversal
 time, so the cost follows the number of breakpoints in the answer, not
 the speeds' lcm.
 
+Both exact verbs take their edges from _network: all of a finite graph,
+and on a lazy graph, at any speeds its profile lists over a default, the
+forward cone of supp f, the edges inflow can enter before t by earliest
+arrival along traversal times 1/c_j; nothing else reaches the answer.
+
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
 1/c, where c is the smallest rational making every ell_j = c / c_j a
@@ -47,6 +52,7 @@ floats enter only when the answer is read at the grid points.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -214,21 +220,6 @@ class SubdivisionPlan:
         return total
 
 
-def _lazy_speed(vel: VelocityProfile) -> Fraction:
-    """The one speed a lazy graph may carry: an infinite graph cannot be
-    followed edge by edge, only rescaled in time."""
-    pool = set(Fraction(v) for v in vel.values.values())
-    if vel.default is not None:
-        pool.add(Fraction(vel.default))
-    if not pool:
-        raise MalformedGraphError("velocity profile carries no speeds")
-    if len(pool) != 1:
-        raise MalformedGraphError(
-            "a lazy graph can only be evolved at a uniform velocity"
-        )
-    return pool.pop()
-
-
 def subdivide(g: MetricGraph, vel: VelocityProfile) -> SubdivisionPlan:
     """Build the equal-traversal-time subdivision for a rational profile
     on a finite graph."""
@@ -390,15 +381,39 @@ def _inflow(history: dict, feeders: list, a, b) -> list:
     return out
 
 
-def _feeders(speed: Mapping, rows) -> dict:
-    """Tail-inflow weights (c_k / c_j) w_jk of every edge j, read off its row."""
-    return {
-        j: [(k, speed[k] / c_j * w) for k, w in rows(j).items()]
-        for j, c_j in speed.items()
-    }
+def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction) -> tuple:
+    """(speed, rows) of the edges the flow from f depends on up to time t.
+
+    A finite graph keeps every edge and its rows, and refuses f on an edge
+    it lacks.  A lazy graph keeps the forward cone of supp f, from column
+    calls alone: supp f outflows from time 0, any other edge 1/c_j after
+    its earliest inflow, and an edge is in when inflow enters it before t.
+    Only edges that outflow before t are read, and rows keep only those.
+    """
+    if g.is_finite:
+        for j in f.support():
+            g.column(j)  # an edge the graph lacks raises MalformedGraphError
+        return {j: vel.exact(j) for j in g.edge_ids}, g.feeders
+    speed = {j: vel.exact(j) for j in sorted(f.support(), key=repr)}
+    rows = {j: {} for j in speed}
+    # edges pop in order of outflow time, so the first inflow an edge
+    # sees is its earliest
+    heap = [(Fraction(0), n, j) for n, j in enumerate(speed)]
+    while heap and heap[0][0] < t:
+        out, _, j = heapq.heappop(heap)
+        for i, w in g.column(j).items():
+            if i not in speed:
+                if len(speed) >= MAX_STAGE_EDGES:
+                    raise WidthOverflowError(
+                        f"forward cone exceeds {MAX_STAGE_EDGES} edges", edges=(i,)
+                    )
+                speed[i], rows[i] = vel.exact(i), {}
+                heapq.heappush(heap, (out + 1 / speed[i], len(speed), i))
+            rows[i][j] = w
+    return speed, rows.__getitem__
 
 
-def _histories(speed: Mapping, feeders: Mapping, t: Fraction, den: int, drain, delay=None):
+def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     """Head outflows H_j on [0, t + 1/c_j) of the edges in `speed`, in
     ticks of 1/D.  Edge j at x leaves the head at t + x/c_j, so H_j there
     is the answer at x, up to the rate picked up on the way.
@@ -406,12 +421,12 @@ def _histories(speed: Mapping, feeders: Mapping, t: Fraction, den: int, drain, d
     `drain(j)` gives edge j's outflow while its initial profile drains,
     as (edge position, value) segments on [0, 1); `den` must be a multiple
     of every position's denominator.  After draining, H_j is the tail
-    inflow sum_k coef H_k over `feeders[j]` 1/c_j earlier, passed through
-    `delay(j, value)` when one is given.  All histories grow together in
-    stages of the shortest traversal time, each stage reading only what
-    earlier stages built.  Returns (history, D, T, lag): H_j as (start
-    ticks, values), the ticks per time unit, and t and every 1/c_j in
-    ticks.
+    inflow sum_k (c_k / c_j) w_jk H_k over the feeders k in `rows(j)`
+    1/c_j earlier, passed through `delay(j, value)` when one is given.
+    All histories grow together in stages of the shortest traversal time,
+    each stage reading only what earlier stages built.  Returns
+    (history, D, T, lag): H_j as (start ticks, values), the ticks per time
+    unit, and t and every 1/c_j in ticks.
     """
     ids = list(speed)
     # time runs in ticks of 1/D: every breakpoint, lag and stage end
@@ -430,6 +445,8 @@ def _histories(speed: Mapping, feeders: Mapping, t: Fraction, den: int, drain, d
             edges=fastest,
         )
 
+    feeders = {j: [(k, speed[k] / c_j * w) for k, w in rows(j).items()]
+               for j, c_j in speed.items()}
     # head outflow H_j: first edge j's own drain on [0, lag[j])
     history, size = {}, 0
     for j, c_j in speed.items():
@@ -473,31 +490,29 @@ def _histories(speed: Mapping, feeders: Mapping, t: Fraction, den: int, drain, d
 def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
     """Exact evolution at rational velocities along backward characteristics.
 
-    On a finite graph, the head outflow H_j of every edge is built as an
-    exact step function of time by _histories: f_j(c_j s) while the
-    initial profile drains, then the tail inflow sum_k (c_k / c_j) w_jk H_k
-    delayed by 1/c_j.  Edge j at x then reads H_j(t + x/c_j).  A graph
-    whose edges share one speed c, as every lazy graph must, runs the unit
-    flow for time c*t instead.
+    The edges come from _network: every edge of a finite graph, or the
+    forward cone of supp f on a lazy one.  The head outflow H_j of each is
+    built as an exact step function of time by _histories: f_j(c_j s)
+    while the initial profile drains, then the tail inflow
+    sum_k (c_k / c_j) w_jk H_k delayed by 1/c_j.  Edge j at x then reads
+    H_j(t + x/c_j).  When those edges share one speed c, the unit flow
+    runs for time c*t instead.
     """
     if not vel.is_rational():
         raise NotRationalError("evolve_rational needs exact rational velocities")
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
-    if g.is_finite:
-        speed = {j: vel.exact(j) for j in g.edge_ids}
-        uniform = set(speed.values())
-    else:
-        uniform = {_lazy_speed(vel)}
+    speed, rows = _network(g, vel, f, t)
+    uniform = set(speed.values())
     if len(uniform) == 1:
         return evolve_unit(build_adjacency(g), f, uniform.pop() * t)
-    if t == 0:
+    if t == 0 or not speed:
         return f
 
     support = f.support()
     history, D, T, lag = _histories(
-        speed, _feeders(speed, g.feeders), t,
+        speed, rows, t,
         math.lcm(*(b.denominator for b in f.breakpoints)),
         lambda j: zip(f.breakpoints, [v.get(j) for v in f.values]) if j in support else [(0, 0)],
     )
@@ -624,26 +639,6 @@ def _float_sum(terms: _ExpSum, s: Fraction, shift: Fraction) -> tuple:
     return value, Ku / (1 - Ku) * size
 
 
-def _cone(g: MetricGraph, support: list, steps: int) -> dict:
-    """Rows, within the cone, of the edges at most `steps` routing steps
-    from `support` on a lazy graph, built from column calls alone."""
-    cone = dict.fromkeys(support)
-    frontier = support
-    for _ in range(steps):
-        frontier = [i for j in frontier for i in g.column(j) if i not in cone]
-        cone.update(dict.fromkeys(frontier))
-        if len(cone) > MAX_STAGE_EDGES:
-            raise WidthOverflowError(
-                f"forward cone exceeds {MAX_STAGE_EDGES} edges", edges=frontier[:4]
-            )
-    rows = {i: {} for i in cone}
-    for j in cone:
-        for i, w in g.column(j).items():
-            if i in rows:
-                rows[i][j] = w
-    return rows
-
-
 def evolve_absorbing(
     g: MetricGraph,
     vel: VelocityProfile,
@@ -661,9 +656,9 @@ def evolve_absorbing(
     exp((1/c_j) int_0^{c_j s} q_j), in windows cut at the breakpoints of
     f_j and q_j, and crossing it multiplies by exp(Q_j / c_j), where
     Q_j = int_0^1 q_j.  Edge j at x then reads H_j(t + x/c_j)
-    exp(-(1/c_j) int_0^x q_j).  Velocities must be exact rationals, and
-    uniform on a lazy graph, even at t = 0; a lazy graph runs on the edges
-    within ceil(c t) routing steps of supp f.  At t = 0 the input is
+    exp(-(1/c_j) int_0^x q_j).  The edges come from _network, as in
+    evolve_rational: a lazy graph runs on the forward cone of supp f.
+    Velocities must be exact rationals, even at t = 0, when the input is
     returned sampled, with bound zero.
     """
     t = as_exact_time(t, "evolution time")
@@ -673,13 +668,7 @@ def evolve_absorbing(
         raise ValueError(f"output grid must be >= 1, got {grid}")
     if not vel.is_rational():
         raise NotRationalError("absorption needs exact rational velocities")
-    if g.is_finite:
-        speed = {j: vel.exact(j) for j in g.edge_ids}
-        rows = g.feeders
-    else:
-        c = _lazy_speed(vel)  # refuses a non-uniform profile
-        cone = _cone(g, sorted(f.support(), key=repr), math.ceil(c * t))
-        speed, rows = dict.fromkeys(cone, c), cone.__getitem__
+    speed, rows = _network(g, vel, f, t)
     if t == 0 or not speed:
         return AbsorbingResult(sample(f, grid), 0.0)
 
@@ -703,7 +692,7 @@ def evolve_absorbing(
     def delay(j, v):
         return _ExpSum({(beta + (Q[j] - b) / speed[j], b): r for (beta, b), r in v.items()})
 
-    history, D, T, _ = _histories(speed, _feeders(speed, rows), t,
+    history, D, T, _ = _histories(speed, rows, t,
                                   math.lcm(*(b.denominator for b in cuts)), drain, delay)
 
     samples, error_bound = [], 0.0

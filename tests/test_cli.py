@@ -227,6 +227,16 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("t", ["0", "1/2"])
+    def test_state_on_an_unknown_edge(self, tmp_path, t):
+        stray = tmp_path / "stray.state"
+        stray.write_text("state stray\nbp 0/1 1/1\nv 0 1 1\nv 0 99 5\n")
+        code = main([
+            "simulate", "--graph", G2, "--state", str(stray),
+            "--t", t, "--out", str(tmp_path),
+        ])
+        assert code == 1
+
     def test_truncation_failure(self, tmp_path):
         code = main([
             "resolvent", "--graph", G2, "--state", PULSE,

@@ -55,6 +55,17 @@ def g5():
     return MetricGraph.finite(edges, weights, name="g5")
 
 
+def lazy_path():
+    return MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
+
+
+def cycle(n):
+    """The first n edges of lazy_path, with edge n-1 feeding edge 0."""
+    return MetricGraph.finite(
+        [(j, j, (j + 1) % n) for j in range(n)], {((j + 1) % n, j): F(1) for j in range(n)}
+    )
+
+
 def pulse_e1():
     return NetworkState.constant(SparseVector({1: F(1)}))
 
@@ -469,8 +480,9 @@ class TestCharacteristicsAgainstSubdivision:
         assert evolve_rational(path, vel, f, F(5, 3)) == evolve_unit(
             build_adjacency(path), f, F(5, 2)
         )
-        with pytest.raises(MalformedGraphError):
-            evolve_rational(path, VelocityProfile({0: F(1)}, default=F(2)), f, F(1))
+        # a listed speed over the default runs on the forward cone
+        listed = VelocityProfile({0: F(1)}, default=F(2))
+        assert evolve_rational(path, listed, f, F(1)) == evolve_rational(cycle(8), listed, f, F(1))
 
     def test_history_cap(self, monkeypatch):
         g = g5()
@@ -660,8 +672,9 @@ class TestEvolveAbsorbing:
         path = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
         with pytest.raises(NotRationalError):
             evolve_absorbing(path, VelocityProfile({}, default=1.5), q, f, t)
-        with pytest.raises(MalformedGraphError):
-            evolve_absorbing(path, VelocityProfile({0: F(1)}, default=F(2)), q, f, t)
+        # a listed speed over the default runs on the forward cone
+        listed = VelocityProfile({0: F(1)}, default=F(2))
+        assert evolve_absorbing(path, listed, q, f, t) == evolve_absorbing(cycle(8), listed, q, f, t)
 
         # a very slow edge needs no wide common multiplier any more
         vel = VelocityProfile({1: F(1), 2: F(1, 2_000_000)})
@@ -688,3 +701,141 @@ class TestEvolveAbsorbing:
             for got, want in zip(res.state.samples, ref)
         )
         assert actual <= res.error_bound, (actual, res.error_bound)
+
+
+# speeds listed over a default of 1 on the lazy path
+PATH_SPEEDS = {1: F(2), 2: F(3), 4: F(1, 2), 5: F(5, 2)}
+# the binary tree: edge j splits evenly into edges 2j+1 and 2j+2
+TREE_SPEEDS = (F(3, 2), F(2), F(1, 2))
+
+
+def binary_tree(column=None):
+    return MetricGraph.lazy(
+        column or (lambda j: [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))]),
+        lambda j: ((j - 1) // 2, j),
+    )
+
+
+def tree_truncation(depth):
+    """The tree's edges to `depth`, each leaf closed on a loop of its own."""
+    inner, edges = 2**depth - 1, 2 ** (depth + 1) - 1
+    weights = {(i, j): F(1, 2) for j in range(inner) for i in (2 * j + 1, 2 * j + 2)}
+    loops = []
+    for j in range(inner, edges):
+        loops.append((j + edges, j, j))
+        weights[(j + edges, j)] = weights[(j + edges, j + edges)] = F(1)
+    return MetricGraph.finite([(j, (j - 1) // 2, j) for j in range(edges)] + loops, weights)
+
+
+class TestLazyCone:
+    """Lazy graphs at listed speeds run on the forward cone of supp f: the
+    edges inflow reaches before t, by earliest arrival along 1/c_j."""
+
+    @pytest.mark.parametrize("t", [F(0), F(1, 3), F(7, 3), F(6)])
+    def test_listed_speeds_path_equals_a_long_cycle(self, t):
+        # by t = 6 the cone reaches edge 8; the 40-edge cycle never wraps
+        f = NetworkState(
+            [F(0), F(1, 4), F(2, 3), F(1)],
+            [SparseVector({0: F(1), 2: F(-1, 2)}), SparseVector({1: F(3)}),
+             SparseVector({0: F(5), 1: F(1, 7)})],
+        )
+        q = AbsorptionProfile(
+            {j: ([F(0), F(1, 3), F(1)], [F(j % 3 - 1, 2), F(1, 4)]) for j in range(40)}
+        )
+        vel = VelocityProfile(PATH_SPEEDS, default=F(1))
+        out = evolve_rational(lazy_path(), vel, f, t)
+        assert out == evolve_rational(cycle(40), vel, f, t)
+        assert total_mass(out) == total_mass(f)
+        assert max(out.support()) <= 8
+        assert evolve_absorbing(lazy_path(), vel, q, f, t, grid=24) == evolve_absorbing(
+            cycle(40), vel, q, f, t, grid=24
+        )
+        # the zero state has an empty cone
+        zero = NetworkState.zero()
+        assert evolve_rational(lazy_path(), vel, zero, t) == zero
+        assert evolve_absorbing(lazy_path(), vel, q, zero, t, grid=4).state == sample(zero, 4)
+
+    def test_binary_tree_equals_a_finite_truncation(self):
+        # speeds by j mod 3, listed to depth 7; by t = 2 the cone reaches
+        # depth 5 (edges 31-62), so depth 7 leaves a margin of two
+        vel = VelocityProfile({j: TREE_SPEEDS[j % 3] for j in range(2**8 - 1)}, default=F(1))
+        truncation = tree_truncation(7)
+        f = NetworkState(
+            [F(0), F(1, 3), F(3, 4), F(1)],
+            [SparseVector({0: F(2), 2: F(1, 5)}), SparseVector({1: F(-1, 3)}),
+             SparseVector({0: F(1), 1: F(4), 2: F(3, 2)})],
+        )
+        t = F(2)
+        out = evolve_rational(binary_tree(), vel, f, t)
+        assert out == evolve_rational(truncation, vel, f, t)
+        assert total_mass(out) == total_mass(f)
+        assert 31 <= max(out.support()) <= 62
+        # the samples agree exactly; the bound adds the same per-edge bounds
+        # in the cone's order instead of by edge id
+        q = AbsorptionProfile.constant({j: F(j % 4 - 1, 3) for j in range(63)})
+        lazy = evolve_absorbing(binary_tree(), vel, q, f, t, grid=16)
+        finite = evolve_absorbing(truncation, vel, q, f, t, grid=16)
+        assert lazy.state == finite.state
+        assert lazy.error_bound == pytest.approx(finite.error_bound, rel=1e-15)
+
+    def test_a_fast_edge_reads_only_the_columns_it_reaches(self):
+        reads = []
+
+        def column(j):
+            reads.append(j)
+            return [(j + 1, F(1))]
+
+        # edges 0-3 outflow from 0, 1/100, 101/100 and 201/100, edge 4 only
+        # from 301/100: at t = 5/2 four columns, where ceil(c_max t) = 250
+        # routing steps would read 250; at t = 201/100 edge 3 outflows too late
+        vel = VelocityProfile({1: F(100)}, default=F(1))
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        q = AbsorptionProfile.constant({0: F(1, 2)})
+        for t, want in ((F(5, 2), [0, 1, 2, 3]), (F(201, 100), [0, 1, 2])):
+            reads.clear()
+            out = evolve_rational(MetricGraph.lazy(column, lambda j: (j, j + 1)), vel, f, t)
+            assert reads == want
+            assert out == evolve_rational(cycle(12), vel, f, t)
+            reads.clear()
+            evolve_absorbing(MetricGraph.lazy(column, lambda j: (j, j + 1)), vel, q, f, t, grid=8)
+            assert reads == want
+
+    def test_cone_cap(self, monkeypatch):
+        reads = []
+
+        def column(j):
+            reads.append(j)
+            return [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))]
+
+        vel = VelocityProfile({j: TREE_SPEEDS[j % 3] for j in range(2**8 - 1)}, default=F(1))
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        q = AbsorptionProfile.zero()
+        monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 30)
+        # by t = 1 the cone holds edges 0-4 and 9-10
+        assert total_mass(evolve_rational(binary_tree(column), vel, f, F(1))) == 1
+        evolve_absorbing(binary_tree(column), vel, q, f, F(1), grid=4)
+
+        def no_history(*_):
+            raise AssertionError("a history ran before the cone was refused")
+
+        monkeypatch.setattr(semigroup, "_histories", no_history)
+        for run in (
+            lambda g: evolve_rational(g, vel, f, F(6)),
+            lambda g: evolve_absorbing(g, vel, q, f, F(6), grid=4),
+        ):
+            reads.clear()
+            with pytest.raises(WidthOverflowError, match="forward cone") as err:
+                run(binary_tree(column))
+            assert err.value.edges
+            assert len(reads) < 30
+
+    @pytest.mark.parametrize("t", [F(0), F(1, 2)])
+    def test_stray_edges_are_refused(self, t):
+        # g2 has no edge 99
+        f = NetworkState.constant(SparseVector({1: F(1), 99: F(5)}))
+        q = AbsorptionProfile.zero()
+        for vel in (VelocityProfile({1: F(1), 2: F(3)}), VelocityProfile({1: F(1), 2: F(1)})):
+            with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+                evolve_rational(g2(), vel, f, t)
+            with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+                evolve_absorbing(g2(), vel, q, f, t)
