@@ -15,7 +15,6 @@ from netflow import (
     SparseVector,
     build_adjacency,
     evolve_unit,
-    total_mass,
     validate_graph,
 )
 
@@ -40,7 +39,7 @@ for t in (F(0), F(1, 4), F(1, 2), F(1), F(5, 2)):
         f"[{a},{b}) -> {v.to_dict() or 0}"
         for a, b, v in zip(ft.breakpoints, ft.breakpoints[1:], ft.values)
     )
-    print(f"t = {str(t):>4}   mass = {total_mass(ft)}   {pieces}")
+    print(f"t = {str(t):>4}   mass = {ft.total_mass()}   {pieces}")
 
 # the flow moves toward parameter 0; after one time unit the pulse has
 # crossed the vertex onto the other edge, after two it is back where it began

@@ -23,7 +23,6 @@ from netflow import (
     lift_state,
     project_state,
     subdivide,
-    total_mass,
     trace_value,
 )
 
@@ -48,7 +47,7 @@ f = NetworkState(
 
 for t in (F(1, 8), F(1, 2), F(2)):
     ft = evolve_rational(g, vel, f, t)
-    print(f"t = {str(t):>4}   mass = {total_mass(ft)}   pieces = {len(ft.values)}")
+    print(f"t = {str(t):>4}   mass = {ft.total_mass()}   pieces = {len(ft.values)}")
     # the subdivided unit flow, mapped back, is the same state exactly
     cut = project_state(plan, evolve_unit(plan.operator, lift_state(plan, f), plan.c * t))
     assert cut == ft, t

@@ -81,9 +81,6 @@ from .states import (
     boundary_residual,
     pair,
     sample,
-    sup_norm,
-    total_mass,
-    traces,
 )
 from .tracing import trace_samples, trace_value
 
@@ -146,9 +143,6 @@ __all__ = [
     "sample",
     "semigroup_convergence",
     "subdivide",
-    "sup_norm",
-    "total_mass",
-    "traces",
     "trace_samples",
     "trace_value",
     "validate_graph",

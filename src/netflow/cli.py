@@ -10,8 +10,7 @@ velocities, failed report), 2 numeric-tolerance failure (precision gates,
 series truncation, contraction loss), 3 malformed input (unparseable
 files or flags, decimals where exactness is required).  Artifacts are
 deterministic: same inputs and flags give byte-identical files, so runs
-can be diffed.  NETFLOW_THREADS caps the worker threads of the
-convergence ladders behind `approx`; everything else runs serially.
+can be diffed.
 """
 
 from __future__ import annotations

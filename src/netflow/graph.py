@@ -20,7 +20,6 @@ checked at all.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -71,10 +70,6 @@ class SparseVector:
         self = object.__new__(cls)
         self._entries = entries
         return self
-
-    @classmethod
-    def unit(cls, j) -> "SparseVector":
-        return cls({j: Fraction(1)})
 
     def get(self, j, default=0):
         return self._entries.get(j, default)
@@ -230,7 +225,6 @@ class MetricGraph:
         self._endpoints_fn = endpoints_fn
         self._columns = {}
         self._rows = None
-        self._lock = threading.Lock()
         return self
 
     # -- shared interface ------------------------------------------------
@@ -268,23 +262,11 @@ class MetricGraph:
                 return self._columns[j]
             except KeyError:
                 raise MalformedGraphError(f"unknown edge {j!r}") from None
-        with self._lock:
-            cached = self._columns.get(j)
-            if cached is None:
-                cached = self._check_lazy_column(j, self._column_fn(j))
-                self._columns[j] = cached
-            return cached
-
-    def raw_column(self, j) -> dict:
-        """Column j without the lazy-access checks; for diagnostics."""
-        if not self._lazy:
-            return self.column(j)
-        col = self._column_fn(j)
-        if not isinstance(col, (list, tuple)):
-            raise MalformedGraphError(
-                f"lazy column for edge {j!r} is not an explicit sequence"
-            )
-        return {i: as_exact(w, what=f"weight ({i!r}, {j!r})") for i, w in col}
+        cached = self._columns.get(j)
+        if cached is None:
+            cached = self._check_lazy_column(j, self._column_fn(j))
+            self._columns[j] = cached
+        return cached
 
     def feeders(self, i) -> dict:
         """Row i of the routing matrix: source id -> weight; finite graphs only."""
@@ -392,8 +374,7 @@ class AdjacencyOperator:
     also keeps each column as integer numerators over the column's own
     denominator: `apply_stack` routes exact vectors on those integers,
     with one denominator shared by the whole stack, and builds Fractions
-    only for its results.  Cache misses are lock-protected because
-    callers may share one operator across threads.
+    only for its results.
     """
 
     def __init__(self, graph: MetricGraph, scaling: VelocityProfile | None = None):
@@ -401,7 +382,6 @@ class AdjacencyOperator:
         self.scaling = scaling
         # edge -> (column as SparseVector, (denominator, ((receiver, numerator), ...)))
         self._cache: dict = {}
-        self._lock = threading.Lock()
         self._exact = scaling is None or scaling.is_rational()
 
     @property
@@ -422,14 +402,11 @@ class AdjacencyOperator:
         if self._exact:
             den = math.lcm(*(w.denominator for _, w in col.items()))
             ints = (den, tuple((i, w.numerator * (den // w.denominator)) for i, w in col.items()))
-        with self._lock:
-            return self._cache.setdefault(j, (col, ints))
+        hit = self._cache[j] = (col, ints)
+        return hit
 
     def column(self, j) -> SparseVector:
         return self._cached(j)[0]
-
-    def entry(self, i, j):
-        return self.column(j).get(i, 0)
 
     def apply(self, v: SparseVector) -> SparseVector:
         """Matrix-vector product; touches only the columns in v's support."""
@@ -534,7 +511,7 @@ class AdjacencyOperator:
 class ValidationReport:
     """Outcome of validate_graph.
 
-    `column_sums` and `column_ok` cover the probed edges; pass means the
+    `column_sums` and `column_ok` cover every edge; pass means the
     sum is exactly one.  Structural flags list what was found, and `ok`
     is the conjunction of everything.
     """
@@ -555,9 +532,6 @@ class ValidationReport:
             and not self.sinks
         )
 
-    def failures(self) -> list:
-        return [j for j, good in self.column_ok.items() if not good]
-
     def summary(self) -> str:
         lines = []
         for j in self.probed:
@@ -574,28 +548,26 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_graph(g: MetricGraph, probe: Iterable | None = None) -> ValidationReport:
-    """Check routing weights and structure, reporting instead of raising.
+def validate_graph(g: MetricGraph) -> ValidationReport:
+    """Check a finite graph's routing weights and structure, reporting
+    instead of raising.
 
-    Finite graphs are probed in full by default; lazy graphs need an
-    explicit finite probe set.  A pass for edge j means column j sums to
-    exactly one.
+    Every column is read; a pass for edge j means column j sums to
+    exactly one.  Lazy graphs are refused: their columns are checked one
+    by one on first access instead.
     """
-    if probe is None:
-        g._require_finite("validate_graph without a probe set")
-        probe = g.edge_ids
-    probe = tuple(probe)
+    g._require_finite("validate_graph")
+    edges = tuple(g.edge_ids)
 
     sums, ok = {}, {}
-    for j in probe:
-        col = g.raw_column(j)
-        s = sum(col.values(), Fraction(0))
+    for j in edges:
+        s = sum(g.column(j).values(), Fraction(0))
         sums[j] = s
         ok[j] = s == 1
 
     loops, dupes, sinks = [], [], []
     seen_pairs: dict = {}
-    for j in probe:
+    for j in edges:
         tail, head = g.endpoints(j)
         if tail == head:
             loops.append(j)
@@ -604,20 +576,13 @@ def validate_graph(g: MetricGraph, probe: Iterable | None = None) -> ValidationR
         if len(ids) > 1:
             dupes.append(tuple(ids))
 
-    if g.is_finite:
-        tails = {t for (t, _) in (g.endpoints(j) for j in g.edge_ids)}
-        for j in probe:
-            head = g.endpoints(j)[1]
-            if head not in tails and head not in sinks:
-                sinks.append(head)
-    else:
-        for j in probe:
-            if not g.raw_column(j):
-                head = g.endpoints(j)[1]
-                if head not in sinks:
-                    sinks.append(head)
+    tails = {tail for tail, _ in seen_pairs}
+    for j in edges:
+        head = g.endpoints(j)[1]
+        if head not in tails and head not in sinks:
+            sinks.append(head)
 
-    return ValidationReport(probe, sums, ok, loops, dupes, sinks)
+    return ValidationReport(edges, sums, ok, loops, dupes, sinks)
 
 
 def build_adjacency(g: MetricGraph, scaling: VelocityProfile | None = None) -> AdjacencyOperator:

@@ -1,40 +1,14 @@
-"""Worker-count policy for the embarrassingly parallel level loops.
+"""Ordered map over the levels of a convergence ladder.
 
-Serial unless NETFLOW_THREADS asks for more; the variable is a cap, so 1
-always complies.  Ordered results keep artifacts byte-deterministic.
+The ladders run serially in level order.  This module stays only because
+the benchmark's tracer wraps `map_ordered` by this module path; it goes
+when the tracer takes its wrap list from the modules it traces.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import MalformedInputError
-
-__all__ = ["worker_count", "map_ordered"]
-
-
-def worker_count(n_items: int | None = None) -> int:
-    raw = os.environ.get("NETFLOW_THREADS")
-    if raw is None:
-        limit = 1
-    else:
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise MalformedInputError(
-                f"NETFLOW_THREADS must be an integer, got {raw!r}"
-            ) from None
-        limit = max(1, limit)
-    if n_items is not None:
-        limit = min(limit, max(1, n_items))
-    return limit
+__all__ = ["map_ordered"]
 
 
 def map_ordered(fn, items):
-    items = list(items)
-    workers = worker_count(len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    return [fn(x) for x in items]

@@ -228,6 +228,8 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     ids = g.edge_ids
     if not ids:
         raise ValueError("graph has no edges")
+    for j in f.support():
+        g.column(j)  # an edge the graph lacks raises MalformedGraphError
     idx = {e: i for i, e in enumerate(ids)}
     n = len(ids)
     c = np.array([float(vel.velocity(j)) for j in ids])

@@ -657,7 +657,8 @@ def evolve_absorbing(
     f_j and q_j, and crossing it multiplies by exp(Q_j / c_j), where
     Q_j = int_0^1 q_j.  Edge j at x then reads H_j(t + x/c_j)
     exp(-(1/c_j) int_0^x q_j).  The edges come from _network, as in
-    evolve_rational: a lazy graph runs on the forward cone of supp f.
+    evolve_rational: a lazy graph runs on the forward cone of supp f.  A
+    finite graph refuses f or rates on an edge it lacks, at every t.
     Velocities must be exact rationals, even at t = 0, when the input is
     returned sampled, with bound zero.
     """
@@ -668,12 +669,15 @@ def evolve_absorbing(
         raise ValueError(f"output grid must be >= 1, got {grid}")
     if not vel.is_rational():
         raise NotRationalError("absorption needs exact rational velocities")
+    qs = q.as_state()
+    if g.is_finite:
+        for j in qs.support():
+            g.column(j)  # rates on an edge the graph lacks raise MalformedGraphError
     speed, rows = _network(g, vel, f, t)
     if t == 0 or not speed:
         return AbsorbingResult(sample(f, grid), 0.0)
 
     # per edge and piece of the common grid: (f_j, q_j, int_0^start q_j)
-    qs = q.as_state()
     cuts = sorted(set(f.breakpoints) | set(qs.breakpoints))
     starts = cuts[:-1]
     profile, Q = {}, {}

@@ -32,10 +32,7 @@ __all__ = [
     "NetworkState",
     "TestFunction",
     "SampledState",
-    "sup_norm",
-    "total_mass",
     "pair",
-    "traces",
     "boundary_residual",
     "sample",
 ]
@@ -152,12 +149,6 @@ class NetworkState:
         """Signed integral over [0,1] of the entry sum."""
         return sum((b2 - b1) * v.total() for b1, b2, v in self.pieces())
 
-    def trace_at0(self) -> SparseVector:
-        return self.values[0]
-
-    def trace_at1(self) -> SparseVector:
-        return self.values[-1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkState):
             return NotImplemented
@@ -258,27 +249,13 @@ class SampledState:
 # -- module-level operation surface ---------------------------------------
 
 
-def sup_norm(f: NetworkState):
-    return f.sup_norm()
-
-
-def total_mass(f: NetworkState):
-    return f.total_mass()
-
-
-def traces(f: NetworkState) -> tuple:
-    """(value at 0, left trace at 1): the first and last piece vectors."""
-    return f.trace_at0(), f.trace_at1()
-
-
 def boundary_residual(f: NetworkState, op: AdjacencyOperator):
     """l1 defect of the routing condition f(1) = B f(0).
 
     Zero exactly on states in the generator's domain; the size measures
     how far f is from satisfying the vertex coupling.
     """
-    at0, at1 = f.trace_at0(), f.trace_at1()
-    return (at1 - op.apply(at0)).l1()
+    return (f.values[-1] - op.apply(f.values[0])).l1()
 
 
 def pair(f, g):

@@ -1,12 +1,10 @@
-"""The self-check suites and the thread-count policy they share."""
+"""The self-check suites and their random generators."""
 
 import pytest
 
 from netflow import CheckResult, run_suite
 from netflow.checks import SUITES, random_graph, random_velocities
-from netflow.errors import MalformedInputError
 from netflow.graph import validate_graph
-from netflow.parallel import map_ordered, worker_count
 
 
 class TestRunSuite:
@@ -50,34 +48,3 @@ class TestRandomGenerators:
             assert validate_graph(g).ok
             vel = random_velocities(rng, g)
             assert vel.is_rational()
-
-
-class TestWorkerPolicy:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("NETFLOW_THREADS", raising=False)
-        assert worker_count() == 1
-        assert worker_count(8) == 1
-
-    def test_env_caps_and_item_caps(self, monkeypatch):
-        monkeypatch.setenv("NETFLOW_THREADS", "4")
-        assert worker_count() == 4
-        assert worker_count(2) == 2
-        assert worker_count(100) == 4
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("NETFLOW_THREADS", "many")
-        with pytest.raises(MalformedInputError):
-            worker_count()
-
-    def test_nonpositive_clamps_to_one(self, monkeypatch):
-        monkeypatch.setenv("NETFLOW_THREADS", "-2")
-        assert worker_count() == 1
-
-    def test_map_ordered_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("NETFLOW_THREADS", "8")
-        items = list(range(40))
-        assert map_ordered(lambda x: x * x, items) == [x * x for x in items]
-
-    def test_map_ordered_serial_path(self, monkeypatch):
-        monkeypatch.delenv("NETFLOW_THREADS", raising=False)
-        assert map_ordered(str, [3, 1, 2]) == ["3", "1", "2"]

@@ -227,15 +227,24 @@ class TestExitCodes:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("t", ["0", "1/2"])
-    def test_state_on_an_unknown_edge(self, tmp_path, t):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--graph", G2, "--state", "STRAY", "--t", "0"], id="0"),
+        pytest.param(["simulate", "--graph", G2, "--state", "STRAY", "--t", "1/2"], id="1/2"),
+        pytest.param(["resolvent", "--graph", G2, "--state", "STRAY",
+                      "--mode", "general", "--lambda", "2"], id="resolvent-general"),
+        pytest.param(["approx", "--graph", G5, "--state", "STRAY",
+                      "--levels", "1,2", "--lambda", "2"], id="approx-lambda"),
+        pytest.param(["absorb", "--graph", G2, "--state", PULSE, "--rates", "STRAY",
+                      "--t", "0"], id="absorb-rates-0"),
+        pytest.param(["absorb", "--graph", G2, "--state", PULSE, "--rates", "STRAY",
+                      "--t", "1/2"], id="absorb-rates-1/2"),
+    ])
+    def test_state_on_an_unknown_edge(self, tmp_path, argv):
+        # states and rates alike: g2 and g5 have no edge 99
         stray = tmp_path / "stray.state"
         stray.write_text("state stray\nbp 0/1 1/1\nv 0 1 1\nv 0 99 5\n")
-        code = main([
-            "simulate", "--graph", G2, "--state", str(stray),
-            "--t", t, "--out", str(tmp_path),
-        ])
-        assert code == 1
+        argv = [str(stray) if a == "STRAY" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
 
     def test_truncation_failure(self, tmp_path):
         code = main([

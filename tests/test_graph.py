@@ -72,6 +72,11 @@ class TestValidation:
         assert report.duplicates == [(1, 2)]
         assert not report.ok
 
+    def test_lazy_graph_refused(self):
+        g = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
+        with pytest.raises(MalformedGraphError):
+            validate_graph(g)
+
     def test_duplicate_edge_id_rejected(self):
         with pytest.raises(MalformedGraphError):
             MetricGraph.finite(
@@ -102,8 +107,8 @@ class TestAdjacency:
     def test_scaled_entries(self):
         # c = (2, 1): entry (i, j) = (c_j / c_i) w_ij
         op = build_adjacency(g2(), VelocityProfile({1: F(2), 2: F(1)}))
-        assert op.entry(2, 1) == F(2)
-        assert op.entry(1, 2) == F(1, 2)
+        assert op.column(1).get(2) == F(2)
+        assert op.column(2).get(1) == F(1, 2)
 
     def test_five_edge_split_column(self):
         op = build_adjacency(g5())

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from netflow import (
     ContractionViolationError,
+    MalformedGraphError,
     MetricGraph,
     NetworkState,
     SparseVector,
@@ -209,6 +210,12 @@ class TestResolventGeneral:
         f = NetworkState.constant(SparseVector({1: F(1)}))
         with pytest.raises(ContractionViolationError):
             resolvent_general(g, unit_vel(g), f, 0.1, grid=8)
+
+    def test_state_on_an_unknown_edge_refused(self):
+        g = g2()
+        f = NetworkState.constant(SparseVector({1: F(1), 99: F(5)}))
+        with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+            resolvent_general(g, unit_vel(g), f, 2.0, grid=8)
 
     def test_metadata_records_both_norms(self):
         g = g5()

@@ -32,8 +32,6 @@ from netflow import (
     project_state,
     sample,
     subdivide,
-    sup_norm,
-    total_mass,
     trace_samples,
 )
 from netflow import checks, semigroup
@@ -115,9 +113,9 @@ class TestEvolveUnit:
         op = build_adjacency(g5())
         f = random_state(random.Random(seed), (1, 2, 3, 4, 5), pieces=4)
         out = evolve_unit(op, f, t)
-        assert sup_norm(out) <= sup_norm(f)
+        assert out.sup_norm() <= f.sup_norm()
         if f.is_nonnegative():
-            assert total_mass(out) == total_mass(f)
+            assert out.total_mass() == f.total_mass()
 
     def test_positive_mass_conserved_exactly(self):
         op = build_adjacency(g5())
@@ -126,7 +124,7 @@ class TestEvolveUnit:
             [SparseVector({1: F(2), 3: F(1, 7)}), SparseVector({4: F(5, 3)})],
         )
         out = evolve_unit(op, f, F(7, 5))
-        assert total_mass(out) == total_mass(f)
+        assert out.total_mass() == f.total_mass()
         assert out.is_nonnegative()
 
     def test_scaled_operator_refused(self):
@@ -211,7 +209,7 @@ class TestUnitKernel:
         f = NetworkState(bps, vals)
         for t in (F(1, 3), F(5, 2), F(7), F(47, 4), F(12)):
             out = self.check_pointwise(g, f, t)
-            assert total_mass(out) == total_mass(f)
+            assert out.total_mass() == f.total_mass()
             if nonneg:
                 assert out.is_nonnegative()
 
@@ -404,7 +402,7 @@ class TestEvolveRational:
             [SparseVector({1: F(3)}), SparseVector({2: F(1, 5)})],
         )
         out = evolve_rational(g, vel, f, F(5, 7))
-        assert total_mass(out) == total_mass(f)
+        assert out.total_mass() == f.total_mass()
 
     def test_weighted_mass_conserved_on_subdivided_graph(self):
         g = g2()
@@ -502,7 +500,7 @@ class TestCharacteristicsAgainstSubdivision:
         vel = VelocityProfile({1: F(1), 2: F(3)})
         f = NetworkState.constant(SparseVector({1: F(1), 2: F(1, 3)}))
         monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 100)
-        assert total_mass(evolve_rational(g, vel, f, F(17))) == total_mass(f)
+        assert evolve_rational(g, vel, f, F(17)).total_mass() == f.total_mass()
 
         def no_stage(*_):
             raise AssertionError("a stage ran before the guard")
@@ -745,7 +743,7 @@ class TestLazyCone:
         vel = VelocityProfile(PATH_SPEEDS, default=F(1))
         out = evolve_rational(lazy_path(), vel, f, t)
         assert out == evolve_rational(cycle(40), vel, f, t)
-        assert total_mass(out) == total_mass(f)
+        assert out.total_mass() == f.total_mass()
         assert max(out.support()) <= 8
         assert evolve_absorbing(lazy_path(), vel, q, f, t, grid=24) == evolve_absorbing(
             cycle(40), vel, q, f, t, grid=24
@@ -768,7 +766,7 @@ class TestLazyCone:
         t = F(2)
         out = evolve_rational(binary_tree(), vel, f, t)
         assert out == evolve_rational(truncation, vel, f, t)
-        assert total_mass(out) == total_mass(f)
+        assert out.total_mass() == f.total_mass()
         assert 31 <= max(out.support()) <= 62
         # the samples agree exactly; the bound adds the same per-edge bounds
         # in the cone's order instead of by edge id
@@ -812,7 +810,7 @@ class TestLazyCone:
         q = AbsorptionProfile.zero()
         monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 30)
         # by t = 1 the cone holds edges 0-4 and 9-10
-        assert total_mass(evolve_rational(binary_tree(column), vel, f, F(1))) == 1
+        assert evolve_rational(binary_tree(column), vel, f, F(1)).total_mass() == 1
         evolve_absorbing(binary_tree(column), vel, q, f, F(1), grid=4)
 
         def no_history(*_):
@@ -839,3 +837,6 @@ class TestLazyCone:
                 evolve_rational(g2(), vel, f, t)
             with pytest.raises(MalformedGraphError, match="unknown edge 99"):
                 evolve_absorbing(g2(), vel, q, f, t)
+            # rates on the stray edge, under a state the graph carries
+            with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+                evolve_absorbing(g2(), vel, AbsorptionProfile.constant({99: F(-5)}), pulse_e1(), t)

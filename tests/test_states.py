@@ -1,4 +1,4 @@
-"""Piecewise-constant states: norms, traces, pairing, sampling."""
+"""Piecewise-constant states: norms, pairing, sampling."""
 
 import random
 from fractions import Fraction as F
@@ -19,9 +19,6 @@ from netflow import (
     build_adjacency,
     pair,
     sample,
-    sup_norm,
-    total_mass,
-    traces,
 )
 
 
@@ -79,22 +76,13 @@ class TestEvaluation:
         # the point 1 carries the last piece's value
         assert f.value_at(F(1)) == SparseVector({2: F(-3)})
 
-    def test_traces(self):
-        at0, at1 = traces(two_piece())
-        assert at0 == SparseVector({1: F(1)})
-        assert at1 == SparseVector({2: F(-3)})
-
-    def test_constant_traces(self):
-        f = NetworkState.constant(SparseVector({1: F(1)}))
-        assert traces(f) == (f.values[0], f.values[0])
-
 
 class TestNorms:
     def test_constant(self):
-        assert sup_norm(NetworkState.constant(SparseVector({1: F(1)}))) == 1
+        assert NetworkState.constant(SparseVector({1: F(1)})).sup_norm() == 1
 
     def test_max_over_pieces(self):
-        assert sup_norm(two_piece()) == 3
+        assert two_piece().sup_norm() == 3
 
     def test_matches_dense_sampling(self):
         rng = random.Random(11)
@@ -103,14 +91,14 @@ class TestNorms:
             dense = max(
                 f.value_at(F(2 * m + 1, 2 * 10 ** 4)).l1() for m in range(10 ** 4)
             )
-            assert sup_norm(f) == dense
+            assert f.sup_norm() == dense
 
     def test_total_mass_examples(self):
-        assert total_mass(NetworkState.constant(SparseVector({1: F(1)}))) == 1
+        assert NetworkState.constant(SparseVector({1: F(1)})).total_mass() == 1
         f = NetworkState(
             [F(0), F(1, 4), F(1)], [SparseVector({1: F(2)}), SparseVector({})]
         )
-        assert total_mass(f) == F(1, 2)
+        assert f.total_mass() == F(1, 2)
 
     def test_total_mass_matches_riemann(self):
         rng = random.Random(13)
@@ -118,7 +106,7 @@ class TestNorms:
         g = TestFunction.constant(SparseVector({j: F(1) for j in (1, 2, 3)}))
         # cuts sit on the 1/64 lattice, so 6400 panels make the sum exact
         approx = oracles.riemann_pair(f, g, n=6400)
-        assert abs(float(total_mass(f)) - approx) < 1e-10
+        assert abs(float(f.total_mass()) - approx) < 1e-10
 
 
 class TestPairing:
@@ -156,7 +144,7 @@ class TestPairing:
         rng = random.Random(seed)
         f = random_state(rng)
         g = TestFunction(*_tf_parts(rng))
-        assert abs(pair(f, g)) <= sup_norm(f) * g.predual_norm()
+        assert abs(pair(f, g)) <= f.sup_norm() * g.predual_norm()
 
     def test_bilinear(self):
         rng = random.Random(17)
