@@ -14,12 +14,17 @@ the right half-plane overflows.  Read at s = 0 the local integral is the
 boundary moment d = u(0) - e^{-mu} y, and the solvers differ only in the
 series that turns d into y:
 
-- resolvent_unit (unit speed): y = sum_{k>=0} e^{-lk} B^{k+1} d.  Each
-  term needs only columns of B reachable from the support of f, so it
-  runs on lazy infinite graphs; only edges in the support of f or y are
-  sampled.
+- resolvent_unit (unit speed): y = sum_{k>=0} e^{-lk} B^{k+1} d.  The
+  terms k <= K need only the columns of B within K applications of the
+  support of f, so the series runs on that routing closure, which is
+  finite on lazy infinite graphs too; only the closure is sampled.  Each
+  closure column is tested once, exactly, for a sum past one.
 - resolvent_general (any positive speeds, finite graph): the Neumann
   iteration of y = C (d + E y), E = diag(e^{-mu}).
+
+Both series route float or complex vectors through B (or C) held as
+index arrays of its nonzero entries, one bincount per term, so their
+memory is O(edges): no n x n matrix is built.
 
 An error in y reaches every sample through a factor |e^{-mu_j (1-s)}| <= 1,
 so both truncation bounds hold for the sampled sup-l1 norm as they stand.
@@ -51,6 +56,7 @@ from .errors import (
 )
 from .exact import as_exact
 from .graph import AdjacencyOperator, MetricGraph, SparseVector, VelocityProfile
+from . import semigroup
 from .semigroup import evolve_unit
 from .states import NetworkState, SampledState
 
@@ -89,16 +95,34 @@ def _require_right_half_plane(lam) -> complex:
     return lam
 
 
+def _piece_values(f: NetworkState, edges: list, dtype) -> np.ndarray:
+    """f on the rows `edges` as an edges x pieces array: column p is f's
+    value on piece p."""
+    pos = {e: k for k, e in enumerate(edges)}
+    rows, cols, vals = [], [], []
+    for p, v in enumerate(f.values):
+        for e, x in v.items():
+            rows.append(pos[e])
+            cols.append(p)
+            vals.append(float(x))
+    V = np.zeros((len(edges), len(f.values)), dtype=dtype)
+    V[rows, cols] = vals
+    return V
+
+
+def _grid_pieces(f: NetworkState, grid: int) -> np.ndarray:
+    """The piece of f each sample s = m / grid, m = 0..grid, lies in: piece
+    p when ceil(a_p grid) <= m < ceil(b_p grid), and s = 1 in the last."""
+    first = [-(-a.numerator * grid // a.denominator) for a in f.breakpoints[:-1]]
+    return np.repeat(np.arange(len(first)), np.diff(first + [grid + 1]))
+
+
 def _piece_integrals(f: NetworkState, edges: list, mu: np.ndarray, lam) -> tuple:
     """(V, G) on the rows `edges`: V[:, p] is f on piece p divided by l, and
     G[:, p] = (1/c_j) int_{a_p}^1 e^{mu_j (a_p - t)} f_j(t) dt is the local
     integral at the piece's left end a_p (G[:, P] = 0 at s = 1).  G[:, 0]
     is the boundary moment d."""
-    pos = {e: k for k, e in enumerate(edges)}
-    V = np.zeros((len(edges), len(f.values)), dtype=mu.dtype)
-    for p, v in enumerate(f.values):
-        for e, x in v.items():
-            V[pos[e], p] = float(x)
+    V = _piece_values(f, edges, mu.dtype)
     V /= lam
     G = np.zeros((len(edges), len(f.values) + 1), dtype=mu.dtype)
     for p in reversed(range(len(f.values))):
@@ -107,16 +131,13 @@ def _piece_integrals(f: NetworkState, edges: list, mu: np.ndarray, lam) -> tuple
     return V, G
 
 
-def _sample(f: NetworkState, edges: list, mu: np.ndarray, lam, y: np.ndarray,
-            grid: int) -> SampledState:
+def _sample(f: NetworkState, edges: list, mu: np.ndarray, V: np.ndarray,
+            G: np.ndarray, y: np.ndarray, grid: int) -> SampledState:
     """The closed form u_j(m / grid), m = 0..grid, on the rows `edges`, from
-    the per-edge exponent mu = l / c and the head trace y = u(1)."""
-    V, G = _piece_integrals(f, edges, mu, lam)
+    the per-edge exponent mu = l / c, f's piece integrals (V, G) and the
+    head trace y = u(1)."""
     s = np.arange(grid + 1) / grid
-    # sample m lies in piece p when ceil(a_p grid) <= m < ceil(b_p grid);
-    # s = 1 belongs to the last piece
-    first = [-(-a.numerator * grid // a.denominator) for a in f.breakpoints[:-1]]
-    piece = np.repeat(np.arange(len(first)), np.diff(first + [grid + 1]))
+    piece = _grid_pieces(f, grid)
     right = np.array([float(b) for b in f.breakpoints[1:]])
     # u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, built
     # in u with one scratch buffer of the same size; b_p >= s and rounding
@@ -134,8 +155,41 @@ def _sample(f: NetworkState, edges: list, mu: np.ndarray, lam, y: np.ndarray,
 
 def _sampled(edges: list, u: np.ndarray) -> SampledState:
     """SampledState of an edges x (grid + 1) array, zero entries dropped."""
-    return SampledState(u.shape[1] - 1,
-                        [SparseVector(zip(edges, col)) for col in u.T.tolist()])
+    samples = [dict(zip(edges, col)) for col in u.T.tolist()]
+    rows, cols = np.nonzero(u == 0)
+    for k, m in zip(rows.tolist(), cols.tolist()):
+        del samples[m][edges[k]]
+    return SampledState(u.shape[1] - 1, [SparseVector._from_nonzero(v) for v in samples])
+
+
+def _stacked(samples, pos: dict) -> np.ndarray:
+    """The samples as one len(pos) x len(samples) array, complex when they
+    are: row pos[e] holds edge e, and edges not yet in `pos` are added to
+    it.  Runs of samples with one key order are filled as one block."""
+    keys, runs, vals = None, [], []
+    for m, v in enumerate(samples):
+        order = tuple(v)
+        if order != keys:
+            keys = order
+            runs.append((m, np.array([pos.setdefault(e, len(pos)) for e in order], dtype=np.intp)))
+        vals.extend(v.values())
+    vals = np.array(vals)
+    U = np.zeros((len(pos), len(samples)), dtype=vals.dtype)
+    start = 0
+    for (m, idx), (end, _) in zip(runs, runs[1:] + [(len(samples), None)]):
+        block = vals[start:start + (end - m) * len(idx)]
+        U[idx, m:end] = block.reshape(end - m, len(idx)).T
+        start += block.size
+    return U
+
+
+def _route(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+           v: np.ndarray) -> np.ndarray:
+    """B v for B given by its entries weights[k] at (rows[k], cols[k]); a
+    complex v is split so that the weights are never cast to complex."""
+    if v.dtype.kind == "c":
+        return _route(rows, cols, weights, v.real) + 1j * _route(rows, cols, weights, v.imag)
+    return np.bincount(rows, weights * v[cols], minlength=len(v))
 
 
 def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
@@ -148,9 +202,14 @@ def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
     k = 0..K are summed.  With columns summing to at most one each dropped
     term has l1 norm at most e^{-Re(l) k} |w|_1, so tail_bound =
     |w|_1 e^{-Re(l)(K+1)} / (1 - e^{-Re(l)}) bounds what they add to any
-    sample; a routed column that sums to more raises
-    ContractionViolationError.  Works on lazy graphs: each series term
-    only needs columns reachable from the support of f.
+    sample; a column that sums to more raises ContractionViolationError.
+
+    The terms run on B's entries as index arrays over the routing closure
+    of supp f, K + 1 applications deep, so they work on lazy graphs too;
+    each closure column is tested once, exactly, when the arrays are
+    built, and memory is O(closure edges).  A closure past
+    semigroup.MAX_STAGE_EDGES edges (a branching lazy graph at small
+    Re(l)) raises WidthOverflowError before any array is built.
     """
     if op.scaled:
         raise WrongOperatorError(
@@ -181,29 +240,22 @@ def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
 
     # real arithmetic throughout when lambda is real
     lam_num = re if lam.imag == 0 else lam
-    edges = list(dict.fromkeys(e for v in f.values for e in v.support()))
-    w = _piece_integrals(f, edges, np.full(len(edges), lam_num), lam_num)[1][:, 0]
-    cur = SparseVector(zip(edges, w.tolist()))
-    y: dict = {}
-    checked: set = set()
+    seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
+    edges, rows, cols, weights = op._closure(seeds, K + 1, semigroup.MAX_STAGE_EDGES)
+    mu = np.full(len(edges), lam_num)
+    V, G = _piece_integrals(f, edges, mu, lam_num)
+    # f lives on the seeds, so the boundary moment w is zero past them
+    cur = G[:, 0]
+    w = cur[:len(seeds)]
+    y = np.zeros_like(cur)
     for z in np.exp(-lam_num * np.arange(K + 1)).tolist():
-        for j in cur.support() - checked:
-            if op.column(j).total() > 1:
-                raise ContractionViolationError(
-                    f"column of edge {j!r} sums past 1; the routing series has no tail bound"
-                )
-        checked.update(cur.support())
-        cur = op.apply(cur)
-        for e, val in cur.items():
-            y[e] = y.get(e, 0) + z * val
+        cur = _route(rows, cols, weights, cur)
+        y += z * cur
 
     w_norm = float(np.abs(w).sum())
     tail = w_norm * math.exp(-re * (K + 1)) / (1 - decay)
 
-    edges = list(dict.fromkeys([*edges, *y]))
-    mu = np.full(len(edges), lam_num)
-    y_arr = np.array([y.get(e, 0) for e in edges], dtype=mu.dtype)
-    state = _sample(f, edges, mu, lam_num, y_arr, grid)
+    state = _sample(f, edges, mu, V, G, y, grid)
     return ResolventResult(
         state, lam, K + 1, tail,
         {"method": "unit-series", "K_used": K, "tol": tol, "w_norm": w_norm},
@@ -220,7 +272,8 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     as in the module docstring.  It stops at the first N
     with |term_N|_c / ((1 - q) c_min) <= tol, which bounds, in the sampled
     sup-l1 norm, everything the dropped terms add; that quantity is the
-    reported tail_bound.
+    reported tail_bound.  C is held as index arrays of its nonzero
+    entries, (c_j / c_i) w_ij, so memory is O(edges).
     """
     lam = _require_right_half_plane(lam)
     if grid < 1:
@@ -230,7 +283,6 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         raise ValueError("graph has no edges")
     for j in f.support():
         g.column(j)  # an edge the graph lacks raises MalformedGraphError
-    idx = {e: i for i, e in enumerate(ids)}
     n = len(ids)
     c = np.array([float(vel.velocity(j)) for j in ids])
     c_min = c.min()
@@ -238,38 +290,38 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     lam_num = lam.real if lam.imag == 0 else lam
     mu = lam_num / c
 
-    C = np.zeros((n, n))
-    for j in ids:
+    idx = {e: i for i, e in enumerate(ids)}
+    rows, cols, weights = [], [], []
+    for k, j in enumerate(ids):
         for i, w_ij in g.column(j).items():
-            C[idx[i], idx[j]] = float(w_ij)
+            rows.append(idx[i])
+            cols.append(k)
+            weights.append(float(w_ij))
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    weights = np.array(weights)
     decay = np.exp(-lam.real / c)  # |e^{-mu_j}|
-    norm_weighted = float((decay * np.abs(C).sum(axis=0)).max())
+    norm_weighted = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max())
     if norm_weighted >= 1:
         raise ContractionViolationError(
             f"weighted norm of the boundary operator is {norm_weighted:.6g} >= 1; "
             "the graph's columns cannot be stochastic"
         )
-    C *= c[None, :] / c[:, None]
-    norm_raw = float((decay * np.abs(C).sum(axis=0)).max())
-
-    def route(v):
-        # C @ v; a complex v is split so that C is never cast to complex
-        if v.dtype.kind == "c":
-            return C @ v.real + 1j * (C @ v.imag)
-        return C @ v
+    weights *= c[cols] / c[rows]
+    norm_raw = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max())
 
     def bound(term):
         return float((c * np.abs(term)).sum()) / ((1 - norm_weighted) * c_min)
 
-    d = _piece_integrals(f, ids, mu, lam_num)[1][:, 0]
+    V, G = _piece_integrals(f, ids, mu, lam_num)
+    d = G[:, 0]
     E = np.exp(-mu)
     y = np.zeros_like(d)
-    term = route(d)
+    term = _route(rows, cols, weights, d)
     tail = bound(term)
     nterms = 0
     while tail > tol:
         y += term
-        term = route(E * term)
+        term = _route(rows, cols, weights, E * term)
         tail = bound(term)
         nterms += 1
         if nterms > MAX_SERIES_TERMS:
@@ -279,7 +331,7 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
                 achieved=tail,
             )
 
-    state = _sample(f, ids, mu, lam_num, y, grid)
+    state = _sample(f, ids, mu, V, G, y, grid)
     return ResolventResult(
         state, lam, nterms, tail,
         {
@@ -491,35 +543,37 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     The derivative is the central difference of the sampled resolvent, so
     the residual should shrink quadratically under grid refinement except
     within exclude_cells of a breakpoint of f, where the one-sided kink
-    produces an O(1) spike (reported separately, never mixed in).
+    produces an O(1) spike (reported separately, never mixed in).  The
+    difference, the residual and the breakpoint-cell mask are computed on
+    one edges x (grid + 1) array of the samples.
     """
     if result is None:
         result = resolvent_unit(op, f, lam, grid=grid, tol=tol)
     lam = complex(lam)
     state = result.state
     M = state.grid_size
-    edges = sorted(set().union(*[set(v.support()) for v in state.samples]) | set(f.support()),
-                   key=repr)
 
-    bad = set()
+    pos = {e: k for k, e in enumerate(f.support())}
+    U = _stacked(state.samples, pos)
+    edges = list(pos)
+
+    bad = np.zeros(M + 1, dtype=bool)
     for b in f.breakpoints:
         center = b * M
-        lo = math.floor(center) - exclude_cells
-        hi = math.ceil(center) + exclude_cells
-        bad.update(range(lo, hi + 1))
+        bad[max(math.floor(center) - exclude_cells, 0):math.ceil(center) + exclude_cells + 1] = True
+    bad = bad[1:M]
 
-    interior = 0.0
-    spike = 0.0
-    for m in range(1, M):
-        f_here = f.value_at(Fraction(m, M))
-        for j in edges:
-            du = (state.samples[m + 1].get(j) - state.samples[m - 1].get(j)) * (M / 2)
-            cj = 1 if vel is None else float(vel.velocity(j))
-            r = abs(lam * state.samples[m].get(j) - cj * du - float(f_here.get(j)))
-            if m in bad:
-                spike = max(spike, r)
-            else:
-                interior = max(interior, r)
+    c = np.ones(len(edges)) if vel is None else np.array([float(vel.velocity(j)) for j in edges])
+    # |c du - l u + f| = |l u - c du - f| on the inner samples, built in
+    # place: rounding is symmetric, so the negation is exact
+    r = U[:, 2:] - U[:, :-2]
+    r *= M / 2
+    r *= c[:, None]
+    r -= (lam.real if lam.imag == 0 else lam) * U[:, 1:M]
+    r += _piece_values(f, edges, float)[:, _grid_pieces(f, M)[1:M]]
+    r = np.abs(r)
+    interior = float(r[:, ~bad].max(initial=0.0))
+    spike = float(r[:, bad].max(initial=0.0))
 
     routed = op.apply(state.samples[0])
     trace = float((state.samples[M] - routed).l1())

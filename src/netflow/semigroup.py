@@ -105,7 +105,8 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     matrix, and passing a velocity-conjugated operator here silently
     computes the wrong dynamics, hence the hard error.  `t` must be an
     exact rational; floats raise PrecisionError rather than quietly
-    contaminating the grid.
+    contaminating the grid.  On a finite graph a state on an edge the
+    graph lacks raises MalformedGraphError, at any t.
     """
     if op.scaled:
         raise WrongOperatorError(
@@ -115,6 +116,9 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
+    if op.graph.is_finite:
+        for j in f.support():
+            op.graph.column(j)  # an edge the graph lacks raises MalformedGraphError
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values

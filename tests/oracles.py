@@ -9,6 +9,7 @@ dumb and slow; clarity beats speed.
 from __future__ import annotations
 
 import cmath
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -128,6 +129,61 @@ def resolvent_closed_form(f, speed, lam, y: dict, grid: int) -> list:
             vec[j] = z
         out.append(vec)
     return out
+
+
+def unit_series(g, w: dict, lam, K: int) -> dict:
+    """Head trace y = sum_{k=0}^{K} e^{-lam k} B^{k+1} w of the unit-speed
+    resolvent, in dicts: each term routes the previous one through the
+    graph's raw Fraction columns (lazy graphs too), one entry at a time,
+    and is added into y edge by edge."""
+    cur = {j: x for j, x in w.items() if x != 0}
+    y: dict = {}
+    for z in np.exp(-lam * np.arange(K + 1)).tolist():
+        out: dict = {}
+        for j, a in cur.items():
+            for i, wt in g.column(j).items():
+                out[i] = out.get(i, 0) + wt * a
+        cur = {i: x for i, x in out.items() if x != 0}
+        for e, val in cur.items():
+            y[e] = y.get(e, 0) + z * val
+    return y
+
+
+def identity_residuals(op, f, lam, state, vel=None, exclude_cells: int = 2) -> tuple:
+    """(interior, spike, trace) of the resolvent identity
+    (lam - c_j d/ds) u = f on a sampled resolvent, one grid cell at a time.
+
+    The derivative is the central difference; a cell within exclude_cells
+    of a breakpoint of f counts to `spike`, any other to `interior`.  The
+    trace is the l1 norm of u(1) - B u(0), with B the operator's columns
+    routed entry by entry."""
+    lam = complex(lam)
+    M = state.grid_size
+    edges = set(f.support())
+    for v in state.samples:
+        edges.update(v.support())
+    bad = set()
+    for b in f.breakpoints:
+        center = b * M
+        bad.update(range(math.floor(center) - exclude_cells, math.ceil(center) + exclude_cells + 1))
+    interior = spike = 0.0
+    for m in range(1, M):
+        f_here = f.value_at(Fraction(m, M))
+        for j in edges:
+            du = (state.samples[m + 1].get(j) - state.samples[m - 1].get(j)) * (M / 2)
+            cj = 1 if vel is None else float(vel.velocity(j))
+            r = abs(lam * state.samples[m].get(j) - cj * du - float(f_here.get(j)))
+            if m in bad:
+                spike = max(spike, r)
+            else:
+                interior = max(interior, r)
+    routed: dict = {}
+    for j, a in state.samples[0].items():
+        for i, wt in op.column(j).items():
+            routed[i] = routed.get(i, 0) + wt * a
+    end = state.samples[M]
+    trace = sum(abs(end.get(i) - routed.get(i, 0)) for i in set(routed) | set(end.support()))
+    return interior, spike, float(trace)
 
 
 def riemann_pair(f, g, n: int = 4000):

@@ -3,8 +3,10 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import oracles
@@ -16,6 +18,7 @@ from netflow import (
     SparseVector,
     TruncationError,
     VelocityProfile,
+    WidthOverflowError,
     WrongOperatorError,
     build_adjacency,
     laplace_oracle,
@@ -23,7 +26,8 @@ from netflow import (
     resolvent_identity_check,
     resolvent_unit,
 )
-from netflow import checks
+from netflow import checks, semigroup
+from netflow import resolvent as resolvent_module
 
 
 def g2():
@@ -424,3 +428,160 @@ class TestIdentityCheck:
         rep = resolvent_identity_check(op, f, 1.0, grid=512)
         assert rep.spike > 100 * rep.interior
         assert rep.interior < 1e-3
+
+
+def lazy_path():
+    return MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1), name="path")
+
+
+def substochastic(rng, g):
+    """g with each column scaled by 1/2, 3/4 or 1."""
+    weights = {}
+    for j in g.edge_ids:
+        a = rng.choice([F(1, 2), F(3, 4), F(1)])
+        weights.update({(i, j): a * w for i, w in g.column(j).items()})
+    return MetricGraph.finite([(j, *g.endpoints(j)) for j in g.edge_ids], weights,
+                              stochastic=False)
+
+
+class TestArraySeries:
+    """resolvent_unit routes its series on index arrays over the routing
+    closure of supp f; the dict-loop series in oracles is the reference."""
+
+    LAMBDAS = (0.5, 2.0, 1 + 1j, 3 - 2j)
+
+    def assert_matches_dict_series(self, monkeypatch, g, f, lam, grid):
+        seen = {}
+        sample = resolvent_module._sample
+
+        def spy(f, edges, mu, V, G, y, grid):
+            seen.update(edges=edges, y=y)
+            return sample(f, edges, mu, V, G, y, grid)
+
+        monkeypatch.setattr(resolvent_module, "_sample", spy)
+        res = resolvent_unit(build_adjacency(g), f, lam, grid=grid)
+        if f.is_zero():
+            assert res.terms == 0 and all(v.is_zero() for v in res.state.samples)
+            return
+        lam_num = lam.real if complex(lam).imag == 0 else complex(lam)
+        seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
+        w = resolvent_module._piece_integrals(f, seeds, np.full(len(seeds), lam_num), lam_num)[1][:, 0]
+        want = oracles.unit_series(g, dict(zip(seeds, w.tolist())), lam_num, res.terms - 1)
+        got = dict(zip(seen["edges"], seen["y"].tolist()))
+        assert set(want) <= set(got)
+        for e, x in got.items():
+            assert abs(x - want.get(e, 0)) <= 1e-14, (e, x, want.get(e))
+        # the sampler fed with the reference trace gives every sample
+        edges = list(got)
+        mu = np.full(len(edges), lam_num)
+        V, G = resolvent_module._piece_integrals(f, edges, mu, lam_num)
+        ref = sample(f, edges, mu, V, G, np.array([want.get(e, 0) for e in edges], dtype=mu.dtype), grid)
+        for a, b in zip(res.state.samples, ref.samples):
+            for e in set(a.support()) | set(b.support()):
+                assert abs(a.get(e) - b.get(e)) <= 1e-14, (e, a.get(e), b.get(e))
+
+    def test_random_graphs(self, monkeypatch):
+        rng = random.Random(41)
+        for trial in range(16):
+            g = checks.random_graph(rng, 8)
+            if trial % 2:
+                g = substochastic(rng, g)
+            f = checks.random_state(rng, g, 5)
+            lam = self.LAMBDAS[trial % len(self.LAMBDAS)]
+            self.assert_matches_dict_series(monkeypatch, g, f, lam, rng.choice([7, 16, 24]))
+
+    def test_lazy_one_way_path(self, monkeypatch):
+        f = NetworkState(
+            [F(0), F(1, 3), F(1, 2), F(1)],
+            [SparseVector({0: F(1)}), SparseVector({2: F(-2)}), SparseVector({0: F(1, 2), 5: F(3)})],
+        )
+        for lam in self.LAMBDAS:
+            self.assert_matches_dict_series(monkeypatch, lazy_path(), f, lam, 12)
+
+    def test_runaway_closure_refused(self, monkeypatch):
+        reads = []
+
+        def column(j):
+            reads.append(j)
+            return [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))]
+
+        def no_arrays(*_):
+            raise AssertionError("piece integrals built before the closure was refused")
+
+        def binary_tree():
+            return MetricGraph.lazy(column, lambda j: ((j - 1) // 2, j))
+
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 30)
+        # at lam = 30 two terms reach the 7 edges to depth 2
+        res = resolvent_unit(build_adjacency(binary_tree()), f, 30.0, grid=8)
+        assert res.terms == 2 and max(res.state.support()) == 6
+        monkeypatch.setattr(resolvent_module, "_piece_integrals", no_arrays)
+        reads.clear()
+        # at lam = 1/2 the support doubles for about 60 terms
+        with pytest.raises(WidthOverflowError, match="closure") as err:
+            resolvent_unit(build_adjacency(binary_tree()), f, 0.5, grid=8)
+        assert err.value.edges
+        assert len(reads) < 30
+
+
+def regular_style_graph(rng, vertices, out_degree):
+    """Every vertex leaves by `out_degree` edges to distinct other vertices;
+    each column splits evenly over the edges leaving its head."""
+    edges = []
+    for v in range(vertices):
+        for h in sorted(rng.sample([u for u in range(vertices) if u != v], out_degree)):
+            edges.append((len(edges) + 1, v, h))
+    by_tail: dict = {}
+    for j, tail, _ in edges:
+        by_tail.setdefault(tail, []).append(j)
+    weights = {(i, j): F(1, out_degree) for j, _, head in edges for i in by_tail[head]}
+    return MetricGraph.finite(edges, weights)
+
+
+def test_general_memory_follows_the_edges():
+    # a dense 3,000 x 3,000 boundary matrix alone takes 72 MB
+    rng = random.Random(43)
+    g = regular_style_graph(rng, 1000, 3)
+    vel = VelocityProfile({j: [F(1, 2), F(1), F(2)][j % 3] for j in g.edge_ids})
+    f = NetworkState(
+        [F(0), F(1, 3), F(1)],
+        [SparseVector({1: F(1), 7: F(2)}), SparseVector({100: F(1, 2)})],
+    )
+    tracemalloc.start()
+    try:
+        res = resolvent_general(g, vel, f, 0.5, grid=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.terms > 0
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestIdentityCheckArrays:
+    """resolvent_identity_check against the per-cell loop in oracles."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("with_vel", [False, True])
+    def test_random_graphs(self, with_vel):
+        rng = random.Random(44 + with_vel)
+        for trial in range(8):
+            g, vel, f = random_instance(rng)
+            lam = TestSharedSampler.LAMBDAS[trial % 4]
+            grid = rng.choice([16, 24, 48])
+            exclude = rng.choice([0, 1, 2])
+            if with_vel:
+                op = build_adjacency(g, vel)
+                res = resolvent_general(g, vel, f, lam, grid=grid)
+            else:
+                op, vel = build_adjacency(g), None
+                res = resolvent_unit(op, f, lam, grid=grid)
+            rep = resolvent_identity_check(op, f, lam, result=res, vel=vel,
+                                           exclude_cells=exclude)
+            interior, spike, trace = oracles.identity_residuals(op, f, lam, res.state, vel, exclude)
+            self.assert_close(rep.interior, interior)
+            self.assert_close(rep.spike, spike)
+            self.assert_close(rep.trace, trace)

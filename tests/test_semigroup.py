@@ -94,6 +94,15 @@ class TestEvolveUnit:
         )
         assert out == want
 
+    @pytest.mark.parametrize("t", [F(0), F(1, 4)])
+    def test_state_on_an_unknown_edge_refused(self, t):
+        # edge 99 takes no routing step by t = 1/4; g2 has no edge 99
+        f = NetworkState(
+            [F(0), F(1, 2), F(1)], [SparseVector({1: F(1)}), SparseVector({99: F(5)})]
+        )
+        with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+            evolve_unit(build_adjacency(g2()), f, t)
+
     def test_identity_at_zero(self):
         rng = random.Random(3)
         f = random_state(rng, (1, 2, 3, 4, 5))
