@@ -42,10 +42,8 @@ BAND_ADVANCE_LIMIT = 128
 
 def _normalize_method(method: str) -> str:
     key = str(method).lower()
-    if key in ("cf", "convergent", "convergents", "continued-fraction"):
-        return "cf"
-    if key in ("dec", "decimal", "truncation"):
-        return "dec"
+    if key in ("cf", "dec"):
+        return key
     raise ValueError(f"unknown approximation method {method!r}; use cf or dec")
 
 

@@ -50,7 +50,7 @@ from .fileio import (
     write_text,
 )
 from .graph import MetricGraph, SparseVector, VelocityProfile, build_adjacency, validate_graph
-from .resolvent import resolvent_general, resolvent_unit
+from .resolvent import resolvent_general
 from .semigroup import AbsorptionProfile, evolve_absorbing, evolve_rational
 from .states import TestFunction, boundary_residual, sample
 
@@ -93,8 +93,6 @@ def _build_parser() -> _Parser:
                     help="spectral parameter re[,im], each part rational or decimal")
     sp.add_argument("--tol", type=float, default=1e-12, help="series truncation tolerance")
     sp.add_argument("--grid", type=int, default=256, help="output samples per edge")
-    sp.add_argument("--mode", choices=("unit", "general"), default=None,
-                    help="unit series or velocity-scaled solver (default: by graph)")
     sp.set_defaults(fn=_cmd_resolvent)
 
     sp = sub.add_parser("approx", help="rational-velocity convergence tables")
@@ -256,22 +254,16 @@ def _cmd_resolvent(args) -> int:
     f = parse_state_file(args.state).state
     lam = _parse_lambda(args.lam)
     out = Path(args.out)
-    unit = _is_unit(vel, g)
-
-    mode = args.mode or ("unit" if unit else "general")
-    if mode == "unit" and not unit:
-        raise ValueError("graph declares non-unit velocities; use --mode general")
-
+    mode = "unit" if _is_unit(vel, g) else "general"
+    if vel is None:
+        vel = VelocityProfile({}, default=Fraction(1))
+    res = resolvent_general(g, vel, f, lam, grid=args.grid, tol=args.tol)
     if mode == "unit":
-        res = resolvent_unit(build_adjacency(g), f, lam, grid=args.grid, tol=args.tol)
         meta = {
-            "K_used": res.metadata["K_used"], "tail_bound": res.tail_bound,
+            "K_used": res.terms - 1 if res.terms else None, "tail_bound": res.tail_bound,
             "neumann_terms": None, "norm_Blambda": None,
         }
     else:
-        if vel is None:
-            vel = VelocityProfile({}, default=Fraction(1))
-        res = resolvent_general(g, vel, f, lam, grid=args.grid, tol=args.tol)
         meta = {
             "K_used": None, "tail_bound": res.tail_bound,
             "neumann_terms": res.metadata["neumann_terms"],

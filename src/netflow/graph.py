@@ -24,14 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
-    ContractionViolationError,
     MalformedGraphError,
     MissingVelocityError,
     NotRationalError,
-    WidthOverflowError,
 )
 from .exact import as_exact, is_rational
 
@@ -497,53 +493,6 @@ class AdjacencyOperator:
                     out[k] = SparseVector._from_nonzero(vec)
             active = [k for k in active if powers[k] > step]
         return out
-
-    def _closure(self, seeds, depth: int, limit: int) -> tuple:
-        """B on the routing closure of the distinct edges `seeds` as index
-        arrays.
-
-        Returns (edges, rows, cols, weights).  `edges` holds the seeds and
-        then every edge reached in at most `depth` applications of B, in
-        order of discovery.  Every entry B_ij of a column read, those of
-        the edges reached in fewer than `depth` applications, appears once
-        as weights[k] = float(B_ij) with rows[k], cols[k] the positions of
-        i and j in `edges` (scaled weights on a scaled operator).  Each
-        column read is tested once, exactly: one that sums past one raises
-        ContractionViolationError, since a routing series then has no tail
-        bound.  A closure past `limit` edges raises WidthOverflowError
-        before any array is built.
-        """
-        pos = {j: k for k, j in enumerate(seeds)}
-        frontier = list(pos)
-        rows, cols, weights = [], [], []
-        for _ in range(depth):
-            reached = []
-            for j in frontier:
-                col, ints = self._cached(j)
-                # an exact column is cached as integer numerators over one
-                # denominator; they sum past it when the column sums past one
-                if col.total() > 1 if ints is None else sum(x for _, x in ints[1]) > ints[0]:
-                    raise ContractionViolationError(
-                        f"column of edge {j!r} sums past 1; the routing series has no tail bound"
-                    )
-                k = pos[j]
-                for i, w in col.items():
-                    r = pos.get(i)
-                    if r is None:
-                        if len(pos) >= limit:
-                            raise WidthOverflowError(
-                                f"routing closure exceeds {limit} edges", edges=(i,)
-                            )
-                        r = pos[i] = len(pos)
-                        reached.append(i)
-                    rows.append(r)
-                    cols.append(k)
-                    weights.append(float(w))
-            if not reached:
-                break
-            frontier = reached
-        return (list(pos), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                np.array(weights, dtype=float))
 
     def _route_loose(self, v: SparseVector, n: int) -> SparseVector:
         for _ in range(n):

@@ -7,33 +7,35 @@ every edge has the same closed form
 
     u_j(s) = e^{-mu_j (1-s)} y_j + (1/c_j) int_s^1 e^{mu_j (s-t)} f_j(t) dt,
 
-and one sampler evaluates it on the grid for both solvers.  The local
-integral is closed-form per piece of f and summed backwards over the
-pieces; every exponential has a non-positive real exponent, so no l in
-the right half-plane overflows.  Read at s = 0 the local integral is the
-boundary moment d = u(0) - e^{-mu} y, and the solvers differ only in the
-series that turns d into y:
+and one sampler evaluates it on the grid.  The local integral is
+closed-form per piece of f and summed backwards over the pieces; every
+exponential has a non-positive real exponent, so no l in the right
+half-plane overflows.  Read at s = 0 the local integral is the boundary
+moment d = u(0) - e^{-mu} y, and one series turns d into y: the Neumann
+iteration of y = C (d + E y), E = diag(e^{-mu}), that is
+y = sum_{k>=0} (C E)^k C d.  resolvent_general runs it at any positive
+speeds; resolvent_unit is the same computation at c = 1, where the terms
+are e^{-lk} B^{k+1} d.
 
-- resolvent_unit (unit speed): y = sum_{k>=0} e^{-lk} B^{k+1} d.  The
-  terms k <= K need only the columns of B within K applications of the
-  support of f, so the series runs on that routing closure, which is
-  finite on lazy infinite graphs too; only the closure is sampled.  Each
-  closure column is tested once, exactly, for a sum past one.
-- resolvent_general (any positive speeds, finite graph): the Neumann
-  iteration of y = C (d + E y), E = diag(e^{-mu}).
+The series routes float or complex vectors through C held as index
+arrays of its nonzero entries, one bincount per term, so memory is
+O(edges): no n x n matrix is built.  A finite graph gives all its edges
+in sorted-id order.  A lazy graph (unit speed only) gives the routing
+closure of supp f, as many applications of B deep as the tolerance can
+need; it must be stochastic, since only then do the columns the closure
+leaves unread sum to one.
 
-Both series route float or complex vectors through B (or C) held as
-index arrays of its nonzero entries, one bincount per term, so their
-memory is O(edges): no n x n matrix is built.
-
-An error in y reaches every sample through a factor |e^{-mu_j (1-s)}| <= 1,
-so both truncation bounds hold for the sampled sup-l1 norm as they stand.
-The Neumann certificate is the norm of v -> C E v in |v|_c = sum_j c_j |v_j|,
-at most q = max_j e^{-Re(l)/c_j} sum_i |w_ij|, which is e^{-Re(l)/c_max} < 1
-for stochastic columns.  The raw max-column-sum of C E can exceed 1 on
+There is one certificate.  The norm of v -> C E v in |v|_c = sum_j c_j |v_j|
+is at most q = max_j e^{-Re(l)/c_j} sum_i |w_ij|, which is e^{-Re(l)/c_max}
+< 1 for stochastic columns; q >= 1 raises ContractionViolationError.  The
+series stops at the first N with |term_N|_c / ((1 - q) c_min) <= tol, the
+reported tail_bound, which bounds in the sup-l1 norm everything the
+dropped terms add to y.  An error in y reaches every sample through a
+factor |e^{-mu_j (1-s)}| <= 1, so the bound holds for the sampled sup-l1
+norm as it stands.  The raw max-column-sum of C E can exceed 1 on
 perfectly valid graphs (a fast edge feeding a slow one); both norms are
-reported in the metadata, the raw one for inspection, q because it is the
-certificate.
+reported in the metadata, the raw one for inspection, q because it is
+the certificate.
 
 The only quadrature in this module lives in laplace_oracle, which exists
 precisely to certify the closed forms against the time-domain definition
@@ -52,6 +54,7 @@ import numpy as np
 from .errors import (
     ContractionViolationError,
     TruncationError,
+    WidthOverflowError,
     WrongOperatorError,
 )
 from .exact import as_exact
@@ -192,156 +195,162 @@ def _route(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     return np.bincount(rows, weights * v[cols], minlength=len(v))
 
 
-def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
-                   grid: int = 256, tol: float = 1e-12) -> ResolventResult:
-    """Unit-velocity resolvent by the routing series for the head trace,
-    y = u(1) = sum_{k>=0} e^{-lk} B^{k+1} w with w = int_0^1 e^{-lt} f(t) dt.
+def _routing(g: MetricGraph, seeds: list, depth: int) -> tuple:
+    """B's nonzero entries as index arrays (edges, rows, cols, weights),
+    read from g.column.  `edges` holds the distinct `seeds`, then every
+    edge reached in at most `depth` applications of B, in order of
+    discovery; each entry w_ij of the columns of the edges reached in fewer
+    is weights[k] = float(w_ij) at rows[k], cols[k], the positions of i and
+    j in `edges`.  Reaching an edge past semigroup.MAX_STAGE_EDGES edges
+    raises WidthOverflowError before any array is built."""
+    pos = {j: k for k, j in enumerate(seeds)}
+    frontier = seeds
+    rows, cols, weights = [], [], []
+    for _ in range(depth):
+        reached = []
+        for j in frontier:
+            k = pos[j]
+            for i, w in g.column(j).items():
+                r = pos.get(i)
+                if r is None:
+                    if len(pos) >= semigroup.MAX_STAGE_EDGES:
+                        raise WidthOverflowError(
+                            f"routing closure exceeds {semigroup.MAX_STAGE_EDGES} edges",
+                            edges=(i,),
+                        )
+                    r = pos[i] = len(pos)
+                    reached.append(i)
+                rows.append(r)
+                cols.append(k)
+                weights.append(float(w))
+        if not reached:
+            break
+        frontier = reached
+    return (list(pos), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(weights, dtype=float))
 
-    Truncation: K is the smallest count with
-    e^{-Re(l) K} / (1 - e^{-Re(l)}) * sup_norm(f) <= tol, and terms
-    k = 0..K are summed.  With columns summing to at most one each dropped
-    term has l1 norm at most e^{-Re(l) k} |w|_1, so tail_bound =
-    |w|_1 e^{-Re(l)(K+1)} / (1 - e^{-Re(l)}) bounds what they add to any
-    sample; a column that sums to more raises ContractionViolationError.
 
-    The terms run on B's entries as index arrays over the routing closure
-    of supp f, K + 1 applications deep, so they work on lazy graphs too;
-    each closure column is tested once, exactly, when the arrays are
-    built, and memory is O(closure edges).  A closure past
-    semigroup.MAX_STAGE_EDGES edges (a branching lazy graph at small
-    Re(l)) raises WidthOverflowError before any array is built.
-    """
-    if op.scaled:
-        raise WrongOperatorError(
-            "resolvent_unit needs the unscaled routing operator; "
-            "use resolvent_general for velocity profiles"
+def _terms_needed(first: float, rate: float, tol: float) -> int:
+    """The least N >= 0 with e^{-rate N} first <= tol: the index by which a
+    series stops whose term bounds start at `first` and shrink by at least
+    e^{-rate} a term.  Past MAX_SERIES_TERMS raises TruncationError."""
+    if first <= tol:
+        return 0
+    n = math.log(first / tol) / rate if tol > 0 else math.inf
+    if n > MAX_SERIES_TERMS:
+        raise TruncationError(
+            f"series tolerance {tol} not reachable within {MAX_SERIES_TERMS} terms",
+            achieved=first * math.exp(-rate * MAX_SERIES_TERMS),
         )
+    return max(1, math.ceil(n))
+
+
+def _series(g: MetricGraph, vel: VelocityProfile | None, f: NetworkState,
+            lam, grid: int, tol: float, method: str) -> ResolventResult:
+    """Both resolvents: the head trace y = sum_{k>=0} (C E)^k C d, summed
+    until the first N with |term_N|_c / ((1 - q) c_min) <= tol, then
+    sampled.  `vel` None means c = 1, the only speeds a lazy graph takes."""
     lam = _require_right_half_plane(lam)
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     re = lam.real
-    sup_f = float(f.sup_norm())
-
-    if sup_f == 0:
-        zero = SampledState.zeros(grid)
-        return ResolventResult(zero, lam, 0, 0.0, {"method": "unit-series"})
-
-    decay = math.exp(-re)
-    K = 0
-    while sup_f * math.exp(-re * K) / (1 - decay) > tol:
-        K += 1
-        if K > MAX_SERIES_TERMS:
-            achieved = sup_f * math.exp(-re * MAX_SERIES_TERMS) / (1 - decay)
-            raise TruncationError(
-                f"series tolerance {tol} not reachable within "
-                f"{MAX_SERIES_TERMS} terms",
-                achieved=achieved,
-            )
-
     # real arithmetic throughout when lambda is real
     lam_num = re if lam.imag == 0 else lam
-    seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
-    edges, rows, cols, weights = op._closure(seeds, K + 1, semigroup.MAX_STAGE_EDGES)
-    mu = np.full(len(edges), lam_num)
-    V, G = _piece_integrals(f, edges, mu, lam_num)
-    # f lives on the seeds, so the boundary moment w is zero past them
-    cur = G[:, 0]
-    w = cur[:len(seeds)]
-    y = np.zeros_like(cur)
-    for z in np.exp(-lam_num * np.arange(K + 1)).tolist():
-        cur = _route(rows, cols, weights, cur)
-        y += z * cur
-
-    w_norm = float(np.abs(w).sum())
-    tail = w_norm * math.exp(-re * (K + 1)) / (1 - decay)
-
-    state = _sample(f, edges, mu, V, G, y, grid)
-    return ResolventResult(
-        state, lam, K + 1, tail,
-        {"method": "unit-series", "K_used": K, "tol": tol, "w_norm": w_norm},
-    )
-
-
-def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
-                      lam, *, grid: int = 256, tol: float = 1e-12) -> ResolventResult:
-    """General-velocity resolvent on a finite graph.
-
-    Velocities may be any positive reals (this is the path that serves
-    irrational-velocity references).  The head trace y = u(1) is the
-    Neumann series y = sum_{k>=0} (C E)^k C d, with C, E, d, q and |.|_c
-    as in the module docstring.  It stops at the first N
-    with |term_N|_c / ((1 - q) c_min) <= tol, which bounds, in the sampled
-    sup-l1 norm, everything the dropped terms add; that quantity is the
-    reported tail_bound.  C is held as index arrays of its nonzero
-    entries, (c_j / c_i) w_ij, so memory is O(edges).
-    """
-    lam = _require_right_half_plane(lam)
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    ids = g.edge_ids
-    if not ids:
-        raise ValueError("graph has no edges")
-    for j in f.support():
-        g.column(j)  # an edge the graph lacks raises MalformedGraphError
-    n = len(ids)
-    c = np.array([float(vel.velocity(j)) for j in ids])
-    c_min = c.min()
-    # real arithmetic throughout when lambda is real
-    lam_num = lam.real if lam.imag == 0 else lam
+    if g.is_finite:
+        seeds, depth = g.edge_ids, 1
+        if not seeds:
+            raise ValueError("graph has no edges")
+        for j in f.support():
+            g.column(j)  # an edge the graph lacks raises MalformedGraphError
+    else:
+        if not g.stochastic:
+            raise ContractionViolationError(
+                "a lazy graph must be stochastic: only then do the columns "
+                "the series leaves unread sum to one"
+            )
+        # at c = 1 on stochastic columns q = e^{-Re(l)} and the first term
+        # is at most |d|_1 <= |f|_L1; the last term the stop rule reads needs
+        # columns at most _terms_needed applications deep, and one more
+        # covers rounding in the rule
+        seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
+        widths = np.diff([float(b) for b in f.breakpoints])
+        f_l1 = float((np.abs(_piece_values(f, seeds, float)) @ widths).sum())
+        depth = _terms_needed(f_l1 / -math.expm1(-re), re, tol) + 2
+    edges, rows, cols, weights = _routing(g, seeds, depth)
+    n = len(edges)
+    c = np.ones(n) if vel is None else np.array([float(vel.velocity(j)) for j in edges])
+    c_min = c.min(initial=math.inf)
     mu = lam_num / c
 
-    idx = {e: i for i, e in enumerate(ids)}
-    rows, cols, weights = [], [], []
-    for k, j in enumerate(ids):
-        for i, w_ij in g.column(j).items():
-            rows.append(idx[i])
-            cols.append(k)
-            weights.append(float(w_ij))
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    weights = np.array(weights)
-    decay = np.exp(-lam.real / c)  # |e^{-mu_j}|
-    norm_weighted = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max())
+    decay = np.exp(-re / c)  # |e^{-mu_j}|
+    norm_weighted = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
     if norm_weighted >= 1:
         raise ContractionViolationError(
             f"weighted norm of the boundary operator is {norm_weighted:.6g} >= 1; "
             "the graph's columns cannot be stochastic"
         )
     weights *= c[cols] / c[rows]
-    norm_raw = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max())
+    norm_raw = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
 
     def bound(term):
         return float((c * np.abs(term)).sum()) / ((1 - norm_weighted) * c_min)
 
-    V, G = _piece_integrals(f, ids, mu, lam_num)
+    V, G = _piece_integrals(f, edges, mu, lam_num)
     d = G[:, 0]
     E = np.exp(-mu)
     y = np.zeros_like(d)
     term = _route(rows, cols, weights, d)
     tail = bound(term)
+    # bound(term_N) <= q^N bound(term_0): refuse up front what the cap cannot reach
+    _terms_needed(tail, -math.log(norm_weighted) if norm_weighted else math.inf, tol)
     nterms = 0
     while tail > tol:
         y += term
         term = _route(rows, cols, weights, E * term)
         tail = bound(term)
         nterms += 1
-        if nterms > MAX_SERIES_TERMS:
-            raise TruncationError(
-                f"Neumann tolerance {tol} not reachable within "
-                f"{MAX_SERIES_TERMS} terms",
-                achieved=tail,
-            )
 
-    state = _sample(f, ids, mu, V, G, y, grid)
-    return ResolventResult(
-        state, lam, nterms, tail,
-        {
-            "method": "general-neumann",
-            "neumann_terms": nterms,
-            "norm_Blambda": norm_raw,
-            "norm_Blambda_weighted": norm_weighted,
-            "tol": tol,
-        },
-    )
+    state = _sample(f, edges, mu, V, G, y, grid)
+    return ResolventResult(state, lam, nterms, tail, {
+        "method": method, "neumann_terms": nterms, "norm_Blambda": norm_raw,
+        "norm_Blambda_weighted": norm_weighted, "tol": tol,
+    })
+
+
+def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
+                   grid: int = 256, tol: float = 1e-12) -> ResolventResult:
+    """Unit-velocity resolvent: resolvent_general at c = 1, with the same
+    series, stop rule and tail_bound, so on a finite graph the two return
+    == results.  Its terms are e^{-lk} B^{k+1} d.
+
+    A lazy graph must be stochastic (else ContractionViolationError): only
+    then do the columns the series leaves unread sum to one.  The series
+    runs on the routing closure of supp f, as deep as the tolerance can
+    need, and only the closure is sampled; a closure past
+    semigroup.MAX_STAGE_EDGES edges (a branching graph at small Re(l))
+    raises WidthOverflowError before any array is built.
+    """
+    if op.scaled:
+        raise WrongOperatorError(
+            "resolvent_unit needs the unscaled routing operator; "
+            "use resolvent_general for velocity profiles"
+        )
+    return _series(op.graph, None, f, lam, grid, tol, "unit-series")
+
+
+def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
+                      lam, *, grid: int = 256, tol: float = 1e-12) -> ResolventResult:
+    """General-velocity resolvent on a finite graph, by the series of the
+    module docstring.
+
+    Velocities may be any positive reals (this is the path that serves
+    irrational-velocity references).  tail_bound is |term_N|_c /
+    ((1 - q) c_min) at the first N where it is <= tol.  q >= 1 raises
+    ContractionViolationError; a tolerance the a-priori decay q^N cannot
+    reach within MAX_SERIES_TERMS terms raises TruncationError up front.
+    """
+    g._require_finite("resolvent_general")
+    return _series(g, vel, f, lam, grid, tol, "general-neumann")
 
 
 @dataclass

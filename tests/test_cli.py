@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: verbs, artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -125,12 +126,20 @@ class TestResolvent:
         assert all(math.isfinite(x) for row in rows for x in row)
         assert rows[0][1] == pytest.approx(1 / 800, rel=1e-12)
 
-    def test_unit_mode_needs_unit_velocities(self, tmp_path):
+    def test_zero_state_at_unit_speed(self, tmp_path):
+        zero = tmp_path / "zero.state"
+        zero.write_text("state zero\nbp 0/1 1/1\n")
         code = main([
-            "resolvent", "--graph", G5, "--state", MIXED,
-            "--lambda", "1", "--mode", "unit", "--out", str(tmp_path),
+            "resolvent", "--graph", G2, "--state", str(zero),
+            "--lambda", "2", "--grid", "8", "--out", str(tmp_path),
         ])
-        assert code == 1
+        assert code == 0
+        header, rows = read_csv(tmp_path / "resolvent.csv")
+        assert header == ["s", "edge_1", "edge_2"] and len(rows) == 9
+        assert all(x == 0 for row in rows for x in row[1:])
+        meta = json.loads((tmp_path / "resolvent.meta.json").read_text())
+        assert meta["mode"] == "unit"
+        assert meta["tail_bound"] == 0 and meta["K_used"] is None
 
 
 class TestAbsorb:
@@ -200,6 +209,33 @@ class TestCheck:
         assert "ok" in capsys.readouterr().out
 
 
+class TestPinnedArtefacts:
+    """The exact verbs' artefacts, pinned by sha256.  A change to them must
+    be deliberate: these digests move only with the bytes they pin.  Float
+    verbs stay out, because their last bits depend on libm."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        pytest.param(["simulate", "--graph", G2, "--state", PULSE, "--t", "7/4"], {
+            "simulate.csv": "e436efabcb6470dddeaf42a08ed23fd51abb71185ba9792dbe0b5e82dfcecdf9",
+            "simulate.log.jsonl": "e354431ffc5c5be0c81c559bae15d57b755458f3a0166f2b7eb4c9285ddcd999",
+        }, id="simulate-g2"),
+        pytest.param(["simulate", "--graph", G5, "--state", MIXED, "--t", "3"], {
+            "simulate.csv": "fa78d8b87e7be90447f4ebd21e8753d6fc82f9dd4c8e2d540cf1147460e48d91",
+            "simulate.log.jsonl": "8e65498fe2c80913f3979345f3404e84ea66f78f3828116ec842dd5c2ac70d7b",
+        }, id="simulate-g5"),
+        pytest.param(["validate", "--graph", G2], {
+            "validate.json": "e439def85b52c5f7ce7ac566be11dd63e20299b297ace15ebb9d865ad556952c",
+        }, id="validate-g2"),
+        pytest.param(["validate", "--graph", G5], {
+            "validate.json": "534e01cc5545ff119bbf5c9e4c34576a38cbcd3c30b234d04a735ae893b0722f",
+        }, id="validate-g5"),
+    ])
+    def test_sha256(self, tmp_path, argv, digests):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        for name, want in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
 class TestExitCodes:
     def test_decimal_time_is_a_parse_error(self, tmp_path):
         code = main([
@@ -231,7 +267,7 @@ class TestExitCodes:
         pytest.param(["simulate", "--graph", G2, "--state", "STRAY", "--t", "0"], id="0"),
         pytest.param(["simulate", "--graph", G2, "--state", "STRAY", "--t", "1/2"], id="1/2"),
         pytest.param(["resolvent", "--graph", G2, "--state", "STRAY",
-                      "--mode", "general", "--lambda", "2"], id="resolvent-general"),
+                      "--lambda", "2"], id="resolvent-general"),
         pytest.param(["approx", "--graph", G5, "--state", "STRAY",
                       "--levels", "1,2", "--lambda", "2"], id="approx-lambda"),
         pytest.param(["absorb", "--graph", G2, "--state", PULSE, "--rates", "STRAY",

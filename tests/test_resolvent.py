@@ -135,12 +135,21 @@ class TestResolventUnit:
 
     @pytest.mark.parametrize("lam", [1.0, 0.3])
     def test_columns_summing_past_one_refused(self, lam):
-        # |B^k|_1 <= 1 fails, so e^{-lk}-weighted terms bound nothing (and
-        # at lam = 0.3 the series diverges)
+        # columns summing to 3/2 give q = (3/2) e^{-lam}: below one at
+        # lam = 1, which proves a bound, and above it at lam = 0.3, where
+        # the series diverges and both solvers refuse
         g = g2_weighted(F(3, 2))
         f = NetworkState.constant(SparseVector({1: F(1)}))
+        if 1.5 * math.exp(-lam) < 1:
+            ru = resolvent_unit(build_adjacency(g), f, lam, grid=16)
+            rg = resolvent_general(g, unit_vel(g), f, lam, grid=16)
+            assert ru.state == rg.state and ru.terms == rg.terms
+            assert ru.tail_bound == rg.tail_bound <= 1e-12
+            return
         with pytest.raises(ContractionViolationError):
             resolvent_unit(build_adjacency(g), f, lam, grid=16)
+        with pytest.raises(ContractionViolationError):
+            resolvent_general(g, unit_vel(g), f, lam, grid=16)
 
     def test_substochastic_columns_keep_their_bound(self):
         g = g2_weighted(F(1, 2))
@@ -220,6 +229,12 @@ class TestResolventGeneral:
         f = NetworkState.constant(SparseVector({1: F(1), 99: F(5)}))
         with pytest.raises(MalformedGraphError, match="unknown edge 99"):
             resolvent_general(g, unit_vel(g), f, 2.0, grid=8)
+
+    def test_lazy_graph_refused(self):
+        path = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        with pytest.raises(MalformedGraphError, match="lazy"):
+            resolvent_general(path, VelocityProfile({}, default=F(1)), f, 2.0, grid=8)
 
     def test_metadata_records_both_norms(self):
         g = g5()
@@ -513,9 +528,11 @@ class TestArraySeries:
 
         f = NetworkState.constant(SparseVector({0: F(1)}))
         monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 30)
-        # at lam = 30 two terms reach the 7 edges to depth 2
+        # at lam = 30 the a-posteriori rule stops after one term: the next
+        # one, e^{-30} |B d|_1 / (1 - q), is already below the tolerance,
+        # so u is nonzero on supp f and the two edges it feeds only
         res = resolvent_unit(build_adjacency(binary_tree()), f, 30.0, grid=8)
-        assert res.terms == 2 and max(res.state.support()) == 6
+        assert res.terms == 1 and res.state.support() == {0, 1, 2}
         monkeypatch.setattr(resolvent_module, "_piece_integrals", no_arrays)
         reads.clear()
         # at lam = 1/2 the support doubles for about 60 terms
@@ -585,3 +602,86 @@ class TestIdentityCheckArrays:
             self.assert_close(rep.interior, interior)
             self.assert_close(rep.spike, spike)
             self.assert_close(rep.trace, trace)
+
+
+def heavy_loop():
+    """The path 1 -> 2 -> 3 whose last edge loops onto itself with weight
+    10^20: q >= 1 at any lambda below about 46, and the series diverges."""
+    return MetricGraph.finite(
+        [(1, 0, 1), (2, 1, 2), (3, 2, 2)],
+        {(2, 1): F(1), (3, 2): F(1), (3, 3): F(10**20)},
+        name="heavy-loop", stochastic=False,
+    )
+
+
+class TestOneSeries:
+    """resolvent_unit is resolvent_general at c = 1: one series, one stop
+    rule, one certificate."""
+
+    def test_random_graphs_equal_general(self):
+        rng = random.Random(51)
+        lambdas = (0.5, 2.0, 1 + 1j, 3 - 2j, 30.0, 0.7 + 4j)
+        for trial in range(36):
+            g = checks.random_graph(rng, 8)
+            if trial % 2:
+                g = substochastic(rng, g)
+            f = checks.random_state(rng, g, 5)
+            lam = lambdas[trial % len(lambdas)]
+            grid = rng.choice([7, 16, 24])
+            tol = rng.choice([1e-12, 1e-9, 1e-5])
+            ru = resolvent_unit(build_adjacency(g), f, lam, grid=grid, tol=tol)
+            ones = VelocityProfile({j: F(1) for j in g.edge_ids})
+            rg = resolvent_general(g, ones, f, lam, grid=grid, tol=tol)
+            assert ru.state == rg.state, trial
+            assert (ru.terms, ru.tail_bound) == (rg.terms, rg.tail_bound), trial
+            assert ru.tail_bound <= tol
+
+    @pytest.mark.parametrize("lam", [30.0, 40.0])
+    def test_heavy_loop_refused_by_both(self, lam):
+        g = heavy_loop()
+        f = NetworkState.constant(SparseVector({1: F(1)}))
+        with pytest.raises(ContractionViolationError):
+            resolvent_unit(build_adjacency(g), f, lam, grid=8)
+        with pytest.raises(ContractionViolationError):
+            resolvent_general(g, unit_vel(g), f, lam, grid=8)
+
+    def test_lazy_graph_must_be_stochastic(self):
+        path = MetricGraph.lazy(lambda j: [(j + 1, F(1, 2))], lambda j: (j, j + 1),
+                                stochastic=False)
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        with pytest.raises(ContractionViolationError, match="stochastic"):
+            resolvent_unit(build_adjacency(path), f, 2.0, grid=8)
+
+    @pytest.mark.parametrize("shape", ["path", "tree"])
+    def test_lazy_closure_holds_every_term(self, shape):
+        # the last term the stop rule reads, index res.terms, routes d
+        # res.terms + 1 times: it needs every column within res.terms
+        # applications of supp f, and the solver must have read them all
+        def column(j):
+            if shape == "path":
+                return [(j + 1, F(1))]
+            return [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))]
+
+        def endpoints(j):
+            return (j, j + 1) if shape == "path" else ((j - 1) // 2, j)
+
+        rng = random.Random(52)
+        lambdas = (1.0, 0.5 + 2j, 3.0) if shape == "path" else (4.0, 6 - 1j, 30.0)
+        for trial in range(12):
+            lam = lambdas[trial % 3]
+            tol = 10.0 ** -rng.uniform(2, 13)
+            # narrow pieces near s = 0 put |d|_1 close to |f|_L1, the bound
+            # the closure depth is sized with
+            width = F(1, rng.choice([3, 100, 1000]))
+            seeds = rng.sample(range(4), rng.randint(1, 2))
+            f = NetworkState([F(0), width, F(1)],
+                             [SparseVector({j: F(rng.randint(1, 5)) for j in seeds}), SparseVector()])
+            reads = set()
+            g = MetricGraph.lazy(lambda j: reads.add(j) or column(j), endpoints)
+            res = resolvent_unit(build_adjacency(g), f, lam, grid=4, tol=tol)
+            needed, layer = set(), set(seeds)
+            for _ in range(res.terms + 1):
+                needed |= layer
+                layer = {i for j in layer for i, _ in column(j)}
+            assert needed <= reads, (trial, res.terms, sorted(needed - reads))
+            assert res.tail_bound <= tol
