@@ -491,6 +491,15 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     return history, D, T, lag
 
 
+def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple:
+    """_histories of the flow from f, with nothing picked up on the way:
+    edge j drains as f_j(c_j s)."""
+    support = f.support()
+    return _histories(speed, rows, t, math.lcm(*(b.denominator for b in f.breakpoints)),
+                      lambda j: zip(f.breakpoints, [v.get(j) for v in f.values])
+                      if j in support else [(0, 0)])
+
+
 def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
     """Exact evolution at rational velocities along backward characteristics.
 
@@ -514,12 +523,7 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     if t == 0 or not speed:
         return f
 
-    support = f.support()
-    history, D, T, lag = _histories(
-        speed, rows, t,
-        math.lcm(*(b.denominator for b in f.breakpoints)),
-        lambda j: zip(f.breakpoints, [v.get(j) for v in f.values]) if j in support else [(0, 0)],
-    )
+    history, D, T, lag = _flow_histories(speed, rows, f, t)
 
     # H_j on [T, T + lag_j) is edge j at x = (s - T) c_j / D, collected as
     # value changes keyed by position (histories hold no equal neighbours)

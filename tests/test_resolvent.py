@@ -15,6 +15,7 @@ from netflow import (
     MalformedGraphError,
     MetricGraph,
     NetworkState,
+    NotRationalError,
     SparseVector,
     TruncationError,
     VelocityProfile,
@@ -57,6 +58,16 @@ def unit_vel(g):
     return VelocityProfile({j: F(1) for j in g.edge_ids})
 
 
+def g5_speeds():
+    """The speeds g5 carries in its fixture file."""
+    return VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+
+
+def horizon(lam):
+    """A t_max, in eighths, with Re(l) t_max >= 32."""
+    return F(math.ceil(256 / complex(lam).real), 8)
+
+
 def random_state(rng, edges, pieces=5):
     cuts = sorted({F(rng.randrange(1, 36), 36) for _ in range(pieces - 1)})
     bps = [F(0)] + cuts + [F(1)]
@@ -90,10 +101,10 @@ class TestResolventUnit:
         op = build_adjacency(g2())
         f = NetworkState.constant(SparseVector({1: F(1)}))
         ru = resolvent_unit(op, f, 1.0, grid=64)
-        lr = laplace_oracle(op, f, 1.0, t_max=12, steps=2048, grid=64)
+        lr = laplace_oracle(op, f, 1.0, t_max=horizon(1.0), grid=64)
         d = ru.state.distance(lr.state)
         assert d <= lr.error_bound + ru.tail_bound
-        assert d <= 1e-4
+        assert d <= 1e-10
 
     def test_left_half_plane_rejected(self):
         op = build_adjacency(g2())
@@ -181,12 +192,16 @@ class TestResolventUnit:
 
 class TestResolventGeneral:
     def test_unit_velocities_match_unit_formula(self):
+        # both solvers at unit speed against the time-domain sum, which
+        # runs no series
         g = g5()
         f = random_state(random.Random(21), (1, 2, 3, 4, 5))
         for lam in (1.0, 2.0, 1 + 1j):
-            ru = resolvent_unit(build_adjacency(g), f, lam, grid=64)
-            rg = resolvent_general(g, unit_vel(g), f, lam, grid=64)
-            assert ru.state.distance(rg.state) <= 1e-10
+            lr = laplace_oracle(build_adjacency(g), f, lam, t_max=horizon(lam), grid=64)
+            assert lr.error_bound <= 1e-10
+            for res in (resolvent_unit(build_adjacency(g), f, lam, grid=64),
+                        resolvent_general(g, unit_vel(g), f, lam, grid=64)):
+                assert res.state.distance(lr.state) <= lr.error_bound + res.tail_bound
 
     def test_zero_state(self):
         g = g2()
@@ -252,16 +267,20 @@ class TestLargeLambda:
 
     @pytest.mark.parametrize("lam", [10.0, 30.0, 50.0, 400.0])
     def test_unit_and_general_agree(self, lam):
+        # each against the time-domain sum, which runs no series
         cases = [
             (g2(), NetworkState.constant(SparseVector({1: F(1)}))),
             (g5(), random_state(random.Random(23), (1, 2, 3, 4, 5))),
         ]
         for g, f in cases:
+            lr = laplace_oracle(build_adjacency(g), f, lam, t_max=horizon(lam), grid=16)
             ru = resolvent_unit(build_adjacency(g), f, lam, grid=16)
             rg = resolvent_general(g, unit_vel(g), f, lam, grid=16)
             assert ru.tail_bound <= 1e-10 and rg.tail_bound <= 1e-10
             assert rg.terms >= 1
-            assert ru.state.distance(rg.state) <= ru.tail_bound + rg.tail_bound + 1e-12
+            assert lr.error_bound <= 1e-10
+            for res in (ru, rg):
+                assert res.state.distance(lr.state) <= lr.error_bound + res.tail_bound
 
     @pytest.mark.parametrize("lam", [800.0, 800 + 3j, 1e4])
     def test_no_overflow(self, lam):
@@ -359,61 +378,139 @@ class TestSharedSampler:
 class TestLaplaceOracle:
     def test_zero_state(self):
         res = laplace_oracle(build_adjacency(g2()), NetworkState.zero(), 1.0,
-                             t_max=4, steps=64, grid=8)
-        assert res.quad_bound == 0
+                             t_max=4, grid=8)
+        assert res.round_bound == 0 and res.tail_bound == 0
         assert all(v.is_zero() for v in res.state.samples)
 
     def test_tail_bound_closed_form(self):
-        op = build_adjacency(g2())
+        # g2 with weights w at speed c: rho = w, q = w e^{-2/c}, c_min = c,
+        # and T(10) f = w^(10 c) f, so the windows sum to 3 w^(10 c)
         f = NetworkState.constant(SparseVector({1: F(3)}))
-        res = laplace_oracle(op, f, 2.0, t_max=10, steps=64, grid=8)
-        assert res.tail_bound == pytest.approx(math.exp(-20) / 2 * 3, rel=1e-12)
+        for w, c in ((F(1), F(1)), (F(1), F(1, 2)), (F(3, 2), F(1))):
+            g = g2() if w == 1 else g2_weighted(w)
+            op = build_adjacency(g, None if c == 1 else VelocityProfile({1: c, 2: c}))
+            res = laplace_oracle(op, f, 2.0, t_max=10, grid=8)
+            q = float(w) * math.exp(-2 / c)
+            want = math.exp(-20) * 3 * float(w ** (10 * c)) * (float(w / c) / (1 - q) + 1 / 2)
+            assert res.tail_bound == pytest.approx(want, rel=1e-9)
+            assert res.tail_bound >= want
 
-    def test_quadratic_convergence(self):
-        op = build_adjacency(g2())
-        f = NetworkState(
-            [F(0), F(1, 2), F(1)],
-            [SparseVector({1: F(1)}), SparseVector({2: F(1, 2)})],
-        )
-        ru = resolvent_unit(op, f, 2.0, grid=32)
-        errs = []
-        for steps in (128, 256, 512):
-            lr = laplace_oracle(op, f, 2.0, t_max=12, steps=steps, grid=32)
-            d = ru.state.distance(lr.state)
-            assert d <= lr.error_bound + ru.tail_bound
-            errs.append(d)
-        assert errs[0] / errs[1] > 3.5
-        assert errs[1] / errs[2] > 3.5
-
-    def test_node_aligned_panels(self):
-        # 516 = 43 * 12 puts panel edges exactly on the t+s integer seams
-        op = build_adjacency(g2())
-        f = NetworkState(
-            [F(0), F(1, 3), F(1)],
-            [SparseVector({1: F(1)}), SparseVector({2: F(1)})],
-        )
-        ru = resolvent_unit(op, f, 2.0, grid=43)
-        lr = laplace_oracle(op, f, 2.0, t_max=12, steps=516, grid=43)
+    @pytest.mark.parametrize("lam", [1.0, 0.6, 0.3])
+    def test_tail_bound_on_growing_flow(self, lam):
+        # weights 3/2 make T(t) f grow like (3/2)^t: the tail reads
+        # T(12) f = (3/2)^12 on edge 1, and q = (3/2) e^{-lam} >= 1 at
+        # lam = 0.3, where no tail bound exists
+        g = g2_weighted(F(3, 2))
+        f = NetworkState.constant(SparseVector({1: F(1)}))
+        if 1.5 * math.exp(-lam) >= 1:
+            with pytest.raises(ContractionViolationError):
+                laplace_oracle(build_adjacency(g), f, lam, t_max=12, grid=16)
+            return
+        lr = laplace_oracle(build_adjacency(g), f, lam, t_max=12, grid=16)
+        ru = resolvent_unit(build_adjacency(g), f, lam, grid=16)
         assert ru.state.distance(lr.state) <= lr.error_bound + ru.tail_bound
+        assert lr.tail_bound >= math.exp(-12 * lam) * 1.5**12 / lam
 
     def test_complex_lambda(self):
         op = build_adjacency(g5())
         f = NetworkState.constant(SparseVector({1: F(1)}))
-        lam = 1 + 1j
-        ru = resolvent_unit(op, f, lam, grid=32)
-        lr = laplace_oracle(op, f, lam, t_max=12, steps=1024, grid=32)
-        assert ru.state.distance(lr.state) <= lr.error_bound + ru.tail_bound
+        for lam in (1 + 1j, 2 - 3j):
+            ru = resolvent_unit(op, f, lam, grid=32)
+            lr = laplace_oracle(op, f, lam, t_max=horizon(lam), grid=32)
+            assert lr.error_bound <= 1e-10
+            assert ru.state.distance(lr.state) <= lr.error_bound + ru.tail_bound
+
+    def test_fixture_speeds(self):
+        g, vel = g5(), g5_speeds()
+        f = NetworkState(
+            [F(0), F(1, 3), F(1)],
+            [SparseVector({1: F(1), 4: F(2)}), SparseVector({3: F(1, 2), 5: F(-1)})],
+        )
+        for lam, t_max in ((2.0, 16), (0.5, 60), (1 + 1j, 32)):
+            rg = resolvent_general(g, vel, f, lam, grid=64)
+            lr = laplace_oracle(build_adjacency(g, vel), f, lam, t_max=t_max, grid=64)
+            assert lr.error_bound <= 1e-10
+            assert rg.state.distance(lr.state) <= lr.error_bound + rg.tail_bound
+
+    def test_random_mixed_speed_graphs(self):
+        rng = random.Random(41)
+        for trial in range(20):
+            g = checks.random_graph(rng, 8)
+            vel = checks.random_velocities(rng, g)
+            f = checks.random_state(rng, g, 4)
+            lam = (2.0, 1 + 1j, 1.0, 3 - 2j)[trial % 4]
+            lr = laplace_oracle(build_adjacency(g, vel), f, lam, t_max=horizon(lam), grid=16)
+            rg = resolvent_general(g, vel, f, lam, grid=16)
+            assert lr.error_bound <= 1e-10, trial
+            assert rg.state.distance(lr.state) <= lr.error_bound + rg.tail_bound, trial
+
+    @pytest.mark.parametrize("t_max", [F(8), F(15, 2)])
+    def test_rounding_bound_against_path_sums(self, t_max):
+        # same horizon, no tail: only the float sum's rounding is left
+        g, vel = g5(), g5_speeds()
+        f = NetworkState(
+            [F(0), F(1, 3), F(1)],
+            [SparseVector({1: F(1), 4: F(2)}), SparseVector({3: F(1, 2), 5: F(-1)})],
+        )
+        lr = laplace_oracle(build_adjacency(g, vel), f, 0.5, t_max=t_max, grid=8)
+        ref = oracles.laplace_paths(g, vel, f, 0.5, t_max, 8)
+        worst = max(sum(abs(got.get(e) - float(x)) for e, x in want.items())
+                    for got, want in zip(lr.state.samples, ref))
+        assert worst <= lr.round_bound
+        assert lr.round_bound <= 1e-10
+
+    def test_lazy_graph_matches_finite_truncation(self):
+        # at listed speeds over a default, the path's forward cone up to
+        # t_max = 32 stays short of 64 edges, so a 64-edge cycle holds it
+        vel = VelocityProfile({1: F(2), 2: F(3), 4: F(1, 2)}, default=F(1))
+        cycle = MetricGraph.finite([(j, j, (j + 1) % 64) for j in range(64)],
+                                   {((j + 1) % 64, j): F(1) for j in range(64)})
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({0: F(1)}), SparseVector({1: F(-2)})])
+        for lam in (2.0, 1 + 1j):
+            t_max = horizon(lam)
+            lazy = laplace_oracle(build_adjacency(lazy_path(), vel), f, lam, t_max=t_max, grid=24)
+            assert len(lazy.state.samples[0].support()) < 64
+            finite = laplace_oracle(build_adjacency(cycle, vel), f, lam, t_max=t_max, grid=24)
+            assert lazy.state.distance(finite.state) <= lazy.round_bound + finite.round_bound
+            rg = resolvent_general(cycle, vel, f, lam, grid=24)
+            assert lazy.error_bound <= 1e-10
+            assert rg.state.distance(lazy.state) <= lazy.error_bound + rg.tail_bound
+
+    def test_independent_of_the_series(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("laplace_oracle ran the resolvent series")
+
+        monkeypatch.setattr(resolvent_module, "_series", refuse)
+        monkeypatch.setattr(resolvent_module, "_routing", refuse)
+        f = NetworkState.constant(SparseVector({1: F(1)}))
+        res = laplace_oracle(build_adjacency(g5(), g5_speeds()), f, 2.0, t_max=8, grid=8)
+        assert not res.state.samples[0].is_zero()
 
     def test_argument_validation(self):
         op = build_adjacency(g2())
         f = NetworkState.constant(SparseVector({1: F(1)}))
-        with pytest.raises(WrongOperatorError):
-            laplace_oracle(build_adjacency(g2(), unit_vel(g2())), f, 1.0,
-                           t_max=4, steps=16)
+        # a rational-scaled operator runs at its speeds; steps does nothing
+        scaled = build_adjacency(g2(), VelocityProfile({1: F(2), 2: F(1, 2)}))
+        one = laplace_oracle(scaled, f, 1.0, t_max=4, grid=8)
+        assert one.state == laplace_oracle(scaled, f, 1.0, t_max=4, steps=400, grid=8).state
+        with pytest.raises(NotRationalError):
+            laplace_oracle(build_adjacency(g2(), VelocityProfile({1: math.sqrt(2), 2: F(1)})),
+                           f, 1.0, t_max=4)
+        with pytest.raises(NotRationalError):
+            laplace_oracle(op, f.map_values(lambda v: SparseVector({1: 1.0})), 1.0, t_max=4)
+        for t_max in (0, -1):
+            with pytest.raises(ValueError):
+                laplace_oracle(op, f, 1.0, t_max=t_max)
         with pytest.raises(ValueError):
-            laplace_oracle(op, f, 1.0, t_max=0, steps=16)
+            laplace_oracle(op, f, 0.0, t_max=4)
         with pytest.raises(ValueError):
-            laplace_oracle(op, f, 1.0, t_max=4, steps=0)
+            laplace_oracle(op, f, 1.0, t_max=4, grid=0)
+        unchecked = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1),
+                                     stochastic=False)
+        with pytest.raises(ContractionViolationError):
+            laplace_oracle(build_adjacency(unchecked), NetworkState.constant(SparseVector({0: F(1)})),
+                           1.0, t_max=4)
 
 
 class TestIdentityCheck:
