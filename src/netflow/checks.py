@@ -296,10 +296,7 @@ def _check_resolvent(seed, trials) -> CheckResult:
         lr = laplace_oracle(build_adjacency(g, vel), f, lam, t_max=int(16 / lam), grid=64)
         if rg.state.distance(lr.state) > lr.error_bound + rg.tail_bound:
             result.failures.append(f"trial {trial}: resolvent and Laplace sum disagree")
-        low = 0.0
-        for v in ru.state.samples:
-            for _, val in v.items():
-                low = min(low, val)
+        low = float(ru.state.array.min(initial=0.0))
         if low < -1e-14:
             result.failures.append(f"trial {trial}: positivity broke ({low})")
         if ru.state.sup_sample_norm() > float(f.sup_norm()) / lam + 1e-10:

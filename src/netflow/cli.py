@@ -170,7 +170,8 @@ def _log_times(t: Fraction, steps: int) -> list:
 
 def _sampled_mass(st) -> float:
     # trapezoid analog of the signed-integral mass on the sample grid
-    total = sum(v.total() for v in st.samples) - (st.samples[0].total() + st.samples[-1].total()) / 2
+    totals = st.totals()
+    total = sum(totals) - (totals[0] + totals[-1]) / 2
     return float(total) / st.grid_size
 
 
@@ -231,7 +232,7 @@ def _cmd_absorb(args) -> int:
     for tt in _log_times(t, args.log_steps):
         result = evolve_absorbing(g, vel, q, f, tt, grid=args.grid)
         st = result.state
-        at0, at1 = st.samples[0], st.samples[-1]
+        at0, at1 = st.point(0), st.point(st.grid_size)
         entries.append({
             "t": str(tt),
             "sup_norm": float(st.sup_sample_norm()),

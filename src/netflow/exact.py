@@ -69,3 +69,10 @@ def is_rational(x) -> bool:
 def frac_part(x: Fraction) -> Fraction:
     """Fractional part in [0, 1)."""
     return x - (x.numerator // x.denominator)
+
+
+def to_float(x) -> float:
+    """float(x), with a Fraction converted by its numerator / denominator:
+    the same correctly rounded int division as Rational.__float__, so the
+    same bits, without its two property calls."""
+    return x.numerator / x.denominator if type(x) is Fraction else float(x)

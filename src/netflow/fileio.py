@@ -31,8 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MalformedInputError, NetflowError
-from .exact import parse_rational, parse_real
+from .exact import parse_rational, parse_real, to_float
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState
 
@@ -265,51 +267,78 @@ def write_state_text(state: NetworkState, name: str = "state") -> str:
     return "\n".join(out) + "\n"
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def emit_plotdata(state: SampledState, edges=None) -> str:
     """CSV text for a sampled state: column `s` plus one column per edge
     (or `_re`/`_im` pairs when any sample is complex), 17 significant
     digits.  No edges means just the header line.
 
-    `sample` hands one vector object to every grid point of a piece, so
-    each distinct vector is formatted once, keyed by its id while the
-    state holds it."""
+    An array state is formatted from its array, a zero entry written as
+    `0` as the rows drop it.  A row state formats each distinct vector
+    once, keyed by its id while the state holds it (`sample` hands one
+    vector object to every grid point of a piece), and each distinct real
+    value once."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
         edges = list(edges)
     if not edges:
         return "s\n"
-    distinct = {id(v): v for v in state.samples}
-    is_complex = any(
-        isinstance(x, complex) for v in distinct.values() for _, x in v.items()
-    )
+    M = state.grid_size
+    if state.array is not None:
+        is_complex = state.array.dtype.kind == "c" and bool(state.array.any())
+    else:
+        distinct = {id(v): v for v in state.samples}
+        types = {type(x) for v in distinct.values() for x in v.values()}
+        is_complex = any(issubclass(t, complex) for t in types)
     if is_complex:
         header = "s," + ",".join(f"edge_{e}_re,edge_{e}_im" for e in edges)
     else:
         header = "s," + ",".join(f"edge_{e}" for e in edges)
+    rows = [header]
+
+    if state.array is not None:
+        u = state.on_edges(tuple(edges))
+        u = np.where(u == 0, 0, u)
+        if is_complex:
+            u = np.stack((u.real, u.imag), axis=1).reshape(2 * len(edges), M + 1)
+        else:
+            u = u.real
+        # int/int true division rounds correctly, so m / M == float(Fraction(m, M))
+        table = np.vstack((np.arange(M + 1) / M, u)).T.tolist()
+        line = ",".join(["%.17g"] * len(table[0]))
+        rows += [line % tuple(r) for r in table]
+        return "\n".join(rows) + "\n"
+
+    pos = {e: k for k, e in enumerate(edges)}
+    blank = ["0,0" if is_complex else "0"] * len(edges)
+    text: dict = {}
     cells = {}
     for key, v in distinct.items():
-        if is_complex:
-            parts = []
-            for e in edges:
-                z = complex(v.get(e))
-                parts.append(_fmt(z.real))
-                parts.append(_fmt(z.imag))
-        else:
-            parts = [_fmt(v.get(e)) for e in edges]
-        cells[key] = ",".join(parts)
-    M = state.grid_size
-    # int/int true division rounds correctly, so m / M == float(Fraction(m, M))
-    rows = [header]
+        row = blank.copy()
+        for e, x in v.items():
+            k = pos.get(e)
+            if k is None:
+                continue
+            if is_complex:
+                z = complex(x)
+                row[k] = "%.17g,%.17g" % (z.real, z.imag)
+                continue
+            y = to_float(x)
+            cell = text.get(y)
+            if cell is None or not y:  # 0.0 and -0.0 share a key
+                cell = text[y] = "%.17g" % y
+            row[k] = cell
+        # an edge listed twice repeats its column
+        cells[key] = ",".join(row) if len(pos) == len(edges) else ",".join(
+            row[pos[e]] for e in edges)
     rows += [f"{m / M:.17g},{cells[id(v)]}" for m, v in enumerate(state.samples)]
     return "\n".join(rows) + "\n"
 
 
 def parse_plotdata(text: str, origin: str = "<csv>") -> SampledState:
+    """The array state of an emit_plotdata CSV: complex when any column is
+    an `_re`/`_im` pair.  An edge named twice keeps its last column, at
+    the place of its first."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedInputError(f"{origin}: empty CSV")
@@ -335,10 +364,10 @@ def parse_plotdata(text: str, origin: str = "<csv>") -> SampledState:
     if n_rows < 2:
         raise MalformedInputError(f"{origin}: need at least 2 sample rows")
     M = n_rows - 1
-    samples = []
+    want = len(header)
+    table = []
     for m, line in enumerate(lines[1:]):
         cells = line.split(",")
-        want = 1 + sum(2 if cx else 1 for _, cx in cols)
         if len(cells) != want:
             raise MalformedInputError(f"{origin}: row {m} has {len(cells)} cells, wanted {want}")
         s_val = float(cells[0])
@@ -346,17 +375,18 @@ def parse_plotdata(text: str, origin: str = "<csv>") -> SampledState:
             raise MalformedInputError(
                 f"{origin}: row {m} sample point {s_val} is not {m}/{M}"
             )
-        vec = {}
-        k = 1
-        for e, cx in cols:
+        table.append([float(x) for x in cells[1:]])
+    u = np.array(table, dtype=float).reshape(M + 1, want - 1).T
+    if any(cx for _, cx in cols):
+        parts, u = u, np.zeros((len(cols), M + 1), dtype=complex)
+        start = 0
+        for k, (_, cx) in enumerate(cols):
+            u.real[k] = parts[start]
             if cx:
-                vec[e] = complex(float(cells[k]), float(cells[k + 1]))
-                k += 2
-            else:
-                vec[e] = float(cells[k])
-                k += 1
-        samples.append(SparseVector(vec))
-    return SampledState(M, samples)
+                u.imag[k] = parts[start + 1]
+            start += 2 if cx else 1
+    pos = {e: k for k, (e, _) in enumerate(cols)}
+    return SampledState.from_array(list(pos), u[list(pos.values())])
 
 
 def write_text(path, text: str) -> None:

@@ -25,6 +25,13 @@ closure of supp f, as many applications of B deep as the tolerance can
 need; it must be stochastic, since only then do the columns the closure
 leaves unread sum to one.
 
+The sampler writes the closed form into one edges x (grid + 1) float or
+complex array, and the result's SampledState keeps that array as it is:
+its array form, which SampledState takes for float values, as it keeps
+rows for exact ones.  Distances, norms, the CSV writer and
+resolvent_identity_check read the array; `samples` builds the per-point
+vectors only when something asks for them.
+
 There is one certificate.  The norm of v -> C E v in |v|_c = sum_j c_j |v_j|
 is at most q = max_j e^{-Re(l)/c_j} sum_i |w_ij|, which is e^{-Re(l)/c_max}
 < 1 for stochastic columns; q >= 1 raises ContractionViolationError.  The
@@ -47,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,8 +65,8 @@ from .errors import (
     WidthOverflowError,
     WrongOperatorError,
 )
-from .exact import as_exact, is_rational
-from .graph import AdjacencyOperator, MetricGraph, SparseVector, VelocityProfile
+from .exact import as_exact, is_rational, to_float
+from .graph import AdjacencyOperator, MetricGraph, VelocityProfile
 from . import semigroup
 from .states import NetworkState, SampledState
 
@@ -108,7 +114,7 @@ def _piece_values(f: NetworkState, edges: list, dtype) -> np.ndarray:
         for e, x in v.items():
             rows.append(pos[e])
             cols.append(p)
-            vals.append(float(x))
+            vals.append(to_float(x))
     V = np.zeros((len(edges), len(f.values)), dtype=dtype)
     V[rows, cols] = vals
     return V
@@ -154,37 +160,7 @@ def _sample(f: NetworkState, edges: list, mu: np.ndarray, V: np.ndarray,
     buf *= y[:, None]
     u += buf
     u += np.take(V, piece, axis=1, out=buf)
-    return _sampled(edges, u)
-
-
-def _sampled(edges: list, u: np.ndarray) -> SampledState:
-    """SampledState of an edges x (grid + 1) array, zero entries dropped."""
-    samples = [dict(zip(edges, col)) for col in u.T.tolist()]
-    rows, cols = np.nonzero(u == 0)
-    for k, m in zip(rows.tolist(), cols.tolist()):
-        del samples[m][edges[k]]
-    return SampledState(u.shape[1] - 1, [SparseVector._from_nonzero(v) for v in samples])
-
-
-def _stacked(samples, pos: dict) -> np.ndarray:
-    """The samples as one len(pos) x len(samples) array, complex when they
-    are: row pos[e] holds edge e, and edges not yet in `pos` are added to
-    it.  Runs of samples with one key order are filled as one block."""
-    keys, runs, vals = None, [], []
-    for m, v in enumerate(samples):
-        order = tuple(v)
-        if order != keys:
-            keys = order
-            runs.append((m, np.array([pos.setdefault(e, len(pos)) for e in order], dtype=np.intp)))
-        vals.extend(v.values())
-    vals = np.array(vals)
-    U = np.zeros((len(pos), len(samples)), dtype=vals.dtype)
-    start = 0
-    for (m, idx), (end, _) in zip(runs, runs[1:] + [(len(samples), None)]):
-        block = vals[start:start + (end - m) * len(idx)]
-        U[idx, m:end] = block.reshape(end - m, len(idx)).T
-        start += block.size
-    return U
+    return SampledState.from_array(edges, u)
 
 
 def _route(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
@@ -223,7 +199,7 @@ def _routing(g: MetricGraph, seeds: list, depth: int) -> tuple:
                     reached.append(i)
                 rows.append(r)
                 cols.append(k)
-                weights.append(float(w))
+                weights.append(to_float(w))
         if not reached:
             break
         frontier = reached
@@ -413,7 +389,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     g, re, vel = op.graph, lam.real, op.scaling or VelocityProfile({}, default=1)
     speed, rows = semigroup._network(g, vel, f, t_max)
     if not speed:  # f = 0 on a lazy graph
-        return LaplaceResult(_sampled([], np.zeros((0, grid + 1))), lam, 0.0, 0.0)
+        return LaplaceResult(SampledState.from_array([], np.zeros((0, grid + 1))), lam, 0.0, 0.0)
     if g.is_finite:
         sums = {j: float(sum(g.column(j).values())) for j in speed}
         rho, c_min = max(sums.values()), float(min(speed.values()))
@@ -448,7 +424,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
         g_sup += float(np.abs(v[np.searchsorted(starts, T, "right") - 1:]).max())
     u *= lam_num.conjugate() / abs(lam_num) ** 2
     tail = math.exp(-re * t_max) * g_sup * (rho / ((1 - q * slack) * c_min) + 1 / re) * slack
-    return LaplaceResult(_sampled(list(speed), u), lam, float(err.max()) / abs(lam), tail)
+    return LaplaceResult(SampledState.from_array(speed, u), lam, float(err.max()) / abs(lam), tail)
 
 
 @dataclass
@@ -479,17 +455,20 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     within exclude_cells of a breakpoint of f, where the one-sided kink
     produces an O(1) spike (reported separately, never mixed in).  The
     difference, the residual and the breakpoint-cell mask are computed on
-    one edges x (grid + 1) array of the samples.
+    the result's edges x (grid + 1) array; the trace residual reads its
+    columns 0 and grid.
     """
     if result is None:
         result = resolvent_unit(op, f, lam, grid=grid, tol=tol)
     lam = complex(lam)
     state = result.state
+    if state.array is None:
+        raise ValueError("the identity check reads a resolvent's array state")
     M = state.grid_size
 
-    pos = {e: k for k, e in enumerate(f.support())}
-    U = _stacked(state.samples, pos)
-    edges = list(pos)
+    have = set(state.edges)
+    edges = state.edges + tuple(e for e in f.support() if e not in have)
+    U = state.on_edges(edges)
 
     bad = np.zeros(M + 1, dtype=bool)
     for b in f.breakpoints:
@@ -509,6 +488,6 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     interior = float(r[:, ~bad].max(initial=0.0))
     spike = float(r[:, bad].max(initial=0.0))
 
-    routed = op.apply(state.samples[0])
-    trace = float((state.samples[M] - routed).l1())
+    routed = op.apply(state.point(0))
+    trace = float((state.point(M) - routed).l1())
     return IdentityReport(M, interior, spike, trace)

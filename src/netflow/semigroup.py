@@ -58,6 +58,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     MalformedGraphError,
     NotRationalError,
@@ -707,21 +709,24 @@ def evolve_absorbing(
     history, D, T, _ = _histories(speed, rows, t,
                                   math.lcm(*(b.denominator for b in cuts)), drain, delay)
 
-    samples, error_bound = [], 0.0
+    columns, error_bound = [], 0.0
     for m in range(grid + 1):
         x = Fraction(m, grid)
         # the sample at 1 is a left limit, as in `sample`
         find = bisect.bisect_left if m == grid else bisect.bisect_right
         lo = bisect.bisect_right(starts, x) - 1
-        vec, err = {}, 0.0
+        col, err = [], 0.0
         for j, c_j in speed.items():
             tick = T + D * x / c_j
             starts_j, values = history[j]
             h = values[find(starts_j, tick) - 1]
             if h:
                 _, b, area = profile[j][lo]
-                vec[j], e = _float_sum(h, tick / D, -(area + b * (x - starts[lo])) / c_j)
+                value, e = _float_sum(h, tick / D, -(area + b * (x - starts[lo])) / c_j)
+                col.append(value)
                 err += e
-        samples.append(SparseVector(vec))
+            else:
+                col.append(0.0)
+        columns.append(col)
         error_bound = max(error_bound, err)
-    return AbsorbingResult(SampledState(grid, samples), error_bound)
+    return AbsorbingResult(SampledState.from_array(speed, np.array(columns).T), error_bound)

@@ -12,7 +12,8 @@ and zero vector entries are never stored, so equality of canonical forms
 is semantic equality almost everywhere.
 
 SampledState is the floating counterpart: values on the uniform grid
-s_m = m/M.  TestFunction shares the NetworkState layout but plays the role
+s_m = m/M, held as one vector per grid point (exact values) or as one
+edges x (M + 1) float array (float values).  TestFunction shares the NetworkState layout but plays the role
 of the dual-side object: its natural size is the integral of the max-abs
 entry, not of the l1 norm, and pairing a state against it is the weak-*
 pairing integral.
@@ -23,6 +24,8 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import MalformedInputError
 from .exact import as_exact
@@ -193,9 +196,28 @@ def _refine(states: Sequence[NetworkState]):
 
 
 class SampledState:
-    """Edge-bundle values on the uniform grid s_m = m/M, m = 0..M."""
+    """Edge-bundle values on the uniform grid s_m = m/M, m = 0..M.
 
-    __slots__ = ("grid_size", "samples")
+    A sampled state has one of two storage forms, and the value type picks
+    it.  Exact producers (`sample`, `trace_samples`) keep rows: `samples`
+    holds one SparseVector per grid point, the values keep their type
+    (Fractions stay exact) and == compares them exactly.  Float producers
+    (the resolvents, `laplace_oracle`, `evolve_absorbing` at t > 0,
+    `parse_plotdata`) build the array form with `from_array`: `edges` and
+    `array`, one edges x (M + 1) float64 or complex128 ndarray whose row k
+    holds edge edges[k].  The array form builds `samples` on first read,
+    with zero entries dropped, so every reader of rows works on both.
+
+    support, sup_sample_norm, totals and scale read the array; distance,
+    == and - read two array states directly, aligning their edges by id
+    when the two list them in different orders, and a row state on either
+    side sends them through `samples`.  Sums over edges add in the order
+    the rows' l1() and total() add them, so both forms give the same
+    floats wherever sum() adds floats left to right (CPython before 3.12;
+    later versions compensate, and the last bit may differ).
+    """
+
+    __slots__ = ("grid_size", "edges", "array", "_samples")
 
     def __init__(self, grid_size: int, samples: Sequence[SparseVector]):
         if grid_size < 1:
@@ -206,44 +228,148 @@ class SampledState:
                 f"grid size {grid_size} needs {grid_size + 1} samples, got {len(samples)}"
             )
         self.grid_size = grid_size
-        self.samples = samples
+        self.edges = self.array = None
+        self._samples = samples
+
+    @classmethod
+    def from_array(cls, edges: Sequence, array: np.ndarray) -> "SampledState":
+        """The array form: row k of the edges x (M + 1) float or complex
+        `array` holds the samples of edges[k]."""
+        edges = tuple(edges)
+        if array.ndim != 2 or array.shape[0] != len(edges) or array.dtype.kind not in "fc":
+            raise MalformedInputError(
+                f"need a float or complex array of {len(edges)} rows, "
+                f"got {array.dtype} of shape {array.shape}"
+            )
+        if array.shape[1] < 2:
+            raise MalformedInputError(f"grid size must be >= 1, got {array.shape[1] - 1}")
+        if len(set(edges)) != len(edges):
+            raise MalformedInputError("an array state lists an edge twice")
+        self = object.__new__(cls)
+        self.grid_size = array.shape[1] - 1
+        self.edges, self.array, self._samples = edges, array, None
+        return self
 
     @classmethod
     def zeros(cls, grid_size: int) -> "SampledState":
         return cls(grid_size, tuple(SparseVector() for _ in range(grid_size + 1)))
 
+    @property
+    def samples(self) -> tuple:
+        """One SparseVector per grid point, zero entries dropped."""
+        if self._samples is None:
+            edges = self.edges
+            rows = [dict(zip(edges, col)) for col in self.array.T.tolist()]
+            for k, m in zip(*(a.tolist() for a in np.nonzero(self.array == 0))):
+                del rows[m][edges[k]]
+            self._samples = tuple(SparseVector._from_nonzero(v) for v in rows)
+        return self._samples
+
+    def point(self, m: int) -> SparseVector:
+        """samples[m], built alone from the array form."""
+        if self._samples is not None:
+            return self._samples[m]
+        col = self.array[:, m].tolist()
+        return SparseVector._from_nonzero({e: x for e, x in zip(self.edges, col) if x != 0})
+
+    def totals(self) -> list:
+        """The signed sum of the entries at each grid point."""
+        if self.array is None:
+            return [v.total() for v in self._samples]
+        return _column_sums(self.array).tolist()
+
     def support(self) -> set:
+        if self.array is not None:
+            return {e for e, nz in zip(self.edges, self.array.any(axis=1).tolist()) if nz}
         out: set = set()
         for v in self.samples:
             out.update(v.support())
         return out
 
     def sup_sample_norm(self):
+        if self.array is not None:
+            return float(_column_sums(_abs(self.array)).max())
         return max(v.l1() for v in self.samples)
 
     def distance(self, other: "SampledState"):
         """Sup over the grid of the l1 distance; grids must match."""
         self._check_grid(other)
-        return max((u - v).l1() for u, v in zip(self.samples, other.samples))
+        if self.array is None or other.array is None:
+            return max((u - v).l1() for u, v in zip(self.samples, other.samples))
+        # the rows' u - v holds u's nonzero entries in u's order, then v's
+        # entries where u is zero in v's order: add them in that order
+        a = self.array
+        diff = _abs(a - other.on_edges(self.edges))
+        tail = _abs(other.array)
+        terms = np.concatenate((np.where(a != 0, diff, 0.0),
+                                np.where(self.on_edges(other.edges) == 0, tail, 0.0)))
+        return float(_column_sums(terms).max())
 
     def scale(self, a) -> "SampledState":
-        return SampledState(self.grid_size, tuple(v.scale(a) for v in self.samples))
+        if self.array is None:
+            return SampledState(self.grid_size, tuple(v.scale(a) for v in self.samples))
+        if a == 0:
+            return SampledState.from_array(self.edges, np.zeros_like(self.array))
+        return SampledState.from_array(
+            self.edges, self.array * (a if isinstance(a, complex) else float(a)))
 
     def __sub__(self, other: "SampledState") -> "SampledState":
         self._check_grid(other)
-        return SampledState(self.grid_size, tuple(u - v for u, v in zip(self.samples, other.samples)))
+        if self.array is None or other.array is None:
+            return SampledState(self.grid_size, tuple(u - v for u, v in zip(self.samples, other.samples)))
+        edges = self._union(other)
+        return SampledState.from_array(edges, self.on_edges(edges) - other.on_edges(edges))
 
     def _check_grid(self, other: "SampledState"):
         if self.grid_size != other.grid_size:
             raise ValueError(f"grid mismatch: {self.grid_size} vs {other.grid_size}")
 
+    def _union(self, other: "SampledState") -> tuple:
+        """self's edges, then other's that self lacks."""
+        if other.edges == self.edges:
+            return self.edges
+        have = set(self.edges)
+        return self.edges + tuple(e for e in other.edges if e not in have)
+
+    def on_edges(self, edges: tuple) -> np.ndarray:
+        """The array on the rows `edges`, zero on edges this state lacks."""
+        if edges == self.edges:
+            return self.array
+        pos = {e: k for k, e in enumerate(self.edges)}
+        out = np.zeros((len(edges), self.grid_size + 1), dtype=self.array.dtype)
+        pairs = [(i, pos[e]) for i, e in enumerate(edges) if e in pos]
+        if pairs:
+            rows, src = zip(*pairs)
+            out[list(rows)] = self.array[list(src)]
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledState):
             return NotImplemented
-        return self.grid_size == other.grid_size and self.samples == other.samples
+        if self.grid_size != other.grid_size:
+            return False
+        if self.array is None or other.array is None:
+            return self.samples == other.samples
+        edges = self._union(other)
+        return bool(np.array_equal(self.on_edges(edges), other.on_edges(edges)))
 
     def __repr__(self):
         return f"SampledState(M={self.grid_size}, {len(self.support())} edges)"
+
+
+def _abs(a: np.ndarray) -> np.ndarray:
+    """abs() of each entry, bit for bit: a complex entry by hypot, as
+    Python's abs(complex) computes it and numpy's complex abs does not."""
+    return np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 as a left-to-right sum() adds each column: rows
+    first to last from a start of +0 (the closing + 0.0 turns the one sum
+    that can differ, -0.0, into sum()'s 0.0)."""
+    if not len(a):
+        return np.zeros(a.shape[1], dtype=a.dtype)
+    return np.cumsum(a, axis=0)[-1] + 0.0
 
 
 # -- module-level operation surface ---------------------------------------

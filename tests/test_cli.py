@@ -4,8 +4,20 @@ import hashlib
 import json
 import math
 
+from fractions import Fraction
+
 import pytest
 
+import oracles
+from netflow import (
+    AbsorptionProfile,
+    VelocityProfile,
+    build_adjacency,
+    evolve_absorbing,
+    parse_graph_file,
+    parse_state_file,
+    resolvent_general,
+)
 from netflow.checks import fixture_path
 from netflow.cli import main
 
@@ -234,6 +246,41 @@ class TestPinnedArtefacts:
         assert main([*argv, "--out", str(tmp_path)]) == 0
         for name, want in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+class TestFloatVerbBytes:
+    """The float verbs' CSVs against the per-cell reference formatting of
+    the same result computed in process, so the check holds whatever last
+    bits this machine's libm gives the floats."""
+
+    @pytest.mark.parametrize("lam, arg", [(2.0, "2"), (1 + 1j, "1,1")])
+    def test_resolvent_g5(self, tmp_path, lam, arg):
+        assert main(["resolvent", "--graph", G5, "--state", MIXED, "--lambda", arg,
+                     "--out", str(tmp_path)]) == 0
+        gf = parse_graph_file(G5)
+        res = resolvent_general(gf.graph, gf.velocities, parse_state_file(MIXED).state, lam)
+        want = oracles.plotdata_reference(res.state, gf.graph.edge_ids)
+        assert (tmp_path / "resolvent.csv").read_text() == want
+
+    def test_absorb_g2(self, tmp_path):
+        assert main(["absorb", "--graph", G2, "--state", PULSE, "--rates", RATES,
+                     "--t", "7/4", "--log-steps", "1", "--out", str(tmp_path)]) == 0
+        g = parse_graph_file(G2).graph
+        rates = parse_state_file(RATES).state
+        q = AbsorptionProfile({j: (rates.breakpoints, [v.get(j) for v in rates.values])
+                               for j in rates.support()})
+        unit = VelocityProfile({}, default=Fraction(1))
+        res = evolve_absorbing(g, unit, q, parse_state_file(PULSE).state, Fraction(7, 4))
+        want = oracles.plotdata_reference(res.state, g.edge_ids)
+        assert (tmp_path / "absorb.csv").read_text() == want
+        # the log's reductions add in the order the rows would
+        rows, M = res.state.samples, res.state.grid_size
+        last = json.loads((tmp_path / "absorb.log.jsonl").read_text().splitlines()[-1])
+        assert last["sup_norm"] == max(v.l1() for v in rows)
+        mass = sum(v.total() for v in rows) - (rows[0].total() + rows[M].total()) / 2
+        assert last["total_mass"] == mass / M
+        routed = build_adjacency(g, unit).apply(rows[0])
+        assert last["boundary_residual"] == (rows[M] - routed).l1()
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import oracles
@@ -117,7 +118,12 @@ class TestStateParsing:
 
 
 class TestPlotdata:
-    def sampled(self):
+    FORMS = ["rows", "array"]
+
+    def sampled(self, form="rows"):
+        if form == "array":
+            return SampledState.from_array(
+                [1, 2], np.array([[0.5, 0.25, 0.0], [-1.0, -0.0, 1e-17]]))
         return SampledState(
             2,
             [
@@ -127,31 +133,47 @@ class TestPlotdata:
             ],
         )
 
+    def test_forms_agree(self):
+        rows, array = self.sampled("rows"), self.sampled("array")
+        assert array.samples == rows.samples and array == rows
+        assert array.support() == rows.support() == {1, 2}
+        assert array.sup_sample_norm() == rows.sup_sample_norm()
+        for edges in (None, [1, 2], [2, 7, 1]):
+            text = emit_plotdata(array, edges=edges)
+            assert text == emit_plotdata(rows, edges=edges)
+            assert text == oracles.plotdata_reference(array, edges)
+
     def test_real_layout(self):
-        text = emit_plotdata(self.sampled(), edges=[1, 2])
-        lines = text.splitlines()
-        assert lines[0] == "s,edge_1,edge_2"
-        assert lines[1].startswith("0,0.5,-1")
-        assert len(lines) == 4
-        # 17 significant digits survive the round trip
-        assert "9.9999999999999998e-18" in lines[3] or "1e-17" in lines[3]
+        for form in self.FORMS:
+            text = emit_plotdata(self.sampled(form), edges=[1, 2])
+            lines = text.splitlines()
+            assert lines[0] == "s,edge_1,edge_2"
+            assert lines[1].startswith("0,0.5,-1")
+            assert len(lines) == 4
+            # 17 significant digits survive the round trip
+            assert "9.9999999999999998e-18" in lines[3] or "1e-17" in lines[3]
 
     def test_round_trip(self):
-        s = self.sampled()
-        back = parse_plotdata(emit_plotdata(s, edges=[1, 2]))
-        assert back.grid_size == 2
-        assert s.distance(back) == 0
+        for form in self.FORMS:
+            s = self.sampled(form)
+            text = emit_plotdata(s, edges=[1, 2])
+            back = parse_plotdata(text)
+            assert back.grid_size == 2 and back.edges == (1, 2)
+            assert s.distance(back) == 0 and back == s
+            assert emit_plotdata(back, edges=[1, 2]) == text
 
     def test_complex_columns_paired(self):
-        s = SampledState(
-            1, [SparseVector({1: 1 + 2j}), SparseVector({1: complex(0, -0.5)})]
-        )
-        text = emit_plotdata(s, edges=[1])
-        lines = text.splitlines()
-        assert lines[0] == "s,edge_1_re,edge_1_im"
-        back = parse_plotdata(text)
-        assert back.samples[0].get(1) == 1 + 2j
-        assert back.samples[1].get(1) == complex(0, -0.5)
+        for s in (
+            SampledState(1, [SparseVector({1: 1 + 2j}), SparseVector({1: complex(0, -0.5)})]),
+            SampledState.from_array([1], np.array([[1 + 2j, complex(0, -0.5)]])),
+        ):
+            text = emit_plotdata(s, edges=[1])
+            assert text == oracles.plotdata_reference(s, [1])
+            lines = text.splitlines()
+            assert lines[0] == "s,edge_1_re,edge_1_im"
+            back = parse_plotdata(text)
+            assert back.samples[0].get(1) == 1 + 2j
+            assert back.samples[1].get(1) == complex(0, -0.5)
 
     def test_shared_rows_match_per_cell_reference(self):
         # sample() hands one vector object to every grid point of a piece
@@ -189,8 +211,9 @@ class TestPlotdata:
         assert emit_plotdata(SampledState.zeros(4), edges=[]) == "s\n"
 
     def test_deterministic_bytes(self):
-        s = self.sampled()
-        assert emit_plotdata(s, edges=[1, 2]) == emit_plotdata(s, edges=[1, 2])
+        for form in self.FORMS:
+            s = self.sampled(form)
+            assert emit_plotdata(s, edges=[1, 2]) == emit_plotdata(s, edges=[1, 2])
 
     @pytest.mark.parametrize(
         "text",
@@ -206,6 +229,20 @@ class TestPlotdata:
     def test_malformed_csv_rejected(self, text):
         with pytest.raises(MalformedInputError):
             parse_plotdata(text)
+
+    def test_values_that_round_to_zero_keep_their_sign(self):
+        tiny = F(1, 10**400)
+        s = SampledState(1, [SparseVector({1: -tiny, 2: tiny, 3: F(-1, 3)})] * 2)
+        text = emit_plotdata(s)
+        assert text == oracles.plotdata_reference(s)
+        assert text.splitlines()[1] == "0,-0,0,-0.33333333333333331"
+
+    def test_parse_keeps_mixed_columns_and_repeats(self):
+        # a real column beside a complex pair; an edge named twice keeps
+        # its last column at the place of its first
+        back = parse_plotdata("s,edge_2,edge_1_re,edge_1_im,edge_2\n0,1,2,3,4\n1,5,6,-0,8\n")
+        assert back.edges == (2, 1) and back.array.dtype == complex
+        assert back.samples == (SparseVector({2: 4, 1: 2 + 3j}), SparseVector({2: 8, 1: 6}))
 
     def test_mass_preserving_state_round_trips_exactly(self):
         f = NetworkState(

@@ -16,13 +16,16 @@ from netflow import (
     MetricGraph,
     NetworkState,
     NotRationalError,
+    SampledState,
     SparseVector,
     TruncationError,
     VelocityProfile,
     WidthOverflowError,
     WrongOperatorError,
     build_adjacency,
+    emit_plotdata,
     laplace_oracle,
+    parse_plotdata,
     resolvent_general,
     resolvent_identity_check,
     resolvent_unit,
@@ -782,3 +785,114 @@ class TestOneSeries:
                 layer = {i for j in layer for i, _ in column(j)}
             assert needed <= reads, (trial, res.terms, sorted(needed - reads))
             assert res.tail_bound <= tol
+
+
+def fed_path():
+    """1 -> 2 -> 3, edge 3 looping onto itself: nothing routes into edge 1,
+    so a resolvent is exactly zero on it past f's support there."""
+    return MetricGraph.finite(
+        [(1, 0, 1), (2, 1, 2), (3, 2, 2)],
+        {(2, 1): F(1), (3, 2): F(1), (3, 3): F(1)}, name="fed-path",
+    )
+
+
+def zero_dropped_rows(state):
+    """The rows an array state stands for: one vector per grid point in the
+    order of state.edges, zero entries dropped, built cell by cell."""
+    return tuple(
+        SparseVector._from_nonzero({e: x for e, x in zip(state.edges, col) if x != 0})
+        for col in state.array.T.tolist()
+    )
+
+
+def as_rows(state):
+    return SampledState(state.grid_size, zero_dropped_rows(state))
+
+
+def permuted(state, order):
+    """The same samples with the edges listed in `order` (a subset drops
+    the others)."""
+    pos = {e: k for k, e in enumerate(state.edges)}
+    return SampledState.from_array(order, state.array[[pos[e] for e in order]])
+
+
+class TestArrayForm:
+    """Float resolvents hold their samples as edges x (grid + 1) arrays; every
+    reduction on them agrees bit for bit with the rows they stand for."""
+
+    LAMBDAS = [2.0, 0.5, 1 + 1j, 3 - 2j]
+
+    @staticmethod
+    def solves(lam):
+        """(g, a, b): two resolvents on one graph, a with exact zeros."""
+        g = fed_path()
+        fa = NetworkState([F(0), F(1, 3), F(1)],
+                          [SparseVector({1: F(2), 3: F(-1, 3)}), SparseVector({2: F(5, 7)})])
+        fb = NetworkState([F(0), F(1, 2), F(1)],
+                          [SparseVector({1: F(1), 2: F(3)}), SparseVector({3: F(-2)})])
+        op = build_adjacency(g)
+        return (g, resolvent_unit(op, fa, lam, grid=24).state,
+                resolvent_general(g, unit_vel(g), fb, lam, grid=24).state)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_samples_are_the_zero_dropped_rows(self, lam):
+        g, a, b = self.solves(lam)
+        for st in (a, b):
+            assert st.array.dtype == (complex if complex(lam).imag else float)
+            want = zero_dropped_rows(st)
+            assert st.samples == want
+            assert [list(v.items()) for v in st.samples] == [list(v.items()) for v in want]
+            assert [st.point(m) for m in range(st.grid_size + 1)] == list(want)
+        # edge 1 is exactly zero past its support: the rows drop it there
+        assert any(1 not in v.support() for v in a.samples)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_reductions_match_the_rows(self, lam):
+        g, a, b = self.solves(lam)
+        ra, rb = as_rows(a), as_rows(b)
+        assert a.support() == ra.support()
+        assert a.sup_sample_norm() == ra.sup_sample_norm()
+        assert a.totals() == ra.totals()
+        assert a == ra and ra == a and a == a and not a == b
+        for other in (b, permuted(b, [3, 1, 2]), permuted(b, [2, 3]), permuted(b, [1])):
+            ro = as_rows(other)
+            assert a.distance(other) == ra.distance(ro)
+            assert other.distance(a) == ro.distance(ra)
+            assert (a - other).samples == (ra - ro).samples
+        assert permuted(b, [3, 1, 2]) == b and b == permuted(b, [2, 1, 3])
+        assert a.distance(permuted(a, [2, 3, 1])) == 0
+        assert not b == permuted(b, [2, 3])  # the dropped edge is not all zero
+        assert a.scale(2.0).samples == ra.scale(2.0).samples
+        assert a.scale(F(1, 3)).samples == ra.scale(F(1, 3)).samples
+        assert a.scale(0).support() == set()
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_emit_and_parse(self, lam):
+        g, a, b = self.solves(lam)
+        for edges in (None, g.edge_ids, [3, 1], [2, 9, 1]):
+            text = emit_plotdata(a, edges=edges)
+            assert text == oracles.plotdata_reference(a, edges)
+            assert text == emit_plotdata(as_rows(a), edges=edges)
+            back = parse_plotdata(text)
+            assert emit_plotdata(back, edges=edges) == text
+        back = parse_plotdata(emit_plotdata(a, edges=[3, 1, 2]))
+        assert back.edges == (3, 1, 2) and back == a and back.distance(a) == 0
+
+    def test_zero_complex_state_keeps_the_real_header(self):
+        g = g2()
+        res = resolvent_unit(build_adjacency(g), NetworkState.zero(), 1 + 1j, grid=8)
+        st = res.state
+        assert st.array.dtype == complex and not st.array.any()
+        assert all(v.is_zero() for v in st.samples) and st.support() == set()
+        assert st.sup_sample_norm() == 0 and st.totals() == [0] * 9
+        text = emit_plotdata(st, edges=g.edge_ids)
+        assert text.splitlines()[0] == "s,edge_1,edge_2"
+        assert text == oracles.plotdata_reference(st, g.edge_ids)
+        assert parse_plotdata(text) == st
+
+    def test_negative_zero_is_written_as_zero(self):
+        # the rows drop -0.0 and -0.0j, and the CSV writes their absence as 0
+        st = SampledState.from_array([1, 2], np.array([[-0.0, 1.0], [2.0, -0.0]]))
+        assert emit_plotdata(st) == oracles.plotdata_reference(st) == "s,edge_1,edge_2\n0,0,2\n1,1,0\n"
+        z = SampledState.from_array([1], np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)]]))
+        assert emit_plotdata(z) == oracles.plotdata_reference(z) == "s,edge_1_re,edge_1_im\n0,0,0\n1,1,-0\n"

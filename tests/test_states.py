@@ -1,8 +1,10 @@
 """Piecewise-constant states: norms, pairing, sampling."""
 
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,3 +231,57 @@ class TestSampling:
         b = SampledState(3, [SparseVector({})] * 4)
         with pytest.raises(ValueError):
             a.distance(b)
+
+
+def random_array_state(rng, edges, grid, complex_values=False):
+    """Values over many magnitudes, so the order of a sum shows in its last
+    bits, with about a third of them exact zeros (and some -0.0).  Every
+    other array is in column-major order, as evolve_absorbing builds its
+    array, where a numpy sum over the edges would add pairwise."""
+    def value():
+        r = rng.random()
+        if r < 0.3:
+            return 0.0 if r < 0.2 else -0.0
+        x = rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+        return complex(x, rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)) if complex_values else x
+
+    array = np.array([[value() for _ in range(grid + 1)] for _ in edges])
+    return SampledState.from_array(edges, array if rng.random() < 0.5 else np.asfortranarray(array))
+
+
+class TestArrayForm:
+    """Reductions on the array form add in the rows' order, so they give
+    the rows' floats bit for bit, whatever order the edges are listed in."""
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_reductions_bitwise_equal_to_rows(self, complex_values):
+        rng = random.Random(12 + complex_values)
+        for trial in range(20):
+            ids = list(range(rng.randint(1, 40)))
+            a = random_array_state(rng, rng.sample(ids, len(ids)), 6, complex_values)
+            others = rng.sample(ids, rng.randint(1, len(ids))) + [99]
+            b = random_array_state(rng, others, 6, complex_values and trial % 2 == 0)
+            ra, rb = SampledState(6, a.samples), SampledState(6, b.samples)
+            assert a.sup_sample_norm() == ra.sup_sample_norm()
+            assert a.totals() == ra.totals()
+            assert a.support() == ra.support()
+            assert a.distance(b) == ra.distance(rb), trial
+            assert b.distance(a) == rb.distance(ra), trial
+            assert (a - b).samples == (ra - rb).samples
+            assert (a == b) == (ra == rb) and a == ra
+
+    def test_sums_of_negative_zeros_are_positive_zero(self):
+        st_ = SampledState.from_array([1, 2], np.array([[-0.0, 1.0], [-0.0, 2.0]]))
+        assert math.copysign(1, st_.totals()[0]) == 1
+        z = SampledState.from_array([1], np.array([[complex(-0.0, -0.0), 1j]]))
+        assert [math.copysign(1, x) for x in (z.totals()[0].real, z.totals()[0].imag)] == [1, 1]
+
+    def test_from_array_validates(self):
+        with pytest.raises(MalformedInputError):
+            SampledState.from_array([1, 1], np.zeros((2, 3)))
+        with pytest.raises(MalformedInputError):
+            SampledState.from_array([1], np.zeros((2, 3)))
+        with pytest.raises(MalformedInputError):
+            SampledState.from_array([1], np.zeros((1, 1)))
+        with pytest.raises(MalformedInputError):
+            SampledState.from_array([1], np.zeros((1, 3), dtype=object))
