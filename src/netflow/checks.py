@@ -9,6 +9,7 @@ and its shipped fixtures.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -227,6 +228,13 @@ def _lazy_path() -> MetricGraph:
     )
 
 
+def _cycle(n: int) -> MetricGraph:
+    """The n-edge cycle 0 -> 1 -> ... -> n - 1 -> 0, which holds any part
+    of the lazy path from edge 0 to edge n - 2."""
+    return MetricGraph.finite([(j, j, (j + 1) % n) for j in range(n)],
+                              {((j + 1) % n, j): Fraction(1) for j in range(n)})
+
+
 def _check_subdivision(seed, trials) -> CheckResult:
     def body(rng, result, trial):
         g = random_graph(rng, 8)
@@ -262,10 +270,8 @@ def _check_subdivision(seed, trials) -> CheckResult:
     # at listed speeds the path's forward cone at t = 7/3 ends at edge 4,
     # so a 12-edge cycle carries the same flow
     vel = VelocityProfile({1: Fraction(2), 2: Fraction(3), 4: Fraction(1, 2)}, default=Fraction(1))
-    cycle = MetricGraph.finite([(j, j, (j + 1) % 12) for j in range(12)],
-                               {((j + 1) % 12, j): Fraction(1) for j in range(12)})
     t = Fraction(7, 3)
-    if evolve_rational(g, vel, f, t) != evolve_rational(cycle, vel, f, t):
+    if evolve_rational(g, vel, f, t) != evolve_rational(_cycle(12), vel, f, t):
         outcome.failures.append("listed-speed lazy path disagreed with a finite cycle")
     return outcome
 
@@ -305,7 +311,16 @@ def _check_resolvent(seed, trials) -> CheckResult:
         if report.trace > 1e-8:
             result.failures.append(f"trial {trial}: trace residual {report.trace}")
 
-    return _run("resolvent", seed, trials, body)
+    # lazy ride-along, one shot: at irrational listed speeds the path's
+    # series reads a closure that a cycle one edge longer holds
+    outcome = _run("resolvent", seed, trials, body)
+    vel = VelocityProfile({1: math.sqrt(3), 3: math.pi / 2}, default=math.sqrt(2))
+    f = NetworkState.constant(SparseVector({0: Fraction(1), 1: Fraction(2)}))
+    lazy = resolvent_general(_lazy_path(), vel, f, 1 + 1j, grid=32)
+    finite = resolvent_general(_cycle(len(lazy.state.edges) + 1), vel, f, 1 + 1j, grid=32)
+    if lazy.state.distance(finite.state) > lazy.tail_bound + finite.tail_bound:
+        outcome.failures.append("irrational-speed lazy resolvent disagreed with a finite cycle")
+    return outcome
 
 
 def fixture_path(name: str):

@@ -16,6 +16,7 @@ can be diffed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -126,6 +127,8 @@ def _parse_lambda(text: str) -> complex:
     if len(parts) > 2:
         raise MalformedInputError(f"lambda takes re[,im], got {text!r}")
     vals = [float(parse_real(part.strip(), "lambda")) for part in parts]
+    if not all(map(math.isfinite, vals)):
+        raise MalformedInputError(f"lambda must be finite, got {text!r}")
     return complex(vals[0], vals[1] if len(vals) > 1 else 0.0)
 
 

@@ -27,6 +27,7 @@ split into `_re`/`_im` column pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -129,8 +130,8 @@ def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
                 value = parse_real(parts[2], "velocity")
             except NetflowError as exc:
                 _fail(origin, lineno, str(exc))
-            if value <= 0:
-                _fail(origin, lineno, f"velocity must be positive, got {parts[2]}")
+            if not 0 < value < math.inf:
+                _fail(origin, lineno, f"velocity must be positive and finite, got {parts[2]}")
             vels[eid] = value
         else:
             _fail(origin, lineno, f"unknown directive {kind!r}")

@@ -336,8 +336,8 @@ class VelocityProfile:
         if not pool:
             raise MissingVelocityError("velocity profile is empty")
         for c in pool:
-            if c <= 0:
-                raise MalformedGraphError(f"velocity {c} is not positive")
+            if not 0 < c < math.inf:
+                raise MalformedGraphError(f"velocity {c} is not positive and finite")
         self.c_min, self.c_max = min(pool), max(pool)
 
     def velocity(self, j):

@@ -14,35 +14,31 @@ half-plane overflows.  Read at s = 0 the local integral is the boundary
 moment d = u(0) - e^{-mu} y, and one series turns d into y: the Neumann
 iteration of y = C (d + E y), E = diag(e^{-mu}), that is
 y = sum_{k>=0} (C E)^k C d.  resolvent_general runs it at any positive
-speeds; resolvent_unit is the same computation at c = 1, where the terms
-are e^{-lk} B^{k+1} d.
+speeds on finite and lazy graphs; resolvent_unit is the same computation
+at c = 1, where the terms are e^{-lk} B^{k+1} d.
 
 The series routes float or complex vectors through C held as index
 arrays of its nonzero entries, one bincount per term, so memory is
 O(edges): no n x n matrix is built.  A finite graph gives all its edges
-in sorted-id order.  A lazy graph (unit speed only) gives the routing
+in sorted-id order.  A lazy graph, at any speeds, gives the routing
 closure of supp f, as many applications of B deep as the tolerance can
 need; it must be stochastic, since only then do the columns the closure
-leaves unread sum to one.
+leaves unread sum to one, and its q and c_min come from the profile.
 
 The sampler writes the closed form into one edges x (grid + 1) float or
-complex array, and the result's SampledState keeps that array as it is:
-its array form, which SampledState takes for float values, as it keeps
-rows for exact ones.  Distances, norms, the CSV writer and
-resolvent_identity_check read the array; `samples` builds the per-point
-vectors only when something asks for them.
+complex array, which the result's SampledState keeps as its array form:
+distances, norms, the CSV writer and resolvent_identity_check read it,
+and `samples` builds per-point vectors only when something asks.
 
 There is one certificate.  The norm of v -> C E v in |v|_c = sum_j c_j |v_j|
 is at most q = max_j e^{-Re(l)/c_j} sum_i |w_ij|, which is e^{-Re(l)/c_max}
 < 1 for stochastic columns; q >= 1 raises ContractionViolationError.  The
 series stops at the first N with |term_N|_c / ((1 - q) c_min) <= tol, the
 reported tail_bound, which bounds in the sup-l1 norm everything the
-dropped terms add to y.  An error in y reaches every sample through a
-factor |e^{-mu_j (1-s)}| <= 1, so the bound holds for the sampled sup-l1
-norm as it stands.  The raw max-column-sum of C E can exceed 1 on
-perfectly valid graphs (a fast edge feeding a slow one); both norms are
-reported in the metadata, the raw one for inspection, q because it is
-the certificate.
+dropped terms add to y, and so, through factors |e^{-mu_j (1-s)}| <= 1,
+to every sample.  The raw max-column-sum of C E, reported beside q in
+the metadata, can exceed 1 on valid graphs (a fast edge feeding a slow
+one).
 
 laplace_oracle checks the closed forms against R(l) f =
 int_0^inf e^{-lt} T(t) f dt without the series: up to a horizon it sums
@@ -81,6 +77,7 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 500_000
+_UNIT = VelocityProfile({}, default=1)
 
 
 @dataclass
@@ -100,8 +97,8 @@ class ResolventResult:
 
 def _require_right_half_plane(lam) -> complex:
     lam = complex(lam)
-    if not lam.real > 0:
-        raise ValueError(f"resolvent needs Re(lambda) > 0, got {lam}")
+    if not (0 < lam.real < math.inf and math.isfinite(lam.imag)):
+        raise ValueError(f"resolvent needs a finite lambda with Re(lambda) > 0, got {lam}")
     return lam
 
 
@@ -222,11 +219,38 @@ def _terms_needed(first: float, rate: float, tol: float) -> int:
     return max(1, math.ceil(n))
 
 
-def _series(g: MetricGraph, vel: VelocityProfile | None, f: NetworkState,
-            lam, grid: int, tol: float, method: str) -> ResolventResult:
-    """Both resolvents: the head trace y = sum_{k>=0} (C E)^k C d, summed
-    until the first N with |term_N|_c / ((1 - q) c_min) <= tol, then
-    sampled.  `vel` None means c = 1, the only speeds a lazy graph takes."""
+def _contracting(q: float, re: float, c_max: float) -> float:
+    if q >= 1:
+        raise ContractionViolationError(f"q = {q:.6g} >= 1 at Re(lambda) = {re:.6g} and c_max = "
+                                        f"{c_max:.6g}: the boundary series does not contract")
+    return q
+
+
+def _lazy_bounds(g: MetricGraph, vel: VelocityProfile, re: float) -> tuple:
+    """(q, c_min, c_max) of a lazy graph at the speeds `vel`, which hold on
+    every edge, read or not: a stochastic column j maps |v_j| c_j to at
+    most e^{-Re(l)/c_j} |v_j| c_j in |.|_c, so q = e^{-Re(l)/c_max}.  A
+    graph that is not stochastic, or a q that rounds to 1, raises
+    ContractionViolationError."""
+    if not g.stochastic:
+        raise ContractionViolationError("a lazy graph must be stochastic: only then do "
+                                        "the columns the closure leaves unread sum to one")
+    c_max = float(vel.c_max)
+    return _contracting(math.exp(-re / c_max), re, c_max), float(vel.c_min), c_max
+
+
+def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
+            lam, grid: int, tol: float) -> ResolventResult:
+    """Both resolvents at the speeds `vel`, by the series and stop rule of
+    the module docstring.  A finite graph reads every column.  A lazy one
+    reads the closure of supp f, and the dropped terms reach edges it
+    never read, so q and c_min are the profile's (_lazy_bounds) unless
+    rounding puts the closure's past them.  Its depth suffices: c_j |d_j|
+    <= int |f_j| and a stochastic C keeps |.|_c, so term k's bound is at
+    most q^k |f|_L1 / ((1 - q) c_min), and the rule stops by K, its
+    _terms_needed at rate Re(l)/c_max.  Term K routes d K + 1 times,
+    reading the columns within K applications of supp f: a closure K + 1
+    deep, and one more covers rounding in the rule."""
     lam = _require_right_half_plane(lam)
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
@@ -239,38 +263,27 @@ def _series(g: MetricGraph, vel: VelocityProfile | None, f: NetworkState,
             raise ValueError("graph has no edges")
         for j in f.support():
             g.column(j)  # an edge the graph lacks raises MalformedGraphError
+        q, c_min, c_max = 0.0, math.inf, 0.0
     else:
-        if not g.stochastic:
-            raise ContractionViolationError(
-                "a lazy graph must be stochastic: only then do the columns "
-                "the series leaves unread sum to one"
-            )
-        # at c = 1 on stochastic columns q = e^{-Re(l)} and the first term
-        # is at most |d|_1 <= |f|_L1; the last term the stop rule reads needs
-        # columns at most _terms_needed applications deep, and one more
-        # covers rounding in the rule
+        q, c_min, c_max = _lazy_bounds(g, vel, re)
         seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
         widths = np.diff([float(b) for b in f.breakpoints])
         f_l1 = float((np.abs(_piece_values(f, seeds, float)) @ widths).sum())
-        depth = _terms_needed(f_l1 / -math.expm1(-re), re, tol) + 2
+        depth = _terms_needed(f_l1 / (-math.expm1(-re / c_max) * c_min), re / c_max, tol) + 2
     edges, rows, cols, weights = _routing(g, seeds, depth)
     n = len(edges)
-    c = np.ones(n) if vel is None else np.array([float(vel.velocity(j)) for j in edges])
-    c_min = c.min(initial=math.inf)
+    c = np.array([float(vel.velocity(j)) for j in edges])
+    c_min, c_max = min(c_min, c.min(initial=math.inf)), max(c_max, c.max(initial=0.0))
     mu = lam_num / c
 
     decay = np.exp(-re / c)  # |e^{-mu_j}|
-    norm_weighted = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
-    if norm_weighted >= 1:
-        raise ContractionViolationError(
-            f"weighted norm of the boundary operator is {norm_weighted:.6g} >= 1; "
-            "the graph's columns cannot be stochastic"
-        )
+    column_norm = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
+    q = _contracting(max(q, column_norm), re, c_max)
     weights *= c[cols] / c[rows]
     norm_raw = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
 
     def bound(term):
-        return float((c * np.abs(term)).sum()) / ((1 - norm_weighted) * c_min)
+        return float((c * np.abs(term)).sum()) / ((1 - q) * c_min)
 
     V, G = _piece_integrals(f, edges, mu, lam_num)
     d = G[:, 0]
@@ -279,7 +292,7 @@ def _series(g: MetricGraph, vel: VelocityProfile | None, f: NetworkState,
     term = _route(rows, cols, weights, d)
     tail = bound(term)
     # bound(term_N) <= q^N bound(term_0): refuse up front what the cap cannot reach
-    _terms_needed(tail, -math.log(norm_weighted) if norm_weighted else math.inf, tol)
+    _terms_needed(tail, -math.log(q) if q else math.inf, tol)
     nterms = 0
     while tail > tol:
         y += term
@@ -289,45 +302,32 @@ def _series(g: MetricGraph, vel: VelocityProfile | None, f: NetworkState,
 
     state = _sample(f, edges, mu, V, G, y, grid)
     return ResolventResult(state, lam, nterms, tail, {
-        "method": method, "neumann_terms": nterms, "norm_Blambda": norm_raw,
-        "norm_Blambda_weighted": norm_weighted, "tol": tol,
+        "neumann_terms": nterms, "norm_Blambda": norm_raw,
+        "norm_Blambda_weighted": q, "tol": tol,
     })
 
 
 def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
                    grid: int = 256, tol: float = 1e-12) -> ResolventResult:
-    """Unit-velocity resolvent: resolvent_general at c = 1, with the same
-    series, stop rule and tail_bound, so on a finite graph the two return
-    == results.  Its terms are e^{-lk} B^{k+1} d.
-
-    A lazy graph must be stochastic (else ContractionViolationError): only
-    then do the columns the series leaves unread sum to one.  The series
-    runs on the routing closure of supp f, as deep as the tolerance can
-    need, and only the closure is sampled; a closure past
-    semigroup.MAX_STAGE_EDGES edges (a branching graph at small Re(l))
-    raises WidthOverflowError before any array is built.
-    """
+    """resolvent_general at c = 1 on the graph of an unscaled operator:
+    the same series, stop rule and tail_bound, so the two return ==
+    results.  Its terms are e^{-lk} B^{k+1} d."""
     if op.scaled:
-        raise WrongOperatorError(
-            "resolvent_unit needs the unscaled routing operator; "
-            "use resolvent_general for velocity profiles"
-        )
-    return _series(op.graph, None, f, lam, grid, tol, "unit-series")
+        raise WrongOperatorError("resolvent_unit needs the unscaled routing operator; "
+                                 "use resolvent_general for velocity profiles")
+    return _series(op.graph, _UNIT, f, lam, grid, tol)
 
 
 def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
                       lam, *, grid: int = 256, tol: float = 1e-12) -> ResolventResult:
-    """General-velocity resolvent on a finite graph, by the series of the
-    module docstring.
-
-    Velocities may be any positive reals (this is the path that serves
-    irrational-velocity references).  tail_bound is |term_N|_c /
-    ((1 - q) c_min) at the first N where it is <= tol.  q >= 1 raises
-    ContractionViolationError; a tolerance the a-priori decay q^N cannot
-    reach within MAX_SERIES_TERMS terms raises TruncationError up front.
-    """
-    g._require_finite("resolvent_general")
-    return _series(g, vel, f, lam, grid, tol, "general-neumann")
+    """The resolvent at any positive speeds, irrational ones included, on a
+    finite or a lazy (stochastic) graph; a lazy one is sampled on the
+    routing closure of supp f.  q >= 1 raises ContractionViolationError, a
+    tolerance the a-priori decay q^N cannot reach within MAX_SERIES_TERMS
+    terms TruncationError up front, and a closure past
+    semigroup.MAX_STAGE_EDGES edges (a branching graph at small Re(l))
+    WidthOverflowError before any array is built."""
+    return _series(g, vel, f, lam, grid, tol)
 
 
 @dataclass
@@ -386,7 +386,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
         raise ValueError(f"need t_max > 0 and grid >= 1, got {t_max} and {grid}")
     if not all(is_rational(x) for v in f.values for x in v.values()):
         raise NotRationalError("laplace_oracle needs exact rational state values")
-    g, re, vel = op.graph, lam.real, op.scaling or VelocityProfile({}, default=1)
+    g, re, vel = op.graph, lam.real, op.scaling or _UNIT
     speed, rows = semigroup._network(g, vel, f, t_max)
     if not speed:  # f = 0 on a lazy graph
         return LaplaceResult(SampledState.from_array([], np.zeros((0, grid + 1))), lam, 0.0, 0.0)
@@ -394,10 +394,8 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
         sums = {j: float(sum(g.column(j).values())) for j in speed}
         rho, c_min = max(sums.values()), float(min(speed.values()))
         q = max(math.exp(-re / c) * sums[j] for j, c in speed.items())
-    elif g.stochastic:
-        rho, q, c_min = 1.0, math.exp(-re / vel.c_max), float(vel.c_min)
     else:
-        raise ContractionViolationError("a lazy graph must be stochastic to bound the tail")
+        rho, (q, c_min, _) = 1.0, _lazy_bounds(g, vel, re)
     slack = 1 + 2.0**-40  # covers the rounding of q and of the bounds
     if q * slack >= 1:
         raise ContractionViolationError(f"q = {q:.6g} >= 1: the tail has no bound")
@@ -453,13 +451,14 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     The derivative is the central difference of the sampled resolvent, so
     the residual should shrink quadratically under grid refinement except
     within exclude_cells of a breakpoint of f, where the one-sided kink
-    produces an O(1) spike (reported separately, never mixed in).  The
-    difference, the residual and the breakpoint-cell mask are computed on
-    the result's edges x (grid + 1) array; the trace residual reads its
-    columns 0 and grid.
+    produces an O(1) spike (reported separately, never mixed in).  All of
+    it reads the result's edges x (grid + 1) array, the trace residual its
+    columns 0 and grid.  The speeds are `vel`, else op.scaling, else 1;
+    without `result` the resolvent is solved at them.
     """
+    vel = vel or op.scaling or _UNIT
     if result is None:
-        result = resolvent_unit(op, f, lam, grid=grid, tol=tol)
+        result = _series(op.graph, vel, f, lam, grid, tol)
     lam = complex(lam)
     state = result.state
     if state.array is None:
@@ -476,7 +475,7 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
         bad[max(math.floor(center) - exclude_cells, 0):math.ceil(center) + exclude_cells + 1] = True
     bad = bad[1:M]
 
-    c = np.ones(len(edges)) if vel is None else np.array([float(vel.velocity(j)) for j in edges])
+    c = np.array([float(vel.velocity(j)) for j in edges])
     # |c du - l u + f| = |l u - c du - f| on the inner samples, built in
     # place: rounding is symmetric, so the negation is exact
     r = U[:, 2:] - U[:, :-2]

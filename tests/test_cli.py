@@ -336,6 +336,34 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("verb", [["resolvent", "--lambda", "2"],
+                                      ["approx", "--levels", "1,2", "--lambda", "2"]])
+    @pytest.mark.parametrize("speed", ["nan", "inf"])
+    def test_non_finite_velocity(self, tmp_path, capsys, verb, speed):
+        bad = tmp_path / "g5.graph"
+        bad.write_text(fixture_path("g5.graph").read_text().replace("c 1 2\n", f"c 1 {speed}\n"))
+        code = main([verb[0], "--graph", str(bad), "--state", MIXED, *verb[1:],
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert f"g5.graph:15: velocity must be positive and finite, got {speed}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["inf", "1,inf", "nan", "2,nan"])
+    def test_non_finite_lambda(self, tmp_path, capsys, lam):
+        code = main(["resolvent", "--graph", G5, "--state", MIXED, "--lambda", lam,
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "lambda must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "resolvent.csv").exists()
+
+    def test_q_rounding_to_one(self, tmp_path, capsys):
+        # g5's columns sum to one; at Re(lambda) = 1e-300 q rounds to 1
+        code = main(["resolvent", "--graph", G5, "--state", MIXED, "--lambda", "1e-300",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "q = 1 >= 1 at Re(lambda) = 1e-300 and c_max = 2" in err
+        assert "stochastic" not in err
+
     def test_missing_file(self, tmp_path):
         code = main([
             "simulate", "--graph", str(tmp_path / "nope.graph"),

@@ -84,6 +84,12 @@ class TestGraphParsing:
         with pytest.raises(MalformedInputError):
             parse_graph_text(text)
 
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_velocity_refused(self, speed):
+        with pytest.raises(MalformedInputError,
+                           match=f"bad.graph:6: velocity must be positive and finite, got {speed}"):
+            parse_graph_text(G2_TEXT + f"c 1 {speed}\nc 2 1\n", origin="bad.graph")
+
     def test_error_carries_location(self):
         with pytest.raises(MalformedInputError, match="bad.graph:3"):
             parse_graph_text("graph g\nedge 1 1 2\nedge 2 2\n", origin="bad.graph")

@@ -1,5 +1,6 @@
 """Graph model, validation, and adjacency operator behavior."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -294,8 +295,11 @@ class TestVelocityProfile:
         assert (vel.c_min, vel.c_max) == (F(1, 3), F(2))
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(MalformedGraphError):
-            VelocityProfile({1: F(0)})
+        for c in (F(0), math.nan, math.inf, -math.inf):
+            with pytest.raises(MalformedGraphError, match="positive and finite"):
+                VelocityProfile({1: F(1), 2: c})
+            with pytest.raises(MalformedGraphError, match="positive and finite"):
+                VelocityProfile({1: F(1)}, default=c)
 
     def test_default_covers_unlisted(self):
         vel = VelocityProfile({}, default=F(1))

@@ -112,7 +112,8 @@ class TestResolventUnit:
     def test_left_half_plane_rejected(self):
         op = build_adjacency(g2())
         f = NetworkState.constant(SparseVector({1: F(1)}))
-        for lam in (0.0, -1.0, -0.5 + 2j):
+        for lam in (0.0, -1.0, -0.5 + 2j, math.inf, math.nan, complex(1, math.inf),
+                    complex(1, math.nan), complex(math.inf, 1)):
             with pytest.raises(ValueError):
                 resolvent_unit(op, f, lam)
 
@@ -248,11 +249,45 @@ class TestResolventGeneral:
         with pytest.raises(MalformedGraphError, match="unknown edge 99"):
             resolvent_general(g, unit_vel(g), f, 2.0, grid=8)
 
-    def test_lazy_graph_refused(self):
-        path = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
-        f = NetworkState.constant(SparseVector({0: F(1)}))
-        with pytest.raises(MalformedGraphError, match="lazy"):
-            resolvent_general(path, VelocityProfile({}, default=F(1)), f, 2.0, grid=8)
+    @pytest.mark.parametrize("lam", [2.0, 0.5, 1 + 1j])
+    def test_lazy_path_at_irrational_speeds(self, lam):
+        # the series reads the closure of supp f, and a cycle one edge
+        # longer holds it, so both solve the same series within their tails
+        vel = VelocityProfile({1: math.sqrt(3), 3: math.pi / 2}, default=math.sqrt(2))
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({0: F(1), 1: F(2)}), SparseVector({1: F(-1)})])
+        lazy = resolvent_general(lazy_path(), vel, f, lam, grid=24)
+        n = len(lazy.state.edges) + 1
+        assert set(lazy.state.edges) == set(range(n - 1))
+        finite = resolvent_general(cycle(n), vel, f, lam, grid=24)
+        assert lazy.tail_bound <= 1e-12
+        assert lazy.state.distance(finite.state) <= lazy.tail_bound + finite.tail_bound
+
+    def test_lazy_tree_matches_a_finite_tree(self):
+        # a finite tree one level deeper than the closure, its leaves routed
+        # back to the root, agrees with the lazy tree on every column read
+        vel = VelocityProfile({0: math.sqrt(3), 2: math.pi / 2, 5: math.sqrt(5)},
+                              default=math.sqrt(2))
+        f = NetworkState([F(0), F(1, 4), F(1)],
+                         [SparseVector({0: F(2)}), SparseVector({1: F(1), 2: F(-1)})])
+        lazy_tree = MetricGraph.lazy(lambda j: [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))],
+                                     lambda j: ((j - 1) // 2, j))
+        for lam in (8.0, 12 - 3j):
+            lazy = resolvent_general(lazy_tree, vel, f, lam, grid=16)
+            finite = resolvent_general(rooted_tree((max(lazy.state.edges) + 1).bit_length() + 1),
+                                       vel, f, lam, grid=16)
+            assert lazy.tail_bound <= 1e-12
+            assert lazy.state.distance(finite.state) <= lazy.tail_bound + finite.tail_bound
+
+    def test_q_that_rounds_to_one_is_named(self):
+        # at Re(l) = 1e-300 every e^{-Re(l)/c_j} rounds to 1, on columns
+        # that sum to one
+        f = NetworkState.constant(SparseVector({1: F(1)}))
+        cases = [(g5(), g5_speeds(), "2"), (lazy_path(), VelocityProfile({}, default=F(3)), "3")]
+        for g, vel, c_max in cases:
+            with pytest.raises(ContractionViolationError,
+                               match=rf"q = 1 >= 1 at Re\(lambda\) = 1e-300 and c_max = {c_max}:"):
+                resolvent_general(g, vel, f, 1e-300, grid=8)
 
     def test_metadata_records_both_norms(self):
         g = g5()
@@ -466,19 +501,19 @@ class TestLaplaceOracle:
         # at listed speeds over a default, the path's forward cone up to
         # t_max = 32 stays short of 64 edges, so a 64-edge cycle holds it
         vel = VelocityProfile({1: F(2), 2: F(3), 4: F(1, 2)}, default=F(1))
-        cycle = MetricGraph.finite([(j, j, (j + 1) % 64) for j in range(64)],
-                                   {((j + 1) % 64, j): F(1) for j in range(64)})
+        ring = cycle(64)
         f = NetworkState([F(0), F(1, 3), F(1)],
                          [SparseVector({0: F(1)}), SparseVector({1: F(-2)})])
         for lam in (2.0, 1 + 1j):
             t_max = horizon(lam)
             lazy = laplace_oracle(build_adjacency(lazy_path(), vel), f, lam, t_max=t_max, grid=24)
             assert len(lazy.state.samples[0].support()) < 64
-            finite = laplace_oracle(build_adjacency(cycle, vel), f, lam, t_max=t_max, grid=24)
+            finite = laplace_oracle(build_adjacency(ring, vel), f, lam, t_max=t_max, grid=24)
             assert lazy.state.distance(finite.state) <= lazy.round_bound + finite.round_bound
-            rg = resolvent_general(cycle, vel, f, lam, grid=24)
             assert lazy.error_bound <= 1e-10
-            assert rg.state.distance(lazy.state) <= lazy.error_bound + rg.tail_bound
+            for g in (ring, lazy_path()):
+                rg = resolvent_general(g, vel, f, lam, grid=24)
+                assert rg.state.distance(lazy.state) <= lazy.error_bound + rg.tail_bound
 
     def test_independent_of_the_series(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -534,6 +569,15 @@ class TestIdentityCheck:
         assert reports[1].interior / reports[2].interior > 3.5
         assert all(r.trace < 1e-8 for r in reports)
 
+    def test_solves_at_the_given_speeds(self):
+        # without a result the check solves at vel, else at op.scaling
+        vel = g5_speeds()
+        op = build_adjacency(g5(), vel)
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({1: F(1), 4: F(2)}), SparseVector({3: F(-1)})])
+        assert resolvent_identity_check(op, f, 2.0, vel=vel).trace <= 1e-8
+        assert resolvent_identity_check(op, f, 2.0).trace <= 1e-8
+
     def test_breakpoint_spike_reported_separately(self):
         op = build_adjacency(g2())
         f = NetworkState(
@@ -547,6 +591,23 @@ class TestIdentityCheck:
 
 def lazy_path():
     return MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1), name="path")
+
+
+def cycle(n):
+    """The n-edge cycle 0 -> 1 -> ... -> n - 1 -> 0."""
+    return MetricGraph.finite([(j, j, (j + 1) % n) for j in range(n)],
+                              {((j + 1) % n, j): F(1) for j in range(n)})
+
+
+def rooted_tree(levels):
+    """The lazy binary tree's first `levels` levels of edges, edge j from
+    vertex (j - 1) // 2 to j, with each leaf routed back to edge 0."""
+    n = 2 ** levels - 1
+    leaves = range(n // 2, n)
+    edges = [(j, (j - 1) // 2, -1 if j in leaves else j) for j in range(n)]
+    weights = {(0, j): F(1) for j in leaves}
+    weights.update({(i, j): F(1, 2) for j in range(n // 2) for i in (2 * j + 1, 2 * j + 2)})
+    return MetricGraph.finite(edges, weights, name="tree")
 
 
 def substochastic(rng, g):
@@ -751,6 +812,9 @@ class TestOneSeries:
         f = NetworkState.constant(SparseVector({0: F(1)}))
         with pytest.raises(ContractionViolationError, match="stochastic"):
             resolvent_unit(build_adjacency(path), f, 2.0, grid=8)
+        with pytest.raises(ContractionViolationError, match="stochastic"):
+            resolvent_general(path, VelocityProfile({0: math.sqrt(3)}, default=math.pi), f, 2.0,
+                              grid=8)
 
     @pytest.mark.parametrize("shape", ["path", "tree"])
     def test_lazy_closure_holds_every_term(self, shape):
