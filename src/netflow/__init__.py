@@ -65,14 +65,9 @@ from .resolvent import (
 from .semigroup import (
     AbsorbingResult,
     AbsorptionProfile,
-    SubdivisionPlan,
-    common_multiplier,
     evolve_absorbing,
     evolve_rational,
     evolve_unit,
-    lift_state,
-    project_state,
-    subdivide,
 )
 from .states import (
     NetworkState,
@@ -109,7 +104,6 @@ __all__ = [
     "SampledState",
     "SparseVector",
     "StateFile",
-    "SubdivisionPlan",
     "TestFunction",
     "TruncationError",
     "ValidationReport",
@@ -118,13 +112,11 @@ __all__ = [
     "WrongOperatorError",
     "boundary_residual",
     "build_adjacency",
-    "common_multiplier",
     "emit_plotdata",
     "evolve_absorbing",
     "evolve_rational",
     "evolve_unit",
     "laplace_oracle",
-    "lift_state",
     "pair",
     "parse_graph_file",
     "parse_graph_text",
@@ -133,7 +125,6 @@ __all__ = [
     "parse_real",
     "parse_state_file",
     "parse_state_text",
-    "project_state",
     "rational_approx",
     "resolvent_convergence",
     "resolvent_general",
@@ -142,7 +133,6 @@ __all__ = [
     "run_suite",
     "sample",
     "semigroup_convergence",
-    "subdivide",
     "trace_samples",
     "trace_value",
     "validate_graph",

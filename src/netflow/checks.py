@@ -17,7 +17,6 @@ from fractions import Fraction
 from importlib import resources
 
 from .graph import (
-    AdjacencyOperator,
     MetricGraph,
     SparseVector,
     VelocityProfile,
@@ -25,7 +24,7 @@ from .graph import (
     validate_graph,
 )
 from .resolvent import laplace_oracle, resolvent_general, resolvent_identity_check, resolvent_unit
-from .semigroup import evolve_rational, evolve_unit, lift_state, project_state, subdivide
+from .semigroup import evolve_rational, evolve_unit
 from .states import NetworkState, TestFunction, pair, sample
 from .tracing import trace_samples
 
@@ -39,7 +38,7 @@ __all__ = [
     "run_suite",
 ]
 
-SUITES = ("graph", "states", "semigroup", "subdivision", "tracing", "resolvent", "fixtures")
+SUITES = ("graph", "states", "semigroup", "tracing", "resolvent", "fixtures")
 
 VELOCITY_POOL = (
     Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2),
@@ -235,47 +234,6 @@ def _cycle(n: int) -> MetricGraph:
                               {((j + 1) % n, j): Fraction(1) for j in range(n)})
 
 
-def _check_subdivision(seed, trials) -> CheckResult:
-    def body(rng, result, trial):
-        g = random_graph(rng, 8)
-        vel = random_velocities(rng, g)
-        plan = subdivide(g, vel)
-        f = random_state(rng, g, 6)
-        lifted = lift_state(plan, f)
-        if project_state(plan, lifted) != f:
-            result.failures.append(f"trial {trial}: lift/project roundtrip broke")
-        t = random_time(rng, 2)
-        if evolve_rational(g, vel, f, Fraction(0)) != f:
-            result.failures.append(f"trial {trial}: rational identity at t=0 broke")
-        evolved = evolve_unit(plan.operator, lifted, plan.c * t)
-        if plan.weighted_mass(evolved) != plan.weighted_mass(lifted):
-            result.failures.append(f"trial {trial}: weighted mass drifted at t={t}")
-        # the paper's subdivided unit flow is an independent exact oracle
-        if evolve_rational(g, vel, f, t) != project_state(plan, evolved):
-            result.failures.append(
-                f"trial {trial}: characteristics disagreed with subdivision at t={t}"
-            )
-        fp = random_state(rng, g, 4, nonneg=True)
-        if not evolve_rational(g, vel, fp, t).is_nonnegative():
-            result.failures.append(f"trial {trial}: rational positivity broke at t={t}")
-
-    # lazy propagation ride-along: cheap and structural, one shot
-    outcome = _run("subdivision", seed, trials, body)
-    g = _lazy_path()
-    op = AdjacencyOperator(g, None)
-    f = NetworkState.constant(SparseVector({0: Fraction(1)}))
-    out = evolve_unit(op, f, Fraction(5, 2))
-    if out.support() - {2, 3}:
-        outcome.failures.append(f"lazy path support leaked: {sorted(out.support(), key=repr)}")
-    # at listed speeds the path's forward cone at t = 7/3 ends at edge 4,
-    # so a 12-edge cycle carries the same flow
-    vel = VelocityProfile({1: Fraction(2), 2: Fraction(3), 4: Fraction(1, 2)}, default=Fraction(1))
-    t = Fraction(7, 3)
-    if evolve_rational(g, vel, f, t) != evolve_rational(_cycle(12), vel, f, t):
-        outcome.failures.append("listed-speed lazy path disagreed with a finite cycle")
-    return outcome
-
-
 def _check_tracing(seed, trials) -> CheckResult:
     def body(rng, result, trial):
         g = random_graph(rng, 6)
@@ -286,8 +244,26 @@ def _check_tracing(seed, trials) -> CheckResult:
         traced = trace_samples(g, vel, f, t, 32)
         if exact != traced:
             result.failures.append(f"trial {trial}: tracing disagreed with evolution at t={t}")
+        if evolve_rational(g, vel, f, Fraction(0)) != f:
+            result.failures.append(f"trial {trial}: rational identity at t=0 broke")
+        fp = random_state(rng, g, 4, nonneg=True)
+        if not evolve_rational(g, vel, fp, t).is_nonnegative():
+            result.failures.append(f"trial {trial}: rational positivity broke at t={t}")
 
-    return _run("tracing", seed, trials, body)
+    # lazy propagation ride-along: cheap and structural, one shot
+    outcome = _run("tracing", seed, trials, body)
+    g = _lazy_path()
+    f = NetworkState.constant(SparseVector({0: Fraction(1)}))
+    out = evolve_unit(build_adjacency(g), f, Fraction(5, 2))
+    if out.support() - {2, 3}:
+        outcome.failures.append(f"lazy path support leaked: {sorted(out.support(), key=repr)}")
+    # at listed speeds the path's forward cone at t = 7/3 ends at edge 4,
+    # so a 12-edge cycle carries the same flow
+    vel = VelocityProfile({1: Fraction(2), 2: Fraction(3), 4: Fraction(1, 2)}, default=Fraction(1))
+    t = Fraction(7, 3)
+    if evolve_rational(g, vel, f, t) != evolve_rational(_cycle(12), vel, f, t):
+        outcome.failures.append("listed-speed lazy path disagreed with a finite cycle")
+    return outcome
 
 
 def _check_resolvent(seed, trials) -> CheckResult:
@@ -350,7 +326,6 @@ _CHECKS = {
     "graph": (_check_graph, 40),
     "states": (_check_states, 40),
     "semigroup": (_check_semigroup, 50),
-    "subdivision": (_check_subdivision, 25),
     "tracing": (_check_tracing, 20),
     "resolvent": (_check_resolvent, 8),
     "fixtures": (_check_fixtures, 1),

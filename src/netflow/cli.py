@@ -41,7 +41,7 @@ from .errors import (
     WidthOverflowError,
     WrongOperatorError,
 )
-from .exact import parse_rational, parse_real
+from .exact import float_or_inf, parse_rational, parse_real
 from .fileio import (
     emit_plotdata,
     parse_graph_file,
@@ -126,7 +126,7 @@ def _parse_lambda(text: str) -> complex:
     parts = text.split(",")
     if len(parts) > 2:
         raise MalformedInputError(f"lambda takes re[,im], got {text!r}")
-    vals = [float(parse_real(part.strip(), "lambda")) for part in parts]
+    vals = [float_or_inf(parse_real(part.strip(), "lambda")) for part in parts]
     if not all(map(math.isfinite, vals)):
         raise MalformedInputError(f"lambda must be finite, got {text!r}")
     return complex(vals[0], vals[1] if len(vals) > 1 else 0.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -69,6 +70,14 @@ def is_rational(x) -> bool:
 def frac_part(x: Fraction) -> Fraction:
     """Fractional part in [0, 1)."""
     return x - (x.numerator // x.denominator)
+
+
+def float_or_inf(x) -> float:
+    """float(x), with a rational beyond float range read as a signed inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def to_float(x) -> float:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedInputError, NetflowError
-from .exact import parse_rational, parse_real, to_float
+from .exact import float_or_inf, parse_rational, parse_real, to_float
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState
 
@@ -130,7 +130,7 @@ def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
                 value = parse_real(parts[2], "velocity")
             except NetflowError as exc:
                 _fail(origin, lineno, str(exc))
-            if not 0 < value < math.inf:
+            if not 0 < float_or_inf(value) < math.inf:
                 _fail(origin, lineno, f"velocity must be positive and finite, got {parts[2]}")
             vels[eid] = value
         else:

@@ -29,7 +29,7 @@ from .errors import (
     MissingVelocityError,
     NotRationalError,
 )
-from .exact import as_exact, is_rational
+from .exact import as_exact, float_or_inf, is_rational
 
 __all__ = [
     "SparseVector",
@@ -336,7 +336,7 @@ class VelocityProfile:
         if not pool:
             raise MissingVelocityError("velocity profile is empty")
         for c in pool:
-            if not 0 < c < math.inf:
+            if not 0 < float_or_inf(c) < math.inf:
                 raise MalformedGraphError(f"velocity {c} is not positive and finite")
         self.c_min, self.c_max = min(pool), max(pool)
 

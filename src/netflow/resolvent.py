@@ -64,7 +64,7 @@ from .errors import (
 from .exact import as_exact, is_rational, to_float
 from .graph import AdjacencyOperator, MetricGraph, VelocityProfile
 from . import semigroup
-from .states import NetworkState, SampledState
+from .states import NetworkState, SampledState, grid_pieces
 
 __all__ = [
     "ResolventResult",
@@ -117,13 +117,6 @@ def _piece_values(f: NetworkState, edges: list, dtype) -> np.ndarray:
     return V
 
 
-def _grid_pieces(f: NetworkState, grid: int) -> np.ndarray:
-    """The piece of f each sample s = m / grid, m = 0..grid, lies in: piece
-    p when ceil(a_p grid) <= m < ceil(b_p grid), and s = 1 in the last."""
-    first = [-(-a.numerator * grid // a.denominator) for a in f.breakpoints[:-1]]
-    return np.repeat(np.arange(len(first)), np.diff(first + [grid + 1]))
-
-
 def _piece_integrals(f: NetworkState, edges: list, mu: np.ndarray, lam) -> tuple:
     """(V, G) on the rows `edges`: V[:, p] is f on piece p divided by l, and
     G[:, p] = (1/c_j) int_{a_p}^1 e^{mu_j (a_p - t)} f_j(t) dt is the local
@@ -144,7 +137,7 @@ def _sample(f: NetworkState, edges: list, mu: np.ndarray, V: np.ndarray,
     the per-edge exponent mu = l / c, f's piece integrals (V, G) and the
     head trace y = u(1)."""
     s = np.arange(grid + 1) / grid
-    piece = _grid_pieces(f, grid)
+    piece = np.array(grid_pieces(f.breakpoints, grid))
     right = np.array([float(b) for b in f.breakpoints[1:]])
     # u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, built
     # in u with one scratch buffer of the same size; b_p >= s and rounding
@@ -482,7 +475,7 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     r *= M / 2
     r *= c[:, None]
     r -= (lam.real if lam.imag == 0 else lam) * U[:, 1:M]
-    r += _piece_values(f, edges, float)[:, _grid_pieces(f, M)[1:M]]
+    r += _piece_values(f, edges, float)[:, grid_pieces(f.breakpoints, M)[1:M]]
     r = np.abs(r)
     interior = float(r[:, ~bad].max(initial=0.0))
     spike = float(r[:, bad].max(initial=0.0))

@@ -35,9 +35,9 @@ velocity-conjugated matrix (entries (c_j / c_i) w_ij), because that is
 what couples the traces of the original system; inserted vertices just
 pass values through with weight one.  The subdivided columns then no
 longer sum to one when speeds differ, which is expected: the conserved
-functional picks up the weights 1/ell_j (see weighted_mass below).  The
-subdivided unit flow is kept as an independent exact cross-check of
-evolve_rational.
+functional picks up the weights 1/ell_j (see weighted_mass below).  No
+product path runs this construction: it is not exported, and the tests
+use it as an independent exact oracle for evolve_rational.
 
 Absorption enters through a pointwise step-function rate q, and along a
 characteristic it only multiplies a parcel by exp of the exact rational
@@ -75,15 +75,10 @@ from .graph import (
     VelocityProfile,
     build_adjacency,
 )
-from .states import NetworkState, SampledState, sample
+from .states import NetworkState, SampledState, grid_pieces, sample
 
 __all__ = [
     "evolve_unit",
-    "common_multiplier",
-    "SubdivisionPlan",
-    "subdivide",
-    "lift_state",
-    "project_state",
     "evolve_rational",
     "AbsorptionProfile",
     "AbsorbingResult",
@@ -108,7 +103,8 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     computes the wrong dynamics, hence the hard error.  `t` must be an
     exact rational; floats raise PrecisionError rather than quietly
     contaminating the grid.  On a finite graph a state on an edge the
-    graph lacks raises MalformedGraphError, at any t.
+    graph lacks raises MalformedGraphError, at any t; a lazy graph must
+    hold its forward cone within MAX_STAGE_EDGES, as in evolve_rational.
     """
     if op.scaled:
         raise WrongOperatorError(
@@ -121,6 +117,13 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     if op.graph.is_finite:
         for j in f.support():
             op.graph.column(j)  # an edge the graph lacks raises MalformedGraphError
+    else:
+        _network(op.graph, VelocityProfile({}, default=1), f, t)
+    return _unit_flow(op, f, t)
+
+
+def _unit_flow(op: AdjacencyOperator, f: NetworkState, t: Fraction) -> NetworkState:
+    """T(t) f at unit speed, for exact t >= 0 and f on edges op's graph has."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -145,6 +148,9 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     return NetworkState(out_bps, out_vals)
 
 
+# The paper's subdivision, the tests' oracle for evolve_rational.  It stays
+# here while perfbench/tracer.py wraps subdivide, lift_state and
+# project_state by module path (ROADMAP item 1), then moves to tests/oracles.py.
 def common_multiplier(vel: VelocityProfile, edges: Sequence | None = None):
     """Smallest rational c with c / c_j a whole number for every edge.
 
@@ -521,7 +527,7 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     speed, rows = _network(g, vel, f, t)
     uniform = set(speed.values())
     if len(uniform) == 1:
-        return evolve_unit(build_adjacency(g), f, uniform.pop() * t)
+        return _unit_flow(build_adjacency(g), f, uniform.pop() * t)
     if t == 0 or not speed:
         return f
 
@@ -710,11 +716,10 @@ def evolve_absorbing(
                                   math.lcm(*(b.denominator for b in cuts)), drain, delay)
 
     columns, error_bound = [], 0.0
-    for m in range(grid + 1):
+    for m, lo in enumerate(grid_pieces(cuts, grid)):
         x = Fraction(m, grid)
         # the sample at 1 is a left limit, as in `sample`
         find = bisect.bisect_left if m == grid else bisect.bisect_right
-        lo = bisect.bisect_right(starts, x) - 1
         col, err = [], 0.0
         for j, c_j in speed.items():
             tick = T + D * x / c_j

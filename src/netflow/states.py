@@ -408,21 +408,24 @@ def pair(f, g):
     raise TypeError(f"cannot pair {type(f).__name__} with {type(g).__name__}")
 
 
+def grid_pieces(breakpoints: Sequence, grid: int) -> list:
+    """The piece each sample s = m / grid, m = 0..grid, lies in, right-open:
+    piece p, from a_p to b_p, holds the m with ceil(a_p grid) <= m <
+    ceil(b_p grid), and s = 1 lies in the last piece."""
+    out: list = []
+    for p, b in enumerate(breakpoints[1:]):
+        out += [p] * (-(-b.numerator * grid // b.denominator) - len(out))
+    return out + [len(breakpoints) - 2]
+
+
 def sample(f: NetworkState, M: int) -> SampledState:
     """Point samples on the uniform M-grid, right-open convention.
 
     The sample at 1 is the left trace, matching how a transported state
-    is about to leave the edge.
+    is about to leave the edge.  Every point of a piece holds the piece's
+    own vector object.
     """
     M = int(M)
     if M < 1:
         raise MalformedInputError(f"grid size must be >= 1, got {M}")
-    out = []
-    k = 0
-    bps = f.breakpoints
-    for m in range(M + 1):
-        s = Fraction(m, M)
-        while k + 1 < len(f.values) and bps[k + 1] <= s:
-            k += 1
-        out.append(f.values[k])
-    return SampledState(M, out)
+    return SampledState(M, [f.values[p] for p in grid_pieces(f.breakpoints, M)])

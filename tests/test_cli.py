@@ -337,8 +337,12 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("verb", [["resolvent", "--lambda", "2"],
-                                      ["approx", "--levels", "1,2", "--lambda", "2"]])
-    @pytest.mark.parametrize("speed", ["nan", "inf"])
+                                      ["approx", "--levels", "1,2", "--lambda", "2"],
+                                      ["simulate", "--t", "1"]])
+    # rationals whose floats overflow and round to 0 are refused too
+    @pytest.mark.parametrize("speed", ["nan", "inf",
+                                       pytest.param("1" + "0" * 400 + "/1", id="10^400"),
+                                       pytest.param("1/1" + "0" * 400, id="10^-400")])
     def test_non_finite_velocity(self, tmp_path, capsys, verb, speed):
         bad = tmp_path / "g5.graph"
         bad.write_text(fixture_path("g5.graph").read_text().replace("c 1 2\n", f"c 1 {speed}\n"))
@@ -347,7 +351,9 @@ class TestExitCodes:
         assert code == 3
         assert f"g5.graph:15: velocity must be positive and finite, got {speed}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["inf", "1,inf", "nan", "2,nan"])
+    @pytest.mark.parametrize("lam", ["inf", "1,inf", "nan", "2,nan",
+                                     pytest.param("1" + "0" * 400 + "/1", id="10^400"),
+                                     pytest.param("2,-1" + "0" * 400 + "/1", id="2,-10^400")])
     def test_non_finite_lambda(self, tmp_path, capsys, lam):
         code = main(["resolvent", "--graph", G5, "--state", MIXED, "--lambda", lam,
                      "--out", str(tmp_path)])

@@ -84,7 +84,9 @@ class TestGraphParsing:
         with pytest.raises(MalformedInputError):
             parse_graph_text(text)
 
-    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "Infinity",
+                                       pytest.param("1" + "0" * 400 + "/1", id="10^400"),
+                                       pytest.param("1/1" + "0" * 400, id="10^-400")])
     def test_non_finite_velocity_refused(self, speed):
         with pytest.raises(MalformedInputError,
                            match=f"bad.graph:6: velocity must be positive and finite, got {speed}"):

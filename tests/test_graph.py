@@ -295,7 +295,8 @@ class TestVelocityProfile:
         assert (vel.c_min, vel.c_max) == (F(1, 3), F(2))
 
     def test_nonpositive_rejected(self):
-        for c in (F(0), math.nan, math.inf, -math.inf):
+        # the last two are rationals whose floats overflow and round to 0
+        for c in (F(0), math.nan, math.inf, -math.inf, F(10**400), F(1, 10**400)):
             with pytest.raises(MalformedGraphError, match="positive and finite"):
                 VelocityProfile({1: F(1), 2: c})
             with pytest.raises(MalformedGraphError, match="positive and finite"):

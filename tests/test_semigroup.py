@@ -13,6 +13,7 @@ import oracles
 from netflow import (
     AbsorbingResult,
     AbsorptionProfile,
+    AdjacencyOperator,
     ApproximationSchedule,
     MalformedGraphError,
     MetricGraph,
@@ -24,17 +25,14 @@ from netflow import (
     WidthOverflowError,
     WrongOperatorError,
     build_adjacency,
-    common_multiplier,
     evolve_absorbing,
     evolve_rational,
     evolve_unit,
-    lift_state,
-    project_state,
     sample,
-    subdivide,
     trace_samples,
 )
 from netflow import checks, semigroup
+from netflow.semigroup import common_multiplier, lift_state, project_state, subdivide
 
 
 def g2():
@@ -818,17 +816,20 @@ class TestLazyCone:
         f = NetworkState.constant(SparseVector({0: F(1)}))
         q = AbsorptionProfile.zero()
         monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 30)
-        # by t = 1 the cone holds edges 0-4 and 9-10
+        # by t = 1 the cone holds edges 0-4 and 9-10, at unit speed 0-2
         assert evolve_rational(binary_tree(column), vel, f, F(1)).total_mass() == 1
         evolve_absorbing(binary_tree(column), vel, q, f, F(1), grid=4)
+        assert evolve_unit(build_adjacency(binary_tree(column)), f, F(1)).total_mass() == 1
 
-        def no_history(*_):
-            raise AssertionError("a history ran before the cone was refused")
+        def no_flow(*_):
+            raise AssertionError("the flow ran before the cone was refused")
 
-        monkeypatch.setattr(semigroup, "_histories", no_history)
+        monkeypatch.setattr(semigroup, "_histories", no_flow)
+        monkeypatch.setattr(AdjacencyOperator, "apply_stack", no_flow)
         for run in (
             lambda g: evolve_rational(g, vel, f, F(6)),
             lambda g: evolve_absorbing(g, vel, q, f, F(6), grid=4),
+            lambda g: evolve_unit(build_adjacency(g), f, F(6)),
         ):
             reads.clear()
             with pytest.raises(WidthOverflowError, match="forward cone") as err:
