@@ -355,7 +355,8 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     part: the clipped tick differences are exact, the exponent is rounded
     twice (moving E within (1 + u)^(2 ceil(|l| T) + 2)), exp (a real exp
     times a cosine or sine, each within the 4 ulps numpy's vectorised loops
-    allow) 17, v to float 1, E_a - E_b 1 relative to |E_a| + |E_b|, the
+    allow) 17, v to float 1 (v is an int pair, read by one correctly
+    rounded int division), E_a - E_b 1 relative to |E_a| + |E_b|, the
     product with v 1, the sum of n terms n - 1 and the product with
     1/l = conj(l) / |l|^2 at most 8.  So an edge errs by sqrt(2) gamma_K S
     at most, K = n + 2 ceil(|l| T) + 31, S = sum |v| (|E_a| + |E_b|) / |l|;
@@ -401,7 +402,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
         raise PrecisionError("the Laplace sum's time lattice exceeds 2^53 ticks")
     for k, j in enumerate(speed):
         starts, values = history[j]
-        v = np.array([float(x) for x in values])
+        v = np.array([n / d for n, d in values])
         ends = np.array(starts + [T + lag[j]], dtype=float) * grid
         # segment ends clipped to each window [sigma, sigma + T), less sigma
         dt = np.clip(ends[:, None] - np.arange(grid + 1) * float(lag[j]), 0, float(T * grid))

@@ -19,7 +19,12 @@ H_k is an exact step function of time: f_k(c_k s) until the initial
 profile has drained, the tail inflow delayed by 1/c_k afterwards.  The
 histories are extended together in stages of the shortest traversal
 time, so the cost follows the number of breakpoints in the answer, not
-the speeds' lcm.
+the speeds' lcm.  Times are integer ticks of one lattice, and exact
+values are (numerator, denominator) int pairs in lowest terms: a stage
+sums each inflow on ints over the lcm of the denominators it reads, and
+a gcd per value cancels what that lcm carried beyond the value's own
+denominator, so no value grows larger than the answer needs.  Fractions
+are built only for the answer's distinct values and breakpoints.
 
 Both exact verbs take their edges from _network: all of a finite graph,
 and on a lazy graph, at any speeds its profile lists over a default, the
@@ -67,7 +72,7 @@ from .errors import (
     WidthOverflowError,
     WrongOperatorError,
 )
-from .exact import as_exact, as_exact_time, frac_part
+from .exact import as_exact, as_exact_time, frac_part, is_rational
 from .graph import (
     AdjacencyOperator,
     MetricGraph,
@@ -373,11 +378,46 @@ def _window(starts: list, values: list, a, b) -> list:
     return out
 
 
-def _inflow(history: dict, feeders: list, a, b) -> list:
-    """Tail inflow sum_k coef_k H_k(s) on [a, b) as (start, value) segments."""
-    if not feeders:
+def _inflow(a, windows: list) -> list:
+    """Tail inflow sum_k (p_k / q_k) H_k on [a, b) as (start, value)
+    segments, from each feeder's coefficient and its window of H_k.
+
+    Values are (numerator, denominator) int pairs in lowest terms.  Every
+    term goes over the window's common denominator L, the sum changes only
+    where one term does, and one gcd per value cancels what L carried
+    beyond the answer's own denominator.
+    """
+    if len(windows) == 1:  # one feeder: no common denominator to find
+        p, q, win = windows[0]
+        out = []
+        for s, (n, d) in win:
+            n, d = p * n, q * d
+            g = math.gcd(n, d)
+            out.append((s, (n // g, d // g)))
+        return out
+    L = math.lcm(*{q * d for _, q, win in windows for _, (_, d) in win})
+    steps = {a: 0}
+    for p, q, win in windows:
+        last = 0
+        for s, (n, d) in win:
+            x = p * n * (L // (q * d))
+            steps[s] = steps.get(s, 0) + x - last
+            last = x
+    out, total = [], 0
+    for s in sorted(steps):
+        total += steps[s]
+        g = math.gcd(total, L)
+        out.append((s, (total // g, L // g)))
+    return out
+
+
+def _loose_inflow(a, windows: list) -> list:
+    """_inflow for values that are not exact rationals (floats, the
+    absorbing sums): sum_k coef_k H_k summed in the feeders' order at
+    every start of the window."""
+    if not windows:
         return [(a, 0)]
-    windows = [(coef, _window(*history[k], a, b)) for k, coef in feeders]
+    windows = [(Fraction(p, q), win) for p, q, win in windows]
     out = []
     at = [0] * len(windows)
     for s in sorted({s for _, win in windows for s, _ in win}):
@@ -408,10 +448,16 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction)
         return {j: vel.exact(j) for j in g.edge_ids}, g.feeders
     speed = {j: vel.exact(j) for j in sorted(f.support(), key=repr)}
     rows = {j: {} for j in speed}
+    # outflow times in ticks of 1/N, N the lcm of the profile's exact speed
+    # numerators, so every 1/c_j is a whole number of ticks; a tick is
+    # before t exactly when it is below ceil(t N)
+    N = math.lcm(*(Fraction(c).numerator for c in [*vel.values.values(), vel.default]
+                   if is_rational(c)))
+    end = -(-t.numerator * N // t.denominator)
     # edges pop in order of outflow time, so the first inflow an edge
     # sees is its earliest
-    heap = [(Fraction(0), n, j) for n, j in enumerate(speed)]
-    while heap and heap[0][0] < t:
+    heap = [(0, n, j) for n, j in enumerate(speed)]
+    while heap and heap[0][0] < end:
         out, _, j = heapq.heappop(heap)
         for i, w in g.column(j).items():
             if i not in speed:
@@ -419,13 +465,14 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction)
                     raise WidthOverflowError(
                         f"forward cone exceeds {MAX_STAGE_EDGES} edges", edges=(i,)
                     )
-                speed[i], rows[i] = vel.exact(i), {}
-                heapq.heappush(heap, (out + 1 / speed[i], len(speed), i))
+                c = speed[i] = vel.exact(i)
+                rows[i] = {}
+                heapq.heappush(heap, (out + N // c.numerator * c.denominator, len(speed), i))
             rows[i][j] = w
     return speed, rows.__getitem__
 
 
-def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
+def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, delay=None):
     """Head outflows H_j on [0, t + 1/c_j) of the edges in `speed`, in
     ticks of 1/D.  Edge j at x leaves the head at t + x/c_j, so H_j there
     is the answer at x, up to the rate picked up on the way.
@@ -434,11 +481,12 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     as (edge position, value) segments on [0, 1); `den` must be a multiple
     of every position's denominator.  After draining, H_j is the tail
     inflow sum_k (c_k / c_j) w_jk H_k over the feeders k in `rows(j)`
-    1/c_j earlier, passed through `delay(j, value)` when one is given.
-    All histories grow together in stages of the shortest traversal time,
-    each stage reading only what earlier stages built.  Returns
-    (history, D, T, lag): H_j as (start ticks, values), the ticks per time
-    unit, and t and every 1/c_j in ticks.
+    1/c_j earlier, summed by `combine` (_inflow on (n, d) pairs,
+    _loose_inflow on anything else) and passed through `delay(j, value)`
+    when one is given.  All histories grow together in stages of the
+    shortest traversal time, each stage reading only what earlier stages
+    built.  Returns (history, D, T, lag): H_j as (start ticks, values),
+    the ticks per time unit, and t and every 1/c_j in ticks.
     """
     ids = list(speed)
     # time runs in ticks of 1/D: every breakpoint, lag and stage end
@@ -457,16 +505,22 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
             edges=fastest,
         )
 
-    feeders = {j: [(k, speed[k] / c_j * w) for k, w in rows(j).items()]
-               for j, c_j in speed.items()}
+    # (c_k / c_j) w_jk = lag_j w_jk / lag_k as p / q in lowest terms
+    feeders = {}
+    for j in ids:
+        feeders[j] = []
+        for k, w in rows(j).items():
+            p, q = lag[j] * w.numerator, lag[k] * w.denominator
+            g = math.gcd(p, q)
+            feeders[j].append((k, p // g, q // g))
     # head outflow H_j: first edge j's own drain on [0, lag[j])
     history, size = {}, 0
-    for j, c_j in speed.items():
+    for j in ids:
         starts, values = history[j] = [], []
         for y, v in drain(j):
             if not values or v != values[-1]:
-                starts.append(y.numerator * (D // (y.denominator * c_j.numerator))
-                              * c_j.denominator)
+                # y / c_j in ticks: y's denominator divides den, and den divides lag[j]
+                starts.append(y.numerator * (lag[j] // y.denominator))
                 values.append(v)
         size += len(starts)
 
@@ -479,10 +533,12 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     while u < T:
         u = min(u + step, T)
         for j in ids:
-            if u < T and read[j] + lag[j] >= min(u + step, T):
+            a = read[j]
+            if u < T and a + lag[j] >= min(u + step, T):
                 continue
             starts, values = history[j]
-            for s, v in _inflow(history, feeders[j], read[j], u):
+            windows = [(p, q, _window(*history[k], a, u)) for k, p, q in feeders[j]]
+            for s, v in combine(a, windows):
                 if delay and v:
                     v = delay(j, v)
                 if v != values[-1]:
@@ -499,13 +555,30 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     return history, D, T, lag
 
 
+def _exact_values(f: NetworkState) -> bool:
+    return all(type(x) in (int, Fraction) for v in f.values for _, x in v.items())
+
+
 def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple:
     """_histories of the flow from f, with nothing picked up on the way:
-    edge j drains as f_j(c_j s)."""
-    support = f.support()
+    edge j drains as f_j(c_j s).
+
+    When f's values are exact rationals, so is every history value, held
+    as a (numerator, denominator) pair in lowest terms: _inflow sums a
+    window on ints over the lcm of the denominators it reads and cancels
+    that common factor again, so a value is never larger than the
+    Fraction it stands for.  Other values (floats) take _loose_inflow.
+    """
+    exact = _exact_values(f)
+    zero = (0, 1) if exact else 0
+    drains: dict = {}
+    for m, v in enumerate(f.values):
+        for j, x in v.items():
+            drains.setdefault(j, [zero] * len(f.values))[m] = (
+                (x.numerator, x.denominator) if exact else x)
     return _histories(speed, rows, t, math.lcm(*(b.denominator for b in f.breakpoints)),
-                      lambda j: zip(f.breakpoints, [v.get(j) for v in f.values])
-                      if j in support else [(0, 0)])
+                      lambda j: zip(f.breakpoints, drains.get(j, [zero])),
+                      _inflow if exact else _loose_inflow)
 
 
 def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
@@ -531,27 +604,42 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     if t == 0 or not speed:
         return f
 
-    history, D, T, lag = _flow_histories(speed, rows, f, t)
+    history, _, T, lag = _flow_histories(speed, rows, f, t)
+    rational = _Fractions() if _exact_values(f) else None
 
-    # H_j on [T, T + lag_j) is edge j at x = (s - T) c_j / D, collected as
-    # value changes keyed by position (histories hold no equal neighbours)
+    # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
+    # value changes keyed by x's numerator over P = lcm(lag) (histories
+    # hold no equal neighbours)
+    P = math.lcm(*lag.values())
     changes: dict = {}
-    for j, c_j in speed.items():
+    for j in speed:
+        scale = P // lag[j]
         for s, v in _window(*history[j], T, T + lag[j]):
-            x = Fraction((s - T) * c_j.numerator, D * c_j.denominator)
-            changes.setdefault(x, []).append((j, v))
+            v = v if rational is None else rational[v]
+            changes.setdefault((s - T) * scale, []).append((j, v))
 
-    bps = sorted(changes.keys() | {Fraction(0)})
+    del history  # the pieces below need only the changes
+    bps = sorted(changes.keys() | {0})
     current: dict = {}
     pieces = []
     for x in bps:
         for j, v in changes.get(x, ()):
-            if v == 0:
-                current.pop(j, None)
-            else:
+            if v:
                 current[j] = v
-        pieces.append(SparseVector(current))
-    return NetworkState(bps + [Fraction(1)], pieces)
+            else:
+                current.pop(j, None)
+        pieces.append(SparseVector._from_nonzero(dict(current)))
+    return NetworkState([Fraction(x, P) for x in bps] + [Fraction(1)], pieces)
+
+
+class _Fractions(dict):
+    """(n, d) -> Fraction(n, d), each distinct pair built once."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        self[key] = r = Fraction(*key)
+        return r
 
 
 class AbsorptionProfile:
@@ -712,8 +800,8 @@ def evolve_absorbing(
     def delay(j, v):
         return _ExpSum({(beta + (Q[j] - b) / speed[j], b): r for (beta, b), r in v.items()})
 
-    history, D, T, _ = _histories(speed, rows, t,
-                                  math.lcm(*(b.denominator for b in cuts)), drain, delay)
+    history, D, T, _ = _histories(speed, rows, t, math.lcm(*(b.denominator for b in cuts)),
+                                  drain, _loose_inflow, delay)
 
     columns, error_bound = [], 0.0
     for m, lo in enumerate(grid_pieces(cuts, grid)):

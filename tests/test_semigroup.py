@@ -1,6 +1,7 @@
 """Exact transport evolution: unit, rational along characteristics, subdivided, and absorbing."""
 
 import itertools
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -519,6 +520,62 @@ class TestCharacteristicsAgainstSubdivision:
         assert "52 stages" in str(err.value)
 
 
+G5_SPEEDS = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+
+
+def g5_mixed():
+    """The shipped g5_mixed state: signed values over three pieces."""
+    return NetworkState(
+        [F(0), F(1, 4), F(1, 2), F(1)],
+        [SparseVector({1: F(1), 2: F(1, 2)}), SparseVector({3: F(-1, 3)}),
+         SparseVector({5: F(2)})],
+    )
+
+
+def flow_histories(g, vel, f, t):
+    speed, rows = semigroup._network(g, vel, f, t)
+    return semigroup._flow_histories(speed, rows, f, t)[0]
+
+
+def assert_reduced_histories(g, vel, f, t):
+    """Every exact history value is a (n, d) pair in lowest terms, and no
+    two neighbours are equal: a sum left over its common denominator, or
+    a merge that missed an equal value, fails here even where the answer
+    would still come out equal."""
+    for starts, values in flow_histories(g, vel, f, t).values():
+        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in values)
+        assert all(a != b for a, b in zip(values, values[1:]))
+        assert starts == sorted(set(starts))
+
+
+class TestLongHorizons:
+    """Histories over hundreds of stages, where denominators grow with the
+    answer and signed sums cancel."""
+
+    @pytest.mark.parametrize("t", [F(60), F(200)])
+    def test_g5_fixture_speeds(self, t):
+        g, f = g5(), g5_mixed()
+        assert evolve_rational(g, G5_SPEEDS, f, t) == subdivided_flow(g, G5_SPEEDS, f, t)
+        assert_reduced_histories(g, G5_SPEEDS, f, t)
+
+    def test_random_graphs_signed(self):
+        rng = random.Random("long-horizon")
+        for trial in range(24):
+            g = checks.random_graph(rng, 8)
+            vel = checks.random_velocities(rng, g)
+            f = checks.random_state(rng, g, 5)
+            t = checks.random_time(rng, 40)
+            assert evolve_rational(g, vel, f, t) == subdivided_flow(g, vel, f, t), (trial, t)
+            assert_reduced_histories(g, vel, f, t)
+
+    def test_stationary_state(self):
+        # flux c_j f_j = 1 on both edges: every history is one segment
+        g, vel = g2(), VelocityProfile({1: F(1), 2: F(3)})
+        f = NetworkState.constant(SparseVector({1: F(1), 2: F(1, 3)}))
+        assert evolve_rational(g, vel, f, F(10_000)) == f
+        assert flow_histories(g, vel, f, F(10_000)) == {1: ([0], [(1, 1)]), 2: ([0], [(1, 3)])}
+
+
 class TestEvolveAbsorbing:
     def setup_g2(self):
         g = g2()
@@ -804,6 +861,15 @@ class TestLazyCone:
             reads.clear()
             evolve_absorbing(MetricGraph.lazy(column, lambda j: (j, j + 1)), vel, q, f, t, grid=8)
             assert reads == want
+
+    def test_outflow_between_the_last_tick_and_t(self):
+        # in ticks of 1/2 edge 2 outflows from tick 4, before t = 9/4 at 4.5
+        # ticks, so its feeder edge 3 is in the cone and carries mass
+        vel = VelocityProfile({0: F(2)}, default=F(1))
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        out = evolve_rational(lazy_path(), vel, f, F(9, 4))
+        assert out == evolve_rational(cycle(8), vel, f, F(9, 4))
+        assert max(out.support()) == 3
 
     def test_cone_cap(self, monkeypatch):
         reads = []
