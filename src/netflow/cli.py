@@ -16,6 +16,7 @@ can be diffed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -62,6 +63,7 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="netflow", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"netflow {__version__}")
@@ -78,7 +80,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
     sp.add_argument("--grid", type=int, default=256, help="output samples per edge")
     sp.add_argument("--log-steps", type=int, default=4, help="run-log entries after t=0")
-    sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("absorb", help="transport with absorption rates")
     common(sp)
@@ -86,7 +87,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
     sp.add_argument("--grid", type=int, default=128, help="output samples per edge")
     sp.add_argument("--log-steps", type=int, default=4, help="run-log entries after t=0")
-    sp.set_defaults(fn=_cmd_absorb)
 
     sp = sub.add_parser("resolvent", help="solve the stationary problem")
     common(sp)
@@ -94,7 +94,6 @@ def _build_parser() -> _Parser:
                     help="spectral parameter re[,im], each part rational or decimal")
     sp.add_argument("--tol", type=float, default=1e-12, help="series truncation tolerance")
     sp.add_argument("--grid", type=int, default=256, help="output samples per edge")
-    sp.set_defaults(fn=_cmd_resolvent)
 
     sp = sub.add_parser("approx", help="rational-velocity convergence tables")
     common(sp)
@@ -106,18 +105,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--test", action="append", default=[],
                     help="test-function state file for weak errors (repeatable)")
     sp.add_argument("--grid", type=int, default=512, help="sampling grid")
-    sp.set_defaults(fn=_cmd_approx)
 
     sp = sub.add_parser("check", help="run the randomized self-test suites")
     sp.add_argument("--suite", default="all", help="one of %s or all" % ", ".join(SUITES))
     sp.add_argument("--seed", type=int, default=7, help="suite RNG seed")
     sp.add_argument("--scale", type=float, default=1.0, help="trial count multiplier")
     sp.add_argument("--out", default="out", help="output directory (default: out)")
-    sp.set_defaults(fn=_cmd_check)
 
     sp = sub.add_parser("validate", help="lint a graph file")
     common(sp, state=False)
-    sp.set_defaults(fn=_cmd_validate)
 
     return p
 
@@ -155,7 +151,7 @@ def _is_unit(vel: VelocityProfile | None, g: MetricGraph) -> bool:
 def _metadata(args, **extra) -> dict:
     config = {}
     for key, value in sorted(vars(args).items()):
-        if key == "fn" or value is None:
+        if value is None:
             continue
         config[key] = value if isinstance(value, (int, float, bool, list)) else str(value)
     return {"version": __version__, "config": config, **extra}
@@ -378,7 +374,9 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        # looked up on each call: the cached parser holds no function, so a
+        # wrapped or patched `_cmd_*` is the one that runs
+        return globals()[f"_cmd_{args.verb}"](args)
     except (MalformedInputError, NotRationalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

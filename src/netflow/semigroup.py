@@ -51,7 +51,8 @@ absorbing head outflows: while edge j drains, its outflow is
 f_j(c_j s) exp((1/c_j) int_0^{c_j s} q_j), and crossing the whole edge
 multiplies by exp(Q_j / c_j), Q_j = int_0^1 q_j.  Every history value is
 a short sum of terms r exp(beta + b s) with r, beta and b exact, and
-floats enter only when the answer is read at the grid points.
+floats enter only when the answer is read at the grid points, on integer
+ticks, each exponent rounded to a float once, correctly, by int division.
 """
 
 from __future__ import annotations
@@ -713,10 +714,10 @@ class _ExpSum(dict):
         return _ExpSum({key: a * r for key, r in self.items()})
 
 
-def _float_sum(terms: _ExpSum, s: Fraction, shift: Fraction) -> tuple:
-    """sum of r exp(beta + shift + b s) over the terms in floating point,
-    and a proven bound on its error, barring underflow; an exp or
-    coefficient beyond the float range raises PrecisionError.
+def _float_sum(terms: list, m: int) -> tuple:
+    """sum of r exp(x) in floating point over the terms (r, n0, n1, den),
+    r a float and x = (n0 + m n1) / den, and a proven bound on its error,
+    barring underflow; an exp beyond the float range raises PrecisionError.
 
     In Higham's sense, with u = 2^-53, term i with exponent x_i is
     rounded at most k_i = 6 + ceil|x_i| times: r to float (1), x_i to
@@ -726,19 +727,22 @@ def _float_sum(terms: _ExpSum, s: Fraction, shift: Fraction) -> tuple:
     adds n - 1.  So the error is at most gamma_K sum_i |t_i| with
     K = max k_i + n - 1 and gamma_K = K u / (1 - K u).  Reporting
     gamma_2K times the computed sum of |t_i| also covers the rounding of
-    the computed |t_i|, of their sum and of the bound itself.
+    the computed |t_i|, of their sum and of the bound itself.  x_i is
+    rounded once, by int true division, which rounds correctly as
+    float(Fraction) does, and ceil|x_i| comes from the same ints.
     """
     value = size = 0.0
     k = 0
-    for (beta, b), r in terms.items():
-        x = beta + shift + b * s
+    for r, n0, n1, den in terms:
+        n = n0 + m * n1
         try:
-            term = float(r) * math.exp(float(x))
+            term = r * math.exp(n / den)
         except OverflowError:
-            raise PrecisionError(f"absorbed value overflows a float at exponent {x}") from None
+            raise PrecisionError(
+                f"absorbed value overflows a float at exponent {Fraction(n, den)}") from None
         value += term
         size += abs(term)
-        k = max(k, math.ceil(abs(x)))
+        k = max(k, -(-abs(n) // den))
     Ku = 2 * (k + 5 + len(terms)) * 2.0**-53
     return value, Ku / (1 - Ku) * size
 
@@ -760,11 +764,11 @@ def evolve_absorbing(
     exp((1/c_j) int_0^{c_j s} q_j), in windows cut at the breakpoints of
     f_j and q_j, and crossing it multiplies by exp(Q_j / c_j), where
     Q_j = int_0^1 q_j.  Edge j at x then reads H_j(t + x/c_j)
-    exp(-(1/c_j) int_0^x q_j).  The edges come from _network, as in
-    evolve_rational: a lazy graph runs on the forward cone of supp f.  A
-    finite graph refuses f or rates on an edge it lacks, at every t.
-    Velocities must be exact rationals, even at t = 0, when the input is
-    returned sampled, with bound zero.
+    exp(-(1/c_j) int_0^x q_j) (see _absorbing_read).  The edges come
+    from _network, as in evolve_rational: a lazy graph runs on the
+    forward cone of supp f.  A finite graph refuses f or rates on an edge
+    it lacks, at every t.  Velocities must be exact rationals, even at
+    t = 0, when the input is returned sampled, with bound zero.
     """
     t = as_exact_time(t, "evolution time")
     if t < 0:
@@ -802,24 +806,47 @@ def evolve_absorbing(
 
     history, D, T, _ = _histories(speed, rows, t, math.lcm(*(b.denominator for b in cuts)),
                                   drain, _loose_inflow, delay)
+    array, error_bound = _absorbing_read(speed, grid, cuts, profile, history, D, T)
+    return AbsorbingResult(SampledState.from_array(speed, array), error_bound)
 
-    columns, error_bound = [], 0.0
-    for m, lo in enumerate(grid_pieces(cuts, grid)):
-        x = Fraction(m, grid)
-        # the sample at 1 is a left limit, as in `sample`
-        find = bisect.bisect_left if m == grid else bisect.bisect_right
-        col, err = [], 0.0
-        for j, c_j in speed.items():
-            tick = T + D * x / c_j
-            starts_j, values = history[j]
-            h = values[find(starts_j, tick) - 1]
-            if h:
-                _, b, area = profile[j][lo]
-                value, e = _float_sum(h, tick / D, -(area + b * (x - starts[lo])) / c_j)
-                col.append(value)
-                err += e
-            else:
-                col.append(0.0)
+
+def _absorbing_read(speed: Mapping, grid: int, cuts: list, profile: dict, history: dict,
+                    D: int, T: int) -> tuple:
+    """(edges x (grid + 1) array, error bound) of H_j(t + x/c_j)
+    exp(-(1/c_j) int_0^x q_j) at x = m / grid, read on integer ticks: the
+    floor of T + m D/(grid c_j) finds H_j's segment (H_j stops short of
+    x = 1, a left limit, as in `sample`), and on one segment and piece
+    [a, b) of `cuts`, with rate b_q and area int_0^a q_j, each term's
+    exponent beta + b T/D + (b_q a - area)/c_j + m (b - b_q)/(grid c_j) is
+    affine in m.  Points add terms in the history's order, the bound adds
+    the edges' in `speed` order."""
+    pieces = grid_pieces(cuts, grid)
+    columns, errors = [], [0.0] * (grid + 1)
+    for j, c in speed.items():
+        starts, values = history[j]
+        step, over = D * c.denominator, grid * c.numerator
+        at = [bisect.bisect_right(starts, T + m * step // over) - 1 for m in range(grid + 1)]
+        col, read = [0.0] * (grid + 1), {}
+        for m, (k, lo) in enumerate(zip(at, pieces)):
+            if not values[k]:
+                continue
+            terms = read.get((k, lo))
+            if terms is None:
+                _, bq, area = profile[j][lo]
+                p0 = (bq * cuts[lo] - area) / c
+                terms = read[k, lo] = []
+                for (beta, b), r in values[k].items():
+                    try:
+                        r = float(r)
+                    except OverflowError:
+                        bits = r.numerator.bit_length() - r.denominator.bit_length()
+                        raise PrecisionError("absorbed value overflows a float: coefficient "
+                                             f"of about 2^{bits} on edge {j!r}") from None
+                    a0 = beta + Fraction(b * T, D) + p0
+                    a1 = (b - bq) / (grid * c)
+                    den = math.lcm(a0.denominator, a1.denominator)
+                    terms.append((r, int(a0 * den), int(a1 * den), den))
+            col[m], e = _float_sum(terms, m)
+            errors[m] += e
         columns.append(col)
-        error_bound = max(error_bound, err)
-    return AbsorbingResult(SampledState.from_array(speed, np.array(columns).T), error_bound)
+    return np.array(columns), max([0.0, *errors])

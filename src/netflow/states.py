@@ -275,7 +275,8 @@ class SampledState:
     def totals(self) -> list:
         """The signed sum of the entries at each grid point."""
         if self.array is None:
-            return [v.total() for v in self._samples]
+            total = {id(v): v.total() for v in {id(v): v for v in self._samples}.values()}
+            return [total[id(v)] for v in self._samples]
         return _column_sums(self.array).tolist()
 
     def support(self) -> set:
@@ -289,7 +290,8 @@ class SampledState:
     def sup_sample_norm(self):
         if self.array is not None:
             return float(_column_sums(_abs(self.array)).max())
-        return max(v.l1() for v in self.samples)
+        # each vector object once (`sample` repeats one per piece); repeats never move a max
+        return max(v.l1() for v in {id(v): v for v in self.samples}.values())
 
     def distance(self, other: "SampledState"):
         """Sup over the grid of the l1 distance; grids must match."""

@@ -8,6 +8,7 @@ dumb and slow; clarity beats speed.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from decimal import Decimal, localcontext
@@ -288,6 +289,53 @@ def characteristic_absorb(g, vel, q_state, f, t: Fraction, grid: int) -> list:
                 values[edge] = total
             out.append(values)
     return out
+
+
+def absorbing_read(speed, grid, cuts, profile, history, D, T) -> tuple:
+    """evolve_absorbing's read of its head outflows, one grid point at a
+    time in Fractions, on the arguments evolve_absorbing hands to
+    semigroup._absorbing_read: the edges' speeds, the grid, the common
+    breakpoints of f and q, the rate profile, the histories, D and T.
+
+    Edge j at x = m/grid reads H_j at the Fraction tick T + D x / c_j,
+    bisected among the history starts (from the left at x = 1, a left
+    limit), and sums each term r exp(beta + shift + b s) of it, its
+    exponent formed in Fractions and converted by float().  The error
+    bound is _float_sum's, over the edges in `speed` order.  Returns the
+    edges x (grid + 1) array and the largest bound over the grid."""
+    def float_sum(terms, s, shift):
+        value = size = 0.0
+        k = 0
+        for (beta, b), r in terms.items():
+            x = beta + shift + b * s
+            term = float(r) * math.exp(float(x))
+            value += term
+            size += abs(term)
+            k = max(k, math.ceil(abs(x)))
+        Ku = 2 * (k + 5 + len(terms)) * 2.0**-53
+        return value, Ku / (1 - Ku) * size
+
+    starts = cuts[:-1]
+    columns, error_bound = [], 0.0
+    for m in range(grid + 1):
+        x = Fraction(m, grid)
+        lo = min(bisect.bisect_right(cuts, x), len(cuts) - 1) - 1
+        find = bisect.bisect_left if m == grid else bisect.bisect_right
+        col, err = [], 0.0
+        for j, c_j in speed.items():
+            tick = T + D * x / c_j
+            starts_j, values = history[j]
+            h = values[find(starts_j, tick) - 1]
+            if h:
+                _, b, area = profile[j][lo]
+                value, e = float_sum(h, tick / D, -(area + b * (x - starts[lo])) / c_j)
+                col.append(value)
+                err += e
+            else:
+                col.append(0.0)
+        columns.append(col)
+        error_bound = max(error_bound, err)
+    return np.array(columns).T, error_bound
 
 
 def laplace_paths(g, vel, f, lam: float, T: Fraction, grid: int) -> list:

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
-
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +21,11 @@ from netflow import (
     parse_state_file,
     resolvent_general,
 )
+from netflow import cli
 from netflow.checks import fixture_path
 from netflow.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 G2 = str(fixture_path("g2.graph"))
 G5 = str(fixture_path("g5.graph"))
@@ -165,6 +171,34 @@ class TestAbsorb:
         assert 0 < meta["error_bound"] < 1e-13
         assert "tail_bound" not in meta and "quad_bound" not in meta
         assert (tmp_path / "absorb.csv").exists()
+
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        # main builds its parser once per process: a flag given to one run
+        # must not leak into the next, so the second run takes grid 128
+        artefacts = ("absorb.csv", "absorb.log.jsonl", "absorb.meta.json")
+        runs = [["--grid", "16"], []]
+        argvs = [["absorb", "--graph", G2, "--state", PULSE, "--rates", RATES,
+                  "--t", "1/2", *extra, "--out", str(tmp_path / str(k))]
+                 for k, extra in enumerate(runs)]
+        fresh = []
+        for k, argv in enumerate(argvs):
+            done = subprocess.run([sys.executable, "-m", "netflow.cli", *argv],
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            fresh.append({name: (tmp_path / str(k) / name).read_bytes() for name in artefacts})
+        for k, argv in enumerate(argvs):
+            assert main(argv) == 0
+            for name in artefacts:
+                assert (tmp_path / str(k) / name).read_bytes() == fresh[k][name], (k, name)
+        meta = json.loads(fresh[1]["absorb.meta.json"])
+        assert meta["config"]["grid"] == 128
+        assert len(fresh[1]["absorb.csv"].splitlines()) == 1 + 129
+        # the verb's function is looked up on each call, not kept by the parser
+        grids = []
+        monkeypatch.setattr(cli, "_cmd_absorb", lambda args: grids.append(args.grid) or 0)
+        assert main(argvs[0]) == 0 and grids == [16]
 
 
 @pytest.mark.parametrize("verb", ["simulate", "absorb"])

@@ -6,6 +6,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -576,6 +577,18 @@ class TestLongHorizons:
         assert flow_histories(g, vel, f, F(10_000)) == {1: ([0], [(1, 1)]), 2: ([0], [(1, 3)])}
 
 
+def random_absorbing_case(seed):
+    """(g, vel, rates state, f, t) on a random 5-vertex graph at mixed speeds."""
+    rng = random.Random(f"absorb-bound:{seed}")
+    vel = None
+    while vel is None or len(set(vel.values.values())) == 1:
+        g = checks.random_graph(rng, 5)
+        vel = checks.random_velocities(rng, g)
+    f = checks.random_state(rng, g, 4)
+    q_state = checks.random_state(rng, g, 3)
+    return g, vel, q_state, f, F(rng.randint(1, 72), 24)
+
+
 class TestEvolveAbsorbing:
     def setup_g2(self):
         g = g2()
@@ -649,6 +662,13 @@ class TestEvolveAbsorbing:
         q = AbsorptionProfile.constant({1: F(400), 2: F(400)})
         with pytest.raises(PrecisionError):
             evolve_absorbing(g, vel, q, f, F(2), grid=4)
+
+    def test_coefficient_overflow_names_the_coefficient(self):
+        g, vel, _ = self.setup_g2()
+        f = NetworkState.constant(SparseVector({1: F(10**400)}))
+        q = AbsorptionProfile.constant({1: F(1)})
+        with pytest.raises(PrecisionError, match=r"coefficient of about 2\^1328 on edge 1$"):
+            evolve_absorbing(g, vel, q, f, F(1, 2), grid=4)
 
     def test_float_rates_are_refused(self):
         with pytest.raises(NotRationalError):
@@ -748,14 +768,7 @@ class TestEvolveAbsorbing:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_error_bound_holds_against_characteristics(self, seed):
-        rng = random.Random(f"absorb-bound:{seed}")
-        vel = None
-        while vel is None or len(set(vel.values.values())) == 1:
-            g = checks.random_graph(rng, 5)
-            vel = checks.random_velocities(rng, g)
-        f = checks.random_state(rng, g, 4)
-        q_state = checks.random_state(rng, g, 3)
-        t = F(rng.randint(1, 72), 24)
+        g, vel, q_state, f, t = random_absorbing_case(seed)
         res = evolve_absorbing(g, vel, rates_of(q_state), f, t, grid=16)
         ref = oracles.characteristic_absorb(g, vel, q_state, f, t, 16)
         actual = max(
@@ -769,6 +782,31 @@ class TestEvolveAbsorbing:
 PATH_SPEEDS = {1: F(2), 2: F(3), 4: F(1, 2), 5: F(5, 2)}
 # the binary tree: edge j splits evenly into edges 2j+1 and 2j+2
 TREE_SPEEDS = (F(3, 2), F(2), F(1, 2))
+
+
+def path_case():
+    """(f, q) on the lazy path's first edges."""
+    f = NetworkState(
+        [F(0), F(1, 4), F(2, 3), F(1)],
+        [SparseVector({0: F(1), 2: F(-1, 2)}), SparseVector({1: F(3)}),
+         SparseVector({0: F(5), 1: F(1, 7)})],
+    )
+    q = AbsorptionProfile(
+        {j: ([F(0), F(1, 3), F(1)], [F(j % 3 - 1, 2), F(1, 4)]) for j in range(40)}
+    )
+    return f, q
+
+
+def tree_case():
+    """(vel, f, q) on the binary tree, speeds by j mod 3 listed to depth 7."""
+    vel = VelocityProfile({j: TREE_SPEEDS[j % 3] for j in range(2**8 - 1)}, default=F(1))
+    f = NetworkState(
+        [F(0), F(1, 3), F(3, 4), F(1)],
+        [SparseVector({0: F(2), 2: F(1, 5)}), SparseVector({1: F(-1, 3)}),
+         SparseVector({0: F(1), 1: F(4), 2: F(3, 2)})],
+    )
+    q = AbsorptionProfile.constant({j: F(j % 4 - 1, 3) for j in range(63)})
+    return vel, f, q
 
 
 def binary_tree(column=None):
@@ -796,14 +834,7 @@ class TestLazyCone:
     @pytest.mark.parametrize("t", [F(0), F(1, 3), F(7, 3), F(6)])
     def test_listed_speeds_path_equals_a_long_cycle(self, t):
         # by t = 6 the cone reaches edge 8; the 40-edge cycle never wraps
-        f = NetworkState(
-            [F(0), F(1, 4), F(2, 3), F(1)],
-            [SparseVector({0: F(1), 2: F(-1, 2)}), SparseVector({1: F(3)}),
-             SparseVector({0: F(5), 1: F(1, 7)})],
-        )
-        q = AbsorptionProfile(
-            {j: ([F(0), F(1, 3), F(1)], [F(j % 3 - 1, 2), F(1, 4)]) for j in range(40)}
-        )
+        f, q = path_case()
         vel = VelocityProfile(PATH_SPEEDS, default=F(1))
         out = evolve_rational(lazy_path(), vel, f, t)
         assert out == evolve_rational(cycle(40), vel, f, t)
@@ -818,15 +849,10 @@ class TestLazyCone:
         assert evolve_absorbing(lazy_path(), vel, q, zero, t, grid=4).state == sample(zero, 4)
 
     def test_binary_tree_equals_a_finite_truncation(self):
-        # speeds by j mod 3, listed to depth 7; by t = 2 the cone reaches
-        # depth 5 (edges 31-62), so depth 7 leaves a margin of two
-        vel = VelocityProfile({j: TREE_SPEEDS[j % 3] for j in range(2**8 - 1)}, default=F(1))
+        # by t = 2 the cone reaches depth 5 (edges 31-62), so the truncation
+        # at depth 7 leaves a margin of two
+        vel, f, q = tree_case()
         truncation = tree_truncation(7)
-        f = NetworkState(
-            [F(0), F(1, 3), F(3, 4), F(1)],
-            [SparseVector({0: F(2), 2: F(1, 5)}), SparseVector({1: F(-1, 3)}),
-             SparseVector({0: F(1), 1: F(4), 2: F(3, 2)})],
-        )
         t = F(2)
         out = evolve_rational(binary_tree(), vel, f, t)
         assert out == evolve_rational(truncation, vel, f, t)
@@ -834,7 +860,6 @@ class TestLazyCone:
         assert 31 <= max(out.support()) <= 62
         # the samples agree exactly; the bound adds the same per-edge bounds
         # in the cone's order instead of by edge id
-        q = AbsorptionProfile.constant({j: F(j % 4 - 1, 3) for j in range(63)})
         lazy = evolve_absorbing(binary_tree(), vel, q, f, t, grid=16)
         finite = evolve_absorbing(truncation, vel, q, f, t, grid=16)
         assert lazy.state == finite.state
@@ -916,3 +941,76 @@ class TestLazyCone:
             # rates on the stray edge, under a state the graph carries
             with pytest.raises(MalformedGraphError, match="unknown edge 99"):
                 evolve_absorbing(g2(), vel, AbsorptionProfile.constant({99: F(-5)}), pulse_e1(), t)
+
+
+class TestIntegerTickRead:
+    """evolve_absorbing reads its head outflows on integer ticks and
+    affine integer exponents; the Fraction read of oracles.absorbing_read,
+    one grid point at a time, gives the same floats and the same bound."""
+
+    @pytest.fixture(autouse=True)
+    def keep_reads(self, monkeypatch):
+        """Keeps the arguments of every _absorbing_read call."""
+        self.reads = []
+        read = semigroup._absorbing_read
+
+        def spy(*args):
+            self.reads.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(semigroup, "_absorbing_read", spy)
+
+    def assert_same_as_fraction_read(self, g, vel, q, f, t, grid):
+        res = evolve_absorbing(g, vel, q, f, t, grid=grid)
+        (args,) = self.reads
+        self.reads.clear()
+        array, bound = oracles.absorbing_read(*args)
+        assert res.state.edges == tuple(args[0])
+        got = res.state.array
+        assert np.array_equal(got, array) and np.array_equal(np.signbit(got), np.signbit(array))
+        assert res.error_bound == bound
+        return res
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_graphs(self, seed):
+        g, vel, q_state, f, t = random_absorbing_case(seed)
+        self.assert_same_as_fraction_read(g, vel, rates_of(q_state), f, t, 16)
+
+    @pytest.mark.parametrize("t", [F(1, 3), F(7, 3), F(6)])
+    def test_lazy_path(self, t):
+        f, q = path_case()
+        vel = VelocityProfile(PATH_SPEEDS, default=F(1))
+        self.assert_same_as_fraction_read(lazy_path(), vel, q, f, t, 24)
+
+    def test_lazy_binary_tree(self):
+        vel, f, q = tree_case()
+        self.assert_same_as_fraction_read(binary_tree(), vel, q, f, F(2), 16)
+
+    @pytest.mark.parametrize("t", [F(1, 2), F(7, 4), F(13, 5)])
+    def test_grid_one(self, t):
+        g = g5()
+        vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+        f = random_state(random.Random(7), (1, 2, 3, 4, 5), pieces=5)
+        q = AbsorptionProfile.constant({1: F(1, 2), 3: F(-1, 4)})
+        self.assert_same_as_fraction_read(g, vel, q, f, t, 1)
+
+    def test_exponent_a_hair_above_an_integer(self):
+        # every exponent is 1 + 2^-60, which rounds to 1.0 but has ceil 2
+        q0 = F(2**60 + 1, 2**60)
+        q = AbsorptionProfile.constant({1: q0, 2: q0})
+        f = NetworkState.constant(SparseVector({1: F(1), 2: F(1)}))
+        res = self.assert_same_as_fraction_read(g2(), VelocityProfile({1: F(1), 2: F(1)}),
+                                                q, f, F(1), 4)
+        Ku = 2 * (2 + 5 + 1) * 2.0**-53
+        assert res.error_bound == 2 * Ku / (1 - Ku) * math.exp(1.0)
+
+    def test_left_limit_on_a_history_breakpoint(self):
+        # edge 2's tail inflow, H_1, drops to zero at time 1/2, so H_2 drops
+        # at 1/2 + 1, exactly the tick of x = 1 at t = 1/2: the sample at 1
+        # is the left limit, the pulse, and not the zero after it
+        g = g2()
+        vel = VelocityProfile({1: F(1), 2: F(1)})
+        f = NetworkState([F(0), F(1, 2), F(1)], [SparseVector({1: F(1)}), SparseVector()])
+        q = AbsorptionProfile.constant({1: F(1, 4), 2: F(-1, 3)})
+        res = self.assert_same_as_fraction_read(g, vel, q, f, F(1, 2), 8)
+        assert res.state.point(8).get(2) == pytest.approx(math.exp(1 / 8))

@@ -221,6 +221,25 @@ class TestSampling:
             want = f.value_at(F(m, 37)) if m < 37 else f.value_at(F(1), side="left")
             assert s.samples[m] == want
 
+    def test_row_norms_compute_each_vector_once(self, monkeypatch):
+        rng = random.Random(9)
+        states = [NetworkState.zero()]
+        states += [random_state(rng, rng.sample(range(6), rng.randint(1, 6))) for _ in range(20)]
+        for f in states:
+            s = sample(f, rng.choice([1, 5, 37, 128]))
+            assert s.totals() == [v.total() for v in s.samples]
+            assert s.sup_sample_norm() == max(v.l1() for v in s.samples)
+
+        calls = []
+        for name in ("l1", "total"):
+            def counted(v, fn=getattr(SparseVector, name)):
+                calls.append(v)
+                return fn(v)
+            monkeypatch.setattr(SparseVector, name, counted)
+        s = sample(random_state(rng), 128)
+        s.totals(), s.sup_sample_norm()
+        assert len(calls) == 2 * len({id(v) for v in s.samples}) < len(s.samples)
+
     def test_distance_is_max_l1(self):
         a = SampledState(2, [SparseVector({1: F(1)})] * 3)
         b = SampledState(2, [SparseVector({1: F(1)}), SparseVector({2: F(1)}), SparseVector({})])
@@ -236,8 +255,8 @@ class TestSampling:
 def random_array_state(rng, edges, grid, complex_values=False):
     """Values over many magnitudes, so the order of a sum shows in its last
     bits, with about a third of them exact zeros (and some -0.0).  Every
-    other array is in column-major order, as evolve_absorbing builds its
-    array, where a numpy sum over the edges would add pairwise."""
+    other array is in column-major order, which from_array keeps as it
+    is, and where a numpy sum over the edges would add pairwise."""
     def value():
         r = rng.random()
         if r < 0.3:
