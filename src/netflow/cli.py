@@ -20,6 +20,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from ._version import __version__
@@ -168,9 +169,12 @@ def _log_times(t: Fraction, steps: int) -> list:
 
 
 def _sampled_mass(st) -> float:
-    # trapezoid analog of the signed-integral mass on the sample grid
+    # trapezoid analog of the signed-integral mass on the sample grid; an
+    # exact (row) state repeats one total per piece, summed once per run
     totals = st.totals()
-    total = sum(totals) - (totals[0] + totals[-1]) / 2
+    total = (sum(totals) if st.array is not None
+             else sum(x * len(list(run)) for x, run in groupby(totals)))
+    total -= (totals[0] + totals[-1]) / 2
     return float(total) / st.grid_size
 
 

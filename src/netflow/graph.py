@@ -355,7 +355,7 @@ class VelocityProfile:
         c = self.velocity(j)
         if not is_rational(c):
             raise NotRationalError(f"velocity of edge {j!r} is not an exact rational: {c!r}")
-        return Fraction(c)
+        return c if type(c) is Fraction else Fraction(c)  # Fractions are immutable: no copy
 
     def items(self):
         return self.values.items()

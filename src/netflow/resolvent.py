@@ -25,8 +25,10 @@ closure of supp f, as many applications of B deep as the tolerance can
 need; it must be stochastic, since only then do the columns the closure
 leaves unread sum to one, and its q and c_min come from the profile.
 
-The sampler writes the closed form into one edges x (grid + 1) float or
-complex array, which the result's SampledState keeps as its array form:
+The exponents depend on an edge only through mu_j, so the sampler takes
+each exponential once per distinct mu and gathers the rows per edge; it
+writes the closed form into one edges x (grid + 1) float or complex
+array, which the result's SampledState keeps as its array form:
 distances, norms, the CSV writer and resolvent_identity_check read it,
 and `samples` builds per-point vectors only when something asks.
 
@@ -121,13 +123,17 @@ def _piece_integrals(f: NetworkState, edges: list, mu: np.ndarray, lam) -> tuple
     """(V, G) on the rows `edges`: V[:, p] is f on piece p divided by l, and
     G[:, p] = (1/c_j) int_{a_p}^1 e^{mu_j (a_p - t)} f_j(t) dt is the local
     integral at the piece's left end a_p (G[:, P] = 0 at s = 1).  G[:, 0]
-    is the boundary moment d."""
+    is the boundary moment d.  Each e^{-mu w_p}, w_p the piece's width, is
+    taken once per distinct mu and gathered per edge."""
     V = _piece_values(f, edges, mu.dtype)
     V /= lam
     G = np.zeros((len(edges), len(f.values) + 1), dtype=mu.dtype)
+    mus, row = np.unique(mu, return_inverse=True)
+    widths = [float(b - a) for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+    x = np.multiply.outer(-mus, widths).T.copy()  # row p: exponents on piece p
+    ex, em = np.exp(x), np.expm1(x, out=x)
     for p in reversed(range(len(f.values))):
-        x = -mu * float(f.breakpoints[p + 1] - f.breakpoints[p])
-        G[:, p] = np.exp(x) * G[:, p + 1] - np.expm1(x) * V[:, p]
+        G[:, p] = ex[p][row] * G[:, p + 1] - em[p][row] * V[:, p]
     return V, G
 
 
@@ -135,21 +141,25 @@ def _sample(f: NetworkState, edges: list, mu: np.ndarray, V: np.ndarray,
             G: np.ndarray, y: np.ndarray, grid: int) -> SampledState:
     """The closed form u_j(m / grid), m = 0..grid, on the rows `edges`, from
     the per-edge exponent mu = l / c, f's piece integrals (V, G) and the
-    head trace y = u(1)."""
+    head trace y = u(1).  Each exponential table is taken once per distinct
+    mu and its rows gathered per edge, so equal speeds give equal bits."""
     s = np.arange(grid + 1) / grid
     piece = np.array(grid_pieces(f.breakpoints, grid))
     right = np.array([float(b) for b in f.breakpoints[1:]])
     # u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, built
     # in u with one scratch buffer of the same size; b_p >= s and rounding
-    # is monotone, so the float b_p - s is never negative
+    # is monotone, so the float b_p - s is never negative.  take's "clip"
+    # gathers straight into buf ("raise" copies); every index is in range
     u = (G[:, 1:] - V)[:, piece]
-    buf = np.multiply.outer(-mu, right[piece] - s)
-    u *= np.exp(buf, out=buf)
-    np.multiply.outer(-mu, 1 - s, out=buf)
-    np.exp(buf, out=buf)
+    buf = np.empty_like(u)
+    mus, row = np.unique(mu, return_inverse=True)
+    table = np.multiply.outer(-mus, right[piece] - s)
+    u *= np.take(np.exp(table, out=table), row, axis=0, out=buf, mode="clip")
+    np.multiply.outer(-mus, 1 - s, out=table)
+    np.take(np.exp(table, out=table), row, axis=0, out=buf, mode="clip")
     buf *= y[:, None]
     u += buf
-    u += np.take(V, piece, axis=1, out=buf)
+    u += np.take(V, piece, axis=1, out=buf, mode="clip")
     return SampledState.from_array(edges, u)
 
 

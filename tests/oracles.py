@@ -132,6 +132,38 @@ def resolvent_closed_form(f, speed, lam, y: dict, grid: int) -> list:
     return out
 
 
+def per_edge_piece_integrals(f, edges: list, mu: np.ndarray, lam) -> tuple:
+    """resolvent._piece_integrals with one exp and one expm1 per edge and
+    piece: (V, G), V[:, p] = f on piece p / lam and G[:, p] the local
+    integral at the piece's left end, summed backwards from G[:, P] = 0."""
+    from netflow.resolvent import _piece_values
+
+    V = _piece_values(f, edges, mu.dtype)
+    V /= lam
+    G = np.zeros((len(edges), len(f.values) + 1), dtype=mu.dtype)
+    for p in reversed(range(len(f.values))):
+        x = -mu * float(f.breakpoints[p + 1] - f.breakpoints[p])
+        G[:, p] = np.exp(x) * G[:, p + 1] - np.expm1(x) * V[:, p]
+    return V, G
+
+
+def per_edge_sample(f, edges: list, mu: np.ndarray, V: np.ndarray, G: np.ndarray,
+                    y: np.ndarray, grid: int):
+    """resolvent._sample with one exp per edge and grid point:
+    u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, with
+    the products and sums in the library's order."""
+    from netflow.states import SampledState, grid_pieces
+
+    s = np.arange(grid + 1) / grid
+    piece = np.array(grid_pieces(f.breakpoints, grid))
+    right = np.array([float(b) for b in f.breakpoints[1:]])
+    u = (G[:, 1:] - V)[:, piece]
+    u *= np.exp(np.multiply.outer(-mu, right[piece] - s))
+    u += np.exp(np.multiply.outer(-mu, 1 - s)) * y[:, None]
+    u += V[:, piece]
+    return SampledState.from_array(edges, u)
+
+
 def unit_series(g, w: dict, lam, K: int) -> dict:
     """Head trace y = sum_{k=0}^{K} e^{-lam k} B^{k+1} w of the unit-speed
     resolvent, in dicts: each term routes the previous one through the

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,8 +21,9 @@ from netflow import (
     parse_graph_file,
     parse_state_file,
     resolvent_general,
+    sample,
 )
-from netflow import cli
+from netflow import checks, cli
 from netflow.checks import fixture_path
 from netflow.cli import main
 
@@ -199,6 +201,18 @@ class TestAbsorb:
         grids = []
         monkeypatch.setattr(cli, "_cmd_absorb", lambda args: grids.append(args.grid) or 0)
         assert main(argvs[0]) == 0 and grids == [16]
+
+    def test_sampled_mass_of_exact_rows(self, monkeypatch):
+        # with float read as the identity the mass stays exact, and summing
+        # each run of repeated totals once must give the per-point sum
+        rng = random.Random(53)
+        monkeypatch.setattr(cli, "float", lambda x: x, raising=False)
+        for trial in range(20):
+            g = checks.random_graph(rng, 6)
+            st = sample(checks.random_state(rng, g, 8), rng.choice([1, 7, 128, 257]))
+            totals = [v.total() for v in st.samples]
+            want = (sum(totals) - (totals[0] + totals[-1]) / 2) / st.grid_size
+            assert cli._sampled_mass(st) == want
 
 
 @pytest.mark.parametrize("verb", ["simulate", "absorb"])

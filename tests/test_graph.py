@@ -13,6 +13,7 @@ from netflow import (
     MalformedGraphError,
     MetricGraph,
     MissingVelocityError,
+    NotRationalError,
     SparseVector,
     VelocityProfile,
     build_adjacency,
@@ -313,3 +314,11 @@ class TestVelocityProfile:
     def test_rationality_probe(self):
         assert VelocityProfile({1: F(2)}).is_rational()
         assert not VelocityProfile({1: 2 ** 0.5}).is_rational()
+
+    def test_exact_hands_back_fraction_speeds(self):
+        vel = VelocityProfile({1: F(3, 2), 2: 4, 3: 2 ** 0.5, 4: 2.0}, default=True)
+        assert vel.exact(1) is vel.velocity(1)
+        assert type(vel.exact(2)) is F and vel.exact(2) == 4
+        for j in (3, 4, 5):
+            with pytest.raises(NotRationalError):
+                vel.exact(j)

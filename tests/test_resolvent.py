@@ -413,6 +413,101 @@ class TestSharedSampler:
             assert residual <= res.tail_bound + 1e-12
 
 
+class TestPerSpeedSampler:
+    """The sampler exponentiates once per distinct speed and gathers the
+    rows per edge; the per-edge sampler in oracles is the reference, and
+    the two must agree bit for bit."""
+
+    GRIDS = (1, 7, 256)
+
+    def assert_matches_per_edge(self, monkeypatch, solve):
+        fast = solve()
+        with monkeypatch.context() as m:
+            m.setattr(resolvent_module, "_piece_integrals", oracles.per_edge_piece_integrals)
+            m.setattr(resolvent_module, "_sample", oracles.per_edge_sample)
+            ref = solve()
+        assert fast.state.edges == ref.state.edges
+        assert fast.state.array.dtype == ref.state.array.dtype
+        assert fast.state.array.tobytes() == ref.state.array.tobytes()
+        assert (fast.terms, fast.tail_bound, fast.metadata) == (ref.terms, ref.tail_bound,
+                                                                ref.metadata)
+
+    def test_random_graphs_random_speeds(self, monkeypatch):
+        rng = random.Random(31)
+        for trial in range(14):
+            g, vel, f = random_instance(rng)
+            for lam in TestSharedSampler.LAMBDAS:
+                for grid in self.GRIDS:
+                    self.assert_matches_per_edge(
+                        monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+
+    def test_three_speeds_on_300_edges(self, monkeypatch):
+        g = regular_style_graph(random.Random(44), 100, 3)
+        vel = VelocityProfile({j: [F(1, 2), F(1), F(2)][j % 3] for j in g.edge_ids})
+        f = checks.random_state(random.Random(45), g, 16)
+        for lam in TestSharedSampler.LAMBDAS:
+            for grid in self.GRIDS:
+                self.assert_matches_per_edge(
+                    monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                self.assert_matches_per_edge(
+                    monkeypatch, lambda: resolvent_unit(build_adjacency(g), f, lam, grid=grid))
+
+    def test_irrational_speeds_finite_and_lazy(self, monkeypatch):
+        lazy_tree = MetricGraph.lazy(lambda j: [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))],
+                                     lambda j: ((j - 1) // 2, j))
+        cases = [
+            (g5(), VelocityProfile({1: math.sqrt(2), 2: F(1), 3: F(1, 2), 4: math.sqrt(2),
+                                    5: F(3, 2)}),
+             NetworkState([F(0), F(1, 3), F(1)],
+                          [SparseVector({1: F(1), 4: F(2)}), SparseVector({3: F(-1)})])),
+            (lazy_path(), VelocityProfile({1: math.sqrt(3), 3: math.pi / 2},
+                                          default=math.sqrt(2)),
+             NetworkState([F(0), F(1, 3), F(1)],
+                          [SparseVector({0: F(1), 1: F(2)}), SparseVector({1: F(-1)})])),
+            (lazy_tree, VelocityProfile({0: math.sqrt(3), 2: math.pi / 2, 5: math.sqrt(5)},
+                                        default=math.sqrt(2)),
+             NetworkState([F(0), F(1, 4), F(1)],
+                          [SparseVector({0: F(2)}), SparseVector({1: F(1), 2: F(-1)})])),
+        ]
+        # the tree's closure doubles per level: only large lambdas keep it small
+        for (g, vel, f), lams in zip(cases, [(0.5, 2.0, 1 + 1j, 800 + 5j)] * 2 + [(8.0, 12 - 3j)]):
+            for lam in lams:
+                for grid in self.GRIDS:
+                    self.assert_matches_per_edge(
+                        monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+
+
+def test_exponentials_follow_the_speeds(monkeypatch):
+    # one solve on 300 edges at 3 speeds: the sampler's exp and expm1 see 3
+    # rows of grid + 1 or of pieces, and the series one exponent per edge
+    # twice; about 160 per edge when every edge exponentiates for itself
+    counted = []
+
+    def counting(ufunc):
+        def call(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return ufunc(x, *args, **kwargs)
+        return call
+
+    class CountingNumpy:
+        exp, expm1 = staticmethod(counting(np.exp)), staticmethod(counting(np.expm1))
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    g = regular_style_graph(random.Random(46), 100, 3)
+    vel = VelocityProfile({j: [F(1, 2), F(1), F(2)][j % 3] for j in g.edge_ids})
+    rng = random.Random(47)
+    f = NetworkState([F(k, 16) for k in range(17)],
+                     [SparseVector({j: F(rng.randint(1, 6), 2) for j in rng.sample(g.edge_ids, 30)})
+                      for _ in range(16)])
+    assert len(f.values) == 16
+    monkeypatch.setattr(resolvent_module, "np", CountingNumpy())
+    res = resolvent_general(g, vel, f, 1 + 1j, grid=64)
+    assert res.terms > 0 and len(res.state.edges) == 300
+    assert sum(counted) < 5 * 300, sum(counted)
+
+
 class TestLaplaceOracle:
     def test_zero_state(self):
         res = laplace_oracle(build_adjacency(g2()), NetworkState.zero(), 1.0,
