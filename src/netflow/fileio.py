@@ -276,8 +276,8 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     An array state is formatted from its array, a zero entry written as
     `0` as the rows drop it.  A row state formats each distinct vector
     once, keyed by its id while the state holds it (`sample` hands one
-    vector object to every grid point of a piece), and each distinct real
-    value once."""
+    vector object to every grid point of a piece), each value object once
+    (by its id, as vectors share them) and each distinct real value once."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
@@ -313,6 +313,9 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     pos = {e: k for k, e in enumerate(edges)}
     blank = ["0,0" if is_complex else "0"] * len(edges)
     text: dict = {}
+    # value objects are shared between vectors (routing memoises them), and
+    # `distinct` holds each one, so its id keys its cell while this runs
+    by_id: dict = {}
     cells = {}
     for key, v in distinct.items():
         row = blank.copy()
@@ -324,10 +327,13 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
                 z = complex(x)
                 row[k] = "%.17g,%.17g" % (z.real, z.imag)
                 continue
-            y = to_float(x)
-            cell = text.get(y)
-            if cell is None or not y:  # 0.0 and -0.0 share a key
-                cell = text[y] = "%.17g" % y
+            cell = by_id.get(id(x))
+            if cell is None:
+                y = to_float(x)
+                cell = text.get(y)
+                if cell is None or not y:  # 0.0 and -0.0 share a key
+                    cell = text[y] = "%.17g" % y
+                by_id[id(x)] = cell
             row[k] = cell
         # an edge listed twice repeats its column
         cells[key] = ",".join(row) if len(pos) == len(edges) else ",".join(

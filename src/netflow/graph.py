@@ -200,6 +200,7 @@ class MetricGraph:
         for (i, j), w in self._weights.items():
             self._columns[j][i] = w
         self._rows = None
+        self._float_routing = None  # resolvent's B as float index arrays, on first solve
         return self
 
     @classmethod

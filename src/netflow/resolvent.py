@@ -20,17 +20,22 @@ at c = 1, where the terms are e^{-lk} B^{k+1} d.
 The series routes float or complex vectors through C held as index
 arrays of its nonzero entries, one bincount per term, so memory is
 O(edges): no n x n matrix is built.  A finite graph gives all its edges
-in sorted-id order.  A lazy graph, at any speeds, gives the routing
-closure of supp f, as many applications of B deep as the tolerance can
-need; it must be stochastic, since only then do the columns the closure
-leaves unread sum to one, and its q and c_min come from the profile.
+in sorted-id order; B alone fixes those arrays, so they are read once
+per graph, on its first solve, kept on it read-only, and scaled by the
+speeds into a copy.  A lazy graph, at any speeds, gives the routing
+closure of supp f, read on every solve, as many applications of B deep
+as the tolerance can need; it must be stochastic, since only then do the
+columns the closure leaves unread sum to one, and its q and c_min come
+from the profile.
 
 The exponents depend on an edge only through mu_j, so the sampler takes
 each exponential once per distinct mu and gathers the rows per edge; it
 writes the closed form into one edges x (grid + 1) float or complex
-array, which the result's SampledState keeps as its array form:
-distances, norms, the CSV writer and resolvent_identity_check read it,
-and `samples` builds per-point vectors only when something asks.
+array, a block of rows at a time through one small scratch block, so
+that array, the result, is the only one of its size.  The result's
+SampledState keeps it as its array form: distances, norms, the CSV
+writer and resolvent_identity_check read it, and `samples` builds
+per-point vectors only when something asks.
 
 There is one certificate.  The norm of v -> C E v in |v|_c = sum_j c_j |v_j|
 is at most q = max_j e^{-Re(l)/c_j} sum_i |w_ij|, which is e^{-Re(l)/c_max}
@@ -52,11 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     ContractionViolationError,
+    MalformedGraphError,
     NotRationalError,
     PrecisionError,
     TruncationError,
@@ -104,30 +111,29 @@ def _require_right_half_plane(lam) -> complex:
     return lam
 
 
-def _piece_values(f: NetworkState, edges: list, dtype) -> np.ndarray:
+def _piece_values(f: NetworkState, edges, dtype) -> np.ndarray:
     """f on the rows `edges` as an edges x pieces array: column p is f's
     value on piece p."""
-    pos = {e: k for k, e in enumerate(edges)}
-    rows, cols, vals = [], [], []
-    for p, v in enumerate(f.values):
-        for e, x in v.items():
-            rows.append(pos[e])
-            cols.append(p)
-            vals.append(to_float(x))
-    V = np.zeros((len(edges), len(f.values)), dtype=dtype)
-    V[rows, cols] = vals
+    P = len(f.values)
+    at = {e: k * P for k, e in enumerate(edges)}
+    # exact.to_float inlined: this loop reads every entry of f on every solve
+    flat = [at[e] + p for p, v in enumerate(f.values) for e in v.support()]
+    vals = [x.numerator / x.denominator if type(x) is Fraction else float(x)
+            for v in f.values for x in v.values()]
+    V = np.zeros((len(edges), P), dtype=dtype)
+    V.ravel()[flat] = vals
     return V
 
 
-def _piece_integrals(f: NetworkState, edges: list, mu: np.ndarray, lam) -> tuple:
-    """(V, G) on the rows `edges`: V[:, p] is f on piece p divided by l, and
-    G[:, p] = (1/c_j) int_{a_p}^1 e^{mu_j (a_p - t)} f_j(t) dt is the local
-    integral at the piece's left end a_p (G[:, P] = 0 at s = 1).  G[:, 0]
-    is the boundary moment d.  Each e^{-mu w_p}, w_p the piece's width, is
-    taken once per distinct mu and gathered per edge."""
-    V = _piece_values(f, edges, mu.dtype)
+def _piece_integrals(f: NetworkState, V: np.ndarray, mu: np.ndarray, lam) -> tuple:
+    """(V / l, G) from f's values V on the rows of mu (_piece_values, of
+    mu's dtype; V is divided in place): G[:, p] = (1/c_j) int_{a_p}^1
+    e^{mu_j (a_p - t)} f_j(t) dt is the local integral at the piece's left
+    end a_p (G[:, P] = 0 at s = 1).  G[:, 0] is the boundary moment d.
+    Each e^{-mu w_p}, w_p the piece's width, is taken once per distinct mu
+    and gathered per edge."""
     V /= lam
-    G = np.zeros((len(edges), len(f.values) + 1), dtype=mu.dtype)
+    G = np.zeros((len(mu), len(f.values) + 1), dtype=mu.dtype)
     mus, row = np.unique(mu, return_inverse=True)
     widths = [float(b - a) for a, b in zip(f.breakpoints, f.breakpoints[1:])]
     x = np.multiply.outer(-mus, widths).T.copy()  # row p: exponents on piece p
@@ -137,7 +143,11 @@ def _piece_integrals(f: NetworkState, edges: list, mu: np.ndarray, lam) -> tuple
     return V, G
 
 
-def _sample(f: NetworkState, edges: list, mu: np.ndarray, V: np.ndarray,
+# rows of the result that _sample fills per step through its scratch block
+_BLOCK = 64
+
+
+def _sample(f: NetworkState, edges, mu: np.ndarray, V: np.ndarray,
             G: np.ndarray, y: np.ndarray, grid: int) -> SampledState:
     """The closed form u_j(m / grid), m = 0..grid, on the rows `edges`, from
     the per-edge exponent mu = l / c, f's piece integrals (V, G) and the
@@ -147,19 +157,26 @@ def _sample(f: NetworkState, edges: list, mu: np.ndarray, V: np.ndarray,
     piece = np.array(grid_pieces(f.breakpoints, grid))
     right = np.array([float(b) for b in f.breakpoints[1:]])
     # u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, built
-    # in u with one scratch buffer of the same size; b_p >= s and rounding
-    # is monotone, so the float b_p - s is never negative.  take's "clip"
-    # gathers straight into buf ("raise" copies); every index is in range
+    # in u a block of rows at a time through one small scratch block, so the
+    # result is the only edges x (grid + 1) array; b_p >= s and rounding is
+    # monotone, so the float b_p - s is never negative.  take's "clip"
+    # gathers straight into the block ("raise" copies); every index is in
+    # range
     u = (G[:, 1:] - V)[:, piece]
-    buf = np.empty_like(u)
     mus, row = np.unique(mu, return_inverse=True)
-    table = np.multiply.outer(-mus, right[piece] - s)
-    u *= np.take(np.exp(table, out=table), row, axis=0, out=buf, mode="clip")
-    np.multiply.outer(-mus, 1 - s, out=table)
-    np.take(np.exp(table, out=table), row, axis=0, out=buf, mode="clip")
-    buf *= y[:, None]
-    u += buf
-    u += np.take(V, piece, axis=1, out=buf, mode="clip")
+    ramp = np.multiply.outer(-mus, right[piece] - s)
+    tail = np.multiply.outer(-mus, 1 - s)
+    np.exp(ramp, out=ramp)
+    np.exp(tail, out=tail)
+    block = np.empty((min(_BLOCK, len(u)), grid + 1), dtype=u.dtype)
+    for a in range(0, len(u), _BLOCK):
+        ub, rb = u[a:a + _BLOCK], row[a:a + _BLOCK]
+        buf = block[:len(ub)]
+        ub *= np.take(ramp, rb, axis=0, out=buf, mode="clip")
+        np.take(tail, rb, axis=0, out=buf, mode="clip")
+        buf *= y[a:a + _BLOCK, None]
+        ub += buf
+        ub += np.take(V[a:a + _BLOCK], piece, axis=1, out=buf, mode="clip")
     return SampledState.from_array(edges, u)
 
 
@@ -203,8 +220,20 @@ def _routing(g: MetricGraph, seeds: list, depth: int) -> tuple:
         if not reached:
             break
         frontier = reached
-    return (list(pos), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+    return (tuple(pos), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(weights, dtype=float))
+
+
+def _finite_routing(g: MetricGraph) -> tuple:
+    """_routing of a finite graph over all its edges, in sorted-id order:
+    B alone fixes it, so it is read on the first solve and kept on the
+    graph, read-only."""
+    if g._float_routing is None:
+        routing = _routing(g, g.edge_ids, 1)
+        for a in routing[1:]:
+            a.flags.writeable = False
+        g._float_routing = routing
+    return g._float_routing
 
 
 def _terms_needed(first: float, rate: float, tol: float) -> int:
@@ -245,7 +274,8 @@ def _lazy_bounds(g: MetricGraph, vel: VelocityProfile, re: float) -> tuple:
 def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
             lam, grid: int, tol: float) -> ResolventResult:
     """Both resolvents at the speeds `vel`, by the series and stop rule of
-    the module docstring.  A finite graph reads every column.  A lazy one
+    the module docstring.  A finite graph reads every column, on its first
+    solve only (_finite_routing), and f once into V.  A lazy one
     reads the closure of supp f, and the dropped terms reach edges it
     never read, so q and c_min are the profile's (_lazy_bounds) unless
     rounding puts the closure's past them.  Its depth suffices: c_j |d_j|
@@ -253,7 +283,8 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     most q^k |f|_L1 / ((1 - q) c_min), and the rule stops by K, its
     _terms_needed at rate Re(l)/c_max.  Term K routes d K + 1 times,
     reading the columns within K applications of supp f: a closure K + 1
-    deep, and one more covers rounding in the rule."""
+    deep, and one more covers rounding in the rule.  f is read once, on
+    the seeds, for |f|_L1 and V alike."""
     lam = _require_right_half_plane(lam)
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
@@ -261,34 +292,40 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     # real arithmetic throughout when lambda is real
     lam_num = re if lam.imag == 0 else lam
     if g.is_finite:
-        seeds, depth = g.edge_ids, 1
-        if not seeds:
+        if not len(g):
             raise ValueError("graph has no edges")
-        for j in f.support():
-            g.column(j)  # an edge the graph lacks raises MalformedGraphError
         q, c_min, c_max = 0.0, math.inf, 0.0
+        edges, rows, cols, weights = _finite_routing(g)
+        try:
+            V = _piece_values(f, edges, type(lam_num))
+        except KeyError as err:
+            raise MalformedGraphError(f"unknown edge {err.args[0]!r}") from None
     else:
         q, c_min, c_max = _lazy_bounds(g, vel, re)
         seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
+        F = _piece_values(f, seeds, float)
         widths = np.diff([float(b) for b in f.breakpoints])
-        f_l1 = float((np.abs(_piece_values(f, seeds, float)) @ widths).sum())
+        f_l1 = float((np.abs(F) @ widths).sum())
         depth = _terms_needed(f_l1 / (-math.expm1(-re / c_max) * c_min), re / c_max, tol) + 2
-    edges, rows, cols, weights = _routing(g, seeds, depth)
+        edges, rows, cols, weights = _routing(g, seeds, depth)
+        # the seeds lead the closure, and f is zero on the rows past them
+        V = np.zeros((len(edges), len(f.values)), dtype=type(lam_num))
+        V[:len(seeds)] = F
     n = len(edges)
-    c = np.array([float(vel.velocity(j)) for j in edges])
+    c = np.array([to_float(vel.velocity(j)) for j in edges])
     c_min, c_max = min(c_min, c.min(initial=math.inf)), max(c_max, c.max(initial=0.0))
     mu = lam_num / c
 
     decay = np.exp(-re / c)  # |e^{-mu_j}|
     column_norm = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
     q = _contracting(max(q, column_norm), re, c_max)
-    weights *= c[cols] / c[rows]
+    weights = weights * (c[cols] / c[rows])  # never in place: a finite graph keeps B
     norm_raw = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
 
     def bound(term):
         return float((c * np.abs(term)).sum()) / ((1 - q) * c_min)
 
-    V, G = _piece_integrals(f, edges, mu, lam_num)
+    V, G = _piece_integrals(f, V, mu, lam_num)
     d = G[:, 0]
     E = np.exp(-mu)
     y = np.zeros_like(d)

@@ -132,15 +132,13 @@ def resolvent_closed_form(f, speed, lam, y: dict, grid: int) -> list:
     return out
 
 
-def per_edge_piece_integrals(f, edges: list, mu: np.ndarray, lam) -> tuple:
+def per_edge_piece_integrals(f, V: np.ndarray, mu: np.ndarray, lam) -> tuple:
     """resolvent._piece_integrals with one exp and one expm1 per edge and
-    piece: (V, G), V[:, p] = f on piece p / lam and G[:, p] the local
-    integral at the piece's left end, summed backwards from G[:, P] = 0."""
-    from netflow.resolvent import _piece_values
-
-    V = _piece_values(f, edges, mu.dtype)
-    V /= lam
-    G = np.zeros((len(edges), len(f.values) + 1), dtype=mu.dtype)
+    piece: (V, G) from f's values V on the rows of mu, V[:, p] = f on piece
+    p / lam and G[:, p] the local integral at the piece's left end, summed
+    backwards from G[:, P] = 0."""
+    V = V / lam
+    G = np.zeros((len(mu), len(f.values) + 1), dtype=mu.dtype)
     for p in reversed(range(len(f.values))):
         x = -mu * float(f.breakpoints[p + 1] - f.breakpoints[p])
         G[:, p] = np.exp(x) * G[:, p + 1] - np.expm1(x) * V[:, p]

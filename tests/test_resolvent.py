@@ -476,6 +476,19 @@ class TestPerSpeedSampler:
                     self.assert_matches_per_edge(
                         monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
 
+    @pytest.mark.parametrize("lam", [0.5, 1 + 1j])
+    def test_block_edges(self, monkeypatch, lam):
+        # the sampler fills its rows a block at a time: edge counts on both
+        # sides of one block, and one many blocks long
+        block = resolvent_module._BLOCK
+        for n in (1, block - 1, block, block + 1, 600):
+            g = cycle(n)
+            vel = VelocityProfile({j: [F(1, 2), F(1), math.sqrt(2)][j % 3] for j in g.edge_ids})
+            f = random_state(random.Random(n), g.edge_ids, pieces=6)
+            for grid in self.GRIDS:
+                self.assert_matches_per_edge(
+                    monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+
 
 def test_exponentials_follow_the_speeds(monkeypatch):
     # one solve on 300 edges at 3 speeds: the sampler's exp and expm1 see 3
@@ -736,7 +749,9 @@ class TestArraySeries:
             return
         lam_num = lam.real if complex(lam).imag == 0 else complex(lam)
         seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
-        w = resolvent_module._piece_integrals(f, seeds, np.full(len(seeds), lam_num), lam_num)[1][:, 0]
+        mu = np.full(len(seeds), lam_num)
+        V = resolvent_module._piece_values(f, seeds, mu.dtype)
+        w = resolvent_module._piece_integrals(f, V, mu, lam_num)[1][:, 0]
         want = oracles.unit_series(g, dict(zip(seeds, w.tolist())), lam_num, res.terms - 1)
         got = dict(zip(seen["edges"], seen["y"].tolist()))
         assert set(want) <= set(got)
@@ -745,7 +760,8 @@ class TestArraySeries:
         # the sampler fed with the reference trace gives every sample
         edges = list(got)
         mu = np.full(len(edges), lam_num)
-        V, G = resolvent_module._piece_integrals(f, edges, mu, lam_num)
+        V, G = resolvent_module._piece_integrals(
+            f, resolvent_module._piece_values(f, edges, mu.dtype), mu, lam_num)
         ref = sample(f, edges, mu, V, G, np.array([want.get(e, 0) for e in edges], dtype=mu.dtype), grid)
         for a, b in zip(res.state.samples, ref.samples):
             for e in set(a.support()) | set(b.support()):
@@ -829,6 +845,105 @@ def test_general_memory_follows_the_edges():
         tracemalloc.stop()
     assert res.terms > 0
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("lam", [0.5, 1 + 1j])
+def test_one_full_size_array_per_solve(lam):
+    # the result is the only edges x (grid + 1) array a solve holds; the
+    # allowance covers the sampler's scratch block and the lists f is read
+    # through
+    g = regular_style_graph(random.Random(44), 100, 3)
+    vel = VelocityProfile({j: [F(1, 2), F(1), F(2)][j % 3] for j in g.edge_ids})
+    f = checks.random_state(random.Random(45), g, 16)
+    resolvent_general(g, vel, f, lam, grid=256)  # reads B once, outside the peak
+    tracemalloc.start()
+    try:
+        res = resolvent_general(g, vel, f, lam, grid=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = res.state.array.nbytes
+    assert full == 300 * 257 * res.state.array.itemsize
+    assert peak < 1.5 * full + 256 * 1024, f"peak {peak} bytes, result {full}"
+
+
+class TestRoutingReadOnce:
+    """A finite graph's B is read into float index arrays on its first
+    solve and kept on the graph; f is read once per solve."""
+
+    @staticmethod
+    def counting_columns(monkeypatch, g):
+        reads = []
+        column = g.column
+
+        def counted(j):
+            reads.append(j)
+            return column(j)
+
+        monkeypatch.setattr(g, "column", counted)
+        return reads
+
+    def test_second_solve_reads_no_column(self, monkeypatch):
+        g = regular_style_graph(random.Random(46), 30, 3)
+        f = checks.random_state(random.Random(47), g, 6)
+        reads = self.counting_columns(monkeypatch, g)
+        first = resolvent_general(g, unit_vel(g), f, 0.5, grid=16)
+        assert sorted(reads) == g.edge_ids
+        reads.clear()
+        mixed = VelocityProfile({j: [F(1, 2), F(2)][j % 2] for j in g.edge_ids})
+        for lam in (0.5, 2.0, 1 + 1j):
+            resolvent_general(g, mixed, f, lam, grid=16)
+            resolvent_unit(build_adjacency(g), f, lam, grid=16)
+        assert reads == []
+        again = resolvent_general(g, unit_vel(g), f, 0.5, grid=16)
+        assert again.state.array.tobytes() == first.state.array.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.5, 1 + 1j])
+    def test_speeds_never_scale_the_kept_weights(self, lam):
+        g = regular_style_graph(random.Random(48), 40, 3)
+        f = checks.random_state(random.Random(49), g, 8)
+        op = build_adjacency(g)
+        mixed = VelocityProfile({j: [F(1, 3), F(1), F(5, 2)][j % 3] for j in g.edge_ids})
+        before = resolvent_unit(op, f, lam, grid=32)
+        resolvent_general(g, mixed, f, lam, grid=32)
+        after = resolvent_unit(op, f, lam, grid=32)
+        assert after.state.array.tobytes() == before.state.array.tobytes()
+        assert (after.terms, after.tail_bound, after.metadata) == (
+            before.terms, before.tail_bound, before.metadata)
+
+    def test_a_new_graph_reads_its_own_weights(self):
+        f = NetworkState.constant(SparseVector({0: F(1), 1: F(-1, 2)}))
+
+        def weighted(w):
+            # edge 0 splits into edges 1 and 2 by w : 1 - w
+            return MetricGraph.finite([(0, 0, 1), (1, 1, 0), (2, 1, 0)],
+                                      {(1, 0): w, (2, 0): 1 - w, (0, 1): F(1), (0, 2): F(1)})
+
+        old = weighted(F(1, 4))
+        old_result = resolvent_unit(build_adjacency(old), f, 1.0, grid=8)
+        del old
+        # a fresh graph, possibly at the freed one's address, with other weights
+        new = resolvent_unit(build_adjacency(weighted(F(3, 4))), f, 1.0, grid=8)
+        cold = resolvent_unit(build_adjacency(weighted(F(3, 4))), f, 1.0, grid=8)
+        assert new.state.array.tobytes() == cold.state.array.tobytes()
+        assert new.state.array.tobytes() != old_result.state.array.tobytes()
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_f_is_read_once(self, monkeypatch, lazy):
+        calls = []
+        piece_values = resolvent_module._piece_values
+
+        def counted(*args):
+            calls.append(args[1])
+            return piece_values(*args)
+
+        monkeypatch.setattr(resolvent_module, "_piece_values", counted)
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({0: F(1), 1: F(2)}), SparseVector({1: F(-1)})])
+        g = lazy_path() if lazy else cycle(5)
+        res = resolvent_general(g, VelocityProfile({1: math.sqrt(3)}, default=F(1)), f, 2.0,
+                                grid=8)
+        assert len(calls) == 1 and res.terms > 0
 
 
 class TestIdentityCheckArrays:
