@@ -22,14 +22,23 @@ arrays of its nonzero entries, one bincount per term, so memory is
 O(edges): no n x n matrix is built.  A finite graph gives all its edges
 in sorted-id order; B alone fixes those arrays, so they are read once
 per graph, on its first solve, kept on it read-only, and scaled by the
-speeds into a copy.  A lazy graph, at any speeds, gives the routing
-closure of supp f, read on every solve, as many applications of B deep
-as the tolerance can need; it must be stochastic, since only then do the
-columns the closure leaves unread sum to one, and its q and c_min come
-from the profile.
+speeds into a copy.  What a solve reads from f alone, its entries as
+flat positions and float values on that edge tuple and its piece
+widths, is kept the same way on the state: read once per state,
+read-only, keyed by the identity of the edge tuple it is laid out on,
+and read again when another tuple is asked for.  So the solves at other
+lambdas or speeds that a convergence ladder or an identity check makes
+for one f read it once; the float speeds, which a ladder changes at
+every level, are read on each solve.  A lazy graph, at any speeds, gives
+the routing closure of supp f, read with f on every solve, as many
+applications of B deep as the tolerance can need; it must be stochastic,
+since only then do the columns the closure leaves unread sum to one, and
+its q and c_min come from the profile.
 
-The exponents depend on an edge only through mu_j, so the sampler takes
-each exponential once per distinct mu and gathers the rows per edge; it
+f's values and its piece integrals are pieces x edges arrays, so the
+backward recurrence over the pieces runs on contiguous rows.  The
+exponents depend on an edge only through mu_j, so the sampler takes each
+exponential once per distinct mu and gathers the rows per edge; it
 writes the closed form into one edges x (grid + 1) float or complex
 array, a block of rows at a time through one small scratch block, so
 that array, the result, is the only one of its size.  The result's
@@ -111,35 +120,72 @@ def _require_right_half_plane(lam) -> complex:
     return lam
 
 
-def _piece_values(f: NetworkState, edges, dtype) -> np.ndarray:
-    """f on the rows `edges` as an edges x pieces array: column p is f's
-    value on piece p."""
-    P = len(f.values)
-    at = {e: k * P for k, e in enumerate(edges)}
-    # exact.to_float inlined: this loop reads every entry of f on every solve
-    flat = [at[e] + p for p, v in enumerate(f.values) for e in v.support()]
+def _piece_values(f: NetworkState, edges) -> tuple:
+    """f's entries on a pieces x edges array whose columns are `edges`:
+    (flat, vals), the flat position p * len(edges) + k of each entry of f
+    on edges[k] over piece p, and its float value.  An edge of supp f
+    missing from `edges` raises KeyError."""
+    n = len(edges)
+    at = {e: k for k, e in enumerate(edges)}
+    # exact.to_float inlined: this loop reads every entry of f
+    flat = [at[e] + p * n for p, v in enumerate(f.values) for e in v.support()]
     vals = [x.numerator / x.denominator if type(x) is Fraction else float(x)
             for v in f.values for x in v.values()]
-    V = np.zeros((len(edges), P), dtype=dtype)
+    return np.array(flat, dtype=np.intp), np.array(vals, dtype=float)
+
+
+def _state_table(f: NetworkState, edges) -> tuple:
+    """_piece_values of f on `edges` and f's piece widths float(b - a)."""
+    widths = np.array([float(b - a) for a, b in zip(f.breakpoints, f.breakpoints[1:])])
+    return (*_piece_values(f, edges), widths)
+
+
+def _speed_table(vel: VelocityProfile, edges) -> np.ndarray:
+    """The float speeds of `edges`."""
+    return np.array([to_float(vel.velocity(j)) for j in edges])
+
+
+def _f_table(g: MetricGraph, f: NetworkState, edges) -> tuple:
+    """_state_table of f on `edges`.  On the routing tuple of the finite
+    graph g it is read once and kept in f._floats, read-only, until f is
+    asked for on another tuple; the tuple is matched by identity and held
+    in the slot, so no other tuple can take its address while it is kept.
+    Other edges (a lazy closure, a check's edges past its result's) are
+    read on every call."""
+    routing = g._float_routing if g.is_finite else None
+    if routing is None or edges is not routing[0]:
+        return _state_table(f, edges)
+    kept = f._floats
+    if kept is None or kept[0] is not edges:
+        arrays = _state_table(f, edges)
+        for a in arrays:
+            a.flags.writeable = False
+        f._floats = kept = (edges, *arrays)
+    return kept[1:]
+
+
+def _scatter(flat: np.ndarray, vals: np.ndarray, n: int, pieces: int, dtype) -> np.ndarray:
+    """The pieces x n array holding vals at the flat positions of _piece_values."""
+    V = np.zeros((pieces, n), dtype=dtype)
     V.ravel()[flat] = vals
     return V
 
 
-def _piece_integrals(f: NetworkState, V: np.ndarray, mu: np.ndarray, lam) -> tuple:
-    """(V / l, G) from f's values V on the rows of mu (_piece_values, of
-    mu's dtype; V is divided in place): G[:, p] = (1/c_j) int_{a_p}^1
-    e^{mu_j (a_p - t)} f_j(t) dt is the local integral at the piece's left
-    end a_p (G[:, P] = 0 at s = 1).  G[:, 0] is the boundary moment d.
-    Each e^{-mu w_p}, w_p the piece's width, is taken once per distinct mu
-    and gathered per edge."""
+def _piece_integrals(V: np.ndarray, widths: np.ndarray, mu: np.ndarray, lam) -> tuple:
+    """(V / l, G) from f's values V, pieces x edges (_scatter, of mu's
+    dtype; V is divided in place), and its piece widths: G[p] = (1/c_j)
+    int_{a_p}^1 e^{mu_j (a_p - t)} f_j(t) dt is the local integral at the
+    piece's left end a_p (G[P] = 0 at s = 1), so G is (P + 1) x edges and
+    G[0] is the boundary moment d.  Each e^{-mu w_p} is taken once per
+    distinct mu and gathered per edge; the recurrence runs on contiguous
+    rows."""
     V /= lam
-    G = np.zeros((len(mu), len(f.values) + 1), dtype=mu.dtype)
+    G = np.zeros((len(V) + 1, len(mu)), dtype=mu.dtype)
     mus, row = np.unique(mu, return_inverse=True)
-    widths = [float(b - a) for a, b in zip(f.breakpoints, f.breakpoints[1:])]
     x = np.multiply.outer(-mus, widths).T.copy()  # row p: exponents on piece p
     ex, em = np.exp(x), np.expm1(x, out=x)
-    for p in reversed(range(len(f.values))):
-        G[:, p] = ex[p][row] * G[:, p + 1] - em[p][row] * V[:, p]
+    for p in reversed(range(len(V))):
+        G[p] = ex[p][row] * G[p + 1] - em[p][row] * V[p]
     return V, G
 
 
@@ -149,20 +195,21 @@ _BLOCK = 64
 
 def _sample(f: NetworkState, edges, mu: np.ndarray, V: np.ndarray,
             G: np.ndarray, y: np.ndarray, grid: int) -> SampledState:
-    """The closed form u_j(m / grid), m = 0..grid, on the rows `edges`, from
-    the per-edge exponent mu = l / c, f's piece integrals (V, G) and the
-    head trace y = u(1).  Each exponential table is taken once per distinct
-    mu and its rows gathered per edge, so equal speeds give equal bits."""
+    """The closed form u_j(m / grid), m = 0..grid, on the columns `edges`
+    of f's piece integrals (V, G), pieces-major as _piece_integrals gives
+    them, from the per-edge exponent mu = l / c and the head trace y =
+    u(1).  Each exponential table is taken once per distinct mu and its
+    rows gathered per edge, so equal speeds give equal bits."""
     s = np.arange(grid + 1) / grid
     piece = np.array(grid_pieces(f.breakpoints, grid))
-    right = np.array([float(b) for b in f.breakpoints[1:]])
+    right = np.array([to_float(b) for b in f.breakpoints[1:]])
     # u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, built
     # in u a block of rows at a time through one small scratch block, so the
     # result is the only edges x (grid + 1) array; b_p >= s and rounding is
     # monotone, so the float b_p - s is never negative.  take's "clip"
     # gathers straight into the block ("raise" copies); every index is in
     # range
-    u = (G[:, 1:] - V)[:, piece]
+    u = np.take((G[1:] - V).T, piece, axis=1)
     mus, row = np.unique(mu, return_inverse=True)
     ramp = np.multiply.outer(-mus, right[piece] - s)
     tail = np.multiply.outer(-mus, 1 - s)
@@ -176,7 +223,7 @@ def _sample(f: NetworkState, edges, mu: np.ndarray, V: np.ndarray,
         np.take(tail, rb, axis=0, out=buf, mode="clip")
         buf *= y[a:a + _BLOCK, None]
         ub += buf
-        ub += np.take(V[a:a + _BLOCK], piece, axis=1, out=buf, mode="clip")
+        ub += np.take(V[:, a:a + _BLOCK].T, piece, axis=1, out=buf, mode="clip")
     return SampledState.from_array(edges, u)
 
 
@@ -274,8 +321,9 @@ def _lazy_bounds(g: MetricGraph, vel: VelocityProfile, re: float) -> tuple:
 def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
             lam, grid: int, tol: float) -> ResolventResult:
     """Both resolvents at the speeds `vel`, by the series and stop rule of
-    the module docstring.  A finite graph reads every column, on its first
-    solve only (_finite_routing), and f once into V.  A lazy one
+    the module docstring.  A finite graph reads every column and f's
+    entries on its first solve only (_finite_routing, _f_table), and
+    fills V from the kept entries with one scatter.  A lazy one
     reads the closure of supp f, and the dropped terms reach edges it
     never read, so q and c_min are the profile's (_lazy_bounds) unless
     rounding puts the closure's past them.  Its depth suffices: c_j |d_j|
@@ -297,22 +345,25 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         q, c_min, c_max = 0.0, math.inf, 0.0
         edges, rows, cols, weights = _finite_routing(g)
         try:
-            V = _piece_values(f, edges, type(lam_num))
+            flat, vals, widths = _f_table(g, f, edges)
         except KeyError as err:
             raise MalformedGraphError(f"unknown edge {err.args[0]!r}") from None
+        V = _scatter(flat, vals, len(edges), len(f.values), type(lam_num))
     else:
         q, c_min, c_max = _lazy_bounds(g, vel, re)
         seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
-        F = _piece_values(f, seeds, float)
-        widths = np.diff([float(b) for b in f.breakpoints])
-        f_l1 = float((np.abs(F) @ widths).sum())
+        flat, vals, widths = _f_table(g, f, seeds)
+        F = _scatter(flat, vals, len(seeds), len(f.values), float)
+        # summed per edge over a contiguous edges x pieces copy, so |f|_L1,
+        # and with it the depth, keeps its bits whatever layout F has
+        f_l1 = float((np.abs(F.T.copy()) @ np.diff([float(b) for b in f.breakpoints])).sum())
         depth = _terms_needed(f_l1 / (-math.expm1(-re / c_max) * c_min), re / c_max, tol) + 2
         edges, rows, cols, weights = _routing(g, seeds, depth)
-        # the seeds lead the closure, and f is zero on the rows past them
-        V = np.zeros((len(edges), len(f.values)), dtype=type(lam_num))
-        V[:len(seeds)] = F
+        # the seeds lead the closure, and f is zero on the columns past them
+        V = np.zeros((len(f.values), len(edges)), dtype=type(lam_num))
+        V[:, :len(seeds)] = F
     n = len(edges)
-    c = np.array([to_float(vel.velocity(j)) for j in edges])
+    c = _speed_table(vel, edges)
     c_min, c_max = min(c_min, c.min(initial=math.inf)), max(c_max, c.max(initial=0.0))
     mu = lam_num / c
 
@@ -325,8 +376,8 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     def bound(term):
         return float((c * np.abs(term)).sum()) / ((1 - q) * c_min)
 
-    V, G = _piece_integrals(f, V, mu, lam_num)
-    d = G[:, 0]
+    V, G = _piece_integrals(V, widths, mu, lam_num)
+    d = G[0]
     E = np.exp(-mu)
     y = np.zeros_like(d)
     term = _route(rows, cols, weights, d)
@@ -494,8 +545,10 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     within exclude_cells of a breakpoint of f, where the one-sided kink
     produces an O(1) spike (reported separately, never mixed in).  All of
     it reads the result's edges x (grid + 1) array, the trace residual its
-    columns 0 and grid.  The speeds are `vel`, else op.scaling, else 1;
-    without `result` the resolvent is solved at them.
+    columns 0 and grid, f through the table a solve on the same edges kept
+    (_f_table), and the speeds through the solve's reader.  The speeds are
+    `vel`, else op.scaling, else 1; without `result` the resolvent is
+    solved at them.
     """
     vel = vel or op.scaling or _UNIT
     if result is None:
@@ -507,7 +560,10 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     M = state.grid_size
 
     have = set(state.edges)
-    edges = state.edges + tuple(e for e in f.support() if e not in have)
+    extra = tuple(e for e in f.support() if e not in have)
+    # a finite graph's result is laid out on its routing tuple, whose
+    # table of f the solve kept
+    edges = state.edges + extra if extra else state.edges
     U = state.on_edges(edges)
 
     bad = np.zeros(M + 1, dtype=bool)
@@ -516,14 +572,16 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
         bad[max(math.floor(center) - exclude_cells, 0):math.ceil(center) + exclude_cells + 1] = True
     bad = bad[1:M]
 
-    c = np.array([float(vel.velocity(j)) for j in edges])
+    c = _speed_table(vel, edges)
+    flat, vals, _ = _f_table(op.graph, f, edges)
     # |c du - l u + f| = |l u - c du - f| on the inner samples, built in
     # place: rounding is symmetric, so the negation is exact
     r = U[:, 2:] - U[:, :-2]
     r *= M / 2
     r *= c[:, None]
     r -= (lam.real if lam.imag == 0 else lam) * U[:, 1:M]
-    r += _piece_values(f, edges, float)[:, grid_pieces(f.breakpoints, M)[1:M]]
+    F = _scatter(flat, vals, len(edges), len(f.values), float)
+    r += F[grid_pieces(f.breakpoints, M)[1:M]].T
     r = np.abs(r)
     interior = float(r[:, ~bad].max(initial=0.0))
     spike = float(r[:, bad].max(initial=0.0))

@@ -81,7 +81,7 @@ from .graph import (
     VelocityProfile,
     build_adjacency,
 )
-from .states import NetworkState, SampledState, grid_pieces, sample
+from .states import NetworkState, SampledState, _refine, grid_pieces, sample
 
 __all__ = [
     "evolve_unit",
@@ -652,7 +652,7 @@ class AbsorptionProfile:
     """
 
     def __init__(self, profiles: Mapping):
-        self._state = NetworkState.zero()
+        rows = [NetworkState.zero()]
         for j, (bps, vals) in sorted(profiles.items(), key=lambda kv: repr(kv[0])):
             bps = [as_exact(b, what=f"absorption breakpoint on edge {j!r}") for b in bps]
             vals = [as_exact(v, what=f"absorption rate on edge {j!r}") for v in vals]
@@ -661,7 +661,14 @@ class AbsorptionProfile:
                     f"absorption profile on edge {j!r}: {len(bps)} breakpoints "
                     f"need {len(bps) - 1} values"
                 )
-            self._state = self._state + NetworkState(bps, [SparseVector({j: v}) for v in vals])
+            rows.append(NetworkState(bps, [SparseVector({j: v}) for v in vals]))
+        # one state over the union of the cuts, each piece's rates in the
+        # order the edges were read; the rows' supports are disjoint
+        bps, aligned = _refine(rows)
+        self._state = NetworkState(bps, [
+            SparseVector._from_nonzero({j: r for v in piece for j, r in v.items()})
+            for piece in zip(*aligned)
+        ])
 
     @classmethod
     def constant(cls, rates: Mapping) -> "AbsorptionProfile":

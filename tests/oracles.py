@@ -132,16 +132,30 @@ def resolvent_closed_form(f, speed, lam, y: dict, grid: int) -> list:
     return out
 
 
-def per_edge_piece_integrals(f, V: np.ndarray, mu: np.ndarray, lam) -> tuple:
+def per_edge_state_table(f, edges) -> tuple:
+    """resolvent._state_table read entry by entry: the flat position
+    p * len(edges) + k and the float value of each entry of f on edges[k]
+    over piece p, and the piece widths, taken from f.breakpoints."""
+    at = {e: k for k, e in enumerate(edges)}
+    flat, vals = [], []
+    for p, v in enumerate(f.values):
+        for e, x in v.items():
+            flat.append(p * len(edges) + at[e])
+            vals.append(float(x))
+    widths = [float(f.breakpoints[p + 1] - f.breakpoints[p]) for p in range(len(f.values))]
+    return np.array(flat, dtype=np.intp), np.array(vals, dtype=float), np.array(widths)
+
+
+def per_edge_piece_integrals(V: np.ndarray, widths: np.ndarray, mu: np.ndarray, lam) -> tuple:
     """resolvent._piece_integrals with one exp and one expm1 per edge and
-    piece: (V, G) from f's values V on the rows of mu, V[:, p] = f on piece
-    p / lam and G[:, p] the local integral at the piece's left end, summed
-    backwards from G[:, P] = 0."""
+    piece: (V, G) from f's values V, pieces x edges, and its piece widths,
+    V[p] = f on piece p / lam and G[p] the local integral at the piece's
+    left end, summed backwards from G[P] = 0."""
     V = V / lam
-    G = np.zeros((len(mu), len(f.values) + 1), dtype=mu.dtype)
-    for p in reversed(range(len(f.values))):
-        x = -mu * float(f.breakpoints[p + 1] - f.breakpoints[p])
-        G[:, p] = np.exp(x) * G[:, p + 1] - np.expm1(x) * V[:, p]
+    G = np.zeros((len(V) + 1, len(mu)), dtype=mu.dtype)
+    for p in reversed(range(len(V))):
+        x = -mu * widths[p]
+        G[p] = np.exp(x) * G[p + 1] - np.expm1(x) * V[p]
     return V, G
 
 
@@ -149,17 +163,39 @@ def per_edge_sample(f, edges: list, mu: np.ndarray, V: np.ndarray, G: np.ndarray
                     y: np.ndarray, grid: int):
     """resolvent._sample with one exp per edge and grid point:
     u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, with
-    the products and sums in the library's order."""
+    the products and sums in the library's order; V and G are pieces-major,
+    as per_edge_piece_integrals gives them."""
     from netflow.states import SampledState, grid_pieces
 
     s = np.arange(grid + 1) / grid
     piece = np.array(grid_pieces(f.breakpoints, grid))
     right = np.array([float(b) for b in f.breakpoints[1:]])
-    u = (G[:, 1:] - V)[:, piece]
+    u = (G[1:] - V).T[:, piece]
     u *= np.exp(np.multiply.outer(-mu, right[piece] - s))
     u += np.exp(np.multiply.outer(-mu, 1 - s)) * y[:, None]
-    u += V[:, piece]
+    u += V.T[:, piece]
     return SampledState.from_array(edges, u)
+
+
+def pairwise_absorption_state(profiles):
+    """AbsorptionProfile's state as a running sum of one single-edge state
+    per edge, added in repr order of the ids, each edge's rates validated
+    as the profile validates them: the pairwise construction the one-pass
+    union replaced."""
+    from netflow import MalformedGraphError, NetworkState, SparseVector
+    from netflow.exact import as_exact
+
+    state = NetworkState.zero()
+    for j, (bps, vals) in sorted(profiles.items(), key=lambda kv: repr(kv[0])):
+        bps = [as_exact(b, what=f"absorption breakpoint on edge {j!r}") for b in bps]
+        vals = [as_exact(v, what=f"absorption rate on edge {j!r}") for v in vals]
+        if len(vals) != len(bps) - 1:
+            raise MalformedGraphError(
+                f"absorption profile on edge {j!r}: {len(bps)} breakpoints "
+                f"need {len(bps) - 1} values"
+            )
+        state = state + NetworkState(bps, [SparseVector({j: v}) for v in vals])
+    return state
 
 
 def unit_series(g, w: dict, lam, K: int) -> dict:

@@ -1,10 +1,13 @@
 """Resolvent formulas, the Laplace-transform oracle, and their certificates."""
 
 import cmath
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,9 +423,13 @@ class TestPerSpeedSampler:
 
     GRIDS = (1, 7, 256)
 
-    def assert_matches_per_edge(self, monkeypatch, solve):
+    def assert_matches_per_edge(self, monkeypatch, f, solve):
         fast = solve()
         with monkeypatch.context() as m:
+            # the reference reads f entry by entry, not the table the fast
+            # solve kept on it, and leaves that table as it found it
+            m.setattr(f, "_floats", None)
+            m.setattr(resolvent_module, "_state_table", oracles.per_edge_state_table)
             m.setattr(resolvent_module, "_piece_integrals", oracles.per_edge_piece_integrals)
             m.setattr(resolvent_module, "_sample", oracles.per_edge_sample)
             ref = solve()
@@ -439,7 +446,7 @@ class TestPerSpeedSampler:
             for lam in TestSharedSampler.LAMBDAS:
                 for grid in self.GRIDS:
                     self.assert_matches_per_edge(
-                        monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                        monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
 
     def test_three_speeds_on_300_edges(self, monkeypatch):
         g = regular_style_graph(random.Random(44), 100, 3)
@@ -448,9 +455,9 @@ class TestPerSpeedSampler:
         for lam in TestSharedSampler.LAMBDAS:
             for grid in self.GRIDS:
                 self.assert_matches_per_edge(
-                    monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                    monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
                 self.assert_matches_per_edge(
-                    monkeypatch, lambda: resolvent_unit(build_adjacency(g), f, lam, grid=grid))
+                    monkeypatch, f, lambda: resolvent_unit(build_adjacency(g), f, lam, grid=grid))
 
     def test_irrational_speeds_finite_and_lazy(self, monkeypatch):
         lazy_tree = MetricGraph.lazy(lambda j: [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))],
@@ -474,7 +481,7 @@ class TestPerSpeedSampler:
             for lam in lams:
                 for grid in self.GRIDS:
                     self.assert_matches_per_edge(
-                        monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                        monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
 
     @pytest.mark.parametrize("lam", [0.5, 1 + 1j])
     def test_block_edges(self, monkeypatch, lam):
@@ -487,7 +494,7 @@ class TestPerSpeedSampler:
             f = random_state(random.Random(n), g.edge_ids, pieces=6)
             for grid in self.GRIDS:
                 self.assert_matches_per_edge(
-                    monkeypatch, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                    monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
 
 
 def test_exponentials_follow_the_speeds(monkeypatch):
@@ -734,6 +741,14 @@ class TestArraySeries:
 
     LAMBDAS = (0.5, 2.0, 1 + 1j, 3 - 2j)
 
+    @staticmethod
+    def piece_integrals(f, edges, lam_num):
+        """The library's (V, G) for f on `edges` at c = 1."""
+        mu = np.full(len(edges), lam_num)
+        flat, vals, widths = resolvent_module._state_table(f, edges)
+        V = resolvent_module._scatter(flat, vals, len(edges), len(f.values), mu.dtype)
+        return resolvent_module._piece_integrals(V, widths, mu, lam_num)
+
     def assert_matches_dict_series(self, monkeypatch, g, f, lam, grid):
         seen = {}
         sample = resolvent_module._sample
@@ -749,9 +764,7 @@ class TestArraySeries:
             return
         lam_num = lam.real if complex(lam).imag == 0 else complex(lam)
         seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
-        mu = np.full(len(seeds), lam_num)
-        V = resolvent_module._piece_values(f, seeds, mu.dtype)
-        w = resolvent_module._piece_integrals(f, V, mu, lam_num)[1][:, 0]
+        w = self.piece_integrals(f, seeds, lam_num)[1][0]
         want = oracles.unit_series(g, dict(zip(seeds, w.tolist())), lam_num, res.terms - 1)
         got = dict(zip(seen["edges"], seen["y"].tolist()))
         assert set(want) <= set(got)
@@ -760,8 +773,7 @@ class TestArraySeries:
         # the sampler fed with the reference trace gives every sample
         edges = list(got)
         mu = np.full(len(edges), lam_num)
-        V, G = resolvent_module._piece_integrals(
-            f, resolvent_module._piece_values(f, edges, mu.dtype), mu, lam_num)
+        V, G = self.piece_integrals(f, edges, lam_num)
         ref = sample(f, edges, mu, V, G, np.array([want.get(e, 0) for e in edges], dtype=mu.dtype), grid)
         for a, b in zip(res.state.samples, ref.samples):
             for e in set(a.support()) | set(b.support()):
@@ -928,22 +940,135 @@ class TestRoutingReadOnce:
         assert new.state.array.tobytes() == cold.state.array.tobytes()
         assert new.state.array.tobytes() != old_result.state.array.tobytes()
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_f_is_read_once(self, monkeypatch, lazy):
-        calls = []
+    @staticmethod
+    def counting_f_reads(monkeypatch):
+        """The list of the edge tuples f is read on."""
+        f_reads = []
         piece_values = resolvent_module._piece_values
 
-        def counted(*args):
-            calls.append(args[1])
-            return piece_values(*args)
+        def counted(f, edges):
+            f_reads.append(edges)
+            return piece_values(f, edges)
 
         monkeypatch.setattr(resolvent_module, "_piece_values", counted)
+        return f_reads
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_f_is_read_once(self, monkeypatch, lazy):
+        # a finite graph's solves read f on the first solve only, and its
+        # identity check does not read it; a lazy graph reads f on its
+        # closure's seeds at every solve
+        f_reads = self.counting_f_reads(monkeypatch)
         f = NetworkState([F(0), F(1, 3), F(1)],
                          [SparseVector({0: F(1), 1: F(2)}), SparseVector({1: F(-1)})])
         g = lazy_path() if lazy else cycle(5)
-        res = resolvent_general(g, VelocityProfile({1: math.sqrt(3)}, default=F(1)), f, 2.0,
-                                grid=8)
-        assert len(calls) == 1 and res.terms > 0
+        vel = VelocityProfile({1: math.sqrt(3)}, default=F(1))
+        res = resolvent_general(g, vel, f, 2.0, grid=8)
+        assert len(f_reads) == 1 and res.terms > 0
+        op = build_adjacency(g, vel)
+        resolvent_identity_check(op, f, 2.0, result=res, vel=vel)
+        f_reads.clear()
+        for lam in (2.0, 0.5, 1 + 1j):
+            again = resolvent_general(g, vel, f, lam, grid=8)
+            resolvent_identity_check(op, f, lam, result=again, vel=vel)
+        if lazy:
+            # each closure is a new tuple, and the check reads on it once
+            assert [len(e) for e in f_reads[::2]] == [2, 2, 2] and len(f_reads) == 6
+        else:
+            assert f_reads == []
+
+    def test_unit_solves_read_once(self, monkeypatch):
+        g = regular_style_graph(random.Random(50), 20, 3)
+        f = checks.random_state(random.Random(51), g, 6)
+        op = build_adjacency(g)
+        resolvent_unit(op, f, 0.5, grid=16)
+        f_reads = self.counting_f_reads(monkeypatch)
+        for lam in (0.5, 2.0, 1 + 1j):
+            res = resolvent_unit(op, f, lam, grid=16)
+            resolvent_identity_check(op, f, lam, result=res)
+        assert f_reads == []
+
+    def test_lazy_solves_and_checks_leave_the_kept_table(self, monkeypatch):
+        # f solved on a finite graph, then on a lazy one: the lazy solve and
+        # its check read f afresh on their own edges, and the finite
+        # graph's next solve still finds its table
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({0: F(1), 1: F(2)}), SparseVector({1: F(-1)})])
+        vel = VelocityProfile({1: math.sqrt(3)}, default=F(1))
+        finite, lazy = cycle(5), lazy_path()
+        resolvent_general(finite, vel, f, 2.0, grid=8)
+        kept = f._floats
+        assert kept[0] is finite._float_routing[0]
+        f_reads = self.counting_f_reads(monkeypatch)
+        res = resolvent_general(lazy, vel, f, 1 + 1j, grid=8)
+        resolvent_identity_check(build_adjacency(lazy, vel), f, 1 + 1j, result=res, vel=vel)
+        assert len(f_reads) == 2 and f._floats is kept
+        f_reads.clear()
+        resolvent_general(finite, vel, f, 0.5, grid=8)
+        assert f_reads == [] and f._floats is kept
+
+    def test_a_new_state_profile_or_graph_reads_its_own(self):
+        # f lives on edges 0 and 1; `wider` puts edge -1 before them, so a
+        # table laid out on the first graph's edges would misplace f there
+        def graph(wider):
+            edges = [(0, 0, 1), (1, 1, 0)] + ([(-1, 1, 0)] if wider else [])
+            weights = {(1, 0): F(1), (0, 1): F(1)}
+            if wider:
+                weights.update({(0, -1): F(1), (-1, 0): F(0)})
+            return MetricGraph.finite(edges, weights)
+
+        def state(scale):
+            return NetworkState([F(0), F(1, 4), F(1)],
+                                [SparseVector({0: F(scale), 1: F(-1)}), SparseVector({1: F(2)})])
+
+        def speeds(c):
+            return VelocityProfile({0: c, 1: F(1)}, default=F(1, 2))
+
+        def cold(wider, scale, c, lam):
+            return resolvent_general(graph(wider), speeds(c), state(scale), lam, grid=8)
+
+        for lam in (0.5, 1 + 1j):
+            g, f, vel = graph(False), state(1), speeds(F(2))
+            first = resolvent_general(g, vel, f, lam, grid=8)
+            del g
+            # the same f and vel on a new graph, possibly at the freed one's address
+            moved = resolvent_general(graph(True), vel, f, lam, grid=8)
+            assert moved.state.array.tobytes() == cold(True, 1, F(2), lam).state.array.tobytes()
+            assert moved.state.edges != first.state.edges
+            g = graph(False)
+            resolvent_general(g, vel, f, lam, grid=8)
+            for scale, c in ((3, F(2)), (1, math.sqrt(2))):
+                # a new state or a new profile on a graph the old ones were read on
+                f2, vel2 = (state(scale), vel) if scale != 1 else (f, speeds(c))
+                new = resolvent_general(g, vel2, f2, lam, grid=8)
+                want = cold(False, scale, c, lam).state.array.tobytes()
+                assert new.state.array.tobytes() == want
+                assert want != first.state.array.tobytes()
+
+    def test_kept_arrays_are_read_only(self):
+        g = cycle(6)
+        f = random_state(random.Random(52), g.edge_ids, pieces=4)
+        vel = VelocityProfile({j: [F(1, 2), math.sqrt(2)][j % 2] for j in g.edge_ids})
+        resolvent_general(g, vel, f, 1 + 1j, grid=8)
+        assert f._floats[0] is g._float_routing[0]
+        kept = f._floats[1:]
+        assert len(kept) == 3
+        for a in kept:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 1 + 1j, 3 - 2j])
+    def test_repeat_solves_give_the_first_bits(self, lam):
+        g = regular_style_graph(random.Random(53), 40, 3)
+        vel = VelocityProfile({j: [F(1, 2), F(1), math.sqrt(3)][j % 3] for j in g.edge_ids})
+        f = checks.random_state(random.Random(54), g, 9)
+        for solve in (lambda: resolvent_general(g, vel, f, lam, grid=32),
+                      lambda: resolvent_unit(build_adjacency(g), f, lam, grid=32)):
+            first, again = solve(), solve()
+            assert again.state.array.tobytes() == first.state.array.tobytes()
+            assert (again.terms, again.tail_bound, again.metadata) == (
+                first.terms, first.tail_bound, first.metadata)
 
 
 class TestIdentityCheckArrays:
@@ -1170,3 +1295,19 @@ class TestArrayForm:
         assert emit_plotdata(st) == oracles.plotdata_reference(st) == "s,edge_1,edge_2\n0,0,2\n1,1,0\n"
         z = SampledState.from_array([1], np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)]]))
         assert emit_plotdata(z) == oracles.plotdata_reference(z) == "s,edge_1_re,edge_1_im\n0,0,0\n1,1,-0\n"
+
+
+def test_benchmark_workload_round_passes_its_checks(monkeypatch, tmp_path):
+    # every case of the resolvent-float benchmark's first round solves and
+    # passes its own check, so a wrong answer fails here before a benchmark
+    # run reports it
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(root))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    cases = workloads.ResolventFloat(1, tmp_path).round(0)
+    assert len(cases) == 12
+    failures = [(case.name, case.check(case.solve())) for case in cases]
+    assert [(name, msg) for name, msg in failures if msg is not None] == []

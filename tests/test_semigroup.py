@@ -441,6 +441,66 @@ def rates_of(state):
     )
 
 
+class TestAbsorptionProfileState:
+    """AbsorptionProfile builds its state in one pass over the union of the
+    cuts; the running pairwise sum in oracles is the reference."""
+
+    @staticmethod
+    def random_profiles(rng):
+        ids = rng.sample([0, 1, 2, 7, "a", "b", (1, 2), (0, "x"), F(1, 3)], rng.randint(0, 9))
+        shared = [F(k, 12) for k in range(1, 12)]
+        profiles = {}
+        for j in ids:
+            cuts = sorted(set(rng.sample(shared, rng.randint(0, 3)))
+                          | {F(rng.randint(1, 29), 30) for _ in range(rng.randint(0, 2))})
+            vals = [rng.choice([F(0), F(0), F(1), F(-1, 2), F(rng.randint(-9, 9), 7)])
+                    for _ in range(len(cuts) + 1)]
+            profiles[j] = ([F(0)] + cuts + [F(1)], vals)
+        return profiles
+
+    def test_random_profiles_equal_the_pairwise_sum(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            profiles = self.random_profiles(rng)
+            got = AbsorptionProfile(profiles).as_state()
+            want = oracles.pairwise_absorption_state(profiles)
+            assert got == want
+            # each piece lists its edges in the order the sum added them
+            assert [list(v.items()) for v in got.values] == [list(v.items()) for v in want.values]
+
+    def test_one_distinct_cut_per_edge(self):
+        profiles = {j: ([F(0), F(j + 1, 42), F(1)], [F(j % 5 - 2), F(1, j + 1)]) for j in range(40)}
+        state = AbsorptionProfile(profiles).as_state()
+        assert state == oracles.pairwise_absorption_state(profiles)
+        assert len(state.breakpoints) == 42
+
+    def test_builds_no_pairwise_sum(self, monkeypatch):
+        def no_add(*_):
+            raise AssertionError("NetworkState.__add__ called")
+
+        profiles = self.random_profiles(random.Random(62))
+        want = oracles.pairwise_absorption_state(profiles)
+        monkeypatch.setattr(NetworkState, "__add__", no_add)
+        assert AbsorptionProfile(profiles).as_state() == want
+        assert AbsorptionProfile.constant({1: F(1), 2: F(0)}).as_state() == \
+            NetworkState.constant(SparseVector({1: F(1)}))
+
+    @pytest.mark.parametrize("profiles", [
+        {2: ([F(0), 0.5, F(1)], [F(1), F(2)]), 1: ([F(0), F(1)], [F(1), F(2)])},
+        {1: ([F(0), F(1, 2), F(1)], [F(1), 0.25]), "a": ([F(0), F(1)], [0.5])},
+        {3: ([F(0), F(1)], [F(1), F(2)]), "b": ([F(0), F(1, 2)], [F(1)])},
+        {(1, 2): ([F(0), F(1, 2), F(1, 2), F(1)], [F(1), F(2), F(3)]), 0: ([F(0), F(1)], [F(1)])},
+        {5: ([F(1, 4), F(1)], [F(1)]), 4: ([F(0), F(2, 3), F(1, 3), F(1)], [F(1), F(2), F(3)])},
+        {1: ([F(0)], [])},
+    ])
+    def test_refusals_match_the_pairwise_sum(self, profiles):
+        with pytest.raises(Exception) as want:
+            oracles.pairwise_absorption_state(profiles)
+        with pytest.raises(type(want.value)) as got:
+            AbsorptionProfile(profiles)
+        assert str(got.value) == str(want.value)
+
+
 class TestCharacteristicsAgainstSubdivision:
     """evolve_rational follows characteristics; subdivision is the exact oracle."""
 
