@@ -70,6 +70,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"netflow {__version__}")
     sub = p.add_subparsers(dest="verb", required=True)
 
+    def grid(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+        return int(text)
+
     def common(sp, state=True):
         sp.add_argument("--graph", required=True, help="graph file")
         if state:
@@ -79,14 +84,14 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="run the transport flow")
     common(sp)
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
-    sp.add_argument("--grid", type=int, default=256, help="output samples per edge")
+    sp.add_argument("--grid", type=grid, default=256, help="output samples per edge")
     sp.add_argument("--log-steps", type=int, default=4, help="run-log entries after t=0")
 
     sp = sub.add_parser("absorb", help="transport with absorption rates")
     common(sp)
     sp.add_argument("--rates", required=True, help="absorption rates, state file format")
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
-    sp.add_argument("--grid", type=int, default=128, help="output samples per edge")
+    sp.add_argument("--grid", type=grid, default=128, help="output samples per edge")
     sp.add_argument("--log-steps", type=int, default=4, help="run-log entries after t=0")
 
     sp = sub.add_parser("resolvent", help="solve the stationary problem")
@@ -94,7 +99,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--lambda", dest="lam", required=True,
                     help="spectral parameter re[,im], each part rational or decimal")
     sp.add_argument("--tol", type=float, default=1e-12, help="series truncation tolerance")
-    sp.add_argument("--grid", type=int, default=256, help="output samples per edge")
+    sp.add_argument("--grid", type=grid, default=256, help="output samples per edge")
 
     sp = sub.add_parser("approx", help="rational-velocity convergence tables")
     common(sp)
@@ -105,7 +110,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--method", default="cf", help="cf (convergents) or dec (decimal)")
     sp.add_argument("--test", action="append", default=[],
                     help="test-function state file for weak errors (repeatable)")
-    sp.add_argument("--grid", type=int, default=512, help="sampling grid")
+    sp.add_argument("--grid", type=grid, default=512, help="sampling grid")
 
     sp = sub.add_parser("check", help="run the randomized self-test suites")
     sp.add_argument("--suite", default="all", help="one of %s or all" % ", ".join(SUITES))

@@ -224,11 +224,7 @@ def parse_state_file(path, cls=NetworkState) -> StateFile:
     return parse_state_text(path.read_text(encoding="utf-8"), origin=str(path), cls=cls)
 
 
-def _rational_token(x) -> str:
-    return str(Fraction(x)) if not isinstance(x, float) else _real_token(x)
-
-
-def _real_token(x) -> str:
+def _number_token(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(Fraction(x))
 
 
@@ -251,20 +247,20 @@ def write_graph_text(g: MetricGraph, vel: VelocityProfile | None = None,
     for j in ids:
         col = g.column(j)
         for i in sorted(col, key=repr):
-            out.append(f"w {i} {j} {_rational_token(col[i])}")
+            out.append(f"w {i} {j} {_number_token(col[i])}")
     if vel is not None:
         for j in ids:
-            out.append(f"c {j} {_real_token(vel.velocity(j))}")
+            out.append(f"c {j} {_number_token(vel.velocity(j))}")
     return "\n".join(out) + "\n"
 
 
 def write_state_text(state: NetworkState, name: str = "state") -> str:
     name = _check_token(name, "state name")
     out = [f"state {name}"]
-    out.append("bp " + " ".join(_rational_token(b) for b in state.breakpoints))
+    out.append("bp " + " ".join(_number_token(b) for b in state.breakpoints))
     for idx, v in enumerate(state.values):
         for e in sorted(v.support(), key=repr):
-            out.append(f"v {idx} {_check_token(e, 'edge id')} {_rational_token(v.get(e))}")
+            out.append(f"v {idx} {_check_token(e, 'edge id')} {_number_token(v.get(e))}")
     return "\n".join(out) + "\n"
 
 
@@ -276,8 +272,8 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     An array state is formatted from its array, a zero entry written as
     `0` as the rows drop it.  A row state formats each distinct vector
     once, keyed by its id while the state holds it (`sample` hands one
-    vector object to every grid point of a piece), each value object once
-    (by its id, as vectors share them) and each distinct real value once."""
+    vector object to every grid point of a piece), and each value object
+    once (by its id, as vectors share them)."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
@@ -312,7 +308,6 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
 
     pos = {e: k for k, e in enumerate(edges)}
     blank = ["0,0" if is_complex else "0"] * len(edges)
-    text: dict = {}
     # value objects are shared between vectors (routing memoises them), and
     # `distinct` holds each one, so its id keys its cell while this runs
     by_id: dict = {}
@@ -329,11 +324,7 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
                 continue
             cell = by_id.get(id(x))
             if cell is None:
-                y = to_float(x)
-                cell = text.get(y)
-                if cell is None or not y:  # 0.0 and -0.0 share a key
-                    cell = text[y] = "%.17g" % y
-                by_id[id(x)] = cell
+                cell = by_id[id(x)] = "%.17g" % to_float(x)
             row[k] = cell
         # an edge listed twice repeats its column
         cells[key] = ",".join(row) if len(pos) == len(edges) else ",".join(

@@ -175,6 +175,11 @@ class MetricGraph:
             if eid in self._edges:
                 raise MalformedGraphError(f"duplicate edge id {eid!r}")
             self._edges[eid] = (tail, head)
+        try:
+            sorted(self._edges)  # edge_ids lists them in this order
+        except TypeError:
+            kinds = ", ".join(sorted({type(e).__name__ for e in self._edges}))
+            raise MalformedGraphError(f"edge ids of types {kinds} cannot be sorted together") from None
         self._weights = {}
         for (i, j), w in weights.items():
             if i not in self._edges or j not in self._edges:
@@ -200,7 +205,7 @@ class MetricGraph:
         for (i, j), w in self._weights.items():
             self._columns[j][i] = w
         self._rows = None
-        self._float_routing = None  # resolvent's B as float index arrays, on first solve
+        self._float_routing = None  # resolvent's keeper [routing, f, f's table], on first solve
         return self
 
     @classmethod

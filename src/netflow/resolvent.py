@@ -21,14 +21,14 @@ The series routes float or complex vectors through C held as index
 arrays of its nonzero entries, one bincount per term, so memory is
 O(edges): no n x n matrix is built.  A finite graph gives all its edges
 in sorted-id order; B alone fixes those arrays, so they are read once
-per graph, on its first solve, kept on it read-only, and scaled by the
-speeds into a copy.  What a solve reads from f alone, its entries as
-flat positions and float values on that edge tuple and its piece
-widths, is kept the same way on the state: read once per state,
-read-only, keyed by the identity of the edge tuple it is laid out on,
-and read again when another tuple is asked for.  So the solves at other
-lambdas or speeds that a convergence ladder or an identity check makes
-for one f read it once; the float speeds, which a ladder changes at
+per graph, on its first solve, and scaled by the speeds into a copy.
+What a solve reads from f alone, its entries as flat positions and float
+values on that edge tuple and its piece widths, is f's table, and one
+reader, _state_table, builds it.  The graph keeps both, read-only, in
+one keeper [routing, f, f's table]: the table of the last f solved
+there, matched by `kept f is f`.  So the solves at other lambdas or
+speeds that a convergence ladder or an identity check makes for one f on
+one graph read f once; the float speeds, which a ladder changes at
 every level, are read on each solve.  A lazy graph, at any speeds, gives
 the routing closure of supp f, read with f on every solve, as many
 applications of B deep as the tolerance can need; it must be stochastic,
@@ -95,7 +95,6 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 500_000
-_UNIT = VelocityProfile({}, default=1)
 
 
 @dataclass
@@ -120,24 +119,20 @@ def _require_right_half_plane(lam) -> complex:
     return lam
 
 
-def _piece_values(f: NetworkState, edges) -> tuple:
-    """f's entries on a pieces x edges array whose columns are `edges`:
-    (flat, vals), the flat position p * len(edges) + k of each entry of f
-    on edges[k] over piece p, and its float value.  An edge of supp f
-    missing from `edges` raises KeyError."""
+def _state_table(f: NetworkState, edges) -> tuple:
+    """f's entries on a pieces x edges array whose columns are `edges`, and
+    its pieces: (flat, vals, widths), the flat position p * len(edges) + k
+    of each entry of f on edges[k] over piece p, its float value, and the
+    piece widths float(b - a).  An edge of supp f missing from `edges`
+    raises KeyError."""
     n = len(edges)
     at = {e: k for k, e in enumerate(edges)}
     # exact.to_float inlined: this loop reads every entry of f
     flat = [at[e] + p * n for p, v in enumerate(f.values) for e in v.support()]
     vals = [x.numerator / x.denominator if type(x) is Fraction else float(x)
             for v in f.values for x in v.values()]
-    return np.array(flat, dtype=np.intp), np.array(vals, dtype=float)
-
-
-def _state_table(f: NetworkState, edges) -> tuple:
-    """_piece_values of f on `edges` and f's piece widths float(b - a)."""
-    widths = np.array([float(b - a) for a, b in zip(f.breakpoints, f.breakpoints[1:])])
-    return (*_piece_values(f, edges), widths)
+    widths = [float(b - a) for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+    return np.array(flat, dtype=np.intp), np.array(vals, dtype=float), np.array(widths)
 
 
 def _speed_table(vel: VelocityProfile, edges) -> np.ndarray:
@@ -145,43 +140,24 @@ def _speed_table(vel: VelocityProfile, edges) -> np.ndarray:
     return np.array([to_float(vel.velocity(j)) for j in edges])
 
 
-def _f_table(g: MetricGraph, f: NetworkState, edges) -> tuple:
-    """_state_table of f on `edges`.  On the routing tuple of the finite
-    graph g it is read once and kept in f._floats, read-only, until f is
-    asked for on another tuple; the tuple is matched by identity and held
-    in the slot, so no other tuple can take its address while it is kept.
-    Other edges (a lazy closure, a check's edges past its result's) are
-    read on every call."""
-    routing = g._float_routing if g.is_finite else None
-    if routing is None or edges is not routing[0]:
-        return _state_table(f, edges)
-    kept = f._floats
-    if kept is None or kept[0] is not edges:
-        arrays = _state_table(f, edges)
-        for a in arrays:
-            a.flags.writeable = False
-        f._floats = kept = (edges, *arrays)
-    return kept[1:]
-
-
 def _scatter(flat: np.ndarray, vals: np.ndarray, n: int, pieces: int, dtype) -> np.ndarray:
-    """The pieces x n array holding vals at the flat positions of _piece_values."""
+    """The pieces x n array holding vals at the flat positions of _state_table."""
     V = np.zeros((pieces, n), dtype=dtype)
     V.ravel()[flat] = vals
     return V
 
 
-def _piece_integrals(V: np.ndarray, widths: np.ndarray, mu: np.ndarray, lam) -> tuple:
+def _piece_integrals(V: np.ndarray, widths: np.ndarray, mus: np.ndarray, row: np.ndarray,
+                     lam) -> tuple:
     """(V / l, G) from f's values V, pieces x edges (_scatter, of mu's
     dtype; V is divided in place), and its piece widths: G[p] = (1/c_j)
     int_{a_p}^1 e^{mu_j (a_p - t)} f_j(t) dt is the local integral at the
     piece's left end a_p (G[P] = 0 at s = 1), so G is (P + 1) x edges and
     G[0] is the boundary moment d.  Each e^{-mu w_p} is taken once per
-    distinct mu and gathered per edge; the recurrence runs on contiguous
-    rows."""
+    distinct mu = mus[row] and gathered per edge by `row`; the recurrence
+    runs on contiguous rows."""
     V /= lam
-    G = np.zeros((len(V) + 1, len(mu)), dtype=mu.dtype)
-    mus, row = np.unique(mu, return_inverse=True)
+    G = np.zeros((len(V) + 1, len(row)), dtype=mus.dtype)
     x = np.multiply.outer(-mus, widths).T.copy()  # row p: exponents on piece p
     ex, em = np.exp(x), np.expm1(x, out=x)
     for p in reversed(range(len(V))):
@@ -193,13 +169,13 @@ def _piece_integrals(V: np.ndarray, widths: np.ndarray, mu: np.ndarray, lam) -> 
 _BLOCK = 64
 
 
-def _sample(f: NetworkState, edges, mu: np.ndarray, V: np.ndarray,
+def _sample(f: NetworkState, edges, mus: np.ndarray, row: np.ndarray, V: np.ndarray,
             G: np.ndarray, y: np.ndarray, grid: int) -> SampledState:
     """The closed form u_j(m / grid), m = 0..grid, on the columns `edges`
     of f's piece integrals (V, G), pieces-major as _piece_integrals gives
-    them, from the per-edge exponent mu = l / c and the head trace y =
-    u(1).  Each exponential table is taken once per distinct mu and its
-    rows gathered per edge, so equal speeds give equal bits."""
+    them, from the per-edge exponent mu = l / c = mus[row] and the head
+    trace y = u(1).  Each exponential table is taken once per distinct mu
+    and its rows gathered per edge, so equal speeds give equal bits."""
     s = np.arange(grid + 1) / grid
     piece = np.array(grid_pieces(f.breakpoints, grid))
     right = np.array([to_float(b) for b in f.breakpoints[1:]])
@@ -210,7 +186,6 @@ def _sample(f: NetworkState, edges, mu: np.ndarray, V: np.ndarray,
     # gathers straight into the block ("raise" copies); every index is in
     # range
     u = np.take((G[1:] - V).T, piece, axis=1)
-    mus, row = np.unique(mu, return_inverse=True)
     ramp = np.multiply.outer(-mus, right[piece] - s)
     tail = np.multiply.outer(-mus, 1 - s)
     np.exp(ramp, out=ramp)
@@ -271,16 +246,25 @@ def _routing(g: MetricGraph, seeds: list, depth: int) -> tuple:
             np.array(weights, dtype=float))
 
 
-def _finite_routing(g: MetricGraph) -> tuple:
-    """_routing of a finite graph over all its edges, in sorted-id order:
-    B alone fixes it, so it is read on the first solve and kept on the
-    graph, read-only."""
-    if g._float_routing is None:
+def _kept(g: MetricGraph, f: NetworkState) -> tuple:
+    """(routing, table) of the finite graph g: _routing over all its edges
+    in sorted-id order, which B alone fixes, and f's _state_table on those
+    edges, both read-only and kept in g's keeper [routing, f, f's table]:
+    the routing from g's first solve, the table of the last f solved
+    there, matched by `kept f is f` (the keeper holds f, so no other state
+    can take its address)."""
+    keeper = g._float_routing
+    if keeper is None:
         routing = _routing(g, g.edge_ids, 1)
         for a in routing[1:]:
             a.flags.writeable = False
-        g._float_routing = routing
-    return g._float_routing
+        keeper = g._float_routing = [routing, None, None]
+    if keeper[1] is not f:
+        table = _state_table(f, keeper[0][0])
+        for a in table:
+            a.flags.writeable = False
+        keeper[1:] = f, table
+    return keeper[0], keeper[2]
 
 
 def _terms_needed(first: float, rate: float, tol: float) -> int:
@@ -321,10 +305,10 @@ def _lazy_bounds(g: MetricGraph, vel: VelocityProfile, re: float) -> tuple:
 def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
             lam, grid: int, tol: float) -> ResolventResult:
     """Both resolvents at the speeds `vel`, by the series and stop rule of
-    the module docstring.  A finite graph reads every column and f's
-    entries on its first solve only (_finite_routing, _f_table), and
-    fills V from the kept entries with one scatter.  A lazy one
-    reads the closure of supp f, and the dropped terms reach edges it
+    the module docstring.  A finite graph reads every column on its first
+    solve and f's entries on the first solve of that f on it (_kept), and
+    fills V from the kept entries with one scatter.  A lazy one reads the
+    closure of supp f, and the dropped terms reach edges it
     never read, so q and c_min are the profile's (_lazy_bounds) unless
     rounding puts the closure's past them.  Its depth suffices: c_j |d_j|
     <= int |f_j| and a stochastic C keeps |.|_c, so term k's bound is at
@@ -343,16 +327,15 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         if not len(g):
             raise ValueError("graph has no edges")
         q, c_min, c_max = 0.0, math.inf, 0.0
-        edges, rows, cols, weights = _finite_routing(g)
         try:
-            flat, vals, widths = _f_table(g, f, edges)
+            (edges, rows, cols, weights), (flat, vals, widths) = _kept(g, f)
         except KeyError as err:
             raise MalformedGraphError(f"unknown edge {err.args[0]!r}") from None
         V = _scatter(flat, vals, len(edges), len(f.values), type(lam_num))
     else:
         q, c_min, c_max = _lazy_bounds(g, vel, re)
         seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
-        flat, vals, widths = _f_table(g, f, seeds)
+        flat, vals, widths = _state_table(f, seeds)
         F = _scatter(flat, vals, len(seeds), len(f.values), float)
         # summed per edge over a contiguous edges x pieces copy, so |f|_L1,
         # and with it the depth, keeps its bits whatever layout F has
@@ -376,7 +359,9 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     def bound(term):
         return float((c * np.abs(term)).sum()) / ((1 - q) * c_min)
 
-    V, G = _piece_integrals(V, widths, mu, lam_num)
+    # the edges grouped by exponent, for the sampler and the piece integrals
+    mus, row = np.unique(mu, return_inverse=True)
+    V, G = _piece_integrals(V, widths, mus, row, lam_num)
     d = G[0]
     E = np.exp(-mu)
     y = np.zeros_like(d)
@@ -391,7 +376,7 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         tail = bound(term)
         nterms += 1
 
-    state = _sample(f, edges, mu, V, G, y, grid)
+    state = _sample(f, edges, mus, row, V, G, y, grid)
     return ResolventResult(state, lam, nterms, tail, {
         "neumann_terms": nterms, "norm_Blambda": norm_raw,
         "norm_Blambda_weighted": q, "tol": tol,
@@ -406,7 +391,7 @@ def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
     if op.scaled:
         raise WrongOperatorError("resolvent_unit needs the unscaled routing operator; "
                                  "use resolvent_general for velocity profiles")
-    return _series(op.graph, _UNIT, f, lam, grid, tol)
+    return _series(op.graph, semigroup._UNIT, f, lam, grid, tol)
 
 
 def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
@@ -478,8 +463,8 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
         raise ValueError(f"need t_max > 0 and grid >= 1, got {t_max} and {grid}")
     if not all(is_rational(x) for v in f.values for x in v.values()):
         raise NotRationalError("laplace_oracle needs exact rational state values")
-    g, re, vel = op.graph, lam.real, op.scaling or _UNIT
-    speed, rows = semigroup._network(g, vel, f, t_max)
+    g, re, vel = op.graph, lam.real, op.scaling or semigroup._UNIT
+    _, speed, rows = semigroup._network(g, vel, f, t_max)
     if not speed:  # f = 0 on a lazy graph
         return LaplaceResult(SampledState.from_array([], np.zeros((0, grid + 1))), lam, 0.0, 0.0)
     if g.is_finite:
@@ -546,11 +531,11 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     produces an O(1) spike (reported separately, never mixed in).  All of
     it reads the result's edges x (grid + 1) array, the trace residual its
     columns 0 and grid, f through the table a solve on the same edges kept
-    (_f_table), and the speeds through the solve's reader.  The speeds are
+    (_kept), and the speeds through the solve's reader.  The speeds are
     `vel`, else op.scaling, else 1; without `result` the resolvent is
     solved at them.
     """
-    vel = vel or op.scaling or _UNIT
+    vel = vel or op.scaling or semigroup._UNIT
     if result is None:
         result = _series(op.graph, vel, f, lam, grid, tol)
     lam = complex(lam)
@@ -561,8 +546,6 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
 
     have = set(state.edges)
     extra = tuple(e for e in f.support() if e not in have)
-    # a finite graph's result is laid out on its routing tuple, whose
-    # table of f the solve kept
     edges = state.edges + extra if extra else state.edges
     U = state.on_edges(edges)
 
@@ -573,7 +556,12 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     bad = bad[1:M]
 
     c = _speed_table(vel, edges)
-    flat, vals, _ = _f_table(op.graph, f, edges)
+    # a finite graph's result is laid out on its routing tuple, whose
+    # table of f the solve kept
+    g = op.graph
+    keeper = g._float_routing if g.is_finite else None
+    kept = keeper is not None and edges is keeper[0][0]
+    flat, vals, _ = _kept(g, f)[1] if kept else _state_table(f, edges)
     # |c du - l u + f| = |l u - c du - f| on the inner samples, built in
     # place: rounding is symmetric, so the negation is exact
     r = U[:, 2:] - U[:, :-2]

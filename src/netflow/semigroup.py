@@ -26,10 +26,13 @@ a gcd per value cancels what that lcm carried beyond the value's own
 denominator, so no value grows larger than the answer needs.  Fractions
 are built only for the answer's distinct values and breakpoints.
 
-Both exact verbs take their edges from _network: all of a finite graph,
+The three exact verbs share one front, _network: t an exact time >= 0,
+rational speeds, and the edges the answer needs: all of a finite graph,
 and on a lazy graph, at any speeds its profile lists over a default, the
 forward cone of supp f, the edges inflow can enter before t by earliest
-arrival along traversal times 1/c_j; nothing else reaches the answer.
+arrival along traversal times 1/c_j.  evolve_unit is evolve_rational at
+c = 1 on the caller's operator; the closed form above runs wherever
+those edges share one speed.
 
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
@@ -99,10 +102,13 @@ MAX_SUBEDGES = 2_000_000
 # edge count predicts minutes of work.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
+# speed 1 everywhere, as a Fraction so that vel.exact builds none per edge
+_UNIT = VelocityProfile({}, default=Fraction(1))
 
 
 def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
-    """Exact unit-velocity evolution T(t) f.
+    """Exact unit-velocity evolution T(t) f: evolve_rational at c = 1,
+    routed through `op` itself.
 
     `op` must be unscaled: the unit flow belongs to the plain routing
     matrix, and passing a velocity-conjugated operator here silently
@@ -117,15 +123,7 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
             "evolve_unit needs the unscaled routing operator; "
             "use evolve_rational for velocity profiles"
         )
-    t = as_exact_time(t, "evolution time")
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
-    if op.graph.is_finite:
-        for j in f.support():
-            op.graph.column(j)  # an edge the graph lacks raises MalformedGraphError
-    else:
-        _network(op.graph, VelocityProfile({}, default=1), f, t)
-    return _unit_flow(op, f, t)
+    return _flow(op, _UNIT, f, t)
 
 
 def _unit_flow(op: AdjacencyOperator, f: NetworkState, t: Fraction) -> NetworkState:
@@ -434,8 +432,9 @@ def _loose_inflow(a, windows: list) -> list:
     return out
 
 
-def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction) -> tuple:
-    """(speed, rows) of the edges the flow from f depends on up to time t.
+def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
+    """The exact verbs' front: t an exact time >= 0, rational speeds, and
+    (t, speed, rows) of the edges the flow from f depends on up to time t.
 
     A finite graph keeps every edge and its rows, and refuses f on an edge
     it lacks.  A lazy graph keeps the forward cone of supp f, from column
@@ -443,10 +442,15 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction)
     its earliest inflow, and an edge is in when inflow enters it before t.
     Only edges that outflow before t are read, and rows keep only those.
     """
+    t = as_exact_time(t, "evolution time")
+    if t < 0:
+        raise ValueError(f"evolution time must be nonnegative, got {t}")
+    if not vel.is_rational():
+        raise NotRationalError("exact flows need exact rational velocities")
     if g.is_finite:
         for j in f.support():
             g.column(j)  # an edge the graph lacks raises MalformedGraphError
-        return {j: vel.exact(j) for j in g.edge_ids}, g.feeders
+        return t, {j: vel.exact(j) for j in g.edge_ids}, g.feeders
     speed = {j: vel.exact(j) for j in sorted(f.support(), key=repr)}
     rows = {j: {} for j in speed}
     # outflow times in ticks of 1/N, N the lcm of the profile's exact speed
@@ -470,7 +474,7 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction)
                 rows[i] = {}
                 heapq.heappush(heap, (out + N // c.numerator * c.denominator, len(speed), i))
             rows[i][j] = w
-    return speed, rows.__getitem__
+    return t, speed, rows.__getitem__
 
 
 def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, delay=None):
@@ -593,15 +597,15 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     H_j(t + x/c_j).  When those edges share one speed c, the unit flow
     runs for time c*t instead.
     """
-    if not vel.is_rational():
-        raise NotRationalError("evolve_rational needs exact rational velocities")
-    t = as_exact_time(t, "evolution time")
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
-    speed, rows = _network(g, vel, f, t)
+    return _flow(build_adjacency(g), vel, f, t)
+
+
+def _flow(op: AdjacencyOperator, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
+    """evolve_rational, with `op` the unscaled operator of its graph."""
+    t, speed, rows = _network(op.graph, vel, f, t)
     uniform = set(speed.values())
     if len(uniform) == 1:
-        return _unit_flow(build_adjacency(g), f, uniform.pop() * t)
+        return _unit_flow(op, f, uniform.pop() * t)
     if t == 0 or not speed:
         return f
 
@@ -777,18 +781,13 @@ def evolve_absorbing(
     it lacks, at every t.  Velocities must be exact rationals, even at
     t = 0, when the input is returned sampled, with bound zero.
     """
-    t = as_exact_time(t, "evolution time")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
     if grid < 1:
         raise ValueError(f"output grid must be >= 1, got {grid}")
-    if not vel.is_rational():
-        raise NotRationalError("absorption needs exact rational velocities")
+    t, speed, rows = _network(g, vel, f, t)
     qs = q.as_state()
     if g.is_finite:
         for j in qs.support():
             g.column(j)  # rates on an edge the graph lacks raise MalformedGraphError
-    speed, rows = _network(g, vel, f, t)
     if t == 0 or not speed:
         return AbsorbingResult(sample(f, grid), 0.0)
 

@@ -54,8 +54,7 @@ def _hadamard(u: SparseVector, q: SparseVector) -> SparseVector:
 class NetworkState:
     """One piecewise-constant edge-bundle function on a shared rational grid."""
 
-    # _floats: the float entries a resolvent solve reads, kept by resolvent._f_table
-    __slots__ = ("breakpoints", "values", "_floats")
+    __slots__ = ("breakpoints", "values")
 
     def __init__(self, breakpoints: Sequence, values: Sequence):
         bps = tuple(as_exact(b, what="breakpoint") for b in breakpoints)
@@ -79,7 +78,6 @@ class NetworkState:
                 out_bps.append(b_next)
         self.breakpoints = tuple(out_bps)
         self.values = tuple(out_vals)
-        self._floats = None
 
     @classmethod
     def constant(cls, vec) -> "NetworkState":

@@ -146,11 +146,14 @@ def per_edge_state_table(f, edges) -> tuple:
     return np.array(flat, dtype=np.intp), np.array(vals, dtype=float), np.array(widths)
 
 
-def per_edge_piece_integrals(V: np.ndarray, widths: np.ndarray, mu: np.ndarray, lam) -> tuple:
+def per_edge_piece_integrals(V: np.ndarray, widths: np.ndarray, mus: np.ndarray,
+                             row: np.ndarray, lam) -> tuple:
     """resolvent._piece_integrals with one exp and one expm1 per edge and
     piece: (V, G) from f's values V, pieces x edges, and its piece widths,
-    V[p] = f on piece p / lam and G[p] the local integral at the piece's
-    left end, summed backwards from G[P] = 0."""
+    at the per-edge exponent mu = mus[row], V[p] = f on piece p / lam and
+    G[p] the local integral at the piece's left end, summed backwards from
+    G[P] = 0."""
+    mu = mus[row]
     V = V / lam
     G = np.zeros((len(V) + 1, len(mu)), dtype=mu.dtype)
     for p in reversed(range(len(V))):
@@ -159,14 +162,15 @@ def per_edge_piece_integrals(V: np.ndarray, widths: np.ndarray, mu: np.ndarray, 
     return V, G
 
 
-def per_edge_sample(f, edges: list, mu: np.ndarray, V: np.ndarray, G: np.ndarray,
-                    y: np.ndarray, grid: int):
+def per_edge_sample(f, edges: list, mus: np.ndarray, row: np.ndarray, V: np.ndarray,
+                    G: np.ndarray, y: np.ndarray, grid: int):
     """resolvent._sample with one exp per edge and grid point:
-    u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, with
-    the products and sums in the library's order; V and G are pieces-major,
-    as per_edge_piece_integrals gives them."""
+    u = V_p + e^{-mu (b_p - s)} (G_{p+1} - V_p) + e^{-mu (1 - s)} y, mu =
+    mus[row], with the products and sums in the library's order; V and G
+    are pieces-major, as per_edge_piece_integrals gives them."""
     from netflow.states import SampledState, grid_pieces
 
+    mu = mus[row]
     s = np.arange(grid + 1) / grid
     piece = np.array(grid_pieces(f.breakpoints, grid))
     right = np.array([float(b) for b in f.breakpoints[1:]])

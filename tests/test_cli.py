@@ -342,6 +342,25 @@ class TestExitCodes:
     def test_unknown_verb(self):
         assert main(["fly"]) == 3
 
+    def test_mixed_edge_id_styles(self, tmp_path, capsys):
+        bad = tmp_path / "mixed.graph"
+        bad.write_text("graph m\nedge 1 u v\nedge a v u\nw a 1 1\nw 1 a 1\n")
+        assert main(["validate", "--graph", str(bad), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: edge ids of types int, str cannot be sorted together\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--graph", G2, "--state", PULSE, "--t", "1/2"],
+        ["absorb", "--graph", G2, "--state", PULSE, "--rates", RATES, "--t", "1/2"],
+        ["resolvent", "--graph", G2, "--state", PULSE, "--lambda", "2"],
+        ["approx", "--graph", G5, "--state", MIXED, "--levels", "1,2", "--lambda", "2"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_is_bad_usage(self, tmp_path, capsys, argv, grid):
+        assert main([*argv, "--grid", grid, "--out", str(tmp_path)]) == 3
+        assert f"argument --grid: must be >= 1, got {grid}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_duplicate_edge_id(self, tmp_path):
         bad = tmp_path / "dup.graph"
         bad.write_text("graph dup\nedge 1 1 2\nedge 1 2 1\n")
@@ -424,3 +443,15 @@ class TestExitCodes:
             "--state", PULSE, "--t", "1", "--out", str(tmp_path),
         ])
         assert code == 3
+
+
+def test_every_verb_has_a_command():
+    # main dispatches on the verb's name: a verb without its _cmd_ function
+    # would end in an uncaught KeyError
+    import argparse
+
+    (verbs,) = [a.choices for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    assert set(verbs) == {"simulate", "absorb", "resolvent", "approx", "check", "validate"}
+    for verb in verbs:
+        assert callable(getattr(cli, f"_cmd_{verb}", None)), verb

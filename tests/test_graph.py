@@ -85,6 +85,16 @@ class TestValidation:
                 [(1, 1, 2), (1, 2, 1)], {(1, 1): F(1)}, name="collide"
             )
 
+    def test_mixed_edge_id_styles_rejected(self):
+        # ids that cannot be sorted together have no edge_ids order
+        with pytest.raises(MalformedGraphError, match="int, str cannot be sorted together"):
+            MetricGraph.finite([(1, "u", "v"), ("a", "v", "u")],
+                               {("a", 1): F(1), (1, "a"): F(1)})
+        # ints and Fractions sort together
+        g = MetricGraph.finite([(1, "u", "v"), (F(1, 2), "v", "u")],
+                               {(F(1, 2), 1): F(1), (1, F(1, 2)): F(1)})
+        assert g.edge_ids == [F(1, 2), 1]
+
     def test_nonadjacent_weight_rejected(self):
         with pytest.raises(MalformedGraphError):
             MetricGraph.finite(

@@ -423,16 +423,27 @@ class TestPerSpeedSampler:
 
     GRIDS = (1, 7, 256)
 
-    def assert_matches_per_edge(self, monkeypatch, f, solve):
+    def assert_matches_per_edge(self, monkeypatch, g, f, solve):
         fast = solve()
+        keeper = g._float_routing if g.is_finite else None
+        reads = []
+
+        def per_edge_state_table(f, edges):
+            reads.append(edges)
+            return oracles.per_edge_state_table(f, edges)
+
         with monkeypatch.context() as m:
-            # the reference reads f entry by entry, not the table the fast
-            # solve kept on it, and leaves that table as it found it
-            m.setattr(f, "_floats", None)
-            m.setattr(resolvent_module, "_state_table", oracles.per_edge_state_table)
+            # the reference bypasses the keeper the fast solve filled, so it
+            # reads f entry by entry, and leaves that keeper as it found it
+            if keeper is not None:
+                m.setattr(g, "_float_routing", None)
+            m.setattr(resolvent_module, "_state_table", per_edge_state_table)
             m.setattr(resolvent_module, "_piece_integrals", oracles.per_edge_piece_integrals)
             m.setattr(resolvent_module, "_sample", oracles.per_edge_sample)
             ref = solve()
+        assert len(reads) == 1
+        if keeper is not None:
+            assert g._float_routing is keeper and keeper[1] is f
         assert fast.state.edges == ref.state.edges
         assert fast.state.array.dtype == ref.state.array.dtype
         assert fast.state.array.tobytes() == ref.state.array.tobytes()
@@ -446,7 +457,7 @@ class TestPerSpeedSampler:
             for lam in TestSharedSampler.LAMBDAS:
                 for grid in self.GRIDS:
                     self.assert_matches_per_edge(
-                        monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                        monkeypatch, g, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
 
     def test_three_speeds_on_300_edges(self, monkeypatch):
         g = regular_style_graph(random.Random(44), 100, 3)
@@ -455,9 +466,9 @@ class TestPerSpeedSampler:
         for lam in TestSharedSampler.LAMBDAS:
             for grid in self.GRIDS:
                 self.assert_matches_per_edge(
-                    monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                    monkeypatch, g, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
                 self.assert_matches_per_edge(
-                    monkeypatch, f, lambda: resolvent_unit(build_adjacency(g), f, lam, grid=grid))
+                    monkeypatch, g, f, lambda: resolvent_unit(build_adjacency(g), f, lam, grid=grid))
 
     def test_irrational_speeds_finite_and_lazy(self, monkeypatch):
         lazy_tree = MetricGraph.lazy(lambda j: [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))],
@@ -481,7 +492,7 @@ class TestPerSpeedSampler:
             for lam in lams:
                 for grid in self.GRIDS:
                     self.assert_matches_per_edge(
-                        monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                        monkeypatch, g, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
 
     @pytest.mark.parametrize("lam", [0.5, 1 + 1j])
     def test_block_edges(self, monkeypatch, lam):
@@ -494,7 +505,7 @@ class TestPerSpeedSampler:
             f = random_state(random.Random(n), g.edge_ids, pieces=6)
             for grid in self.GRIDS:
                 self.assert_matches_per_edge(
-                    monkeypatch, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
+                    monkeypatch, g, f, lambda: resolvent_general(g, vel, f, lam, grid=grid))
 
 
 def test_exponentials_follow_the_speeds(monkeypatch):
@@ -735,6 +746,36 @@ def substochastic(rng, g):
                               stochastic=False)
 
 
+def test_one_unique_per_solve(monkeypatch):
+    # the solve groups its edges by exponent once, for the piece integrals
+    # and the sampler alike
+    calls = []
+
+    class CountingNumpy:
+        @staticmethod
+        def unique(*args, **kwargs):
+            calls.append(args)
+            return np.unique(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    g = regular_style_graph(random.Random(55), 20, 3)
+    vel = VelocityProfile({j: [F(1, 2), F(1), math.sqrt(2)][j % 3] for j in g.edge_ids})
+    f = checks.random_state(random.Random(56), g, 5)
+    lazy_vel = VelocityProfile({1: math.sqrt(3)}, default=F(1))
+    lazy_f = NetworkState([F(0), F(1, 3), F(1)],
+                          [SparseVector({0: F(1), 1: F(2)}), SparseVector({1: F(-1)})])
+    monkeypatch.setattr(resolvent_module, "np", CountingNumpy())
+    for solve in (lambda: resolvent_general(g, vel, f, 2.0, grid=16),
+                  lambda: resolvent_general(g, vel, f, 1 + 1j, grid=16),
+                  lambda: resolvent_unit(build_adjacency(g), f, 0.5, grid=16),
+                  lambda: resolvent_general(lazy_path(), lazy_vel, lazy_f, 2.0, grid=16)):
+        calls.clear()
+        assert solve().terms > 0
+        assert len(calls) == 1
+
+
 class TestArraySeries:
     """resolvent_unit routes its series on index arrays over the routing
     closure of supp f; the dict-loop series in oracles is the reference."""
@@ -747,15 +788,16 @@ class TestArraySeries:
         mu = np.full(len(edges), lam_num)
         flat, vals, widths = resolvent_module._state_table(f, edges)
         V = resolvent_module._scatter(flat, vals, len(edges), len(f.values), mu.dtype)
-        return resolvent_module._piece_integrals(V, widths, mu, lam_num)
+        return resolvent_module._piece_integrals(V, widths, *np.unique(mu, return_inverse=True),
+                                                 lam_num)
 
     def assert_matches_dict_series(self, monkeypatch, g, f, lam, grid):
         seen = {}
         sample = resolvent_module._sample
 
-        def spy(f, edges, mu, V, G, y, grid):
+        def spy(f, edges, mus, row, V, G, y, grid):
             seen.update(edges=edges, y=y)
-            return sample(f, edges, mu, V, G, y, grid)
+            return sample(f, edges, mus, row, V, G, y, grid)
 
         monkeypatch.setattr(resolvent_module, "_sample", spy)
         res = resolvent_unit(build_adjacency(g), f, lam, grid=grid)
@@ -774,7 +816,8 @@ class TestArraySeries:
         edges = list(got)
         mu = np.full(len(edges), lam_num)
         V, G = self.piece_integrals(f, edges, lam_num)
-        ref = sample(f, edges, mu, V, G, np.array([want.get(e, 0) for e in edges], dtype=mu.dtype), grid)
+        y = np.array([want.get(e, 0) for e in edges], dtype=mu.dtype)
+        ref = sample(f, edges, *np.unique(mu, return_inverse=True), V, G, y, grid)
         for a, b in zip(res.state.samples, ref.samples):
             for e in set(a.support()) | set(b.support()):
                 assert abs(a.get(e) - b.get(e)) <= 1e-14, (e, a.get(e), b.get(e))
@@ -881,7 +924,8 @@ def test_one_full_size_array_per_solve(lam):
 
 class TestRoutingReadOnce:
     """A finite graph's B is read into float index arrays on its first
-    solve and kept on the graph; f is read once per solve."""
+    solve and kept in the graph's keeper [routing, f, f's table], with
+    the table of the last f solved there; a lazy solve reads f every time."""
 
     @staticmethod
     def counting_columns(monkeypatch, g):
@@ -944,13 +988,13 @@ class TestRoutingReadOnce:
     def counting_f_reads(monkeypatch):
         """The list of the edge tuples f is read on."""
         f_reads = []
-        piece_values = resolvent_module._piece_values
+        state_table = resolvent_module._state_table
 
         def counted(f, edges):
             f_reads.append(edges)
-            return piece_values(f, edges)
+            return state_table(f, edges)
 
-        monkeypatch.setattr(resolvent_module, "_piece_values", counted)
+        monkeypatch.setattr(resolvent_module, "_state_table", counted)
         return f_reads
 
     @pytest.mark.parametrize("lazy", [False, True])
@@ -997,15 +1041,18 @@ class TestRoutingReadOnce:
         vel = VelocityProfile({1: math.sqrt(3)}, default=F(1))
         finite, lazy = cycle(5), lazy_path()
         resolvent_general(finite, vel, f, 2.0, grid=8)
-        kept = f._floats
-        assert kept[0] is finite._float_routing[0]
+        keeper = finite._float_routing
+        routing, kept_f, kept = keeper
+        assert kept_f is f and len(kept) == 3
         f_reads = self.counting_f_reads(monkeypatch)
         res = resolvent_general(lazy, vel, f, 1 + 1j, grid=8)
         resolvent_identity_check(build_adjacency(lazy, vel), f, 1 + 1j, result=res, vel=vel)
-        assert len(f_reads) == 2 and f._floats is kept
+        assert len(f_reads) == 2
+        assert finite._float_routing is keeper
+        assert keeper[0] is routing and keeper[1] is f and keeper[2] is kept
         f_reads.clear()
         resolvent_general(finite, vel, f, 0.5, grid=8)
-        assert f_reads == [] and f._floats is kept
+        assert f_reads == [] and keeper[2] is kept
 
     def test_a_new_state_profile_or_graph_reads_its_own(self):
         # f lives on edges 0 and 1; `wider` puts edge -1 before them, so a
@@ -1050,9 +1097,10 @@ class TestRoutingReadOnce:
         f = random_state(random.Random(52), g.edge_ids, pieces=4)
         vel = VelocityProfile({j: [F(1, 2), math.sqrt(2)][j % 2] for j in g.edge_ids})
         resolvent_general(g, vel, f, 1 + 1j, grid=8)
-        assert f._floats[0] is g._float_routing[0]
-        kept = f._floats[1:]
-        assert len(kept) == 3
+        routing, kept_f, table = g._float_routing
+        assert kept_f is f and routing[0] == tuple(g.edge_ids)
+        kept = [*routing[1:], *table]
+        assert len(kept) == 6
         for a in kept:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

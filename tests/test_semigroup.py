@@ -81,6 +81,30 @@ def random_state(rng, edges, pieces=6):
 rational_times = st.fractions(min_value=0, max_value=3, max_denominator=12)
 
 
+EXACT_VERBS = {
+    "unit": lambda g, vel, f, t: evolve_unit(build_adjacency(g), f, t),
+    "rational": evolve_rational,
+    "absorbing": lambda g, vel, f, t: evolve_absorbing(g, vel, AbsorptionProfile.zero(), f, t),
+}
+
+
+# evolve_unit takes no speeds, so it has none to refuse
+@pytest.mark.parametrize("lazy", [False, True], ids=["finite", "lazy"])
+@pytest.mark.parametrize("verb, t, speed, error", [
+    (verb, t, speed, error) for verb in EXACT_VERBS for t, speed, error in [
+        (0.5, F(1), PrecisionError), (F(-1, 2), F(1), ValueError),
+        (F(1, 2), math.sqrt(2), NotRationalError)]
+    if verb != "unit" or error is not NotRationalError
+])
+def test_exact_verbs_share_their_refusals(lazy, verb, t, speed, error):
+    g = lazy_path() if lazy else cycle(3)
+    vel = VelocityProfile({0: F(1)}, default=speed)
+    f = NetworkState([F(0), F(1, 3), F(1)],
+                     [SparseVector({0: F(1)}), SparseVector({1: F(2)})])
+    with pytest.raises(error):
+        EXACT_VERBS[verb](g, vel, f, t)
+
+
 class TestEvolveUnit:
     def test_time_one_is_routing(self):
         out = evolve_unit(build_adjacency(g2()), pulse_e1(), F(1))
@@ -594,7 +618,7 @@ def g5_mixed():
 
 
 def flow_histories(g, vel, f, t):
-    speed, rows = semigroup._network(g, vel, f, t)
+    _, speed, rows = semigroup._network(g, vel, f, t)
     return semigroup._flow_histories(speed, rows, f, t)[0]
 
 
