@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
+from .errors import MalformedGraphError
 from .graph import (
     MetricGraph,
     SparseVector,
@@ -169,7 +170,13 @@ def _check_graph(seed, trials) -> CheckResult:
         if lhs != rhs:
             result.failures.append(f"trial {trial}: conjugation identity broke on {g.name}")
 
-    return _run("graph", seed, trials, body)
+    outcome = _run("graph", seed, trials, body)
+    try:  # lazy ride-along, one shot: a column that skips an edge is refused
+        MetricGraph.lazy(lambda j: [(j + 2, Fraction(1))], lambda j: (j, j + 1)).column(0)
+        outcome.failures.append("a lazy column that skips an edge was accepted")
+    except MalformedGraphError:
+        pass
+    return outcome
 
 
 def _check_states(seed, trials) -> CheckResult:

@@ -58,6 +58,11 @@ from .semigroup import AbsorptionProfile, evolve_absorbing, evolve_rational
 from .states import TestFunction, boundary_residual, sample
 
 
+# caps on flags whose larger values would run for minutes
+MAX_SCALE = 100
+MAX_LOG_STEPS = 10_000
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors are malformed input (exit 3), not argparse's default 2
     def error(self, message):
@@ -70,10 +75,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"netflow {__version__}")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def grid(text: str) -> int:
-        if int(text) < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-        return int(text)
+    def checked(name: str, convert, ok, rule: str):
+        # an argparse type: convert, then refuse what breaks the rule
+        def parse(text: str):
+            value = convert(text)
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+            return value
+        parse.__name__ = name  # argparse names a failed conversion by it
+        return parse
+
+    grid = checked("grid", int, lambda n: n >= 1, ">= 1")
+    tol = checked("tol", float, lambda x: 0 < x < math.inf, "finite and > 0")
+    scale = checked("scale", float, lambda x: 0 < x <= MAX_SCALE, f"> 0 and at most {MAX_SCALE}")
+    log_steps = checked("log-steps", int, lambda n: 0 <= n <= MAX_LOG_STEPS,
+                        f"from 0 to {MAX_LOG_STEPS}")
+    # kept as text, as the run's metadata records it
+    levels = checked("levels", str, _levels, "strictly increasing naturals")
 
     def common(sp, state=True):
         sp.add_argument("--graph", required=True, help="graph file")
@@ -85,20 +103,22 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
     sp.add_argument("--grid", type=grid, default=256, help="output samples per edge")
-    sp.add_argument("--log-steps", type=int, default=4, help="run-log entries after t=0")
+    sp.add_argument("--log-steps", type=log_steps, default=4,
+                    help=f"run-log entries after t=0, 0 to {MAX_LOG_STEPS}")
 
     sp = sub.add_parser("absorb", help="transport with absorption rates")
     common(sp)
     sp.add_argument("--rates", required=True, help="absorption rates, state file format")
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
     sp.add_argument("--grid", type=grid, default=128, help="output samples per edge")
-    sp.add_argument("--log-steps", type=int, default=4, help="run-log entries after t=0")
+    sp.add_argument("--log-steps", type=log_steps, default=4,
+                    help=f"run-log entries after t=0, 0 to {MAX_LOG_STEPS}")
 
     sp = sub.add_parser("resolvent", help="solve the stationary problem")
     common(sp)
     sp.add_argument("--lambda", dest="lam", required=True,
                     help="spectral parameter re[,im], each part rational or decimal")
-    sp.add_argument("--tol", type=float, default=1e-12, help="series truncation tolerance")
+    sp.add_argument("--tol", type=tol, default=1e-12, help="series truncation tolerance, > 0")
     sp.add_argument("--grid", type=grid, default=256, help="output samples per edge")
 
     sp = sub.add_parser("approx", help="rational-velocity convergence tables")
@@ -106,8 +126,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t", default=None, help="semigroup table time, rational p/q")
     sp.add_argument("--lambda", dest="lam", default=None,
                     help="resolvent table parameter re[,im]")
-    sp.add_argument("--levels", default="1,2,3,4,5,6", help="comma list of levels")
-    sp.add_argument("--method", default="cf", help="cf (convergents) or dec (decimal)")
+    sp.add_argument("--levels", type=levels, default="1,2,3,4,5,6",
+                    help="comma list of strictly increasing levels >= 1")
+    sp.add_argument("--method", type=str.lower, choices=("cf", "dec"), default="cf",
+                    help="cf (convergents) or dec (decimal)")
     sp.add_argument("--test", action="append", default=[],
                     help="test-function state file for weak errors (repeatable)")
     sp.add_argument("--grid", type=grid, default=512, help="sampling grid")
@@ -115,13 +137,20 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("check", help="run the randomized self-test suites")
     sp.add_argument("--suite", default="all", help="one of %s or all" % ", ".join(SUITES))
     sp.add_argument("--seed", type=int, default=7, help="suite RNG seed")
-    sp.add_argument("--scale", type=float, default=1.0, help="trial count multiplier")
+    sp.add_argument("--scale", type=scale, default=1.0,
+                    help=f"trial count multiplier, > 0 and at most {MAX_SCALE}")
     sp.add_argument("--out", default="out", help="output directory (default: out)")
 
     sp = sub.add_parser("validate", help="lint a graph file")
     common(sp, state=False)
 
     return p
+
+
+def _levels(text: str) -> list:
+    """The levels of a --levels list, or [] unless they rise strictly from 1."""
+    levels = [int(part) for part in text.split(",") if part.strip()]
+    return levels if levels[:1] >= [1] and all(a < b for a, b in zip(levels, levels[1:])) else []
 
 
 def _parse_lambda(text: str) -> complex:
@@ -307,13 +336,7 @@ def _cmd_approx(args) -> int:
     f = parse_state_file(args.state).state
     if args.t is None and args.lam is None:
         raise ValueError("approx needs --t (semigroup table) and/or --lambda (resolvent table)")
-    levels = [part.strip() for part in args.levels.split(",") if part.strip()]
-    if not levels:
-        raise MalformedInputError("--levels needs a comma list of naturals")
-    try:
-        levels = [int(part) for part in levels]
-    except ValueError:
-        raise MalformedInputError(f"--levels must be integers, got {args.levels!r}")
+    levels = _levels(args.levels)
     schedule = ApproximationSchedule.build(vel, levels, args.method)
     out = Path(args.out)
 
@@ -357,9 +380,7 @@ def _cmd_check(args) -> int:
         ],
     }
     write_json(Path(args.out) / "check.json", payload)
-    if not payload["ok"]:
-        return 2
-    return 0
+    return 0 if payload["ok"] else 2
 
 
 def _cmd_validate(args) -> int:

@@ -14,7 +14,8 @@ Graphs come in two flavours.  Finite graphs hold their edges and weights
 in dictionaries and validate structure eagerly.  Lazy graphs describe a
 possibly infinite edge set through two callbacks and validate each column
 on first access, which is the only moment an infinite object can be
-checked at all.
+checked at all.  Both check a weight by one rule: exact, nonnegative,
+and joining the head of its source to the tail of its receiver.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     MalformedGraphError,
@@ -43,9 +44,6 @@ __all__ = [
 
 # Lazy columns longer than this are treated as a runaway callback.
 MAX_LAZY_COLUMN = 100_000
-
-# Entry types the integer-numerator route of AdjacencyOperator accepts.
-_EXACT = (int, Fraction)
 
 
 class SparseVector:
@@ -141,7 +139,8 @@ class MetricGraph:
     source is tail of the receiver), that weights are nonnegative exact
     rationals, and that no head vertex is a sink.  Column sums are *not*
     enforced at construction; `validate_graph` reports them, which keeps
-    broken inputs inspectable.
+    broken inputs inspectable.  Lazy graphs check the same of each column
+    on first access, and its sum too.
     """
 
     def __init__(self, *_, **__):
@@ -155,21 +154,18 @@ class MetricGraph:
         *,
         name: str = "",
         allow_sinks: bool = False,
-        stochastic: bool = True,
     ) -> "MetricGraph":
         """Build a finite graph from (id, tail, head) triples and a weight map.
 
         `weights` maps (receiver, source) edge-id pairs to exact rationals.
         `allow_sinks` exists for diagnostic construction only, so that
-        validate_graph can flag sinks instead of never seeing one.
-        `stochastic=False` marks graphs whose columns intentionally do not
-        sum to one (velocity-rescaled subdivisions); validation reports
-        them as such but operator application proceeds.
+        validate_graph can flag sinks instead of never seeing one.  Columns
+        need not sum to one here: validate_graph reports the ones that do
+        not, and the operators apply them as they are.
         """
         self = object.__new__(cls)
         self.name = name
         self._lazy = False
-        self.stochastic = stochastic
         self._edges = {}
         for eid, tail, head in edges:
             if eid in self._edges:
@@ -182,16 +178,7 @@ class MetricGraph:
             raise MalformedGraphError(f"edge ids of types {kinds} cannot be sorted together") from None
         self._weights = {}
         for (i, j), w in weights.items():
-            if i not in self._edges or j not in self._edges:
-                raise MalformedGraphError(f"weight ({i!r}, {j!r}) names an unknown edge")
-            if self._edges[j][1] != self._edges[i][0]:
-                raise MalformedGraphError(
-                    f"weight ({i!r}, {j!r}) connects non-adjacent edges: "
-                    f"head of {j!r} is not tail of {i!r}"
-                )
-            w = as_exact(w, what=f"weight ({i!r}, {j!r})")
-            if w < 0:
-                raise MalformedGraphError(f"weight ({i!r}, {j!r}) is negative")
+            w = self._entry(i, j, w)
             if w != 0:
                 self._weights[(i, j)] = w
         tails = {t for (t, _) in self._edges.values()}
@@ -223,8 +210,9 @@ class MetricGraph:
         matrix for source edge j as (receiver, weight) pairs sorted by
         receiver id; `endpoints_fn(j)` returns (tail, head).  Each column
         is checked on first access: it must be an explicit finite
-        sequence, sorted, nonempty (no sinks) and, unless `stochastic`
-        is false, sum to exactly one.
+        sequence, sorted, nonempty (no sinks), of weights that pass the
+        finite graph's checks through `endpoints_fn` and, unless
+        `stochastic` is false, sum to exactly one.
         """
         self = object.__new__(cls)
         self.name = name
@@ -300,14 +288,11 @@ class MetricGraph:
             raise MalformedGraphError(f"lazy column for edge {j!r} has runaway length")
         if not col:
             raise MalformedGraphError(f"edge {j!r} has an empty column (sink)")
-        ids = [i for i, _ in col]
-        if any(ids[k] >= ids[k + 1] for k in range(len(ids) - 1)):
+        if any(a[0] >= b[0] for a, b in zip(col, col[1:])):
             raise MalformedGraphError(f"lazy column for edge {j!r} is not sorted")
         out = {}
         for i, w in col:
-            w = as_exact(w, what=f"weight ({i!r}, {j!r})")
-            if w < 0:
-                raise MalformedGraphError(f"weight ({i!r}, {j!r}) is negative")
+            w = self._entry(i, j, w)
             if w != 0:
                 out[i] = w
         if self.stochastic and sum(out.values()) != 1:
@@ -315,6 +300,18 @@ class MetricGraph:
                 f"column of edge {j!r} sums to {sum(out.values())}, expected 1"
             )
         return out
+
+    def _entry(self, i, j, w) -> Fraction:
+        """Weight w(i, j), checked: head of j is tail of i, w exact and >= 0."""
+        if self.endpoints(j)[1] != self.endpoints(i)[0]:
+            raise MalformedGraphError(
+                f"weight ({i!r}, {j!r}) connects non-adjacent edges: "
+                f"head of {j!r} is not tail of {i!r}"
+            )
+        w = as_exact(w, what=f"weight ({i!r}, {j!r})")
+        if w < 0:
+            raise MalformedGraphError(f"weight ({i!r}, {j!r}) is negative")
+        return w
 
     def _require_finite(self, op: str):
         if self._lazy:
@@ -378,20 +375,19 @@ class AdjacencyOperator:
     Unscaled, entry (i, j) is the weight w(i, j).  With a velocity profile
     attached the entry becomes (c_j / c_i) * w(i, j), which is the matrix
     that couples edge traces when speeds differ.  Columns are finitely
-    supported and cached on first use.  When every entry is an exact
-    rational (always unscaled, and scaled by rational speeds) the cache
-    also keeps each column as integer numerators over the column's own
-    denominator: `apply_stack` routes exact vectors on those integers,
-    with one denominator shared by the whole stack, and builds Fractions
-    only for its results.
+    supported and cached on first use.  `apply` and `apply_power` run the
+    plain multiply-add loop on any values, so exact vectors stay exact.
+    An unscaled operator also caches each column as integer numerators
+    over the column's own denominator, for `_route_exact`, the exact
+    flows' route of many vectors at once.
     """
 
     def __init__(self, graph: MetricGraph, scaling: VelocityProfile | None = None):
         self.graph = graph
         self.scaling = scaling
-        # edge -> (column as SparseVector, (denominator, ((receiver, numerator), ...)))
+        # edge -> (column as SparseVector, (denominator, ((receiver, numerator), ...))),
+        # the integer form on unscaled operators only
         self._cache: dict = {}
-        self._exact = scaling is None or scaling.is_rational()
 
     @property
     def scaled(self) -> bool:
@@ -404,13 +400,12 @@ class AdjacencyOperator:
         raw = self.graph.column(j)
         if self.scaling is None:
             col = SparseVector(raw)
+            den = math.lcm(*(w.denominator for w in raw.values()))
+            ints = (den, tuple((i, w.numerator * (den // w.denominator)) for i, w in raw.items()))
         else:
             c_j = self.scaling.velocity(j)
             col = SparseVector({i: w * c_j / self.scaling.velocity(i) for i, w in raw.items()})
-        ints = None
-        if self._exact:
-            den = math.lcm(*(w.denominator for _, w in col.items()))
-            ints = (den, tuple((i, w.numerator * (den // w.denominator)) for i, w in col.items()))
+            ints = None
         hit = self._cache[j] = (col, ints)
         return hit
 
@@ -419,46 +414,31 @@ class AdjacencyOperator:
 
     def apply(self, v: SparseVector) -> SparseVector:
         """Matrix-vector product; touches only the columns in v's support."""
-        return self.apply_stack((v,), 1)[0]
+        return self.apply_power(v, 1)
 
     def apply_power(self, v: SparseVector, n: int) -> SparseVector:
-        return self.apply_stack((v,), n)[0]
-
-    def apply_stack(self, vectors: Sequence[SparseVector],
-                    powers: int | Sequence[int]) -> list:
-        """B^n v for every v of `vectors`, n its entry of `powers` (one int
-        applies to all).  A zeroth power returns the vector object itself.
-
-        Vectors of int and Fraction entries are routed together on integer
-        numerators; any other vector (floats, complex) takes the plain
-        multiply-add loop in the same order as a single product would.
-        """
-        if isinstance(powers, int):
-            powers = [powers] * len(vectors)
-        if len(powers) != len(vectors):
-            raise ValueError(f"{len(vectors)} vectors but {len(powers)} powers")
-        if any(n < 0 for n in powers):
+        """B^n v; a zeroth power returns v itself."""
+        if n < 0:
             raise ValueError("negative matrix power")
-        out = list(vectors)
-        exact, loose = [], []
-        for k, (v, n) in enumerate(zip(vectors, powers)):
-            if n:
-                fits = self._exact and all(type(x) in _EXACT for _, x in v.items())
-                (exact if fits else loose).append(k)
-        if exact:
-            for k, v in zip(exact, self._route_exact([vectors[k] for k in exact],
-                                                     [powers[k] for k in exact])):
-                out[k] = v
-        for k in loose:
-            out[k] = self._route_loose(vectors[k], powers[k])
-        return out
+        for _ in range(n):
+            if v.is_zero():
+                break
+            out: dict = {}
+            for j, a in v.items():
+                for i, w in self.column(j).items():
+                    out[i] = out.get(i, 0) + w * a
+            v = SparseVector(out)
+        return v
 
     def _route_exact(self, vectors: list, powers: list) -> list:
-        """Integer-numerator route: every stack entry is num / D for one D."""
-        D = math.lcm(*(x.denominator for v in vectors for _, x in v.items()))
-        nums = [{j: x.numerator * (D // x.denominator) for j, x in v.items()} for v in vectors]
-        out = [None] * len(vectors)
-        active = list(range(len(vectors)))
+        """B^n v on an unscaled operator for each v of `vectors`, of int and
+        Fraction entries, n its entry of `powers` >= 0: held as num / D for
+        one D, Fractions built only for the results; B^0 v is v itself."""
+        out = list(vectors)
+        active = [k for k, n in enumerate(powers) if n]
+        D = math.lcm(*(x.denominator for k in active for _, x in vectors[k].items()))
+        nums = {k: {j: x.numerator * (D // x.denominator) for j, x in vectors[k].items()}
+                for k in active}
         step = 0
         while active:
             step += 1
@@ -499,17 +479,6 @@ class AdjacencyOperator:
                     out[k] = SparseVector._from_nonzero(vec)
             active = [k for k in active if powers[k] > step]
         return out
-
-    def _route_loose(self, v: SparseVector, n: int) -> SparseVector:
-        for _ in range(n):
-            if v.is_zero():
-                break
-            out: dict = {}
-            for j, a in v.items():
-                for i, w in self.column(j).items():
-                    out[i] = out.get(i, 0) + w * a
-            v = SparseVector(out)
-        return v
 
     def __repr__(self):
         kind = "scaled" if self.scaled else "unscaled"

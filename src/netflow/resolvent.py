@@ -480,7 +480,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     lam_num = re if lam.imag == 0 else lam
     u = np.zeros((len(speed), grid + 1), dtype=type(lam_num))
     err, g_sup = np.zeros(grid + 1), 0.0
-    history, D, T, lag = semigroup._flow_histories(speed, rows, f, t_max)
+    history, D, T, lag = semigroup._flow_histories(speed, rows, f, t_max, exact=True)
     if (T + max(lag.values()) + D) * grid >= 2**53:
         raise PrecisionError("the Laplace sum's time lattice exceeds 2^53 ticks")
     for k, j in enumerate(speed):

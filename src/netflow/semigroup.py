@@ -126,30 +126,28 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     return _flow(op, _UNIT, f, t)
 
 
-def _unit_flow(op: AdjacencyOperator, f: NetworkState, t: Fraction) -> NetworkState:
-    """T(t) f at unit speed, for exact t >= 0 and f on edges op's graph has."""
+def _unit_flow(op: AdjacencyOperator, f: NetworkState, t: Fraction, exact: bool) -> NetworkState:
+    """T(t) f at unit speed, for exact t >= 0 and f on edges op's graph has;
+    `exact` says every value of f is an int or a Fraction."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
-    if theta == 0:
-        return NetworkState(bps, op.apply_stack(values, n0))
-
-    # s in [0, 1-theta): argument t+s stays below n0+1, shift only; these
-    # are the pieces from `first` on.  s in [1-theta, 1): argument wrapped
-    # once more through the routing; these are the `wrapped` pieces left of
-    # theta, the last one cut at theta.
-    first = bisect.bisect_right(bps, theta) - 1
-    wrapped = bisect.bisect_left(bps, theta)
-    rest = 1 - theta
-    out_bps = [Fraction(0)]
-    out_bps += [b - theta for b in bps[first + 1:]]
-    out_bps += [b + rest for b in bps[1:wrapped]]
-    out_bps.append(Fraction(1))
-    out_vals = op.apply_stack(
-        values[first:] + values[:wrapped],
-        [n0] * (len(values) - first) + [n0 + 1] * wrapped,
-    )
-    return NetworkState(out_bps, out_vals)
+    powers = [n0] * len(values)
+    if theta:
+        # s in [0, 1-theta): argument t+s stays below n0+1, shift only; these
+        # are the pieces from `first` on.  s in [1-theta, 1): argument wrapped
+        # once more through the routing; these are the `wrapped` pieces left
+        # of theta, the last one cut at theta.
+        first = bisect.bisect_right(bps, theta) - 1
+        wrapped = bisect.bisect_left(bps, theta)
+        rest = 1 - theta
+        bps = ([Fraction(0)] + [b - theta for b in bps[first + 1:]]
+               + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
+        values = values[first:] + values[:wrapped]
+        powers = powers[first:] + [n0 + 1] * wrapped
+    if exact:
+        return NetworkState(bps, op._route_exact(values, powers))
+    return NetworkState(bps, list(map(op.apply_power, values, powers)))
 
 
 # The paper's subdivision, the tests' oracle for evolve_rational.  It stays
@@ -206,8 +204,10 @@ class SubdivisionPlan:
 
     `sub_edge_map[j]` lists the ell_j sub-edge ids of edge j ordered from
     the head side: the first sub-edge covers [0, 1/ell_j) of the original
-    parameter and contains the head, the last contains the tail.  The
-    `graph` carries pass-through weight one at inserted vertices and the
+    parameter and contains the head, the last contains the tail.  Unless
+    the plan is the identity, sub-edge k of j has id (j, k), so the ids
+    sort together whenever the graph's own do.  The `graph` carries
+    pass-through weight one at inserted vertices and the
     velocity-conjugated weights at original vertices; its `operator` is
     deliberately unscaled (the scaling already lives in the weights).
     """
@@ -258,19 +258,13 @@ def subdivide(g: MetricGraph, vel: VelocityProfile) -> SubdivisionPlan:
             owner={j: j for j in ids},
         )
 
-    int_ids = [e for e in ids if isinstance(e, int)]
-    next_id = max(int_ids) + 1 if int_ids else 0
     sub_map: dict = {}
     owner: dict = {}
     edges = []
     for j in ids:
         tail, head = g.endpoints(j)
         L = ell[j]
-        if L == 1:
-            sub_ids = (j,)
-        else:
-            sub_ids = tuple(range(next_id, next_id + L))
-            next_id += L
+        sub_ids = tuple((j, k) for k in range(L))
         sub_map[j] = sub_ids
         inserted = [("sub", j, k) for k in range(1, L)]
         for k in range(1, L + 1):
@@ -281,21 +275,15 @@ def subdivide(g: MetricGraph, vel: VelocityProfile) -> SubdivisionPlan:
             owner[e] = j
 
     weights: dict = {}
-    stochastic = True
     for j in ids:
         for k in range(1, ell[j]):
             weights[(sub_map[j][k - 1], sub_map[j][k])] = Fraction(1)
         c_j = vel.exact(j)
-        col_sum = Fraction(0)
         for i, w_ij in g.column(j).items():
-            w = w_ij * c_j / vel.exact(i)
-            weights[(sub_map[i][-1], sub_map[j][0])] = w
-            col_sum += w
-        if col_sum != 1:
-            stochastic = False
+            weights[(sub_map[i][-1], sub_map[j][0])] = w_ij * c_j / vel.exact(i)
 
     name = f"{g.name}~{c}" if g.name else f"subdivided~{c}"
-    gt = MetricGraph.finite(edges, weights, name=name, stochastic=stochastic)
+    gt = MetricGraph.finite(edges, weights, name=name)
     return SubdivisionPlan(
         source=g,
         velocities=vel,
@@ -564,7 +552,7 @@ def _exact_values(f: NetworkState) -> bool:
     return all(type(x) in (int, Fraction) for v in f.values for _, x in v.items())
 
 
-def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple:
+def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction, exact: bool) -> tuple:
     """_histories of the flow from f, with nothing picked up on the way:
     edge j drains as f_j(c_j s).
 
@@ -574,7 +562,6 @@ def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple
     that common factor again, so a value is never larger than the
     Fraction it stands for.  Other values (floats) take _loose_inflow.
     """
-    exact = _exact_values(f)
     zero = (0, 1) if exact else 0
     drains: dict = {}
     for m, v in enumerate(f.values):
@@ -603,14 +590,15 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
 def _flow(op: AdjacencyOperator, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
     """evolve_rational, with `op` the unscaled operator of its graph."""
     t, speed, rows = _network(op.graph, vel, f, t)
+    exact = _exact_values(f)
     uniform = set(speed.values())
     if len(uniform) == 1:
-        return _unit_flow(op, f, uniform.pop() * t)
+        return _unit_flow(op, f, uniform.pop() * t, exact)
     if t == 0 or not speed:
         return f
 
-    history, _, T, lag = _flow_histories(speed, rows, f, t)
-    rational = _Fractions() if _exact_values(f) else None
+    history, _, T, lag = _flow_histories(speed, rows, f, t, exact)
+    rational = _Fractions() if exact else None
 
     # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
     # value changes keyed by x's numerator over P = lcm(lag) (histories

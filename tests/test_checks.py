@@ -1,8 +1,10 @@
 """The self-check suites and their random generators."""
 
+from fractions import Fraction
+
 import pytest
 
-from netflow import CheckResult, run_suite
+from netflow import CheckResult, MetricGraph, run_suite
 from netflow.checks import SUITES, random_graph, random_velocities
 from netflow.graph import validate_graph
 
@@ -17,6 +19,12 @@ class TestRunSuite:
     def test_single_suite(self):
         (r,) = run_suite("graph", seed=3, scale=0.5)
         assert r.name == "graph" and r.ok
+
+    def test_graph_suite_probes_lazy_adjacency(self, monkeypatch):
+        # with the adjacency check gone, the suite's one-shot probe says so
+        monkeypatch.setattr(MetricGraph, "_entry", lambda self, i, j, w: Fraction(w))
+        (r,) = run_suite("graph", seed=3, scale=0.1)
+        assert r.failures == ["a lazy column that skips an edge was accepted"]
 
     def test_deterministic_across_runs(self):
         a = run_suite("semigroup", seed=11, scale=0.25)[0]

@@ -361,6 +361,26 @@ class TestExitCodes:
         assert f"argument --grid: must be >= 1, got {grid}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(["resolvent", "--graph", G2, "--state", PULSE, "--lambda", "2",
+                        "--tol", tol], id=f"tol={tol}") for tol in ("nan", "0", "-1", "inf")),
+        *(pytest.param(["check", "--suite", "graph", "--scale", scale], id=f"scale={scale}")
+          for scale in ("inf", "nan", "1e300", "0")),
+        *(pytest.param(["approx", "--graph", G5, "--state", MIXED, "--lambda", "2", *flag],
+                       id=" ".join(flag))
+          for flag in (["--method", "xyz"], ["--levels", "0,1"], ["--levels", "3,2"],
+                       ["--levels", "1,x"])),
+        *(pytest.param([verb, "--graph", G2, "--state", PULSE, "--t", "1/2",
+                        *(["--rates", RATES] if verb == "absorb" else []),
+                        "--log-steps", steps], id=f"{verb}-log-steps={steps}")
+          for verb in ("simulate", "absorb") for steps in ("100000000000", "-1")),
+    ])
+    def test_out_of_range_flags_are_bad_usage(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_duplicate_edge_id(self, tmp_path):
         bad = tmp_path / "dup.graph"
         bad.write_text("graph dup\nedge 1 1 2\nedge 1 2 1\n")

@@ -13,10 +13,13 @@ from netflow import (
     MalformedGraphError,
     MetricGraph,
     MissingVelocityError,
+    NetworkState,
     NotRationalError,
     SparseVector,
     VelocityProfile,
     build_adjacency,
+    evolve_unit,
+    resolvent_general,
     validate_graph,
 )
 from netflow import checks
@@ -96,7 +99,8 @@ class TestValidation:
         assert g.edge_ids == [F(1, 2), 1]
 
     def test_nonadjacent_weight_rejected(self):
-        with pytest.raises(MalformedGraphError):
+        with pytest.raises(MalformedGraphError, match=r"weight \(1, 1\) connects "
+                           "non-adjacent edges: head of 1 is not tail of 1"):
             MetricGraph.finite(
                 [(1, 1, 2), (2, 2, 1)],
                 {(1, 2): F(1), (2, 1): F(1), (1, 1): F(1)},
@@ -182,7 +186,9 @@ def random_vector(rng, ids, nonneg):
 
 
 class TestApplyStack:
-    """The integer-numerator stack route against a per-entry Fraction loop."""
+    """B^n applied to stacks of vectors: the integer-numerator route of the
+    exact flows and the multiply-add loop of apply_power, each against a
+    per-entry Fraction loop."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs_exact(self, seed):
@@ -193,20 +199,22 @@ class TestApplyStack:
             ids = g.edge_ids
             vecs = [random_vector(rng, ids, nonneg=trial % 2 == 0) for _ in range(6)]
             powers = [rng.randint(0, 6) for _ in vecs]
-            got = op.apply_stack(vecs, powers)
+            got = op._route_exact(vecs, powers)
             for v, n, out in zip(vecs, powers, got):
                 want = oracles.fraction_apply_power(g, v, n)
                 assert dict(out.items()) == want, (trial, n)
                 assert all(type(x) is F for _, x in out.items()) or n == 0
                 assert op.apply_power(v, n) == out
-            assert op.apply(vecs[0]) == op.apply_stack(vecs, 1)[0]
+            assert op.apply(vecs[0]) == op._route_exact(vecs, [1] * len(vecs))[0]
 
     def test_zeroth_power_keeps_the_object(self):
         op = build_adjacency(g5())
         v = SparseVector({1: F(1, 3)})
+        u = SparseVector({2: F(2)})
         w = SparseVector({2: 0.5})
-        assert op.apply_stack([v, w], 0) == [v, w]
-        assert op.apply_stack([v, w], 0)[0] is v
+        got = op._route_exact([v, u], [0, 2])
+        assert got[0] is v and got[1] == op.apply_power(u, 2)
+        assert op.apply_power(v, 0) is v
         assert op.apply_power(w, 0) is w
 
     def test_cancellation_drops_zero_entries(self):
@@ -235,12 +243,15 @@ class TestApplyStack:
         exact = SparseVector({1: F(1, 3), 4: F(-2), 5: F(5, 7)})
         floats = SparseVector({j: float(x) / 7 for j, x in exact.items()})
         cplx = SparseVector({1: 1 + 2j, 3: complex(-0.25, 0.5)})
-        got = op.apply_stack([floats, exact, cplx], [5, 5, 3])
-        assert dict(got[0].items()) == oracles.fraction_apply_power(g, floats, 5)
-        assert all(isinstance(x, float) for _, x in got[0].items())
-        assert dict(got[1].items()) == oracles.fraction_apply_power(g, exact, 5)
-        assert dict(got[2].items()) == oracles.fraction_apply_power(g, cplx, 3)
-        assert all(isinstance(x, complex) for _, x in got[2].items())
+        got = op.apply_power(floats, 5)
+        assert dict(got.items()) == oracles.fraction_apply_power(g, floats, 5)
+        assert all(isinstance(x, float) for _, x in got.items())
+        got = op.apply_power(exact, 5)
+        assert dict(got.items()) == oracles.fraction_apply_power(g, exact, 5)
+        assert all(type(x) is F for _, x in got.items())
+        got = op.apply_power(cplx, 3)
+        assert dict(got.items()) == oracles.fraction_apply_power(g, cplx, 3)
+        assert all(isinstance(x, complex) for _, x in got.items())
 
     def test_float_speeds_take_the_loop(self):
         g = g2()
@@ -252,11 +263,9 @@ class TestApplyStack:
     def test_bad_powers_rejected(self):
         op = build_adjacency(g2())
         with pytest.raises(ValueError):
-            op.apply_stack([SparseVector({1: F(1)})], [-1])
-        with pytest.raises(ValueError):
             op.apply_power(SparseVector({1: F(1)}), -2)
         with pytest.raises(ValueError):
-            op.apply_stack([SparseVector({1: F(1)})] * 2, [1])
+            op.apply_power(SparseVector({1: 0.5}), -1)
 
 
 class TestLazyGraph:
@@ -298,6 +307,24 @@ class TestLazyGraph:
         )
         with pytest.raises(MalformedGraphError):
             g.column(5)
+
+    def test_non_adjacent_column_rejected(self):
+        # edge j runs j -> j + 1, and its column routes into edge j + 2,
+        # whose tail is j + 2: refused on the first read of column 0, by
+        # the finite graph's message
+        def skipping():
+            return MetricGraph.lazy(lambda j: [(j + 2, F(1))], lambda j: (j, j + 1))
+
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        unit = VelocityProfile({}, default=F(1))
+        for read in (
+            lambda g: g.column(0),
+            lambda g: evolve_unit(build_adjacency(g), f, F(5, 2)),
+            lambda g: resolvent_general(g, unit, f, 2.0, grid=8),
+        ):
+            with pytest.raises(MalformedGraphError, match=r"weight \(2, 0\) connects "
+                               "non-adjacent edges: head of 0 is not tail of 2"):
+                read(skipping())
 
 
 class TestVelocityProfile:

@@ -56,7 +56,7 @@ def g5():
 def g2_weighted(w):
     """g2 with both routing weights w; columns no longer sum to one."""
     return MetricGraph.finite(
-        [(1, 1, 2), (2, 2, 1)], {(1, 2): w, (2, 1): w}, name="g2w", stochastic=False
+        [(1, 1, 2), (2, 2, 1)], {(1, 2): w, (2, 1): w}, name="g2w"
     )
 
 
@@ -240,7 +240,6 @@ class TestResolventGeneral:
             [(1, 1, 2), (2, 2, 1)],
             {(1, 2): F(3, 2), (2, 1): F(3, 2)},
             name="heavy",
-            stochastic=False,
         )
         f = NetworkState.constant(SparseVector({1: F(1)}))
         with pytest.raises(ContractionViolationError):
@@ -742,8 +741,7 @@ def substochastic(rng, g):
     for j in g.edge_ids:
         a = rng.choice([F(1, 2), F(3, 4), F(1)])
         weights.update({(i, j): a * w for i, w in g.column(j).items()})
-    return MetricGraph.finite([(j, *g.endpoints(j)) for j in g.edge_ids], weights,
-                              stochastic=False)
+    return MetricGraph.finite([(j, *g.endpoints(j)) for j in g.edge_ids], weights)
 
 
 def test_one_unique_per_solve(monkeypatch):
@@ -1154,7 +1152,7 @@ def heavy_loop():
     return MetricGraph.finite(
         [(1, 0, 1), (2, 1, 2), (3, 2, 2)],
         {(2, 1): F(1), (3, 2): F(1), (3, 3): F(10**20)},
-        name="heavy-loop", stochastic=False,
+        name="heavy-loop",
     )
 
 

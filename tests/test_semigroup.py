@@ -255,7 +255,7 @@ class TestUnitKernel:
             SparseVector({(2, 0): F(2, 9), (3, 1): F(1, 4)}),
         ]
         powers = [12, 7, 11]
-        for v, n, out in zip(vecs, powers, op.apply_stack(vecs, powers)):
+        for v, n, out in zip(vecs, powers, op._route_exact(vecs, powers)):
             assert dict(out.items()) == oracles.fraction_apply_power(g, v, n)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -348,6 +348,17 @@ class TestSubdivide:
             for k in range(len(subs) - 1):
                 col = plan.graph.column(subs[k + 1])
                 assert dict(col.items()) == {subs[k]: F(1)}
+
+    def test_string_edge_ids(self):
+        # sub-edges are numbered (j, k), which sort beside string ids too
+        g = MetricGraph.finite([("a", 1, 2), ("b", 2, 1)], {("a", "b"): F(1), ("b", "a"): F(1)})
+        vel = VelocityProfile({"a": F(1), "b": F(2)})
+        plan = subdivide(g, vel)
+        assert plan.sub_edge_map == {"a": (("a", 0), ("a", 1)), "b": (("b", 0),)}
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({"a": F(1)}), SparseVector({"b": F(-2)})])
+        for t in (F(1, 3), F(5, 2)):
+            assert evolve_rational(g, vel, f, t) == subdivided_flow(g, vel, f, t)
 
 
 class TestLiftProject:
@@ -619,7 +630,7 @@ def g5_mixed():
 
 def flow_histories(g, vel, f, t):
     _, speed, rows = semigroup._network(g, vel, f, t)
-    return semigroup._flow_histories(speed, rows, f, t)[0]
+    return semigroup._flow_histories(speed, rows, f, t, semigroup._exact_values(f))[0]
 
 
 def assert_reduced_histories(g, vel, f, t):
@@ -1000,7 +1011,7 @@ class TestLazyCone:
             raise AssertionError("the flow ran before the cone was refused")
 
         monkeypatch.setattr(semigroup, "_histories", no_flow)
-        monkeypatch.setattr(AdjacencyOperator, "apply_stack", no_flow)
+        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_flow)
         for run in (
             lambda g: evolve_rational(g, vel, f, F(6)),
             lambda g: evolve_absorbing(g, vel, q, f, F(6), grid=4),
