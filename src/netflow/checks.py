@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .errors import MalformedGraphError
+from .errors import MalformedGraphError, WidthOverflowError
 from .graph import (
     MetricGraph,
     SparseVector,
@@ -171,11 +171,15 @@ def _check_graph(seed, trials) -> CheckResult:
             result.failures.append(f"trial {trial}: conjugation identity broke on {g.name}")
 
     outcome = _run("graph", seed, trials, body)
-    try:  # lazy ride-along, one shot: a column that skips an edge is refused
-        MetricGraph.lazy(lambda j: [(j + 2, Fraction(1))], lambda j: (j, j + 1)).column(0)
-        outcome.failures.append("a lazy column that skips an edge was accepted")
-    except MalformedGraphError:
-        pass
+    # lazy ride-along, one shot each: a column that skips an edge, and one
+    # that sums to 1/2, are refused
+    for what, column in (("skips an edge", lambda j: [(j + 2, Fraction(1))]),
+                         ("sums to 1/2", lambda j: [(j + 1, Fraction(1, 2))])):
+        try:
+            MetricGraph.lazy(column, lambda j: (j, j + 1)).column(0)
+            outcome.failures.append(f"a lazy column that {what} was accepted")
+        except MalformedGraphError:
+            pass
     return outcome
 
 
@@ -223,7 +227,15 @@ def _check_semigroup(seed, trials) -> CheckResult:
         if not evolve_unit(op, fp, t).is_nonnegative():
             result.failures.append(f"trial {trial}: positivity broke at t={t}")
 
-    return _run("semigroup", seed, trials, body)
+    outcome = _run("semigroup", seed, trials, body)
+    try:  # lazy ride-along, one shot: a 2-cycle at t = 10^7 is over the budget
+        cycle = MetricGraph.lazy(lambda j: [(1 - j, Fraction(1))], lambda j: (j, 1 - j))
+        both = NetworkState.constant(SparseVector({0: Fraction(1), 1: Fraction(1)}))
+        evolve_unit(build_adjacency(cycle), both, Fraction(10**7))
+        outcome.failures.append("a lazy 2-cycle at t = 10^7 was not refused")
+    except WidthOverflowError:
+        pass
+    return outcome
 
 
 def _lazy_path() -> MetricGraph:

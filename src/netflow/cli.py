@@ -8,7 +8,8 @@ runs the randomized self-test suites, `validate` lints a graph file.
 Exit codes: 0 success, 1 validation failure (bad graph, missing
 velocities, failed report), 2 numeric-tolerance failure (precision gates,
 series truncation, contraction loss), 3 malformed input (unparseable
-files or flags, decimals where exactness is required).  Artifacts are
+files or flags, decimals where exactness is required, an output of more
+than MAX_SAMPLES samples).  Artifacts are
 deterministic: same inputs and flags give byte-identical files, so runs
 can be diffed.
 """
@@ -58,9 +59,11 @@ from .semigroup import AbsorptionProfile, evolve_absorbing, evolve_rational
 from .states import TestFunction, boundary_residual, sample
 
 
-# caps on flags whose larger values would run for minutes
+# caps on flags whose larger values would run for minutes; MAX_SAMPLES
+# caps a verb's output, edges x (grid + 1) samples
 MAX_SCALE = 100
 MAX_LOG_STEPS = 10_000
+MAX_SAMPLES = 2_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,6 +89,7 @@ def _build_parser() -> _Parser:
         return parse
 
     grid = checked("grid", int, lambda n: n >= 1, ">= 1")
+    capped = f"; edges x (grid + 1) at most {MAX_SAMPLES}"
     tol = checked("tol", float, lambda x: 0 < x < math.inf, "finite and > 0")
     scale = checked("scale", float, lambda x: 0 < x <= MAX_SCALE, f"> 0 and at most {MAX_SCALE}")
     log_steps = checked("log-steps", int, lambda n: 0 <= n <= MAX_LOG_STEPS,
@@ -102,7 +106,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="run the transport flow")
     common(sp)
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
-    sp.add_argument("--grid", type=grid, default=256, help="output samples per edge")
+    sp.add_argument("--grid", type=grid, default=256, help="output samples per edge" + capped)
     sp.add_argument("--log-steps", type=log_steps, default=4,
                     help=f"run-log entries after t=0, 0 to {MAX_LOG_STEPS}")
 
@@ -110,7 +114,7 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--rates", required=True, help="absorption rates, state file format")
     sp.add_argument("--t", required=True, help="evolution time, rational p/q")
-    sp.add_argument("--grid", type=grid, default=128, help="output samples per edge")
+    sp.add_argument("--grid", type=grid, default=128, help="output samples per edge" + capped)
     sp.add_argument("--log-steps", type=log_steps, default=4,
                     help=f"run-log entries after t=0, 0 to {MAX_LOG_STEPS}")
 
@@ -119,7 +123,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--lambda", dest="lam", required=True,
                     help="spectral parameter re[,im], each part rational or decimal")
     sp.add_argument("--tol", type=tol, default=1e-12, help="series truncation tolerance, > 0")
-    sp.add_argument("--grid", type=grid, default=256, help="output samples per edge")
+    sp.add_argument("--grid", type=grid, default=256, help="output samples per edge" + capped)
 
     sp = sub.add_parser("approx", help="rational-velocity convergence tables")
     common(sp)
@@ -132,7 +136,7 @@ def _build_parser() -> _Parser:
                     help="cf (convergents) or dec (decimal)")
     sp.add_argument("--test", action="append", default=[],
                     help="test-function state file for weak errors (repeatable)")
-    sp.add_argument("--grid", type=grid, default=512, help="sampling grid")
+    sp.add_argument("--grid", type=grid, default=512, help="sampling grid" + capped)
 
     sp = sub.add_parser("check", help="run the randomized self-test suites")
     sp.add_argument("--suite", default="all", help="one of %s or all" % ", ".join(SUITES))
@@ -170,12 +174,18 @@ def _parse_time(text: str) -> Fraction:
     return t
 
 
-def _load_validated(path) -> "tuple":
-    gf = parse_graph_file(path)
+def _load_validated(args) -> "tuple":
+    """The graph of --graph, validated, and refused before any solve when
+    its edges x (--grid + 1) samples exceed MAX_SAMPLES."""
+    gf = parse_graph_file(args.graph)
     report = validate_graph(gf.graph)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         raise MalformedGraphError(f"graph {gf.name!r} failed validation")
+    samples = len(gf.graph) * (args.grid + 1)
+    if samples > MAX_SAMPLES:
+        raise MalformedInputError(f"--grid {args.grid} on {len(gf.graph)} edges makes "
+                                  f"{samples} samples, more than {MAX_SAMPLES}")
     return gf.name, gf.graph, gf.velocities
 
 
@@ -213,7 +223,7 @@ def _sampled_mass(st) -> float:
 
 
 def _cmd_simulate(args) -> int:
-    name, g, vel = _load_validated(args.graph)
+    name, g, vel = _load_validated(args)
     f = parse_state_file(args.state).state
     t = _parse_time(args.t)
     out = Path(args.out)
@@ -255,7 +265,7 @@ def _rates_profile(path) -> AbsorptionProfile:
 
 
 def _cmd_absorb(args) -> int:
-    name, g, vel = _load_validated(args.graph)
+    name, g, vel = _load_validated(args)
     f = parse_state_file(args.state).state
     q = _rates_profile(args.rates)
     t = _parse_time(args.t)
@@ -288,7 +298,7 @@ def _cmd_absorb(args) -> int:
 
 
 def _cmd_resolvent(args) -> int:
-    name, g, vel = _load_validated(args.graph)
+    name, g, vel = _load_validated(args)
     f = parse_state_file(args.state).state
     lam = _parse_lambda(args.lam)
     out = Path(args.out)
@@ -329,7 +339,7 @@ def _table_csv(table: ConvergenceTable) -> str:
 
 
 def _cmd_approx(args) -> int:
-    name, g, vel = _load_validated(args.graph)
+    name, g, vel = _load_validated(args)
     if vel is None:
         raise MissingVelocityError(
             f"graph {name!r} has no velocities to approximate; add c lines")

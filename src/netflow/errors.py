@@ -37,9 +37,9 @@ class WrongOperatorError(NetflowError):
 
 
 class WidthOverflowError(NetflowError):
-    """A run blew past a configured size: the subdivision width, the
-    stages or history breakpoints of a characteristic run, or the forward
-    cone of a lazy graph."""
+    """A run blew past a configured size: the subdivision width, an exact
+    flow's stages times its edges (a lazy graph's forward cone among
+    them), or the history breakpoints of a characteristic run."""
 
     def __init__(self, message, edges=()):
         super().__init__(message)

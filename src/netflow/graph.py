@@ -14,8 +14,9 @@ Graphs come in two flavours.  Finite graphs hold their edges and weights
 in dictionaries and validate structure eagerly.  Lazy graphs describe a
 possibly infinite edge set through two callbacks and validate each column
 on first access, which is the only moment an infinite object can be
-checked at all.  Both check a weight by one rule: exact, nonnegative,
-and joining the head of its source to the tail of its receiver.
+checked at all; a lazy column must sum to one, as the paper's boundary
+matrices do.  Both check a weight by one rule: exact, nonnegative, and
+joining the head of its source to the tail of its receiver.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class MetricGraph:
     rationals, and that no head vertex is a sink.  Column sums are *not*
     enforced at construction; `validate_graph` reports them, which keeps
     broken inputs inspectable.  Lazy graphs check the same of each column
-    on first access, and its sum too.
+    on first access, and that it sums to one.
     """
 
     def __init__(self, *_, **__):
@@ -202,25 +203,23 @@ class MetricGraph:
         endpoints_fn: Callable[[object], tuple],
         *,
         name: str = "",
-        stochastic: bool = True,
     ) -> "MetricGraph":
-        """Build a lazily-described (possibly infinite) graph.
+        """Build a lazily-described (possibly infinite) stochastic graph.
 
         `column_fn(j)` must return the finite column of the adjacency
         matrix for source edge j as (receiver, weight) pairs sorted by
         receiver id; `endpoints_fn(j)` returns (tail, head).  Each column
         is checked on first access: it must be an explicit finite
         sequence, sorted, nonempty (no sinks), of weights that pass the
-        finite graph's checks through `endpoints_fn` and, unless
-        `stochastic` is false, sum to exactly one.
+        finite graph's checks through `endpoints_fn` and sum to exactly
+        one, the paper's hypothesis on an infinite network.
         """
         self = object.__new__(cls)
         self.name = name
         self._lazy = True
-        self.stochastic = stochastic
         self._column_fn = column_fn
         self._endpoints_fn = endpoints_fn
-        self._columns = {}
+        self._columns, self._ends = {}, {}
         self._rows = None
         return self
 
@@ -241,11 +240,15 @@ class MetricGraph:
         return len(self._edges)
 
     def endpoints(self, j) -> tuple:
-        """(tail, head) of edge j."""
+        """(tail, head) of edge j; a lazy graph calls back once per edge."""
         if self._lazy:
-            pair = self._endpoints_fn(j)
-            if not isinstance(pair, tuple) or len(pair) != 2:
-                raise MalformedGraphError(f"endpoints callback returned {pair!r} for edge {j!r}")
+            pair = self._ends.get(j)
+            if pair is None:
+                pair = self._endpoints_fn(j)
+                if not isinstance(pair, tuple) or len(pair) != 2:
+                    raise MalformedGraphError(
+                        f"endpoints callback returned {pair!r} for edge {j!r}")
+                self._ends[j] = pair
             return pair
         try:
             return self._edges[j]
@@ -288,14 +291,20 @@ class MetricGraph:
             raise MalformedGraphError(f"lazy column for edge {j!r} has runaway length")
         if not col:
             raise MalformedGraphError(f"edge {j!r} has an empty column (sink)")
-        if any(a[0] >= b[0] for a, b in zip(col, col[1:])):
+        try:
+            unsorted = any(a[0] >= b[0] for a, b in zip(col, col[1:]))
+        except TypeError:
+            kinds = ", ".join(sorted({type(i).__name__ for i, _ in col}))
+            raise MalformedGraphError(f"lazy column for edge {j!r} lists receivers of types "
+                                      f"{kinds}, which cannot be sorted together") from None
+        if unsorted:
             raise MalformedGraphError(f"lazy column for edge {j!r} is not sorted")
         out = {}
         for i, w in col:
             w = self._entry(i, j, w)
             if w != 0:
                 out[i] = w
-        if self.stochastic and sum(out.values()) != 1:
+        if sum(out.values()) != 1:
             raise MalformedGraphError(
                 f"column of edge {j!r} sums to {sum(out.values())}, expected 1"
             )

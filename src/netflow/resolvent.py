@@ -31,8 +31,8 @@ speeds that a convergence ladder or an identity check makes for one f on
 one graph read f once; the float speeds, which a ladder changes at
 every level, are read on each solve.  A lazy graph, at any speeds, gives
 the routing closure of supp f, read with f on every solve, as many
-applications of B deep as the tolerance can need; it must be stochastic,
-since only then do the columns the closure leaves unread sum to one, and
+applications of B deep as the tolerance can need; it is stochastic by
+construction, so the columns the closure leaves unread sum to one, and
 its q and c_min come from the profile.
 
 f's values and its piece integrals are pieces x edges arrays, so the
@@ -59,7 +59,8 @@ one).
 laplace_oracle checks the closed forms against R(l) f =
 int_0^inf e^{-lt} T(t) f dt without the series: up to a horizon it sums
 the integral exactly in time over the characteristic histories of
-evolve_rational, and it bounds the tail past it.
+evolve_rational, and it bounds the tail past it; the horizon meets
+the exact flows' one work budget, semigroup.MAX_STAGE_EDGES.
 """
 
 from __future__ import annotations
@@ -289,15 +290,12 @@ def _contracting(q: float, re: float, c_max: float) -> float:
     return q
 
 
-def _lazy_bounds(g: MetricGraph, vel: VelocityProfile, re: float) -> tuple:
+def _lazy_bounds(vel: VelocityProfile, re: float) -> tuple:
     """(q, c_min, c_max) of a lazy graph at the speeds `vel`, which hold on
-    every edge, read or not: a stochastic column j maps |v_j| c_j to at
-    most e^{-Re(l)/c_j} |v_j| c_j in |.|_c, so q = e^{-Re(l)/c_max}.  A
-    graph that is not stochastic, or a q that rounds to 1, raises
-    ContractionViolationError."""
-    if not g.stochastic:
-        raise ContractionViolationError("a lazy graph must be stochastic: only then do "
-                                        "the columns the closure leaves unread sum to one")
+    every edge, read or not: a lazy graph is stochastic by construction,
+    and a stochastic column j maps |v_j| c_j to at most e^{-Re(l)/c_j}
+    |v_j| c_j in |.|_c, so q = e^{-Re(l)/c_max}.  A q that rounds to 1
+    raises ContractionViolationError."""
     c_max = float(vel.c_max)
     return _contracting(math.exp(-re / c_max), re, c_max), float(vel.c_min), c_max
 
@@ -333,7 +331,7 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
             raise MalformedGraphError(f"unknown edge {err.args[0]!r}") from None
         V = _scatter(flat, vals, len(edges), len(f.values), type(lam_num))
     else:
-        q, c_min, c_max = _lazy_bounds(g, vel, re)
+        q, c_min, c_max = _lazy_bounds(vel, re)
         seeds = list(dict.fromkeys(e for v in f.values for e in v.support()))
         flat, vals, widths = _state_table(f, seeds)
         F = _scatter(flat, vals, len(seeds), len(f.values), float)
@@ -397,7 +395,7 @@ def resolvent_unit(op: AdjacencyOperator, f: NetworkState, lam, *,
 def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
                       lam, *, grid: int = 256, tol: float = 1e-12) -> ResolventResult:
     """The resolvent at any positive speeds, irrational ones included, on a
-    finite or a lazy (stochastic) graph; a lazy one is sampled on the
+    finite or a lazy graph; a lazy one is sampled on the
     routing closure of supp f.  q >= 1 raises ContractionViolationError, a
     tolerance the a-priori decay q^N cannot reach within MAX_SERIES_TERMS
     terms TruncationError up front, and a closure past
@@ -454,8 +452,9 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
         tail <= e^{-Re(l) T} (rho / ((1 - q) c_min) + 1 / Re(l)) sum_j |g_j|_inf.
 
     With nonnegative weights q < 1 also makes the integral converge.  A
-    lazy graph must be stochastic (rho = 1, q = e^{-Re(l)/c_max} over the
-    profile); otherwise, or at q >= 1, ContractionViolationError.
+    lazy graph is stochastic by construction (rho = 1, q = e^{-Re(l)/c_max}
+    over the profile); q >= 1 raises ContractionViolationError.  The time
+    horizon meets the exact flows' work budget in _network.
     """
     lam = _require_right_half_plane(lam)
     t_max = as_exact(t_max, what="t_max")
@@ -472,7 +471,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
         rho, c_min = max(sums.values()), float(min(speed.values()))
         q = max(math.exp(-re / c) * sums[j] for j, c in speed.items())
     else:
-        rho, (q, c_min, _) = 1.0, _lazy_bounds(g, vel, re)
+        rho, (q, c_min, _) = 1.0, _lazy_bounds(vel, re)
     slack = 1 + 2.0**-40  # covers the rounding of q and of the bounds
     if q * slack >= 1:
         raise ContractionViolationError(f"q = {q:.6g} >= 1: the tail has no bound")

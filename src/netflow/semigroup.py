@@ -30,9 +30,9 @@ The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
 and on a lazy graph, at any speeds its profile lists over a default, the
 forward cone of supp f, the edges inflow can enter before t by earliest
-arrival along traversal times 1/c_j.  evolve_unit is evolve_rational at
-c = 1 on the caller's operator; the closed form above runs wherever
-those edges share one speed.
+arrival along traversal times 1/c_j, within one work budget for both
+kernels.  evolve_unit is evolve_rational at c = 1 on the caller's
+operator; the closed form above runs wherever those edges share one speed.
 
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
@@ -98,8 +98,8 @@ __all__ = [
 MAX_WIDTH = 2**63
 MAX_SUBEDGES = 2_000_000
 # Guard rails for runaway characteristic histories in evolve_rational,
-# and for runs whose stage count (t times the fastest speed) times the
-# edge count predicts minutes of work.
+# and the one work budget of both exact kernels, checked in _network:
+# stages (t times the fastest speed) times the edges of the flow.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
 # speed 1 everywhere, as a Fraction so that vel.exact builds none per edge
@@ -115,8 +115,8 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     computes the wrong dynamics, hence the hard error.  `t` must be an
     exact rational; floats raise PrecisionError rather than quietly
     contaminating the grid.  On a finite graph a state on an edge the
-    graph lacks raises MalformedGraphError, at any t; a lazy graph must
-    hold its forward cone within MAX_STAGE_EDGES, as in evolve_rational.
+    graph lacks raises MalformedGraphError, at any t, and a run over
+    evolve_rational's work budget WidthOverflowError, before any routing.
     """
     if op.scaled:
         raise WrongOperatorError(
@@ -429,40 +429,48 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     calls alone: supp f outflows from time 0, any other edge 1/c_j after
     its earliest inflow, and an edge is in when inflow enters it before t.
     Only edges that outflow before t are read, and rows keep only those.
+    Stages of 1/c_max, ceil(t c_max) - 1 of them, times the edges past
+    MAX_STAGE_EDGES are refused, on a lazy graph also as the cone grows.
     """
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     if not vel.is_rational():
         raise NotRationalError("exact flows need exact rational velocities")
+    stages = math.ceil(t * vel.c_max) - 1
     if g.is_finite:
         for j in f.support():
             g.column(j)  # an edge the graph lacks raises MalformedGraphError
-        return t, {j: vel.exact(j) for j in g.edge_ids}, g.feeders
-    speed = {j: vel.exact(j) for j in sorted(f.support(), key=repr)}
-    rows = {j: {} for j in speed}
-    # outflow times in ticks of 1/N, N the lcm of the profile's exact speed
-    # numerators, so every 1/c_j is a whole number of ticks; a tick is
-    # before t exactly when it is below ceil(t N)
-    N = math.lcm(*(Fraction(c).numerator for c in [*vel.values.values(), vel.default]
-                   if is_rational(c)))
-    end = -(-t.numerator * N // t.denominator)
-    # edges pop in order of outflow time, so the first inflow an edge
-    # sees is its earliest
-    heap = [(0, n, j) for n, j in enumerate(speed)]
-    while heap and heap[0][0] < end:
-        out, _, j = heapq.heappop(heap)
-        for i, w in g.column(j).items():
-            if i not in speed:
-                if len(speed) >= MAX_STAGE_EDGES:
-                    raise WidthOverflowError(
-                        f"forward cone exceeds {MAX_STAGE_EDGES} edges", edges=(i,)
-                    )
-                c = speed[i] = vel.exact(i)
-                rows[i] = {}
-                heapq.heappush(heap, (out + N // c.numerator * c.denominator, len(speed), i))
-            rows[i][j] = w
-    return t, speed, rows.__getitem__
+        speed, rows = {j: vel.exact(j) for j in g.edge_ids}, g.feeders
+    else:
+        speed = {j: vel.exact(j) for j in sorted(f.support(), key=repr)}
+        cone = {j: {} for j in speed}
+        rows = cone.__getitem__
+        # outflow times in ticks of 1/N, N the lcm of the profile's exact
+        # speed numerators, so every 1/c_j is a whole number of ticks; a
+        # tick is before t exactly when it is below ceil(t N)
+        N = math.lcm(*(Fraction(c).numerator for c in [*vel.values.values(), vel.default]
+                       if is_rational(c)))
+        end, cap = -(-t.numerator * N // t.denominator), MAX_STAGE_EDGES // max(stages, 1)
+        # edges pop in order of outflow time, so the first inflow an edge
+        # sees is its earliest
+        heap = [(0, n, j) for n, j in enumerate(speed)]
+        while heap and heap[0][0] < end:
+            out, _, j = heapq.heappop(heap)
+            for i, w in g.column(j).items():
+                if i not in speed:
+                    if len(speed) >= cap:
+                        raise WidthOverflowError(f"forward cone exceeds {cap} edges at "
+                                                 f"{stages} stages", edges=(i,))
+                    c = speed[i] = vel.exact(i)
+                    cone[i] = {}
+                    heapq.heappush(heap, (out + N // c.numerator * c.denominator, len(speed), i))
+                cone[i][j] = w
+    if stages * len(speed) > MAX_STAGE_EDGES:
+        fastest = sorted(speed, key=speed.get, reverse=True)[:4]
+        raise WidthOverflowError(f"{stages} stages over {len(speed)} edges exceed "
+                                 f"{MAX_STAGE_EDGES} stage-edges", edges=fastest)
+    return t, speed, rows
 
 
 def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, delay=None):
@@ -488,15 +496,8 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, dela
     T = t.numerator * (D // t.denominator)
     lag = {j: D // c.numerator * c.denominator for j, c in speed.items()}
     # stages of the shortest traversal time each visit every edge,
-    # whatever the size of the answer
+    # whatever the size of the answer; _network bounds their work
     step = min(lag.values())
-    stages = -(-T // step) - 1
-    if stages * len(ids) > MAX_STAGE_EDGES:
-        fastest = sorted(ids, key=lag.get)[:4]
-        raise WidthOverflowError(
-            f"{stages} stages over {len(ids)} edges exceed {MAX_STAGE_EDGES} stage-edges",
-            edges=fastest,
-        )
 
     # (c_k / c_j) w_jk = lag_j w_jk / lag_k as p / q in lowest terms
     feeders = {}

@@ -381,6 +381,31 @@ class TestExitCodes:
         assert err.startswith("error: argument --") and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--graph", G2, "--state", PULSE, "--t", "1/2"],
+        ["absorb", "--graph", G2, "--state", PULSE, "--rates", RATES, "--t", "1/2"],
+        ["resolvent", "--graph", G2, "--state", PULSE, "--lambda", "2"],
+        ["approx", "--graph", G5, "--state", MIXED, "--levels", "1,2", "--lambda", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_grid_past_the_sample_cap_is_bad_usage(self, tmp_path, capsys, argv):
+        # --grid 10^6 makes 2000002 samples on g2 and 5000005 on g5, refused
+        # before any solve; --help names the cap
+        assert main([*argv, "--grid", "1000000", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid 1000000 on ") and "Traceback" not in err
+        assert err.endswith(f"samples, more than {cli.MAX_SAMPLES}\n")
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert f"at most {cli.MAX_SAMPLES}" in " ".join(capsys.readouterr().out.split())
+
+    def test_grid_at_the_sample_cap_runs(self, tmp_path, monkeypatch):
+        # g2 has 2 edges: --grid 8 makes 18 samples
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 18)
+        argv = ["simulate", "--graph", G2, "--state", PULSE, "--t", "1/2", "--out", str(tmp_path)]
+        assert main([*argv, "--grid", "8"]) == 0
+        assert main([*argv, "--grid", "9"]) == 3
+
     def test_duplicate_edge_id(self, tmp_path):
         bad = tmp_path / "dup.graph"
         bad.write_text("graph dup\nedge 1 1 2\nedge 1 2 1\n")

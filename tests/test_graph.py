@@ -326,6 +326,42 @@ class TestLazyGraph:
                                "non-adjacent edges: head of 0 is not tail of 2"):
                 read(skipping())
 
+    def test_unsortable_receivers_rejected(self):
+        # receivers 'a' and 1 have no order: refused like a finite graph's
+        # edge ids, naming the column, on g.column and in a flow alike
+        def mixed():
+            return MetricGraph.lazy(lambda j: [("a", F(1, 2)), (1, F(1, 2))],
+                                    lambda j: (0, 0) if j == 0 else (0, 1))
+
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        for read in (lambda g: g.column(0), lambda g: evolve_unit(build_adjacency(g), f, F(1))):
+            with pytest.raises(MalformedGraphError, match="lazy column for edge 0 lists "
+                               "receivers of types int, str, which cannot be sorted together"):
+                read(mixed())
+
+    def test_endpoints_called_once_per_edge(self):
+        # a k-entry column reads the source's endpoints once and each
+        # receiver's once: k + 1 calls, and none for an edge already seen
+        calls = []
+
+        def tree():
+            def endpoints(j):
+                calls.append(j)
+                return (j - 1) // 2, j
+            return MetricGraph.lazy(lambda j: [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))],
+                                    endpoints)
+
+        g = tree()
+        g.column(0)
+        assert calls == [0, 1, 2]
+        g.column(1)
+        assert calls == [0, 1, 2, 3, 4]
+        calls.clear()
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        # by t = 21/2 the cone holds depths 0-10, and depth 11 is read
+        evolve_unit(build_adjacency(tree()), f, F(21, 2))
+        assert sorted(calls) == list(range(2**12 - 1))
+
 
 class TestVelocityProfile:
     def test_bounds_derived(self):

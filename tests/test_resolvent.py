@@ -669,10 +669,11 @@ class TestLaplaceOracle:
             laplace_oracle(op, f, 0.0, t_max=4)
         with pytest.raises(ValueError):
             laplace_oracle(op, f, 1.0, t_max=4, grid=0)
-        unchecked = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1),
-                                     stochastic=False)
-        with pytest.raises(ContractionViolationError):
-            laplace_oracle(build_adjacency(unchecked), NetworkState.constant(SparseVector({0: F(1)})),
+        # a lazy graph is stochastic by construction: a column summing to
+        # 1/2 is refused on first read
+        leaky = MetricGraph.lazy(lambda j: [(j + 1, F(1, 2))], lambda j: (j, j + 1))
+        with pytest.raises(MalformedGraphError, match="sums to 1/2"):
+            laplace_oracle(build_adjacency(leaky), NetworkState.constant(SparseVector({0: F(1)})),
                            1.0, t_max=4)
 
 
@@ -1188,14 +1189,28 @@ class TestOneSeries:
             resolvent_general(g, unit_vel(g), f, lam, grid=8)
 
     def test_lazy_graph_must_be_stochastic(self):
-        path = MetricGraph.lazy(lambda j: [(j + 1, F(1, 2))], lambda j: (j, j + 1),
-                                stochastic=False)
+        # every lazy column must sum to one: one summing to 1/2 is refused
+        # on its first read, by every solver that reaches it
+        reads = []
+
+        def path():
+            def column(j):
+                reads.append(j)
+                return [(j + 1, F(1, 2))]
+            return MetricGraph.lazy(column, lambda j: (j, j + 1))
+
         f = NetworkState.constant(SparseVector({0: F(1)}))
-        with pytest.raises(ContractionViolationError, match="stochastic"):
-            resolvent_unit(build_adjacency(path), f, 2.0, grid=8)
-        with pytest.raises(ContractionViolationError, match="stochastic"):
-            resolvent_general(path, VelocityProfile({0: math.sqrt(3)}, default=math.pi), f, 2.0,
-                              grid=8)
+        for run in (
+            lambda g: resolvent_unit(build_adjacency(g), f, 2.0, grid=8),
+            lambda g: resolvent_general(g, VelocityProfile({0: math.sqrt(3)}, default=math.pi),
+                                        f, 2.0, grid=8),
+            lambda g: laplace_oracle(build_adjacency(g), f, 2.0, t_max=4, grid=8),
+            lambda g: semigroup.evolve_unit(build_adjacency(g), f, F(5, 2)),
+        ):
+            reads.clear()
+            with pytest.raises(MalformedGraphError, match="column of edge 0 sums to 1/2"):
+                run(path())
+            assert reads == [0]
 
     @pytest.mark.parametrize("shape", ["path", "tree"])
     def test_lazy_closure_holds_every_term(self, shape):

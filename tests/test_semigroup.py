@@ -615,6 +615,27 @@ class TestCharacteristicsAgainstSubdivision:
         assert err.value.edges[0] == 2
         assert "52 stages" in str(err.value)
 
+    def test_one_budget_for_both_kernels(self, monkeypatch):
+        # ceil(t c_max) - 1 stages times the edges: the unit closed form
+        # meets the characteristic kernel's budget before any routing
+        def no_kernel(*_):
+            raise AssertionError("a kernel ran before the budget")
+
+        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_kernel)
+        monkeypatch.setattr(semigroup, "_histories", no_kernel)
+        f, t = pulse_e1(), F(10**7)
+        with pytest.raises(WidthOverflowError, match="9999999 stages over 2 edges exceed "
+                           "2000000 stage-edges"):
+            evolve_unit(build_adjacency(g2()), f, t)
+        q = AbsorptionProfile.zero()
+        for vel, stages in (({1: F(1), 2: F(1)}, 9999999), ({1: F(1), 2: F(3, 2)}, 14999999)):
+            vel = VelocityProfile(vel)
+            for run in (lambda: evolve_rational(g2(), vel, f, t),
+                        lambda: evolve_absorbing(g2(), vel, q, f, t, grid=4)):
+                with pytest.raises(WidthOverflowError, match=f"{stages} stages over 2 edges") as err:
+                    run()
+                assert err.value.edges == ((2, 1) if stages == 14999999 else (1, 2))
+
 
 G5_SPEEDS = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
 
@@ -1022,6 +1043,41 @@ class TestLazyCone:
                 run(binary_tree(column))
             assert err.value.edges
             assert len(reads) < 30
+
+    def test_lazy_cycle_refused_once_its_edges_are_known(self, monkeypatch):
+        # f on both edges of a lazy 2-cycle: the cone never grows, so only
+        # the check after the walk sees 9999999 stages over 2 edges
+        def no_flow(*_):
+            raise AssertionError("the flow ran before the budget")
+
+        monkeypatch.setattr(semigroup, "_histories", no_flow)
+        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_flow)
+        f = NetworkState.constant(SparseVector({0: F(1), 1: F(1)}))
+        for run in (
+            lambda g: evolve_unit(build_adjacency(g), f, F(10**7)),
+            lambda g: evolve_rational(g, VelocityProfile({}, default=F(1)), f, F(10**7)),
+        ):
+            with pytest.raises(WidthOverflowError, match="9999999 stages over 2 edges"):
+                run(MetricGraph.lazy(lambda j: [(1 - j, F(1))], lambda j: (j, 1 - j)))
+
+    def test_tree_refused_during_the_walk(self, monkeypatch):
+        # at unit speed and t = 33/2, 16 stages leave room for 125000
+        # edges; the cone, depths 0-17, would hold 262143: refused as it
+        # grows, before the walk reads it all
+        reads = []
+
+        def column(j):
+            reads.append(j)
+            return [(2 * j + 1, F(1, 2)), (2 * j + 2, F(1, 2))]
+
+        def no_flow(*_):
+            raise AssertionError("the flow ran before the cone was refused")
+
+        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_flow)
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        with pytest.raises(WidthOverflowError, match="forward cone exceeds 125000 edges"):
+            evolve_unit(build_adjacency(binary_tree(column)), f, F(33, 2))
+        assert len(reads) < semigroup.MAX_STAGE_EDGES // 16 + 2
 
     @pytest.mark.parametrize("t", [F(0), F(1, 2)])
     def test_stray_edges_are_refused(self, t):
