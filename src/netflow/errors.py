@@ -38,8 +38,8 @@ class WrongOperatorError(NetflowError):
 
 class WidthOverflowError(NetflowError):
     """A run blew past a configured size: the subdivision width, an exact
-    flow's stages times its edges (a lazy graph's forward cone among
-    them), or the history breakpoints of a characteristic run."""
+    flow's stages times its edges or a resolvent's routing closure (both
+    refused while a lazy graph is walked), or characteristic histories."""
 
     def __init__(self, message, edges=()):
         super().__init__(message)

@@ -21,6 +21,7 @@ joining the head of its source to the tail of its receiver.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -281,6 +282,23 @@ class MetricGraph:
         except KeyError:
             raise MalformedGraphError(f"unknown edge {i!r}") from None
 
+    def _walk(self, seeds, lag, horizon) -> list:
+        """(j, column j) for the edges that outflow before `horizon`, in
+        order of earliest outflow: the distinct `seeds` at 0, and an edge i
+        first met in column j at j's outflow plus lag(i), called once per
+        new edge in the order they are met.  Ties keep that order, so at a
+        constant lag this is breadth-first order."""
+        heap = [(0, n, j) for n, j in enumerate(seeds)]
+        seen, read = set(seeds), []
+        while heap and heap[0][0] < horizon:
+            out, _, j = heapq.heappop(heap)
+            read.append((j, self.column(j)))
+            for i in read[-1][1]:
+                if i not in seen:
+                    seen.add(i)
+                    heapq.heappush(heap, (out + lag(i), len(seen), i))
+        return read
+
     def _check_lazy_column(self, j, col) -> dict:
         if not isinstance(col, (list, tuple)):
             raise MalformedGraphError(
@@ -291,6 +309,9 @@ class MetricGraph:
             raise MalformedGraphError(f"lazy column for edge {j!r} has runaway length")
         if not col:
             raise MalformedGraphError(f"edge {j!r} has an empty column (sink)")
+        if not all(isinstance(e, (tuple, list)) and len(e) == 2 for e in col):
+            raise MalformedGraphError(f"lazy column for edge {j!r} has an entry that is not "
+                                      f"a (receiver, weight) pair")
         try:
             unsorted = any(a[0] >= b[0] for a, b in zip(col, col[1:]))
         except TypeError:

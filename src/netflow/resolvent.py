@@ -27,11 +27,11 @@ values on that edge tuple and its piece widths, is f's table, and one
 reader, _state_table, builds it.  The graph keeps both, read-only, in
 one keeper [routing, f, f's table]: the table of the last f solved
 there, matched by `kept f is f`.  So the solves at other lambdas or
-speeds that a convergence ladder or an identity check makes for one f on
-one graph read f once; the float speeds, which a ladder changes at
-every level, are read on each solve.  A lazy graph, at any speeds, gives
-the routing closure of supp f, read with f on every solve, as many
-applications of B deep as the tolerance can need; it is stochastic by
+speeds that a convergence ladder makes for one f on one graph read f
+once; the float speeds, which a ladder changes at every level, are read
+on each solve.  A lazy graph, at any speeds, gives the routing closure
+of supp f, read with f on every solve, as many applications of B deep as
+the tolerance can need, by the exact flows' walk; it is stochastic by
 construction, so the columns the closure leaves unread sum to one, and
 its q and c_min come from the profile.
 
@@ -81,7 +81,7 @@ from .errors import (
     WrongOperatorError,
 )
 from .exact import as_exact, is_rational, to_float
-from .graph import AdjacencyOperator, MetricGraph, VelocityProfile
+from .graph import AdjacencyOperator, MetricGraph, VelocityProfile, build_adjacency
 from . import semigroup
 from .states import NetworkState, SampledState, grid_pieces
 
@@ -213,38 +213,25 @@ def _route(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
 
 
 def _routing(g: MetricGraph, seeds: list, depth: int) -> tuple:
-    """B's nonzero entries as index arrays (edges, rows, cols, weights),
-    read from g.column.  `edges` holds the distinct `seeds`, then every
-    edge reached in at most `depth` applications of B, in order of
-    discovery; each entry w_ij of the columns of the edges reached in fewer
-    is weights[k] = float(w_ij) at rows[k], cols[k], the positions of i and
-    j in `edges`.  Reaching an edge past semigroup.MAX_STAGE_EDGES edges
-    raises WidthOverflowError before any array is built."""
+    """B's nonzero entries as index arrays (edges, rows, cols, weights), by
+    MetricGraph._walk at lag 1.  `edges` holds the distinct `seeds`, then
+    every edge reached in at most `depth` applications of B, breadth first;
+    each entry w_ij of the columns of the edges reached in fewer is
+    weights[k] = float(w_ij) at rows[k], cols[k], the positions of i and j
+    in `edges`.  An edge past semigroup.MAX_STAGE_EDGES raises WidthOverflowError."""
     pos = {j: k for k, j in enumerate(seeds)}
-    frontier = seeds
-    rows, cols, weights = [], [], []
-    for _ in range(depth):
-        reached = []
-        for j in frontier:
-            k = pos[j]
-            for i, w in g.column(j).items():
-                r = pos.get(i)
-                if r is None:
-                    if len(pos) >= semigroup.MAX_STAGE_EDGES:
-                        raise WidthOverflowError(
-                            f"routing closure exceeds {semigroup.MAX_STAGE_EDGES} edges",
-                            edges=(i,),
-                        )
-                    r = pos[i] = len(pos)
-                    reached.append(i)
-                rows.append(r)
-                cols.append(k)
-                weights.append(to_float(w))
-        if not reached:
-            break
-        frontier = reached
-    return (tuple(pos), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-            np.array(weights, dtype=float))
+
+    def lag(i):
+        if len(pos) >= semigroup.MAX_STAGE_EDGES:
+            raise WidthOverflowError(f"routing closure exceeds {semigroup.MAX_STAGE_EDGES} edges",
+                                     edges=(i,))
+        pos[i] = len(pos)
+        return 1
+
+    read = g._walk(seeds, lag, depth)
+    return (tuple(pos), np.array([pos[i] for _, col in read for i in col], dtype=np.intp),
+            np.array([pos[j] for j, col in read for _ in col], dtype=np.intp),
+            np.array([to_float(w) for _, col in read for w in col.values()], dtype=float))
 
 
 def _kept(g: MetricGraph, f: NetworkState) -> tuple:
@@ -463,7 +450,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     if not all(is_rational(x) for v in f.values for x in v.values()):
         raise NotRationalError("laplace_oracle needs exact rational state values")
     g, re, vel = op.graph, lam.real, op.scaling or semigroup._UNIT
-    _, speed, rows = semigroup._network(g, vel, f, t_max)
+    _, speed, rows, _ = semigroup._network(g, vel, f, t_max)
     if not speed:  # f = 0 on a lazy graph
         return LaplaceResult(SampledState.from_array([], np.zeros((0, grid + 1))), lam, 0.0, 0.0)
     if g.is_finite:
@@ -529,12 +516,13 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     within exclude_cells of a breakpoint of f, where the one-sided kink
     produces an O(1) spike (reported separately, never mixed in).  All of
     it reads the result's edges x (grid + 1) array, the trace residual its
-    columns 0 and grid, f through the table a solve on the same edges kept
-    (_kept), and the speeds through the solve's reader.  The speeds are
-    `vel`, else op.scaling, else 1; without `result` the resolvent is
-    solved at them.
+    columns 0 and grid, f and the speeds through the solve's readers.  The
+    speeds are `vel`, else op.scaling, else 1; without `result` the
+    resolvent is solved at them, and the trace is routed at them, through
+    `op` unless `vel` is given and is not op.scaling.
     """
-    vel = vel or op.scaling or semigroup._UNIT
+    op = op if vel in (None, op.scaling) else build_adjacency(op.graph, vel)
+    vel = op.scaling or semigroup._UNIT
     if result is None:
         result = _series(op.graph, vel, f, lam, grid, tol)
     lam = complex(lam)
@@ -543,9 +531,7 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
         raise ValueError("the identity check reads a resolvent's array state")
     M = state.grid_size
 
-    have = set(state.edges)
-    extra = tuple(e for e in f.support() if e not in have)
-    edges = state.edges + extra if extra else state.edges
+    edges = tuple(dict.fromkeys([*state.edges, *f.support()]))
     U = state.on_edges(edges)
 
     bad = np.zeros(M + 1, dtype=bool)
@@ -555,12 +541,7 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     bad = bad[1:M]
 
     c = _speed_table(vel, edges)
-    # a finite graph's result is laid out on its routing tuple, whose
-    # table of f the solve kept
-    g = op.graph
-    keeper = g._float_routing if g.is_finite else None
-    kept = keeper is not None and edges is keeper[0][0]
-    flat, vals, _ = _kept(g, f)[1] if kept else _state_table(f, edges)
+    flat, vals, _ = _state_table(f, edges)
     # |c du - l u + f| = |l u - c du - f| on the inner samples, built in
     # place: rounding is symmetric, so the negation is exact
     r = U[:, 2:] - U[:, :-2]

@@ -28,10 +28,10 @@ are built only for the answer's distinct values and breakpoints.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
-and on a lazy graph, at any speeds its profile lists over a default, the
-forward cone of supp f, the edges inflow can enter before t by earliest
-arrival along traversal times 1/c_j, within one work budget for both
-kernels.  evolve_unit is evolve_rational at c = 1 on the caller's
+and on a lazy graph the forward cone of supp f, the edges inflow enters
+before t by earliest arrival along traversal times 1/c_j, walked as the
+resolvent's closure is; one work budget at the flow's fastest edge holds
+for both kernels.  evolve_unit is evolve_rational at c = 1 on the caller's
 operator; the closed form above runs wherever those edges share one speed.
 
 The paper's construction reduces rational speeds to the unit case
@@ -61,7 +61,6 @@ ticks, each exponent rounded to a float once, correctly, by int division.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,7 +98,7 @@ MAX_WIDTH = 2**63
 MAX_SUBEDGES = 2_000_000
 # Guard rails for runaway characteristic histories in evolve_rational,
 # and the one work budget of both exact kernels, checked in _network:
-# stages (t times the fastest speed) times the edges of the flow.
+# stages (t times the flow's fastest speed) times the edges of the flow.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
 # speed 1 everywhere, as a Fraction so that vel.exact builds none per edge
@@ -422,55 +421,55 @@ def _loose_inflow(a, windows: list) -> list:
 
 def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     """The exact verbs' front: t an exact time >= 0, rational speeds, and
-    (t, speed, rows) of the edges the flow from f depends on up to time t.
-
-    A finite graph keeps every edge and its rows, and refuses f on an edge
-    it lacks.  A lazy graph keeps the forward cone of supp f, from column
-    calls alone: supp f outflows from time 0, any other edge 1/c_j after
-    its earliest inflow, and an edge is in when inflow enters it before t.
-    Only edges that outflow before t are read, and rows keep only those.
-    Stages of 1/c_max, ceil(t c_max) - 1 of them, times the edges past
-    MAX_STAGE_EDGES are refused, on a lazy graph also as the cone grows.
+    (t, speed, rows, speeds) of the edges the flow from f depends on up to
+    time t, speeds the set of their distinct speeds.  A finite graph keeps
+    every edge and its rows, and refuses f on an edge it lacks.  A lazy one
+    keeps the forward cone of supp f, by MetricGraph._walk in ticks: supp f
+    outflows from time 0, any other edge 1/c_j after its earliest inflow,
+    and an edge is in when inflow enters it before t; only edges that
+    outflow before t are read, and rows keep only those.  Stages of 1/c_max,
+    ceil(t c_max) - 1 of them, c_max the fastest edge so far, times the
+    edges past MAX_STAGE_EDGES are refused, checked as edges join.
     """
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     if not vel.is_rational():
         raise NotRationalError("exact flows need exact rational velocities")
-    stages = math.ceil(t * vel.c_max) - 1
     if g.is_finite:
         for j in f.support():
             g.column(j)  # an edge the graph lacks raises MalformedGraphError
-        speed, rows = {j: vel.exact(j) for j in g.edge_ids}, g.feeders
-    else:
-        speed = {j: vel.exact(j) for j in sorted(f.support(), key=repr)}
-        cone = {j: {} for j in speed}
-        rows = cone.__getitem__
-        # outflow times in ticks of 1/N, N the lcm of the profile's exact
-        # speed numerators, so every 1/c_j is a whole number of ticks; a
-        # tick is before t exactly when it is below ceil(t N)
-        N = math.lcm(*(Fraction(c).numerator for c in [*vel.values.values(), vel.default]
-                       if is_rational(c)))
-        end, cap = -(-t.numerator * N // t.denominator), MAX_STAGE_EDGES // max(stages, 1)
-        # edges pop in order of outflow time, so the first inflow an edge
-        # sees is its earliest
-        heap = [(0, n, j) for n, j in enumerate(speed)]
-        while heap and heap[0][0] < end:
-            out, _, j = heapq.heappop(heap)
-            for i, w in g.column(j).items():
-                if i not in speed:
-                    if len(speed) >= cap:
-                        raise WidthOverflowError(f"forward cone exceeds {cap} edges at "
-                                                 f"{stages} stages", edges=(i,))
-                    c = speed[i] = vel.exact(i)
-                    cone[i] = {}
-                    heapq.heappush(heap, (out + N // c.numerator * c.denominator, len(speed), i))
-                cone[i][j] = w
+    seeds = g.edge_ids if g.is_finite else sorted(f.support(), key=repr)
+    speed = {j: vel.exact(j) for j in seeds}
+    speeds = set(speed.values())
+    stages = math.ceil(t * max(speeds, default=0)) - 1
     if stages * len(speed) > MAX_STAGE_EDGES:
         fastest = sorted(speed, key=speed.get, reverse=True)[:4]
         raise WidthOverflowError(f"{stages} stages over {len(speed)} edges exceed "
                                  f"{MAX_STAGE_EDGES} stage-edges", edges=fastest)
-    return t, speed, rows
+    if g.is_finite:
+        return t, speed, g.feeders, speeds
+    # outflow times in ticks of 1/N, N the lcm of the profile's exact speed
+    # numerators, so every 1/c_j is a whole number of ticks; a tick is
+    # before t exactly when it is below ceil(t N)
+    N = math.lcm(*(Fraction(c).numerator for c in [*vel.values.values(), vel.default]
+                   if is_rational(c)))
+
+    def lag(i):  # 1/c_i in ticks, and ceil(t c_i) - 1 = ceil(t N / ticks) - 1 stages
+        nonlocal stages
+        c = speed[i] = vel.exact(i)
+        ticks = N // c.numerator * c.denominator
+        stages = max(stages, -(-t.numerator * N // (t.denominator * ticks)) - 1)
+        if stages * len(speed) > MAX_STAGE_EDGES:
+            raise WidthOverflowError(f"forward cone exceeds {MAX_STAGE_EDGES // stages} edges "
+                                     f"at {stages} stages", edges=(i,))
+        return ticks
+
+    cone = {j: {} for j in speed}
+    for j, column in g._walk(seeds, lag, -(-t.numerator * N // t.denominator)):
+        for i, w in column.items():
+            cone.setdefault(i, {})[j] = w
+    return t, speed, cone.__getitem__, set(speed.values())
 
 
 def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, delay=None):
@@ -590,11 +589,10 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
 
 def _flow(op: AdjacencyOperator, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
     """evolve_rational, with `op` the unscaled operator of its graph."""
-    t, speed, rows = _network(op.graph, vel, f, t)
+    t, speed, rows, speeds = _network(op.graph, vel, f, t)
     exact = _exact_values(f)
-    uniform = set(speed.values())
-    if len(uniform) == 1:
-        return _unit_flow(op, f, uniform.pop() * t, exact)
+    if len(speeds) == 1:
+        return _unit_flow(op, f, speeds.pop() * t, exact)
     if t == 0 or not speed:
         return f
 
@@ -772,7 +770,7 @@ def evolve_absorbing(
     """
     if grid < 1:
         raise ValueError(f"output grid must be >= 1, got {grid}")
-    t, speed, rows = _network(g, vel, f, t)
+    t, speed, rows, _ = _network(g, vel, f, t)
     qs = q.as_state()
     if g.is_finite:
         for j in qs.support():

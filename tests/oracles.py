@@ -220,6 +220,28 @@ def unit_series(g, w: dict, lam, K: int) -> dict:
     return y
 
 
+def breadth_first_closure(g, seeds, depth: int) -> tuple:
+    """(edges, rows, cols, weights) of B's entries over the columns within
+    depth - 1 applications of B from `seeds`, level by level: `edges` is
+    the distinct seeds, then each edge at its first sighting, and each
+    entry w_ij read is float(w_ij) at the positions of i and j in `edges`,
+    found by list search."""
+    edges = list(dict.fromkeys(seeds))
+    level, rows, cols, weights = list(edges), [], [], []
+    for _ in range(depth):
+        reached = []
+        for j in level:
+            for i, w in g.column(j).items():
+                if i not in edges:
+                    edges.append(i)
+                    reached.append(i)
+                rows.append(edges.index(i))
+                cols.append(edges.index(j))
+                weights.append(float(w))
+        level = reached
+    return tuple(edges), rows, cols, weights
+
+
 def identity_residuals(op, f, lam, state, vel=None, exclude_cells: int = 2) -> tuple:
     """(interior, spike, trace) of the resolvent identity
     (lam - c_j d/ds) u = f on a sampled resolvent, one grid cell at a time.

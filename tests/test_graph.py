@@ -339,6 +339,18 @@ class TestLazyGraph:
                                "receivers of types int, str, which cannot be sorted together"):
                 read(mixed())
 
+    @pytest.mark.parametrize("column", [[1, 2], [(1,), (2,)], [(1, F(1), 0)]])
+    def test_entries_must_be_pairs(self, column):
+        # an entry that is not a (receiver, weight) pair is refused naming
+        # the column, on g.column, in a flow and in a resolvent alike
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        for read in (lambda g: g.column(0),
+                     lambda g: evolve_unit(build_adjacency(g), f, F(1)),
+                     lambda g: resolvent_general(g, VelocityProfile({}, default=1.0), f, 2.0)):
+            with pytest.raises(MalformedGraphError, match=r"lazy column for edge 0 has an entry "
+                               r"that is not a \(receiver, weight\) pair"):
+                read(MetricGraph.lazy(lambda j: column, lambda j: (j, j + 1)))
+
     def test_endpoints_called_once_per_edge(self):
         # a k-entry column reads the source's endpoints once and each
         # receiver's once: k + 1 calls, and none for an edge already seen

@@ -704,6 +704,19 @@ class TestIdentityCheck:
         assert resolvent_identity_check(op, f, 2.0, vel=vel).trace <= 1e-8
         assert resolvent_identity_check(op, f, 2.0).trace <= 1e-8
 
+    def test_trace_routed_at_the_check_speeds(self):
+        # a resolvent at g5's speeds, checked through the unscaled operator
+        # with vel given, routes its trace at vel: the same report, to the
+        # bit, as through the operator scaled by vel
+        vel = g5_speeds()
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({1: F(1), 4: F(2)}), SparseVector({3: F(-1)})])
+        res = resolvent_general(g5(), vel, f, 2.0)
+        plain = resolvent_identity_check(build_adjacency(g5()), f, 2.0, result=res, vel=vel)
+        assert plain.trace <= 1e-8
+        assert plain == resolvent_identity_check(build_adjacency(g5(), vel), f, 2.0, result=res,
+                                                 vel=vel)
+
     def test_breakpoint_spike_reported_separately(self):
         op = build_adjacency(g2())
         f = NetworkState(
@@ -868,6 +881,66 @@ class TestArraySeries:
         assert len(reads) < 30
 
 
+def random_lazy_layers(seed):
+    """A lazy path of layers: layer n holds 1-3 parallel edges (n, k) from
+    vertex n to n + 1, and each column splits over the next layer by
+    random weights, so edges are met from several feeders."""
+    def column(j):
+        n, rng = j[0] + 1, random.Random(f"{seed}:{j}")
+        parts = [rng.randint(1, 4) for _ in range(random.Random(f"{seed}:{n}").randint(1, 3))]
+        return [((n, k), F(a, sum(parts))) for k, a in enumerate(parts)]
+
+    return MetricGraph.lazy(column, lambda j: (j[0], j[0] + 1))
+
+
+def random_lazy_tree(seed):
+    """A lazy tree: edge e, from vertex e[:-1] to vertex e, splits into
+    1-3 children e + (k,) by random weights."""
+    def column(e):
+        rng = random.Random(f"{seed}:{e}")
+        parts = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        return [(e + (k,), F(a, sum(parts))) for k, a in enumerate(parts)]
+
+    return MetricGraph.lazy(column, lambda e: (e[:-1], e))
+
+
+class TestOneWalk:
+    """The lazy closure, a finite graph's kept routing and the exact flows'
+    forward cone read a graph's columns by one walk."""
+
+    @staticmethod
+    def assert_breadth_first(g, seeds, depth, routing=None):
+        edges, rows, cols, weights = routing or resolvent_module._routing(g, seeds, depth)
+        want = oracles.breadth_first_closure(g, seeds, depth)
+        assert edges == want[0]
+        assert (rows.tolist(), cols.tolist(), weights.tolist()) == want[1:]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_routing_is_the_breadth_first_closure(self, seed):
+        rng = random.Random(seed)
+        for depth in (0, 1, 2, rng.randint(3, 7)):
+            more = rng.sample([(1, 0), (2, 0), (5, 0)], rng.randint(0, 2))
+            self.assert_breadth_first(random_lazy_layers(seed), [(0, 0), *more], depth)
+            more = rng.sample([(0, 0), (0, 0, 0), (0, 0, 0, 0)], rng.randint(0, 2))
+            self.assert_breadth_first(random_lazy_tree(seed), [(0,), *more], depth)
+        g = checks.random_graph(rng, 12)
+        self.assert_breadth_first(g, rng.sample(g.edge_ids, 2), rng.randint(1, 5))
+        # the kept routing of a finite graph: its sorted edges, one deep
+        resolvent_unit(build_adjacency(g), checks.random_state(rng, g, 3), 1.0, grid=4)
+        self.assert_breadth_first(g, g.edge_ids, 1, g._float_routing[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_cone_is_the_closure_ceil_t_deep(self, seed):
+        rng = random.Random(seed)
+        for g, seeds in ((random_lazy_layers(seed), [(0, 0), (2, 0)]),
+                         (random_lazy_tree(seed), [(0,), (0, 0, 0)])):
+            f = NetworkState.constant(SparseVector(dict.fromkeys(seeds, F(1))))
+            for t in (F(0), F(1, 2), F(1), F(rng.randint(4, 17), 3)):
+                _, speed, _, _ = semigroup._network(g, semigroup._UNIT, f, t)
+                edges = resolvent_module._routing(g, sorted(seeds, key=repr), math.ceil(t))[0]
+                assert tuple(speed) == edges
+
+
 def regular_style_graph(rng, vertices, out_degree):
     """Every vertex leaves by `out_degree` edges to distinct other vertices;
     each column splits evenly over the edges leaving its head."""
@@ -998,9 +1071,9 @@ class TestRoutingReadOnce:
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_f_is_read_once(self, monkeypatch, lazy):
-        # a finite graph's solves read f on the first solve only, and its
-        # identity check does not read it; a lazy graph reads f on its
-        # closure's seeds at every solve
+        # a finite graph's solves read f on the first solve only, a lazy
+        # graph's on its closure's seeds at every solve; each identity
+        # check reads f once, on the result's edges
         f_reads = self.counting_f_reads(monkeypatch)
         f = NetworkState([F(0), F(1, 3), F(1)],
                          [SparseVector({0: F(1), 1: F(2)}), SparseVector({1: F(-1)})])
@@ -1018,7 +1091,7 @@ class TestRoutingReadOnce:
             # each closure is a new tuple, and the check reads on it once
             assert [len(e) for e in f_reads[::2]] == [2, 2, 2] and len(f_reads) == 6
         else:
-            assert f_reads == []
+            assert f_reads == [g._float_routing[0][0]] * 3
 
     def test_unit_solves_read_once(self, monkeypatch):
         g = regular_style_graph(random.Random(50), 20, 3)
@@ -1029,7 +1102,8 @@ class TestRoutingReadOnce:
         for lam in (0.5, 2.0, 1 + 1j):
             res = resolvent_unit(op, f, lam, grid=16)
             resolvent_identity_check(op, f, lam, result=res)
-        assert f_reads == []
+        # the solves read nothing; each check reads f once on the result's edges
+        assert f_reads == [g._float_routing[0][0]] * 3
 
     def test_lazy_solves_and_checks_leave_the_kept_table(self, monkeypatch):
         # f solved on a finite graph, then on a lazy one: the lazy solve and

@@ -650,7 +650,7 @@ def g5_mixed():
 
 
 def flow_histories(g, vel, f, t):
-    _, speed, rows = semigroup._network(g, vel, f, t)
+    _, speed, rows, _ = semigroup._network(g, vel, f, t)
     return semigroup._flow_histories(speed, rows, f, t, semigroup._exact_values(f))[0]
 
 
@@ -1078,6 +1078,24 @@ class TestLazyCone:
         with pytest.raises(WidthOverflowError, match="forward cone exceeds 125000 edges"):
             evolve_unit(build_adjacency(binary_tree(column)), f, F(33, 2))
         assert len(reads) < semigroup.MAX_STAGE_EDGES // 16 + 2
+
+    def test_budget_counts_the_speeds_the_cone_reaches(self, monkeypatch):
+        # a fast speed the cone never reaches leaves the budget alone: at
+        # t = 1000 the path's cone holds edges 0-1000, all at speed 1
+        f = NetworkState.constant(SparseVector({0: F(1)}))
+        out = evolve_rational(lazy_path(), VelocityProfile({10**9: F(100)}, default=F(1)), f,
+                              F(1000))
+        assert out == evolve_rational(lazy_path(), VelocityProfile({}, default=F(1)), f, F(1000))
+        assert set(out.support()) == {1000}
+        # a fast edge counts from the moment it joins: edge 3 at speed 100
+        # joins by t = 6, not by t = 2
+        monkeypatch.setattr(semigroup, "MAX_STAGE_EDGES", 1000)
+        fast = VelocityProfile({3: F(100)}, default=F(1))
+        assert evolve_rational(lazy_path(), fast, f, F(2)).total_mass() == 1
+        with pytest.raises(WidthOverflowError, match="forward cone exceeds 1 edges at "
+                           "599 stages") as err:
+            evolve_rational(lazy_path(), fast, f, F(6))
+        assert err.value.edges == (3,)
 
     @pytest.mark.parametrize("t", [F(0), F(1, 2)])
     def test_stray_edges_are_refused(self, t):
