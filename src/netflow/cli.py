@@ -7,11 +7,12 @@ runs the randomized self-test suites, `validate` lints a graph file.
 
 Exit codes: 0 success, 1 validation failure (bad graph, missing
 velocities, failed report), 2 numeric-tolerance failure (precision gates,
-series truncation, contraction loss), 3 malformed input (unparseable
-files or flags, decimals where exactness is required, an output of more
-than MAX_SAMPLES samples).  Artifacts are
-deterministic: same inputs and flags give byte-identical files, so runs
-can be diffed.
+series truncation, contraction loss), 3 malformed input (unparseable or
+unreadable files or flags, decimals where exactness is required, a state
+or test-function value beyond float range, an output of more than
+MAX_SAMPLES samples).  The map lives on the error classes: each class in
+`errors.py` carries its `exit_code`.  Artifacts are deterministic: same
+inputs and flags give byte-identical files, so runs can be diffed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .approximation import (
     ApproximationSchedule,
@@ -32,18 +35,7 @@ from .approximation import (
     semigroup_convergence,
 )
 from .checks import SUITES, run_suite
-from .errors import (
-    ContractionViolationError,
-    MalformedGraphError,
-    MalformedInputError,
-    MissingVelocityError,
-    NetflowError,
-    NotRationalError,
-    PrecisionError,
-    TruncationError,
-    WidthOverflowError,
-    WrongOperatorError,
-)
+from .errors import MalformedGraphError, MalformedInputError, MissingVelocityError, NetflowError
 from .exact import float_or_inf, parse_rational, parse_real
 from .fileio import (
     emit_plotdata,
@@ -55,8 +47,8 @@ from .fileio import (
 )
 from .graph import MetricGraph, SparseVector, VelocityProfile, build_adjacency, validate_graph
 from .resolvent import resolvent_general
-from .semigroup import AbsorptionProfile, evolve_absorbing, evolve_rational
-from .states import TestFunction, boundary_residual, sample
+from .semigroup import _UNIT, AbsorptionProfile, evolve_absorbing, evolve_rational
+from .states import NetworkState, TestFunction, boundary_residual, sample
 
 
 # caps on flags whose larger values would run for minutes; MAX_SAMPLES
@@ -64,6 +56,9 @@ from .states import TestFunction, boundary_residual, sample
 MAX_SCALE = 100
 MAX_LOG_STEPS = 10_000
 MAX_SAMPLES = 2_000_000
+# exit codes of the builtin errors a verb may raise: an unreadable file is malformed
+# input, a float overflow in a solve a precision failure, other bad values invalid
+_EXIT = {OSError: 3, OverflowError: 2, FloatingPointError: 2, ValueError: 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,9 +169,11 @@ def _parse_time(text: str) -> Fraction:
     return t
 
 
-def _load_validated(args) -> "tuple":
-    """The graph of --graph, validated, and refused before any solve when
-    its edges x (--grid + 1) samples exceed MAX_SAMPLES."""
+def _front(args) -> tuple:
+    """A solve verb's inputs: the graph's name; the graph of --graph,
+    validated, and refused before any solve when its edges x (--grid + 1)
+    samples exceed MAX_SAMPLES; its speeds (unit when the file lists none,
+    which `approx` refuses); the state of --state; the --out directory."""
     gf = parse_graph_file(args.graph)
     report = validate_graph(gf.graph)
     if not report.ok:
@@ -186,11 +183,27 @@ def _load_validated(args) -> "tuple":
     if samples > MAX_SAMPLES:
         raise MalformedInputError(f"--grid {args.grid} on {len(gf.graph)} edges makes "
                                   f"{samples} samples, more than {MAX_SAMPLES}")
-    return gf.name, gf.graph, gf.velocities
+    if gf.velocities is None and args.verb == "approx":
+        raise MissingVelocityError(
+            f"graph {gf.name!r} has no velocities to approximate; add c lines")
+    vel = _UNIT if gf.velocities is None else gf.velocities
+    return gf.name, gf.graph, vel, _read_state(args.state), Path(args.out)
 
 
-def _is_unit(vel: VelocityProfile | None, g: MetricGraph) -> bool:
-    return vel is None or all(vel.velocity(j) == 1 for j in g.edge_ids)
+def _read_state(path, cls=NetworkState) -> NetworkState:
+    """The state of a --state or --test file, refused when a value lies
+    beyond float range: every verb reads the values as floats."""
+    f = parse_state_file(path, cls=cls).state
+    for m, v in enumerate(f.values):
+        for j, x in v.items():
+            if math.isinf(float_or_inf(x)):
+                raise MalformedInputError(
+                    f"{path}: the value of edge {j!r} on piece {m} is beyond float range")
+    return f
+
+
+def _is_unit(vel: VelocityProfile, g: MetricGraph) -> bool:
+    return all(vel.velocity(j) == 1 for j in g.edge_ids)
 
 
 def _metadata(args, **extra) -> dict:
@@ -202,14 +215,31 @@ def _metadata(args, **extra) -> dict:
     return {"version": __version__, "config": config, **extra}
 
 
-def _write_samples(out: Path, stem: str, sampled, g: MetricGraph) -> None:
-    write_text(out / f"{stem}.csv", emit_plotdata(sampled, edges=g.edge_ids))
-
-
-def _log_times(t: Fraction, steps: int) -> list:
-    # always ends at t: fewer than one step counts as one
+def _run(t: Fraction, steps: int, solve, readings) -> tuple:
+    """The last solve at the log's times k t / steps, k = 0..steps (fewer
+    than one step counts as one; t = 0 is solved once), and the log: each
+    time with the sup norm, mass and residual `readings` reads off its solve."""
     steps = max(steps, 1)
-    return [Fraction(k, steps) * t for k in range(steps + 1 if t else 1)]
+    entries = []
+    for k in range(steps + 1 if t else 1):
+        tt = Fraction(k, steps) * t
+        result = solve(tt)
+        sup_norm, mass, residual = map(float, readings(result))
+        entries.append({"t": str(tt), "sup_norm": sup_norm, "total_mass": mass,
+                        "boundary_residual": residual})
+    return result, entries
+
+
+def _write(args, out: Path, name: str, g: MetricGraph, sampled, summary: str,
+           entries=None, **meta) -> int:
+    """Write a solve verb's CSV, its run log when it keeps one and its meta,
+    and print its summary line."""
+    write_text(out / f"{args.verb}.csv", emit_plotdata(sampled, edges=g.edge_ids))
+    if entries is not None:
+        write_runlog(out / f"{args.verb}.log.jsonl", entries)
+    write_json(out / f"{args.verb}.meta.json", _metadata(args, graph=name, **meta))
+    print(f"{args.verb}: {summary}, wrote {out / f'{args.verb}.csv'}")
+    return 0
 
 
 def _sampled_mass(st) -> float:
@@ -223,37 +253,16 @@ def _sampled_mass(st) -> float:
 
 
 def _cmd_simulate(args) -> int:
-    name, g, vel = _load_validated(args)
-    f = parse_state_file(args.state).state
+    name, g, vel, f, out = _front(args)
     t = _parse_time(args.t)
-    out = Path(args.out)
-
-    if vel is None:
-        vel = VelocityProfile({}, default=Fraction(1))
     bc_op = build_adjacency(g, vel)
-
-    entries = []
-    final = None
-    for tt in _log_times(t, args.log_steps):
-        st = evolve_rational(g, vel, f, tt)
-        entries.append({
-            "t": str(tt),
-            "sup_norm": float(st.sup_norm()),
-            "total_mass": float(st.total_mass()),
-            "boundary_residual": float(boundary_residual(st, bc_op)),
-        })
-        final = st
-
-    sampled = sample(final, args.grid)
-    _write_samples(out, "simulate", sampled, g)
-    write_runlog(out / "simulate.log.jsonl", entries)
-    write_json(out / "simulate.meta.json", _metadata(
-        args, graph=name, mode="unit" if _is_unit(vel, g) else "rational",
-        sup_norm=entries[-1]["sup_norm"], total_mass=entries[-1]["total_mass"],
-    ))
-    print(f"simulate: t={t}, sup_norm={entries[-1]['sup_norm']:.6g}, "
-          f"wrote {out / 'simulate.csv'}")
-    return 0
+    final, entries = _run(t, args.log_steps, lambda tt: evolve_rational(g, vel, f, tt),
+                          lambda st: (st.sup_norm(), st.total_mass(), boundary_residual(st, bc_op)))
+    last = entries[-1]
+    return _write(args, out, name, g, sample(final, args.grid),
+                  f"t={t}, sup_norm={last['sup_norm']:.6g}", entries,
+                  mode="unit" if _is_unit(vel, g) else "rational",
+                  sup_norm=last["sup_norm"], total_mass=last["total_mass"])
 
 
 def _rates_profile(path) -> AbsorptionProfile:
@@ -265,65 +274,37 @@ def _rates_profile(path) -> AbsorptionProfile:
 
 
 def _cmd_absorb(args) -> int:
-    name, g, vel = _load_validated(args)
-    f = parse_state_file(args.state).state
+    name, g, vel, f, out = _front(args)
     q = _rates_profile(args.rates)
     t = _parse_time(args.t)
-    out = Path(args.out)
-    if vel is None:
-        vel = VelocityProfile({}, default=Fraction(1))
     bc_op = build_adjacency(g, vel)
-
-    entries = []
-    result = None
-    for tt in _log_times(t, args.log_steps):
-        result = evolve_absorbing(g, vel, q, f, tt, grid=args.grid)
-        st = result.state
-        at0, at1 = st.point(0), st.point(st.grid_size)
-        entries.append({
-            "t": str(tt),
-            "sup_norm": float(st.sup_sample_norm()),
-            "total_mass": _sampled_mass(st),
-            "boundary_residual": float((at1 - bc_op.apply(at0)).l1()),
-        })
-
-    _write_samples(out, "absorb", result.state, g)
-    write_runlog(out / "absorb.log.jsonl", entries)
-    write_json(out / "absorb.meta.json", _metadata(
-        args, graph=name, error_bound=result.error_bound,
-    ))
-    print(f"absorb: t={t}, error_bound={result.error_bound:.3g}, "
-          f"wrote {out / 'absorb.csv'}")
-    return 0
+    result, entries = _run(
+        t, args.log_steps, lambda tt: evolve_absorbing(g, vel, q, f, tt, grid=args.grid),
+        lambda res: (res.state.sup_sample_norm(), _sampled_mass(res.state),
+                     boundary_residual(res.state, bc_op)))
+    return _write(args, out, name, g, result.state,
+                  f"t={t}, error_bound={result.error_bound:.3g}", entries,
+                  error_bound=result.error_bound)
 
 
 def _cmd_resolvent(args) -> int:
-    name, g, vel = _load_validated(args)
-    f = parse_state_file(args.state).state
+    name, g, vel, f, out = _front(args)
     lam = _parse_lambda(args.lam)
-    out = Path(args.out)
-    mode = "unit" if _is_unit(vel, g) else "general"
-    if vel is None:
-        vel = VelocityProfile({}, default=Fraction(1))
     res = resolvent_general(g, vel, f, lam, grid=args.grid, tol=args.tol)
-    if mode == "unit":
+    if _is_unit(vel, g):
         meta = {
-            "K_used": res.terms - 1 if res.terms else None, "tail_bound": res.tail_bound,
-            "neumann_terms": None, "norm_Blambda": None,
+            "mode": "unit", "K_used": res.terms - 1 if res.terms else None,
+            "tail_bound": res.tail_bound, "neumann_terms": None, "norm_Blambda": None,
         }
     else:
         meta = {
-            "K_used": None, "tail_bound": res.tail_bound,
+            "mode": "general", "K_used": None, "tail_bound": res.tail_bound,
             "neumann_terms": res.metadata["neumann_terms"],
             "norm_Blambda": res.metadata["norm_Blambda"],
             "norm_Blambda_weighted": res.metadata["norm_Blambda_weighted"],
         }
-
-    _write_samples(out, "resolvent", res.state, g)
-    write_json(out / "resolvent.meta.json", _metadata(args, graph=name, mode=mode, **meta))
-    print(f"resolvent: lambda={lam}, tail_bound={res.tail_bound:.3g}, "
-          f"wrote {out / 'resolvent.csv'}")
-    return 0
+    return _write(args, out, name, g, res.state,
+                  f"lambda={lam}, tail_bound={res.tail_bound:.3g}", **meta)
 
 
 def _table_csv(table: ConvergenceTable) -> str:
@@ -339,23 +320,18 @@ def _table_csv(table: ConvergenceTable) -> str:
 
 
 def _cmd_approx(args) -> int:
-    name, g, vel = _load_validated(args)
-    if vel is None:
-        raise MissingVelocityError(
-            f"graph {name!r} has no velocities to approximate; add c lines")
-    f = parse_state_file(args.state).state
+    name, g, vel, f, out = _front(args)
     if args.t is None and args.lam is None:
         raise ValueError("approx needs --t (semigroup table) and/or --lambda (resolvent table)")
     levels = _levels(args.levels)
     schedule = ApproximationSchedule.build(vel, levels, args.method)
-    out = Path(args.out)
 
     meta = _metadata(args, graph=name)
     wrote = []
     if args.t is not None:
         t = _parse_time(args.t)
         if args.test:
-            gs = [parse_state_file(p, cls=TestFunction).state for p in args.test]
+            gs = [_read_state(p, cls=TestFunction) for p in args.test]
         else:
             first = sorted(g.edge_ids, key=repr)[0]
             gs = [TestFunction.constant(SparseVector({first: Fraction(1)}))]
@@ -416,17 +392,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         # looked up on each call: the cached parser holds no function, so a
         # wrapped or patched `_cmd_*` is the one that runs
-        return globals()[f"_cmd_{args.verb}"](args)
-    except (MalformedInputError, NotRationalError, OSError) as exc:
+        with np.errstate(over="raise"):
+            return globals()[f"_cmd_{args.verb}"](args)
+    except (NetflowError, *_EXIT) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PrecisionError, TruncationError, ContractionViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MalformedGraphError, MissingVelocityError, WidthOverflowError,
-            WrongOperatorError, NetflowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", None) or next(
+            code for cls, code in _EXIT.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ from .errors import (
 from .exact import as_exact, is_rational, to_float
 from .graph import AdjacencyOperator, MetricGraph, VelocityProfile, build_adjacency
 from . import semigroup
-from .states import NetworkState, SampledState, grid_pieces
+from .states import NetworkState, SampledState, boundary_residual, grid_pieces
 
 __all__ = [
     "ResolventResult",
@@ -261,7 +261,8 @@ def _terms_needed(first: float, rate: float, tol: float) -> int:
     e^{-rate} a term.  Past MAX_SERIES_TERMS raises TruncationError."""
     if first <= tol:
         return 0
-    n = math.log(first / tol) / rate if tol > 0 else math.inf
+    # a Python float ratio: past float range it reads inf, with no numpy overflow
+    n = math.log(float(first) / tol) / rate if tol > 0 else math.inf
     if n > MAX_SERIES_TERMS:
         raise TruncationError(
             f"series tolerance {tol} not reachable within {MAX_SERIES_TERMS} terms",
@@ -554,6 +555,4 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     interior = float(r[:, ~bad].max(initial=0.0))
     spike = float(r[:, bad].max(initial=0.0))
 
-    routed = op.apply(state.point(0))
-    trace = float((state.point(M) - routed).l1())
-    return IdentityReport(M, interior, spike, trace)
+    return IdentityReport(M, interior, spike, float(boundary_residual(state, op)))

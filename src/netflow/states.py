@@ -377,12 +377,15 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 # -- module-level operation surface ---------------------------------------
 
 
-def boundary_residual(f: NetworkState, op: AdjacencyOperator):
+def boundary_residual(f: NetworkState | SampledState, op: AdjacencyOperator):
     """l1 defect of the routing condition f(1) = B f(0).
 
     Zero exactly on states in the generator's domain; the size measures
-    how far f is from satisfying the vertex coupling.
+    how far f is from satisfying the vertex coupling.  A SampledState
+    reads its first and last samples.
     """
+    if isinstance(f, SampledState):
+        return (f.point(f.grid_size) - op.apply(f.point(0))).l1()
     return (f.values[-1] - op.apply(f.values[0])).l1()
 
 

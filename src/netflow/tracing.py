@@ -63,8 +63,6 @@ def _at_tail(g, vel, f, edge, t, side, memo):
     c = vel.velocity(edge)
     out = 0
     for k, w in g.feeders(edge).items():
-        if w == 0:
-            continue
         contrib = _head(g, vel, f, k, t, side, memo)
         if contrib != 0:
             out = out + (vel.velocity(k) / c) * w * contrib

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from netflow import (
@@ -482,12 +484,85 @@ class TestExitCodes:
         assert "q = 1 >= 1 at Re(lambda) = 1e-300 and c_max = 2" in err
         assert "stochastic" not in err
 
+    def test_three_part_lambda_is_malformed(self, tmp_path, capsys):
+        code = main(["resolvent", "--graph", G2, "--state", PULSE, "--lambda", "1,2,3",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: lambda takes re[,im], got '1,2,3'\n"
+
+    def test_negative_time_is_a_validation_failure(self, tmp_path, capsys):
+        code = main(["simulate", "--graph", G2, "--state", PULSE, "--t", "-1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: time must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--graph", G2, "--state", "BIG", "--t", "1/2"],
+        ["absorb", "--graph", G2, "--state", "BIG", "--rates", RATES, "--t", "0"],
+        ["resolvent", "--graph", G2, "--state", "BIG", "--lambda", "2"],
+        ["approx", "--graph", G5, "--state", MIXED, "--test", "BIG", "--t", "1/2"],
+    ], ids=lambda argv: argv[0])
+    def test_value_past_float_range_is_malformed(self, tmp_path, capsys, argv):
+        # refused before any solve, where its float would overflow
+        big = tmp_path / "big.state"
+        big.write_text(f"state big\nbp 0/1 1/2 1/1\nv 0 1 1\nv 1 2 -{10**400}/3\n")
+        out = tmp_path / "out"
+        argv = [str(big) if a == "BIG" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {big}: the value of edge 2 on piece 1 is beyond float range\n")
+        assert not out.exists()
+
+    def test_float_overflow_in_a_solve_is_a_precision_failure(self, tmp_path, capsys):
+        # 10^308 fits a float, but the run logs sum two of them and the
+        # resolvent's series bound passes float range
+        near = tmp_path / "near.state"
+        near.write_text(f"state near\nbp 0/1 1/1\nv 0 1 {10**308}\nv 0 2 {10**308}\n")
+        for argv in (["simulate", "--t", "1/2"], ["absorb", "--rates", RATES, "--t", "1/2"],
+                     ["resolvent", "--lambda", "2"]):
+            code = main([argv[0], "--graph", G2, "--state", str(near), *argv[1:],
+                         "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         code = main([
             "simulate", "--graph", str(tmp_path / "nope.graph"),
             "--state", PULSE, "--t", "1", "--out", str(tmp_path),
         ])
         assert code == 3
+
+
+# numerators and denominators up to 10^400, small ones as often as large:
+# values past float range, values near its top and ordinary values
+NUMERATORS = st.one_of(st.integers(-10**400, 10**400), st.integers(-9, 9))
+DENOMINATORS = st.one_of(st.integers(1, 10**400), st.integers(1, 9))
+
+
+def state_texts(edges):
+    entries = st.dictionaries(st.tuples(st.integers(0, 1), st.sampled_from(edges)),
+                              st.tuples(NUMERATORS, DENOMINATORS), min_size=1, max_size=4)
+    return entries.map(lambda d: "state fuzz\nbp 0/1 1/2 1/1\n" + "".join(
+        f"v {m} {j} {p}/{q}\n" for (m, j), (p, q) in d.items()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(G2, (1, 2)), (G5, (1, 2, 3, 4, 5))]).flatmap(
+    lambda case: st.tuples(st.just(case[0]), state_texts(case[1]), state_texts(case[1]))))
+def test_huge_values_exit_with_a_code(tmp_path_factory, case):
+    # every float verb ends in an exit code, whatever the magnitudes
+    graph, state_text, test_text = case
+    tmp = tmp_path_factory.mktemp("huge")
+    state, test = tmp / "f.state", tmp / "g.state"
+    state.write_text(state_text)
+    test.write_text(test_text)
+    for argv in (["simulate", "--t", "1/2"],
+                 ["absorb", "--rates", RATES, "--t", "1/2"],
+                 ["resolvent", "--lambda", "2"],
+                 ["approx", "--test", str(test), "--t", "1/2", "--lambda", "2", "--levels", "1,2"]):
+        code = main([argv[0], "--graph", graph, "--state", str(state), *argv[1:],
+                     "--grid", "8", "--out", str(tmp / "out")])
+        assert code in (0, 1, 2, 3)
 
 
 def test_every_verb_has_a_command():

@@ -210,6 +210,11 @@ class TestResolventGeneral:
                         resolvent_general(g, unit_vel(g), f, lam, grid=64)):
                 assert res.state.distance(lr.state) <= lr.error_bound + res.tail_bound
 
+    def test_graph_without_edges(self):
+        g = MetricGraph.finite([], {})
+        with pytest.raises(ValueError, match="graph has no edges"):
+            resolvent_general(g, semigroup._UNIT, NetworkState.zero(), 2.0)
+
     def test_zero_state(self):
         g = g2()
         res = resolvent_general(g, unit_vel(g), NetworkState.zero(), 2.0, grid=16)
@@ -544,6 +549,13 @@ class TestLaplaceOracle:
                              t_max=4, grid=8)
         assert res.round_bound == 0 and res.tail_bound == 0
         assert all(v.is_zero() for v in res.state.samples)
+
+    def test_zero_state_on_a_lazy_graph(self):
+        # f = 0 reaches no edge of a lazy graph: an empty array state
+        res = laplace_oracle(build_adjacency(lazy_path()), NetworkState.zero(), 1.0,
+                             t_max=4, grid=8)
+        assert res.state.edges == () and res.state.array.shape == (0, 9)
+        assert res.round_bound == 0 and res.tail_bound == 0
 
     def test_tail_bound_closed_form(self):
         # g2 with weights w at speed c: rho = w, q = w e^{-2/c}, c_min = c,

@@ -779,6 +779,21 @@ class TestEvolveAbsorbing:
         with pytest.raises(PrecisionError):
             evolve_absorbing(g, vel, q, f, F(2), grid=4)
 
+    @pytest.mark.parametrize("t", [F(1), F(3, 2)])
+    def test_cancelling_feeders_leave_exactly_zero(self, t):
+        # edges 1 and 2 feed edge 3 with +1 and -1 at one speed and rate:
+        # their exponential sums cancel term by term, so once the initial
+        # values have left the edges nothing is left to round
+        g = MetricGraph.finite([(1, "a", "v"), (2, "a", "v"), (3, "v", "a")],
+                               {(3, 1): F(1), (3, 2): F(1), (1, 3): F(1, 2), (2, 3): F(1, 2)})
+        vel = VelocityProfile({}, default=F(1))
+        f = NetworkState.constant(SparseVector({1: F(1), 2: F(-1)}))
+        q = AbsorptionProfile.constant({1: F(1), 2: F(1), 3: F(1)})
+        res = evolve_absorbing(g, vel, q, f, t, grid=8)
+        assert res.error_bound == 0 and not res.state.array.any()
+        ref = oracles.characteristic_absorb(g, vel, q.as_state(), f, t, 8)
+        assert all(want[j] == 0 for want in ref for j in g.edge_ids)
+
     def test_coefficient_overflow_names_the_coefficient(self):
         g, vel, _ = self.setup_g2()
         f = NetworkState.constant(SparseVector({1: F(10**400)}))
