@@ -82,22 +82,27 @@ def _approx_one(c, n: int, method: str) -> Fraction:
 
 
 def rational_approx(vel: VelocityProfile, n: int, method: str = "cf") -> VelocityProfile:
-    """Level-n rational stand-in for each speed in the profile."""
+    """Level-n rational stand-in for each speed in the profile, banded:
+    a speed whose level-n approximation leaves (c_min/2, 2 c_max) takes
+    the first later level that stays inside (see _banded)."""
     n = int(n)
     if n < 1:
         raise ValueError(f"approximation level must be >= 1, got {n}")
     method = _normalize_method(method)
-    values = {j: _approx_one(c, n, method) for j, c in vel.items()}
+    lo, hi = vel.c_min / 2, 2 * vel.c_max
+    values = {j: _banded(c, n, method, lo, hi) for j, c in vel.items()}
     default = None
     if vel.default is not None:
-        default = _approx_one(vel.default, n, method)
+        default = _banded(vel.default, n, method, lo, hi)
     return VelocityProfile(values, default=default)
 
 
 def _banded(c, n: int, method: str, lo, hi) -> Fraction:
     """Level-n approximation, advanced past any early terms that leave the
-    half-to-double band around the true profile (a floor of 0 is the
-    typical offender)."""
+    half-to-double band around the true profile.  Only a zero leaves it:
+    a continued-fraction convergent or a nonzero decimal floor of c lies
+    in (c/2, 2c), so a floor of 0 (c < 1, or c < 10^-n for dec) is the
+    one offender."""
     for k in range(n, n + BAND_ADVANCE_LIMIT):
         cand = _approx_one(c, k, method)
         if cand > 0 and lo < cand < hi:
@@ -170,15 +175,7 @@ class ApproximationSchedule:
         if levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"levels must be strictly increasing naturals, got {levels}")
         method = _normalize_method(method)
-        lo = vel.c_min / 2
-        hi = 2 * vel.c_max
-        profiles = []
-        for n in levels:
-            values = {j: _banded(c, n, method, lo, hi) for j, c in vel.items()}
-            default = None
-            if vel.default is not None:
-                default = _banded(vel.default, n, method, lo, hi)
-            profiles.append(VelocityProfile(values, default=default))
+        profiles = [rational_approx(vel, n, method) for n in levels]
         return cls(levels, method, tuple(profiles), vel)
 
     def velocity_error(self, idx: int):

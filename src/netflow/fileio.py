@@ -139,13 +139,15 @@ def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
     if not edges:
         raise MalformedInputError(f"{origin}: graph has no edges")
     by_id = {eid: (tail, head) for eid, tail, head in edges}
-    for (i, j), (lineno, _) in weights.items():
+    for (i, j), (lineno, w) in weights.items():
         if i not in by_id or j not in by_id:
             _fail(origin, lineno, f"weight names unknown edge {i!r} or {j!r}")
         if by_id[j][1] != by_id[i][0]:
             _fail(origin, lineno,
                   f"weight connects non-adjacent edges: head of {j!r} "
                   f"is not tail of {i!r}")
+        if w < 0:
+            _fail(origin, lineno, f"weight ({i!r}, {j!r}) is negative")
     for eid in vels:
         if eid not in by_id:
             raise MalformedInputError(f"{origin}: velocity names unknown edge {eid!r}")

@@ -160,10 +160,13 @@ class MetricGraph:
         """Build a finite graph from (id, tail, head) triples and a weight map.
 
         `weights` maps (receiver, source) edge-id pairs to exact rationals.
+        The edge order, each column and row (keys in the weights' order)
+        and the sink vertices (in edge-id order) are built here, once.
         `allow_sinks` exists for diagnostic construction only, so that
-        validate_graph can flag sinks instead of never seeing one.  Columns
-        need not sum to one here: validate_graph reports the ones that do
-        not, and the operators apply them as they are.
+        validate_graph can flag sinks instead of never seeing one; without
+        it the first sink refuses the graph.  Columns need not sum to one
+        here: validate_graph reports the ones that do not, and the
+        operators apply them as they are.
         """
         self = object.__new__(cls)
         self.name = name
@@ -174,26 +177,24 @@ class MetricGraph:
                 raise MalformedGraphError(f"duplicate edge id {eid!r}")
             self._edges[eid] = (tail, head)
         try:
-            sorted(self._edges)  # edge_ids lists them in this order
+            self._order = tuple(sorted(self._edges))
         except TypeError:
             kinds = ", ".join(sorted({type(e).__name__ for e in self._edges}))
             raise MalformedGraphError(f"edge ids of types {kinds} cannot be sorted together") from None
-        self._weights = {}
+        self._columns, self._rows = {j: {} for j in self._edges}, {j: {} for j in self._edges}
         for (i, j), w in weights.items():
             w = self._entry(i, j, w)
             if w != 0:
-                self._weights[(i, j)] = w
+                self._columns[j][i] = self._rows[i][j] = w
         tails = {t for (t, _) in self._edges.values()}
-        if not allow_sinks:
-            for eid, (_, head) in self._edges.items():
-                if head not in tails:
-                    raise MalformedGraphError(
-                        f"vertex {head!r} (head of edge {eid!r}) has no outgoing edge"
-                    )
-        self._columns = {j: {} for j in self._edges}
-        for (i, j), w in self._weights.items():
-            self._columns[j][i] = w
-        self._rows = None
+        self._sinks = {}  # sink vertex -> first edge, by id, whose head it is
+        for eid in self._order:
+            head = self._edges[eid][1]
+            if head not in tails:
+                self._sinks.setdefault(head, eid)
+        if self._sinks and not allow_sinks:
+            head, eid = next(iter(self._sinks.items()))
+            raise MalformedGraphError(f"vertex {head!r} (head of edge {eid!r}) has no outgoing edge")
         self._float_routing = None  # resolvent's keeper [routing, f, f's table], on first solve
         return self
 
@@ -221,7 +222,6 @@ class MetricGraph:
         self._column_fn = column_fn
         self._endpoints_fn = endpoints_fn
         self._columns, self._ends = {}, {}
-        self._rows = None
         return self
 
     # -- shared interface ------------------------------------------------
@@ -232,9 +232,9 @@ class MetricGraph:
 
     @property
     def edge_ids(self):
-        """Sorted edge ids; finite graphs only."""
+        """Sorted edge ids, a fresh list of the order built with the graph; finite only."""
         self._require_finite("edge_ids")
-        return sorted(self._edges)
+        return list(self._order)
 
     def __len__(self):
         self._require_finite("len")
@@ -270,13 +270,8 @@ class MetricGraph:
         return cached
 
     def feeders(self, i) -> dict:
-        """Row i of the routing matrix: source id -> weight; finite graphs only."""
+        """Row i of the routing matrix, built with the graph: source id -> weight; finite only."""
         self._require_finite("feeders")
-        if self._rows is None:
-            rows = {j: {} for j in self._edges}
-            for (r, s), w in self._weights.items():
-                rows[r][s] = w
-            self._rows = rows
         try:
             return self._rows[i]
         except KeyError:
@@ -561,11 +556,11 @@ def validate_graph(g: MetricGraph) -> ValidationReport:
     instead of raising.
 
     Every column is read; a pass for edge j means column j sums to
-    exactly one.  Lazy graphs are refused: their columns are checked one
-    by one on first access instead.
+    exactly one; sinks are the list the graph was built with.  Lazy graphs
+    are refused: their columns are checked one by one on first access.
     """
     g._require_finite("validate_graph")
-    edges = tuple(g.edge_ids)
+    edges = g._order
 
     sums, ok = {}, {}
     for j in edges:
@@ -573,7 +568,7 @@ def validate_graph(g: MetricGraph) -> ValidationReport:
         sums[j] = s
         ok[j] = s == 1
 
-    loops, dupes, sinks = [], [], []
+    loops, dupes = [], []
     seen_pairs: dict = {}
     for j in edges:
         tail, head = g.endpoints(j)
@@ -584,13 +579,7 @@ def validate_graph(g: MetricGraph) -> ValidationReport:
         if len(ids) > 1:
             dupes.append(tuple(ids))
 
-    tails = {tail for tail, _ in seen_pairs}
-    for j in edges:
-        head = g.endpoints(j)[1]
-        if head not in tails and head not in sinks:
-            sinks.append(head)
-
-    return ValidationReport(edges, sums, ok, loops, dupes, sinks)
+    return ValidationReport(edges, sums, ok, loops, dupes, list(g._sinks))
 
 
 def build_adjacency(g: MetricGraph, scaling: VelocityProfile | None = None) -> AdjacencyOperator:

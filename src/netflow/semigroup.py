@@ -96,8 +96,9 @@ __all__ = [
 # Guard rails for runaway subdivisions.
 MAX_WIDTH = 2**63
 MAX_SUBEDGES = 2_000_000
-# Guard rails for runaway characteristic histories in evolve_rational,
-# and the one work budget of both exact kernels, checked in _network:
+# Guard rails for runaway characteristic histories, counted as they grow:
+# one per breakpoint of a flow, the terms of every value of an absorbing
+# run; and the one work budget of both exact kernels, checked in _network:
 # stages (t times the flow's fastest speed) times the edges of the flow.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
@@ -485,8 +486,10 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, dela
     _loose_inflow on anything else) and passed through `delay(j, value)`
     when one is given.  All histories grow together in stages of the
     shortest traversal time, each stage reading only what earlier stages
-    built.  Returns (history, D, T, lag): H_j as (start ticks, values),
-    the ticks per time unit, and t and every 1/c_j in ticks.
+    built.  Past MAX_HISTORY_BREAKPOINTS they are refused, counting a
+    delayed (absorbing) value by its terms and any other by one.
+    Returns (history, D, T, lag): H_j as (start ticks, values), the
+    ticks per time unit, and t and every 1/c_j in ticks.
     """
     ids = list(speed)
     # time runs in ticks of 1/D: every breakpoint, lag and stage end
@@ -537,14 +540,13 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, dela
                 if v != values[-1]:
                     starts.append(s + lag[j])
                     values.append(v)
-                    size += 1
+                    size += len(v) if delay and v else 1
             read[j] = u
             if size > MAX_HISTORY_BREAKPOINTS:
                 worst = sorted(ids, key=lambda k: len(history[k][0]), reverse=True)[:4]
                 raise WidthOverflowError(
-                    f"characteristic histories exceed {MAX_HISTORY_BREAKPOINTS} breakpoints",
-                    edges=worst,
-                )
+                    f"characteristic histories exceed {MAX_HISTORY_BREAKPOINTS} "
+                    f"{'terms' if delay else 'breakpoints'}", edges=worst)
     return history, D, T, lag
 
 
@@ -765,12 +767,17 @@ def evolve_absorbing(
     exp(-(1/c_j) int_0^x q_j) (see _absorbing_read).  The edges come
     from _network, as in evolve_rational: a lazy graph runs on the
     forward cone of supp f.  A finite graph refuses f or rates on an edge
-    it lacks, at every t.  Velocities must be exact rationals, even at
-    t = 0, when the input is returned sampled, with bound zero.
+    it lacks, at every t.  Velocities and the values of f must be exact
+    rationals (NotRationalError), even at t = 0, when the input is
+    returned sampled, with bound zero: the bound takes every history
+    coefficient exact until its one rounding.  Histories past
+    MAX_HISTORY_BREAKPOINTS terms raise WidthOverflowError.
     """
     if grid < 1:
         raise ValueError(f"output grid must be >= 1, got {grid}")
     t, speed, rows, _ = _network(g, vel, f, t)
+    if not _exact_values(f):
+        raise NotRationalError("evolve_absorbing needs exact rational state values")
     qs = q.as_state()
     if g.is_finite:
         for j in qs.support():

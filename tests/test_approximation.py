@@ -60,6 +60,16 @@ class TestRationalApprox:
         vel = VelocityProfile({1: F(3, 2)})
         assert rational_approx(vel, 1, method="dec").velocity(1) == F(3, 2)
 
+    def test_speeds_below_one_skip_a_zero_rung(self):
+        # level 1 is the floor, 0 below speed 1: it moves on to the first
+        # level inside (c_min/2, 2 c_max), as the schedule's levels do
+        vel = VelocityProfile({1: 0.5, 2: math.sqrt(2)})
+        assert rational_approx(vel, 1).values == {1: F(1, 2), 2: F(1)}
+        slow = VelocityProfile({1: F(1, 200)})
+        assert rational_approx(slow, 1, method="dec").velocity(1) == F(1, 200)
+        sched = ApproximationSchedule.build(vel, (1, 2))
+        assert [p.values for p in sched.profiles] == [rational_approx(vel, n).values for n in (1, 2)]
+
     def test_bad_arguments(self):
         vel = VelocityProfile({1: F(1)})
         with pytest.raises(ValueError):

@@ -351,6 +351,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: edge ids of types int, str cannot be sorted together\n")
 
+    def test_negative_weight_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "neg.graph"
+        bad.write_text("graph n\nedge 1 1 2\nedge 2 2 1\nw 1 2 1\nw 2 1 -1\n")
+        assert main(["validate", "--graph", str(bad), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"error: {bad}:5: weight (2, 1) is negative\n"
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--graph", G2, "--state", PULSE, "--t", "1/2"],
         ["absorb", "--graph", G2, "--state", PULSE, "--rates", RATES, "--t", "1/2"],

@@ -92,6 +92,10 @@ class TestGraphParsing:
                            match=f"bad.graph:6: velocity must be positive and finite, got {speed}"):
             parse_graph_text(G2_TEXT + f"c 1 {speed}\nc 2 1\n", origin="bad.graph")
 
+    def test_negative_weight_carries_location(self):
+        with pytest.raises(MalformedInputError, match=r"neg\.graph:5: weight \(2, 1\) is negative"):
+            parse_graph_text(G2_TEXT.replace("w 2 1 1", "w 2 1 -1"), origin="neg.graph")
+
     def test_error_carries_location(self):
         with pytest.raises(MalformedInputError, match="bad.graph:3"):
             parse_graph_text("graph g\nedge 1 1 2\nedge 2 2\n", origin="bad.graph")

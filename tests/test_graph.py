@@ -112,6 +112,12 @@ class TestValidation:
             MetricGraph.finite(
                 [(1, 1, 2), (2, 2, 3)], {(2, 1): F(1)}, name="sink"
             )
+        # of two sinks, the refusal names the first in edge-id order, as
+        # validate_graph lists them
+        edges = [(1, "a", "a"), (3, "a", "x"), (2, "a", "y")]
+        with pytest.raises(MalformedGraphError, match=r"vertex 'y' \(head of edge 2\)"):
+            MetricGraph.finite(edges, {(1, 1): F(1)})
+        assert validate_graph(MetricGraph.finite(edges, {(1, 1): F(1)}, allow_sinks=True)).sinks == ["y", "x"]
 
 
 class TestAdjacency:

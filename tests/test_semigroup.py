@@ -801,6 +801,27 @@ class TestEvolveAbsorbing:
         with pytest.raises(PrecisionError, match=r"coefficient of about 2\^1328 on edge 1$"):
             evolve_absorbing(g, vel, q, f, F(1, 2), grid=4)
 
+    @pytest.mark.parametrize("t", [F(0), F(7, 3)])
+    def test_float_state_values_are_refused(self, t):
+        # the bound's proof takes every history coefficient exact until
+        # its one rounding; float values are rounded at every stage
+        f = NetworkState(g5_mixed().breakpoints,
+                         [v.scale(1 / 7) for v in g5_mixed().values])
+        with pytest.raises(NotRationalError, match="exact rational state values"):
+            evolve_absorbing(g5(), G5_SPEEDS, AbsorptionProfile.zero(), f, t)
+
+    def test_history_budget_counts_absorbing_terms(self, monkeypatch):
+        # g5 at t = 10 grows 290 breakpoints either way, holding 434 terms
+        # when rates make every value an exponential sum
+        g, f = g5(), g5_mixed()
+        q = AbsorptionProfile.constant({1: F(-1, 2), 3: F(1, 4)})
+        monkeypatch.setattr(semigroup, "MAX_HISTORY_BREAKPOINTS", 350)
+        evolve_rational(g, G5_SPEEDS, f, F(10))
+        evolve_absorbing(g, G5_SPEEDS, q, f, F(5), grid=4)
+        with pytest.raises(WidthOverflowError, match="exceed 350 terms") as err:
+            evolve_absorbing(g, G5_SPEEDS, q, f, F(10), grid=4)
+        assert err.value.edges
+
     def test_float_rates_are_refused(self):
         with pytest.raises(NotRationalError):
             AbsorptionProfile.constant({1: 0.25})
