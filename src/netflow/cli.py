@@ -291,20 +291,12 @@ def _cmd_resolvent(args) -> int:
     name, g, vel, f, out = _front(args)
     lam = _parse_lambda(args.lam)
     res = resolvent_general(g, vel, f, lam, grid=args.grid, tol=args.tol)
-    if _is_unit(vel, g):
-        meta = {
-            "mode": "unit", "K_used": res.terms - 1 if res.terms else None,
-            "tail_bound": res.tail_bound, "neumann_terms": None, "norm_Blambda": None,
-        }
-    else:
-        meta = {
-            "mode": "general", "K_used": None, "tail_bound": res.tail_bound,
-            "neumann_terms": res.metadata["neumann_terms"],
-            "norm_Blambda": res.metadata["norm_Blambda"],
-            "norm_Blambda_weighted": res.metadata["norm_Blambda_weighted"],
-        }
+    # one series at every speed, so one shape of metadata
     return _write(args, out, name, g, res.state,
-                  f"lambda={lam}, tail_bound={res.tail_bound:.3g}", **meta)
+                  f"lambda={lam}, tail_bound={res.tail_bound:.3g}",
+                  mode="unit" if _is_unit(vel, g) else "general", tail_bound=res.tail_bound,
+                  **{key: res.metadata[key]
+                     for key in ("neumann_terms", "norm_Blambda", "norm_Blambda_weighted")})
 
 
 def _table_csv(table: ConvergenceTable) -> str:

@@ -15,7 +15,12 @@ class NetflowError(Exception):
 
 
 class MalformedGraphError(NetflowError):
-    """Graph structure or routing weights violate a hard requirement."""
+    """Graph structure or routing weights violate a hard requirement; a
+    refused weight is named by its (receiver, source) `pair`."""
+
+    def __init__(self, message, pair=None):
+        super().__init__(message)
+        self.pair = pair
 
 
 class MalformedInputError(NetflowError):

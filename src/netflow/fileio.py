@@ -17,7 +17,8 @@ parses exact, decimals parse as floats.
 
 Graphs parse with sinks allowed so that `validate` can report problems
 instead of refusing to look at them; direct library construction keeps
-the eager checks.
+the eager checks.  Weights are checked by the graph's own rule, and a
+refusal names the file, and the line of the weight it names.
 
 CSV emission is byte-deterministic: fixed column order, `\n` newlines,
 17 significant digits (lossless for float64).  Complex-valued samples
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedInputError, NetflowError
+from .errors import MalformedGraphError, MalformedInputError, NetflowError
 from .exact import float_or_inf, parse_rational, parse_real, to_float
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState
@@ -132,31 +133,27 @@ def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
                 _fail(origin, lineno, str(exc))
             if not 0 < float_or_inf(value) < math.inf:
                 _fail(origin, lineno, f"velocity must be positive and finite, got {parts[2]}")
-            vels[eid] = value
+            vels[eid] = (lineno, value)
         else:
             _fail(origin, lineno, f"unknown directive {kind!r}")
 
     if not edges:
         raise MalformedInputError(f"{origin}: graph has no edges")
-    by_id = {eid: (tail, head) for eid, tail, head in edges}
-    for (i, j), (lineno, w) in weights.items():
-        if i not in by_id or j not in by_id:
-            _fail(origin, lineno, f"weight names unknown edge {i!r} or {j!r}")
-        if by_id[j][1] != by_id[i][0]:
-            _fail(origin, lineno,
-                  f"weight connects non-adjacent edges: head of {j!r} "
-                  f"is not tail of {i!r}")
-        if w < 0:
-            _fail(origin, lineno, f"weight ({i!r}, {j!r}) is negative")
-    for eid in vels:
-        if eid not in by_id:
-            raise MalformedInputError(f"{origin}: velocity names unknown edge {eid!r}")
-
-    graph = MetricGraph.finite(
-        edges, {pair: w for pair, (_, w) in weights.items()},
-        name=name, allow_sinks=True,
-    )
-    profile = VelocityProfile(vels) if vels else None
+    for eid, (lineno, _) in vels.items():
+        if eid not in seen:
+            _fail(origin, lineno, f"velocity names unknown edge {eid!r}")
+    # the graph checks each weight by its one rule; a refusal is reported
+    # at the line of the weight it names, any other with the file
+    try:
+        graph = MetricGraph.finite(
+            edges, {pair: w for pair, (_, w) in weights.items()},
+            name=name, allow_sinks=True,
+        )
+    except MalformedGraphError as err:
+        if err.pair in weights:
+            _fail(origin, weights[err.pair][0], str(err))
+        raise MalformedInputError(f"{origin}: {err}") from None
+    profile = VelocityProfile({eid: c for eid, (_, c) in vels.items()}) if vels else None
     return GraphFile(name, graph, profile)
 
 

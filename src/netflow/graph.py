@@ -196,6 +196,7 @@ class MetricGraph:
             head, eid = next(iter(self._sinks.items()))
             raise MalformedGraphError(f"vertex {head!r} (head of edge {eid!r}) has no outgoing edge")
         self._float_routing = None  # resolvent's keeper [routing, f, f's table], on first solve
+        self._int_columns = {}  # the exact flows' integer columns, on first route
         return self
 
     @classmethod
@@ -221,7 +222,7 @@ class MetricGraph:
         self._lazy = True
         self._column_fn = column_fn
         self._endpoints_fn = endpoints_fn
-        self._columns, self._ends = {}, {}
+        self._columns, self._ends, self._int_columns = {}, {}, {}
         return self
 
     # -- shared interface ------------------------------------------------
@@ -327,15 +328,20 @@ class MetricGraph:
         return out
 
     def _entry(self, i, j, w) -> Fraction:
-        """Weight w(i, j), checked: head of j is tail of i, w exact and >= 0."""
-        if self.endpoints(j)[1] != self.endpoints(i)[0]:
-            raise MalformedGraphError(
-                f"weight ({i!r}, {j!r}) connects non-adjacent edges: "
-                f"head of {j!r} is not tail of {i!r}"
-            )
-        w = as_exact(w, what=f"weight ({i!r}, {j!r})")
+        """Weight w(i, j), checked: i and j are edges, the head of j is the
+        tail of i, w is exact and >= 0.  Every graph's one weight rule; a
+        refusal names the pair (i, j)."""
+        what = f"weight ({i!r}, {j!r})"
+        try:
+            adjacent = self.endpoints(j)[1] == self.endpoints(i)[0]
+        except MalformedGraphError as err:
+            raise MalformedGraphError(f"{what}: {err}", pair=(i, j)) from None
+        if not adjacent:
+            raise MalformedGraphError(f"{what} connects non-adjacent edges: head of {j!r} "
+                                      f"is not tail of {i!r}", pair=(i, j))
+        w = as_exact(w, what=what)
         if w < 0:
-            raise MalformedGraphError(f"weight ({i!r}, {j!r}) is negative")
+            raise MalformedGraphError(f"{what} is negative", pair=(i, j))
         return w
 
     def _require_finite(self, op: str):
@@ -395,47 +401,33 @@ class VelocityProfile:
 
 
 class AdjacencyOperator:
-    """The routing matrix as an operator, optionally velocity-conjugated.
+    """The routing matrix as an operator: a view of (graph, scaling).
 
-    Unscaled, entry (i, j) is the weight w(i, j).  With a velocity profile
-    attached the entry becomes (c_j / c_i) * w(i, j), which is the matrix
-    that couples edge traces when speeds differ.  Columns are finitely
-    supported and cached on first use.  `apply` and `apply_power` run the
-    plain multiply-add loop on any values, so exact vectors stay exact.
-    An unscaled operator also caches each column as integer numerators
-    over the column's own denominator, for `_route_exact`, the exact
-    flows' route of many vectors at once.
+    Unscaled, entry (i, j) is the weight w(i, j); with a velocity profile
+    it is (c_j / c_i) * w(i, j), the matrix that couples edge traces when
+    speeds differ, computed when read from the graph's own columns.  The
+    multiply-add loop takes any values, so exact vectors stay exact.
     """
+
+    __slots__ = ("graph", "scaling")
 
     def __init__(self, graph: MetricGraph, scaling: VelocityProfile | None = None):
         self.graph = graph
         self.scaling = scaling
-        # edge -> (column as SparseVector, (denominator, ((receiver, numerator), ...))),
-        # the integer form on unscaled operators only
-        self._cache: dict = {}
 
     @property
     def scaled(self) -> bool:
         return self.scaling is not None
 
-    def _cached(self, j) -> tuple:
-        hit = self._cache.get(j)
-        if hit is not None:
-            return hit
+    def _entries(self, j) -> dict:
         raw = self.graph.column(j)
         if self.scaling is None:
-            col = SparseVector(raw)
-            den = math.lcm(*(w.denominator for w in raw.values()))
-            ints = (den, tuple((i, w.numerator * (den // w.denominator)) for i, w in raw.items()))
-        else:
-            c_j = self.scaling.velocity(j)
-            col = SparseVector({i: w * c_j / self.scaling.velocity(i) for i, w in raw.items()})
-            ints = None
-        hit = self._cache[j] = (col, ints)
-        return hit
+            return raw
+        c_j = self.scaling.velocity(j)
+        return {i: w * c_j / self.scaling.velocity(i) for i, w in raw.items()}
 
     def column(self, j) -> SparseVector:
-        return self._cached(j)[0]
+        return SparseVector(self._entries(j))
 
     def apply(self, v: SparseVector) -> SparseVector:
         """Matrix-vector product; touches only the columns in v's support."""
@@ -450,60 +442,10 @@ class AdjacencyOperator:
                 break
             out: dict = {}
             for j, a in v.items():
-                for i, w in self.column(j).items():
+                for i, w in self._entries(j).items():
                     out[i] = out.get(i, 0) + w * a
             v = SparseVector(out)
         return v
-
-    def _route_exact(self, vectors: list, powers: list) -> list:
-        """B^n v on an unscaled operator for each v of `vectors`, of int and
-        Fraction entries, n its entry of `powers` >= 0: held as num / D for
-        one D, Fractions built only for the results; B^0 v is v itself."""
-        out = list(vectors)
-        active = [k for k, n in enumerate(powers) if n]
-        D = math.lcm(*(x.denominator for k in active for _, x in vectors[k].items()))
-        nums = {k: {j: x.numerator * (D // x.denominator) for j, x in vectors[k].items()}
-                for k in active}
-        step = 0
-        while active:
-            step += 1
-            touched = set()
-            for k in active:
-                touched.update(nums[k])
-            cols = {j: self._cached(j)[1] for j in touched}
-            L = math.lcm(*(den for den, _ in cols.values()))
-            cols = {
-                j: col if den == L else tuple((i, w * (L // den)) for i, w in col)
-                for j, (den, col) in cols.items()
-            }
-            D *= L
-            g = D
-            for k in active:
-                acc: dict = {}
-                for j, a in nums[k].items():
-                    for i, w in cols[j]:
-                        acc[i] = acc.get(i, 0) + a * w
-                acc = {i: x for i, x in acc.items() if x}
-                if g != 1 and acc:
-                    g = math.gcd(g, *acc.values())
-                nums[k] = acc
-            if g != 1:
-                D //= g
-                for k in active:
-                    nums[k] = {i: x // g for i, x in nums[k].items()}
-            # routed values repeat a lot; build each Fraction once
-            memo: dict = {}
-            for k in active:
-                if powers[k] == step:
-                    vec = {}
-                    for i, x in nums[k].items():
-                        r = memo.get(x)
-                        if r is None:
-                            r = memo[x] = Fraction(x, D)
-                        vec[i] = r
-                    out[k] = SparseVector._from_nonzero(vec)
-            active = [k for k in active if powers[k] > step]
-        return out
 
     def __repr__(self):
         kind = "scaled" if self.scaled else "unscaled"

@@ -261,8 +261,8 @@ def _terms_needed(first: float, rate: float, tol: float) -> int:
     e^{-rate} a term.  Past MAX_SERIES_TERMS raises TruncationError."""
     if first <= tol:
         return 0
-    # a Python float ratio: past float range it reads inf, with no numpy overflow
-    n = math.log(float(first) / tol) / rate if tol > 0 else math.inf
+    # logs, not a ratio: first / tol can pass float range when the count is small
+    n = (math.log(first) - math.log(tol)) / rate if tol > 0 else math.inf
     if n > MAX_SERIES_TERMS:
         raise TruncationError(
             f"series tolerance {tol} not reachable within {MAX_SERIES_TERMS} terms",

@@ -31,8 +31,9 @@ rational speeds, and the edges the answer needs: all of a finite graph,
 and on a lazy graph the forward cone of supp f, the edges inflow enters
 before t by earliest arrival along traversal times 1/c_j, walked as the
 resolvent's closure is; one work budget at the flow's fastest edge holds
-for both kernels.  evolve_unit is evolve_rational at c = 1 on the caller's
-operator; the closed form above runs wherever those edges share one speed.
+for both kernels.  evolve_unit is evolve_rational at c = 1 on its
+operator's graph; the closed form above runs wherever those edges share
+one speed, routing exact values through integer columns the graph keeps.
 
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
@@ -107,8 +108,8 @@ _UNIT = VelocityProfile({}, default=Fraction(1))
 
 
 def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
-    """Exact unit-velocity evolution T(t) f: evolve_rational at c = 1,
-    routed through `op` itself.
+    """Exact unit-velocity evolution T(t) f: evolve_rational at c = 1 on
+    op's graph.
 
     `op` must be unscaled: the unit flow belongs to the plain routing
     matrix, and passing a velocity-conjugated operator here silently
@@ -123,12 +124,13 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
             "evolve_unit needs the unscaled routing operator; "
             "use evolve_rational for velocity profiles"
         )
-    return _flow(op, _UNIT, f, t)
+    return _flow(op.graph, _UNIT, f, t)
 
 
-def _unit_flow(op: AdjacencyOperator, f: NetworkState, t: Fraction, exact: bool) -> NetworkState:
-    """T(t) f at unit speed, for exact t >= 0 and f on edges op's graph has;
-    `exact` says every value of f is an int or a Fraction."""
+def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction, exact: bool) -> NetworkState:
+    """T(t) f at unit speed, for exact t >= 0 and f on edges g has; `exact`
+    says every value of f is an int or a Fraction, and float values are
+    routed by an operator view of g."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -146,8 +148,64 @@ def _unit_flow(op: AdjacencyOperator, f: NetworkState, t: Fraction, exact: bool)
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
     if exact:
-        return NetworkState(bps, op._route_exact(values, powers))
-    return NetworkState(bps, list(map(op.apply_power, values, powers)))
+        return NetworkState(bps, _route_exact(g, values, powers))
+    return NetworkState(bps, list(map(AdjacencyOperator(g).apply_power, values, powers)))
+
+
+def _route_exact(g: MetricGraph, vectors: list, powers: list) -> list:
+    """B^n v for each v of `vectors`, of int and Fraction entries, n its
+    entry of `powers` >= 0: held as num / D for one D, Fractions built only
+    for the results; B^0 v is v itself.  Column j is read as integer
+    numerators over its own denominator, (den, ((receiver, numerator), ...)),
+    built on its first route and kept by the graph."""
+    out = list(vectors)
+    active = [k for k, n in enumerate(powers) if n]
+    D = math.lcm(*(x.denominator for k in active for _, x in vectors[k].items()))
+    nums = {k: {j: x.numerator * (D // x.denominator) for j, x in vectors[k].items()}
+            for k in active}
+    kept = g._int_columns
+    step = 0
+    while active:
+        step += 1
+        touched = set()
+        for k in active:
+            touched.update(nums[k])
+        for j in touched - kept.keys():
+            raw = g.column(j)
+            den = math.lcm(*(w.denominator for w in raw.values()))
+            kept[j] = den, tuple((i, w.numerator * (den // w.denominator)) for i, w in raw.items())
+        cols = {j: kept[j] for j in touched}
+        L = math.lcm(*(den for den, _ in cols.values()))
+        cols = {j: col if den == L else tuple((i, w * (L // den)) for i, w in col)
+                for j, (den, col) in cols.items()}
+        D *= L
+        common = D
+        for k in active:
+            acc: dict = {}
+            for j, a in nums[k].items():
+                for i, w in cols[j]:
+                    acc[i] = acc.get(i, 0) + a * w
+            acc = {i: x for i, x in acc.items() if x}
+            if common != 1 and acc:
+                common = math.gcd(common, *acc.values())
+            nums[k] = acc
+        if common != 1:
+            D //= common
+            for k in active:
+                nums[k] = {i: x // common for i, x in nums[k].items()}
+        # routed values repeat a lot; build each Fraction once
+        memo: dict = {}
+        for k in active:
+            if powers[k] == step:
+                vec = {}
+                for i, x in nums[k].items():
+                    r = memo.get(x)
+                    if r is None:
+                        r = memo[x] = Fraction(x, D)
+                    vec[i] = r
+                out[k] = SparseVector._from_nonzero(vec)
+        active = [k for k in active if powers[k] > step]
+    return out
 
 
 # The paper's subdivision, the tests' oracle for evolve_rational.  It stays
@@ -374,14 +432,6 @@ def _inflow(a, windows: list) -> list:
     where one term does, and one gcd per value cancels what L carried
     beyond the answer's own denominator.
     """
-    if len(windows) == 1:  # one feeder: no common denominator to find
-        p, q, win = windows[0]
-        out = []
-        for s, (n, d) in win:
-            n, d = p * n, q * d
-            g = math.gcd(n, d)
-            out.append((s, (n // g, d // g)))
-        return out
     L = math.lcm(*{q * d for _, q, win in windows for _, (_, d) in win})
     steps = {a: 0}
     for p, q, win in windows:
@@ -586,15 +636,15 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     H_j(t + x/c_j).  When those edges share one speed c, the unit flow
     runs for time c*t instead.
     """
-    return _flow(build_adjacency(g), vel, f, t)
+    return _flow(g, vel, f, t)
 
 
-def _flow(op: AdjacencyOperator, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
-    """evolve_rational, with `op` the unscaled operator of its graph."""
-    t, speed, rows, speeds = _network(op.graph, vel, f, t)
+def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
+    """evolve_rational, and evolve_unit at c = 1, on the graph alone."""
+    t, speed, rows, speeds = _network(g, vel, f, t)
     exact = _exact_values(f)
     if len(speeds) == 1:
-        return _unit_flow(op, f, speeds.pop() * t, exact)
+        return _unit_flow(g, f, speeds.pop() * t, exact)
     if t == 0 or not speed:
         return f
 

@@ -119,10 +119,25 @@ class TestResolvent:
         ])
         assert code == 0
         meta = json.loads((tmp_path / "resolvent.meta.json").read_text())
+        # one shape at every speed: the series' counts and norms, no K_used
+        assert meta.keys() == {"version", "config", "graph", "mode", "tail_bound",
+                               "neumann_terms", "norm_Blambda", "norm_Blambda_weighted"}
         assert meta["mode"] == "unit"
-        assert meta["K_used"] >= 1
+        assert meta["neumann_terms"] >= 1
         assert meta["tail_bound"] <= 1e-11
-        assert meta["neumann_terms"] is None and meta["norm_Blambda"] is None
+        # unit speed on stochastic g2: both norms are e^{-lambda}
+        assert meta["norm_Blambda"] == meta["norm_Blambda_weighted"] == pytest.approx(math.exp(-2))
+
+    def test_tolerance_below_the_normal_floats(self, tmp_path):
+        # the series' term count at tol = 1e-310 is a few hundred; only the
+        # ratio of its first term to tol passes float range
+        code = main([
+            "resolvent", "--graph", G2, "--state", PULSE, "--lambda", "2",
+            "--tol", "1e-310", "--grid", "8", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        meta = json.loads((tmp_path / "resolvent.meta.json").read_text())
+        assert meta["tail_bound"] <= 1e-310 and meta["neumann_terms"] > 300
 
     def test_general_complex_lambda(self, tmp_path):
         code = main([
@@ -161,7 +176,8 @@ class TestResolvent:
         assert all(x == 0 for row in rows for x in row[1:])
         meta = json.loads((tmp_path / "resolvent.meta.json").read_text())
         assert meta["mode"] == "unit"
-        assert meta["tail_bound"] == 0 and meta["K_used"] is None
+        assert meta["tail_bound"] == 0 and meta["neumann_terms"] == 0
+        assert "K_used" not in meta
 
 
 class TestAbsorb:
@@ -346,10 +362,11 @@ class TestExitCodes:
 
     def test_mixed_edge_id_styles(self, tmp_path, capsys):
         bad = tmp_path / "mixed.graph"
+        # malformed input, named with its file
         bad.write_text("graph m\nedge 1 u v\nedge a v u\nw a 1 1\nw 1 a 1\n")
-        assert main(["validate", "--graph", str(bad), "--out", str(tmp_path)]) == 1
+        assert main(["validate", "--graph", str(bad), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
-            "error: edge ids of types int, str cannot be sorted together\n")
+            f"error: {bad}: edge ids of types int, str cannot be sorted together\n")
 
     def test_negative_weight_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "neg.graph"
@@ -520,16 +537,22 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_float_overflow_in_a_solve_is_a_precision_failure(self, tmp_path, capsys):
-        # 10^308 fits a float, but the run logs sum two of them and the
-        # resolvent's series bound passes float range
+        # 10^308 fits a float, but the run logs sum two of them and, at
+        # lambda = 1/2, the resolvent's series bound passes float range
         near = tmp_path / "near.state"
         near.write_text(f"state near\nbp 0/1 1/1\nv 0 1 {10**308}\nv 0 2 {10**308}\n")
         for argv in (["simulate", "--t", "1/2"], ["absorb", "--rates", RATES, "--t", "1/2"],
-                     ["resolvent", "--lambda", "2"]):
+                     ["resolvent", "--lambda", "1/2"]):
             code = main([argv[0], "--graph", G2, "--state", str(near), *argv[1:],
                          "--out", str(tmp_path)])
             err = capsys.readouterr().err
             assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        # at lambda = 2 every float stays in range: f is stationary on the
+        # cycle, so R(2) f = f / 2
+        assert main(["resolvent", "--graph", G2, "--state", str(near), "--lambda", "2",
+                     "--grid", "4", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "resolvent.csv")
+        assert all(x == pytest.approx(10**308 / 2, rel=1e-12) for row in rows for x in row[1:])
 
     def test_missing_file(self, tmp_path):
         code = main([

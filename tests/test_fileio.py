@@ -96,6 +96,26 @@ class TestGraphParsing:
         with pytest.raises(MalformedInputError, match=r"neg\.graph:5: weight \(2, 1\) is negative"):
             parse_graph_text(G2_TEXT.replace("w 2 1 1", "w 2 1 -1"), origin="neg.graph")
 
+    @pytest.mark.parametrize("weight, why", [
+        ("w 1 3 1", r"weight \(1, 3\): unknown edge 3"),
+        ("w 1 1 1", r"weight \(1, 1\) connects non-adjacent edges: head of 1 is not tail of 1"),
+        ("w 2 1 -1/2", r"weight \(2, 1\) is negative"),
+    ])
+    def test_refused_weight_named_at_its_line(self, weight, why):
+        # the graph's one weight rule refuses it; the reader names the line
+        text = G2_TEXT.replace("w 2 1 1", weight) + "# trailing\n"
+        with pytest.raises(MalformedInputError, match=f"^bad\\.graph:5: {why}$"):
+            parse_graph_text(text, origin="bad.graph")
+
+    def test_refusals_without_a_weight_name_the_file(self):
+        with pytest.raises(MalformedInputError, match=r"^bad\.graph:7: velocity names "
+                           "unknown edge 9$"):
+            parse_graph_text(G2_TEXT + "c 1 1\nc 9 1\n", origin="bad.graph")
+        with pytest.raises(MalformedInputError, match=r"^bad\.graph: edge ids of types int, "
+                           "str cannot be sorted together$"):
+            parse_graph_text("graph m\nedge 1 u v\nedge a v u\nw a 1 1\nw 1 a 1\n",
+                             origin="bad.graph")
+
     def test_error_carries_location(self):
         with pytest.raises(MalformedInputError, match="bad.graph:3"):
             parse_graph_text("graph g\nedge 1 1 2\nedge 2 2\n", origin="bad.graph")

@@ -22,7 +22,7 @@ from netflow import (
     resolvent_general,
     validate_graph,
 )
-from netflow import checks
+from netflow import checks, semigroup
 
 
 def g2():
@@ -100,12 +100,23 @@ class TestValidation:
 
     def test_nonadjacent_weight_rejected(self):
         with pytest.raises(MalformedGraphError, match=r"weight \(1, 1\) connects "
-                           "non-adjacent edges: head of 1 is not tail of 1"):
+                           "non-adjacent edges: head of 1 is not tail of 1") as err:
             MetricGraph.finite(
                 [(1, 1, 2), (2, 2, 1)],
                 {(1, 2): F(1), (2, 1): F(1), (1, 1): F(1)},
                 name="nonadj",
             )
+        assert err.value.pair == (1, 1)
+
+    @pytest.mark.parametrize("weights, pair", [
+        ({(2, 1): F(-1)}, (2, 1)), ({(3, 1): F(1)}, (3, 1)), ({(1, 2): F(1)}, None)])
+    def test_a_refused_weight_names_its_pair(self, weights, pair):
+        # the weight rule names the (receiver, source) pair it refuses;
+        # other refusals name none
+        edges = [(1, 1, 2), (2, 2, 1)] + ([(2, 3, 4)] if pair is None else [])
+        with pytest.raises(MalformedGraphError) as err:
+            MetricGraph.finite(edges, weights)
+        assert err.value.pair == pair
 
     def test_sink_rejected(self):
         with pytest.raises(MalformedGraphError):
@@ -205,20 +216,20 @@ class TestApplyStack:
             ids = g.edge_ids
             vecs = [random_vector(rng, ids, nonneg=trial % 2 == 0) for _ in range(6)]
             powers = [rng.randint(0, 6) for _ in vecs]
-            got = op._route_exact(vecs, powers)
+            got = semigroup._route_exact(g, vecs, powers)
             for v, n, out in zip(vecs, powers, got):
                 want = oracles.fraction_apply_power(g, v, n)
                 assert dict(out.items()) == want, (trial, n)
                 assert all(type(x) is F for _, x in out.items()) or n == 0
                 assert op.apply_power(v, n) == out
-            assert op.apply(vecs[0]) == op._route_exact(vecs, [1] * len(vecs))[0]
+            assert op.apply(vecs[0]) == semigroup._route_exact(g, vecs, [1] * len(vecs))[0]
 
     def test_zeroth_power_keeps_the_object(self):
         op = build_adjacency(g5())
         v = SparseVector({1: F(1, 3)})
         u = SparseVector({2: F(2)})
         w = SparseVector({2: 0.5})
-        got = op._route_exact([v, u], [0, 2])
+        got = semigroup._route_exact(op.graph, [v, u], [0, 2])
         assert got[0] is v and got[1] == op.apply_power(u, 2)
         assert op.apply_power(v, 0) is v
         assert op.apply_power(w, 0) is w

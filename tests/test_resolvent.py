@@ -127,6 +127,23 @@ class TestResolventUnit:
             resolvent_unit(op, f, 1e-9, grid=4)
         assert err.value.achieved > 0
 
+    @pytest.mark.parametrize("lazy", [False, True], ids=["finite", "lazy"])
+    def test_huge_state_at_the_default_tolerance(self, lazy):
+        # |f| near 10^300 over tol = 1e-12 passes float range, yet the
+        # series needs a few hundred terms: a count read off the ratio
+        # refused it
+        g = lazy_path() if lazy else g2()
+        e = 0 if lazy else 1
+        vel = VelocityProfile({}, default=F(1))
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({e: F(1)}), SparseVector({e: F(-2)})])
+        big = f.map_values(lambda v: v.scale(10**300))
+        small, res = (resolvent_general(g, vel, h, 2, grid=16) for h in (f, big))
+        assert res.tail_bound <= 1e-12 and res.terms > small.terms
+        edges = small.state.edges
+        assert np.allclose(res.state.on_edges(edges) / 1e300, small.state.on_edges(edges),
+                           rtol=1e-12, atol=1e-11)
+
     def test_scaled_operator_refused(self):
         op = build_adjacency(g2(), VelocityProfile({1: F(2), 2: F(1)}))
         with pytest.raises(WrongOperatorError):

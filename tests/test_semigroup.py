@@ -30,6 +30,7 @@ from netflow import (
     evolve_absorbing,
     evolve_rational,
     evolve_unit,
+    laplace_oracle,
     sample,
     trace_samples,
 )
@@ -248,14 +249,13 @@ class TestUnitKernel:
 
     def test_lazy_stack_powers_up_to_twelve(self):
         g = branching_path()
-        op = build_adjacency(g)
         vecs = [
             SparseVector({(0, 0): F(1, 2), (0, 1): F(-3, 7)}),
             SparseVector({(1, 1): 5}),
             SparseVector({(2, 0): F(2, 9), (3, 1): F(1, 4)}),
         ]
         powers = [12, 7, 11]
-        for v, n, out in zip(vecs, powers, op._route_exact(vecs, powers)):
+        for v, n, out in zip(vecs, powers, semigroup._route_exact(g, vecs, powers)):
             assert dict(out.items()) == oracles.fraction_apply_power(g, v, n)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -273,6 +273,48 @@ class TestUnitKernel:
         for t in (F(2, 5), F(9, 4)):
             out = self.check_pointwise(g, f, t)
             assert all(isinstance(x, float) for v in out.values for _, x in v.items())
+
+    def test_exact_verbs_build_no_operator(self, monkeypatch):
+        # the exact flows run on the graph alone, at one speed or many: an
+        # operator a caller passes is read for its graph, and none is built
+        rng = random.Random("no-operator")
+        cases = [
+            (build_adjacency(g5()), random_state(rng, (1, 2, 3, 4, 5)),
+             [VelocityProfile({}, default=F(2)), G5_SPEEDS]),
+            (build_adjacency(branching_path()), random_state(rng, [(0, 0), (0, 1)]),
+             [VelocityProfile({}, default=F(1)), VelocityProfile({(1, 0): F(2)}, default=F(1))]),
+        ]
+
+        def no_operator(*_):
+            raise AssertionError("an exact verb built an operator")
+
+        monkeypatch.setattr(AdjacencyOperator, "__init__", no_operator)
+        for op, f, speeds in cases:
+            assert evolve_unit(op, f, F(7, 3)).total_mass() == f.total_mass()
+            laplace_oracle(op, f, 2, t_max=3, grid=8)
+            for vel in speeds:
+                evolve_rational(op.graph, vel, f, F(7, 3))
+                evolve_absorbing(op.graph, vel, AbsorptionProfile.zero(), f, F(7, 3), grid=8)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["finite", "lazy"])
+    def test_graph_keeps_its_integer_columns(self, lazy):
+        # the first unit flow on a graph builds the columns it routes
+        # through; a second on the same graph, at any one speed, builds none
+        g = branching_path() if lazy else g5()
+        f = random_state(random.Random(7), [(0, 0), (0, 1)] if lazy else (1, 2, 3, 4, 5))
+        vel = VelocityProfile({}, default=F(3, 2))
+        first = evolve_rational(g, vel, f, F(9, 4))
+        kept = dict(g._int_columns)
+        assert kept
+
+        class Kept(dict):
+            def __setitem__(self, j, col):
+                raise AssertionError(f"built the integer column of edge {j!r} again")
+
+        g._int_columns = Kept(kept)
+        assert evolve_rational(g, vel, f, F(9, 4)) == first
+        assert evolve_unit(build_adjacency(g), f, F(27, 8)) == first
+        assert all(g._int_columns[j] is col for j, col in kept.items())
 
 
 class TestCommonMultiplier:
@@ -621,7 +663,7 @@ class TestCharacteristicsAgainstSubdivision:
         def no_kernel(*_):
             raise AssertionError("a kernel ran before the budget")
 
-        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_kernel)
+        monkeypatch.setattr(semigroup, "_route_exact", no_kernel)
         monkeypatch.setattr(semigroup, "_histories", no_kernel)
         f, t = pulse_e1(), F(10**7)
         with pytest.raises(WidthOverflowError, match="9999999 stages over 2 edges exceed "
@@ -1068,7 +1110,7 @@ class TestLazyCone:
             raise AssertionError("the flow ran before the cone was refused")
 
         monkeypatch.setattr(semigroup, "_histories", no_flow)
-        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_flow)
+        monkeypatch.setattr(semigroup, "_route_exact", no_flow)
         for run in (
             lambda g: evolve_rational(g, vel, f, F(6)),
             lambda g: evolve_absorbing(g, vel, q, f, F(6), grid=4),
@@ -1087,7 +1129,7 @@ class TestLazyCone:
             raise AssertionError("the flow ran before the budget")
 
         monkeypatch.setattr(semigroup, "_histories", no_flow)
-        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_flow)
+        monkeypatch.setattr(semigroup, "_route_exact", no_flow)
         f = NetworkState.constant(SparseVector({0: F(1), 1: F(1)}))
         for run in (
             lambda g: evolve_unit(build_adjacency(g), f, F(10**7)),
@@ -1109,7 +1151,7 @@ class TestLazyCone:
         def no_flow(*_):
             raise AssertionError("the flow ran before the cone was refused")
 
-        monkeypatch.setattr(AdjacencyOperator, "_route_exact", no_flow)
+        monkeypatch.setattr(semigroup, "_route_exact", no_flow)
         f = NetworkState.constant(SparseVector({0: F(1)}))
         with pytest.raises(WidthOverflowError, match="forward cone exceeds 125000 edges"):
             evolve_unit(build_adjacency(binary_tree(column)), f, F(33, 2))
