@@ -7,10 +7,11 @@ runs the randomized self-test suites, `validate` lints a graph file.
 
 Exit codes: 0 success, 1 validation failure (bad graph, missing
 velocities, failed report), 2 numeric-tolerance failure (precision gates,
-series truncation, contraction loss), 3 malformed input (unparseable or
-unreadable files or flags, decimals where exactness is required, a state
-or test-function value beyond float range, an output of more than
-MAX_SAMPLES samples).  The map lives on the error classes: each class in
+series truncation, contraction loss, a float overflow in a solve or in a
+run-log reading, named with its time), 3 malformed input (unparseable or
+unreadable files or flags, decimals where exactness is required, a
+--state, --rates or --test value beyond float range, an output of more
+than MAX_SAMPLES samples).  The map lives on the error classes: each class in
 `errors.py` carries its `exit_code`.  Artifacts are deterministic: same
 inputs and flags give byte-identical files, so runs can be diffed.
 """
@@ -35,7 +36,8 @@ from .approximation import (
     semigroup_convergence,
 )
 from .checks import SUITES, run_suite
-from .errors import MalformedGraphError, MalformedInputError, MissingVelocityError, NetflowError
+from .errors import (MalformedGraphError, MalformedInputError, MissingVelocityError,
+                     NetflowError, PrecisionError)
 from .exact import float_or_inf, parse_rational, parse_real
 from .fileio import (
     emit_plotdata,
@@ -45,7 +47,7 @@ from .fileio import (
     write_runlog,
     write_text,
 )
-from .graph import MetricGraph, SparseVector, VelocityProfile, build_adjacency, validate_graph
+from .graph import MetricGraph, SparseVector, VelocityProfile, validate_graph
 from .resolvent import resolvent_general
 from .semigroup import _UNIT, AbsorptionProfile, evolve_absorbing, evolve_rational
 from .states import NetworkState, TestFunction, boundary_residual, sample
@@ -191,8 +193,8 @@ def _front(args) -> tuple:
 
 
 def _read_state(path, cls=NetworkState) -> NetworkState:
-    """The state of a --state or --test file, refused when a value lies
-    beyond float range: every verb reads the values as floats."""
+    """The state of a --state, --rates or --test file, refused when a value
+    lies beyond float range: every verb reads the values as floats."""
     f = parse_state_file(path, cls=cls).state
     for m, v in enumerate(f.values):
         for j, x in v.items():
@@ -218,15 +220,21 @@ def _metadata(args, **extra) -> dict:
 def _run(t: Fraction, steps: int, solve, readings) -> tuple:
     """The last solve at the log's times k t / steps, k = 0..steps (fewer
     than one step counts as one; t = 0 is solved once), and the log: each
-    time with the sup norm, mass and residual `readings` reads off its solve."""
+    time with the sup norm, mass and residual that the three `readings`
+    read off its solve, as floats.  A reading beyond float range raises
+    PrecisionError naming it and the time."""
     steps = max(steps, 1)
     entries = []
     for k in range(steps + 1 if t else 1):
         tt = Fraction(k, steps) * t
         result = solve(tt)
-        sup_norm, mass, residual = map(float, readings(result))
-        entries.append({"t": str(tt), "sup_norm": sup_norm, "total_mass": mass,
-                        "boundary_residual": residual})
+        entry = {"t": str(tt)}
+        for key, read in zip(("sup_norm", "total_mass", "boundary_residual"), readings):
+            try:
+                entry[key] = float(read(result))
+            except OverflowError:
+                raise PrecisionError(f"the run log's {key} at t={tt} overflows a float") from None
+        entries.append(entry)
     return result, entries
 
 
@@ -255,9 +263,9 @@ def _sampled_mass(st) -> float:
 def _cmd_simulate(args) -> int:
     name, g, vel, f, out = _front(args)
     t = _parse_time(args.t)
-    bc_op = build_adjacency(g, vel)
     final, entries = _run(t, args.log_steps, lambda tt: evolve_rational(g, vel, f, tt),
-                          lambda st: (st.sup_norm(), st.total_mass(), boundary_residual(st, bc_op)))
+                          (NetworkState.sup_norm, NetworkState.total_mass,
+                           lambda st: boundary_residual(st, g, vel)))
     last = entries[-1]
     return _write(args, out, name, g, sample(final, args.grid),
                   f"t={t}, sup_norm={last['sup_norm']:.6g}", entries,
@@ -266,7 +274,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _rates_profile(path) -> AbsorptionProfile:
-    state = parse_state_file(path).state
+    state = _read_state(path)
     profiles = {}
     for j in sorted(state.support(), key=repr):
         profiles[j] = (list(state.breakpoints), [v.get(j) for v in state.values])
@@ -277,11 +285,10 @@ def _cmd_absorb(args) -> int:
     name, g, vel, f, out = _front(args)
     q = _rates_profile(args.rates)
     t = _parse_time(args.t)
-    bc_op = build_adjacency(g, vel)
     result, entries = _run(
         t, args.log_steps, lambda tt: evolve_absorbing(g, vel, q, f, tt, grid=args.grid),
-        lambda res: (res.state.sup_sample_norm(), _sampled_mass(res.state),
-                     boundary_residual(res.state, bc_op)))
+        (lambda res: res.state.sup_sample_norm(), lambda res: _sampled_mass(res.state),
+         lambda res: boundary_residual(res.state, g, vel)))
     return _write(args, out, name, g, result.state,
                   f"t={t}, error_bound={result.error_bound:.3g}", entries,
                   error_bound=result.error_bound)

@@ -400,14 +400,26 @@ class VelocityProfile:
         return f"VelocityProfile({{{body}}}{tail})"
 
 
-class AdjacencyOperator:
-    """The routing matrix as an operator: a view of (graph, scaling).
+def _couple(g: MetricGraph, vel: VelocityProfile | None, v: SparseVector) -> SparseVector:
+    """C v for C_ij = (c_j / c_i) w_ij at the speeds `vel` (None: C = B),
+    read from the columns of supp v only.  The multiply-add loop takes any
+    values, so exact vectors stay exact."""
+    out: dict = {}
+    for j, a in v.items():
+        col = g.column(j)
+        if vel is not None:
+            c_j = vel.velocity(j)
+            col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
+        for i, w in col.items():
+            out[i] = out.get(i, 0) + w * a
+    return SparseVector(out)
 
-    Unscaled, entry (i, j) is the weight w(i, j); with a velocity profile
-    it is (c_j / c_i) * w(i, j), the matrix that couples edge traces when
-    speeds differ, computed when read from the graph's own columns.  The
-    multiply-add loop takes any values, so exact vectors stay exact.
-    """
+
+class AdjacencyOperator:
+    """The routing matrix as a view of (graph, scaling): B, or with a
+    velocity profile C_ij = (c_j / c_i) w_ij, the matrix that couples edge
+    traces when speeds differ.  The library reads (graph, speeds); the view
+    stays for callers that still pass one."""
 
     __slots__ = ("graph", "scaling")
 
@@ -419,37 +431,11 @@ class AdjacencyOperator:
     def scaled(self) -> bool:
         return self.scaling is not None
 
-    def _entries(self, j) -> dict:
-        raw = self.graph.column(j)
-        if self.scaling is None:
-            return raw
-        c_j = self.scaling.velocity(j)
-        return {i: w * c_j / self.scaling.velocity(i) for i, w in raw.items()}
-
-    def column(self, j) -> SparseVector:
-        return SparseVector(self._entries(j))
-
     def apply(self, v: SparseVector) -> SparseVector:
-        """Matrix-vector product; touches only the columns in v's support."""
-        return self.apply_power(v, 1)
-
-    def apply_power(self, v: SparseVector, n: int) -> SparseVector:
-        """B^n v; a zeroth power returns v itself."""
-        if n < 0:
-            raise ValueError("negative matrix power")
-        for _ in range(n):
-            if v.is_zero():
-                break
-            out: dict = {}
-            for j, a in v.items():
-                for i, w in self._entries(j).items():
-                    out[i] = out.get(i, 0) + w * a
-            v = SparseVector(out)
-        return v
+        return _couple(self.graph, self.scaling, v)
 
     def __repr__(self):
-        kind = "scaled" if self.scaled else "unscaled"
-        return f"AdjacencyOperator({self.graph!r}, {kind})"
+        return f"AdjacencyOperator({self.graph!r}, {'scaled' if self.scaled else 'unscaled'})"
 
 
 @dataclass

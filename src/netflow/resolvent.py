@@ -81,7 +81,7 @@ from .errors import (
     WrongOperatorError,
 )
 from .exact import as_exact, is_rational, to_float
-from .graph import AdjacencyOperator, MetricGraph, VelocityProfile, build_adjacency
+from .graph import AdjacencyOperator, MetricGraph, VelocityProfile
 from . import semigroup
 from .states import NetworkState, SampledState, boundary_residual, grid_pieces
 
@@ -342,8 +342,11 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     weights = weights * (c[cols] / c[rows])  # never in place: a finite graph keeps B
     norm_raw = float((decay * np.bincount(cols, np.abs(weights), minlength=n)).max(initial=0.0))
 
+    # a Python float, so that a bound past float range is inf, not a warning
+    scale = float((1 - q) * c_min)
+
     def bound(term):
-        return float((c * np.abs(term)).sum()) / ((1 - q) * c_min)
+        return float((c * np.abs(term)).sum()) / scale
 
     # the edges grouped by exponent, for the sampler and the piece integrals
     mus, row = np.unique(mu, return_inverse=True)
@@ -353,6 +356,8 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     y = np.zeros_like(d)
     term = _route(rows, cols, weights, d)
     tail = bound(term)
+    if tail == math.inf:
+        raise PrecisionError(f"the series' first term bound at lambda {lam} is beyond float range")
     # bound(term_N) <= q^N bound(term_0): refuse up front what the cap cannot reach
     _terms_needed(tail, -math.log(q) if q else math.inf, tol)
     nterms = 0
@@ -388,7 +393,8 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     tolerance the a-priori decay q^N cannot reach within MAX_SERIES_TERMS
     terms TruncationError up front, and a closure past
     semigroup.MAX_STAGE_EDGES edges (a branching graph at small Re(l))
-    WidthOverflowError before any array is built."""
+    WidthOverflowError before any array is built, and an f whose first
+    term bound is beyond float range PrecisionError."""
     return _series(g, vel, f, lam, grid, tol)
 
 
@@ -518,14 +524,13 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     produces an O(1) spike (reported separately, never mixed in).  All of
     it reads the result's edges x (grid + 1) array, the trace residual its
     columns 0 and grid, f and the speeds through the solve's readers.  The
-    speeds are `vel`, else op.scaling, else 1; without `result` the
-    resolvent is solved at them, and the trace is routed at them, through
-    `op` unless `vel` is given and is not op.scaling.
+    speeds are `vel`, else op.scaling, else 1, resolved once: without
+    `result` the resolvent is solved at them, and the derivative is scaled
+    and the trace routed at them, on op's graph.
     """
-    op = op if vel in (None, op.scaling) else build_adjacency(op.graph, vel)
-    vel = op.scaling or semigroup._UNIT
+    g, vel = op.graph, vel or op.scaling or semigroup._UNIT
     if result is None:
-        result = _series(op.graph, vel, f, lam, grid, tol)
+        result = _series(g, vel, f, lam, grid, tol)
     lam = complex(lam)
     state = result.state
     if state.array is None:
@@ -555,4 +560,4 @@ def resolvent_identity_check(op: AdjacencyOperator, f: NetworkState, lam, *,
     interior = float(r[:, ~bad].max(initial=0.0))
     spike = float(r[:, bad].max(initial=0.0))
 
-    return IdentityReport(M, interior, spike, float(boundary_residual(state, op)))
+    return IdentityReport(M, interior, spike, float(boundary_residual(state, g, vel)))

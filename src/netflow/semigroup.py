@@ -31,9 +31,10 @@ rational speeds, and the edges the answer needs: all of a finite graph,
 and on a lazy graph the forward cone of supp f, the edges inflow enters
 before t by earliest arrival along traversal times 1/c_j, walked as the
 resolvent's closure is; one work budget at the flow's fastest edge holds
-for both kernels.  evolve_unit is evolve_rational at c = 1 on its
-operator's graph; the closed form above runs wherever those edges share
-one speed, routing exact values through integer columns the graph keeps.
+for both kernels.  evolve_unit is evolve_rational at c = 1 on the
+caller's operator's graph; the closed form above runs wherever those
+edges share one speed and f is exact, routing through integer columns
+the graph keeps; float values take the histories at any speeds.
 
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
@@ -127,10 +128,9 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     return _flow(op.graph, _UNIT, f, t)
 
 
-def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction, exact: bool) -> NetworkState:
-    """T(t) f at unit speed, for exact t >= 0 and f on edges g has; `exact`
-    says every value of f is an int or a Fraction, and float values are
-    routed by an operator view of g."""
+def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction) -> NetworkState:
+    """T(t) f at unit speed, for exact t >= 0 and f on edges g has, of int
+    and Fraction values only."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -147,9 +147,7 @@ def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction, exact: bool) -> Net
                + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
-    if exact:
-        return NetworkState(bps, _route_exact(g, values, powers))
-    return NetworkState(bps, list(map(AdjacencyOperator(g).apply_power, values, powers)))
+    return NetworkState(bps, _route_exact(g, values, powers))
 
 
 def _route_exact(g: MetricGraph, vectors: list, powers: list) -> list:
@@ -633,8 +631,8 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     built as an exact step function of time by _histories: f_j(c_j s)
     while the initial profile drains, then the tail inflow
     sum_k (c_k / c_j) w_jk H_k delayed by 1/c_j.  Edge j at x then reads
-    H_j(t + x/c_j).  When those edges share one speed c, the unit flow
-    runs for time c*t instead.
+    H_j(t + x/c_j).  When those edges share one speed c and f is exact,
+    the unit flow runs for time c*t instead.
     """
     return _flow(g, vel, f, t)
 
@@ -643,8 +641,8 @@ def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkSt
     """evolve_rational, and evolve_unit at c = 1, on the graph alone."""
     t, speed, rows, speeds = _network(g, vel, f, t)
     exact = _exact_values(f)
-    if len(speeds) == 1:
-        return _unit_flow(g, f, speeds.pop() * t, exact)
+    if len(speeds) == 1 and exact:
+        return _unit_flow(g, f, speeds.pop() * t)
     if t == 0 or not speed:
         return f
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .exact import as_exact
-from .graph import AdjacencyOperator, SparseVector
+from .graph import MetricGraph, SparseVector, VelocityProfile, _couple
 
 __all__ = [
     "NetworkState",
@@ -377,16 +377,18 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 # -- module-level operation surface ---------------------------------------
 
 
-def boundary_residual(f: NetworkState | SampledState, op: AdjacencyOperator):
-    """l1 defect of the routing condition f(1) = B f(0).
+def boundary_residual(f: NetworkState | SampledState, g: MetricGraph,
+                      vel: VelocityProfile | None = None):
+    """l1 defect of the routing condition f(1) = C f(0), C_ij = (c_j / c_i)
+    w_ij at the speeds `vel` of the graph g (None: C = B, unit speed).
 
     Zero exactly on states in the generator's domain; the size measures
-    how far f is from satisfying the vertex coupling.  A SampledState
-    reads its first and last samples.
+    how far f is from satisfying the vertex coupling.  Only the columns of
+    supp f(0) are read.  A SampledState reads its first and last samples.
     """
     if isinstance(f, SampledState):
-        return (f.point(f.grid_size) - op.apply(f.point(0))).l1()
-    return (f.values[-1] - op.apply(f.values[0])).l1()
+        return (f.point(f.grid_size) - _couple(g, vel, f.point(0))).l1()
+    return (f.values[-1] - _couple(g, vel, f.values[0])).l1()
 
 
 def pair(f, g):

@@ -242,14 +242,15 @@ def breadth_first_closure(g, seeds, depth: int) -> tuple:
     return tuple(edges), rows, cols, weights
 
 
-def identity_residuals(op, f, lam, state, vel=None, exclude_cells: int = 2) -> tuple:
+def identity_residuals(g, f, lam, state, vel=None, exclude_cells: int = 2) -> tuple:
     """(interior, spike, trace) of the resolvent identity
     (lam - c_j d/ds) u = f on a sampled resolvent, one grid cell at a time.
 
     The derivative is the central difference; a cell within exclude_cells
     of a breakpoint of f counts to `spike`, any other to `interior`.  The
-    trace is the l1 norm of u(1) - B u(0), with B the operator's columns
-    routed entry by entry."""
+    trace is the l1 norm of u(1) - C u(0), C_ij = (c_j / c_i) w_ij read
+    from the graph's columns and routed entry by entry (c = 1 without
+    `vel`)."""
     lam = complex(lam)
     M = state.grid_size
     edges = set(f.support())
@@ -272,8 +273,9 @@ def identity_residuals(op, f, lam, state, vel=None, exclude_cells: int = 2) -> t
                 interior = max(interior, r)
     routed: dict = {}
     for j, a in state.samples[0].items():
-        for i, wt in op.column(j).items():
-            routed[i] = routed.get(i, 0) + wt * a
+        for i, wt in g.column(j).items():
+            scale = 1 if vel is None else vel.velocity(j) / vel.velocity(i)
+            routed[i] = routed.get(i, 0) + wt * scale * a
     end = state.samples[M]
     trace = sum(abs(end.get(i) - routed.get(i, 0)) for i in set(routed) | set(end.support()))
     return interior, spike, float(trace)

@@ -554,6 +554,43 @@ class TestExitCodes:
         _, rows = read_csv(tmp_path / "resolvent.csv")
         assert all(x == pytest.approx(10**308 / 2, rel=1e-12) for row in rows for x in row[1:])
 
+    def test_rates_past_float_range_are_malformed(self, tmp_path, capsys):
+        # a rate of -10^400 underflows its factor to zero: refused at input,
+        # like a --state value, not as an overflow mid-solve
+        rates = tmp_path / "rates.state"
+        rates.write_text(f"state r\nbp 0/1 1/1\nv 0 1 -{10**400}\n")
+        out = tmp_path / "out"
+        assert main(["absorb", "--graph", G2, "--state", PULSE, "--rates", str(rates),
+                     "--t", "1/2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {rates}: the value of edge 1 on piece 0 is beyond float range\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb,extra,values,reading", [
+        ("simulate", [], ("v 0 1 {big}", "v 0 2 {big}"), "sup_norm"),
+        ("absorb", ["--rates", RATES], ("v 0 1 {big}", "v 0 2 {big}"), "sup_norm"),
+        # sup 10^308 fits, but f(1) - B f(0) is 2 10^308 on edge 1
+        ("simulate", [], ("v 0 2 -{big}", "v 1 1 {big}"), "boundary_residual"),
+    ], ids=["simulate", "absorb", "simulate-residual"])
+    def test_run_log_overflow_names_the_reading(self, tmp_path, capsys, verb, extra, values,
+                                                reading):
+        near = tmp_path / "near.state"
+        near.write_text("state near\nbp 0/1 1/2 1/1\n"
+                        + "".join(v.format(big=10**308) + "\n" for v in values))
+        code = main([verb, "--graph", G2, "--state", str(near), *extra, "--t", "1/2",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: the run log's {reading} at t=0 overflows a float\n")
+
+    def test_resolvent_overflow_names_the_series_bound(self, tmp_path, capsys):
+        near = tmp_path / "near.state"
+        near.write_text(f"state near\nbp 0/1 1/1\nv 0 1 {10**308}\nv 0 2 {10**308}\n")
+        assert main(["resolvent", "--graph", G2, "--state", str(near), "--lambda", "1,1",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("error: the series' first term bound at lambda "
+                                           "(1+1j) is beyond float range\n")
+
     def test_missing_file(self, tmp_path):
         code = main([
             "simulate", "--graph", str(tmp_path / "nope.graph"),

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from netflow import (
     MetricGraph,
     NetworkState,
     NotRationalError,
+    PrecisionError,
     SampledState,
     SparseVector,
     TruncationError,
@@ -143,6 +145,16 @@ class TestResolventUnit:
         edges = small.state.edges
         assert np.allclose(res.state.on_edges(edges) / 1e300, small.state.on_edges(edges),
                            rtol=1e-12, atol=1e-11)
+
+    def test_first_bound_past_float_range(self):
+        # 10^308 on both edges of the cycle fits a float, but the first
+        # term's bound over (1 - q) c_min does not: refused as a precision
+        # failure, with no RuntimeWarning on the way and no truncation claim
+        f = NetworkState.constant(SparseVector({1: F(10**308), 2: F(10**308)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="first term bound at lambda"):
+                resolvent_general(g2(), VelocityProfile({}, default=F(1)), f, 1 + 1j)
 
     def test_scaled_operator_refused(self):
         op = build_adjacency(g2(), VelocityProfile({1: F(2), 2: F(1)}))
@@ -1244,7 +1256,7 @@ class TestIdentityCheckArrays:
                 res = resolvent_unit(op, f, lam, grid=grid)
             rep = resolvent_identity_check(op, f, lam, result=res, vel=vel,
                                            exclude_cells=exclude)
-            interior, spike, trace = oracles.identity_residuals(op, f, lam, res.state, vel, exclude)
+            interior, spike, trace = oracles.identity_residuals(g, f, lam, res.state, vel, exclude)
             self.assert_close(rep.interior, interior)
             self.assert_close(rep.spike, spike)
             self.assert_close(rep.trace, trace)

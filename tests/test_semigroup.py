@@ -26,15 +26,17 @@ from netflow import (
     VelocityProfile,
     WidthOverflowError,
     WrongOperatorError,
+    boundary_residual,
     build_adjacency,
     evolve_absorbing,
     evolve_rational,
     evolve_unit,
     laplace_oracle,
+    resolvent_identity_check,
     sample,
     trace_samples,
 )
-from netflow import checks, semigroup
+from netflow import checks, cli, semigroup
 from netflow.semigroup import common_multiplier, lift_state, project_state, subdivide
 
 
@@ -267,15 +269,32 @@ class TestUnitKernel:
             self.check_pointwise(g, f, checks.random_time(rng, 4))
 
     def test_float_state_takes_the_loop(self):
+        # float values take the characteristic histories at one speed as at
+        # many: within 1e-12 of the tracer and of the exact flow of f / 7
         g = g5()
         exact = random_state(random.Random(5), (1, 2, 3, 4, 5), pieces=5)
         f = exact.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
-        for t in (F(2, 5), F(9, 4)):
-            out = self.check_pointwise(g, f, t)
-            assert all(isinstance(x, float) for v in out.values for _, x in v.items())
+        seventh = exact.map_values(lambda v: v.scale(F(1, 7)))
+        for vel in (VelocityProfile({}, default=F(1)), VelocityProfile({}, default=F(3, 2))):
+            for t in (F(2, 5), F(9, 4)):
+                out = evolve_rational(g, vel, f, t)
+                assert all(isinstance(x, float) for v in out.values for _, x in v.items())
+                assert (out - evolve_rational(g, vel, seventh, t)).sup_norm() <= 1e-12
+                assert trace_samples(g, vel, f, t, 97).distance(sample(out, 97)) <= 1e-12
+        # speed 3/2 for time 3/2 is unit speed for time 9/4, to the bit
+        assert evolve_unit(build_adjacency(g), f, F(9, 4)) == evolve_rational(
+            g, VelocityProfile({}, default=F(3, 2)), f, F(3, 2))
+        # a lazy graph's float flow runs on its forward cone, as an exact one does
+        g, edges = branching_path(), [(0, 0), (0, 1)]
+        exact = random_state(random.Random(6), edges, pieces=4)
+        f = exact.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
+        out = evolve_unit(build_adjacency(g), f, F(7, 2))
+        want = evolve_unit(build_adjacency(g), exact.map_values(lambda v: v.scale(F(1, 7))), F(7, 2))
+        assert out.support() == want.support() and (out - want).sup_norm() <= 1e-12
 
-    def test_exact_verbs_build_no_operator(self, monkeypatch):
-        # the exact flows run on the graph alone, at one speed or many: an
+    def test_exact_verbs_build_no_operator(self, monkeypatch, tmp_path):
+        # the exact flows, the boundary residual, the identity check and the
+        # CLI's solve verbs run on the graph and its speeds alone: an
         # operator a caller passes is read for its graph, and none is built
         rng = random.Random("no-operator")
         cases = [
@@ -293,8 +312,18 @@ class TestUnitKernel:
             assert evolve_unit(op, f, F(7, 3)).total_mass() == f.total_mass()
             laplace_oracle(op, f, 2, t_max=3, grid=8)
             for vel in speeds:
-                evolve_rational(op.graph, vel, f, F(7, 3))
+                out = evolve_rational(op.graph, vel, f, F(7, 3))
                 evolve_absorbing(op.graph, vel, AbsorptionProfile.zero(), f, F(7, 3), grid=8)
+                boundary_residual(out, op.graph, vel)
+                resolvent_identity_check(op, f, 2, grid=16, vel=vel)
+        rates = tmp_path / "zero.state"
+        rates.write_text("state zero\nbp 0/1 1/1\n")
+        for graph, state in (("g2.graph", "g2_pulse.state"), ("g5.graph", "g5_mixed.state")):
+            front = ["--graph", str(checks.fixture_path(graph)),
+                     "--state", str(checks.fixture_path(state)), "--out", str(tmp_path)]
+            for argv in (["simulate", "--t", "7/3"], ["absorb", "--rates", str(rates), "--t", "7/3"],
+                         ["resolvent", "--lambda", "2"]):
+                assert cli.main([argv[0], *front, *argv[1:], "--grid", "8"]) == 0
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["finite", "lazy"])
     def test_graph_keeps_its_integer_columns(self, lazy):

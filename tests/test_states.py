@@ -17,11 +17,13 @@ from netflow import (
     SampledState,
     SparseVector,
     TestFunction,
+    VelocityProfile,
     boundary_residual,
     build_adjacency,
     pair,
     sample,
 )
+from netflow import checks
 
 
 def two_piece():
@@ -178,25 +180,59 @@ def _tf_parts(rng):
 
 
 class TestBoundaryResidual:
-    def op(self):
-        g = MetricGraph.finite(
+    def g2(self):
+        return MetricGraph.finite(
             [(1, 1, 2), (2, 2, 1)], {(1, 2): F(1), (2, 1): F(1)}, name="g2"
         )
-        return build_adjacency(g)
 
     def test_swapped_traces_satisfy_bc(self):
         f = NetworkState(
             [F(0), F(1, 2), F(1)],
             [SparseVector({1: F(1)}), SparseVector({2: F(1)})],
         )
-        assert boundary_residual(f, self.op()) == 0
+        assert boundary_residual(f, self.g2()) == 0
 
     def test_constant_violates_by_two(self):
         f = NetworkState.constant(SparseVector({1: F(1)}))
-        assert boundary_residual(f, self.op()) == 2
+        assert boundary_residual(f, self.g2()) == 2
 
     def test_zero_state(self):
-        assert boundary_residual(NetworkState.zero(), self.op()) == 0
+        assert boundary_residual(NetworkState.zero(), self.g2()) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_speeds_against_conjugated_sums(self, seed):
+        # C = D^-1 B D with D = diag(c): exact states route c_j f_j(0)
+        # through the graph's columns and divide by c_i, and must give ==.
+        # Float states must give the bits of entry (c_j / c_i) w_ij times
+        # the value, summed in column order, at exact and at float speeds.
+        rng = random.Random(f"residual:{seed}")
+        for trial in range(30):
+            g = checks.random_graph(rng, 10)
+            vel = checks.random_velocities(rng, g)
+            f = checks.random_state(rng, g, 4)
+            routed = {}
+            for j, a in f.values[0].items():
+                for i, w in g.column(j).items():
+                    routed[i] = routed.get(i, 0) + w * (vel.exact(j) * a)
+            end = f.values[-1]
+            want = sum(abs(end.get(i) - routed.get(i, 0) / vel.exact(i))
+                       for i in set(routed) | set(end.support()))
+            assert boundary_residual(f, g, vel) == want
+            assert boundary_residual(sample(f, 8), g, vel) == want
+
+            ff = f.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
+            for speeds in (vel, VelocityProfile({j: float(c) * math.sqrt(2)
+                                                 for j, c in vel.items()})):
+                routed = {}
+                for j, a in ff.values[0].items():
+                    c_j = speeds.velocity(j)
+                    for i, w in g.column(j).items():
+                        routed[i] = routed.get(i, 0) + w * c_j / speeds.velocity(i) * a
+                out = dict(ff.values[-1].items())
+                for i, x in routed.items():
+                    out[i] = out.get(i, 0) - x
+                want = sum(abs(x) for x in out.values() if x)
+                assert float(boundary_residual(ff, g, speeds)).hex() == float(want).hex()
 
 
 class TestSampling:
