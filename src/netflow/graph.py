@@ -403,13 +403,20 @@ class VelocityProfile:
 def _couple(g: MetricGraph, vel: VelocityProfile | None, v: SparseVector) -> SparseVector:
     """C v for C_ij = (c_j / c_i) w_ij at the speeds `vel` (None: C = B),
     read from the columns of supp v only.  The multiply-add loop takes any
-    values, so exact vectors stay exact."""
+    values, so exact vectors stay exact.  At equal exact speeds C_ij is
+    w_ij itself, so a profile of one exact speed reads B, and so does a
+    column whose receivers all share its source's exact speed; float speeds
+    keep the product, whose rounding it carries."""
+    if vel is not None and not vel.values and is_rational(vel.default):
+        vel = None
     out: dict = {}
     for j, a in v.items():
         col = g.column(j)
         if vel is not None:
             c_j = vel.velocity(j)
-            col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
+            if not (is_rational(c_j) and all(c is c_j or (c == c_j and is_rational(c))
+                                             for c in map(vel.velocity, col))):
+                col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
         for i, w in col.items():
             out[i] = out.get(i, 0) + w * a
     return SparseVector(out)

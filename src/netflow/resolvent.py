@@ -325,12 +325,23 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         F = _scatter(flat, vals, len(seeds), len(f.values), float)
         # summed per edge over a contiguous edges x pieces copy, so |f|_L1,
         # and with it the depth, keeps its bits whatever layout F has
-        f_l1 = float((np.abs(F.T.copy()) @ np.diff([float(b) for b in f.breakpoints])).sum())
-        depth = _terms_needed(f_l1 / (-math.expm1(-re / c_max) * c_min), re / c_max, tol) + 2
+        with np.errstate(over="ignore"):  # refused below, with its cause
+            f_l1 = float((np.abs(F.T.copy()) @ np.diff([float(b) for b in f.breakpoints])).sum())
+        first = f_l1 / (-math.expm1(-re / c_max) * c_min)
+        if f_l1 == math.inf:
+            raise PrecisionError("the L1 norm of f is beyond float range")
+        if first == math.inf:
+            raise PrecisionError(f"the series' first term bound at lambda {lam} is beyond "
+                                 f"float range")
+        depth = _terms_needed(first, re / c_max, tol) + 2
         edges, rows, cols, weights = _routing(g, seeds, depth)
         # the seeds lead the closure, and f is zero on the columns past them
         V = np.zeros((len(f.values), len(edges)), dtype=type(lam_num))
         V[:, :len(seeds)] = F
+    # numpy takes f / l in place; a Python float division first reads inf,
+    # not a warning, and for real l it rounds as numpy's does
+    if float(max(vals.max(initial=0.0), -vals.min(initial=0.0))) / abs(lam_num) == math.inf:
+        raise PrecisionError(f"f / lambda at lambda {lam_num} is beyond float range")
     n = len(edges)
     c = _speed_table(vel, edges)
     c_min, c_max = min(c_min, c.min(initial=math.inf)), max(c_max, c.max(initial=0.0))
@@ -393,8 +404,9 @@ def resolvent_general(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     tolerance the a-priori decay q^N cannot reach within MAX_SERIES_TERMS
     terms TruncationError up front, and a closure past
     semigroup.MAX_STAGE_EDGES edges (a branching graph at small Re(l))
-    WidthOverflowError before any array is built, and an f whose first
-    term bound is beyond float range PrecisionError."""
+    WidthOverflowError before any array is built, and an f whose L1 norm
+    (lazy graphs), f / l or first term bound is beyond float range
+    PrecisionError."""
     return _series(g, vel, f, lam, grid, tol)
 
 

@@ -471,7 +471,7 @@ def _loose_inflow(a, windows: list) -> list:
 def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     """The exact verbs' front: t an exact time >= 0, rational speeds, and
     (t, speed, rows, speeds) of the edges the flow from f depends on up to
-    time t, speeds the set of their distinct speeds.  A finite graph keeps
+    time t, speeds a list of their distinct speeds.  A finite graph keeps
     every edge and its rows, and refuses f on an edge it lacks.  A lazy one
     keeps the forward cone of supp f, by MetricGraph._walk in ticks: supp f
     outflows from time 0, any other edge 1/c_j after its earliest inflow,
@@ -490,7 +490,7 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
             g.column(j)  # an edge the graph lacks raises MalformedGraphError
     seeds = g.edge_ids if g.is_finite else sorted(f.support(), key=repr)
     speed = {j: vel.exact(j) for j in seeds}
-    speeds = set(speed.values())
+    speeds = _distinct(speed)
     stages = math.ceil(t * max(speeds, default=0)) - 1
     if stages * len(speed) > MAX_STAGE_EDGES:
         fastest = sorted(speed, key=speed.get, reverse=True)[:4]
@@ -518,7 +518,13 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     for j, column in g._walk(seeds, lag, -(-t.numerator * N // t.denominator)):
         for i, w in column.items():
             cone.setdefault(i, {})[j] = w
-    return t, speed, cone.__getitem__, set(speed.values())
+    return t, speed, cone.__getitem__, _distinct(speed)
+
+
+def _distinct(speed: Mapping) -> list:
+    """The distinct values of the exact speeds `speed`, told apart by
+    (numerator, denominator), which cost no Fraction hash."""
+    return list({(c.numerator, c.denominator): c for c in speed.values()}.values())
 
 
 def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, delay=None):

@@ -1,18 +1,25 @@
-"""Point evaluation of the transport flow by backward characteristics.
+"""Evaluation of the transport flow by backward characteristics.
 
 The value of the flow at (edge j, position x, time t) is found by following
 the flow line backward: the parcel now at x sat at x + c_j*t if that is
 still on the edge, otherwise it entered at the tail (parameter 1) at the
 time remaining after the crossing and its value is the weighted sum of the
 feeding edges' head values at that earlier time, with the conjugated
-weights (c_k / c_j) w_jk.
+weights (c_k / c_j) w_jk.  Equivalently, edge j at x reads its head history
+H_j at backward time t + x/c_j: H_j(s) = f_j(c_j s) while s < 1/c_j, and
+after that the feeders' histories, weighted and delayed by 1/c_j.
 
-This is an evaluation scheme completely independent of the shift-and-route
-evolution in semigroup.py: no subdivision, no shared grid, works for any
-positive velocities including irrational ones (exact Fractions in, exact
-Fractions out; floats in, floats out).  Cost grows with the number of
-boundary crossings and the vertex branching, so it is a point oracle and a
-reference for sampled comparisons, not a bulk evolution method.
+This is an evaluation scheme independent of the shift-and-route evolution
+in semigroup.py: no subdivision, no shared grid, and nothing read from its
+histories.  `trace_value` is a point oracle for any positive speeds,
+irrational ones included (exact Fractions in, exact Fractions out; floats
+in, floats out); its cost grows with the number of boundary crossings and
+the vertex branching.  `trace_samples` at an exact time and exact speeds
+works on an integer tick lattice instead.  It memoises each head history
+it reads as the segments on which that history is constant, shared by
+every sample point and edge, so it costs one bisect per sample plus one
+feeder sum per segment read: it grows with the segments of the answer's
+histories, not with the sample points or the paths to them.
 
 Two seam conventions are supported.  side="right" (default) matches the
 exact evolution formula: a characteristic landing exactly on the tail
@@ -25,8 +32,11 @@ grid point.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
+from .exact import is_rational
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState
 
@@ -48,8 +58,14 @@ def trace_value(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     return _trace(g, vel, f, edge, x, t, side, {})
 
 
+def _speed(vel: VelocityProfile, j):
+    """c_j, an int read as a Fraction, so that 1/c and c_k/c_j stay exact."""
+    c = vel.velocity(j)
+    return Fraction(c) if type(c) is int else c
+
+
 def _trace(g, vel, f, edge, x, t, side, memo):
-    c = vel.velocity(edge)
+    c = _speed(vel, edge)
     y = x + c * t
     if y < 1 or (side == "left" and y == 1):
         return f.value_at(y, side).get(edge)
@@ -60,12 +76,12 @@ def _trace(g, vel, f, edge, x, t, side, memo):
 def _at_tail(g, vel, f, edge, t, side, memo):
     """Tail (parameter 1) value of `edge` at remaining backward time t: the
     routing condition turns it into the feeders' head values."""
-    c = vel.velocity(edge)
+    c = _speed(vel, edge)
     out = 0
     for k, w in g.feeders(edge).items():
         contrib = _head(g, vel, f, k, t, side, memo)
         if contrib != 0:
-            out = out + (vel.velocity(k) / c) * w * contrib
+            out = out + (_speed(vel, k) / c) * w * contrib
     return out
 
 
@@ -74,7 +90,7 @@ def _head(g, vel, f, edge, t, side, memo):
     key = (edge, t)
     if key in memo:
         return memo[key]
-    c = vel.velocity(edge)
+    c = _speed(vel, edge)
     y = c * t
     if y < 1 or (side == "left" and y == 1):
         out = f.value_at(y, side).get(edge)
@@ -84,27 +100,88 @@ def _head(g, vel, f, edge, t, side, memo):
     return out
 
 
+def _histories(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction, grid: int):
+    """(head, t N, N): `head(k, T)` is the segment (lo, hi, value)
+    of edge k's head history H_k that holds the backward time T, in ticks
+    of 1/N.  N = lcm(den t, grid, f's breakpoint dens) times the lcm of the
+    profile's speed numerators, so t, each m/grid, each breakpoint and each
+    delay L_k = 1/c_k is a whole number of ticks.  H_k is f_k's piece p on
+    [b_p L_k, b_{p+1} L_k) while T < L_k; from L_k on it is constant on the
+    intersection of its feeders' segments, shifted by L_k, where it is the
+    sum of (c_i / c_k) w_ki H_i(T - L_k) in feeder order, zeros skipped,
+    as _at_tail adds it.  Each edge keeps the segments read so far, sorted:
+    a read is one bisect, and a miss reads the feeders only."""
+    A = math.lcm(t.denominator, grid, *(b.denominator for b in f.breakpoints))
+    pool = [*vel.values.values(), *([] if vel.default is None else [vel.default])]
+    M = math.lcm(*(Fraction(c).numerator for c in pool))
+    cuts = [b.numerator * (A // b.denominator) for b in f.breakpoints]  # in ticks of 1/A
+    kept = {}  # edge -> [los, his, values, L / A, L, feeders]
+
+    def head(k, T):
+        h = kept.get(k)
+        if h is None:
+            c = vel.exact(k)
+            r = M // c.numerator * c.denominator
+            h = kept[k] = [[], [], [], r, r * A, None]
+        los, his, vals, r, L, feeders = h
+        n = bisect_right(los, T)
+        if n and T < his[n - 1]:
+            return los[n - 1], his[n - 1], vals[n - 1]
+        if T < L:
+            p = bisect_right(cuts, T // r) - 1
+            lo, hi, val = cuts[p] * r, cuts[p + 1] * r, f.values[p].get(k)
+        else:
+            if feeders is None:
+                c = vel.exact(k)
+                feeders = h[5] = [(i, (vel.exact(i) / c) * w) for i, w in g.feeders(k).items()]
+            lo, hi, val = L, math.inf, 0
+            for i, coef in feeders:
+                a, b, v = head(i, T - L)
+                lo, hi = max(lo, a + L), min(hi, b + L)
+                if v != 0:
+                    val = val + coef * v
+            n = bisect_right(los, lo)  # a cycle may have read edge k on the way
+        los.insert(n, lo)
+        his.insert(n, hi)
+        vals.insert(n, val)
+        return lo, hi, val
+
+    return head, t.numerator * (A // t.denominator) * M, A * M
+
+
 def trace_samples(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
                   t, grid: int, edges=None) -> SampledState:
     """Sample the traced flow at positions m/grid on the given edges
     (default: all edges of a finite graph).  The final sample takes the
-    left limit, matching NetworkState.sample's convention at 1.  One memo
-    table per side is shared across points, so repeated vertex histories
-    are traced once."""
+    left limit, matching NetworkState.sample's convention at 1.
+
+    At an exact time and exact speeds, edge j at m/grid (m < grid) is
+    H_j at t + m/(grid c_j), read from _histories: the memo is each
+    history's constant segments, shared by every point and edge, so a
+    sample costs one bisect and each segment read one feeder sum.  A float
+    time or speed has no tick lattice (a float foot moved across a
+    breakpoint changes a sample by a whole jump), so its points are traced
+    one by one, as is the left limit at 1, with one memo of exact backward
+    times per side whose keys differ from one point to the next."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
     if edges is None:
         edges = g.edge_ids
-    samples = []
-    for side in ("right", "left"):
+    if is_rational(t) and vel.is_rational():
+        head, Tt, N = _histories(g, vel, f, Fraction(t), grid)
+        step = {}
+        for j in edges:  # edge j at m/grid is m L_j / grid ticks past t, L_j = N / c_j
+            c = vel.exact(j)
+            step[j] = N * c.denominator // (c.numerator * grid)
+        samples = [SparseVector({j: head(j, Tt + m * step[j])[2] for j in edges})
+                   for m in range(grid)]
+    else:
         memo: dict = {}
-        ms = range(grid) if side == "right" else (grid,)
-        for m in ms:
-            s = Fraction(m, grid)
-            vec = {}
-            for j in edges:
-                val = _trace(g, vel, f, j, s, t, side, memo)
-                if val != 0:
-                    vec[j] = val
-            samples.append(SparseVector(vec))
+        samples = [SparseVector({j: _trace(g, vel, f, j, Fraction(m, grid), t, "right", memo)
+                                 for j in edges}) for m in range(grid)]
+    left: dict = {}
+    samples.append(SparseVector({j: _trace(g, vel, f, j, Fraction(1), t, "left", left)
+                                 for j in edges}))
     return SampledState(grid, samples)

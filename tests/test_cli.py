@@ -591,6 +591,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == ("error: the series' first term bound at lambda "
                                            "(1+1j) is beyond float range\n")
 
+    def test_resolvent_overflow_names_f_over_lambda(self, tmp_path, capsys):
+        near = tmp_path / "near.state"
+        near.write_text(f"state near\nbp 0/1 1/1\nv 0 1 {10**308}\nv 0 2 {10**308}\n")
+        assert main(["resolvent", "--graph", G2, "--state", str(near), "--lambda", "1/2",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: f / lambda at lambda 0.5 is beyond float range\n"
+
     def test_missing_file(self, tmp_path):
         code = main([
             "simulate", "--graph", str(tmp_path / "nope.graph"),

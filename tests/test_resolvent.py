@@ -156,6 +156,23 @@ class TestResolventUnit:
             with pytest.raises(PrecisionError, match="first term bound at lambda"):
                 resolvent_general(g2(), VelocityProfile({}, default=F(1)), f, 1 + 1j)
 
+    def test_f_over_lambda_past_float_range(self):
+        # at lambda 1/2, f / lambda is 2 10^308 on a finite graph, and on a
+        # lazy one |f|_L1 is: each is refused naming it, before numpy
+        # divides or sums, with no RuntimeWarning
+        f = NetworkState.constant(SparseVector({1: F(10**308), 2: F(10**308)}))
+        unit = VelocityProfile({}, default=F(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match=r"^f / lambda at lambda 0\.5 is beyond"):
+                resolvent_general(g2(), unit, f, 0.5)
+            with pytest.raises(PrecisionError, match="^the L1 norm of f is beyond float range"):
+                resolvent_general(lazy_path(), unit, f, 0.5)
+            # one such value fits the L1 norm, and its first bound does not
+            with pytest.raises(PrecisionError, match="^the series' first term bound at lambda"):
+                resolvent_general(lazy_path(), unit, f.map_values(
+                    lambda v: SparseVector({1: v.get(1)})), 0.5)
+
     def test_scaled_operator_refused(self):
         op = build_adjacency(g2(), VelocityProfile({1: F(2), 2: F(1)}))
         with pytest.raises(WrongOperatorError):

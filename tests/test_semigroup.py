@@ -470,6 +470,18 @@ class TestEvolveRational:
             build_adjacency(g), f, F(1, 2)
         )
 
+    def test_distinct_speeds_by_value(self):
+        # equal speeds given as an int, as a Fraction and as another
+        # Fraction object count once; different ones each count once
+        g = g5()
+        f = random_state(random.Random(10), (1, 2, 3, 4, 5))
+        same = VelocityProfile({1: 2, 2: F(2), 3: F(4, 2), 4: F(2), 5: 2})
+        assert semigroup._network(g, same, f, F(1))[3] == [F(2)]
+        mixed = VelocityProfile({1: 2, 2: F(1, 2), 3: F(2), 4: F(1, 2), 5: F(3)})
+        assert sorted(semigroup._network(g, mixed, f, F(1))[3]) == [F(1, 2), F(2), F(3)]
+        assert evolve_rational(g, same, f, F(3, 4)) == evolve_unit(
+            build_adjacency(g), f, F(3, 2))
+
     def test_matches_tracing_oracle(self):
         g = g2()
         vel = VelocityProfile({1: F(2), 2: F(1)})

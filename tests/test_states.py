@@ -23,7 +23,7 @@ from netflow import (
     pair,
     sample,
 )
-from netflow import checks
+from netflow import checks, semigroup
 
 
 def two_piece():
@@ -233,6 +233,26 @@ class TestBoundaryResidual:
                     out[i] = out.get(i, 0) - x
                 want = sum(abs(x) for x in out.values() if x)
                 assert float(boundary_residual(ff, g, speeds)).hex() == float(want).hex()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_exact_speeds_route_by_b(self, seed):
+        # at equal exact speeds C = B, entry for entry: the residual at unit
+        # speed, or at 3/2 given as one Fraction or as int and Fraction
+        # halves, is the unscaled one, bit for bit, on exact and float states
+        rng = random.Random(f"unit-residual:{seed}")
+        for trial in range(20):
+            g = checks.random_graph(rng, 10)
+            f = checks.random_state(rng, g, 4)
+            ff = f.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
+            ids = g.edge_ids
+            for speeds in (semigroup._UNIT, VelocityProfile({}, default=F(3, 2)),
+                           VelocityProfile({j: (1 if j % 2 else F(1)) for j in ids})):
+                for state in (f, ff, sample(ff, 8)):
+                    want = boundary_residual(state, g)
+                    got = boundary_residual(state, g, speeds)
+                    assert type(got) is type(want) and got == want
+                    if isinstance(want, float):
+                        assert got.hex() == want.hex()
 
 
 class TestSampling:
