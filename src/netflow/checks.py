@@ -273,10 +273,17 @@ def _check_tracing(seed, trials) -> CheckResult:
         outcome.failures.append(f"lazy path support leaked: {sorted(out.support(), key=repr)}")
     # at listed speeds the path's forward cone at t = 7/3 ends at edge 4,
     # so a 12-edge cycle carries the same flow
-    vel = VelocityProfile({1: Fraction(2), 2: Fraction(3), 4: Fraction(1, 2)}, default=Fraction(1))
-    t = Fraction(7, 3)
+    vel, t = VelocityProfile({1: 2, 2: 3, 4: Fraction(1, 2)}, default=1), Fraction(7, 3)
     if evolve_rational(g, vel, f, t) != evolve_rational(_cycle(12), vel, f, t):
         outcome.failures.append("listed-speed lazy path disagreed with a finite cycle")
+    # long-time ride-along, one shot: the tracer takes a stack frame per crossing
+    g, vel, t = _cycle(2), VelocityProfile({}, default=1), Fraction(900)
+    f = NetworkState([0, Fraction(1, 2), 1], [SparseVector({0: 1, 1: 2}), SparseVector({0: 3})])
+    try:
+        if trace_samples(g, vel, f, t, 4) != sample(evolve_rational(g, vel, f, t), 4):
+            outcome.failures.append("tracing the 2-cycle to t = 900 disagreed with evolution")
+    except Exception as exc:
+        outcome.failures.append(f"tracing the 2-cycle to t = 900: {type(exc).__name__}: {exc}")
     return outcome
 
 

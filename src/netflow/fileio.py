@@ -88,20 +88,32 @@ def _fail(origin: str, lineno: int, msg: str):
     raise MalformedInputError(f"{origin}:{lineno}: {msg}")
 
 
-def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
+def _parsed(parse, tok: str, what: str, origin: str, lineno: int):
+    """parse(tok, what), a refusal reported at origin:lineno."""
+    try:
+        return parse(tok, what)
+    except NetflowError as exc:
+        _fail(origin, lineno, str(exc))
+
+
+def _header(text: str, origin: str, kind: str):
+    """(name, the directives after it) of a file opening `<kind> <name>`."""
     lines = list(_significant(text))
-    if not lines or lines[0][1][0] != "graph":
-        raise MalformedInputError(f"{origin}: first directive must be `graph <name>`")
+    if not lines or lines[0][1][0] != kind:
+        raise MalformedInputError(f"{origin}: first directive must be `{kind} <name>`")
     lineno, parts = lines[0]
     if len(parts) != 2:
-        _fail(origin, lineno, "`graph` takes exactly one name token")
-    name = parts[1]
+        _fail(origin, lineno, f"`{kind}` takes exactly one name token")
+    return parts[1], lines[1:]
 
+
+def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
+    name, lines = _header(text, origin, "graph")
     edges = []
     seen = set()
     weights = {}
     vels = {}
-    for lineno, parts in lines[1:]:
+    for lineno, parts in lines:
         kind = parts[0]
         if kind == "edge":
             if len(parts) != 4:
@@ -117,20 +129,14 @@ def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
             pair = (_token_id(parts[1]), _token_id(parts[2]))
             if pair in weights:
                 _fail(origin, lineno, f"duplicate weight for pair {parts[1]} {parts[2]}")
-            try:
-                weights[pair] = (lineno, parse_rational(parts[3], "weight"))
-            except NetflowError as exc:
-                _fail(origin, lineno, str(exc))
+            weights[pair] = (lineno, _parsed(parse_rational, parts[3], "weight", origin, lineno))
         elif kind == "c":
             if len(parts) != 3:
                 _fail(origin, lineno, "`c` needs: c <edge-id> <value>")
             eid = _token_id(parts[1])
             if eid in vels:
                 _fail(origin, lineno, f"duplicate velocity for edge {parts[1]!r}")
-            try:
-                value = parse_real(parts[2], "velocity")
-            except NetflowError as exc:
-                _fail(origin, lineno, str(exc))
+            value = _parsed(parse_real, parts[2], "velocity", origin, lineno)
             if not 0 < float_or_inf(value) < math.inf:
                 _fail(origin, lineno, f"velocity must be positive and finite, got {parts[2]}")
             vels[eid] = (lineno, value)
@@ -163,27 +169,17 @@ def parse_graph_file(path) -> GraphFile:
 
 
 def parse_state_text(text: str, origin: str = "<state>", cls=NetworkState) -> StateFile:
-    lines = list(_significant(text))
-    if not lines or lines[0][1][0] != "state":
-        raise MalformedInputError(f"{origin}: first directive must be `state <name>`")
-    lineno, parts = lines[0]
-    if len(parts) != 2:
-        _fail(origin, lineno, "`state` takes exactly one name token")
-    name = parts[1]
-
+    name, lines = _header(text, origin, "state")
     bps = None
     values = {}
-    for lineno, parts in lines[1:]:
+    for lineno, parts in lines:
         kind = parts[0]
         if kind == "bp":
             if bps is not None:
                 _fail(origin, lineno, "second `bp` line; a state has one grid")
             if len(parts) < 3:
                 _fail(origin, lineno, "`bp` needs at least two breakpoints")
-            try:
-                bps = [parse_rational(tok, "breakpoint") for tok in parts[1:]]
-            except NetflowError as exc:
-                _fail(origin, lineno, str(exc))
+            bps = [_parsed(parse_rational, tok, "breakpoint", origin, lineno) for tok in parts[1:]]
         elif kind == "v":
             if len(parts) != 4:
                 _fail(origin, lineno, "`v` needs: v <piece-index> <edge-id> <value>")
@@ -195,10 +191,7 @@ def parse_state_text(text: str, origin: str = "<state>", cls=NetworkState) -> St
             if key in values:
                 _fail(origin, lineno,
                       f"duplicate value for piece {idx} edge {parts[2]!r}")
-            try:
-                values[key] = (lineno, parse_rational(parts[3], "state value"))
-            except NetflowError as exc:
-                _fail(origin, lineno, str(exc))
+            values[key] = (lineno, _parsed(parse_rational, parts[3], "state value", origin, lineno))
         else:
             _fail(origin, lineno, f"unknown directive {kind!r}")
 

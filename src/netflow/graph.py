@@ -357,16 +357,16 @@ class MetricGraph:
 class VelocityProfile:
     """Per-edge transport speeds.
 
-    Speeds are stored as given: `Fraction` values keep the exact paths
-    exact, floats are accepted for the approximation machinery.  A
+    Speeds are stored as given, an int (not a bool) as a `Fraction` that
+    keeps 1/c exact; floats are accepted for the approximation machinery.  A
     `default` speed covers the edges not listed, so a lazy graph can
     carry listed speeds over a default; `c_min` and `c_max` bound them.
     """
 
     def __init__(self, values: Mapping, *, default=None):
-        self.values = dict(values)
-        self.default = default
-        pool = list(self.values.values()) + ([default] if default is not None else [])
+        self.values = {j: Fraction(c) if type(c) is int else c for j, c in dict(values).items()}
+        self.default = Fraction(default) if type(default) is int else default
+        pool = list(self.values.values()) + ([self.default] if self.default is not None else [])
         if not pool:
             raise MissingVelocityError("velocity profile is empty")
         for c in pool:
@@ -382,14 +382,13 @@ class VelocityProfile:
         raise MissingVelocityError(f"no velocity for edge {j!r}")
 
     def is_rational(self) -> bool:
-        pool = list(self.values.values()) + ([self.default] if self.default is not None else [])
-        return all(is_rational(c) for c in pool)
+        return all(is_rational(c) for c in [*self.values.values(), self.default] if c is not None)
 
     def exact(self, j) -> Fraction:
         c = self.velocity(j)
         if not is_rational(c):
             raise NotRationalError(f"velocity of edge {j!r} is not an exact rational: {c!r}")
-        return c if type(c) is Fraction else Fraction(c)  # Fractions are immutable: no copy
+        return c
 
     def items(self):
         return self.values.items()

@@ -501,8 +501,7 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     # outflow times in ticks of 1/N, N the lcm of the profile's exact speed
     # numerators, so every 1/c_j is a whole number of ticks; a tick is
     # before t exactly when it is below ceil(t N)
-    N = math.lcm(*(Fraction(c).numerator for c in [*vel.values.values(), vel.default]
-                   if is_rational(c)))
+    N = math.lcm(*(c.numerator for c in [*vel.values.values(), vel.default] if is_rational(c)))
 
     def lag(i):  # 1/c_i in ticks, and ceil(t c_i) - 1 = ceil(t N / ticks) - 1 stages
         nonlocal stages

@@ -11,31 +11,34 @@ after that the feeders' histories, weighted and delayed by 1/c_j.
 
 This is an evaluation scheme independent of the shift-and-route evolution
 in semigroup.py: no subdivision, no shared grid, and nothing read from its
-histories.  `trace_value` is a point oracle for any positive speeds,
-irrational ones included (exact Fractions in, exact Fractions out; floats
-in, floats out); its cost grows with the number of boundary crossings and
-the vertex branching.  `trace_samples` at an exact time and exact speeds
-works on an integer tick lattice instead.  It memoises each head history
-it reads as the segments on which that history is constant, shared by
-every sample point and edge, so it costs one bisect per sample plus one
-feeder sum per segment read: it grows with the segments of the answer's
-histories, not with the sample points or the paths to them.
+histories.  `trace_value` walks one point back, one call per tail crossing
+with the heads it meets memoised, for any positive speeds, irrational ones
+included (exact Fractions in, exact Fractions out; floats in, floats out).
+`trace_samples` at an exact time and exact speeds walks no point: it works
+on an integer tick lattice and keeps each head history it reads as the
+segments on which that history is constant, shared by every sample point
+and edge, so it costs one bisect per sample plus one feeder sum per
+segment read.  A float time or speed walks each point.  Either way a
+trace deeper than the interpreter stack is refused with
+WidthOverflowError.
 
 Two seam conventions are supported.  side="right" (default) matches the
 exact evolution formula: a characteristic landing exactly on the tail
 routes through the vertex, and interior positions read the right-open
 piece.  side="left" evaluates the left limit in x instead, which is what
-the piecewise representation assigns to the point 1; trace_samples uses
-it for its final sample so that sampled comparisons line up at every
-grid point.
+the piecewise representation assigns to the point 1; trace_samples takes
+it for its final sample (on ticks, the tick before 1), so that sampled
+comparisons line up at every grid point.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 
+from .errors import WidthOverflowError
 from .exact import is_rational
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState
@@ -55,48 +58,40 @@ def trace_value(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         raise ValueError(f"position must lie in [0,1], got {x}")
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    return _trace(g, vel, f, edge, x, t, side, {})
+    with _stack_bound(t):
+        return _trace(g, vel, f, edge, x, t, side, {})
 
 
-def _speed(vel: VelocityProfile, j):
-    """c_j, an int read as a Fraction, so that 1/c and c_k/c_j stay exact."""
-    c = vel.velocity(j)
-    return Fraction(c) if type(c) is int else c
+@contextmanager
+def _stack_bound(t):
+    """Refuse a trace to t that crosses more edges than the stack holds."""
+    try:
+        yield
+    except RecursionError:
+        raise WidthOverflowError(f"tracing to t = {t} crosses more edges than the "
+                                 "interpreter stack holds") from None
 
 
 def _trace(g, vel, f, edge, x, t, side, memo):
-    c = _speed(vel, edge)
+    """Value of `edge` at x after time t by its backward characteristic: a
+    foot still on the edge reads f, one past the tail the feeders' heads
+    (x = 0) at the time left, weighted (c_k / c_j) w_jk.  Heads are kept in
+    `memo` by (edge, t), so routes that meet share them."""
+    if x == 0 and (edge, t) in memo:
+        return memo[edge, t]
+    c = vel.velocity(edge)
     y = x + c * t
-    if y < 1 or (side == "left" and y == 1):
-        return f.value_at(y, side).get(edge)
-    t_entry = t - (1 - x) / c
-    return _at_tail(g, vel, f, edge, t_entry, side, memo)
-
-
-def _at_tail(g, vel, f, edge, t, side, memo):
-    """Tail (parameter 1) value of `edge` at remaining backward time t: the
-    routing condition turns it into the feeders' head values."""
-    c = _speed(vel, edge)
-    out = 0
-    for k, w in g.feeders(edge).items():
-        contrib = _head(g, vel, f, k, t, side, memo)
-        if contrib != 0:
-            out = out + (_speed(vel, k) / c) * w * contrib
-    return out
-
-
-def _head(g, vel, f, edge, t, side, memo):
-    """Head (parameter 0) value of `edge` traced back over time t."""
-    key = (edge, t)
-    if key in memo:
-        return memo[key]
-    c = _speed(vel, edge)
-    y = c * t
     if y < 1 or (side == "left" and y == 1):
         out = f.value_at(y, side).get(edge)
     else:
-        out = _at_tail(g, vel, f, edge, t - 1 / c, side, memo)
-    memo[key] = out
+        s = t - (1 - x) / c
+        out = 0
+        for k, w in g.feeders(edge).items():
+            v = _trace(g, vel, f, k, 0, s, side, memo)
+            if v != 0:
+                out = out + (vel.velocity(k) / c) * w * v
+    if x == 0:
+        memo[edge, t] = out
     return out
 
 
@@ -109,19 +104,17 @@ def _histories(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fractio
     [b_p L_k, b_{p+1} L_k) while T < L_k; from L_k on it is constant on the
     intersection of its feeders' segments, shifted by L_k, where it is the
     sum of (c_i / c_k) w_ki H_i(T - L_k) in feeder order, zeros skipped,
-    as _at_tail adds it.  Each edge keeps the segments read so far, sorted:
+    as _trace adds it.  Each edge keeps the segments read so far, sorted:
     a read is one bisect, and a miss reads the feeders only."""
     A = math.lcm(t.denominator, grid, *(b.denominator for b in f.breakpoints))
-    pool = [*vel.values.values(), *([] if vel.default is None else [vel.default])]
-    M = math.lcm(*(Fraction(c).numerator for c in pool))
+    M = math.lcm(*(c.numerator for c in [*vel.values.values(), vel.default] if c is not None))
     cuts = [b.numerator * (A // b.denominator) for b in f.breakpoints]  # in ticks of 1/A
     kept = {}  # edge -> [los, his, values, L / A, L, feeders]
 
     def head(k, T):
         h = kept.get(k)
         if h is None:
-            c = vel.exact(k)
-            r = M // c.numerator * c.denominator
+            r = int(M / vel.exact(k))
             h = kept[k] = [[], [], [], r, r * A, None]
         los, his, vals, r, L, feeders = h
         n = bisect_right(los, T)
@@ -155,33 +148,31 @@ def trace_samples(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     (default: all edges of a finite graph).  The final sample takes the
     left limit, matching NetworkState.sample's convention at 1.
 
-    At an exact time and exact speeds, edge j at m/grid (m < grid) is
-    H_j at t + m/(grid c_j), read from _histories: the memo is each
-    history's constant segments, shared by every point and edge, so a
-    sample costs one bisect and each segment read one feeder sum.  A float
-    time or speed has no tick lattice (a float foot moved across a
-    breakpoint changes a sample by a whole jump), so its points are traced
-    one by one, as is the left limit at 1, with one memo of exact backward
-    times per side whose keys differ from one point to the next."""
+    At an exact time and exact speeds every sample is read from
+    _histories: edge j at m/grid is H_j at t + m/(grid c_j), and its left
+    limit at 1 is the segment that holds the tick before t + 1/c_j (every
+    segment bound is a whole tick, so H_j is constant on that tick).  The
+    segments are shared by every point and edge, so a sample costs one
+    bisect and each segment read one feeder sum.  A float time or speed
+    has no tick lattice (a float foot moved across a breakpoint changes a
+    sample by a whole jump), so its points are walked one by one, with one
+    memo of heads per side."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if edges is None:
         edges = g.edge_ids
-    if is_rational(t) and vel.is_rational():
-        head, Tt, N = _histories(g, vel, f, Fraction(t), grid)
-        step = {}
-        for j in edges:  # edge j at m/grid is m L_j / grid ticks past t, L_j = N / c_j
-            c = vel.exact(j)
-            step[j] = N * c.denominator // (c.numerator * grid)
-        samples = [SparseVector({j: head(j, Tt + m * step[j])[2] for j in edges})
-                   for m in range(grid)]
-    else:
-        memo: dict = {}
-        samples = [SparseVector({j: _trace(g, vel, f, j, Fraction(m, grid), t, "right", memo)
-                                 for j in edges}) for m in range(grid)]
-    left: dict = {}
-    samples.append(SparseVector({j: _trace(g, vel, f, j, Fraction(1), t, "left", left)
-                                 for j in edges}))
+    with _stack_bound(t):
+        if is_rational(t) and vel.is_rational():
+            head, Tt, N = _histories(g, vel, f, Fraction(t), grid)
+            # m/grid is m L_j / grid ticks past t, L_j = N / c_j; 1's left limit a tick less
+            step = {j: int(N / vel.exact(j)) // grid for j in edges}
+            samples = [SparseVector({j: head(j, Tt + m * step[j] - (m == grid))[2] for j in edges})
+                       for m in range(grid + 1)]
+        else:
+            memos = {"right": {}, "left": {}}
+            sides = ["right"] * grid + ["left"]
+            samples = [SparseVector({j: _trace(g, vel, f, j, Fraction(m, grid), t, side, memos[side])
+                                     for j in edges}) for m, side in enumerate(sides)]
     return SampledState(grid, samples)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from netflow import CheckResult, MetricGraph, run_suite
+from netflow import CheckResult, MetricGraph, SampledState, run_suite
+from netflow import checks
 from netflow.checks import SUITES, random_graph, random_velocities
 from netflow.graph import validate_graph
 
@@ -25,6 +26,28 @@ class TestRunSuite:
         monkeypatch.setattr(MetricGraph, "_entry", lambda self, i, j, w: Fraction(w))
         (r,) = run_suite("graph", seed=3, scale=0.1)
         assert r.failures == ["a lazy column that skips an edge was accepted"]
+
+    def test_tracing_suite_traces_a_long_time(self, monkeypatch):
+        # the one-shot 2-cycle at t = 900: a mismatch and an exception are
+        # failure lines, not crashes
+        trace = checks.trace_samples
+
+        def wrong(g, vel, f, t, grid):
+            out = trace(g, vel, f, t, grid)
+            return out if t != 900 else SampledState(grid, out.samples[::-1])
+
+        def deep(g, vel, f, t, grid):
+            if t == 900:
+                raise RecursionError("maximum recursion depth exceeded")
+            return trace(g, vel, f, t, grid)
+
+        monkeypatch.setattr(checks, "trace_samples", wrong)
+        (r,) = run_suite("tracing", seed=3, scale=0.1)
+        assert r.failures == ["tracing the 2-cycle to t = 900 disagreed with evolution"]
+        monkeypatch.setattr(checks, "trace_samples", deep)
+        (r,) = run_suite("tracing", seed=3, scale=0.1)
+        assert r.failures == ["tracing the 2-cycle to t = 900: RecursionError: "
+                              "maximum recursion depth exceeded"]
 
     def test_deterministic_across_runs(self):
         a = run_suite("semigroup", seed=11, scale=0.25)[0]

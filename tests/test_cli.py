@@ -598,6 +598,19 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: f / lambda at lambda 0.5 is beyond float range\n"
 
+    def test_deep_trace_is_refused_not_crashed(self, tmp_path):
+        # the irrational-speed reference walks 1000 crossings back, past
+        # the interpreter stack: a typed refusal, in a fresh process
+        graph = tmp_path / "root2.graph"
+        graph.write_text(Path(G2).read_text() + "c 1 1.41421356\nc 2 1\n")
+        done = subprocess.run([sys.executable, "-m", "netflow.cli", "approx", "--graph",
+                               str(graph), "--state", PULSE, "--t", "1000", "--out", str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == ("error: tracing to t = 1000 crosses more edges than the "
+                               "interpreter stack holds\n")
+
     def test_missing_file(self, tmp_path):
         code = main([
             "simulate", "--graph", str(tmp_path / "nope.graph"),

@@ -149,6 +149,21 @@ class TestStateParsing:
             parse_state_text(text)
 
 
+class TestHeaders:
+    @pytest.mark.parametrize("kind, parse", [("graph", parse_graph_text),
+                                             ("state", parse_state_text)])
+    def test_first_directive_messages(self, kind, parse):
+        # graph and state files read `<kind> <name>` by one rule, one wording
+        for text in ("", "# only a comment\n", "edge 1 1 2\n"):
+            with pytest.raises(MalformedInputError,
+                               match=f"^f.txt: first directive must be `{kind} <name>`$"):
+                parse(text, origin="f.txt")
+        for text in (f"\n{kind}\n", f"\n{kind} a b\n"):
+            with pytest.raises(MalformedInputError,
+                               match=f"^f.txt:2: `{kind}` takes exactly one name token$"):
+                parse(text, origin="f.txt")
+
+
 class TestPlotdata:
     FORMS = ["rows", "array"]
 

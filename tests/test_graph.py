@@ -21,6 +21,7 @@ from netflow import (
     evolve_unit,
     resolvent_general,
     validate_graph,
+    write_graph_text,
 )
 from netflow import checks, semigroup
 
@@ -413,6 +414,17 @@ class TestVelocityProfile:
     def test_rationality_probe(self):
         assert VelocityProfile({1: F(2)}).is_rational()
         assert not VelocityProfile({1: 2 ** 0.5}).is_rational()
+
+    def test_int_speeds_are_stored_as_fractions(self):
+        # an int speed (not a bool) is kept as a Fraction, listed or default;
+        # repr and the graph file writer print it as before
+        vel = VelocityProfile({1: 2, 2: F(1, 2), 3: 1.5, 4: True}, default=3)
+        assert [type(vel.velocity(j)) for j in (1, 2, 3, 4, 5)] == [F, F, float, bool, F]
+        assert (vel.c_min, vel.c_max) == (F(1, 2), F(3)) and type(vel.c_max) is F
+        assert repr(vel) == "VelocityProfile({1: 2, 2: 1/2, 3: 1.5, 4: True}, default=3)"
+        g = MetricGraph.finite([(1, 1, 2), (2, 2, 1)], {(1, 2): F(1), (2, 1): F(1)})
+        assert write_graph_text(g, VelocityProfile({1: 2, 2: F(3, 2)})).endswith(
+            "c 1 2\nc 2 3/2\n")
 
     def test_exact_hands_back_fraction_speeds(self):
         vel = VelocityProfile({1: F(3, 2), 2: 4, 3: 2 ** 0.5, 4: 2.0}, default=True)

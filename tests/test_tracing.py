@@ -14,6 +14,7 @@ from netflow import (
     NetworkState,
     SparseVector,
     VelocityProfile,
+    WidthOverflowError,
     build_adjacency,
     evolve_rational,
     evolve_unit,
@@ -21,7 +22,7 @@ from netflow import (
     trace_samples,
     trace_value,
 )
-from netflow import checks
+from netflow import checks, tracing
 
 
 def g2():
@@ -174,7 +175,12 @@ class TestSegmentSampler:
 
     SPEEDS = (F(1, 2), F(1), F(2), F(3, 2), F(2, 3), F(5, 4), 1, 2, 3)
 
-    def test_equals_per_point_trace_value(self):
+    def test_equals_per_point_trace_value(self, monkeypatch):
+        # exact trace_samples walks no point: with the walk patched to
+        # raise, every row, the left limit at 1 included, still matches it
+        def no_walk(*args):
+            raise AssertionError("exact trace_samples walked a point")
+
         rng = random.Random(28)
         feet = 0
         for trial in range(300):
@@ -189,13 +195,15 @@ class TestSegmentSampler:
             # on the 1/24 lattice, with grids and breakpoint dens among its
             # divisors, many feet land on breakpoints and on tails (1 is one)
             t = F(rng.randint(0, 60), 24)
-            traced = trace_samples(g, vel, f, t, grid)
             points = []
             for m in range(grid + 1):
                 side = "right" if m < grid else "left"
                 x = F(m, grid)
                 points.append({j: trace_value(g, vel, f, j, x, t, side) for j in g.edge_ids})
                 feet += sum(x + vel.exact(j) * t in f.breakpoints for j in g.edge_ids)
+            with monkeypatch.context() as patch:
+                patch.setattr(tracing, "_trace", no_walk)
+                traced = trace_samples(g, vel, f, t, grid)
             assert rows_bits(traced.samples) == rows_bits(SparseVector(p) for p in points), trial
         assert feet > 200  # 281 at this seed
 
@@ -265,3 +273,32 @@ class TestSegmentSampler:
             tracemalloc.stop()
         assert peak <= 3_000_000
         assert traced.support() <= set(edges)
+
+
+class TestStackReach:
+    """The walk and the segment reader take one stack frame per tail
+    crossing; past the interpreter stack a trace is refused, not crashed."""
+
+    f = NetworkState([F(0), F(1, 2), F(1)],
+                     [SparseVector({1: F(1), 2: F(2)}), SparseVector({1: F(3)})])
+    unit = VelocityProfile({1: F(1), 2: F(1)})
+
+    def test_long_exact_trace(self):
+        t = F(900)
+        traced = trace_samples(g2(), self.unit, self.f, t, 4)
+        assert traced == sample(evolve_rational(g2(), self.unit, self.f, t), 4)
+        assert trace_value(g2(), self.unit, self.f, 1, F(1, 4), t) == traced.samples[1].get(1)
+
+    def test_long_irrational_trace(self):
+        vel = VelocityProfile({1: 2 ** 0.5, 2: F(1)})
+        traced = trace_samples(g2(), vel, self.f, F(700), 4)
+        assert len(traced.samples) == 5
+
+    @pytest.mark.parametrize("vel", [unit, VelocityProfile({1: 2 ** 0.5, 2: F(1)})],
+                             ids=["unit", "sqrt2"])
+    def test_deeper_trace_refused(self, vel):
+        message = "tracing to t = 5000 crosses more edges than the interpreter stack holds"
+        with pytest.raises(WidthOverflowError, match=message):
+            trace_samples(g2(), vel, self.f, F(5000), 4)
+        with pytest.raises(WidthOverflowError, match=message):
+            trace_value(g2(), vel, self.f, 1, F(1, 4), F(5000))
