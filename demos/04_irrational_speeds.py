@@ -17,7 +17,6 @@ from netflow import (
     MetricGraph,
     NetworkState,
     SparseVector,
-    TestFunction,
     VelocityProfile,
     resolvent_convergence,
     semigroup_convergence,
@@ -50,8 +49,8 @@ slope, residual = table.fit()
 print(f"  fit: strong ~ {slope:.2f} * velocity error (rms residual {residual:.1e})")
 
 gs = [
-    TestFunction.constant(SparseVector({1: F(1)})),
-    TestFunction(
+    NetworkState.constant(SparseVector({1: F(1)})),
+    NetworkState(
         [F(0), F(1, 4), F(3, 4), F(1)],
         [SparseVector({1: F(1)}),
          SparseVector({1: F(1, 2), 2: F(1, 2)}),

@@ -72,9 +72,9 @@ from .semigroup import (
 from .states import (
     NetworkState,
     SampledState,
-    TestFunction,
     boundary_residual,
     pair,
+    predual_norm,
     sample,
 )
 from .tracing import trace_samples, trace_value
@@ -104,7 +104,6 @@ __all__ = [
     "SampledState",
     "SparseVector",
     "StateFile",
-    "TestFunction",
     "TruncationError",
     "ValidationReport",
     "VelocityProfile",
@@ -118,6 +117,7 @@ __all__ = [
     "evolve_unit",
     "laplace_oracle",
     "pair",
+    "predual_norm",
     "parse_graph_file",
     "parse_graph_text",
     "parse_plotdata",

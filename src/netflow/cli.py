@@ -5,15 +5,19 @@ sampled CSV plus a JSON-lines run log, `resolvent` solves the stationary
 problem, `approx` builds rational-velocity convergence tables, `check`
 runs the randomized self-test suites, `validate` lints a graph file.
 
-Exit codes: 0 success, 1 validation failure (bad graph, missing
-velocities, failed report), 2 numeric-tolerance failure (precision gates,
-series truncation, contraction loss, a float overflow in a solve or in a
-run-log reading, named with its time), 3 malformed input (unparseable or
-unreadable files or flags, decimals where exactness is required, a
---state, --rates or --test value beyond float range, an output of more
-than MAX_SAMPLES samples).  The map lives on the error classes: each class in
-`errors.py` carries its `exit_code`.  Artifacts are deterministic: same
-inputs and flags give byte-identical files, so runs can be diffed.
+Exit codes: 0 success; 1 domain failure (bad graph, missing velocities,
+failed report, wrong-operator use, and the WidthOverflowError refusals: a
+stage budget, a cone, a characteristic trace deeper than the interpreter
+stack); 2 numeric-tolerance failure (precision gates, series truncation,
+contraction loss, a resolvent certificate q >= 1 or a series bound beyond
+float range, a float overflow in a solve or a run-log reading, named with
+its time); 3 malformed input (unparseable or unreadable files, a graph
+file's bad weight, speed or edge ids, bad or out-of-range flags, decimals
+where exactness is required, a --state, --rates or --test value beyond
+float range, an output of more than MAX_SAMPLES samples).  The map lives
+on the error classes: each class in `errors.py` carries its `exit_code`.
+Artifacts are deterministic: same inputs and flags give byte-identical
+files, so runs can be diffed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,7 @@ from .fileio import (
 from .graph import MetricGraph, SparseVector, VelocityProfile, validate_graph
 from .resolvent import resolvent_general
 from .semigroup import _UNIT, AbsorptionProfile, evolve_absorbing, evolve_rational
-from .states import NetworkState, TestFunction, boundary_residual, sample
+from .states import NetworkState, boundary_residual, sample
 
 
 # caps on flags whose larger values would run for minutes; MAX_SAMPLES
@@ -192,10 +195,10 @@ def _front(args) -> tuple:
     return gf.name, gf.graph, vel, _read_state(args.state), Path(args.out)
 
 
-def _read_state(path, cls=NetworkState) -> NetworkState:
+def _read_state(path) -> NetworkState:
     """The state of a --state, --rates or --test file, refused when a value
     lies beyond float range: every verb reads the values as floats."""
-    f = parse_state_file(path, cls=cls).state
+    f = parse_state_file(path).state
     for m, v in enumerate(f.values):
         for j, x in v.items():
             if math.isinf(float_or_inf(x)):
@@ -251,13 +254,9 @@ def _write(args, out: Path, name: str, g: MetricGraph, sampled, summary: str,
 
 
 def _sampled_mass(st) -> float:
-    # trapezoid analog of the signed-integral mass on the sample grid; an
-    # exact (row) state repeats one total per piece, summed once per run
+    # trapezoid analog of the signed-integral mass on the sample grid
     totals = st.totals()
-    total = (sum(totals) if st.array is not None
-             else sum(x * len(list(run)) for x, run in groupby(totals)))
-    total -= (totals[0] + totals[-1]) / 2
-    return float(total) / st.grid_size
+    return float(sum(totals) - (totals[0] + totals[-1]) / 2) / st.grid_size
 
 
 def _cmd_simulate(args) -> int:
@@ -330,10 +329,10 @@ def _cmd_approx(args) -> int:
     if args.t is not None:
         t = _parse_time(args.t)
         if args.test:
-            gs = [_read_state(p, cls=TestFunction) for p in args.test]
+            gs = [_read_state(p) for p in args.test]
         else:
             first = sorted(g.edge_ids, key=repr)[0]
-            gs = [TestFunction.constant(SparseVector({first: Fraction(1)}))]
+            gs = [NetworkState.constant(SparseVector({first: Fraction(1)}))]
         table = semigroup_convergence(g, vel, f, t, gs, schedule, grid=args.grid)
         write_text(out / "approx_semigroup.csv", _table_csv(table))
         meta["semigroup"] = dict(table.metadata)

@@ -168,7 +168,7 @@ def parse_graph_file(path) -> GraphFile:
     return parse_graph_text(path.read_text(encoding="utf-8"), origin=str(path))
 
 
-def parse_state_text(text: str, origin: str = "<state>", cls=NetworkState) -> StateFile:
+def parse_state_text(text: str, origin: str = "<state>") -> StateFile:
     name, lines = _header(text, origin, "state")
     bps = None
     values = {}
@@ -205,15 +205,15 @@ def parse_state_text(text: str, origin: str = "<state>", cls=NetworkState) -> St
                   f"piece index {idx} out of range for {n_pieces} pieces")
         vectors[idx][eid] = val
     try:
-        state = cls(bps, [SparseVector(v) for v in vectors])
+        state = NetworkState(bps, [SparseVector(v) for v in vectors])
     except NetflowError as exc:
         raise MalformedInputError(f"{origin}: {exc}") from None
     return StateFile(name, state)
 
 
-def parse_state_file(path, cls=NetworkState) -> StateFile:
+def parse_state_file(path) -> StateFile:
     path = Path(path)
-    return parse_state_text(path.read_text(encoding="utf-8"), origin=str(path), cls=cls)
+    return parse_state_text(path.read_text(encoding="utf-8"), origin=str(path))
 
 
 def _number_token(x) -> str:

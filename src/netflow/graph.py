@@ -402,10 +402,9 @@ class VelocityProfile:
 def _couple(g: MetricGraph, vel: VelocityProfile | None, v: SparseVector) -> SparseVector:
     """C v for C_ij = (c_j / c_i) w_ij at the speeds `vel` (None: C = B),
     read from the columns of supp v only.  The multiply-add loop takes any
-    values, so exact vectors stay exact.  At equal exact speeds C_ij is
-    w_ij itself, so a profile of one exact speed reads B, and so does a
-    column whose receivers all share its source's exact speed; float speeds
-    keep the product, whose rounding it carries."""
+    values, so exact vectors stay exact.  A profile of one exact speed
+    reads B; any other takes the product for every column, which at equal
+    exact speeds is w_ij itself and at float speeds carries its rounding."""
     if vel is not None and not vel.values and is_rational(vel.default):
         vel = None
     out: dict = {}
@@ -413,9 +412,7 @@ def _couple(g: MetricGraph, vel: VelocityProfile | None, v: SparseVector) -> Spa
         col = g.column(j)
         if vel is not None:
             c_j = vel.velocity(j)
-            if not (is_rational(c_j) and all(c is c_j or (c == c_j and is_rational(c))
-                                             for c in map(vel.velocity, col))):
-                col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
+            col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
         for i, w in col.items():
             out[i] = out.get(i, 0) + w * a
     return SparseVector(out)

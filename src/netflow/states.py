@@ -13,10 +13,10 @@ is semantic equality almost everywhere.
 
 SampledState is the floating counterpart: values on the uniform grid
 s_m = m/M, held as one vector per grid point (exact values) or as one
-edges x (M + 1) float array (float values).  TestFunction shares the NetworkState layout but plays the role
-of the dual-side object: its natural size is the integral of the max-abs
-entry, not of the l1 norm, and pairing a state against it is the weak-*
-pairing integral.
+edges x (M + 1) float array (float values).  A test function of the
+predual L^1([0,1], c_0) is a plain NetworkState: `pair` reads a state
+against it in the weak-* pairing integral, and its size, `predual_norm`,
+integrates the max-abs entry rather than the l1 norm.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .graph import MetricGraph, SparseVector, VelocityProfile, _couple
 
 __all__ = [
     "NetworkState",
-    "TestFunction",
     "SampledState",
     "pair",
+    "predual_norm",
     "boundary_residual",
     "sample",
 ]
@@ -159,25 +159,6 @@ class NetworkState:
 
     def __repr__(self):
         return f"NetworkState({len(self.values)} pieces on {len(self.support())} edges)"
-
-
-class TestFunction(NetworkState):
-    """A step function read against states in the weak-* pairing.
-
-    Same storage as NetworkState; the difference is the norm that matters.
-    Entries live in the sup-normed sequence space, so the natural size is
-    the integral of the largest absolute entry.
-    """
-
-    __slots__ = ()
-
-    def predual_norm(self):
-        """Integral over [0,1] of max_j |g_j(s)|."""
-        total = 0
-        for b1, b2, v in self.pieces():
-            m = max((abs(x) for _, x in v.items()), default=0)
-            total += (b2 - b1) * m
-        return total
 
 
 def _refine(states: Sequence[NetworkState]):
@@ -413,6 +394,16 @@ def pair(f, g):
             acc += w * _dot(f.samples[m], gs.samples[m])
         return acc / M
     raise TypeError(f"cannot pair {type(f).__name__} with {type(g).__name__}")
+
+
+def predual_norm(g: NetworkState):
+    """Integral over [0,1] of max_j |g_j(s)|: the size of g as a test
+    function in L^1([0,1], c_0)."""
+    total = 0
+    for b1, b2, v in g.pieces():
+        m = max((abs(x) for _, x in v.items()), default=0)
+        total += (b2 - b1) * m
+    return total
 
 
 def grid_pieces(breakpoints: Sequence, grid: int) -> list:

@@ -58,8 +58,15 @@ def trace_value(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         raise ValueError(f"position must lie in [0,1], got {x}")
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    _known(g, f, [edge])
     with _stack_bound(t):
         return _trace(g, vel, f, edge, x, t, side, {})
+
+
+def _known(g: MetricGraph, f: NetworkState, edges):
+    """Refuse an edge of f or a requested edge that a finite graph lacks."""
+    for j in [*f.support(), *edges] if g.is_finite else ():
+        g.endpoints(j)
 
 
 @contextmanager
@@ -161,6 +168,7 @@ def trace_samples(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         raise ValueError(f"grid must be >= 1, got {grid}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    _known(g, f, edges or ())
     if edges is None:
         edges = g.edge_ids
     with _stack_bound(t):

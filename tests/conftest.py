@@ -2,8 +2,3 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-# keep pytest from collecting the library class named Test*
-import netflow
-
-netflow.TestFunction.__test__ = False

@@ -18,7 +18,6 @@ from netflow import (
     MetricGraph,
     NetworkState,
     SparseVector,
-    TestFunction,
     VelocityProfile,
     build_adjacency,
     evolve_absorbing,
@@ -239,8 +238,8 @@ def test_criterion_09_trotter_kato():
     errs = [float(r.strong_error) for r in table_r.rows]
     resolvent_ok = all(a > b for a, b in zip(errs, errs[1:])) and errs[-1] <= 1e-4
 
-    g_e1 = TestFunction.constant(SparseVector({1: F(1)}))
-    g_ramp = TestFunction(
+    g_e1 = NetworkState.constant(SparseVector({1: F(1)}))
+    g_ramp = NetworkState(
         [F(0), F(1, 4), F(3, 4), F(1)],
         [SparseVector({1: F(1)}),
          SparseVector({1: F(1, 2), 2: F(1, 2)}),

@@ -11,7 +11,6 @@ from netflow import (
     NetworkState,
     PrecisionError,
     SparseVector,
-    TestFunction,
     VelocityProfile,
     WidthOverflowError,
     rational_approx,
@@ -129,7 +128,7 @@ class TestSemigroupConvergence:
         vel = VelocityProfile({1: F(3, 2), 2: F(1, 2)})
         sched = ApproximationSchedule.build(vel, [2, 3])
         f = NetworkState.constant(SparseVector({1: F(1)}))
-        gs = [TestFunction.constant(SparseVector({1: F(1)}))]
+        gs = [NetworkState.constant(SparseVector({1: F(1)}))]
         table = semigroup_convergence(g, vel, f, F(1, 2), gs, sched, grid=64)
         assert table.metadata["reference"] == "exact-rational"
         for row in table.rows:
@@ -139,7 +138,7 @@ class TestSemigroupConvergence:
     def test_zero_state(self):
         g = g2()
         sched = ApproximationSchedule.build(surd_profile(), [1, 2])
-        gs = [TestFunction.constant(SparseVector({1: F(1)}))]
+        gs = [NetworkState.constant(SparseVector({1: F(1)}))]
         table = semigroup_convergence(
             g, surd_profile(), NetworkState.zero(), F(1), gs, sched, grid=32
         )
@@ -155,7 +154,7 @@ class TestSemigroupConvergence:
             [F(0), F(1, 2), F(1)],
             [SparseVector({1: F(1)}), SparseVector({2: F(1, 2)})],
         )
-        gs = [TestFunction.constant(SparseVector({1: F(1)}))]
+        gs = [NetworkState.constant(SparseVector({1: F(1)}))]
         table = semigroup_convergence(g, vel, f, F(1), gs, sched, grid=128)
         assert table.metadata["reference"] == "tracing"
         firsts = table.rows[0].weak_errors

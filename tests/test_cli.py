@@ -307,6 +307,11 @@ class TestPinnedArtefacts:
         pytest.param(["validate", "--graph", G5], {
             "validate.json": "534e01cc5545ff119bbf5c9e4c34576a38cbcd3c30b234d04a735ae893b0722f",
         }, id="validate-g5"),
+        pytest.param(["approx", "--graph", G5, "--state", MIXED, "--t", "29/4", "--test", PULSE,
+                      "--test", MIXED, "--levels", "1,2,3", "--grid", "64"], {
+            "approx_semigroup.csv":
+                "9b67b3291f797fce55e4c51a62bba9456f0acbb6726857d49fcf7a5a90884963",
+        }, id="approx-g5-tests"),
     ])
     def test_sha256(self, tmp_path, argv, digests):
         assert main([*argv, "--out", str(tmp_path)]) == 0

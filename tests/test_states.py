@@ -16,11 +16,11 @@ from netflow import (
     NetworkState,
     SampledState,
     SparseVector,
-    TestFunction,
     VelocityProfile,
     boundary_residual,
     build_adjacency,
     pair,
+    predual_norm,
     sample,
 )
 from netflow import checks, semigroup
@@ -107,7 +107,7 @@ class TestNorms:
     def test_total_mass_matches_riemann(self):
         rng = random.Random(13)
         f = random_state(rng)
-        g = TestFunction.constant(SparseVector({j: F(1) for j in (1, 2, 3)}))
+        g = NetworkState.constant(SparseVector({j: F(1) for j in (1, 2, 3)}))
         # cuts sit on the 1/64 lattice, so 6400 panels make the sum exact
         approx = oracles.riemann_pair(f, g, n=6400)
         assert abs(float(f.total_mass()) - approx) < 1e-10
@@ -116,12 +116,12 @@ class TestNorms:
 class TestPairing:
     def test_unit_constants(self):
         f = NetworkState.constant(SparseVector({1: F(1)}))
-        g = TestFunction.constant(SparseVector({1: F(1)}))
+        g = NetworkState.constant(SparseVector({1: F(1)}))
         assert pair(f, g) == 1
 
     def test_disjoint_support(self):
         f = NetworkState.constant(SparseVector({1: F(1)}))
-        g = TestFunction.constant(SparseVector({2: F(1)}))
+        g = NetworkState.constant(SparseVector({2: F(1)}))
         assert pair(f, g) == 0
 
     def test_exact_on_refined_grid(self):
@@ -133,7 +133,7 @@ class TestPairing:
                 SparseVector({2: F(-2)}),
             ],
         )
-        g = TestFunction(
+        g = NetworkState(
             [F(0), F(1, 2), F(1)],
             [SparseVector({1: F(2)}), SparseVector({2: F(3)})],
         )
@@ -147,19 +147,29 @@ class TestPairing:
     def test_hoelder_bound(self, seed):
         rng = random.Random(seed)
         f = random_state(rng)
-        g = TestFunction(*_tf_parts(rng))
-        assert abs(pair(f, g)) <= f.sup_norm() * g.predual_norm()
+        g = NetworkState(*_tf_parts(rng))
+        assert abs(pair(f, g)) <= f.sup_norm() * predual_norm(g)
+
+    def test_predual_norm_of_a_difference(self):
+        # a test function is a plain state, so the size of a difference
+        # (the weak modulus of a flow) is read like any other
+        h1 = NetworkState([F(0), F(1, 3), F(1)],
+                          [SparseVector({1: F(1), 2: F(-2)}), SparseVector({4: F(3)})])
+        h2 = NetworkState.constant(SparseVector({2: F(-1)}))
+        assert predual_norm(h1 - h2) == F(1, 3) * 1 + F(2, 3) * 3
+        assert predual_norm(h1) == F(1, 3) * 2 + F(2, 3) * 3
+        assert predual_norm(NetworkState.zero()) == 0
 
     def test_bilinear(self):
         rng = random.Random(17)
         f1, f2 = random_state(rng), random_state(rng)
-        g = TestFunction(*_tf_parts(rng))
+        g = NetworkState(*_tf_parts(rng))
         lhs = pair(f1.scale(F(2)) + f2.scale(F(-3)), g)
         assert lhs == 2 * pair(f1, g) - 3 * pair(f2, g)
 
     def test_sampled_pair_converges_like_1_over_m(self):
         f = two_piece()
-        g = TestFunction(
+        g = NetworkState(
             [F(0), F(1, 3), F(1)],
             [SparseVector({1: F(1)}), SparseVector({1: F(1), 2: F(2)})],
         )

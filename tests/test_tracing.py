@@ -253,6 +253,25 @@ class TestSegmentSampler:
         with pytest.raises(ValueError, match="nonnegative"):
             trace_samples(g2(), vel, NetworkState.zero(), F(-1, 2), 4)
 
+    def test_unknown_edge_refused(self):
+        # mass on an edge the graph lacks, or a requested edge it lacks, is
+        # refused as the exact evolution refuses it, at any time; a default
+        # speed would otherwise read edge 99 as an empty edge
+        vel = VelocityProfile({}, default=F(1))
+        stray = NetworkState.constant(SparseVector({1: F(1), 99: F(5)}))
+        with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+            evolve_rational(g2(), vel, stray, F(1, 2))
+        with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+            trace_samples(g2(), vel, stray, F(1, 2), 4)
+        with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+            trace_value(g2(), vel, stray, 1, F(1, 4), F(1, 2))
+        f = NetworkState.constant(SparseVector({1: F(1)}))
+        for t in (F(0), F(1, 2), 0.5):
+            with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+                trace_samples(g2(), vel, f, t, 4, edges=[99])
+            with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+                trace_value(g2(), vel, f, 99, F(1, 4), t)
+
     def test_memory_on_the_wide_graph(self):
         # 2 edges x 257 points at t = 181/48 on a 600-edge, out-degree-3
         # graph with a 64-piece state: the kept segments stay under 3 MB,
