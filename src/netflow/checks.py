@@ -63,10 +63,10 @@ class CheckResult:
         return f"check {self.name}: {self.trials} trials, {flag} [{self.seconds:.2f}s]"
 
 
-def random_graph(rng: random.Random, max_edges: int = 12) -> MetricGraph:
+def random_graph(rng: random.Random, max_edges: int = 12, primes: tuple = ()) -> MetricGraph:
     """Sink-free simple digraph: a vertex cycle (guaranteeing every vertex
     an outgoing edge) plus random non-duplicate chords, stochastic columns
-    with small rational weights."""
+    with small rational weights, or over one of `primes` per column."""
     k = rng.randint(2, 4)
     n_total = rng.randint(k, max(k, max_edges))
     edges = []
@@ -93,6 +93,9 @@ def random_graph(rng: random.Random, max_edges: int = 12) -> MetricGraph:
         receivers = by_tail[head]
         raw = [rng.randint(1, 9) for _ in receivers]
         total = sum(raw)
+        if primes:  # the last receiver takes the rest of one of them
+            total = rng.choice(primes)
+            raw[-1] += total - sum(raw)
         for i, a in zip(receivers, raw):
             weights[(i, j)] = weights.get((i, j), 0) + Fraction(a, total)
     return MetricGraph.finite(edges, weights, name=f"rand{len(edges)}")
@@ -204,10 +207,11 @@ def _check_states(seed, trials) -> CheckResult:
 
 def _check_semigroup(seed, trials) -> CheckResult:
     def body(rng, result, trial):
-        g = random_graph(rng)
+        wide = trial % 4 == 3  # weights over 2^20 - 3, so from t = 3 on Python ints
+        g = random_graph(rng, primes=(1048573,) if wide else ())
         op = build_adjacency(g)
         f = random_state(rng, g)
-        t, s = random_time(rng), random_time(rng)
+        t, s = random_time(rng) + 3 * wide, random_time(rng)
         one = evolve_unit(op, evolve_unit(op, f, s), t)
         two = evolve_unit(op, f, t + s)
         if one != two:

@@ -21,7 +21,8 @@ The series routes float or complex vectors through C held as index
 arrays of its nonzero entries, one bincount per term, so memory is
 O(edges): no n x n matrix is built.  A finite graph gives all its edges
 in sorted-id order; B alone fixes those arrays, so they are read once
-per graph, on its first solve, and scaled by the speeds into a copy.
+per graph, on its first solve or unit-speed exact flow, which route on
+the same arrays, and scaled by the speeds into a copy.
 What a solve reads from f alone, its entries as flat positions and float
 values on that edge tuple and its piece widths, is f's table, and one
 reader, _state_table, builds it.  The graph keeps both, read-only, in
@@ -77,11 +78,10 @@ from .errors import (
     NotRationalError,
     PrecisionError,
     TruncationError,
-    WidthOverflowError,
     WrongOperatorError,
 )
 from .exact import as_exact, is_rational, to_float
-from .graph import AdjacencyOperator, MetricGraph, VelocityProfile
+from .graph import AdjacencyOperator, MetricGraph, VelocityProfile, _routing
 from . import semigroup
 from .states import NetworkState, SampledState, boundary_residual, grid_pieces
 
@@ -212,41 +212,14 @@ def _route(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     return np.bincount(rows, weights * v[cols], minlength=len(v))
 
 
-def _routing(g: MetricGraph, seeds: list, depth: int) -> tuple:
-    """B's nonzero entries as index arrays (edges, rows, cols, weights), by
-    MetricGraph._walk at lag 1.  `edges` holds the distinct `seeds`, then
-    every edge reached in at most `depth` applications of B, breadth first;
-    each entry w_ij of the columns of the edges reached in fewer is
-    weights[k] = float(w_ij) at rows[k], cols[k], the positions of i and j
-    in `edges`.  An edge past semigroup.MAX_STAGE_EDGES raises WidthOverflowError."""
-    pos = {j: k for k, j in enumerate(seeds)}
-
-    def lag(i):
-        if len(pos) >= semigroup.MAX_STAGE_EDGES:
-            raise WidthOverflowError(f"routing closure exceeds {semigroup.MAX_STAGE_EDGES} edges",
-                                     edges=(i,))
-        pos[i] = len(pos)
-        return 1
-
-    read = g._walk(seeds, lag, depth)
-    return (tuple(pos), np.array([pos[i] for _, col in read for i in col], dtype=np.intp),
-            np.array([pos[j] for j, col in read for _ in col], dtype=np.intp),
-            np.array([to_float(w) for _, col in read for w in col.values()], dtype=float))
-
-
 def _kept(g: MetricGraph, f: NetworkState) -> tuple:
-    """(routing, table) of the finite graph g: _routing over all its edges
-    in sorted-id order, which B alone fixes, and f's _state_table on those
-    edges, both read-only and kept in g's keeper [routing, f, f's table]:
-    the routing from g's first solve, the table of the last f solved
-    there, matched by `kept f is f` (the keeper holds f, so no other state
-    can take its address)."""
+    """(routing, table) of the finite graph g: the routing g keeps
+    (MetricGraph._kept_routing) and f's _state_table on its edges, both
+    read-only and kept in g's keeper [routing, f, f's table]: the table of
+    the last f solved there, matched by `kept f is f` (the keeper holds f,
+    so no other state can take its address)."""
+    g._kept_routing()
     keeper = g._float_routing
-    if keeper is None:
-        routing = _routing(g, g.edge_ids, 1)
-        for a in routing[1:]:
-            a.flags.writeable = False
-        keeper = g._float_routing = [routing, None, None]
     if keeper[1] is not f:
         table = _state_table(f, keeper[0][0])
         for a in table:
@@ -334,7 +307,7 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
             raise PrecisionError(f"the series' first term bound at lambda {lam} is beyond "
                                  f"float range")
         depth = _terms_needed(first, re / c_max, tol) + 2
-        edges, rows, cols, weights = _routing(g, seeds, depth)
+        edges, rows, cols, weights = _routing(g, seeds, depth, semigroup.MAX_STAGE_EDGES)
         # the seeds lead the closure, and f is zero on the columns past them
         V = np.zeros((len(f.values), len(edges)), dtype=type(lam_num))
         V[:, :len(seeds)] = F

@@ -33,8 +33,8 @@ before t by earliest arrival along traversal times 1/c_j, walked as the
 resolvent's closure is; one work budget at the flow's fastest edge holds
 for both kernels.  evolve_unit is evolve_rational at c = 1 on the
 caller's operator's graph; the closed form above runs wherever those
-edges share one speed and f is exact, routing through integer columns
-the graph keeps; float values take the histories at any speeds.
+edges share one speed and f is exact, as int64 arrays (Python ints past
+2^63) over the graph's routing; float values take the histories.
 
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
@@ -83,6 +83,7 @@ from .graph import (
     MetricGraph,
     SparseVector,
     VelocityProfile,
+    _routing,
     build_adjacency,
 )
 from .states import NetworkState, SampledState, _refine, grid_pieces, sample
@@ -104,7 +105,8 @@ MAX_SUBEDGES = 2_000_000
 # stages (t times the flow's fastest speed) times the edges of the flow.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
-# speed 1 everywhere, as a Fraction so that vel.exact builds none per edge
+_INT64_MAX = 2**63 - 1
+# speed 1 everywhere
 _UNIT = VelocityProfile({}, default=Fraction(1))
 
 
@@ -130,7 +132,8 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
 
 def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction) -> NetworkState:
     """T(t) f at unit speed, for exact t >= 0 and f on edges g has, of int
-    and Fraction values only."""
+    and Fraction values only: B^n of f's pieces, routed at once by
+    _route_exact, in int64 up to 2^63 - 1 and in Python ints past it."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -152,58 +155,70 @@ def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction) -> NetworkState:
 
 def _route_exact(g: MetricGraph, vectors: list, powers: list) -> list:
     """B^n v for each v of `vectors`, of int and Fraction entries, n its
-    entry of `powers` >= 0: held as num / D for one D, Fractions built only
-    for the results; B^0 v is v itself.  Column j is read as integer
-    numerators over its own denominator, (den, ((receiver, numerator), ...)),
-    built on its first route and kept by the graph."""
+    entry of `powers` >= 0; B^0 v is v itself.  The vectors are the rows of
+    one numerator array V over one D, a step one gather-multiply and one
+    reduceat over _int_steps.  V is int64 while a running bound, max|V|
+    times growth a step, stays within 2^63 - 1; where a step could pass it,
+    D and V shed their gcd, max|V| is read afresh, and if that is still too
+    large V goes on in Python ints, as it starts past int64."""
     out = list(vectors)
-    active = [k for k, n in enumerate(powers) if n]
-    D = math.lcm(*(x.denominator for k in active for _, x in vectors[k].items()))
-    nums = {k: {j: x.numerator * (D // x.denominator) for j, x in vectors[k].items()}
-            for k in active}
-    kept = g._int_columns
-    step = 0
-    while active:
-        step += 1
-        touched = set()
-        for k in active:
-            touched.update(nums[k])
-        for j in touched - kept.keys():
-            raw = g.column(j)
-            den = math.lcm(*(w.denominator for w in raw.values()))
-            kept[j] = den, tuple((i, w.numerator * (den // w.denominator)) for i, w in raw.items())
-        cols = {j: kept[j] for j in touched}
-        L = math.lcm(*(den for den, _ in cols.values()))
-        cols = {j: col if den == L else tuple((i, w * (L // den)) for i, w in col)
-                for j, (den, col) in cols.items()}
-        D *= L
-        common = D
-        for k in active:
-            acc: dict = {}
-            for j, a in nums[k].items():
-                for i, w in cols[j]:
-                    acc[i] = acc.get(i, 0) + a * w
-            acc = {i: x for i, x in acc.items() if x}
-            if common != 1 and acc:
-                common = math.gcd(common, *acc.values())
-            nums[k] = acc
-        if common != 1:
-            D //= common
-            for k in active:
-                nums[k] = {i: x // common for i, x in nums[k].items()}
-        # routed values repeat a lot; build each Fraction once
-        memo: dict = {}
-        for k in active:
-            if powers[k] == step:
-                vec = {}
-                for i, x in nums[k].items():
-                    r = memo.get(x)
-                    if r is None:
-                        r = memo[x] = Fraction(x, D)
-                    vec[i] = r
-                out[k] = SparseVector._from_nonzero(vec)
-        active = [k for k in active if powers[k] > step]
+    active = sorted((k for k, n in enumerate(powers) if n), key=powers.__getitem__)
+    if not active:
+        return out
+    if not g.is_finite:
+        seeds = list(dict.fromkeys(j for k in active for j in vectors[k].support()))
+        steps = _int_steps(g, _routing(g, seeds, powers[active[-1]], MAX_STAGE_EDGES))
+    elif (steps := g._int_steps) is None:
+        steps = g._int_steps = _int_steps(g, g._kept_routing())
+    ids, index, src, w, starts, L, growth = steps
+    D = math.lcm(*(x.denominator for k in active for x in vectors[k].values()))
+    at = [r * len(ids) + index[j] for r, k in enumerate(active) for j in vectors[k].support()]
+    nums = [x.numerator * (D // x.denominator) for k in active for x in vectors[k].values()]
+    bound = max(map(abs, nums), default=0)
+    V = np.zeros((len(active), len(ids)), dtype=np.int64 if bound <= _INT64_MAX else object)
+    V.flat[at] = nums
+    levels, step, done = [powers[k] for k in active], 0, 0
+    while done < len(active):
+        if bound * growth > _INT64_MAX and (bound := int(np.abs(V).max(initial=0))):
+            common = math.gcd(D, int(np.gcd.reduce(V, axis=None)))
+            D, V, bound = D // common, V // common, bound // common
+            if bound * growth > _INT64_MAX and V.dtype != object:
+                V, w = V.astype(object), w.astype(object)
+        routed = V[:, src]
+        routed *= w
+        V = np.add.reduceat(routed, starts, axis=1)
+        del routed  # before the results are built: it is the largest array
+        D, bound, step = D * L, bound * growth, step + 1
+        last = bisect.bisect_right(levels, step)
+        if last > done:
+            rows, cols = np.nonzero(V[:last - done])
+            distinct, inverse = np.unique(V[rows, cols], return_inverse=True)
+            fractions = np.array([Fraction(x, D) for x in distinct.tolist()], dtype=object)
+            keys, values = ids[cols].tolist(), fractions[inverse].tolist()
+            ends = np.cumsum(np.bincount(rows, minlength=last - done)).tolist()
+            for k, a, b in zip(active[done:last], [0, *ends], ends):
+                out[k] = SparseVector._from_nonzero(dict(zip(keys[a:b], values[a:b])))
+            V, done = V[last - done:], last
     return out
+
+
+def _int_steps(g: MetricGraph, routing: tuple) -> tuple:
+    """`routing` as _route_exact's steps: its edges as an object array and
+    by position; its entries by receiver (weight 0 for one with no feeders)
+    from src at weights w / L, int64 unless past it, each receiver's first
+    at starts; and growth, the largest sum of w into one receiver."""
+    edges, rows, cols, _ = routing
+    weights = [g.column(edges[j])[edges[i]] for i, j in zip(rows.tolist(), cols.tolist())]
+    L = math.lcm(*(x.denominator for x in weights))
+    unfed = np.flatnonzero(np.bincount(rows, minlength=len(edges)) == 0)
+    rows, cols = np.concatenate([rows, unfed]), np.concatenate([cols, 0 * unfed])
+    nums = [x.numerator * (L // x.denominator) for x in weights] + [0] * len(unfed)
+    order = np.argsort(rows, kind="stable")
+    w = np.array(nums, dtype=np.int64 if max(nums, default=0) <= _INT64_MAX else object)[order]
+    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    growth = max(np.add.reduceat(w.astype(object), starts).tolist(), default=0)
+    return (np.fromiter(edges, dtype=object, count=len(edges)),
+            {j: k for k, j in enumerate(edges)}, cols[order], w, starts, L, growth)
 
 
 # The paper's subdivision, the tests' oracle for evolve_rational.  It stays
@@ -489,8 +504,14 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
         for j in f.support():
             g.column(j)  # an edge the graph lacks raises MalformedGraphError
     seeds = g.edge_ids if g.is_finite else sorted(f.support(), key=repr)
-    speed = {j: vel.exact(j) for j in seeds}
-    speeds = _distinct(speed)
+    # the default, then the seeds' listed speeds: no vel.exact per edge
+    speed = dict.fromkeys(seeds, vel.default)
+    listed = {j: c for j, c in vel.values.items() if j in speed}
+    speed.update(listed)
+    speeds = list(listed.values())
+    if len(listed) < len(speed):  # the default, or MissingVelocityError for the first unlisted seed
+        speeds.append(vel.velocity(next(j for j in speed if j not in listed)))
+    speeds = _distinct(speeds)
     stages = math.ceil(t * max(speeds, default=0)) - 1
     if stages * len(speed) > MAX_STAGE_EDGES:
         fastest = sorted(speed, key=speed.get, reverse=True)[:4]
@@ -517,13 +538,13 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     for j, column in g._walk(seeds, lag, -(-t.numerator * N // t.denominator)):
         for i, w in column.items():
             cone.setdefault(i, {})[j] = w
-    return t, speed, cone.__getitem__, _distinct(speed)
+    return t, speed, cone.__getitem__, _distinct(speed.values())
 
 
-def _distinct(speed: Mapping) -> list:
-    """The distinct values of the exact speeds `speed`, told apart by
-    (numerator, denominator), which cost no Fraction hash."""
-    return list({(c.numerator, c.denominator): c for c in speed.values()}.values())
+def _distinct(speeds) -> list:
+    """The distinct exact speeds of `speeds`, told apart by (numerator,
+    denominator), which cost no Fraction hash."""
+    return list({(c.numerator, c.denominator): c for c in speeds}.values())
 
 
 def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, delay=None):

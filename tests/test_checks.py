@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from netflow import CheckResult, MetricGraph, SampledState, run_suite
-from netflow import checks
+from netflow import checks, semigroup
 from netflow.checks import SUITES, random_graph, random_velocities
 from netflow.graph import validate_graph
 
@@ -48,6 +48,13 @@ class TestRunSuite:
         (r,) = run_suite("tracing", seed=3, scale=0.1)
         assert r.failures == ["tracing the 2-cycle to t = 900: RecursionError: "
                               "maximum recursion depth exceeded"]
+
+    def test_semigroup_suite_runs_the_python_int_fallback(self, monkeypatch):
+        # with int64 trusted past 2^63, the suite's wide-weight trials wrap
+        # around and fail; as shipped they go on in Python ints and pass
+        assert run_suite("semigroup", seed=5, scale=0.25)[0].ok
+        monkeypatch.setattr(semigroup, "_INT64_MAX", 2**200)
+        assert not run_suite("semigroup", seed=5, scale=0.25)[0].ok
 
     def test_deterministic_across_runs(self):
         a = run_suite("semigroup", seed=11, scale=0.25)[0]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netflow.graph as graph_module
 import oracles
 from netflow import (
     AbsorbingResult,
@@ -19,6 +20,7 @@ from netflow import (
     ApproximationSchedule,
     MalformedGraphError,
     MetricGraph,
+    MissingVelocityError,
     NetworkState,
     NotRationalError,
     PrecisionError,
@@ -33,6 +35,7 @@ from netflow import (
     evolve_unit,
     laplace_oracle,
     resolvent_identity_check,
+    resolvent_unit,
     sample,
     trace_samples,
 )
@@ -222,7 +225,8 @@ def pointwise_unit_flow(g, f, t, s):
 
 
 class TestUnitKernel:
-    """evolve_unit through the integer stack route, against per-entry routing."""
+    """evolve_unit through the int64 array steps and their Python-int
+    fallback, against per-entry routing."""
 
     def check_pointwise(self, g, f, t):
         out = evolve_unit(build_adjacency(g), f, t)
@@ -259,6 +263,35 @@ class TestUnitKernel:
         powers = [12, 7, 11]
         for v, n, out in zip(vecs, powers, semigroup._route_exact(g, vecs, powers)):
             assert dict(out.items()) == oracles.fraction_apply_power(g, v, n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_python_int_fallback(self, seed):
+        # weights over one prime near 2^20 take the numerators past int64
+        # within a few steps; over several, L starts past it; and a value
+        # of 2^70/3 starts past it on a finite and on a lazy graph
+        rng = random.Random(f"python-ints:{seed}")
+        cases = []
+        for primes in ((1048573,), (1048573, 1048571, 1048559, 1048549)):
+            g = checks.random_graph(rng, 10, primes=primes)
+            while all(len(g.column(j)) == 1 for j in g.edge_ids):  # no weight over a prime
+                g = checks.random_graph(rng, 10, primes=primes)
+            ids = g.edge_ids
+            signed = SparseVector({j: F(rng.randint(-3, 3), rng.randint(1, 4)) for j in ids})
+            cases.append((g, [signed, SparseVector({ids[0]: F(2**70, 3), ids[-1]: F(-1, 7)})]))
+        cases.append((branching_path(), [SparseVector({(0, 0): F(2**70, 3), (1, 1): F(5, 7)}),
+                                         SparseVector({(0, 1): F(-3, 7)})]))
+        for g, vecs in cases:
+            for v in vecs:  # one call each, so a vector of int64 entries starts in int64
+                got = semigroup._route_exact(g, [v] * 13, list(range(13)))
+                for n, out in enumerate(got):
+                    assert dict(out.items()) == oracles.fraction_apply_power(g, v, n), n
+                    assert all(type(x) is F and type(x.numerator) is int
+                               and type(x.denominator) is int for x in out.values()), n
+                    assert out is v or n
+                if v is vecs[0]:
+                    # B^12 v has a numerator, in lowest terms, past int64:
+                    # the Python ints ran
+                    assert max(abs(x.numerator) for x in got[12].values()) > 2**63
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graphs_pointwise(self, seed):
@@ -325,25 +358,52 @@ class TestUnitKernel:
                          ["resolvent", "--lambda", "2"]):
                 assert cli.main([argv[0], *front, *argv[1:], "--grid", "8"]) == 0
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["finite", "lazy"])
-    def test_graph_keeps_its_integer_columns(self, lazy):
-        # the first unit flow on a graph builds the columns it routes
-        # through; a second on the same graph, at any one speed, builds none
-        g = branching_path() if lazy else g5()
-        f = random_state(random.Random(7), [(0, 0), (0, 1)] if lazy else (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("first", ["flow", "resolvent"])
+    def test_graph_keeps_one_routing(self, monkeypatch, first):
+        # a finite graph builds one routing, on its first unit flow or
+        # resolvent, and the flows' int steps over it on the first flow; a
+        # second flow at any one speed, and a resolvent, build neither
+        g = g5()
+        f = random_state(random.Random(7), (1, 2, 3, 4, 5))
+        vel = VelocityProfile({}, default=F(3, 2))
+        if first == "resolvent":
+            resolvent_unit(build_adjacency(g), f, 2.0, grid=8)
+        want = evolve_rational(g, vel, f, F(9, 4))
+        routing, steps = g._float_routing[0], g._int_steps
+        assert routing[0] == tuple(g.edge_ids) and steps is not None
+
+        def refuse(*_):
+            raise AssertionError("built the routing or its int steps again")
+
+        monkeypatch.setattr(graph_module, "_routing", refuse)
+        monkeypatch.setattr(semigroup, "_int_steps", refuse)
+        assert evolve_rational(g, vel, f, F(9, 4)) == want
+        assert evolve_unit(build_adjacency(g), f, F(27, 8)) == want
+        assert evolve_rational(g, VelocityProfile({}, default=F(2)), f, F(27, 16)) == want
+        resolvent_unit(build_adjacency(g), f, 0.5, grid=8)
+        assert g._float_routing[0] is routing and g._int_steps is steps
+
+    def test_lazy_graph_reads_each_column_once(self):
+        # a lazy graph routes on the closure of each call, and reads each
+        # column once across calls: the graph keeps it in g._columns
+        g = branching_path()
+        column_fn, reads = g._column_fn, []
+
+        def counted(j):
+            reads.append(j)
+            return column_fn(j)
+
+        g._column_fn = counted
+        f = random_state(random.Random(7), [(0, 0), (0, 1)])
         vel = VelocityProfile({}, default=F(3, 2))
         first = evolve_rational(g, vel, f, F(9, 4))
-        kept = dict(g._int_columns)
-        assert kept
-
-        class Kept(dict):
-            def __setitem__(self, j, col):
-                raise AssertionError(f"built the integer column of edge {j!r} again")
-
-        g._int_columns = Kept(kept)
+        assert reads and len(reads) == len(set(reads))
+        kept = dict(g._columns)
         assert evolve_rational(g, vel, f, F(9, 4)) == first
         assert evolve_unit(build_adjacency(g), f, F(27, 8)) == first
-        assert all(g._int_columns[j] is col for j, col in kept.items())
+        assert evolve_unit(build_adjacency(g), f, F(35, 8)).total_mass() == f.total_mass()
+        assert len(reads) == len(set(reads)) > len(kept)
+        assert all(g._columns[j] is col for j, col in kept.items())
 
 
 class TestCommonMultiplier:
@@ -481,6 +541,31 @@ class TestEvolveRational:
         assert sorted(semigroup._network(g, mixed, f, F(1))[3]) == [F(1, 2), F(2), F(3)]
         assert evolve_rational(g, same, f, F(3, 4)) == evolve_unit(
             build_adjacency(g), f, F(3, 2))
+
+    def test_a_default_speed_reads_no_edge_alone(self, monkeypatch):
+        # a profile with a default gives every edge of a finite graph its
+        # speed without vel.exact per edge; one without names a missing one
+        g = g5()
+        f = random_state(random.Random(11), (1, 2, 3, 4, 5))
+        profiles = [VelocityProfile({}, default=F(3, 2)),
+                    VelocityProfile({2: F(3, 2), 9: F(5)}, default=F(3, 2)),
+                    VelocityProfile({1: F(2), 4: F(1, 2)}, default=F(1)),
+                    VelocityProfile(dict.fromkeys(g.edge_ids, F(2)), default=F(1))]
+        want = [evolve_rational(g, vel, f, F(7, 3)) for vel in profiles]
+        assert [semigroup._network(g, vel, f, F(1))[3] for vel in profiles] == [
+            [F(3, 2)], [F(3, 2)], [F(2), F(1, 2), F(1)], [F(2)]]
+
+        def no_exact(vel, j):
+            raise AssertionError(f"vel.exact({j!r}) read one edge's speed")
+
+        monkeypatch.setattr(VelocityProfile, "exact", no_exact)
+        assert [evolve_rational(g, vel, f, F(7, 3)) for vel in profiles] == want
+        assert evolve_unit(build_adjacency(g), f, F(7, 2)) == want[0]
+        monkeypatch.undo()
+        with pytest.raises(MissingVelocityError, match="no velocity for edge 5"):
+            evolve_rational(g, VelocityProfile({j: F(1) for j in (1, 2, 3, 4)}), f, F(1))
+        with pytest.raises(NotRationalError):
+            evolve_rational(g, VelocityProfile({1: 1.5}, default=F(1)), f, F(1))
 
     def test_matches_tracing_oracle(self):
         g = g2()
