@@ -25,7 +25,7 @@ from .graph import (
     validate_graph,
 )
 from .resolvent import laplace_oracle, resolvent_general, resolvent_identity_check, resolvent_unit
-from .semigroup import evolve_rational, evolve_unit
+from .semigroup import ARRAY_FLOW_EDGES, evolve_rational, evolve_unit
 from .states import NetworkState, pair, predual_norm, sample
 from .tracing import trace_samples
 
@@ -63,11 +63,13 @@ class CheckResult:
         return f"check {self.name}: {self.trials} trials, {flag} [{self.seconds:.2f}s]"
 
 
-def random_graph(rng: random.Random, max_edges: int = 12, primes: tuple = ()) -> MetricGraph:
-    """Sink-free simple digraph: a vertex cycle (guaranteeing every vertex
-    an outgoing edge) plus random non-duplicate chords, stochastic columns
-    with small rational weights, or over one of `primes` per column."""
-    k = rng.randint(2, 4)
+def random_graph(rng: random.Random, max_edges: int = 12, primes: tuple = (),
+                 vertices: int = 0) -> MetricGraph:
+    """Sink-free simple digraph: a cycle through 2 to 4 vertices, or through
+    `vertices`, guaranteeing every vertex an outgoing edge, plus random
+    non-duplicate chords, stochastic columns with small rational weights,
+    or over one of `primes` per column."""
+    k = vertices or rng.randint(2, 4)
     n_total = rng.randint(k, max(k, max_edges))
     edges = []
     pairs = set()
@@ -280,14 +282,24 @@ def _check_tracing(seed, trials) -> CheckResult:
     vel, t = VelocityProfile({1: 2, 2: 3, 4: Fraction(1, 2)}, default=1), Fraction(7, 3)
     if evolve_rational(g, vel, f, t) != evolve_rational(_cycle(12), vel, f, t):
         outcome.failures.append("listed-speed lazy path disagreed with a finite cycle")
-    # long-time ride-along, one shot: the tracer takes a stack frame per crossing
-    g, vel, t = _cycle(2), VelocityProfile({}, default=1), Fraction(900)
-    f = NetworkState([0, Fraction(1, 2), 1], [SparseVector({0: 1, 1: 2}), SparseVector({0: 3})])
-    try:
-        if trace_samples(g, vel, f, t, 4) != sample(evolve_rational(g, vel, f, t), 4):
-            outcome.failures.append("tracing the 2-cycle to t = 900 disagreed with evolution")
-    except Exception as exc:
-        outcome.failures.append(f"tracing the 2-cycle to t = 900: {type(exc).__name__}: {exc}")
+    # one-shot ride-alongs: the 2-cycle to t = 900, where the tracer takes
+    # a stack frame per crossing, and a flow at speeds 1/2, 1 and 2 over
+    # ARRAY_FLOW_EDGES edges or more, which runs as semigroup._array_flow
+    rng = random.Random(f"{seed}:tracing-wide")
+    wide = random_graph(rng, 64, vertices=ARRAY_FLOW_EDGES)
+    u = Fraction(rng.randint(1, 24), 24)
+    cases = [("the 2-cycle to t = 900", _cycle(2), VelocityProfile({}, default=1),
+              NetworkState([0, Fraction(1, 2), 1], [SparseVector({0: 1, 1: 2}), SparseVector({0: 3})]),
+              Fraction(900), 4),
+             (f"a {len(wide)}-edge flow to t = {u}", wide,
+              VelocityProfile({j: Fraction(2**rng.randint(0, 2), 2) for j in wide.edge_ids}),
+              random_state(rng, wide, 5), u, 32)]
+    for what, g, vel, f, t, grid in cases:
+        try:
+            if trace_samples(g, vel, f, t, grid) != sample(evolve_rational(g, vel, f, t), grid):
+                outcome.failures.append(f"tracing {what} disagreed with evolution")
+        except Exception as exc:
+            outcome.failures.append(f"tracing {what}: {type(exc).__name__}: {exc}")
     return outcome
 
 

@@ -196,8 +196,8 @@ class MetricGraph:
         if self._sinks and not allow_sinks:
             head, eid = next(iter(self._sinks.items()))
             raise MalformedGraphError(f"vertex {head!r} (head of edge {eid!r}) has no outgoing edge")
-        self._float_routing = None  # keeper [routing, f, f's table], on first solve or flow
-        self._int_steps = None  # the exact flows' int64 steps over that routing, on first flow
+        self._float_routing = None  # keeper [routing, f, f's table], on first solve
+        self._int_steps = None  # the exact flows' int64 steps over its feeders, on first flow
         return self
 
     @classmethod

@@ -21,8 +21,7 @@ The series routes float or complex vectors through C held as index
 arrays of its nonzero entries, one bincount per term, so memory is
 O(edges): no n x n matrix is built.  A finite graph gives all its edges
 in sorted-id order; B alone fixes those arrays, so they are read once
-per graph, on its first solve or unit-speed exact flow, which route on
-the same arrays, and scaled by the speeds into a copy.
+per graph, on its first solve, and scaled by the speeds into a copy.
 What a solve reads from f alone, its entries as flat positions and float
 values on that edge tuple and its piece widths, is f's table, and one
 reader, _state_table, builds it.  The graph keeps both, read-only, in

@@ -19,22 +19,27 @@ H_k is an exact step function of time: f_k(c_k s) until the initial
 profile has drained, the tail inflow delayed by 1/c_k afterwards.  The
 histories are extended together in stages of the shortest traversal
 time, so the cost follows the number of breakpoints in the answer, not
-the speeds' lcm.  Times are integer ticks of one lattice, and exact
-values are (numerator, denominator) int pairs in lowest terms: a stage
-sums each inflow on ints over the lcm of the denominators it reads, and
-a gcd per value cancels what that lcm carried beyond the value's own
-denominator, so no value grows larger than the answer needs.  Fractions
-are built only for the answer's distinct values and breakpoints.
+the speeds' lcm.  Times are integer ticks of one lattice.  Exact values
+take one of two paths, chosen in _flow by the flow's size.  Per edge,
+they are (numerator, denominator) int pairs in lowest terms: a stage sums
+each inflow on ints over the lcm of the denominators it reads, and a gcd
+per value cancels what that lcm carried beyond the value's own.  From
+ARRAY_FLOW_EDGES edges on, while the lattice times the edges fits in
+int64, _array_flow (in _arrays) holds every history as flat int64
+arrays over one denominator and runs each stage as one pass, in Python
+ints past 2^63.  Fractions are built only for the answer's distinct
+values and breakpoints.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
 and on a lazy graph the forward cone of supp f, the edges inflow enters
 before t by earliest arrival along traversal times 1/c_j, walked as the
 resolvent's closure is; one work budget at the flow's fastest edge holds
-for both kernels.  evolve_unit is evolve_rational at c = 1 on the
+for every kernel.  evolve_unit is evolve_rational at c = 1 on the
 caller's operator's graph; the closed form above runs wherever those
 edges share one speed and f is exact, as int64 arrays (Python ints past
-2^63) over the graph's routing; float values take the histories.
+2^63) over the graph's feeders or the cone; float values take the
+per-edge histories.
 
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
@@ -70,6 +75,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._arrays import _INT64_MAX, _array_flow, _int_steps, _route_exact
 from .errors import (
     MalformedGraphError,
     NotRationalError,
@@ -83,7 +89,6 @@ from .graph import (
     MetricGraph,
     SparseVector,
     VelocityProfile,
-    _routing,
     build_adjacency,
 )
 from .states import NetworkState, SampledState, _refine, grid_pieces, sample
@@ -105,7 +110,9 @@ MAX_SUBEDGES = 2_000_000
 # stages (t times the flow's fastest speed) times the edges of the flow.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
-_INT64_MAX = 2**63 - 1
+# the fewest edges an exact flow at several speeds runs as _array_flow:
+# measured crossover with the per-edge histories
+ARRAY_FLOW_EDGES = 32
 # speed 1 everywhere
 _UNIT = VelocityProfile({}, default=Fraction(1))
 
@@ -130,10 +137,10 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     return _flow(op.graph, _UNIT, f, t)
 
 
-def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction) -> NetworkState:
-    """T(t) f at unit speed, for exact t >= 0 and f on edges g has, of int
-    and Fraction values only: B^n of f's pieces, routed at once by
-    _route_exact, in int64 up to 2^63 - 1 and in Python ints past it."""
+def _unit_flow(steps: tuple, f: NetworkState, t: Fraction) -> NetworkState:
+    """T(t) f at unit speed, for exact t >= 0 and f of int and Fraction
+    values only, on the edges of `steps`: B^n of f's pieces, routed at once
+    by _route_exact, in int64 up to 2^63 - 1 and in Python ints past it."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -150,75 +157,15 @@ def _unit_flow(g: MetricGraph, f: NetworkState, t: Fraction) -> NetworkState:
                + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
-    return NetworkState(bps, _route_exact(g, values, powers))
+    return NetworkState(bps, _route_exact(steps, values, powers))
 
 
-def _route_exact(g: MetricGraph, vectors: list, powers: list) -> list:
-    """B^n v for each v of `vectors`, of int and Fraction entries, n its
-    entry of `powers` >= 0; B^0 v is v itself.  The vectors are the rows of
-    one numerator array V over one D, a step one gather-multiply and one
-    reduceat over _int_steps.  V is int64 while a running bound, max|V|
-    times growth a step, stays within 2^63 - 1; where a step could pass it,
-    D and V shed their gcd, max|V| is read afresh, and if that is still too
-    large V goes on in Python ints, as it starts past int64."""
-    out = list(vectors)
-    active = sorted((k for k, n in enumerate(powers) if n), key=powers.__getitem__)
-    if not active:
-        return out
-    if not g.is_finite:
-        seeds = list(dict.fromkeys(j for k in active for j in vectors[k].support()))
-        steps = _int_steps(g, _routing(g, seeds, powers[active[-1]], MAX_STAGE_EDGES))
-    elif (steps := g._int_steps) is None:
-        steps = g._int_steps = _int_steps(g, g._kept_routing())
-    ids, index, src, w, starts, L, growth = steps
-    D = math.lcm(*(x.denominator for k in active for x in vectors[k].values()))
-    at = [r * len(ids) + index[j] for r, k in enumerate(active) for j in vectors[k].support()]
-    nums = [x.numerator * (D // x.denominator) for k in active for x in vectors[k].values()]
-    bound = max(map(abs, nums), default=0)
-    V = np.zeros((len(active), len(ids)), dtype=np.int64 if bound <= _INT64_MAX else object)
-    V.flat[at] = nums
-    levels, step, done = [powers[k] for k in active], 0, 0
-    while done < len(active):
-        if bound * growth > _INT64_MAX and (bound := int(np.abs(V).max(initial=0))):
-            common = math.gcd(D, int(np.gcd.reduce(V, axis=None)))
-            D, V, bound = D // common, V // common, bound // common
-            if bound * growth > _INT64_MAX and V.dtype != object:
-                V, w = V.astype(object), w.astype(object)
-        routed = V[:, src]
-        routed *= w
-        V = np.add.reduceat(routed, starts, axis=1)
-        del routed  # before the results are built: it is the largest array
-        D, bound, step = D * L, bound * growth, step + 1
-        last = bisect.bisect_right(levels, step)
-        if last > done:
-            rows, cols = np.nonzero(V[:last - done])
-            distinct, inverse = np.unique(V[rows, cols], return_inverse=True)
-            fractions = np.array([Fraction(x, D) for x in distinct.tolist()], dtype=object)
-            keys, values = ids[cols].tolist(), fractions[inverse].tolist()
-            ends = np.cumsum(np.bincount(rows, minlength=last - done)).tolist()
-            for k, a, b in zip(active[done:last], [0, *ends], ends):
-                out[k] = SparseVector._from_nonzero(dict(zip(keys[a:b], values[a:b])))
-            V, done = V[last - done:], last
-    return out
-
-
-def _int_steps(g: MetricGraph, routing: tuple) -> tuple:
-    """`routing` as _route_exact's steps: its edges as an object array and
-    by position; its entries by receiver (weight 0 for one with no feeders)
-    from src at weights w / L, int64 unless past it, each receiver's first
-    at starts; and growth, the largest sum of w into one receiver."""
-    edges, rows, cols, _ = routing
-    weights = [g.column(edges[j])[edges[i]] for i, j in zip(rows.tolist(), cols.tolist())]
-    L = math.lcm(*(x.denominator for x in weights))
-    unfed = np.flatnonzero(np.bincount(rows, minlength=len(edges)) == 0)
-    rows, cols = np.concatenate([rows, unfed]), np.concatenate([cols, 0 * unfed])
-    nums = [x.numerator * (L // x.denominator) for x in weights] + [0] * len(unfed)
-    order = np.argsort(rows, kind="stable")
-    w = np.array(nums, dtype=np.int64 if max(nums, default=0) <= _INT64_MAX else object)[order]
-    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
-    growth = max(np.add.reduceat(w.astype(object), starts).tolist(), default=0)
-    return (np.fromiter(edges, dtype=object, count=len(edges)),
-            {j: k for k, j in enumerate(edges)}, cols[order], w, starts, L, growth)
+def _steps(g: MetricGraph, speed: Mapping, rows) -> tuple:
+    """_int_steps of a lazy graph's forward cone, as _network read it, or of
+    a finite graph, kept with it from its first flow."""
+    if g.is_finite and g._int_steps is None:
+        g._int_steps = _int_steps(g.edge_ids, g.feeders)
+    return g._int_steps if g.is_finite else _int_steps(list(speed), rows)
 
 
 # The paper's subdivision, the tests' oracle for evolve_rational.  It stays
@@ -566,11 +513,7 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, dela
     ticks per time unit, and t and every 1/c_j in ticks.
     """
     ids = list(speed)
-    # time runs in ticks of 1/D: every breakpoint, lag and stage end
-    # below is a whole number of ticks, so histories hold integers
-    D = math.lcm(t.denominator, den * math.lcm(*(c.numerator for c in speed.values())))
-    T = t.numerator * (D // t.denominator)
-    lag = {j: D // c.numerator * c.denominator for j, c in speed.items()}
+    D, T, lag = _ticks(speed, t, den)
     # stages of the shortest traversal time each visit every edge,
     # whatever the size of the answer; _network bounds their work
     step = min(lag.values())
@@ -624,6 +567,14 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, dela
     return history, D, T, lag
 
 
+def _ticks(speed: Mapping, t: Fraction, den: int) -> tuple:
+    """(D, T, lag): ticks of 1/D hold every breakpoint over den, lag and
+    stage end whole, so histories hold integers; t is T ticks, 1/c_j lag[j]."""
+    D = math.lcm(t.denominator, den * math.lcm(*(c.numerator for c in speed.values())))
+    return D, t.numerator * (D // t.denominator), {
+        j: D // c.numerator * c.denominator for j, c in speed.items()}
+
+
 def _exact_values(f: NetworkState) -> bool:
     return all(type(x) in (int, Fraction) for v in f.values for _, x in v.items())
 
@@ -664,13 +615,23 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
 
 
 def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
-    """evolve_rational, and evolve_unit at c = 1, on the graph alone."""
+    """evolve_rational, and evolve_unit at c = 1, on the graph alone, and
+    the one place a kernel is chosen: exact f at one speed takes _unit_flow;
+    at several speeds over ARRAY_FLOW_EDGES edges or more, _array_flow, if
+    the edges times the ticks to t plus the slowest lag, and the lcm of the
+    lags, fit in int64; all else the per-edge _histories."""
     t, speed, rows, speeds = _network(g, vel, f, t)
     exact = _exact_values(f)
     if len(speeds) == 1 and exact:
-        return _unit_flow(g, f, speeds.pop() * t)
+        return _unit_flow(_steps(g, speed, rows), f, speeds.pop() * t)
     if t == 0 or not speed:
         return f
+    if exact and len(speed) >= ARRAY_FLOW_EDGES:
+        _, T, lag = _ticks(speed, t, math.lcm(*(b.denominator for b in f.breakpoints)))
+        P = math.lcm(*lag.values())
+        if max(len(speed) * (T + max(lag.values())), P) <= _INT64_MAX:
+            return _array_flow(_steps(g, speed, rows), f, T, list(lag.values()), P,
+                               MAX_HISTORY_BREAKPOINTS)
 
     history, _, T, lag = _flow_histories(speed, rows, f, t, exact)
     rational = _Fractions() if exact else None

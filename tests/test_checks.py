@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from netflow import CheckResult, MetricGraph, SampledState, run_suite
-from netflow import checks, semigroup
+from netflow import _arrays, checks, semigroup
 from netflow.checks import SUITES, random_graph, random_velocities
 from netflow.graph import validate_graph
 
@@ -49,11 +49,37 @@ class TestRunSuite:
         assert r.failures == ["tracing the 2-cycle to t = 900: RecursionError: "
                               "maximum recursion depth exceeded"]
 
+    def test_tracing_suite_runs_the_array_flow(self, monkeypatch):
+        # the one-shot wide flow runs semigroup._array_flow against the
+        # tracer: a wrong answer and an exception are failure lines
+        calls = []
+        array_flow = semigroup._array_flow
+
+        def counted(*args):
+            calls.append(args)
+            return array_flow(*args)
+
+        monkeypatch.setattr(semigroup, "_array_flow", counted)
+        assert run_suite("tracing", seed=3, scale=0.1)[0].ok and len(calls) == 1
+        monkeypatch.setattr(semigroup, "_array_flow", lambda *_: checks.NetworkState.zero())
+        (r,) = run_suite("tracing", seed=3, scale=0.1)
+        assert len(r.failures) == 1 and r.failures[0].startswith("tracing a ")
+        assert "-edge flow to t = " in r.failures[0]
+        assert r.failures[0].endswith(" disagreed with evolution")
+
+        def broken(*_):
+            raise IndexError("index 7 is out of bounds")
+
+        monkeypatch.setattr(semigroup, "_array_flow", broken)
+        (r,) = run_suite("tracing", seed=3, scale=0.1)
+        assert len(r.failures) == 1 and r.failures[0].endswith(
+            ": IndexError: index 7 is out of bounds")
+
     def test_semigroup_suite_runs_the_python_int_fallback(self, monkeypatch):
         # with int64 trusted past 2^63, the suite's wide-weight trials wrap
         # around and fail; as shipped they go on in Python ints and pass
         assert run_suite("semigroup", seed=5, scale=0.25)[0].ok
-        monkeypatch.setattr(semigroup, "_INT64_MAX", 2**200)
+        monkeypatch.setattr(_arrays, "_INT64_MAX", 2**200)
         assert not run_suite("semigroup", seed=5, scale=0.25)[0].ok
 
     def test_deterministic_across_runs(self):
@@ -86,3 +112,5 @@ class TestRandomGenerators:
             assert validate_graph(g).ok
             vel = random_velocities(rng, g)
             assert vel.is_rational()
+        g = random_graph(rng, 60, vertices=30)
+        assert validate_graph(g).ok and 30 <= len(g) <= 60

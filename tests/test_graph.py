@@ -224,19 +224,21 @@ class TestApplyStack:
             ids = g.edge_ids
             vecs = [random_vector(rng, ids, nonneg=trial % 2 == 0) for _ in range(6)]
             powers = [rng.randint(0, 6) for _ in vecs]
-            got = semigroup._route_exact(g, vecs, powers)
+            steps = semigroup._int_steps(g.edge_ids, g.feeders)
+            got = semigroup._route_exact(steps, vecs, powers)
             for v, n, out in zip(vecs, powers, got):
                 want = oracles.fraction_apply_power(g, v, n)
                 assert dict(out.items()) == want, (trial, n)
                 assert all(type(x) is F for _, x in out.items()) or n == 0
                 assert power(op, v, n) == out
-            assert op.apply(vecs[0]) == semigroup._route_exact(g, vecs, [1] * len(vecs))[0]
+            assert op.apply(vecs[0]) == semigroup._route_exact(steps, vecs, [1] * len(vecs))[0]
 
     def test_zeroth_power_keeps_the_object(self):
         op = build_adjacency(g5())
         v = SparseVector({1: F(1, 3)})
         u = SparseVector({2: F(2)})
-        got = semigroup._route_exact(op.graph, [v, u], [0, 2])
+        steps = semigroup._int_steps(op.graph.edge_ids, op.graph.feeders)
+        got = semigroup._route_exact(steps, [v, u], [0, 2])
         assert got[0] is v and got[1] == power(op, u, 2)
 
     def test_cancellation_drops_zero_entries(self):

@@ -224,6 +224,15 @@ def pointwise_unit_flow(g, f, t, s):
     return oracles.fraction_apply_power(g, f.value_at(y - n), n)
 
 
+def route_exact(g, vecs, powers):
+    """semigroup._route_exact over the steps of a unit flow from the
+    vectors' supports to time max(powers): every edge of a finite graph,
+    and on a lazy one the forward cone, max(powers) deep."""
+    f = NetworkState.constant(SparseVector({j: 1 for v in vecs for j in v.support()}))
+    _, speed, rows, _ = semigroup._network(g, semigroup._UNIT, f, F(max(powers)))
+    return semigroup._route_exact(semigroup._steps(g, speed, rows), vecs, powers)
+
+
 class TestUnitKernel:
     """evolve_unit through the int64 array steps and their Python-int
     fallback, against per-entry routing."""
@@ -261,8 +270,25 @@ class TestUnitKernel:
             SparseVector({(2, 0): F(2, 9), (3, 1): F(1, 4)}),
         ]
         powers = [12, 7, 11]
-        for v, n, out in zip(vecs, powers, semigroup._route_exact(g, vecs, powers)):
+        for v, n, out in zip(vecs, powers, route_exact(g, vecs, powers)):
             assert dict(out.items()) == oracles.fraction_apply_power(g, v, n)
+
+    def test_a_lazy_unit_flow_walks_its_cone_once(self, monkeypatch):
+        # the unit steps come from the forward cone _network walked
+        g = branching_path()
+        f = random_state(random.Random(11), [(0, 0), (0, 1), (1, 1)], pieces=4)
+        want = {t: evolve_unit(build_adjacency(g), f, t) for t in (F(1, 3), F(37, 3), F(12))}
+        walk, walks = MetricGraph._walk, []
+
+        def counted(self, *args):
+            walks.append(args)
+            return walk(self, *args)
+
+        monkeypatch.setattr(MetricGraph, "_walk", counted)
+        for t, out in want.items():
+            walks.clear()
+            assert evolve_unit(build_adjacency(g), f, t) == out and len(walks) == 1
+            self.check_pointwise(g, f, t)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_python_int_fallback(self, seed):
@@ -282,7 +308,7 @@ class TestUnitKernel:
                                          SparseVector({(0, 1): F(-3, 7)})]))
         for g, vecs in cases:
             for v in vecs:  # one call each, so a vector of int64 entries starts in int64
-                got = semigroup._route_exact(g, [v] * 13, list(range(13)))
+                got = route_exact(g, [v] * 13, list(range(13)))
                 for n, out in enumerate(got):
                     assert dict(out.items()) == oracles.fraction_apply_power(g, v, n), n
                     assert all(type(x) is F and type(x.numerator) is int
@@ -360,17 +386,20 @@ class TestUnitKernel:
 
     @pytest.mark.parametrize("first", ["flow", "resolvent"])
     def test_graph_keeps_one_routing(self, monkeypatch, first):
-        # a finite graph builds one routing, on its first unit flow or
-        # resolvent, and the flows' int steps over it on the first flow; a
-        # second flow at any one speed, and a resolvent, build neither
+        # a finite graph builds one routing, on its first resolvent, and
+        # the flows' int steps over its feeders on its first flow, in either
+        # order; later flows at any one speed, and resolvents, build neither
         g = g5()
         f = random_state(random.Random(7), (1, 2, 3, 4, 5))
         vel = VelocityProfile({}, default=F(3, 2))
         if first == "resolvent":
             resolvent_unit(build_adjacency(g), f, 2.0, grid=8)
         want = evolve_rational(g, vel, f, F(9, 4))
+        if first == "flow":
+            assert g._float_routing is None
+            resolvent_unit(build_adjacency(g), f, 2.0, grid=8)
         routing, steps = g._float_routing[0], g._int_steps
-        assert routing[0] == tuple(g.edge_ids) and steps is not None
+        assert routing[0] == tuple(g.edge_ids) == tuple(steps[0])
 
         def refuse(*_):
             raise AssertionError("built the routing or its int steps again")
@@ -791,6 +820,8 @@ class TestCharacteristicsAgainstSubdivision:
 
         monkeypatch.setattr(semigroup, "_route_exact", no_kernel)
         monkeypatch.setattr(semigroup, "_histories", no_kernel)
+        monkeypatch.setattr(semigroup, "_array_flow", no_kernel)
+        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
         f, t = pulse_e1(), F(10**7)
         with pytest.raises(WidthOverflowError, match="9999999 stages over 2 edges exceed "
                            "2000000 stage-edges"):
@@ -803,6 +834,61 @@ class TestCharacteristicsAgainstSubdivision:
                 with pytest.raises(WidthOverflowError, match=f"{stages} stages over 2 edges") as err:
                     run()
                 assert err.value.edges == ((2, 1) if stages == 14999999 else (1, 2))
+
+
+class TestCharacteristicsOnArrays(TestCharacteristicsAgainstSubdivision):
+    """The same trials with every exact flow at several speeds, however
+    few its edges, on semigroup._array_flow."""
+
+    @pytest.fixture(autouse=True)
+    def arrays(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+
+
+class TestArrayFlow:
+    """_flow's choice between the array kernel and the per-edge histories
+    at several speeds, pinned both ways."""
+
+    @staticmethod
+    def refuse(*_):
+        raise AssertionError("the other kernel ran")
+
+    def test_wide_flows_take_the_arrays(self, monkeypatch):
+        # 300 edges and more at speeds 1/2, 1, 2: the per-edge result, then
+        # the same flows with _inflow refused
+        rng = random.Random("wide-arrays")
+        g = checks.random_graph(rng, 400, vertices=300)
+        vel = VelocityProfile({j: F(2**(j % 3), 2) for j in g.edge_ids})
+        f = checks.random_state(rng, g, 16)
+        times = (F(1, 3), F(25, 48), F(4, 3))
+        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", len(g) + 1)
+        want = [evolve_rational(g, vel, f, t) for t in times]
+        monkeypatch.undo()
+        monkeypatch.setattr(semigroup, "_inflow", self.refuse)
+        assert [evolve_rational(g, vel, f, t) for t in times] == want
+
+    @pytest.mark.parametrize("level", range(1, 5))
+    def test_g5_ladder_keeps_the_per_edge_histories(self, monkeypatch, level):
+        # the benchmark's small rungs: g5 towards sqrt 2 and sqrt 3 / 2
+        target = {1: math.sqrt(2), 2: F(1), 3: math.sqrt(3) / 2, 4: F(3, 2), 5: F(1)}
+        (vel,) = ApproximationSchedule.build(VelocityProfile(target), (level,)).profiles
+        f = random_state(random.Random(level), (1, 2, 3, 4, 5), pieces=4)
+        monkeypatch.setattr(semigroup, "_array_flow", self.refuse)
+        for t in (F(40, 1536), F(1)):
+            assert sample(evolve_rational(g5(), vel, f, t), 64) == trace_samples(g5(), vel, f, t, 64)
+
+    def test_a_lattice_past_int64_keeps_the_per_edge_histories(self, monkeypatch):
+        # at t = 1 / (2^62 + 1) a time unit holds over 2^62 ticks, so the
+        # lattice times g5's five edges passes int64; at 1 / 2^40 it fits
+        f = random_state(random.Random(9), (1, 2, 3, 4, 5))
+        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+        fits = F(1, 2**40)
+        assert evolve_rational(g5(), G5_SPEEDS, f, fits) == subdivided_flow(g5(), G5_SPEEDS, f, fits)
+        monkeypatch.setattr(semigroup, "_array_flow", self.refuse)
+        with pytest.raises(AssertionError, match="the other kernel ran"):
+            evolve_rational(g5(), G5_SPEEDS, f, fits)
+        t = F(1, 2**62 + 1)
+        assert evolve_rational(g5(), G5_SPEEDS, f, t) == subdivided_flow(g5(), G5_SPEEDS, f, t)
 
 
 G5_SPEEDS = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
@@ -859,6 +945,15 @@ class TestLongHorizons:
         f = NetworkState.constant(SparseVector({1: F(1), 2: F(1, 3)}))
         assert evolve_rational(g, vel, f, F(10_000)) == f
         assert flow_histories(g, vel, f, F(10_000)) == {1: ([0], [(1, 1)]), 2: ([0], [(1, 3)])}
+
+
+class TestLongHorizonsOnArrays(TestLongHorizons):
+    """The same horizons on semigroup._array_flow: g5 at t = 60 and 200
+    takes its values past int64, into Python ints."""
+
+    @pytest.fixture(autouse=True)
+    def arrays(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
 
 
 def random_absorbing_case(seed):
