@@ -21,23 +21,26 @@ from .states import NetworkState
 _INT64_MAX = 2**63 - 1
 
 
-def _route_exact(steps: tuple, vectors: list, powers: list) -> list:
-    """B^n v for each v of `vectors`, of int and Fraction entries on the
-    edges of `steps`, n its entry of `powers` >= 0; B^0 v is v itself.  The
-    vectors are the rows of one numerator array V over one D, a step one
-    gather-multiply and one reduceat over _int_steps.  V is int64 while a
-    running bound, max|V| times growth a step, stays within 2^63 - 1; where
-    a step could pass it, D and V shed their gcd, max|V| is read afresh,
-    and if that is still too large V goes on in Python ints, as it starts
-    past int64."""
-    out = list(vectors)
+def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> list:
+    """B^n v for each v of `vectors`, of exact entries (int, Fraction or
+    finite float, read by as_integer_ratio) on the edges of `steps`, n its
+    entry of `powers` >= 0, as `number`s; B^0 v is v itself if number is
+    Fraction.  The vectors are the rows of one numerator array V over one
+    D, a step one gather-multiply and one reduceat over _int_steps.  V is
+    int64 while a running bound, max|V| times growth a step, stays within
+    2^63 - 1; where a step could pass it, D and V shed their gcd, max|V|
+    is read afresh, and if that is still too large V goes on in Python
+    ints, as it starts past int64."""
+    out = list(vectors) if number is Fraction else [SparseVector(
+        {j: number(*x.as_integer_ratio()) for j, x in v.items()}) for v in vectors]
     active = sorted((k for k, n in enumerate(powers) if n), key=powers.__getitem__)
     if not active:
         return out
     ids, index, src, w, starts, L, growth = steps
-    D = math.lcm(*(x.denominator for k in active for x in vectors[k].values()))
+    pairs = [x.as_integer_ratio() for k in active for x in vectors[k].values()]
+    D = math.lcm(*(d for _, d in pairs))
     at = [r * len(ids) + index[j] for r, k in enumerate(active) for j in vectors[k].support()]
-    nums = [x.numerator * (D // x.denominator) for k in active for x in vectors[k].values()]
+    nums = [n * (D // d) for n, d in pairs]
     bound = max(map(abs, nums), default=0)
     V = np.zeros((len(active), len(ids)), dtype=np.int64 if bound <= _INT64_MAX else object)
     V.flat[at] = nums
@@ -56,20 +59,23 @@ def _route_exact(steps: tuple, vectors: list, powers: list) -> list:
         last = bisect.bisect_right(levels, step)
         if last > done:
             rows, cols = np.nonzero(V[:last - done])
-            for k, v in zip(active[done:last], _answer(ids, rows, cols, V[rows, cols], D, last - done)):
+            answer = _answer(ids, rows, cols, V[rows, cols], D, last - done, number)
+            for k, v in zip(active[done:last], answer):
                 out[k] = v
             V, done = V[last - done:], last
     return out
 
 
-def _answer(ids, rows, cols, nums, D: int, count: int) -> list:
+def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
     """`count` SparseVectors of the nonzero entries nums / D of an int table
-    at `rows` (ascending) and `cols` (in `ids`), one Fraction a numerator."""
+    at `rows` (ascending) and `cols` (in `ids`), number(x, D) once for each
+    numerator x; a float that underflows to 0 is dropped."""
     distinct, inverse = np.unique(nums, return_inverse=True)
-    fractions = np.array([Fraction(x, D) for x in distinct.tolist()], dtype=object)
-    keys, values = ids[cols].tolist(), fractions[inverse].tolist()
+    built = np.array([number(x, D) for x in distinct.tolist()], dtype=object)
+    keys, values = ids[cols].tolist(), built[inverse].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
-    return [SparseVector._from_nonzero(dict(zip(keys[a:b], values[a:b])))
+    build = SparseVector._from_nonzero if number is Fraction else SparseVector
+    return [build(dict(zip(keys[a:b], values[a:b])))
             for a, b in zip([0, *ends], ends)]
 
 
@@ -100,11 +106,12 @@ def _spans(first, count) -> tuple:
 
 
 def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
-                cap: int) -> NetworkState:
-    """_flow's histories and read for exact f on the edges of `steps`, one
-    array pass a stage; T is t and lag each 1/c_j in ticks, P = lcm(lag).
-    A segment of H_j from tick s is the key j W + s, so keys sort by edge,
-    then start, with a numerator in N over one Q.  A stage's receivers are
+                cap: int, number) -> NetworkState:
+    """_flow's histories and read for f, its values read and the answer's
+    built as in _route_exact, on the edges of `steps`, one array pass a
+    stage; T is t and lag each 1/c_j in ticks, P = lcm(lag).  A segment of
+    H_j from tick s is the key j W + s, so keys sort by edge, then start,
+    with a numerator in N over one Q.  A stage's receivers are
     _histories': np.searchsorted finds each feeder's window, and each
     segment's change times (c_k / c_j) w_jk = A / Lq, summed per receiver
     by a sort and a cumsum, is the inflow over Q Lq.  N is int64 while
@@ -125,13 +132,14 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     grow = max(2 * max(np.add.reduceat(A.astype(object), starts).tolist()), Lq)
 
     # edge j drains f_j(c_j s): piece m from tick b_m lag_j, equal neighbours merged
-    entries = [(index[j] * pieces + m, x) for m, v in enumerate(f.values) for j, x in v.items()]
-    Q = math.lcm(*(x.denominator for _, x in entries))
-    nums = [x.numerator * (Q // x.denominator) for _, x in entries]
+    entries = [(index[j] * pieces + m, *x.as_integer_ratio())
+               for m, v in enumerate(f.values) for j, x in v.items()]
+    Q = math.lcm(*(d for _, _, d in entries))
+    nums = [n * (Q // d) for _, n, d in entries]
     bound = max(map(abs, nums), default=0)
     V = np.zeros(n * pieces, dtype=object if max(bound, grow) > _INT64_MAX or A.dtype == object
                  else np.int64)
-    V[[k for k, _ in entries]] = nums
+    V[[k for k, _, _ in entries]] = nums
     V, bps = V.reshape(n, pieces), f.breakpoints[:-1]
     new = np.ones((n, pieces), dtype=bool)
     new[:, 1:] = V[:, 1:] != V[:, :-1]
@@ -203,4 +211,4 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     order = np.argsort(rows, kind="stable")
     return NetworkState([Fraction(v, P) for v in xs.tolist()] + [Fraction(1)], _answer(
         ids, rows[order], np.repeat(j[nz], span)[order], np.repeat(N[seg][nz], span)[order],
-        Q, len(xs)))
+        Q, len(xs), number))

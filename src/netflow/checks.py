@@ -236,7 +236,24 @@ def _check_semigroup(seed, trials) -> CheckResult:
         outcome.failures.append("a lazy 2-cycle at t = 10^7 was not refused")
     except WidthOverflowError:
         pass
+    # float ride-along, one shot each: f / 7 on a random graph and on a
+    # 64-edge one is the correctly rounded exact flow of Fraction(f / 7)
+    rng = random.Random(f"{seed}:semigroup-float")
+    for g in (random_graph(rng, 12, vertices=4), random_graph(rng, 64, vertices=ARRAY_FLOW_EDGES)):
+        vel, f = random_velocities(rng, g), random_state(rng, g, 5).scale(1 / 7)
+        t = Fraction(rng.randint(1, 24), 8)
+        what = f"a float flow on {g.name} to t = {t}"
+        try:
+            rounded = _each(float, evolve_rational(g, vel, _each(Fraction, f), t))
+            if evolve_rational(g, vel, f, t) != rounded:
+                outcome.failures.append(f"{what} is not the rounded exact flow")
+        except Exception as exc:
+            outcome.failures.append(f"{what}: {type(exc).__name__}: {exc}")
     return outcome
+
+
+def _each(fn, h: NetworkState) -> NetworkState:
+    return h.map_values(lambda v: SparseVector({j: fn(x) for j, x in v.items()}))
 
 
 def _lazy_path() -> MetricGraph:

@@ -19,16 +19,17 @@ H_k is an exact step function of time: f_k(c_k s) until the initial
 profile has drained, the tail inflow delayed by 1/c_k afterwards.  The
 histories are extended together in stages of the shortest traversal
 time, so the cost follows the number of breakpoints in the answer, not
-the speeds' lcm.  Times are integer ticks of one lattice.  Exact values
-take one of two paths, chosen in _flow by the flow's size.  Per edge,
-they are (numerator, denominator) int pairs in lowest terms: a stage sums
-each inflow on ints over the lcm of the denominators it reads, and a gcd
-per value cancels what that lcm carried beyond the value's own.  From
+the speeds' lcm.  Times are integer ticks of one lattice.  Values are
+exact (a float is the dyadic rational it holds) and take one of two
+paths, chosen in _exact_flow by the flow's size.  Per edge, they are
+(numerator, denominator) int pairs in lowest terms: a stage sums each
+inflow on ints over the lcm of the denominators it reads, and a gcd per
+value cancels what that lcm carried beyond the value's own.  From
 ARRAY_FLOW_EDGES edges on, while the lattice times the edges fits in
-int64, _array_flow (in _arrays) holds every history as flat int64
-arrays over one denominator and runs each stage as one pass, in Python
-ints past 2^63.  Fractions are built only for the answer's distinct
-values and breakpoints.
+int64, _array_flow (in _arrays) holds every history as flat int64 arrays
+over one denominator and runs each stage as one pass, in Python ints
+past 2^63.  Each distinct answer value is built once: a Fraction, or
+for float f a float rounded once, correctly.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
@@ -37,9 +38,9 @@ before t by earliest arrival along traversal times 1/c_j, walked as the
 resolvent's closure is; one work budget at the flow's fastest edge holds
 for every kernel.  evolve_unit is evolve_rational at c = 1 on the
 caller's operator's graph; the closed form above runs wherever those
-edges share one speed and f is exact, as int64 arrays (Python ints past
-2^63) over the graph's feeders or the cone; float values take the
-per-edge histories.
+edges share one speed, as int64 arrays (Python ints past 2^63) over the
+graph's feeders or the cone.  Float and complex values run the same
+exact kernels, each part read exactly and each answer value rounded.
 
 The paper's construction reduces rational speeds to the unit case
 instead: subdivide every edge j into ell_j pieces of equal traversal time
@@ -68,6 +69,8 @@ ticks, each exponent rounded to a float once, correctly, by int division.
 from __future__ import annotations
 
 import bisect
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -137,10 +140,10 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     return _flow(op.graph, _UNIT, f, t)
 
 
-def _unit_flow(steps: tuple, f: NetworkState, t: Fraction) -> NetworkState:
-    """T(t) f at unit speed, for exact t >= 0 and f of int and Fraction
-    values only, on the edges of `steps`: B^n of f's pieces, routed at once
-    by _route_exact, in int64 up to 2^63 - 1 and in Python ints past it."""
+def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkState:
+    """T(t) f at unit speed, for exact t >= 0, on the edges of `steps`: B^n
+    of f's pieces as `number`s, routed at once by _route_exact, in int64 up
+    to 2^63 - 1 and in Python ints past it."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -157,7 +160,7 @@ def _unit_flow(steps: tuple, f: NetworkState, t: Fraction) -> NetworkState:
                + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
-    return NetworkState(bps, _route_exact(steps, values, powers))
+    return NetworkState(bps, _route_exact(steps, values, powers, number))
 
 
 def _steps(g: MetricGraph, speed: Mapping, rows) -> tuple:
@@ -409,9 +412,9 @@ def _inflow(a, windows: list) -> list:
 
 
 def _loose_inflow(a, windows: list) -> list:
-    """_inflow for values that are not exact rationals (floats, the
-    absorbing sums): sum_k coef_k H_k summed in the feeders' order at
-    every start of the window."""
+    """_inflow for evolve_absorbing's _ExpSum values, which are not exact
+    rationals: sum_k coef_k H_k summed in the feeders' order at every
+    start of the window."""
     if not windows:
         return [(a, 0)]
     windows = [(Fraction(p, q), win) for p, q, win in windows]
@@ -494,7 +497,7 @@ def _distinct(speeds) -> list:
     return list({(c.numerator, c.denominator): c for c in speeds}.values())
 
 
-def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, delay=None):
+def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     """Head outflows H_j on [0, t + 1/c_j) of the edges in `speed`, in
     ticks of 1/D.  Edge j at x leaves the head at t + x/c_j, so H_j there
     is the answer at x, up to the rate picked up on the way.
@@ -503,10 +506,10 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, dela
     as (edge position, value) segments on [0, 1); `den` must be a multiple
     of every position's denominator.  After draining, H_j is the tail
     inflow sum_k (c_k / c_j) w_jk H_k over the feeders k in `rows(j)`
-    1/c_j earlier, summed by `combine` (_inflow on (n, d) pairs,
-    _loose_inflow on anything else) and passed through `delay(j, value)`
-    when one is given.  All histories grow together in stages of the
-    shortest traversal time, each stage reading only what earlier stages
+    1/c_j earlier: exact (n, d) pairs summed by _inflow, or _ExpSum values
+    summed by _loose_inflow and passed through `delay(j, value)` when one
+    is given.  All histories grow together in stages of the shortest
+    traversal time, each stage reading only what earlier stages
     built.  Past MAX_HISTORY_BREAKPOINTS they are refused, counting a
     delayed (absorbing) value by its terms and any other by one.
     Returns (history, D, T, lag): H_j as (start ticks, values), the
@@ -551,7 +554,7 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, combine, dela
                 continue
             starts, values = history[j]
             windows = [(p, q, _window(*history[k], a, u)) for k, p, q in feeders[j]]
-            for s, v in combine(a, windows):
+            for s, v in (_loose_inflow if delay else _inflow)(a, windows):
                 if delay and v:
                     v = delay(j, v)
                 if v != values[-1]:
@@ -579,25 +582,21 @@ def _exact_values(f: NetworkState) -> bool:
     return all(type(x) in (int, Fraction) for v in f.values for _, x in v.items())
 
 
-def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction, exact: bool) -> tuple:
+def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple:
     """_histories of the flow from f, with nothing picked up on the way:
     edge j drains as f_j(c_j s).
 
-    When f's values are exact rationals, so is every history value, held
-    as a (numerator, denominator) pair in lowest terms: _inflow sums a
-    window on ints over the lcm of the denominators it reads and cancels
-    that common factor again, so a value is never larger than the
-    Fraction it stands for.  Other values (floats) take _loose_inflow.
+    Every history value is exact, held as a (numerator, denominator) pair
+    in lowest terms, f's from as_integer_ratio: _inflow sums a window on
+    ints over the lcm of the denominators it reads and cancels it again,
+    so a value is never larger than the Fraction it stands for.
     """
-    zero = (0, 1) if exact else 0
     drains: dict = {}
     for m, v in enumerate(f.values):
         for j, x in v.items():
-            drains.setdefault(j, [zero] * len(f.values))[m] = (
-                (x.numerator, x.denominator) if exact else x)
+            drains.setdefault(j, [(0, 1)] * len(f.values))[m] = x.as_integer_ratio()
     return _histories(speed, rows, t, math.lcm(*(b.denominator for b in f.breakpoints)),
-                      lambda j: zip(f.breakpoints, drains.get(j, [zero])),
-                      _inflow if exact else _loose_inflow)
+                      lambda j: zip(f.breakpoints, drains.get(j, [(0, 1)])))
 
 
 def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
@@ -608,33 +607,55 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
     built as an exact step function of time by _histories: f_j(c_j s)
     while the initial profile drains, then the tail inflow
     sum_k (c_k / c_j) w_jk H_k delayed by 1/c_j.  Edge j at x then reads
-    H_j(t + x/c_j).  When those edges share one speed c and f is exact,
-    the unit flow runs for time c*t instead.
+    H_j(t + x/c_j).  When those edges share one speed c, the unit flow
+    runs for time c*t instead.  Float values run exactly and are rounded
+    once (see _flow).
     """
     return _flow(g, vel, f, t)
 
 
 def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
-    """evolve_rational, and evolve_unit at c = 1, on the graph alone, and
-    the one place a kernel is chosen: exact f at one speed takes _unit_flow;
-    at several speeds over ARRAY_FLOW_EDGES edges or more, _array_flow, if
-    the edges times the ticks to t plus the slowest lag, and the lcm of the
-    lags, fit in int64; all else the per-edge _histories."""
+    """evolve_rational, and evolve_unit at c = 1, on the graph alone.  Float
+    f runs _exact_flow as exact f does, each finite float being a dyadic
+    rational, and complex f as two real flows; each answer value is rounded
+    once, correctly: within half an ulp of the exact flow of f.  nan or inf
+    in f, or an answer value past float range, raise PrecisionError."""
     t, speed, rows, speeds = _network(g, vel, f, t)
-    exact = _exact_values(f)
-    if len(speeds) == 1 and exact:
-        return _unit_flow(_steps(g, speed, rows), f, speeds.pop() * t)
+    if _exact_values(f):
+        return _exact_flow(g, speed, rows, speeds, f, t, Fraction)
+    for v in f.values:
+        for j, x in v.items():
+            if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+                raise PrecisionError(f"state value {x!r} on edge {j!r} is not finite")
+    if not any(isinstance(x, complex) for v in f.values for x in v.values()):
+        return _exact_flow(g, speed, rows, speeds, f, t, _rounded)
+    parts = [f.map_values(lambda v: SparseVector({j: getattr(x, part) for j, x in v.items()}))
+             for part in ("real", "imag")]
+    re, im = (_exact_flow(g, speed, rows, speeds, h, t, _rounded) for h in parts)
+    return re + im.scale(1j)
+
+
+def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, f: NetworkState,
+                t: Fraction, number) -> NetworkState:
+    """The flow from f over _network's edges, f's values read exactly by
+    as_integer_ratio, each answer value number(numerator, denominator), and
+    the one place a kernel is chosen: at one speed _unit_flow; at several,
+    over ARRAY_FLOW_EDGES edges or more, _array_flow, if the edges times the
+    ticks to t plus the slowest lag, and the lcm of the lags, fit in int64;
+    else the per-edge _histories."""
     if t == 0 or not speed:
         return f
-    if exact and len(speed) >= ARRAY_FLOW_EDGES:
+    if len(speeds) == 1:
+        return _unit_flow(_steps(g, speed, rows), f, speeds[0] * t, number)
+    if len(speed) >= ARRAY_FLOW_EDGES:
         _, T, lag = _ticks(speed, t, math.lcm(*(b.denominator for b in f.breakpoints)))
         P = math.lcm(*lag.values())
         if max(len(speed) * (T + max(lag.values())), P) <= _INT64_MAX:
             return _array_flow(_steps(g, speed, rows), f, T, list(lag.values()), P,
-                               MAX_HISTORY_BREAKPOINTS)
+                               MAX_HISTORY_BREAKPOINTS, number)
 
-    history, _, T, lag = _flow_histories(speed, rows, f, t, exact)
-    rational = _Fractions() if exact else None
+    history, _, T, lag = _flow_histories(speed, rows, f, t)
+    numbers = functools.cache(number)
 
     # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
     # value changes keyed by x's numerator over P = lcm(lag) (histories
@@ -644,8 +665,7 @@ def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkSt
     for j in speed:
         scale = P // lag[j]
         for s, v in _window(*history[j], T, T + lag[j]):
-            v = v if rational is None else rational[v]
-            changes.setdefault((s - T) * scale, []).append((j, v))
+            changes.setdefault((s - T) * scale, []).append((j, numbers(*v)))
 
     del history  # the pieces below need only the changes
     bps = sorted(changes.keys() | {0})
@@ -661,14 +681,12 @@ def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkSt
     return NetworkState([Fraction(x, P) for x in bps] + [Fraction(1)], pieces)
 
 
-class _Fractions(dict):
-    """(n, d) -> Fraction(n, d), each distinct pair built once."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        self[key] = r = Fraction(*key)
-        return r
+def _rounded(n: int, d: int) -> float:
+    """n / d, correctly rounded, as int true division is."""
+    try:
+        return n / d
+    except OverflowError:
+        raise PrecisionError("a flow value overflows a float") from None
 
 
 class AbsorptionProfile:
@@ -840,7 +858,7 @@ def evolve_absorbing(
         return _ExpSum({(beta + (Q[j] - b) / speed[j], b): r for (beta, b), r in v.items()})
 
     history, D, T, _ = _histories(speed, rows, t, math.lcm(*(b.denominator for b in cuts)),
-                                  drain, _loose_inflow, delay)
+                                  drain, delay)
     array, error_bound = _absorbing_read(speed, grid, cuts, profile, history, D, T)
     return AbsorbingResult(SampledState.from_array(speed, array), error_bound)
 

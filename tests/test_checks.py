@@ -82,6 +82,16 @@ class TestRunSuite:
         monkeypatch.setattr(_arrays, "_INT64_MAX", 2**200)
         assert not run_suite("semigroup", seed=5, scale=0.25)[0].ok
 
+    def test_semigroup_suite_runs_float_flows(self, monkeypatch):
+        # the one-shot float flows on a small and a wide graph report no
+        # failures as shipped; rounding down instead fails both
+        assert run_suite("semigroup", seed=5, scale=0.1)[0].ok
+        monkeypatch.setattr(semigroup, "_rounded", lambda n, d: float(n // d) or 1.0)
+        (r,) = run_suite("semigroup", seed=5, scale=0.1)
+        assert len(r.failures) == 2
+        assert all(f.startswith("a float flow on rand") and f.endswith(" is not the rounded exact flow")
+                   for f in r.failures)
+
     def test_deterministic_across_runs(self):
         a = run_suite("semigroup", seed=11, scale=0.25)[0]
         b = run_suite("semigroup", seed=11, scale=0.25)[0]

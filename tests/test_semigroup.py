@@ -327,29 +327,25 @@ class TestUnitKernel:
             f = checks.random_state(rng, g, 5, nonneg=trial % 2 == 0)
             self.check_pointwise(g, f, checks.random_time(rng, 4))
 
-    def test_float_state_takes_the_loop(self):
-        # float values take the characteristic histories at one speed as at
-        # many: within 1e-12 of the tracer and of the exact flow of f / 7
+    def test_float_state_runs_exactly_and_rounds_once(self):
+        # float values run the exact kernels as Fraction(f) and are rounded
+        # once, correctly, at one speed as at many, on a finite graph and on
+        # a lazy graph's forward cone
         g = g5()
         exact = random_state(random.Random(5), (1, 2, 3, 4, 5), pieces=5)
-        f = exact.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
-        seventh = exact.map_values(lambda v: v.scale(F(1, 7)))
+        f = entrywise(lambda x: float(x) / 7, exact)
         for vel in (VelocityProfile({}, default=F(1)), VelocityProfile({}, default=F(3, 2))):
             for t in (F(2, 5), F(9, 4)):
-                out = evolve_rational(g, vel, f, t)
-                assert all(isinstance(x, float) for v in out.values for _, x in v.items())
-                assert (out - evolve_rational(g, vel, seventh, t)).sup_norm() <= 1e-12
+                out = assert_rounded_exact_flow(g, vel, f, t)
                 assert trace_samples(g, vel, f, t, 97).distance(sample(out, 97)) <= 1e-12
         # speed 3/2 for time 3/2 is unit speed for time 9/4, to the bit
         assert evolve_unit(build_adjacency(g), f, F(9, 4)) == evolve_rational(
             g, VelocityProfile({}, default=F(3, 2)), f, F(3, 2))
-        # a lazy graph's float flow runs on its forward cone, as an exact one does
         g, edges = branching_path(), [(0, 0), (0, 1)]
-        exact = random_state(random.Random(6), edges, pieces=4)
-        f = exact.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
-        out = evolve_unit(build_adjacency(g), f, F(7, 2))
-        want = evolve_unit(build_adjacency(g), exact.map_values(lambda v: v.scale(F(1, 7))), F(7, 2))
-        assert out.support() == want.support() and (out - want).sup_norm() <= 1e-12
+        f = entrywise(lambda x: float(x) / 7, random_state(random.Random(6), edges, pieces=4))
+        assert_rounded_exact_flow(g, VelocityProfile({}, default=F(1)), f, F(7, 2))
+        assert evolve_unit(build_adjacency(g), f, F(7, 2)) == evolve_rational(
+            g, VelocityProfile({}, default=F(1)), f, F(7, 2))
 
     def test_exact_verbs_build_no_operator(self, monkeypatch, tmp_path):
         # the exact flows, the boundary residual, the identity check and the
@@ -751,12 +747,9 @@ class TestCharacteristicsAgainstSubdivision:
         g = g5()
         vel = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1, 3)})
         exact = random_state(rng, (1, 2, 3, 4, 5), pieces=6)
-        f = exact.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
+        f = entrywise(lambda x: float(x) / 7, exact)
         for t in (F(1, 5), F(4, 3), F(11, 4)):
-            got = sample(evolve_rational(g, vel, f, t), 96)
-            want = sample(subdivided_flow(g, vel, f, t), 96)
-            assert float(got.distance(want)) <= 1e-12
-            assert all(isinstance(x, float) for v in got.samples for _, x in v.items())
+            assert_rounded_exact_flow(g, vel, f, t)
 
     @pytest.mark.parametrize("level", range(1, 9))
     def test_g5_ladder_matches_tracer(self, level):
@@ -905,7 +898,7 @@ def g5_mixed():
 
 def flow_histories(g, vel, f, t):
     _, speed, rows, _ = semigroup._network(g, vel, f, t)
-    return semigroup._flow_histories(speed, rows, f, t, semigroup._exact_values(f))[0]
+    return semigroup._flow_histories(speed, rows, f, t)[0]
 
 
 def assert_reduced_histories(g, vel, f, t):
@@ -954,6 +947,124 @@ class TestLongHorizonsOnArrays(TestLongHorizons):
     @pytest.fixture(autouse=True)
     def arrays(self, monkeypatch):
         monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+
+
+def entrywise(fn, h):
+    """h with fn applied to every value."""
+    return h.map_values(lambda v: SparseVector({j: fn(x) for j, x in v.items()}))
+
+
+def assert_rounded_exact_flow(g, vel, f, t):
+    """evolve_rational of float or complex f, value by value the correctly
+    rounded exact flows of Fraction(Re f) and Fraction(Im f); returned."""
+    got = evolve_rational(g, vel, f, t)
+    for part in ("real", "imag"):
+        exact = evolve_rational(g, vel, entrywise(lambda x: F(getattr(x, part)), f), t)
+        assert entrywise(lambda x: getattr(x, part), got) == entrywise(float, exact), part
+    if all(isinstance(x, float) for v in f.values for x in v.values()):
+        assert got == entrywise(float, evolve_rational(g, vel, entrywise(F, f), t))
+        assert all(type(x) is float for v in got.values for x in v.values())
+    else:
+        assert all(type(x) in (float, complex) for v in got.values for x in v.values())
+    return got
+
+
+def complex_state(re, im):
+    """Re / 7 + i Im / 3 in floats, for exact states re and im."""
+    return (entrywise(lambda x: complex(float(x) / 7, 0.0), re)
+            + entrywise(lambda x: complex(0.0, float(x) / 3), im))
+
+
+class TestFloatStates:
+    """Float and complex states run the exact kernels on Fraction(f) and
+    round each answer value once, correctly."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_graphs(self, seed):
+        # 60 flows a seed, 225 random graphs in all: one speed, several
+        # speeds on graphs below and at or above ARRAY_FLOW_EDGES edges, and
+        # a lazy path at listed speeds; values scaled by random floats from
+        # 1e-300 to 1e5
+        rng = random.Random(f"float-flows:{seed}")
+        path = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
+        for trial in range(60):
+            kind = trial % 4
+            if kind == 3:
+                g, vel = path, VelocityProfile({1: F(2), 2: F(1, 2)}, default=F(1))
+                f = NetworkState([F(0), F(1, 3), F(1)], [
+                    SparseVector({0: F(rng.randint(1, 9), 7)}), SparseVector({0: F(-2), 1: F(5, 3)})])
+            else:
+                g = (checks.random_graph(rng, 10) if kind < 2 else
+                     checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES))
+                vel = (VelocityProfile({}, default=rng.choice([F(1), F(3, 2)])) if kind == 0
+                       else checks.random_velocities(rng, g))
+                f = checks.random_state(rng, g, 5)
+            scales = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 5) for _ in range(4)]
+            f = entrywise(lambda x: float(x) * rng.choice(scales), f)
+            assert_rounded_exact_flow(g, vel, f, checks.random_time(rng, 3))
+
+    def test_each_kernel_rounds(self, monkeypatch):
+        # the unit closed form, the array kernel and the per-edge histories
+        # each build the rounded answer, once for a float state and once a
+        # part for a complex one
+        rng = random.Random("float-kernels")
+        wide = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        cases = [(g5(), VelocityProfile({}, default=F(1)), "_route_exact"),
+                 (g5(), G5_SPEEDS, "_flow_histories"),
+                 (wide, checks.random_velocities(rng, wide), "_array_flow")]
+        for g, vel, kernel in cases:
+            calls = []
+            run = getattr(semigroup, kernel)
+            monkeypatch.setattr(semigroup, kernel, lambda *a, run=run: calls.append(a) or run(*a))
+            f = entrywise(lambda x: float(x) / 7, checks.random_state(rng, g, 5))
+            z = complex_state(checks.random_state(rng, g, 5), checks.random_state(rng, g, 4))
+            for h, runs in ((f, 1), (z, 2)):
+                calls.clear()
+                evolve_rational(g, vel, h, F(7, 3))
+                assert len(calls) == runs, kernel
+                assert_rounded_exact_flow(g, vel, h, F(7, 3))
+
+    @pytest.mark.parametrize("speeds", ["one", "several"])
+    def test_complex_values_on_g5(self, speeds):
+        rng = random.Random(f"complex:{speeds}")
+        vel = VelocityProfile({}, default=F(1)) if speeds == "one" else G5_SPEEDS
+        f = complex_state(*(random_state(rng, (1, 2, 3, 4, 5), pieces=5) for _ in range(2)))
+        for t in (F(1, 3), F(5, 2)):
+            out = assert_rounded_exact_flow(g5(), vel, f, t)
+            assert any(isinstance(x, complex) for v in out.values for x in v.values())
+
+    def test_complex_values_on_a_wide_graph(self):
+        rng = random.Random("complex-wide")
+        g = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        f = complex_state(checks.random_state(rng, g, 5), checks.random_state(rng, g, 3))
+        for vel in (VelocityProfile({}, default=F(1)), checks.random_velocities(rng, g)):
+            assert_rounded_exact_flow(g, vel, f, F(8, 3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+    @pytest.mark.parametrize("t", [F(0), F(1, 2)])
+    def test_nan_or_inf_is_refused(self, bad, t):
+        f = NetworkState([F(0), F(1, 2), F(1)],
+                         [SparseVector({1: 0.5}), SparseVector({2: 1.0, 3: bad})])
+        for vel in (VelocityProfile({}, default=F(1)), G5_SPEEDS):
+            with pytest.raises(PrecisionError, match=r"state value .* on edge 3 is not finite"):
+                evolve_rational(g5(), vel, f, t)
+
+    def test_an_underflow_to_zero_is_dropped(self):
+        # the least subnormal on edge 1 halves on edges 2 and 3, which
+        # rounds to 0: those entries are not stored
+        f = NetworkState.constant(SparseVector({1: 5e-324, 4: 1.0}))
+        for vel in (VelocityProfile({}, default=F(1)), G5_SPEEDS):
+            for t in (F(1, 2), F(3, 2)):
+                out = assert_rounded_exact_flow(g5(), vel, f, t)
+                assert all(x != 0 for v in out.values for x in v.values())
+
+    def test_a_value_past_float_range_is_refused(self):
+        # 1e308 on every edge of g5: edge 1 gathers 2e308 by t = 1/2
+        f = NetworkState.constant(SparseVector({j: 1e308 for j in (1, 2, 3, 4, 5)}))
+        for vel in (VelocityProfile({}, default=F(1)), G5_SPEEDS):
+            with pytest.raises(PrecisionError, match="overflows a float"):
+                evolve_rational(g5(), vel, f, F(1, 2))
+        assert evolve_rational(g5(), G5_SPEEDS, f.scale(0.25), F(1, 2)).sup_norm() < math.inf
 
 
 def random_absorbing_case(seed):
