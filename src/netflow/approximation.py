@@ -209,7 +209,8 @@ def semigroup_convergence(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
 
     The reference is the all-rational exact evolution when the target
     profile is rational, otherwise the characteristic-tracing samples
-    (exact per point up to float arithmetic).  Differences are taken
+    (the exact trace at the rationals the float speeds hold, each sample
+    rounded once, correctly).  Differences are taken
     sample-wise first, then paired, so each weak error obeys the discrete
     Hoelder bound |<diff, g>| <= strong * predual(g); the bound is checked
     per row and a violation raises, since it can only come from a bug.

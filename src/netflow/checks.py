@@ -17,6 +17,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import MalformedGraphError, WidthOverflowError
+from .fileio import parse_graph_text, parse_state_text
 from .graph import (
     MetricGraph,
     SparseVector,
@@ -317,6 +318,18 @@ def _check_tracing(seed, trials) -> CheckResult:
                 outcome.failures.append(f"tracing {what} disagreed with evolution")
         except Exception as exc:
             outcome.failures.append(f"tracing {what}: {type(exc).__name__}: {exc}")
+    # float ride-along, one shot: g5 at speeds sqrt 2 and sqrt 3 / 2 to a
+    # float time traces the rounded exact flow of the rationals they hold
+    g = parse_graph_text(fixture_path("g5.graph").read_text(), origin="g5.graph").graph
+    vel = VelocityProfile({1: math.sqrt(2), 2: 1, 3: math.sqrt(3) / 2, 4: Fraction(3, 2), 5: 1})
+    f, t = random_state(rng, g, 5), 1.7
+    try:
+        exact = VelocityProfile({j: Fraction(c) for j, c in vel.items()})
+        if trace_samples(g, vel, f, t, 32) != sample(
+                _each(float, evolve_rational(g, exact, f, Fraction(t))), 32):
+            outcome.failures.append(f"tracing g5 at float speeds to t = {t} is not the rounded exact flow")
+    except Exception as exc:
+        outcome.failures.append(f"tracing g5 at float speeds: {type(exc).__name__}: {exc}")
     return outcome
 
 
@@ -358,8 +371,6 @@ def fixture_path(name: str):
 
 
 def _check_fixtures(seed, trials) -> CheckResult:
-    from .fileio import parse_graph_text, parse_state_text
-
     result = CheckResult("fixtures", 1)
     start = time.perf_counter()
     try:

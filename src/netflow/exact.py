@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -65,6 +66,40 @@ def parse_real(text: str, what: str = "value"):
 
 def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def exact_values(f) -> bool:
+    """Whether the state f holds only ints and Fractions."""
+    return all(type(x) in (int, Fraction) for v in f.values for _, x in v.items())
+
+
+def by_value_kind(f, run, exact: bool = True):
+    """run(h, number), an exact real-linear computation on the state h that
+    reads each answer value (n, d) as number(n, d): on exact f with
+    Fraction if `exact` (no other input was a float), else with `rounded`,
+    each finite float being a dyadic rational, so each value is within half
+    an ulp of the exact one.  Complex f runs as two real runs joined as
+    re + im.scale(1j); nan or inf in f raise PrecisionError."""
+    if exact and exact_values(f):
+        return run(f, Fraction)
+    for v in f.values:
+        for j, x in v.items():
+            if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+                raise PrecisionError(f"state value {x!r} on edge {j!r} is not finite")
+    if not any(isinstance(x, complex) for v in f.values for x in v.values()):
+        return run(f, rounded)
+    re, im = (run(f.map_values(lambda v: type(v)({j: getattr(x, part) for j, x in v.items()})),
+                  rounded) for part in ("real", "imag"))
+    return re + im.scale(1j)
+
+
+def rounded(n: int, d: int) -> float:
+    """n / d, correctly rounded, as int true division is."""
+    try:
+        return n / d
+    except OverflowError:
+        raise PrecisionError(f"a value near 2**{n.bit_length() - d.bit_length()} "
+                             "overflows a float") from None
 
 
 def frac_part(x: Fraction) -> Fraction:

@@ -79,7 +79,7 @@ from .errors import (
     TruncationError,
     WrongOperatorError,
 )
-from .exact import as_exact, to_float
+from .exact import as_exact, exact_values, to_float
 from .graph import AdjacencyOperator, MetricGraph, VelocityProfile, _routing
 from . import semigroup
 from .states import NetworkState, SampledState, boundary_residual, grid_pieces
@@ -438,7 +438,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     t_max = as_exact(t_max, what="t_max")
     if t_max <= 0 or grid < 1:
         raise ValueError(f"need t_max > 0 and grid >= 1, got {t_max} and {grid}")
-    if not semigroup._exact_values(f):
+    if not exact_values(f):
         raise NotRationalError("laplace_oracle needs exact rational state values")
     g, re, vel = op.graph, lam.real, op.scaling or semigroup._UNIT
     _, speed, rows, _ = semigroup._network(g, vel, f, t_max)

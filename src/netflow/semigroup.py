@@ -69,7 +69,6 @@ ticks, each exponent rounded to a float once, correctly, by int division.
 from __future__ import annotations
 
 import bisect
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -86,7 +85,7 @@ from .errors import (
     WidthOverflowError,
     WrongOperatorError,
 )
-from .exact import as_exact, as_exact_time, frac_part, is_rational
+from .exact import as_exact, as_exact_time, by_value_kind, exact_values, frac_part, is_rational
 from .graph import (
     AdjacencyOperator,
     MetricGraph,
@@ -578,10 +577,6 @@ def _ticks(speed: Mapping, t: Fraction, den: int) -> tuple:
         j: D // c.numerator * c.denominator for j, c in speed.items()}
 
 
-def _exact_values(f: NetworkState) -> bool:
-    return all(type(x) in (int, Fraction) for v in f.values for _, x in v.items())
-
-
 def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple:
     """_histories of the flow from f, with nothing picked up on the way:
     edge j drains as f_j(c_j s).
@@ -615,24 +610,10 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
 
 
 def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
-    """evolve_rational, and evolve_unit at c = 1, on the graph alone.  Float
-    f runs _exact_flow as exact f does, each finite float being a dyadic
-    rational, and complex f as two real flows; each answer value is rounded
-    once, correctly: within half an ulp of the exact flow of f.  nan or inf
-    in f, or an answer value past float range, raise PrecisionError."""
+    """evolve_rational, and evolve_unit at c = 1, on the graph alone; float
+    and complex f run exactly and are rounded once by by_value_kind."""
     t, speed, rows, speeds = _network(g, vel, f, t)
-    if _exact_values(f):
-        return _exact_flow(g, speed, rows, speeds, f, t, Fraction)
-    for v in f.values:
-        for j, x in v.items():
-            if isinstance(x, (float, complex)) and not cmath.isfinite(x):
-                raise PrecisionError(f"state value {x!r} on edge {j!r} is not finite")
-    if not any(isinstance(x, complex) for v in f.values for x in v.values()):
-        return _exact_flow(g, speed, rows, speeds, f, t, _rounded)
-    parts = [f.map_values(lambda v: SparseVector({j: getattr(x, part) for j, x in v.items()}))
-             for part in ("real", "imag")]
-    re, im = (_exact_flow(g, speed, rows, speeds, h, t, _rounded) for h in parts)
-    return re + im.scale(1j)
+    return by_value_kind(f, lambda h, number: _exact_flow(g, speed, rows, speeds, h, t, number))
 
 
 def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, f: NetworkState,
@@ -679,14 +660,6 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, f: NetworkSt
                 current.pop(j, None)
         pieces.append(SparseVector._from_nonzero(dict(current)))
     return NetworkState([Fraction(x, P) for x in bps] + [Fraction(1)], pieces)
-
-
-def _rounded(n: int, d: int) -> float:
-    """n / d, correctly rounded, as int true division is."""
-    try:
-        return n / d
-    except OverflowError:
-        raise PrecisionError("a flow value overflows a float") from None
 
 
 class AbsorptionProfile:
@@ -829,7 +802,7 @@ def evolve_absorbing(
     if grid < 1:
         raise ValueError(f"output grid must be >= 1, got {grid}")
     t, speed, rows, _ = _network(g, vel, f, t)
-    if not _exact_values(f):
+    if not exact_values(f):
         raise NotRationalError("evolve_absorbing needs exact rational state values")
     qs = q.as_state()
     if g.is_finite:

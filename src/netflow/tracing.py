@@ -11,35 +11,31 @@ after that the feeders' histories, weighted and delayed by 1/c_j.
 
 This is an evaluation scheme independent of the shift-and-route evolution
 in semigroup.py: no subdivision, no shared grid, and nothing read from its
-histories.  `trace_value` walks one point back, one call per tail crossing
-with the heads it meets memoised, for any positive speeds, irrational ones
-included (exact Fractions in, exact Fractions out; floats in, floats out).
-`trace_samples` at an exact time and exact speeds walks no point: it works
-on an integer tick lattice and keeps each head history it reads as the
-segments on which that history is constant, shared by every sample point
-and edge, so it costs one bisect per sample plus one feeder sum per
-segment read.  A float time or speed walks each point.  Either way a
-trace deeper than the interpreter stack is refused with
-WidthOverflowError.
+histories.  `trace_value` and `trace_samples` read every value from one
+integer tick lattice, keeping each head history read as the segments on
+which it is constant.  A float time, position, speed or state value is
+read as the dyadic rational it holds, so the trace runs exactly at any
+positive speeds; when any input was a float, each value is rounded once,
+correctly.  Complex states run as two real traces.  nan and inf are
+refused with PrecisionError, a trace deeper than the interpreter stack
+with WidthOverflowError.
 
 Two seam conventions are supported.  side="right" (default) matches the
 exact evolution formula: a characteristic landing exactly on the tail
 routes through the vertex, and interior positions read the right-open
 piece.  side="left" evaluates the left limit in x instead, which is what
 the piecewise representation assigns to the point 1; trace_samples takes
-it for its final sample (on ticks, the tick before 1), so that sampled
-comparisons line up at every grid point.
+it for its final sample, so sampled comparisons line up at every point.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import WidthOverflowError
-from .exact import is_rational
+from .errors import PrecisionError, WidthOverflowError
+from .exact import by_value_kind, is_rational
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState
 
@@ -48,58 +44,55 @@ __all__ = ["trace_value", "trace_samples"]
 
 def trace_value(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
                 edge, x, t, side: str = "right"):
-    """Value of the flow on `edge` at position x in [0,1] after time t >= 0.
-
-    Exact when velocities, x and t are rational; floating otherwise.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    """Value of the flow on `edge` at position x in [0,1] after time t >= 0,
+    read by _read on the lattice where x is a whole tick."""
     if not (0 <= x <= 1):
         raise ValueError(f"position must lie in [0,1], got {x}")
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    _known(g, f, [edge])
-    with _stack_bound(t):
-        return _trace(g, vel, f, edge, x, t, side, {})
+    m, grid = Fraction(x).as_integer_ratio()
+    return _read(g, vel, f, t, grid, [edge], [(m, side)], is_rational(x)).get((edge, m))
 
 
-def _known(g: MetricGraph, f: NetworkState, edges):
-    """Refuse an edge of f or a requested edge that a finite graph lacks."""
-    for j in [*f.support(), *edges] if g.is_finite else ():
-        g.endpoints(j)
-
-
-@contextmanager
-def _stack_bound(t):
-    """Refuse a trace to t that crosses more edges than the stack holds."""
+def _stack_bound(t, trace):
+    """trace(), refused when it crosses more edges than the stack holds."""
     try:
-        yield
+        return trace()
     except RecursionError:
         raise WidthOverflowError(f"tracing to t = {t} crosses more edges than the "
                                  "interpreter stack holds") from None
 
 
-def _trace(g, vel, f, edge, x, t, side, memo):
-    """Value of `edge` at x after time t by its backward characteristic: a
-    foot still on the edge reads f, one past the tail the feeders' heads
-    (x = 0) at the time left, weighted (c_k / c_j) w_jk.  Heads are kept in
-    `memo` by (edge, t), so routes that meet share them."""
-    if x == 0 and (edge, t) in memo:
-        return memo[edge, t]
-    c = vel.velocity(edge)
-    y = x + c * t
-    if y < 1 or (side == "left" and y == 1):
-        out = f.value_at(y, side).get(edge)
-    else:
-        s = t - (1 - x) / c
-        out = 0
-        for k, w in g.feeders(edge).items():
-            v = _trace(g, vel, f, k, 0, s, side, memo)
-            if v != 0:
-                out = out + (vel.velocity(k) / c) * w * v
-    if x == 0:
-        memo[edge, t] = out
-    return out
+def _read(g, vel, f, t, grid: int, edges, marks, exact: bool) -> SparseVector:
+    """{(j, m): value} of the flow after time t on each of `edges` at each
+    mark (m, side), position m/grid: H_j of _histories at the tick
+    t + m/(grid c_j), for side="left" the tick before (clamped at 0), which
+    holds the left limit.  Float t and speeds are read as the rationals
+    they hold, and by_value_kind rounds each value once unless `exact`, t,
+    the speeds and f are exact.  Edges a finite graph lacks are refused."""
+    for j in [*f.support(), *edges] if g.is_finite else ():
+        g.endpoints(j)
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if isinstance(t, float) and not math.isfinite(t):
+        raise PrecisionError(f"time {t!r} is not finite")
+    exact, T = exact and is_rational(t) and vel.is_rational(), Fraction(t)
+    if not vel.is_rational():
+        vel = VelocityProfile({j: Fraction(c) for j, c in vel.items()},
+                              default=None if vel.default is None else Fraction(vel.default))
+
+    def run(h, number):
+        if number is not Fraction:
+            h = h.map_values(lambda v: SparseVector({j: Fraction(x) for j, x in v.items()}))
+        head, Tt, N = _histories(g, vel, h, T, grid)
+        step = {j: int(N / vel.exact(j)) // grid for j in edges}
+        out = {(j, m): head(j, max(Tt + m * step[j] - (side == "left"), 0))[2]
+               for m, side in marks for j in edges}
+        if number is not Fraction:
+            out = {p: number(v.numerator, v.denominator) for p, v in out.items()}
+        return SparseVector(out)
+
+    return _stack_bound(t, lambda: by_value_kind(f, run, exact))
 
 
 def _histories(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction, grid: int):
@@ -110,9 +103,9 @@ def _histories(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fractio
     delay L_k = 1/c_k is a whole number of ticks.  H_k is f_k's piece p on
     [b_p L_k, b_{p+1} L_k) while T < L_k; from L_k on it is constant on the
     intersection of its feeders' segments, shifted by L_k, where it is the
-    sum of (c_i / c_k) w_ki H_i(T - L_k) in feeder order, zeros skipped,
-    as _trace adds it.  Each edge keeps the segments read so far, sorted:
-    a read is one bisect, and a miss reads the feeders only."""
+    sum of (c_i / c_k) w_ki H_i(T - L_k) in feeder order, zeros skipped.
+    Each edge keeps the segments read so far, sorted: a read is one
+    bisect, and a miss reads the feeders only."""
     A = math.lcm(t.denominator, grid, *(b.denominator for b in f.breakpoints))
     M = math.lcm(*(c.numerator for c in [*vel.values.values(), vel.default] if c is not None))
     cuts = [b.numerator * (A // b.denominator) for b in f.breakpoints]  # in ticks of 1/A
@@ -152,35 +145,12 @@ def _histories(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fractio
 def trace_samples(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
                   t, grid: int, edges=None) -> SampledState:
     """Sample the traced flow at positions m/grid on the given edges
-    (default: all edges of a finite graph).  The final sample takes the
-    left limit, matching NetworkState.sample's convention at 1.
-
-    At an exact time and exact speeds every sample is read from
-    _histories: edge j at m/grid is H_j at t + m/(grid c_j), and its left
-    limit at 1 is the segment that holds the tick before t + 1/c_j (every
-    segment bound is a whole tick, so H_j is constant on that tick).  The
-    segments are shared by every point and edge, so a sample costs one
-    bisect and each segment read one feeder sum.  A float time or speed
-    has no tick lattice (a float foot moved across a breakpoint changes a
-    sample by a whole jump), so its points are walked one by one, with one
-    memo of heads per side."""
+    (default: all edges of a finite graph), read by _read: one bisect a
+    sample.  The final sample takes the left limit, matching
+    NetworkState.sample's convention at 1."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    _known(g, f, edges or ())
-    if edges is None:
-        edges = g.edge_ids
-    with _stack_bound(t):
-        if is_rational(t) and vel.is_rational():
-            head, Tt, N = _histories(g, vel, f, Fraction(t), grid)
-            # m/grid is m L_j / grid ticks past t, L_j = N / c_j; 1's left limit a tick less
-            step = {j: int(N / vel.exact(j)) // grid for j in edges}
-            samples = [SparseVector({j: head(j, Tt + m * step[j] - (m == grid))[2] for j in edges})
-                       for m in range(grid + 1)]
-        else:
-            memos = {"right": {}, "left": {}}
-            sides = ["right"] * grid + ["left"]
-            samples = [SparseVector({j: _trace(g, vel, f, j, Fraction(m, grid), t, side, memos[side])
-                                     for j in edges}) for m, side in enumerate(sides)]
-    return SampledState(grid, samples)
+    edges = g.edge_ids if edges is None else edges
+    marks = list(enumerate(["right"] * grid + ["left"]))
+    out = _read(g, vel, f, t, grid, edges, marks, True)
+    return SampledState(grid, [{j: out.get((j, m)) for j in edges} for m, _ in marks])

@@ -294,9 +294,11 @@ def riemann_pair(f, g, n: int = 4000):
     return total / n
 
 
-def crawl(g, vel, f, edge, x, t):
+def crawl(g, vel, f, edge, x, t, side="right"):
     """Backward characteristic evaluation, written against the raw graph
-    callbacks only (feeders computed here, exact rational arithmetic)."""
+    callbacks only (feeders computed here, exact rational arithmetic).
+    side="left" takes the left limit in x: a foot landing on a breakpoint
+    or on the tail reads the piece before it."""
     rows: dict = {}
     for j in g.edge_ids:
         for i, w in g.column(j).items():
@@ -305,8 +307,8 @@ def crawl(g, vel, f, edge, x, t):
     def head_value(j, rem):
         c = vel.velocity(j)
         y = c * rem
-        if y < 1:
-            return f.value_at(y).get(j)
+        if y < 1 or (side == "left" and y == 1):
+            return f.value_at(y, side).get(j)
         return tail_value(j, rem - Fraction(1) / c)
 
     def tail_value(j, rem):
@@ -320,8 +322,8 @@ def crawl(g, vel, f, edge, x, t):
 
     c = vel.velocity(edge)
     y = x + c * t
-    if y < 1:
-        return f.value_at(y).get(edge)
+    if y < 1 or (side == "left" and y == 1):
+        return f.value_at(y, side).get(edge)
     return tail_value(edge, t - (1 - x) / c)
 
 

@@ -133,9 +133,9 @@ def test_criterion_04_tracing_oracle_equivalence():
     )
     exact = sample(evolve_rational(g, vel, f, t), 200)
     worst_rat = trace_samples(g, vel, f, t, 200).distance(exact)
-    # floating mode: float data, exact geometry.  The engine rounds once
-    # per vertex application, the tracer once at the end, so they may
-    # differ by a few ulps but never by a piece misclassification.
+    # floating mode: float data, exact geometry.  The engine and the
+    # tracer each run exactly and round each value once, so the drift
+    # reads 0; the bound allows a few ulps, never a piece misclassification.
     f_float = f.map_values(lambda v: SparseVector({e: float(x) for e, x in v.items()}))
     out_float = sample(evolve_rational(g, vel, f_float, t), 200)
     worst_float = trace_samples(g, vel, f_float, t, 200).distance(out_float)

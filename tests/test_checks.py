@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from netflow import CheckResult, MetricGraph, SampledState, run_suite
-from netflow import _arrays, checks, semigroup
+from netflow import _arrays, checks, exact, semigroup
 from netflow.checks import SUITES, random_graph, random_velocities
 from netflow.graph import validate_graph
 
@@ -75,6 +75,14 @@ class TestRunSuite:
         assert len(r.failures) == 1 and r.failures[0].endswith(
             ": IndexError: index 7 is out of bounds")
 
+    def test_tracing_suite_traces_float_speeds(self, monkeypatch):
+        # the one-shot g5 trace at float speeds and a float time reports no
+        # failures as shipped; rounding down instead fails it
+        assert run_suite("tracing", seed=3, scale=0.1)[0].ok
+        monkeypatch.setattr(exact, "rounded", lambda n, d: float(n // d) or 1.0)
+        (r,) = run_suite("tracing", seed=3, scale=0.1)
+        assert r.failures == ["tracing g5 at float speeds to t = 1.7 is not the rounded exact flow"]
+
     def test_semigroup_suite_runs_the_python_int_fallback(self, monkeypatch):
         # with int64 trusted past 2^63, the suite's wide-weight trials wrap
         # around and fail; as shipped they go on in Python ints and pass
@@ -86,7 +94,7 @@ class TestRunSuite:
         # the one-shot float flows on a small and a wide graph report no
         # failures as shipped; rounding down instead fails both
         assert run_suite("semigroup", seed=5, scale=0.1)[0].ok
-        monkeypatch.setattr(semigroup, "_rounded", lambda n, d: float(n // d) or 1.0)
+        monkeypatch.setattr(exact, "rounded", lambda n, d: float(n // d) or 1.0)
         (r,) = run_suite("semigroup", seed=5, scale=0.1)
         assert len(r.failures) == 2
         assert all(f.startswith("a float flow on rand") and f.endswith(" is not the rounded exact flow")

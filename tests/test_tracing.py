@@ -1,6 +1,6 @@
 """Backward-characteristic point evaluation against the exact evolutions."""
 
-import hashlib
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -12,6 +12,7 @@ from netflow import (
     MalformedGraphError,
     MetricGraph,
     NetworkState,
+    PrecisionError,
     SparseVector,
     VelocityProfile,
     WidthOverflowError,
@@ -22,7 +23,8 @@ from netflow import (
     trace_samples,
     trace_value,
 )
-from netflow import checks, tracing
+from netflow import checks
+from netflow.exact import exact_values
 
 
 def g2():
@@ -169,18 +171,34 @@ def wide_graph(rng, n=200, out_degree=3):
     return MetricGraph.finite(edges, weights)
 
 
+def entrywise(fn, h):
+    """h with fn applied to every value."""
+    return h.map_values(lambda v: SparseVector({j: fn(x) for j, x in v.items()}))
+
+
+def exact_speeds(vel):
+    """vel with every speed read as the rational it holds."""
+    return VelocityProfile({j: F(c) for j, c in vel.items()},
+                           default=None if vel.default is None else F(vel.default))
+
+
+def rounded_trace(g, vel, f, t, grid):
+    """The rows of the exact flow of the rationals that f, vel and t hold,
+    sampled on the grid and rounded once, value by value."""
+    out = sample(evolve_rational(g, exact_speeds(vel), entrywise(F, f), F(t)), grid)
+    return [{j: float(v) for j, v in r.items()} for r in out.samples]
+
+
 class TestSegmentSampler:
-    """trace_samples at exact time and speeds reads kept history segments
-    on an integer tick lattice; trace_value walks each point."""
+    """trace_samples and trace_value read kept history segments on an
+    integer tick lattice."""
 
     SPEEDS = (F(1, 2), F(1), F(2), F(3, 2), F(2, 3), F(5, 4), 1, 2, 3)
 
-    def test_equals_per_point_trace_value(self, monkeypatch):
-        # exact trace_samples walks no point: with the walk patched to
-        # raise, every row, the left limit at 1 included, still matches it
-        def no_walk(*args):
-            raise AssertionError("exact trace_samples walked a point")
-
+    def test_equals_per_point_trace_value(self):
+        # every row, the left limit at 1 included, and every trace_value
+        # match the independent per-point crawl, on exact f bit for bit and
+        # on float f as the correctly rounded crawl of Fraction(f)
         rng = random.Random(28)
         feet = 0
         for trial in range(300):
@@ -191,6 +209,7 @@ class TestSegmentSampler:
                 f = f.map_values(lambda v: SparseVector({j: float(x) / 3 for j, x in v.items()}))
             elif trial % 3 == 2:
                 f = f.map_values(lambda v: SparseVector({j: int(4 * x) for j, x in v.items()}))
+            exact_f, read = (entrywise(F, f), float) if trial % 3 == 1 else (f, lambda v: v)
             grid = rng.choice((rng.randint(1, 36), 4, 6, 8, 12, 24))
             # on the 1/24 lattice, with grids and breakpoint dens among its
             # divisors, many feet land on breakpoints and on tails (1 is one)
@@ -199,12 +218,14 @@ class TestSegmentSampler:
             for m in range(grid + 1):
                 side = "right" if m < grid else "left"
                 x = F(m, grid)
-                points.append({j: trace_value(g, vel, f, j, x, t, side) for j in g.edge_ids})
+                row = SparseVector({j: read(oracles.crawl(g, vel, exact_f, j, x, t, side))
+                                    for j in g.edge_ids})
+                points.append(row)
+                values = SparseVector({j: trace_value(g, vel, f, j, x, t, side) for j in g.edge_ids})
+                assert rows_bits([values]) == rows_bits([row]), (trial, m)
                 feet += sum(x + vel.exact(j) * t in f.breakpoints for j in g.edge_ids)
-            with monkeypatch.context() as patch:
-                patch.setattr(tracing, "_trace", no_walk)
-                traced = trace_samples(g, vel, f, t, grid)
-            assert rows_bits(traced.samples) == rows_bits(SparseVector(p) for p in points), trial
+            traced = trace_samples(g, vel, f, t, grid)
+            assert rows_bits(traced.samples) == rows_bits(points), trial
         assert feet > 200  # 281 at this seed
 
     def test_int_speeds_stay_exact(self):
@@ -219,25 +240,22 @@ class TestSegmentSampler:
         assert all(type(v) is F for r in traced.samples for v in r.values())
         assert traced.samples[5].get(3) == trace_value(g, vel, f, 3, F(5, 12), t)
 
-    def test_float_path_is_unchanged(self):
-        # irrational speeds, and a float time at rational speeds, take the
-        # per-point walk; the digests pin its bits
-        def digest(rows):
-            text = ";".join(",".join(f"{j}:{v.hex() if isinstance(v, float) else v}"
-                                     for j, v in sorted(r.items())) for r in rows)
-            return hashlib.sha256(text.encode()).hexdigest()
-
+    def test_float_inputs_are_rounded_once(self):
+        # irrational float speeds, and a float time at rational speeds, are
+        # read as the rationals they hold: every value is the correctly
+        # rounded trace of those rationals
         vel = VelocityProfile({1: 2 ** 0.5, 2: F(1), 3: F(1, 2), 4: 3 ** 0.5, 5: F(3, 2)})
         f = random_state(random.Random(4), (1, 2, 3, 4, 5))
         unit = VelocityProfile({j: F(1) for j in range(1, 6)})
-        values = [trace_value(g5(), vel, f, j, F(k, 9), F(7, 3)) for j in range(1, 6)
-                  for k in range(10)]
-        assert digest(trace_samples(g5(), vel, f, F(7, 3), 40).samples) == (
-            "3072f545d8e08159a4862194d62d7b0453ad87690ad1378d22498ace20d56148")
-        assert digest(trace_samples(g5(), unit, f, 2.3, 40).samples) == (
-            "400e3af1f68aba0e346e84aa1d495d20da2cd594155e1d88d87be9cb699c9c31")
-        assert digest([{0: float(v)} for v in values]) == (
-            "975da94db2797cca85f4329631595f0d87a8803e6fed1635a411fbdf580ae977")
+        for speeds, t in ((vel, F(7, 3)), (unit, 2.3)):
+            want = rounded_trace(g5(), speeds, f, t, 40)
+            assert rows_bits(trace_samples(g5(), speeds, f, t, 40).samples) == rows_bits(want)
+        exact_vel = exact_speeds(vel)
+        for j in range(1, 6):
+            for k in range(10):
+                v = trace_value(g5(), vel, f, j, F(k, 9), F(7, 3))
+                assert type(v) is float or v == 0
+                assert v == float(trace_value(g5(), exact_vel, f, j, F(k, 9), F(7, 3)))
 
     def test_lazy_graph_refused(self):
         lazy = MetricGraph.lazy(lambda j: [(j + 1, F(1))], lambda j: (j, j + 1))
@@ -294,9 +312,96 @@ class TestSegmentSampler:
         assert traced.support() <= set(edges)
 
 
+class TestFloatInputs:
+    """A float time, position, speed or state value is read as the rational
+    it holds: each traced value is the exact flow of those rationals,
+    rounded once, correctly."""
+
+    SPEEDS = (2 ** 0.5, 3 ** 0.5 / 2, math.pi / 4, 0.7, 1.5, F(1), F(2), F(1, 2), F(3, 2))
+
+    def test_random_graphs_round_the_exact_flow(self):
+        # float speeds, times, values and positions, alone and together,
+        # through trace_samples and trace_value at random points
+        rng = random.Random(34)
+        kinds = {"speeds": 0, "time": 0, "values": 0, "x": 0}
+        for trial in range(200):
+            g = checks.random_graph(rng, 6)
+            vel = VelocityProfile({j: rng.choice(self.SPEEDS) for j in g.edge_ids})
+            f = checks.random_state(rng, g, 4)
+            if trial % 3 != 1:
+                f = entrywise(lambda x: float(x) / 7, f)
+            t = rng.uniform(0, 3) if trial % 3 != 2 else checks.random_time(rng)
+            floats = not (vel.is_rational() and isinstance(t, F) and exact_values(f))
+            kinds["speeds"] += not vel.is_rational()
+            kinds["time"] += isinstance(t, float)
+            kinds["values"] += not exact_values(f)
+            exact = evolve_rational(g, exact_speeds(vel), entrywise(F, f), F(t))
+            grid = rng.randint(1, 24)
+            want = sample(entrywise(float, exact) if floats else exact, grid)
+            assert trace_samples(g, vel, f, t, grid) == want, trial
+            for _ in range(4):
+                j, side = rng.choice(g.edge_ids), rng.choice(("right", "left"))
+                x = rng.choice((rng.random(), rng.randint(0, 7) / 8))
+                if (side == "left" and x == 0) or (side == "right" and x == 1):
+                    continue  # the trace routes where the state owns the point
+                kinds["x"] += 1
+                value = trace_value(g, vel, f, j, x, t, side)
+                assert value == float(exact.value_at(F(x), side).get(j)), (trial, j, x, side)
+                assert type(value) is float or value == 0
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_complex_state_runs_as_two_real_traces(self):
+        vel = VelocityProfile({1: 2 ** 0.5, 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
+        re = random_state(random.Random(11), (1, 2, 3, 4, 5))
+        im = random_state(random.Random(12), (1, 2, 3, 4, 5))
+        f = re + im.scale(1j)
+        parts = [rounded_trace(g5(), vel, entrywise(lambda x: getattr(x, part), f), F(7, 3), 40)
+                 for part in ("real", "imag")]
+        want = [SparseVector(a) + SparseVector(b).scale(1j) for a, b in zip(*parts)]
+        traced = trace_samples(g5(), vel, f, F(7, 3), 40)
+        assert traced.samples == tuple(want)
+        assert any(isinstance(x, complex) and x.imag != 0 for r in want for x in r.values())
+        coarse = trace_samples(g5(), vel, f, F(7, 3), 10)
+        for k in range(11):
+            side = "right" if k < 10 else "left"
+            assert trace_value(g5(), vel, f, 3, F(k, 10), F(7, 3), side) == coarse.samples[k].get(3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_nonfinite_time_is_refused(self, bad):
+        f = NetworkState.constant(SparseVector({1: F(1)}))
+        vel = VelocityProfile({1: F(1), 2: 2 ** 0.5})
+        with pytest.raises(PrecisionError, match=f"time {bad!r} is not finite"):
+            trace_samples(g2(), vel, f, bad, 4)
+        with pytest.raises(PrecisionError, match=f"time {bad!r} is not finite"):
+            trace_value(g2(), vel, f, 1, F(1, 4), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+    @pytest.mark.parametrize("t", [F(0), F(3, 2), 1.5])
+    def test_a_nonfinite_state_value_is_refused(self, bad, t):
+        f = NetworkState([F(0), F(1, 2), F(1)],
+                         [SparseVector({1: 0.5}), SparseVector({2: 1.0, 3: bad})])
+        for vel in (VelocityProfile({}, default=F(1)), VelocityProfile({}, default=2 ** 0.5)):
+            with pytest.raises(PrecisionError, match=r"state value .* on edge 3 is not finite"):
+                trace_samples(g5(), vel, f, t, 8)
+            with pytest.raises(PrecisionError, match=r"state value .* on edge 3 is not finite"):
+                trace_value(g5(), vel, f, 1, F(1, 4), t)
+
+    def test_a_sample_past_float_range_is_refused(self):
+        # 1e308 on edge 1 at speed 2 enters edge 2 (speed 1) as 2e308
+        vel = VelocityProfile({1: F(2), 2: F(1)})
+        for f, t in ((NetworkState.constant(SparseVector({1: 1e308})), F(1)),
+                     (NetworkState.constant(SparseVector({1: 10 ** 308})), 1.0)):
+            with pytest.raises(PrecisionError, match="overflows a float"):
+                trace_samples(g2(), vel, f, t, 4)
+            with pytest.raises(PrecisionError, match="overflows a float"):
+                trace_value(g2(), vel, f, 2, F(1, 4), t)
+        exact = trace_samples(g2(), vel, NetworkState.constant(SparseVector({1: 10 ** 308})), F(1), 4)
+        assert exact.samples[1].get(2) == 2 * 10 ** 308
+
+
 class TestStackReach:
-    """The walk and the segment reader take one stack frame per tail
-    crossing; past the interpreter stack a trace is refused, not crashed."""
+    """The segment reader takes one stack frame per tail crossing; past the
+    interpreter stack a trace is refused, not crashed."""
 
     f = NetworkState([F(0), F(1, 2), F(1)],
                      [SparseVector({1: F(1), 2: F(2)}), SparseVector({1: F(3)})])
