@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import WidthOverflowError
+from .exact import coprime_fraction
 from .graph import SparseVector
 from .states import NetworkState
 
@@ -69,9 +70,18 @@ def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> 
 def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
     """`count` SparseVectors of the nonzero entries nums / D of an int table
     at `rows` (ascending) and `cols` (in `ids`), number(x, D) once for each
-    numerator x; a float that underflows to 0 is dropped."""
+    numerator x; a float that underflows to 0 is dropped.  Exact int64
+    numerators over D <= 2^63 - 1 take one np.gcd with D for all of them,
+    and each value is the coprime pair (x // g, D // g) as Python ints
+    from tolist, D // g > 0, built by coprime_fraction without a gcd or
+    type check of its own."""
     distinct, inverse = np.unique(nums, return_inverse=True)
-    built = np.array([number(x, D) for x in distinct.tolist()], dtype=object)
+    if number is Fraction and distinct.dtype != object and D <= _INT64_MAX:
+        g = np.gcd(distinct, D)
+        built = np.array(list(map(coprime_fraction, (distinct // g).tolist(), (D // g).tolist())),
+                         dtype=object)
+    else:
+        built = np.array([number(x, D) for x in distinct.tolist()], dtype=object)
     keys, values = ids[cols].tolist(), built[inverse].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
     build = SparseVector._from_nonzero if number is Fraction else SparseVector

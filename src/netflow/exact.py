@@ -93,6 +93,20 @@ def by_value_kind(f, run, exact: bool = True):
     return re + im.scale(1j)
 
 
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n / d as is, for Python ints n and d > 0 with gcd 1:
+    Fraction(n, d)'s type checks and gcd are skipped, so the caller owns
+    them, and a value built from a pair it did not reduce would compare
+    and hash wrongly.  Python 3.12+ has this as
+    Fraction._from_coprime_ints; before it, the same two slot writes."""
+    obj = object.__new__(Fraction)
+    obj._numerator, obj._denominator = n, d
+    return obj
+
+
+coprime_fraction = getattr(Fraction, "_from_coprime_ints", coprime_fraction)
+
+
 def rounded(n: int, d: int) -> float:
     """n / d, correctly rounded, as int true division is."""
     try:

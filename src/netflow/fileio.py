@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedGraphError, MalformedInputError, NetflowError
-from .exact import float_or_inf, parse_rational, parse_real, to_float
+from .exact import float_or_inf, parse_rational, parse_real
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState
 
@@ -121,6 +121,8 @@ def parse_graph_text(text: str, origin: str = "<graph>") -> GraphFile:
             eid = _token_id(parts[1])
             if eid in seen:
                 _fail(origin, lineno, f"duplicate edge id {parts[1]!r}")
+            if why := _column_problem(parts[1]):
+                _fail(origin, lineno, f"edge id {parts[1]!r} cannot be written to a CSV: {why}")
             seen.add(eid)
             edges.append((eid, _token_id(parts[2]), _token_id(parts[3])))
         elif kind == "w":
@@ -256,34 +258,100 @@ def write_state_text(state: NetworkState, name: str = "state") -> str:
     return "\n".join(out) + "\n"
 
 
+def _column_problem(tok: str):
+    """Why `edge_<tok>` cannot be read back as a CSV column, or None: a
+    comma or a line break splits it, and an `_re`/`_im` ending reads as
+    half of a complex pair."""
+    if "," in tok or len((tok + ",").splitlines()) > 1:
+        return "a comma or a line break splits its CSV column"
+    if f"edge_{tok}".endswith(("_re", "_im")):
+        return "its CSV column would read as half of an `_re`/`_im` pair"
+    return None
+
+
+def _real_header(edges) -> str:
+    """`s,edge_<id>,...`, checked once as text: a column per id and no
+    `_re,`/`_im,` ending, or MalformedInputError names the first id that
+    cannot be read back.  Ids that pass also make a readable complex
+    header, `edge_<id>_re,edge_<id>_im` each."""
+    header = "s," + ",".join([f"edge_{e}" for e in edges])
+    probe = header + ","
+    if (probe.count(",") != len(edges) + 1 or "_re," in probe or "_im," in probe
+            or len(probe.splitlines()) > 1):
+        for e in edges:
+            if why := _column_problem(str(e)):
+                raise MalformedInputError(f"edge id {e!r} cannot be written to a CSV: {why}")
+    return header
+
+
+def _row_cells(distinct: dict, edges: list, is_complex: bool):
+    """The CSV cells of each vector of `distinct` (id -> vector) on the
+    columns `edges`, keyed as `distinct`; None, in real mode, at the first
+    complex value, also one on an edge not written.  Each value object is
+    formatted once, keyed by its id: vectors share them (routing memoises
+    them), and `distinct` holds each one while this runs."""
+    pos = {e: k for k, e in enumerate(edges)}
+    blank = ["0,0" if is_complex else "0"] * len(edges)
+    by_id: dict = {}
+    cells = {}
+    for key, v in distinct.items():
+        row = blank.copy()
+        for e, x in v.items():
+            k = pos.get(e)
+            if k is None:
+                if not is_complex and isinstance(x, complex):
+                    return None
+                continue
+            cell = by_id.get(id(x))
+            if cell is None:
+                if is_complex:
+                    z = complex(x)
+                    cell = "%.17g,%.17g" % (z.real, z.imag)
+                elif type(x) is Fraction:  # exact.to_float inlined
+                    cell = "%.17g" % (x.numerator / x.denominator)
+                elif isinstance(x, complex):
+                    return None
+                else:
+                    cell = "%.17g" % float(x)
+                by_id[id(x)] = cell
+            row[k] = cell
+        # an edge listed twice repeats its column
+        cells[key] = ",".join(row) if len(pos) == len(edges) else ",".join(
+            row[pos[e]] for e in edges)
+    return cells
+
+
 def emit_plotdata(state: SampledState, edges=None) -> str:
     """CSV text for a sampled state: column `s` plus one column per edge
     (or `_re`/`_im` pairs when any sample is complex), 17 significant
-    digits.  No edges means just the header line.
+    digits.  No edges means just the header line; an edge id whose column
+    could not be read back by parse_plotdata (a comma or line break, an
+    `_re`/`_im` ending) raises MalformedInputError.
 
     An array state is formatted from its array, a zero entry written as
     `0` as the rows drop it.  A row state formats each distinct vector
     once, keyed by its id while the state holds it (`sample` hands one
-    vector object to every grid point of a piece), and each value object
-    once (by its id, as vectors share them)."""
+    vector object to every grid point of a piece), in one pass that
+    starts real and restarts in complex mode at the first complex value
+    (complex rows are rare).  The text is one join of its parts."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
         edges = list(edges)
     if not edges:
         return "s\n"
+    header = _real_header(edges)
     M = state.grid_size
     if state.array is not None:
         is_complex = state.array.dtype.kind == "c" and bool(state.array.any())
     else:
         distinct = {id(v): v for v in state.samples}
-        types = {type(x) for v in distinct.values() for x in v.values()}
-        is_complex = any(issubclass(t, complex) for t in types)
+        cells = _row_cells(distinct, edges, False)
+        is_complex = cells is None
+        if is_complex:
+            cells = _row_cells(distinct, edges, True)
     if is_complex:
-        header = "s," + ",".join(f"edge_{e}_re,edge_{e}_im" for e in edges)
-    else:
-        header = "s," + ",".join(f"edge_{e}" for e in edges)
-    rows = [header]
+        header = "s," + ",".join([f"edge_{e}_re,edge_{e}_im" for e in edges])
 
     if state.array is not None:
         u = state.on_edges(tuple(edges))
@@ -295,34 +363,13 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
         # int/int true division rounds correctly, so m / M == float(Fraction(m, M))
         table = np.vstack((np.arange(M + 1) / M, u)).T.tolist()
         line = ",".join(["%.17g"] * len(table[0]))
-        rows += [line % tuple(r) for r in table]
-        return "\n".join(rows) + "\n"
+        return "\n".join([header, *(line % tuple(r) for r in table)]) + "\n"
 
-    pos = {e: k for k, e in enumerate(edges)}
-    blank = ["0,0" if is_complex else "0"] * len(edges)
-    # value objects are shared between vectors (routing memoises them), and
-    # `distinct` holds each one, so its id keys its cell while this runs
-    by_id: dict = {}
-    cells = {}
-    for key, v in distinct.items():
-        row = blank.copy()
-        for e, x in v.items():
-            k = pos.get(e)
-            if k is None:
-                continue
-            if is_complex:
-                z = complex(x)
-                row[k] = "%.17g,%.17g" % (z.real, z.imag)
-                continue
-            cell = by_id.get(id(x))
-            if cell is None:
-                cell = by_id[id(x)] = "%.17g" % to_float(x)
-            row[k] = cell
-        # an edge listed twice repeats its column
-        cells[key] = ",".join(row) if len(pos) == len(edges) else ",".join(
-            row[pos[e]] for e in edges)
-    rows += [f"{m / M:.17g},{cells[id(v)]}" for m, v in enumerate(state.samples)]
-    return "\n".join(rows) + "\n"
+    parts = [header]
+    for m, v in enumerate(state.samples):
+        parts += ("\n%.17g," % (m / M), cells[id(v)])
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_plotdata(text: str, origin: str = "<csv>") -> SampledState:

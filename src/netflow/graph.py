@@ -404,10 +404,14 @@ class VelocityProfile:
         pool = list(self.values.values()) + ([self.default] if self.default is not None else [])
         if not pool:
             raise MissingVelocityError("velocity profile is empty")
+        rational = True
         for c in pool:
             if not 0 < float_or_inf(c) < math.inf:
                 raise MalformedGraphError(f"velocity {c} is not positive and finite")
+            rational &= is_rational(c)
         self.c_min, self.c_max = min(pool), max(pool)
+        self._rational = rational
+        self._float_speeds = None  # the resolvent's kept (edges, float speeds)
 
     def velocity(self, j):
         if j in self.values:
@@ -417,7 +421,8 @@ class VelocityProfile:
         raise MissingVelocityError(f"no velocity for edge {j!r}")
 
     def is_rational(self) -> bool:
-        return all(is_rational(c) for c in [*self.values.values(), self.default] if c is not None)
+        """Whether every speed, listed or default, is exact."""
+        return self._rational
 
     def exact(self, j) -> Fraction:
         c = self.velocity(j)

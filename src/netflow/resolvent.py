@@ -28,12 +28,14 @@ reader, _state_table, builds it.  The graph keeps both, read-only, in
 one keeper [routing, f, f's table]: the table of the last f solved
 there, matched by `kept f is f`.  So the solves at other lambdas or
 speeds that a convergence ladder makes for one f on one graph read f
-once; the float speeds, which a ladder changes at every level, are read
-on each solve.  A lazy graph, at any speeds, gives the routing closure
-of supp f, read with f on every solve, as many applications of B deep as
-the tolerance can need, by the exact flows' walk; it is stochastic by
-construction, so the columns the closure leaves unread sum to one, and
-its q and c_min come from the profile.
+once.  The float speeds on that edge tuple are kept on the profile, one
+table per profile (_kept_speeds), so profiles that take turns on one
+graph each read theirs once.  A lazy graph, at any speeds, gives the
+routing closure of supp f, read with f and the speeds on every solve, as
+many applications of B deep as the tolerance can need, by the exact
+flows' walk; it is stochastic by construction, so the columns the
+closure leaves unread sum to one, and its q and c_min come from the
+profile.
 
 f's values and its piece integrals are pieces x edges arrays, so the
 backward recurrence over the pieces runs on contiguous rows.  The
@@ -138,6 +140,19 @@ def _state_table(f: NetworkState, edges) -> tuple:
 def _speed_table(vel: VelocityProfile, edges) -> np.ndarray:
     """The float speeds of `edges`."""
     return np.array([to_float(vel.velocity(j)) for j in edges])
+
+
+def _kept_speeds(vel: VelocityProfile, edges: tuple) -> np.ndarray:
+    """_speed_table of a finite graph's kept routing edges, read-only and
+    kept on the profile as (edges, table), matched by `kept edges is
+    edges`: one table per profile, so profiles that take turns on one
+    graph each keep theirs."""
+    kept = vel._float_speeds
+    if kept is None or kept[0] is not edges:
+        table = _speed_table(vel, edges)
+        table.flags.writeable = False
+        kept = vel._float_speeds = (edges, table)
+    return kept[1]
 
 
 def _scatter(flat: np.ndarray, vals: np.ndarray, n: int, pieces: int, dtype) -> np.ndarray:
@@ -315,7 +330,7 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     if float(max(vals.max(initial=0.0), -vals.min(initial=0.0))) / abs(lam_num) == math.inf:
         raise PrecisionError(f"f / lambda at lambda {lam_num} is beyond float range")
     n = len(edges)
-    c = _speed_table(vel, edges)
+    c = _kept_speeds(vel, edges) if g.is_finite else _speed_table(vel, edges)
     c_min, c_max = min(c_min, c.min(initial=math.inf)), max(c_max, c.max(initial=0.0))
     mu = lam_num / c
 

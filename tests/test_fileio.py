@@ -1,5 +1,7 @@
 """Graph/state file parsing, CSV emission, and round-trips."""
 
+import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,9 +10,12 @@ import pytest
 import oracles
 from netflow import (
     MalformedInputError,
+    MetricGraph,
     SampledState,
     SparseVector,
+    build_adjacency,
     emit_plotdata,
+    evolve_unit,
     parse_graph_text,
     parse_plotdata,
     parse_state_text,
@@ -119,6 +124,15 @@ class TestGraphParsing:
     def test_error_carries_location(self):
         with pytest.raises(MalformedInputError, match="bad.graph:3"):
             parse_graph_text("graph g\nedge 1 1 2\nedge 2 2\n", origin="bad.graph")
+
+    @pytest.mark.parametrize("eid", ["a,b", "x_re", "x_im", "im"])
+    def test_ids_without_a_csv_column_refused(self, eid):
+        # `edge a,b v1 v2` wrote a 4-cell header over 3-cell rows, and
+        # `edge_x_re` read back as half of a complex pair
+        text = f"graph g\nedge {eid} v1 v2\nedge c v2 v1\nw {eid} c 1\nw c {eid} 1\n"
+        with pytest.raises(MalformedInputError,
+                           match=f"^bad\\.graph:2: edge id '{eid}' cannot be written to a CSV"):
+            parse_graph_text(text, origin="bad.graph")
 
 
 class TestStateParsing:
@@ -290,6 +304,69 @@ class TestPlotdata:
         back = parse_plotdata("s,edge_2,edge_1_re,edge_1_im,edge_2\n0,1,2,3,4\n1,5,6,-0,8\n")
         assert back.edges == (2, 1) and back.array.dtype == complex
         assert back.samples == (SparseVector({2: 4, 1: 2 + 3j}), SparseVector({2: 8, 1: 6}))
+
+    @pytest.mark.parametrize("eid", ["a,b", "x_re", "x_im", "re", "a\nb"])
+    def test_ids_without_a_csv_column_refused(self, eid):
+        # ids from library graphs, real and complex, rows and arrays; the
+        # lazy path's tuple ids print with a comma
+        g = MetricGraph.finite([(eid, 1, 2), ("c", 2, 1)], {(eid, "c"): F(1), ("c", eid): F(1)})
+        f = NetworkState.constant(SparseVector({eid: F(1, 3), "c": F(2)}))
+        rows = sample(evolve_unit(build_adjacency(g), f, F(1, 2)), 4)
+        states = [rows, SampledState(1, [SparseVector({eid: 1j})] * 2),
+                  SampledState.from_array([eid, "c"], np.ones((2, 3)))]
+        for s in states:
+            for edges in (None, g.edge_ids, ["c", eid]):
+                with pytest.raises(MalformedInputError,
+                                   match=re.escape(f"edge id {eid!r} cannot be written")):
+                    emit_plotdata(s, edges=edges)
+        path = MetricGraph.lazy(lambda j: [((j[0] + 1,), F(1))], lambda j: (j[0], j[0] + 1))
+        pulse = NetworkState.constant(SparseVector({(0,): F(1)}))
+        out = sample(evolve_unit(build_adjacency(path), pulse, F(3, 2)), 4)
+        with pytest.raises(MalformedInputError, match=r"edge id \(1,\) cannot be written"):
+            emit_plotdata(out)
+
+    def test_ids_near_the_rule_round_trip(self):
+        edges = ["x_r", "ree", "_re_x", "x_ree", "im_", "x_Re", "a b", 7]
+        for form in ("rows", "array", "complex"):
+            values = [1j * k if form == "complex" else F(k, 3) for k in range(1, len(edges) + 1)]
+            s = SampledState(1, [SparseVector(dict(zip(edges, values)))] * 2)
+            if form == "array":
+                s = SampledState.from_array(edges, np.array([[float(x)] * 2 for x in values]))
+            text = emit_plotdata(s, edges=edges)
+            assert text == oracles.plotdata_reference(s, edges)
+            back = parse_plotdata(text)
+            assert back.edges == tuple(edges) and emit_plotdata(back, edges=edges) == text
+
+    def test_random_row_states_match_per_cell_reference(self):
+        # 300 seeded row states: value objects shared between vectors and
+        # fresh, ints, floats and Fractions, a complex value that first
+        # appears in a later vector (and on an edge not written), empty
+        # vectors, and edges absent, repeated or none
+        rng = random.Random("emit-rows")
+        kinds = {"plain": 0, "late-complex": 0, "unwritten-complex": 0}
+        for trial in range(300):
+            pool = [rng.choice([rng.randint(-9, 9), rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-20, 20),
+                                F(rng.randint(-99, 99), rng.randint(1, 97))]) for _ in range(6)]
+            vectors = []
+            for _ in range(rng.randint(1, 5)):
+                chosen = rng.sample(range(1, 7), rng.randint(0, 4))
+                vectors.append(SparseVector({e: rng.choice(pool) if rng.random() < 0.6 else
+                                             F(rng.randint(-9, 9), rng.randint(1, 9)) for e in chosen}))
+            kind = rng.choice(list(kinds))
+            kinds[kind] += 1
+            edges = rng.choice([None, [], [3, 1, 8], [2, 2, 5], [1, 2, 3, 4, 5, 6],
+                                rng.sample(range(1, 8), 3)])
+            if kind != "plain":
+                e = rng.randint(1, 6)
+                if kind == "unwritten-complex":
+                    e, edges = 9, edges or [1, 2, 3]
+                vectors.insert(rng.randint(1, len(vectors)),
+                               SparseVector({e: complex(rng.uniform(-2, 2), 0.5)}))
+            # every vector in order, each at one to three grid points
+            rows = [v for v in vectors for _ in range(rng.randint(1, 3))]
+            s = SampledState(max(len(rows), 2) - 1, (rows * 2)[:max(len(rows), 2)])
+            assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges), trial
+        assert min(kinds.values()) > 50
 
     def test_mass_preserving_state_round_trips_exactly(self):
         f = NetworkState(

@@ -24,6 +24,7 @@ from netflow import (
     write_graph_text,
 )
 from netflow import checks, semigroup
+from netflow.exact import is_rational
 
 
 def g2():
@@ -416,6 +417,25 @@ class TestVelocityProfile:
     def test_rationality_probe(self):
         assert VelocityProfile({1: F(2)}).is_rational()
         assert not VelocityProfile({1: 2 ** 0.5}).is_rational()
+
+    @pytest.mark.parametrize("values, default, want", [
+        ({1: 2, 2: 3}, None, True),
+        ({1: F(1, 2), 2: F(3)}, None, True),
+        ({1: 0.5, 2: 1.5}, None, False),
+        ({1: F(1, 2), 2: 2, 3: 1.5}, None, False),
+        ({1: F(1, 2)}, 1.5, False),
+        ({1: 1.5}, F(1), False),
+        ({1: True}, None, False),
+        ({}, F(3, 2), True),
+        ({}, 2, True),
+        ({}, 2 ** 0.5, False),
+    ])
+    def test_rationality_is_read_once(self, values, default, want):
+        # the answer is fixed when the profile is built, and is the old
+        # per-call scan's: every listed speed and the default are exact
+        vel = VelocityProfile(values, default=default)
+        scan = all(is_rational(c) for c in [*vel.values.values(), vel.default] if c is not None)
+        assert vel.is_rational() is want is scan
 
     def test_int_speeds_are_stored_as_fractions(self):
         # an int speed (not a bool) is kept as a Fraction, listed or default;

@@ -1185,6 +1185,47 @@ class TestRoutingReadOnce:
         resolvent_general(finite, vel, f, 0.5, grid=8)
         assert f_reads == [] and keeper[2] is kept
 
+    def test_speeds_are_read_once_per_profile(self, monkeypatch):
+        # three profiles take turns on one graph, as in a benchmark round:
+        # each keeps its float speeds, matched by the kept routing's edge
+        # tuple; a new graph, or a lazy one, reads them afresh
+        g = regular_style_graph(random.Random(52), 30, 3)
+        f = checks.random_state(random.Random(53), g, 6)
+        ones = VelocityProfile({j: F(1) for j in g.edge_ids})
+        mixed = VelocityProfile({j: [F(1, 2), F(1), F(2)][j % 3] for j in g.edge_ids})
+        op = build_adjacency(g)
+        solves = [lambda lam: resolvent_unit(op, f, lam, grid=16),
+                  lambda lam: resolvent_general(g, ones, f, lam, grid=16),
+                  lambda lam: resolvent_general(g, mixed, f, lam, grid=16)]
+        cold = [solve(0.5).state.array.tobytes() for solve in solves]
+        ones._float_speeds = mixed._float_speeds = semigroup._UNIT._float_speeds = None
+        reads = []
+        speed_table = resolvent_module._speed_table
+
+        def counted(vel, edges):
+            reads.append(vel)
+            return speed_table(vel, edges)
+
+        monkeypatch.setattr(resolvent_module, "_speed_table", counted)
+        for lam in (0.5, 2.0, 1 + 1j, 0.5):
+            got = [solve(lam).state.array.tobytes() for solve in solves]
+        assert got == cold
+        assert reads == [semigroup._UNIT, ones, mixed]
+        edges = g._float_routing[0][0]
+        for vel in (ones, mixed):
+            assert vel._float_speeds[0] is edges and not vel._float_speeds[1].flags.writeable
+        reads.clear()
+        other = regular_style_graph(random.Random(54), 30, 3)
+        resolvent_general(other, mixed, checks.random_state(random.Random(55), other, 3), 0.5)
+        resolvent_general(g, mixed, f, 0.5, grid=16)
+        assert reads == [mixed, mixed]
+        reads.clear()
+        lazy_vel = VelocityProfile({1: F(2)}, default=F(1))
+        pulse = NetworkState.constant(SparseVector({0: F(1)}))
+        for _ in range(2):
+            resolvent_general(lazy_path(), lazy_vel, pulse, 0.5)
+        assert reads == [lazy_vel, lazy_vel] and lazy_vel._float_speeds is None
+
     def test_a_new_state_profile_or_graph_reads_its_own(self):
         # f lives on edges 0 and 1; `wider` puts edge -1 before them, so a
         # table laid out on the first graph's edges would misplace f there

@@ -39,7 +39,7 @@ from netflow import (
     sample,
     trace_samples,
 )
-from netflow import checks, cli, semigroup
+from netflow import _arrays, checks, cli, exact, semigroup
 from netflow.semigroup import common_multiplier, lift_state, project_state, subdivide
 
 
@@ -1065,6 +1065,101 @@ class TestFloatStates:
             with pytest.raises(PrecisionError, match="overflows a float"):
                 evolve_rational(g5(), vel, f, F(1, 2))
         assert evolve_rational(g5(), G5_SPEEDS, f.scale(0.25), F(1, 2)).sup_norm() < math.inf
+
+
+class TestAnswerValues:
+    """_arrays._answer builds each exact value from a pair reduced by one
+    np.gcd, through exact.coprime_fraction; every value must be the
+    Fraction(x, D) it stands for, in lowest terms, of Python ints."""
+
+    @staticmethod
+    def assert_same_fraction(got, want):
+        assert type(got) is F and type(got.numerator) is int and type(got.denominator) is int
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+    def test_coprime_pairs_build_the_reduced_fraction(self):
+        # seeded pairs over int64, reduced as _answer reduces them: half
+        # uniform, half sharing a random factor, and the extremes
+        rng = random.Random("coprime-pairs")
+        top = 2**63 - 1
+        pairs = [(1, 1), (-1, 1), (1, top), (-1, top), (2**62, top), (-2**62, 1), (0, 5)]
+        while len(pairs) < 1200:
+            if len(pairs) % 2:
+                pairs.append((rng.randint(-2**62, 2**62), rng.randint(1, top)))
+            else:
+                k = rng.choice([2, 3, 6, 10, 2**20, 3**17, rng.randint(2, 2**30)])
+                n, d = rng.randint(-2**62, 2**62) // k, rng.randint(1, top // k)
+                pairs.append((n * k, d * k))
+        n, d = (np.array(a, dtype=np.int64) for a in zip(*pairs))
+        g = np.gcd(n, d)
+        built = list(map(exact.coprime_fraction, (n // g).tolist(), (d // g).tolist()))
+        assert (d // g).min() > 0 and sum(g.tolist()) > len(pairs)
+        wants = [F(a, b) for a, b in pairs]
+        for got, want in zip(built, wants):
+            self.assert_same_fraction(got, want)
+        for (a, x), (b, y) in zip(zip(built, wants), zip(built[1:] + built[:1], wants[1:] + wants[:1])):
+            self.assert_same_fraction(a + b, x + y)
+            self.assert_same_fraction(a * b, x * y)
+            self.assert_same_fraction(a + 1, x + 1)
+
+    @pytest.fixture
+    def answers(self, monkeypatch):
+        """The (dtype, number) of every _answer call, each checked entry by
+        entry against number(x, D): Fraction(x, D) for exact values,
+        rounded(x, D) (zeros dropped) for float ones."""
+        calls = []
+        answer = _arrays._answer
+
+        def checked(ids, rows, cols, nums, D, count, number):
+            out = answer(ids, rows, cols, nums, D, count, number)
+            want = [{} for _ in range(count)]
+            for r, c, x in zip(rows.tolist(), cols.tolist(), nums.tolist()):
+                y = number(int(x), D)
+                if y:
+                    want[r][ids[c]] = y
+            assert [dict(v.items()) for v in out] == want
+            for v, w in zip(out, want):
+                for j, x in v.items():
+                    if number is F:
+                        self.assert_same_fraction(x, w[j])
+                    else:
+                        assert type(x) is float and repr(x) == repr(w[j])
+            calls.append((nums.dtype.name, number.__name__, D.bit_length() < 64))
+            return out
+
+        monkeypatch.setattr(_arrays, "_answer", checked)
+        return calls
+
+    def test_random_flows(self, answers):
+        # 200 seeded flows: one speed or several, on graphs below and at
+        # or above ARRAY_FLOW_EDGES edges (several speeds below it keep
+        # the per-edge histories, which build no array answer)
+        rng = random.Random("answer-values")
+        for trial in range(200):
+            kind = trial % 4
+            g = (checks.random_graph(rng, 10) if kind % 2 == 0 else
+                 checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES))
+            vel = (VelocityProfile({}, default=rng.choice([F(1), F(3, 2)])) if kind < 2
+                   else checks.random_velocities(rng, g))
+            f = checks.random_state(rng, g, 5)
+            t = checks.random_time(rng, 3)
+            evolve_rational(g, vel, f, t)
+        assert ("int64", "Fraction", True) in answers and len(answers) > 100
+
+    def test_object_numerators_and_float_states(self, answers, monkeypatch):
+        # g5 at t = 200 takes the numerators past int64 on the arrays; a
+        # float state reads its answer with `rounded`
+        g, f = g5(), g5_mixed()
+        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+        assert evolve_rational(g, G5_SPEEDS, f, F(200)) == subdivided_flow(g, G5_SPEEDS, f, F(200))
+        assert any(dtype == "object" for dtype, _, _ in answers)
+        answers.clear()
+        h = entrywise(lambda x: float(x) / 7, f)
+        for vel in (VelocityProfile({}, default=F(1)), G5_SPEEDS):
+            assert_rounded_exact_flow(g, vel, h, F(7, 3))
+        # the reference flows of Fraction(f) take the exact path beside them
+        assert {number for _, number, _ in answers} == {"rounded", "Fraction"}
 
 
 def random_absorbing_case(seed):
