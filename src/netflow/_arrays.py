@@ -1,9 +1,11 @@
 """The exact flows' int64 array kernels, chosen by semigroup._flow:
 _route_exact at one speed, over the steps _int_steps builds from a flow's
 feeders, and _array_flow at several.  Both run in int64 under a running
-bound and in Python ints past it, and _answer builds both answers.  They
-live apart from semigroup.py because compiling that module at import sets
-the peak memory of a short run, which grows in 1 MB steps with its size.
+bound and in Python ints past it, and _answer builds both answers.  An
+exact answer keeps its integer form, which row_texts writes as CSV rows
+for fileio.emit_plotdata.  They live apart from semigroup.py because
+compiling that module at import sets the peak memory of a short run,
+which grows in 1 MB steps with its size.
 """
 
 from __future__ import annotations
@@ -69,12 +71,21 @@ def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> 
 
 def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
     """`count` SparseVectors of the nonzero entries nums / D of an int table
-    at `rows` (ascending) and `cols` (in `ids`), number(x, D) once for each
-    numerator x; a float that underflows to 0 is dropped.  Exact int64
-    numerators over D <= 2^63 - 1 take one np.gcd with D for all of them,
-    and each value is the coprime pair (x // g, D // g) as Python ints
-    from tolist, D // g > 0, built by coprime_fraction without a gcd or
-    type check of its own."""
+    at `rows` (ascending) and `cols` (in `ids`, ascending in a row),
+    number(x, D) once for each numerator x; a float that underflows to 0
+    is dropped.  Exact int64 numerators over D <= 2^63 - 1 take one np.gcd
+    with D for all of them, and each value is the coprime pair (x // g,
+    D // g) as Python ints from tolist, D // g > 0, built by
+    coprime_fraction without a gcd or type check of its own.
+
+    An exact answer's vectors also keep their integer form, one _Rows
+    shared by all of them, as `_row` = (that form, the vector's row): for
+    each entry its key, row times the ids plus column, and its distinct
+    numerator's index, int32 where they fit, and the distinct numerators
+    over D.  Each dict
+    value is built from the same distinct numerator, and vectors are never
+    mutated, so the kept row always equals the dict.  A rounded answer
+    keeps none: its dict drops a value that underflows to 0."""
     distinct, inverse = np.unique(nums, return_inverse=True)
     if number is Fraction and distinct.dtype != object and D <= _INT64_MAX:
         g = np.gcd(distinct, D)
@@ -84,9 +95,81 @@ def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
         built = np.array([number(x, D) for x in distinct.tolist()], dtype=object)
     keys, values = ids[cols].tolist(), built[inverse].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
-    build = SparseVector._from_nonzero if number is Fraction else SparseVector
-    return [build(dict(zip(keys[a:b], values[a:b])))
-            for a, b in zip([0, *ends], ends)]
+    if number is not Fraction:
+        return [SparseVector(dict(zip(keys[a:b], values[a:b])))
+                for a, b in zip([0, *ends], ends)]
+    small = np.int32 if max(count * len(ids), len(distinct)) < 2**31 else np.intp
+    table = _Rows(ids, (rows * len(ids) + cols).astype(small), inverse.astype(small), distinct, D)
+    out = []
+    for k, (a, b) in enumerate(zip([0, *ends], ends)):
+        v = SparseVector._from_nonzero(dict(zip(keys[a:b], values[a:b])))
+        v._row = (table, k)
+        out.append(v)
+    return out
+
+
+class _Rows:
+    """The integer form of one exact _answer: the kernel's `ids`, its
+    columns; per entry, ascending, its key row * len(ids) + column and its
+    numerator's index in `distinct`; and the distinct numerators (int64,
+    or Python ints past it) over D."""
+
+    __slots__ = ("ids", "keys", "which", "distinct", "D")
+
+    def __init__(self, ids, keys, which, distinct, D: int):
+        self.ids, self.keys, self.which, self.distinct, self.D = ids, keys, which, distinct, D
+
+
+def row_texts(vectors: dict, edges: list, cell: str) -> dict:
+    """The CSV row text of each vector of `vectors` (key -> a vector that
+    kept its kernel row, see _answer) on the columns `edges`, keyed as
+    `vectors`: the cell `cell % (x / D)` of each distinct numerator x a
+    row writes, formatted once (int true division rounds x / D as the
+    reduced Fraction's numerator / denominator), `0` where the vector has
+    no entry, joined by commas.  Ids may come in any order, repeat, or be
+    absent from the kernel.  One table's rows are placed at once, by one
+    gather of their entries, so the scratch is a few ints per entry of
+    the rows written, per kernel column and per cell, and one row's
+    cells as text."""
+    groups: dict = {}
+    for key, v in vectors.items():
+        table, k = v._row
+        labels, rows = groups.setdefault(table, ([], []))
+        labels.append(key)
+        rows.append(k)
+    place = {e: u for u, e in enumerate(dict.fromkeys(edges))}
+    out = {}
+    for table, (labels, rows) in groups.items():
+        width = len(table.ids)
+        # kernel column -> its place, or -1
+        column = np.array([place.get(e, -1) for e in table.ids.tolist()], dtype=np.intp)
+        first = np.array(rows, dtype=table.keys.dtype) * width
+        lo = np.searchsorted(table.keys, first)
+        count = np.searchsorted(table.keys, first + width) - lo
+        seg = _spans(lo, count)[0]
+        row, at = np.repeat(np.arange(len(rows)), count), column[table.keys[seg] % width]
+        if column.min() < 0:
+            kept = at >= 0
+            row, at, seg = row[kept], at[kept], seg[kept]
+        # the numerators written, each once: by a mark per distinct one when
+        # there are fewer of those than entries, else by np.unique
+        which = table.which[seg]
+        if len(table.distinct) < len(which):
+            mark = np.zeros(len(table.distinct), dtype=bool)
+            mark[which] = True
+            used, which = np.flatnonzero(mark), np.cumsum(mark)[which]
+        else:
+            used, which = np.unique(which, return_inverse=True)
+            which += 1
+        cells = np.zeros((len(rows), len(place)), dtype=table.which.dtype)  # 0: no entry
+        cells[row, at] = which
+        if len(place) < len(edges):  # an edge listed twice repeats its column
+            cells = cells[:, [place[e] for e in edges]]
+        D = table.D
+        text = np.array(["0", *[cell % (x / D) for x in table.distinct[used].tolist()]],
+                        dtype=object)
+        out.update(zip(labels, [",".join(text[r].tolist()) for r in cells]))
+    return out
 
 
 def _int_steps(edges: list, rows) -> tuple:

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import row_texts
 from .errors import MalformedGraphError, MalformedInputError, NetflowError
 from .exact import float_or_inf, parse_rational, parse_real
 from .graph import MetricGraph, SparseVector, VelocityProfile
@@ -269,11 +270,27 @@ def _column_problem(tok: str):
     return None
 
 
+def _reads_back(e) -> bool:
+    """Whether parse_plotdata reads the column `edge_<e>` back as e, that
+    is whether _token_id of its text is e: not for '01', '1' (read as 1),
+    -1, 1.5 or True."""
+    try:
+        return _token_id(str(e)) == e
+    except ValueError:  # a digit int() cannot read, such as '²'
+        return False
+
+
 def _real_header(edges) -> str:
     """`s,edge_<id>,...`, checked once as text: a column per id and no
     `_re,`/`_im,` ending, or MalformedInputError names the first id that
-    cannot be read back.  Ids that pass also make a readable complex
-    header, `edge_<id>_re,edge_<id>_im` each."""
+    cannot be read back; and each id read back as itself.  Ids that pass
+    also make a readable complex header, `edge_<id>_re,edge_<id>_im`
+    each."""
+    for e in edges:
+        # an int >= 0 reads back as itself: one type check
+        if (type(e) is not int or e < 0) and not _reads_back(e):
+            raise MalformedInputError(f"edge id {e!r} cannot be written to a CSV: "
+                                      "its column would read back as another id")
     header = "s," + ",".join([f"edge_{e}" for e in edges])
     probe = header + ","
     if (probe.count(",") != len(edges) + 1 or "_re," in probe or "_im," in probe
@@ -325,14 +342,20 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     """CSV text for a sampled state: column `s` plus one column per edge
     (or `_re`/`_im` pairs when any sample is complex), 17 significant
     digits.  No edges means just the header line; an edge id whose column
-    could not be read back by parse_plotdata (a comma or line break, an
-    `_re`/`_im` ending) raises MalformedInputError.
+    could not be read back by parse_plotdata as itself (a comma or line
+    break, an `_re`/`_im` ending, an id such as '01' or 1.5) raises
+    MalformedInputError.
 
     An array state is formatted from its array, a zero entry written as
-    `0` as the rows drop it.  A row state formats each distinct vector
+    `0` as the rows drop it.  A row state writes each distinct vector
     once, keyed by its id while the state holds it (`sample` hands one
-    vector object to every grid point of a piece), in one pass that
-    starts real and restarts in complex mode at the first complex value
+    vector object to every grid point of a piece).  A vector an exact
+    array kernel built is written from its kept integer row by
+    _arrays.row_texts: the row is built from the same numerators as the
+    dict and vectors are never mutated, so the cells are the dict's, with
+    x / D rounded as the reduced Fraction's numerator / denominator is.
+    Every other vector goes through _row_cells, one pass that starts real
+    and restarts every vector in complex mode at the first complex value
     (complex rows are rare).  The text is one join of its parts."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
@@ -346,10 +369,13 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
         is_complex = state.array.dtype.kind == "c" and bool(state.array.any())
     else:
         distinct = {id(v): v for v in state.samples}
-        cells = _row_cells(distinct, edges, False)
+        kept = {k: v for k, v in distinct.items() if hasattr(v, "_row")}
+        cells = _row_cells({k: v for k, v in distinct.items() if k not in kept}, edges, False)
         is_complex = cells is None
         if is_complex:
             cells = _row_cells(distinct, edges, True)
+        elif kept:
+            cells.update(row_texts(kept, edges, "%.17g"))
     if is_complex:
         header = "s," + ",".join([f"edge_{e}_re,edge_{e}_im" for e in edges])
 

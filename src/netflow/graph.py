@@ -55,9 +55,15 @@ class SparseVector:
     Zero entries are dropped at construction, so two vectors are equal
     exactly when their dictionaries are.  Values may be Fraction, int,
     float or complex; exactness is a property of what you put in.
+
+    A vector an exact array kernel built also keeps its row of the
+    kernel's integer form in `_row` (see _arrays._answer), which
+    fileio.emit_plotdata writes from; every other vector leaves the slot
+    unset.  The row is built from the same numerators as the dict, and no
+    vector is ever mutated, so the two always hold the same values.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_row")
 
     def __init__(self, entries: Mapping | Iterable | None = None):
         if entries is None:

@@ -24,8 +24,10 @@ from netflow import (
     parse_state_file,
     resolvent_general,
     sample,
+    write_graph_text,
+    write_state_text,
 )
-from netflow import checks, cli
+from netflow import checks, cli, semigroup
 from netflow.checks import fixture_path
 from netflow.cli import main
 
@@ -315,6 +317,37 @@ class TestPinnedArtefacts:
     ])
     def test_sha256(self, tmp_path, argv, digests):
         assert main([*argv, "--out", str(tmp_path)]) == 0
+        for name, want in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+    # a seeded graph of ARRAY_FLOW_EDGES edges or more, written as files:
+    # at one speed the flow runs as _route_exact, at several as _array_flow
+    @pytest.mark.parametrize("kernel, t, digests", [
+        pytest.param("_route_exact", "7/3", {
+            "simulate.csv": "304214d81c41ed49eec55eae23633c22f9a282f083418eb6b686d1119e39e2cd",
+            "simulate.log.jsonl": "44903fcea5df99c9a727ae4bf552e9d87bfaf6e15671c030c053b0aaf7dcac08",
+        }, id="simulate-wide-unit"),
+        pytest.param("_array_flow", "5/4", {
+            "simulate.csv": "c0fb6d20b20b5f3c92dda0565e5231c2716cc430a85f89ab221a5e2adc291a99",
+            "simulate.log.jsonl": "69c2aafaca8a07bbba922fa7e8ec19451162e6426c2948f6e20369a4de6a6e68",
+        }, id="simulate-wide-mixed"),
+    ])
+    def test_sha256_wide(self, tmp_path, monkeypatch, kernel, t, digests):
+        rng = random.Random("wide-pins")
+        g = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        f = checks.random_state(rng, g, 8)
+        vel = None
+        if kernel == "_array_flow":
+            pool = (Fraction(1, 2), Fraction(1), Fraction(2))
+            vel = VelocityProfile({j: rng.choice(pool) for j in g.edge_ids})
+        (tmp_path / "wide.graph").write_text(write_graph_text(g, vel))
+        (tmp_path / "wide.state").write_text(write_state_text(f))
+        calls = []
+        run = getattr(semigroup, kernel)
+        monkeypatch.setattr(semigroup, kernel, lambda *a, **k: calls.append(1) or run(*a, **k))
+        assert main(["simulate", "--graph", str(tmp_path / "wide.graph"), "--state",
+                     str(tmp_path / "wide.state"), "--t", t, "--out", str(tmp_path)]) == 0
+        assert len(g) >= semigroup.ARRAY_FLOW_EDGES and calls
         for name, want in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 

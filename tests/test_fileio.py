@@ -13,17 +13,22 @@ from netflow import (
     MetricGraph,
     SampledState,
     SparseVector,
+    VelocityProfile,
     build_adjacency,
     emit_plotdata,
+    evolve_rational,
     evolve_unit,
+    parse_graph_file,
     parse_graph_text,
     parse_plotdata,
+    parse_state_file,
     parse_state_text,
     sample,
     validate_graph,
     write_graph_text,
     write_state_text,
 )
+from netflow import _arrays, checks, fileio, semigroup
 from netflow.states import NetworkState
 
 G2_TEXT = """\
@@ -325,8 +330,30 @@ class TestPlotdata:
         with pytest.raises(MalformedInputError, match=r"edge id \(1,\) cannot be written"):
             emit_plotdata(out)
 
+    @pytest.mark.parametrize("eid", ["01", "1", "007", -1, -12, 1.5, 2.0, True, False, "\u00b2"])
+    def test_ids_read_back_as_another_id_refused(self, eid):
+        # '01' reads back as 1, '1' as 1, -1 as '-1', 1.5 as '1.5', True as
+        # 'True', and '²' not at all; rows, complex rows and arrays
+        states = [SampledState(1, [SparseVector({eid: F(1, 3), "c": F(2)})] * 2),
+                  SampledState(1, [SparseVector({eid: 1j})] * 2),
+                  SampledState.from_array([eid, "c"], np.ones((2, 2)))]
+        for s in states:
+            for edges in (None, [eid], ["c", eid]):
+                with pytest.raises(MalformedInputError,
+                                   match=re.escape(f"edge id {eid!r} cannot be written") +
+                                   ".*read back as another id"):
+                    emit_plotdata(s, edges=edges)
+
+    def test_an_id_beside_its_digit_string_refused(self):
+        # '1' and 1 would write two edge_1 columns, read back as one edge
+        s = SampledState(1, [SparseVector({1: F(1), "1": F(2)})] * 2)
+        for edges in (None, [1, "1"], ["1", 1]):
+            with pytest.raises(MalformedInputError, match=re.escape("edge id '1' cannot")):
+                emit_plotdata(s, edges=edges)
+        assert emit_plotdata(s, edges=[1]) == "s,edge_1\n0,1\n1,1\n"
+
     def test_ids_near_the_rule_round_trip(self):
-        edges = ["x_r", "ree", "_re_x", "x_ree", "im_", "x_Re", "a b", 7]
+        edges = ["x_r", "ree", "_re_x", "x_ree", "im_", "x_Re", "a b", 7, 0, "1a", "a1", "-"]
         for form in ("rows", "array", "complex"):
             values = [1j * k if form == "complex" else F(k, 3) for k in range(1, len(edges) + 1)]
             s = SampledState(1, [SparseVector(dict(zip(edges, values)))] * 2)
@@ -374,3 +401,166 @@ class TestPlotdata:
             [SparseVector({1: F(2, 7)}), SparseVector({2: F(-5, 3)})],
         )
         assert parse_state_text(write_state_text(f)).state == f
+
+
+def _tree():
+    """A lazy binary tree of int ids: edge j, from vertex j // 2 to j,
+    splits evenly into 2j and 2j + 1."""
+    return MetricGraph.lazy(lambda j: [(2 * j, F(1, 2)), (2 * j + 1, F(1, 2))],
+                            lambda j: (j // 2, j))
+
+
+class TestKernelRows:
+    """Exact answers of the array kernels keep their integer rows, and
+    emit_plotdata writes them from those (_arrays.row_texts), byte for
+    byte as the per-cell reference writes their dicts."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """The count of vectors each emit wrote from kernel rows."""
+        counts = []
+        texts = _arrays.row_texts
+
+        def counted(vectors, edges, cell):
+            counts.append(len(vectors))
+            return texts(vectors, edges, cell)
+
+        monkeypatch.setattr(fileio, "row_texts", counted)
+        return counts
+
+    @staticmethod
+    def edge_shapes(rng, ids, absent):
+        ids = list(ids)
+        sub = rng.sample(ids, min(len(ids), rng.randint(1, 4)))
+        # all, the kernel's order, reversed, a subset with a repeat and an
+        # id the kernel lacks, and as many ids as the kernel but one not its
+        return [None, ids, ids[::-1], sub + sub[:1] + [absent], ids[1:] + [absent]]
+
+    @staticmethod
+    def flows(rng, trial):
+        """(kind, answer, ids the answer may hold, an id it cannot) of one
+        seeded exact flow through the array kernels."""
+        kind = ["unit", "mixed", "lazy", "short", "zero", "reuse", "merged"][trial % 7]
+        if kind == "lazy":
+            pulse = NetworkState([F(0), F(rng.randint(1, 5), 6), F(1)],
+                                 [SparseVector({1: F(rng.randint(1, 9), 4)}),
+                                  SparseVector({1: F(-1, 3), 2: F(1, 2)})])
+            t = F(rng.randint(1, 24), rng.choice([3, 4, 8]))
+            out = evolve_unit(build_adjacency(_tree()), pulse, t)
+            return kind, out, sorted(out.support()), 0
+        if kind == "merged":
+            # edges 1 and 2 both feed edge 3 only: pieces on 1 and on 2 meet
+            g = MetricGraph.finite([(1, 0, 1), (2, 0, 1), (3, 1, 0)],
+                                   {(3, 1): F(1), (3, 2): F(1), (1, 3): F(1, 2), (2, 3): F(1, 2)})
+            f = NetworkState([F(0), F(1, 3), F(2, 3), F(1)],
+                             [SparseVector({1: F(2)}), SparseVector({2: F(2)}),
+                              SparseVector({1: F(1), 2: F(1)})])
+            out = evolve_unit(build_adjacency(g), f, F(rng.randint(1, 3)))
+            assert len(out.values) < len(f.values)
+            return kind, out, g.edge_ids, 4
+        wide = kind == "mixed" or rng.random() < 0.3
+        g = checks.random_graph(rng, 64 if wide else 12,
+                                vertices=semigroup.ARRAY_FLOW_EDGES if wide else 0)
+        f = checks.random_state(rng, g, 8)
+        t = {"short": F(rng.randint(1, 11), 12), "zero": F(0)}.get(
+            kind, F(rng.randint(1, 40), rng.choice([4, 6, 9])))
+        if kind == "mixed":
+            pool = (F(1, 2), F(1), F(2), F(3, 2))
+            vel = VelocityProfile({j: rng.choice(pool) for j in g.edge_ids})
+            out = evolve_rational(g, vel, f, F(rng.randint(1, 12), 8))
+        else:
+            out = evolve_unit(build_adjacency(g), f, t)
+        if kind == "reuse":  # the unrouted pieces are the first answer's
+            out = evolve_unit(build_adjacency(g), out, F(rng.randint(1, 5), 6))
+        return kind, out, g.edge_ids, len(g) + 1
+
+    def test_random_answers_match_per_cell_reference(self, written):
+        rng = random.Random("kernel-rows")
+        kinds: dict = {}
+        for trial in range(330):
+            kind, out, ids, absent = self.flows(rng, trial)
+            s = sample(out, rng.choice([1, 2, 7, 16, 33]))
+            for edges in self.edge_shapes(rng, ids, absent):
+                del written[:]
+                text = emit_plotdata(s, edges=edges)
+                assert text == oracles.plotdata_reference(s, edges), (trial, kind, edges)
+                kinds[kind] = kinds.get(kind, 0) + sum(written)
+        # every kind but t = 0 wrote rows from the kernels
+        assert kinds.pop("zero") == 0 and min(kinds.values()) > 100, kinds
+
+    def test_several_answers_and_input_vectors_in_one_state(self, written):
+        rng = random.Random("kernel-rows-mixed")
+        g = checks.random_graph(rng, 12)
+        op = build_adjacency(g)
+        f = checks.random_state(rng, g, 6)
+        a, b = evolve_unit(op, f, F(5, 2)), evolve_unit(op, f, F(1, 3))
+        rows = [*sample(a, 8).samples, *sample(b, 8).samples, *f.values]
+        assert len({v._row[0] for v in rows if hasattr(v, "_row")}) >= 3
+        s = SampledState(len(rows) - 1, rows)
+        for edges in self.edge_shapes(rng, g.edge_ids, 99):
+            assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges)
+        assert sum(written) > 0
+
+    def test_object_numerators(self, written):
+        # g5 at one speed, values past int64: the numerators are Python ints
+        g = parse_graph_file(checks.fixture_path("g5.graph")).graph
+        f = parse_state_file(checks.fixture_path("g5_mixed.state")).state.scale(F(3**50, 7))
+        out = evolve_unit(build_adjacency(g), f, F(200))
+        assert all(v._row[0].distinct.dtype == object for v in out.values)
+        s = sample(out, 64)
+        for edges in (None, g.edge_ids, [5, 4, 4, 1, 9]):
+            assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges)
+        assert sum(written) > 0
+
+    def test_float_and_complex_states_keep_the_per_entry_path(self, written):
+        rng = random.Random("kernel-rows-float")
+        g = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        f = checks.random_state(rng, g, 6)
+        vel = VelocityProfile({j: rng.choice((F(1, 2), F(1), F(2))) for j in g.edge_ids})
+        for h in (f.map_values(lambda v: SparseVector({j: float(x) / 3 for j, x in v.items()})),
+                  f.map_values(lambda v: SparseVector({j: x * (1 - 2j) for j, x in v.items()}))):
+            for out in (evolve_unit(build_adjacency(g), h, F(7, 3)),
+                        evolve_rational(g, vel, h, F(5, 4))):
+                assert not any(hasattr(v, "_row") for v in out.values)
+                s = sample(out, 16)
+                for edges in (None, g.edge_ids):
+                    assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges)
+        assert sum(written) == 0
+
+    def test_complex_value_elsewhere_restarts_every_row(self, written):
+        g = parse_graph_file(checks.fixture_path("g5.graph")).graph
+        out = evolve_unit(build_adjacency(g), parse_state_file(
+            checks.fixture_path("g5_mixed.state")).state, F(7, 3))
+        rows = [*sample(out, 4).samples, SparseVector({9: 0.5j})]
+        s = SampledState(len(rows) - 1, rows)
+        for edges in (None, g.edge_ids, [1, 9]):
+            text = emit_plotdata(s, edges=edges)
+            assert "_re," in text and text == oracles.plotdata_reference(s, edges)
+        assert sum(written) == 0
+
+    def test_overflow_raises_as_the_dict_path(self):
+        g = parse_graph_file(checks.fixture_path("g5.graph")).graph
+        f = NetworkState.constant(SparseVector({1: F(10**400)}))
+        s = sample(evolve_unit(build_adjacency(g), f, F(3, 2)), 4)
+        assert any(hasattr(v, "_row") for v in s.samples)
+        for write in (emit_plotdata, oracles.plotdata_reference):
+            with pytest.raises(OverflowError):
+                write(s, g.edge_ids)
+
+    def test_wide_unit_answers_are_written_from_kernel_rows(self, written, monkeypatch):
+        # the shape of the benchmark's unit-wide solves: 64 pieces on a
+        # wide graph, routed at least once, every row from the kernel
+        fallback = []
+        cells = fileio._row_cells
+        monkeypatch.setattr(fileio, "_row_cells", lambda d, *a: fallback.append(len(d)) or cells(d, *a))
+        rng = random.Random("kernel-rows-wide")
+        g = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        bps = [F(k, 64) for k in range(65)]
+        f = NetworkState(bps, [SparseVector({e: F(rng.choice([-3, -1, 2, 3]), rng.randint(1, 4))
+                                             for e in rng.sample(g.edge_ids, 16)})
+                               for _ in range(64)])
+        for t in (F(23, 9), F(7, 2)):
+            s = sample(evolve_unit(build_adjacency(g), f, t), 256)
+            text = emit_plotdata(s, edges=g.edge_ids)
+            assert text == oracles.plotdata_reference(s, g.edge_ids)
+            assert written[-1] == len({id(v) for v in s.samples}) > 60 and fallback[-1] == 0
