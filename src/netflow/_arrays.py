@@ -2,8 +2,8 @@
 _route_exact at one speed, over the steps _int_steps builds from a flow's
 feeders, and _array_flow at several.  Both run in int64 under a running
 bound and in Python ints past it, and _answer builds both answers.  An
-exact answer keeps its integer form, which row_texts writes as CSV rows
-for fileio.emit_plotdata.  They live apart from semigroup.py because
+exact answer keeps its integer form, which row_cells places on the
+CSV columns of fileio.emit_plotdata.  They live apart from semigroup.py because
 compiling that module at import sets the peak memory of a short run,
 which grows in 1 MB steps with its size.
 """
@@ -82,10 +82,11 @@ def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
     shared by all of them, as `_row` = (that form, the vector's row): for
     each entry its key, row times the ids plus column, and its distinct
     numerator's index, int32 where they fit, and the distinct numerators
-    over D.  Each dict
-    value is built from the same distinct numerator, and vectors are never
-    mutated, so the kept row always equals the dict.  A rounded answer
-    keeps none: its dict drops a value that underflows to 0."""
+    over D.  The table lives as long as any of its vectors, so a state
+    that keeps one vector of a wide answer keeps the whole table.  Each
+    dict value is built from the same distinct numerator, and vectors are
+    never mutated, so the kept row always equals the dict.  A rounded
+    answer keeps none: its dict drops a value that underflows to 0."""
     distinct, inverse = np.unique(nums, return_inverse=True)
     if number is Fraction and distinct.dtype != object and D <= _INT64_MAX:
         g = np.gcd(distinct, D)
@@ -120,55 +121,43 @@ class _Rows:
         self.ids, self.keys, self.which, self.distinct, self.D = ids, keys, which, distinct, D
 
 
-def row_texts(vectors: dict, edges: list, cell: str) -> dict:
-    """The CSV row text of each vector of `vectors` (key -> a vector that
-    kept its kernel row, see _answer) on the columns `edges`, keyed as
-    `vectors`: the cell `cell % (x / D)` of each distinct numerator x a
-    row writes, formatted once (int true division rounds x / D as the
-    reduced Fraction's numerator / denominator), `0` where the vector has
-    no entry, joined by commas.  Ids may come in any order, repeat, or be
-    absent from the kernel.  One table's rows are placed at once, by one
-    gather of their entries, so the scratch is a few ints per entry of
-    the rows written, per kernel column and per cell, and one row's
-    cells as text."""
+def row_cells(vectors: dict, columns: dict) -> list:
+    """The cells of each vector of `vectors` (key -> a vector that kept
+    its kernel row, see _answer) on `columns` (edge id -> its column,
+    0 .. len - 1), as integers, one (keys, cells, values) a kernel table:
+    cells[i, c] is 0 where the i-th key's vector has no entry on column
+    c's edge, else k for the value values[k - 1], the float x / D of a
+    distinct numerator x its rows use (int true division rounds it as
+    the reduced Fraction's numerator / denominator).  Ids may come in any
+    order or be absent from the kernel.  One table's rows are placed at
+    once, by one gather of their entries, so the scratch is a few ints
+    per entry of the rows written, per kernel column and per cell."""
     groups: dict = {}
     for key, v in vectors.items():
         table, k = v._row
-        labels, rows = groups.setdefault(table, ([], []))
-        labels.append(key)
+        keys, rows = groups.setdefault(table, ([], []))
+        keys.append(key)
         rows.append(k)
-    place = {e: u for u, e in enumerate(dict.fromkeys(edges))}
-    out = {}
-    for table, (labels, rows) in groups.items():
+    out = []
+    for table, (keys, rows) in groups.items():
         width = len(table.ids)
-        # kernel column -> its place, or -1
-        column = np.array([place.get(e, -1) for e in table.ids.tolist()], dtype=np.intp)
+        # kernel column -> its column, or -1
+        column = np.array([columns.get(e, -1) for e in table.ids.tolist()], dtype=np.intp)
         first = np.array(rows, dtype=table.keys.dtype) * width
         lo = np.searchsorted(table.keys, first)
         count = np.searchsorted(table.keys, first + width) - lo
         seg = _spans(lo, count)[0]
         row, at = np.repeat(np.arange(len(rows)), count), column[table.keys[seg] % width]
-        if column.min() < 0:
-            kept = at >= 0
-            row, at, seg = row[kept], at[kept], seg[kept]
-        # the numerators written, each once: by a mark per distinct one when
-        # there are fewer of those than entries, else by np.unique
-        which = table.which[seg]
-        if len(table.distinct) < len(which):
-            mark = np.zeros(len(table.distinct), dtype=bool)
-            mark[which] = True
-            used, which = np.flatnonzero(mark), np.cumsum(mark)[which]
-        else:
-            used, which = np.unique(which, return_inverse=True)
-            which += 1
-        cells = np.zeros((len(rows), len(place)), dtype=table.which.dtype)  # 0: no entry
-        cells[row, at] = which
-        if len(place) < len(edges):  # an edge listed twice repeats its column
-            cells = cells[:, [place[e] for e in edges]]
+        kept = at >= 0
+        row, at, which = row[kept], at[kept], table.which[seg[kept]]
+        # the numerators written, each once, numbered from 1 in order
+        mark = np.zeros(len(table.distinct), dtype=bool)
+        mark[which] = True
+        used = np.flatnonzero(mark)
+        cells = np.zeros((len(rows), len(columns)), dtype=table.which.dtype)
+        cells[row, at] = np.cumsum(mark)[which]
         D = table.D
-        text = np.array(["0", *[cell % (x / D) for x in table.distinct[used].tolist()]],
-                        dtype=object)
-        out.update(zip(labels, [",".join(text[r].tolist()) for r in cells]))
+        out.append((keys, cells, [x / D for x in table.distinct[used].tolist()]))
     return out
 
 

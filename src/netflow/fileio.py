@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import row_texts
+from ._arrays import row_cells
 from .errors import MalformedGraphError, MalformedInputError, NetflowError
 from .exact import float_or_inf, parse_rational, parse_real
 from .graph import MetricGraph, SparseVector, VelocityProfile
@@ -301,20 +301,20 @@ def _real_header(edges) -> str:
     return header
 
 
-def _row_cells(distinct: dict, edges: list, is_complex: bool):
-    """The CSV cells of each vector of `distinct` (id -> vector) on the
-    columns `edges`, keyed as `distinct`; None, in real mode, at the first
-    complex value, also one on an edge not written.  Each value object is
-    formatted once, keyed by its id: vectors share them (routing memoises
-    them), and `distinct` holds each one while this runs."""
-    pos = {e: k for k, e in enumerate(edges)}
-    blank = ["0,0" if is_complex else "0"] * len(edges)
+def _row_cells(distinct: dict, columns: dict, order, is_complex: bool):
+    """The CSV row of each vector of `distinct` (id -> vector) on
+    `columns` (edge id -> its column), joined by _join, keyed as
+    `distinct`; None, in real mode, at the first complex value, also one
+    on an edge not written.  Each value object is formatted once, keyed
+    by its id: vectors share them (routing memoises them), and `distinct`
+    holds each one while this runs."""
+    blank = ["0,0" if is_complex else "0"] * len(columns)
     by_id: dict = {}
     cells = {}
     for key, v in distinct.items():
         row = blank.copy()
         for e, x in v.items():
-            k = pos.get(e)
+            k = columns.get(e)
             if k is None:
                 if not is_complex and isinstance(x, complex):
                     return None
@@ -332,10 +332,14 @@ def _row_cells(distinct: dict, edges: list, is_complex: bool):
                     cell = "%.17g" % float(x)
                 by_id[id(x)] = cell
             row[k] = cell
-        # an edge listed twice repeats its column
-        cells[key] = ",".join(row) if len(pos) == len(edges) else ",".join(
-            row[pos[e]] for e in edges)
+        cells[key] = _join(row, order)
     return cells
+
+
+def _join(row: list, order) -> str:
+    """One CSV row from its cells by column; with `order`, the column of
+    each edge written, so an edge listed twice repeats its column."""
+    return ",".join(row if order is None else [row[k] for k in order])
 
 
 def emit_plotdata(state: SampledState, edges=None) -> str:
@@ -350,13 +354,16 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     `0` as the rows drop it.  A row state writes each distinct vector
     once, keyed by its id while the state holds it (`sample` hands one
     vector object to every grid point of a piece).  A vector an exact
-    array kernel built is written from its kept integer row by
-    _arrays.row_texts: the row is built from the same numerators as the
-    dict and vectors are never mutated, so the cells are the dict's, with
-    x / D rounded as the reduced Fraction's numerator / denominator is.
-    Every other vector goes through _row_cells, one pass that starts real
-    and restarts every vector in complex mode at the first complex value
-    (complex rows are rare).  The text is one join of its parts."""
+    array kernel built is written from its kept integer row, which
+    _arrays.row_cells places on the columns with one gather per kernel
+    call: the row is built from the same numerators as the dict and
+    vectors are never mutated, so the cells are the dict's, with x / D
+    rounded as the reduced Fraction's numerator / denominator is, each
+    distinct one formatted once.  Every other vector goes through
+    _row_cells, one pass that starts real and restarts every vector in
+    complex mode at the first complex value (complex rows are rare).
+    Both join their cells by _join, and the text is one join of its
+    parts."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
@@ -368,14 +375,18 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     if state.array is not None:
         is_complex = state.array.dtype.kind == "c" and bool(state.array.any())
     else:
+        columns = {e: k for k, e in enumerate(dict.fromkeys(edges))}
+        order = None if len(columns) == len(edges) else [columns[e] for e in edges]
         distinct = {id(v): v for v in state.samples}
         kept = {k: v for k, v in distinct.items() if hasattr(v, "_row")}
-        cells = _row_cells({k: v for k, v in distinct.items() if k not in kept}, edges, False)
+        cells = _row_cells({k: v for k, v in distinct.items() if k not in kept},
+                           columns, order, False)
         is_complex = cells is None
         if is_complex:
-            cells = _row_cells(distinct, edges, True)
-        elif kept:
-            cells.update(row_texts(kept, edges, "%.17g"))
+            cells = _row_cells(distinct, columns, order, True)
+        for keys, table, values in [] if is_complex else row_cells(kept, columns):
+            text = np.array(["0", *["%.17g" % x for x in values]], dtype=object)
+            cells.update(zip(keys, [_join(text[r].tolist(), order) for r in table]))
     if is_complex:
         header = "s," + ",".join([f"edge_{e}_re,edge_{e}_im" for e in edges])
 

@@ -412,20 +412,20 @@ def _tree():
 
 class TestKernelRows:
     """Exact answers of the array kernels keep their integer rows, and
-    emit_plotdata writes them from those (_arrays.row_texts), byte for
+    emit_plotdata writes them from those (_arrays.row_cells), byte for
     byte as the per-cell reference writes their dicts."""
 
     @pytest.fixture
     def written(self, monkeypatch):
         """The count of vectors each emit wrote from kernel rows."""
         counts = []
-        texts = _arrays.row_texts
+        cells = _arrays.row_cells
 
-        def counted(vectors, edges, cell):
+        def counted(vectors, columns):
             counts.append(len(vectors))
-            return texts(vectors, edges, cell)
+            return cells(vectors, columns)
 
-        monkeypatch.setattr(fileio, "row_texts", counted)
+        monkeypatch.setattr(fileio, "row_cells", counted)
         return counts
 
     @staticmethod
