@@ -1,4 +1,4 @@
-"""The exact flows' int64 array kernels, chosen by semigroup._flow:
+"""The exact flows' int64 array kernels, chosen by semigroup._exact_flow:
 _route_exact at one speed, over the steps _int_steps builds from a flow's
 feeders, and _array_flow at several.  Both run in int64 under a running
 bound and in Python ints past it, and _answer builds both answers.  An
@@ -188,7 +188,7 @@ def _spans(first, count) -> tuple:
 
 
 def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
-                cap: int, number) -> NetworkState:
+                caps: tuple, number) -> NetworkState | None:
     """_flow's histories and read for f, its values read and the answer's
     built as in _route_exact, on the edges of `steps`, one array pass a
     stage; T is t and lag each 1/c_j in ticks, P = lcm(lag).  A segment of
@@ -197,8 +197,14 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     _histories': np.searchsorted finds each feeder's window, and each
     segment's change times (c_k / c_j) w_jk = A / Lq, summed per receiver
     by a sort and a cumsum, is the inflow over Q Lq.  N is int64 while
-    max|N| times grow a stage stays within 2^63 - 1, as in _route_exact.
-    Past `cap` breakpoints the histories are refused, as in _histories."""
+    max|N| times grow a stage stays within 2^63 - 1, as in _route_exact:
+    where a stage could pass it, N and Q shed their gcd.  If that is not
+    enough at the first stage, f's values start past int64 (a float's
+    53-bit numerators do), and N goes on in Python ints; at a later stage
+    N has grown past it, and the answer is None, because the per-edge
+    histories then cost less than Python ints on the arrays.  Past caps[0]
+    breakpoints the histories are refused, as in _histories, and an answer
+    of more than caps[1] entries before any is built."""
     ids, index, src, w, starts, L, _ = steps
     n, pieces = len(ids), len(f.values)
     lag = np.array(lag, dtype=np.int64)
@@ -237,6 +243,8 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
             common = math.gcd(Q, int(np.gcd.reduce(N)))
             Q, N, bound = Q // common, N // common, bound // common
             if bound * grow > _INT64_MAX and N.dtype != object:
+                if read.any():  # grown past int64 over the stages
+                    return None
                 N, A = N.astype(object), A.astype(object)
         # feeder k's window [a, u), a its receiver r's read: each segment's
         # change, the first's from 0, as a term at r W + its start (or a)
@@ -268,8 +276,8 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
         K, N = np.insert(K, at, key), np.insert(N, at, inflow[kept])
         size += np.bincount(r[kept], minlength=n)
         bound, read[update] = bound * grow, u
-        if size.sum() > cap:
-            raise WidthOverflowError(f"characteristic histories exceed {cap} "
+        if size.sum() > caps[0]:
+            raise WidthOverflowError(f"characteristic histories exceed {caps[0]} "
                                      "breakpoints", edges=ids[np.argsort(-size, kind="stable")[:4]])
         # every window to come starts at or after the least read
         live = np.append(K[1:] > K[:-1] // W * W + read.min(), True)
@@ -289,6 +297,10 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     nz = N[seg] != 0
     lo = np.searchsorted(xs, x[nz])
     span = np.searchsorted(xs, end[nz]) - lo
+    if span.sum() > caps[1]:
+        wide = np.bincount(j[nz], weights=span, minlength=n)
+        raise WidthOverflowError(f"the answer's {int(span.sum())} entries exceed {caps[1]}",
+                                 edges=ids[np.argsort(-wide, kind="stable")[:4]])
     rows = _spans(lo, span)[0]
     order = np.argsort(rows, kind="stable")
     return NetworkState([Fraction(v, P) for v in xs.tolist()] + [Fraction(1)], _answer(

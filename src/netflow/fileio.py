@@ -72,9 +72,10 @@ class StateFile:
 
 
 def _token_id(tok: str):
-    """Edge/vertex ids: bare digit runs become ints, everything else stays
-    a string.  Keep one style per file or sorting mixed ids will fail."""
-    return int(tok) if tok.isdigit() else tok
+    """Edge/vertex ids: bare runs of ASCII digits become ints, everything
+    else, '²' or '１' too, stays a string.  Keep one style per file or
+    sorting mixed ids will fail."""
+    return int(tok) if tok.isascii() and tok.isdecimal() else tok
 
 
 def _significant(text: str):
@@ -274,10 +275,7 @@ def _reads_back(e) -> bool:
     """Whether parse_plotdata reads the column `edge_<e>` back as e, that
     is whether _token_id of its text is e: not for '01', '1' (read as 1),
     -1, 1.5 or True."""
-    try:
-        return _token_id(str(e)) == e
-    except ValueError:  # a digit int() cannot read, such as '²'
-        return False
+    return _token_id(str(e)) == e
 
 
 def _real_header(edges) -> str:

@@ -21,15 +21,18 @@ histories are extended together in stages of the shortest traversal
 time, so the cost follows the number of breakpoints in the answer, not
 the speeds' lcm.  Times are integer ticks of one lattice.  Values are
 exact (a float is the dyadic rational it holds) and take one of two
-paths, chosen in _exact_flow by the flow's size.  Per edge, they are
+paths, chosen in _exact_flow by predicted work.  Per edge, they are
 (numerator, denominator) int pairs in lowest terms: a stage sums each
 inflow on ints over the lcm of the denominators it reads, and a gcd per
-value cancels what that lcm carried beyond the value's own.  From
-ARRAY_FLOW_EDGES edges on, while the lattice times the edges fits in
-int64, _array_flow (in _arrays) holds every history as flat int64 arrays
-over one denominator and runs each stage as one pass, in Python ints
-past 2^63.  Each distinct answer value is built once: a Fraction, or
-for float f a float rounded once, correctly.
+value cancels what that lcm carried beyond the value's own.  Past
+EDGE_FLOW_WORK steps per numpy pass, while the lattice times the edges
+fits in int64, _array_flow (in _arrays) holds every history as flat
+int64 arrays over one denominator and runs each stage as one pass; its
+numerators may start past 2^63, as a float's do, and go on in Python
+ints, but a flow whose numerators grow past it goes back to the per-edge
+histories.  Each distinct answer value is built once: a Fraction, or
+for float f a float rounded once, correctly, and an answer of more than
+MAX_ANSWER_ENTRIES entries is refused before it is built.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
@@ -38,8 +41,9 @@ before t by earliest arrival along traversal times 1/c_j, walked as the
 resolvent's closure is; one work budget at the flow's fastest edge holds
 for every kernel.  evolve_unit is evolve_rational at c = 1 on the
 caller's operator's graph; the closed form above runs wherever those
-edges share one speed, as int64 arrays (Python ints past 2^63) over the
-graph's feeders or the cone.  Float and complex values run the same
+edges share one speed and the per-edge histories' work would pass its
+one numpy pass, as int64 arrays (Python ints past 2^63) over the graph's
+feeders or the cone.  Float and complex values run the same
 exact kernels, each part read exactly and each answer value rounded.
 
 The paper's construction reduces rational speeds to the unit case
@@ -69,6 +73,7 @@ ticks, each exponent rounded to a float once, correctly, by int division.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -112,9 +117,13 @@ MAX_SUBEDGES = 2_000_000
 # stages (t times the flow's fastest speed) times the edges of the flow.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
-# the fewest edges an exact flow at several speeds runs as _array_flow:
-# measured crossover with the per-edge histories
-ARRAY_FLOW_EDGES = 32
+# And an exact flow's answer, counted before any piece is built: its
+# entries, each piece's support summed.
+MAX_ANSWER_ENTRIES = 10_000_000
+# the per-edge histories' steps (edges times pieces times stages) that cost
+# about one numpy pass of the array kernels: measured crossover in fresh
+# processes, where the per-edge loop's fixed cost is the smaller
+EDGE_FLOW_WORK = 128
 # speed 1 everywhere
 _UNIT = VelocityProfile({}, default=Fraction(1))
 
@@ -620,20 +629,31 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, f: NetworkSt
                 t: Fraction, number) -> NetworkState:
     """The flow from f over _network's edges, f's values read exactly by
     as_integer_ratio, each answer value number(numerator, denominator), and
-    the one place a kernel is chosen: at one speed _unit_flow; at several,
-    over ARRAY_FLOW_EDGES edges or more, _array_flow, if the edges times the
-    ticks to t plus the slowest lag, and the lcm of the lags, fit in int64;
-    else the per-edge _histories."""
+    the one place a kernel is chosen, by predicted work.  The per-edge
+    _histories take the edges times f's pieces times the ceil(t c_max)
+    stages in steps; they run while that is at most EDGE_FLOW_WORK times
+    the numpy passes of the array kernel in their place: one for the closed
+    form _unit_flow at one speed, and for _array_flow at several its set-up
+    and one a stage.  Past it, at one speed _unit_flow; at several
+    _array_flow, if the edges times the ticks to t plus the slowest lag,
+    and the lcm of the lags, fit in int64, and while its numerators do
+    (they may start past int64, as a float's do, but not grow past it);
+    else the per-edge _histories.  An answer of more than
+    MAX_ANSWER_ENTRIES entries is refused before any piece is built."""
     if t == 0 or not speed:
         return f
-    if len(speeds) == 1:
-        return _unit_flow(_steps(g, speed, rows), f, speeds[0] * t, number)
-    if len(speed) >= ARRAY_FLOW_EDGES:
+    stages = math.ceil(t * max(speeds))
+    passes = 1 if len(speeds) == 1 else 1 + stages
+    if len(speed) * len(f.values) * stages > EDGE_FLOW_WORK * passes:
+        if len(speeds) == 1:
+            return _unit_flow(_steps(g, speed, rows), f, speeds[0] * t, number)
         _, T, lag = _ticks(speed, t, math.lcm(*(b.denominator for b in f.breakpoints)))
         P = math.lcm(*lag.values())
         if max(len(speed) * (T + max(lag.values())), P) <= _INT64_MAX:
-            return _array_flow(_steps(g, speed, rows), f, T, list(lag.values()), P,
-                               MAX_HISTORY_BREAKPOINTS, number)
+            out = _array_flow(_steps(g, speed, rows), f, T, list(lag.values()), P,
+                              (MAX_HISTORY_BREAKPOINTS, MAX_ANSWER_ENTRIES), number)
+            if out is not None:
+                return out
 
     history, _, T, lag = _flow_histories(speed, rows, f, t)
     numbers = functools.cache(number)
@@ -650,6 +670,16 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, f: NetworkSt
 
     del history  # the pieces below need only the changes
     bps = sorted(changes.keys() | {0})
+    # the answer's entries, each piece's support summed
+    support, entries = set(), 0
+    for x in bps:
+        for j, v in changes.get(x, ()):
+            (support.add if v else support.discard)(j)
+        entries += len(support)
+    if entries > MAX_ANSWER_ENTRIES:
+        changed = collections.Counter(j for c in changes.values() for j, _ in c)
+        raise WidthOverflowError(f"the answer's {entries} entries exceed {MAX_ANSWER_ENTRIES}",
+                                 edges=[j for j, _ in changed.most_common(4)])
     current: dict = {}
     pieces = []
     for x in bps:

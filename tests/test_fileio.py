@@ -140,6 +140,18 @@ class TestGraphParsing:
             parse_graph_text(text, origin="bad.graph")
 
 
+    def test_non_ascii_digit_ids_are_strings(self):
+        # '²' passes str.isdigit() but not int(): it reads as the string id
+        # it is, beside other string ids, and beside int ids it is refused
+        # as a mix of id styles, named with the file
+        gf = parse_graph_text("graph sq\nedge \u00b2 a b\nedge x b a\n"
+                              "w \u00b2 x 1\nw x \u00b2 1\n")
+        assert gf.graph.edge_ids == ["x", "\u00b2"] and validate_graph(gf.graph).ok
+        assert parse_graph_text(write_graph_text(gf.graph)).graph.edge_ids == ["x", "\u00b2"]
+        with pytest.raises(MalformedInputError, match="sq.graph: edge ids of types int, str"):
+            parse_graph_text("graph sq\nedge \u00b2 2 1\nedge 3 1 2\n", origin="sq.graph")
+
+
 class TestStateParsing:
     def test_two_piece(self):
         sf = parse_state_text(STATE_TEXT)
@@ -166,6 +178,10 @@ class TestStateParsing:
     def test_malformed_rejected(self, text):
         with pytest.raises(MalformedInputError):
             parse_state_text(text)
+
+    def test_non_ascii_digit_ids_are_strings(self):
+        sf = parse_state_text("state s\nbp 0 1\nv 0 \u00b2 1/2\nv 0 12 1\n")
+        assert sf.state.values[0] == SparseVector({"\u00b2": F(1, 2), 12: F(1)})
 
 
 class TestHeaders:
@@ -303,6 +319,12 @@ class TestPlotdata:
         assert text == oracles.plotdata_reference(s)
         assert text.splitlines()[1] == "0,-0,0,-0.33333333333333331"
 
+    def test_non_ascii_digit_columns_are_string_ids(self):
+        back = parse_plotdata("s,edge_\u00b2,edge_7,edge_\u00b9_re,edge_\u00b9_im\n"
+                              "0,1,2,3,4\n1,1,2,3,4\n")
+        assert back.edges == ("\u00b2", 7, "\u00b9")
+        assert back.samples == (SparseVector({"\u00b2": 1, 7: 2, "\u00b9": 3 + 4j}),) * 2
+
     def test_parse_keeps_mixed_columns_and_repeats(self):
         # a real column beside a complex pair; an edge named twice keeps
         # its last column at the place of its first
@@ -330,10 +352,10 @@ class TestPlotdata:
         with pytest.raises(MalformedInputError, match=r"edge id \(1,\) cannot be written"):
             emit_plotdata(out)
 
-    @pytest.mark.parametrize("eid", ["01", "1", "007", -1, -12, 1.5, 2.0, True, False, "\u00b2"])
+    @pytest.mark.parametrize("eid", ["01", "1", "007", -1, -12, 1.5, 2.0, True, False])
     def test_ids_read_back_as_another_id_refused(self, eid):
         # '01' reads back as 1, '1' as 1, -1 as '-1', 1.5 as '1.5', True as
-        # 'True', and '²' not at all; rows, complex rows and arrays
+        # 'True'; rows, complex rows and arrays
         states = [SampledState(1, [SparseVector({eid: F(1, 3), "c": F(2)})] * 2),
                   SampledState(1, [SparseVector({eid: 1j})] * 2),
                   SampledState.from_array([eid, "c"], np.ones((2, 2)))]
@@ -353,7 +375,9 @@ class TestPlotdata:
         assert emit_plotdata(s, edges=[1]) == "s,edge_1\n0,1\n1,1\n"
 
     def test_ids_near_the_rule_round_trip(self):
-        edges = ["x_r", "ree", "_re_x", "x_ree", "im_", "x_Re", "a b", 7, 0, "1a", "a1", "-"]
+        # '²' and '１' are digits int() cannot or need not read: strings
+        edges = ["x_r", "ree", "_re_x", "x_ree", "im_", "x_Re", "a b", 7, 0, "1a", "a1", "-",
+                 "\u00b2", "\uff11", "\u0661"]
         for form in ("rows", "array", "complex"):
             values = [1j * k if form == "complex" else F(k, 3) for k in range(1, len(edges) + 1)]
             s = SampledState(1, [SparseVector(dict(zip(edges, values)))] * 2)
@@ -410,6 +434,14 @@ def _tree():
                             lambda j: (j // 2, j))
 
 
+def _closed_form(g, f, t):
+    """The unit closed form, semigroup._unit_flow, of f on g to time t,
+    however small the flow: on a finite graph's edges, or a lazy one's
+    forward cone."""
+    t, speed, rows, _ = semigroup._network(g, semigroup._UNIT, f, t)
+    return semigroup._unit_flow(semigroup._steps(g, speed, rows), f, t, F)
+
+
 class TestKernelRows:
     """Exact answers of the array kernels keep their integer rows, and
     emit_plotdata writes them from those (_arrays.row_cells), byte for
@@ -446,7 +478,7 @@ class TestKernelRows:
                                  [SparseVector({1: F(rng.randint(1, 9), 4)}),
                                   SparseVector({1: F(-1, 3), 2: F(1, 2)})])
             t = F(rng.randint(1, 24), rng.choice([3, 4, 8]))
-            out = evolve_unit(build_adjacency(_tree()), pulse, t)
+            out = _closed_form(_tree(), pulse, t)
             return kind, out, sorted(out.support()), 0
         if kind == "merged":
             # edges 1 and 2 both feed edge 3 only: pieces on 1 and on 2 meet
@@ -455,23 +487,26 @@ class TestKernelRows:
             f = NetworkState([F(0), F(1, 3), F(2, 3), F(1)],
                              [SparseVector({1: F(2)}), SparseVector({2: F(2)}),
                               SparseVector({1: F(1), 2: F(1)})])
-            out = evolve_unit(build_adjacency(g), f, F(rng.randint(1, 3)))
+            out = _closed_form(g, f, F(rng.randint(1, 3)))
             assert len(out.values) < len(f.values)
             return kind, out, g.edge_ids, 4
         wide = kind == "mixed" or rng.random() < 0.3
         g = checks.random_graph(rng, 64 if wide else 12,
-                                vertices=semigroup.ARRAY_FLOW_EDGES if wide else 0)
+                                vertices=32 if wide else 0)
         f = checks.random_state(rng, g, 8)
         t = {"short": F(rng.randint(1, 11), 12), "zero": F(0)}.get(
             kind, F(rng.randint(1, 40), rng.choice([4, 6, 9])))
         if kind == "mixed":
+            # over 256 edge-pieces a stage: the rule picks _array_flow
+            while len(g) * len(f.values) <= 256:
+                f = checks.random_state(rng, g, 16)
             pool = (F(1, 2), F(1), F(2), F(3, 2))
             vel = VelocityProfile({j: rng.choice(pool) for j in g.edge_ids})
             out = evolve_rational(g, vel, f, F(rng.randint(1, 12), 8))
         else:
-            out = evolve_unit(build_adjacency(g), f, t)
+            out = _closed_form(g, f, t)
         if kind == "reuse":  # the unrouted pieces are the first answer's
-            out = evolve_unit(build_adjacency(g), out, F(rng.randint(1, 5), 6))
+            out = _closed_form(g, out, F(rng.randint(1, 5), 6))
         return kind, out, g.edge_ids, len(g) + 1
 
     def test_random_answers_match_per_cell_reference(self, written):
@@ -493,7 +528,7 @@ class TestKernelRows:
         g = checks.random_graph(rng, 12)
         op = build_adjacency(g)
         f = checks.random_state(rng, g, 6)
-        a, b = evolve_unit(op, f, F(5, 2)), evolve_unit(op, f, F(1, 3))
+        a, b = _closed_form(g, f, F(5, 2)), _closed_form(g, f, F(1, 3))
         rows = [*sample(a, 8).samples, *sample(b, 8).samples, *f.values]
         assert len({v._row[0] for v in rows if hasattr(v, "_row")}) >= 3
         s = SampledState(len(rows) - 1, rows)
@@ -514,7 +549,7 @@ class TestKernelRows:
 
     def test_float_and_complex_states_keep_the_per_entry_path(self, written):
         rng = random.Random("kernel-rows-float")
-        g = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        g = checks.random_graph(rng, 64, vertices=32)
         f = checks.random_state(rng, g, 6)
         vel = VelocityProfile({j: rng.choice((F(1, 2), F(1), F(2))) for j in g.edge_ids})
         for h in (f.map_values(lambda v: SparseVector({j: float(x) / 3 for j, x in v.items()})),
@@ -541,7 +576,7 @@ class TestKernelRows:
     def test_overflow_raises_as_the_dict_path(self):
         g = parse_graph_file(checks.fixture_path("g5.graph")).graph
         f = NetworkState.constant(SparseVector({1: F(10**400)}))
-        s = sample(evolve_unit(build_adjacency(g), f, F(3, 2)), 4)
+        s = sample(_closed_form(g, f, F(3, 2)), 4)
         assert any(hasattr(v, "_row") for v in s.samples)
         for write in (emit_plotdata, oracles.plotdata_reference):
             with pytest.raises(OverflowError):
@@ -554,7 +589,7 @@ class TestKernelRows:
         cells = fileio._row_cells
         monkeypatch.setattr(fileio, "_row_cells", lambda d, *a: fallback.append(len(d)) or cells(d, *a))
         rng = random.Random("kernel-rows-wide")
-        g = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        g = checks.random_graph(rng, 64, vertices=32)
         bps = [F(k, 64) for k in range(65)]
         f = NetworkState(bps, [SparseVector({e: F(rng.choice([-3, -1, 2, 3]), rng.randint(1, 4))
                                              for e in rng.sample(g.edge_ids, 16)})

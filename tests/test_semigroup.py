@@ -1,10 +1,13 @@
 """Exact transport evolution: unit, rational along characteristics, subdivided, and absorbing."""
 
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,13 +387,15 @@ class TestUnitKernel:
     def test_graph_keeps_one_routing(self, monkeypatch, first):
         # a finite graph builds one routing, on its first resolvent, and
         # the flows' int steps over its feeders on its first flow, in either
-        # order; later flows at any one speed, and resolvents, build neither
+        # order; later flows at any one speed, and resolvents, build neither.
+        # Unit time 27/2 over 6 pieces is past the per-edge histories' work:
+        # the closed form runs
         g = g5()
         f = random_state(random.Random(7), (1, 2, 3, 4, 5))
         vel = VelocityProfile({}, default=F(3, 2))
         if first == "resolvent":
             resolvent_unit(build_adjacency(g), f, 2.0, grid=8)
-        want = evolve_rational(g, vel, f, F(9, 4))
+        want = evolve_rational(g, vel, f, F(9))
         if first == "flow":
             assert g._float_routing is None
             resolvent_unit(build_adjacency(g), f, 2.0, grid=8)
@@ -402,9 +407,9 @@ class TestUnitKernel:
 
         monkeypatch.setattr(graph_module, "_routing", refuse)
         monkeypatch.setattr(semigroup, "_int_steps", refuse)
-        assert evolve_rational(g, vel, f, F(9, 4)) == want
-        assert evolve_unit(build_adjacency(g), f, F(27, 8)) == want
-        assert evolve_rational(g, VelocityProfile({}, default=F(2)), f, F(27, 16)) == want
+        assert evolve_rational(g, vel, f, F(9)) == want
+        assert evolve_unit(build_adjacency(g), f, F(27, 2)) == want
+        assert evolve_rational(g, VelocityProfile({}, default=F(2)), f, F(27, 4)) == want
         resolvent_unit(build_adjacency(g), f, 0.5, grid=8)
         assert g._float_routing[0] is routing and g._int_steps is steps
 
@@ -814,7 +819,7 @@ class TestCharacteristicsAgainstSubdivision:
         monkeypatch.setattr(semigroup, "_route_exact", no_kernel)
         monkeypatch.setattr(semigroup, "_histories", no_kernel)
         monkeypatch.setattr(semigroup, "_array_flow", no_kernel)
-        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
         f, t = pulse_e1(), F(10**7)
         with pytest.raises(WidthOverflowError, match="9999999 stages over 2 edges exceed "
                            "2000000 stage-edges"):
@@ -831,16 +836,60 @@ class TestCharacteristicsAgainstSubdivision:
 
 class TestCharacteristicsOnArrays(TestCharacteristicsAgainstSubdivision):
     """The same trials with every exact flow at several speeds, however
-    few its edges, on semigroup._array_flow."""
+    small its work, on semigroup._array_flow (which hands a flow whose
+    numerators outgrow int64 to the per-edge histories)."""
 
     @pytest.fixture(autouse=True)
     def arrays(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
+
+
+def _perfbench(monkeypatch, name):
+    """perfbench/<name>.py, imported with perfbench on the path, as the
+    benchmark imports it."""
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(root))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", root / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def many_speeds(monkeypatch, pool):
+    """ROADMAP Baseline's many-speeds inputs: a 600-edge graph, a 64-piece
+    nonnegative state on 32 edges a piece, and `pool` cycled over the edges
+    and shuffled."""
+    gen = _perfbench(monkeypatch, "gen")
+    g = gen.regular_graph(random.Random(1), 200, 3, "wide")
+    f = gen.exact_state(random.Random(1), g.edge_ids, 64, 32, nonneg=True)
+    speeds = [pool[k % len(pool)] for k in range(len(g))]
+    random.Random(2).shuffle(speeds)
+    return g, VelocityProfile(dict(zip(g.edge_ids, speeds))), f
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The kernels exact flows run, in order: "closed form", "arrays",
+    "handed off" (_array_flow gave up) or "per edge"."""
+    log = []
+    for name, tag in (("_route_exact", "closed form"), ("_flow_histories", "per edge")):
+        run = getattr(semigroup, name)
+        monkeypatch.setattr(semigroup, name, lambda *a, run=run, tag=tag: log.append(tag) or run(*a))
+    array_flow = semigroup._array_flow
+
+    def arrays(*a):
+        out = array_flow(*a)
+        log.append("handed off" if out is None else "arrays")
+        return out
+
+    monkeypatch.setattr(semigroup, "_array_flow", arrays)
+    return log
 
 
 class TestArrayFlow:
-    """_flow's choice between the array kernel and the per-edge histories
-    at several speeds, pinned both ways."""
+    """_exact_flow's choice of kernel by predicted work, pinned both ways,
+    and the answer budget."""
 
     @staticmethod
     def refuse(*_):
@@ -854,7 +903,7 @@ class TestArrayFlow:
         vel = VelocityProfile({j: F(2**(j % 3), 2) for j in g.edge_ids})
         f = checks.random_state(rng, g, 16)
         times = (F(1, 3), F(25, 48), F(4, 3))
-        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", len(g) + 1)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", math.inf)
         want = [evolve_rational(g, vel, f, t) for t in times]
         monkeypatch.undo()
         monkeypatch.setattr(semigroup, "_inflow", self.refuse)
@@ -874,7 +923,7 @@ class TestArrayFlow:
         # at t = 1 / (2^62 + 1) a time unit holds over 2^62 ticks, so the
         # lattice times g5's five edges passes int64; at 1 / 2^40 it fits
         f = random_state(random.Random(9), (1, 2, 3, 4, 5))
-        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
         fits = F(1, 2**40)
         assert evolve_rational(g5(), G5_SPEEDS, f, fits) == subdivided_flow(g5(), G5_SPEEDS, f, fits)
         monkeypatch.setattr(semigroup, "_array_flow", self.refuse)
@@ -882,6 +931,74 @@ class TestArrayFlow:
             evolve_rational(g5(), G5_SPEEDS, f, fits)
         t = F(1, 2**62 + 1)
         assert evolve_rational(g5(), G5_SPEEDS, f, t) == subdivided_flow(g5(), G5_SPEEDS, f, t)
+
+
+    def test_benchmark_shapes(self, kernels, monkeypatch, tmp_path):
+        # unit-wide's 600 edges times 64 pieces on the closed form;
+        # mixed-ladder's g5 rungs (5 edges, 4 pieces, t c < 1, level 1 at
+        # one speed) on the per-edge histories, its 300-edge flows at
+        # speeds 1/2, 1 and 2 on the arrays
+        workloads = _perfbench(monkeypatch, "workloads")
+        want = {"g5-L1": "per edge", "g5-L2": "per edge", "g5-L3": "per edge",
+                "g5-L4": "per edge", "mixed0": "arrays", "mixed1": "arrays", "mixed2": "arrays"}
+        cases = [(case, "closed form") for case in workloads.UnitWide(1, tmp_path).round(0)]
+        cases += [(case, want[case.name]) for case in workloads.MixedLadder(1, tmp_path).round(0)]
+        for case, kernel in cases:
+            kernels.clear()
+            case.solve()
+            assert kernels == [kernel], case.name
+
+    def test_many_speeds_hand_off_before_object_numerators(self, kernels, monkeypatch):
+        # 8 speeds: the numerators outgrow int64 from t = 2/3, which the
+        # edge-count rule ran on the arrays in Python ints; the arrays now
+        # give up at the stage that would leave int64, and the per-edge
+        # histories build the same answer
+        g, vel, f = many_speeds(monkeypatch, [F(p, 10) for p in (11, 13, 17, 19, 23, 29, 31, 37)])
+        dtypes = []
+        answer = _arrays._answer
+        monkeypatch.setattr(_arrays, "_answer", lambda *a: dtypes.append(a[3].dtype) or answer(*a))
+        out = evolve_rational(g, vel, f, F(2, 3))
+        assert kernels == ["handed off", "per edge"] and dtypes == []
+        kernels.clear()
+        assert evolve_rational(g, vel, f, F(1, 3)) and kernels == ["arrays"]
+        assert dtypes and all(d == np.int64 for d in dtypes)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", math.inf)
+        assert evolve_rational(g, vel, f, F(2, 3)) == out
+
+    def test_float_states_keep_the_arrays(self, kernels, monkeypatch):
+        # a float state's numerators pass int64 at the first stage: they
+        # start past it, and the arrays run them in Python ints to the end
+        g, vel, f = many_speeds(monkeypatch, [F(1, 2), F(1), F(2)])
+        h = entrywise(lambda x: float(x) / 7, f)
+        for t in (F(1, 3), F(1)):
+            kernels.clear()
+            out = evolve_rational(g, vel, h, t)
+            assert kernels == ["arrays"], t
+            assert out == entrywise(float, evolve_rational(g, vel, entrywise(F, h), t))
+
+    @pytest.mark.parametrize("kernel", ["per edge", "arrays"])
+    def test_answer_budget(self, kernels, monkeypatch, kernel):
+        # an answer of more than MAX_ANSWER_ENTRIES entries, the support of
+        # each piece summed, is refused before any piece is built
+        if kernel == "arrays":
+            monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
+        g, f, t = g5(), g5_mixed(), F(7, 3)
+        want = evolve_rational(g, G5_SPEEDS, f, t)
+        assert kernels == [kernel]
+        entries = sum(len(v) for v in want.values)
+        monkeypatch.setattr(semigroup, "MAX_ANSWER_ENTRIES", entries)
+        assert evolve_rational(g, G5_SPEEDS, f, t) == want
+
+        def refuse(*_):
+            raise AssertionError("a piece was built")
+
+        monkeypatch.setattr(SparseVector, "_from_nonzero", refuse)
+        monkeypatch.setattr(_arrays, "_answer", refuse)
+        monkeypatch.setattr(semigroup, "MAX_ANSWER_ENTRIES", entries - 1)
+        with pytest.raises(WidthOverflowError,
+                           match=f"the answer's {entries} entries exceed {entries - 1}") as err:
+            evolve_rational(g, G5_SPEEDS, f, t)
+        assert len(err.value.edges) == 4
 
 
 G5_SPEEDS = VelocityProfile({1: F(2), 2: F(1), 3: F(1, 2), 4: F(3, 2), 5: F(1)})
@@ -941,12 +1058,14 @@ class TestLongHorizons:
 
 
 class TestLongHorizonsOnArrays(TestLongHorizons):
-    """The same horizons on semigroup._array_flow: g5 at t = 60 and 200
-    takes its values past int64, into Python ints."""
+    """The same horizons with every flow past the per-edge work, on
+    semigroup._array_flow at several speeds: g5 at t = 60 stays in int64,
+    and at t = 200 its numerators outgrow int64 and the arrays hand it to
+    the per-edge histories."""
 
     @pytest.fixture(autouse=True)
     def arrays(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
 
 
 def entrywise(fn, h):
@@ -982,7 +1101,7 @@ class TestFloatStates:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_graphs(self, seed):
         # 60 flows a seed, 225 random graphs in all: one speed, several
-        # speeds on graphs below and at or above ARRAY_FLOW_EDGES edges, and
+        # speeds on graphs of up to 10 edges and of up to 64, and
         # a lazy path at listed speeds; values scaled by random floats from
         # 1e-300 to 1e5
         rng = random.Random(f"float-flows:{seed}")
@@ -995,7 +1114,7 @@ class TestFloatStates:
                     SparseVector({0: F(rng.randint(1, 9), 7)}), SparseVector({0: F(-2), 1: F(5, 3)})])
             else:
                 g = (checks.random_graph(rng, 10) if kind < 2 else
-                     checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES))
+                     checks.random_graph(rng, 64, vertices=32))
                 vel = (VelocityProfile({}, default=rng.choice([F(1), F(3, 2)])) if kind == 0
                        else checks.random_velocities(rng, g))
                 f = checks.random_state(rng, g, 5)
@@ -1008,21 +1127,28 @@ class TestFloatStates:
         # each build the rounded answer, once for a float state and once a
         # part for a complex one
         rng = random.Random("float-kernels")
-        wide = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
-        cases = [(g5(), VelocityProfile({}, default=F(1)), "_route_exact"),
-                 (g5(), G5_SPEEDS, "_flow_histories"),
-                 (wide, checks.random_velocities(rng, wide), "_array_flow")]
-        for g, vel, kernel in cases:
+        wide = checks.random_graph(rng, 64, vertices=32)
+        # each input is one the rule sends to its kernel: g5 at one speed to
+        # t = 100/3 is past the per-edge work of up to 5 pieces, and values
+        # scaled by 2^0 to 2^-80 start past int64, so the array kernel keeps
+        # them to the end
+        cases = [(g5(), VelocityProfile({}, default=F(1)), "_route_exact", F(100, 3)),
+                 (g5(), G5_SPEEDS, "_flow_histories", F(7, 3)),
+                 (wide, checks.random_velocities(rng, wide), "_array_flow", F(7, 3))]
+        for g, vel, kernel, t in cases:
             calls = []
             run = getattr(semigroup, kernel)
-            monkeypatch.setattr(semigroup, kernel, lambda *a, run=run: calls.append(a) or run(*a))
-            f = entrywise(lambda x: float(x) / 7, checks.random_state(rng, g, 5))
-            z = complex_state(checks.random_state(rng, g, 5), checks.random_state(rng, g, 4))
+            monkeypatch.setattr(semigroup, kernel,
+                                lambda *a, run=run, calls=calls: calls.append(a) or run(*a))
+            spread = lambda h: entrywise(lambda x: x * 2.0 ** -rng.randint(0, 80), h)  # noqa: E731
+            f = spread(entrywise(lambda x: float(x) / 7, random_state(rng, g.edge_ids, 5)))
+            z = spread(complex_state(random_state(rng, g.edge_ids, 5),
+                                     random_state(rng, g.edge_ids, 4)))
             for h, runs in ((f, 1), (z, 2)):
                 calls.clear()
-                evolve_rational(g, vel, h, F(7, 3))
+                evolve_rational(g, vel, h, t)
                 assert len(calls) == runs, kernel
-                assert_rounded_exact_flow(g, vel, h, F(7, 3))
+                assert_rounded_exact_flow(g, vel, h, t)
 
     @pytest.mark.parametrize("speeds", ["one", "several"])
     def test_complex_values_on_g5(self, speeds):
@@ -1035,7 +1161,7 @@ class TestFloatStates:
 
     def test_complex_values_on_a_wide_graph(self):
         rng = random.Random("complex-wide")
-        g = checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES)
+        g = checks.random_graph(rng, 64, vertices=32)
         f = complex_state(checks.random_state(rng, g, 5), checks.random_state(rng, g, 3))
         for vel in (VelocityProfile({}, default=F(1)), checks.random_velocities(rng, g)):
             assert_rounded_exact_flow(g, vel, f, F(8, 3))
@@ -1132,27 +1258,32 @@ class TestAnswerValues:
         return calls
 
     def test_random_flows(self, answers):
-        # 200 seeded flows: one speed or several, on graphs below and at
-        # or above ARRAY_FLOW_EDGES edges (several speeds below it keep
-        # the per-edge histories, which build no array answer)
+        # 200 seeded flows: one speed or several, on graphs of up to 10
+        # edges, to times up to 24 so that at one speed they pass the
+        # per-edge histories' work (at several they keep the per-edge
+        # histories, which build no array answer), and of 32 vertices and
+        # up to 64 edges, with up to 12 pieces, to times up to 3
         rng = random.Random("answer-values")
         for trial in range(200):
             kind = trial % 4
             g = (checks.random_graph(rng, 10) if kind % 2 == 0 else
-                 checks.random_graph(rng, 64, vertices=semigroup.ARRAY_FLOW_EDGES))
+                 checks.random_graph(rng, 64, vertices=32))
             vel = (VelocityProfile({}, default=rng.choice([F(1), F(3, 2)])) if kind < 2
                    else checks.random_velocities(rng, g))
-            f = checks.random_state(rng, g, 5)
-            t = checks.random_time(rng, 3)
+            f = checks.random_state(rng, g, 12 if kind % 2 else 5)
+            t = checks.random_time(rng, 3) * (8 if kind % 2 == 0 else 1)
             evolve_rational(g, vel, f, t)
         assert ("int64", "Fraction", True) in answers and len(answers) > 100
 
-    def test_object_numerators_and_float_states(self, answers, monkeypatch):
-        # g5 at t = 200 takes the numerators past int64 on the arrays; a
-        # float state reads its answer with `rounded`
+    def test_object_numerators_and_float_states(self, answers, kernels, monkeypatch):
+        # g5 at t = 200 past the per-edge work: the arrays hand the flow to
+        # the per-edge histories as its numerators outgrow int64, and the
+        # subdivision oracle's unit closed form runs them in Python ints; a
+        # float state reads its answer with `rounded` on either array kernel
         g, f = g5(), g5_mixed()
-        monkeypatch.setattr(semigroup, "ARRAY_FLOW_EDGES", 0)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
         assert evolve_rational(g, G5_SPEEDS, f, F(200)) == subdivided_flow(g, G5_SPEEDS, f, F(200))
+        assert kernels == ["handed off", "per edge", "closed form"]
         assert any(dtype == "object" for dtype, _, _ in answers)
         answers.clear()
         h = entrywise(lambda x: float(x) / 7, f)
