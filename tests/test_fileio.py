@@ -366,6 +366,20 @@ class TestPlotdata:
                                    ".*read back as another id"):
                     emit_plotdata(s, edges=edges)
 
+    @pytest.mark.parametrize("eid", ["\u00b2", "\uff11", "\u0661"])
+    def test_non_ascii_digit_ids_read_back_as_themselves(self, eid):
+        # '²', '１' and '١' are string ids, not numbers: their columns read
+        # back as the same ids; rows, complex rows and arrays
+        states = [SampledState(1, [SparseVector({eid: F(1, 3), "c": F(2)})] * 2),
+                  SampledState(1, [SparseVector({eid: 1j})] * 2),
+                  SampledState.from_array([eid, "c"], np.ones((2, 2)))]
+        for s in states:
+            for edges in (None, [eid], ["c", eid]):
+                text = emit_plotdata(s, edges=edges)
+                back = parse_plotdata(text)
+                assert eid in back.edges and all(type(e) is str for e in back.edges)
+                assert emit_plotdata(back, edges=edges) == text
+
     def test_an_id_beside_its_digit_string_refused(self):
         # '1' and 1 would write two edge_1 columns, read back as one edge
         s = SampledState(1, [SparseVector({1: F(1), "1": F(2)})] * 2)
