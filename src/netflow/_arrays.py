@@ -41,7 +41,7 @@ def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> 
         return out
     ids, index, src, w, starts, L, growth = steps
     pairs = [x.as_integer_ratio() for k in active for x in vectors[k].values()]
-    D = math.lcm(*(d for _, d in pairs))
+    D = math.lcm(*{d for _, d in pairs})
     at = [r * len(ids) + index[j] for r, k in enumerate(active) for j in vectors[k].support()]
     nums = [n * (D // d) for n, d in pairs]
     bound = max(map(abs, nums), default=0)
@@ -222,7 +222,7 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     # edge j drains f_j(c_j s): piece m from tick b_m lag_j, equal neighbours merged
     entries = [(index[j] * pieces + m, *x.as_integer_ratio())
                for m, v in enumerate(f.values) for j, x in v.items()]
-    Q = math.lcm(*(d for _, _, d in entries))
+    Q = math.lcm(*{d for _, _, d in entries})
     nums = [n * (Q // d) for _, n, d in entries]
     bound = max(map(abs, nums), default=0)
     V = np.zeros(n * pieces, dtype=object if max(bound, grow) > _INT64_MAX or A.dtype == object
@@ -303,6 +303,11 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
                                  edges=ids[np.argsort(-wide, kind="stable")[:4]])
     rows = _spans(lo, span)[0]
     order = np.argsort(rows, kind="stable")
-    return NetworkState([Fraction(v, P) for v in xs.tolist()] + [Fraction(1)], _answer(
-        ids, rows[order], np.repeat(j[nz], span)[order], np.repeat(N[seg][nz], span)[order],
-        Q, len(xs), number))
+    pieces = _answer(ids, rows[order], np.repeat(j[nz], span)[order],
+                     np.repeat(N[seg][nz], span)[order], Q, len(xs), number)
+    # each breakpoint x / P from its coprime pair, as _answer builds values
+    g = np.gcd(xs, P)
+    bps = [*map(coprime_fraction, (xs // g).tolist(), (P // g).tolist()), Fraction(1)]
+    if number is Fraction:  # canonical as built: see NetworkState._canonical
+        return NetworkState._canonical(tuple(bps), tuple(pieces))
+    return NetworkState(bps, pieces)

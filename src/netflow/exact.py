@@ -68,9 +68,12 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def exact_values(f) -> bool:
     """Whether the state f holds only ints and Fractions."""
-    return all(type(x) in (int, Fraction) for v in f.values for _, x in v.items())
+    return {type(x) for v in f.values for x in v.values()} <= _EXACT_TYPES
 
 
 def by_value_kind(f, run, exact: bool = True):

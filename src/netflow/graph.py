@@ -203,6 +203,7 @@ class MetricGraph:
             head, eid = next(iter(self._sinks.items()))
             raise MalformedGraphError(f"vertex {head!r} (head of edge {eid!r}) has no outgoing edge")
         self._float_routing = None  # keeper [routing, f, f's table], on first solve
+        self._float_speeds = None  # the resolvent's float speeds on it by profile, on first solve
         self._int_steps = None  # the exact flows' int64 steps over its feeders, on first flow
         return self
 
@@ -417,7 +418,6 @@ class VelocityProfile:
             rational &= is_rational(c)
         self.c_min, self.c_max = min(pool), max(pool)
         self._rational = rational
-        self._float_speeds = None  # the resolvent's kept (edges, float speeds)
 
     def velocity(self, j):
         if j in self.values:

@@ -28,9 +28,10 @@ reader, _state_table, builds it.  The graph keeps both, read-only, in
 one keeper [routing, f, f's table]: the table of the last f solved
 there, matched by `kept f is f`.  So the solves at other lambdas or
 speeds that a convergence ladder makes for one f on one graph read f
-once.  The float speeds on that edge tuple are kept on the profile, one
-table per profile (_kept_speeds), so profiles that take turns on one
-graph each read theirs once.  A lazy graph, at any speeds, gives the
+once.  The float speeds on that edge tuple are kept on the graph too,
+one table per profile and weakly keyed by it (_kept_speeds), so
+profiles that take turns on one graph, and one profile that serves many
+graphs (the unit speed), read each table once.  A lazy graph, at any speeds, gives the
 routing closure of supp f, read with f and the speeds on every solve, as
 many applications of B deep as the tolerance can need, by the exact
 flows' walk; it is stochastic by construction, so the columns the
@@ -68,6 +69,7 @@ the exact flows' one work budget, semigroup.MAX_STAGE_EDGES.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -142,17 +144,17 @@ def _speed_table(vel: VelocityProfile, edges) -> np.ndarray:
     return np.array([to_float(vel.velocity(j)) for j in edges])
 
 
-def _kept_speeds(vel: VelocityProfile, edges: tuple) -> np.ndarray:
-    """_speed_table of a finite graph's kept routing edges, read-only and
-    kept on the profile as (edges, table), matched by `kept edges is
-    edges`: one table per profile, so profiles that take turns on one
-    graph each keep theirs."""
-    kept = vel._float_speeds
-    if kept is None or kept[0] is not edges:
-        table = _speed_table(vel, edges)
+def _kept_speeds(g: MetricGraph, vel: VelocityProfile, edges: tuple) -> np.ndarray:
+    """_speed_table of the finite graph g's kept routing edges, read-only
+    and kept on g by profile, with the profile as a weak key: a table
+    lives as long as its graph and its profile both do."""
+    if g._float_speeds is None:
+        g._float_speeds = weakref.WeakKeyDictionary()
+    table = g._float_speeds.get(vel)
+    if table is None:
+        table = g._float_speeds[vel] = _speed_table(vel, edges)
         table.flags.writeable = False
-        kept = vel._float_speeds = (edges, table)
-    return kept[1]
+    return table
 
 
 def _scatter(flat: np.ndarray, vals: np.ndarray, n: int, pieces: int, dtype) -> np.ndarray:
@@ -330,7 +332,7 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     if float(max(vals.max(initial=0.0), -vals.min(initial=0.0))) / abs(lam_num) == math.inf:
         raise PrecisionError(f"f / lambda at lambda {lam_num} is beyond float range")
     n = len(edges)
-    c = _kept_speeds(vel, edges) if g.is_finite else _speed_table(vel, edges)
+    c = _kept_speeds(g, vel, edges) if g.is_finite else _speed_table(vel, edges)
     c_min, c_max = min(c_min, c.min(initial=math.inf)), max(c_max, c.max(initial=0.0))
     mu = lam_num / c
 
@@ -456,7 +458,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     if not exact_values(f):
         raise NotRationalError("laplace_oracle needs exact rational state values")
     g, re, vel = op.graph, lam.real, op.scaling or semigroup._UNIT
-    _, speed, rows, _ = semigroup._network(g, vel, f, t_max)
+    _, speed, rows, speeds, _ = semigroup._network(g, vel, f, t_max)
     if not speed:  # f = 0 on a lazy graph
         return LaplaceResult(SampledState.from_array([], np.zeros((0, grid + 1))), lam, 0.0, 0.0)
     if g.is_finite:
@@ -472,7 +474,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     lam_num = re if lam.imag == 0 else lam
     u = np.zeros((len(speed), grid + 1), dtype=type(lam_num))
     err, g_sup = np.zeros(grid + 1), 0.0
-    history, D, T, lag = semigroup._flow_histories(speed, rows, f, t_max)
+    history, D, T, lag = semigroup._flow_histories(speed, speeds, rows, f, t_max)
     if (T + max(lag.values()) + D) * grid >= 2**53:
         raise PrecisionError("the Laplace sum's time lattice exceeds 2^53 ticks")
     for k, j in enumerate(speed):

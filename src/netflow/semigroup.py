@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,7 +89,8 @@ from .errors import (
     WidthOverflowError,
     WrongOperatorError,
 )
-from .exact import as_exact, as_exact_time, by_value_kind, exact_values, frac_part, is_rational
+from .exact import (as_exact, as_exact_time, by_value_kind, coprime_fraction, exact_values,
+                    frac_part, is_rational)
 from .graph import (
     AdjacencyOperator,
     MetricGraph,
@@ -443,40 +443,40 @@ def _loose_inflow(a, windows: list) -> list:
 
 def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     """The exact verbs' front: t an exact time >= 0, rational speeds, and
-    (t, speed, rows, speeds) of the edges the flow from f depends on up to
-    time t, speeds a list of their distinct speeds.  A finite graph keeps
-    every edge and its rows, and refuses f on an edge it lacks.  A lazy one
-    keeps the forward cone of supp f, by MetricGraph._walk in ticks: supp f
-    outflows from time 0, any other edge 1/c_j after its earliest inflow,
-    and an edge is in when inflow enters it before t; only edges that
-    outflow before t are read, and rows keep only those.  Stages of 1/c_max,
-    ceil(t c_max) - 1 of them, c_max the fastest edge so far, times the
-    edges past MAX_STAGE_EDGES are refused, checked as edges join.
-    """
+    (t, speed, rows, speeds, stages) of the edges the flow from f depends
+    on up to time t, speeds a list of their distinct speeds.  A finite graph
+    keeps every edge and its rows, and refuses f on an edge it lacks.  A
+    lazy one keeps the forward cone of supp f, by MetricGraph._walk in
+    ticks: supp f outflows from time 0, any other edge 1/c_j after its
+    earliest inflow, and an edge is in when inflow enters it before t; only
+    edges that outflow before t are read, and rows keep only those.  There
+    are `stages` = ceil(t c_max) stages of 1/c_max, c_max the fastest edge
+    so far; all but the first times the edges past MAX_STAGE_EDGES are
+    refused, checked as edges join."""
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     if not vel.is_rational():
         raise NotRationalError("exact flows need exact rational velocities")
-    if g.is_finite:
-        for j in f.support():
-            g.column(j)  # an edge the graph lacks raises MalformedGraphError
     seeds = g.edge_ids if g.is_finite else sorted(f.support(), key=repr)
     # the default, then the seeds' listed speeds: no vel.exact per edge
     speed = dict.fromkeys(seeds, vel.default)
+    if g.is_finite:
+        for j in f.support() - speed.keys():
+            g.column(j)  # an edge the graph lacks raises MalformedGraphError
     listed = {j: c for j, c in vel.values.items() if j in speed}
     speed.update(listed)
-    speeds = list(listed.values())
+    speeds = _distinct(listed.values())
     if len(listed) < len(speed):  # the default, or MissingVelocityError for the first unlisted seed
-        speeds.append(vel.velocity(next(j for j in speed if j not in listed)))
-    speeds = _distinct(speeds)
-    stages = math.ceil(t * max(speeds, default=0)) - 1
+        c = vel.velocity(next(j for j in speed if j not in listed))
+        speeds.setdefault(c.as_integer_ratio(), c)
+    stages = max((-(-t.numerator * n // (t.denominator * d)) for n, d in speeds), default=0) - 1
     if stages * len(speed) > MAX_STAGE_EDGES:
         fastest = sorted(speed, key=speed.get, reverse=True)[:4]
         raise WidthOverflowError(f"{stages} stages over {len(speed)} edges exceed "
                                  f"{MAX_STAGE_EDGES} stage-edges", edges=fastest)
     if g.is_finite:
-        return t, speed, g.feeders, speeds
+        return t, speed, g.feeders, list(speeds.values()), stages + 1
     # outflow times in ticks of 1/N, N the lcm of the profile's exact speed
     # numerators, so every 1/c_j is a whole number of ticks; a tick is
     # before t exactly when it is below ceil(t N)
@@ -496,23 +496,22 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     for j, column in g._walk(seeds, lag, -(-t.numerator * N // t.denominator)):
         for i, w in column.items():
             cone.setdefault(i, {})[j] = w
-    return t, speed, cone.__getitem__, _distinct(speed.values())
+    return t, speed, cone.__getitem__, list(_distinct(speed.values()).values()), stages + 1
 
 
-def _distinct(speeds) -> list:
-    """The distinct exact speeds of `speeds`, told apart by (numerator,
-    denominator), which cost no Fraction hash."""
-    return list({(c.numerator, c.denominator): c for c in speeds}.values())
+def _distinct(speeds) -> dict:
+    """The distinct exact speeds by (numerator, denominator): no Fraction hash."""
+    return {c.as_integer_ratio(): c for c in speeds}
 
 
-def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
-    """Head outflows H_j on [0, t + 1/c_j) of the edges in `speed`, in
-    ticks of 1/D.  Edge j at x leaves the head at t + x/c_j, so H_j there
-    is the answer at x, up to the rate picked up on the way.
+def _histories(speed: Mapping, speeds: list, rows, t: Fraction, cuts, drain, delay=None):
+    """Head outflows H_j on [0, t + 1/c_j) of the edges in `speed`, of
+    distinct speeds `speeds`, in ticks of 1/D.  Edge j at x leaves the head
+    at t + x/c_j, so H_j there is the answer at x, up to the rate picked up.
 
-    `drain(j)` gives edge j's outflow while its initial profile drains,
-    as (edge position, value) segments on [0, 1); `den` must be a multiple
-    of every position's denominator.  After draining, H_j is the tail
+    `drain(j)` gives edge j's outflow while its initial profile drains, one
+    value a piece y_m <= y < y_m+1 of the `cuts` of [0, 1], from y_m / c_j
+    on.  After draining, H_j is the tail
     inflow sum_k (c_k / c_j) w_jk H_k over the feeders k in `rows(j)`
     1/c_j earlier: exact (n, d) pairs summed by _inflow, or _ExpSum values
     summed by _loose_inflow and passed through `delay(j, value)` when one
@@ -524,7 +523,8 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     ticks per time unit, and t and every 1/c_j in ticks.
     """
     ids = list(speed)
-    D, T, lag = _ticks(speed, t, den)
+    den = math.lcm(*(y.denominator for y in cuts))
+    D, T, lag = _ticks(speed, speeds, t, den)
     # stages of the shortest traversal time each visit every edge,
     # whatever the size of the answer; _network bounds their work
     step = min(lag.values())
@@ -538,13 +538,13 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
             g = math.gcd(p, q)
             feeders[j].append((k, p // g, q // g))
     # head outflow H_j: first edge j's own drain on [0, lag[j])
+    at = [y.numerator * (den // y.denominator) for y in cuts[:-1]]  # y den
     history, size = {}, 0
     for j in ids:
         starts, values = history[j] = [], []
-        for y, v in drain(j):
+        for y, v in zip(at, drain(j)):
             if not values or v != values[-1]:
-                # y / c_j in ticks: y's denominator divides den, and den divides lag[j]
-                starts.append(y.numerator * (lag[j] // y.denominator))
+                starts.append(y * (lag[j] // den))  # y / c_j in ticks: den divides lag[j]
                 values.append(v)
         size += len(starts)
 
@@ -578,15 +578,16 @@ def _histories(speed: Mapping, rows, t: Fraction, den: int, drain, delay=None):
     return history, D, T, lag
 
 
-def _ticks(speed: Mapping, t: Fraction, den: int) -> tuple:
-    """(D, T, lag): ticks of 1/D hold every breakpoint over den, lag and
-    stage end whole, so histories hold integers; t is T ticks, 1/c_j lag[j]."""
-    D = math.lcm(t.denominator, den * math.lcm(*(c.numerator for c in speed.values())))
+def _ticks(speed: Mapping, speeds: list, t: Fraction, den: int) -> tuple:
+    """(D, T, lag): ticks of 1/D hold every breakpoint over den, lag and stage
+    end whole; t is T ticks, 1/c_j lag[j], once a distinct speed of `speeds`."""
+    D = math.lcm(t.denominator, den * math.lcm(*(c.numerator for c in speeds)))
+    lags = {(c.numerator, c.denominator): D // c.numerator * c.denominator for c in speeds}
     return D, t.numerator * (D // t.denominator), {
-        j: D // c.numerator * c.denominator for j, c in speed.items()}
+        j: lags[c.as_integer_ratio()] for j, c in speed.items()}
 
 
-def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple:
+def _flow_histories(speed: Mapping, speeds: list, rows, f: NetworkState, t: Fraction) -> tuple:
     """_histories of the flow from f, with nothing picked up on the way:
     edge j drains as f_j(c_j s).
 
@@ -595,12 +596,12 @@ def _flow_histories(speed: Mapping, rows, f: NetworkState, t: Fraction) -> tuple
     ints over the lcm of the denominators it reads and cancels it again,
     so a value is never larger than the Fraction it stands for.
     """
-    drains: dict = {}
+    zero = [(0, 1)] * len(f.values)
+    drains = {j: zero.copy() for j in f.support()}
     for m, v in enumerate(f.values):
         for j, x in v.items():
-            drains.setdefault(j, [(0, 1)] * len(f.values))[m] = x.as_integer_ratio()
-    return _histories(speed, rows, t, math.lcm(*(b.denominator for b in f.breakpoints)),
-                      lambda j: zip(f.breakpoints, drains.get(j, [(0, 1)])))
+            drains[j][m] = x.as_integer_ratio()
+    return _histories(speed, speeds, rows, t, f.breakpoints, lambda j: drains.get(j, zero))
 
 
 def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
@@ -621,12 +622,12 @@ def evolve_rational(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) ->
 def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkState:
     """evolve_rational, and evolve_unit at c = 1, on the graph alone; float
     and complex f run exactly and are rounded once by by_value_kind."""
-    t, speed, rows, speeds = _network(g, vel, f, t)
-    return by_value_kind(f, lambda h, number: _exact_flow(g, speed, rows, speeds, h, t, number))
+    t, speed, rows, speeds, stages = _network(g, vel, f, t)
+    return by_value_kind(f, lambda h, n: _exact_flow(g, speed, rows, speeds, stages, h, t, n))
 
 
-def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, f: NetworkState,
-                t: Fraction, number) -> NetworkState:
+def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
+                f: NetworkState, t: Fraction, number) -> NetworkState:
     """The flow from f over _network's edges, f's values read exactly by
     as_integer_ratio, each answer value number(numerator, denominator), and
     the one place a kernel is chosen, by predicted work.  The per-edge
@@ -642,54 +643,53 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, f: NetworkSt
     MAX_ANSWER_ENTRIES entries is refused before any piece is built."""
     if t == 0 or not speed:
         return f
-    stages = math.ceil(t * max(speeds))
     passes = 1 if len(speeds) == 1 else 1 + stages
     if len(speed) * len(f.values) * stages > EDGE_FLOW_WORK * passes:
         if len(speeds) == 1:
             return _unit_flow(_steps(g, speed, rows), f, speeds[0] * t, number)
-        _, T, lag = _ticks(speed, t, math.lcm(*(b.denominator for b in f.breakpoints)))
-        P = math.lcm(*lag.values())
+        _, T, lag = _ticks(speed, speeds, t, math.lcm(*(b.denominator for b in f.breakpoints)))
+        P = math.lcm(*set(lag.values()))
         if max(len(speed) * (T + max(lag.values())), P) <= _INT64_MAX:
             out = _array_flow(_steps(g, speed, rows), f, T, list(lag.values()), P,
                               (MAX_HISTORY_BREAKPOINTS, MAX_ANSWER_ENTRIES), number)
             if out is not None:
                 return out
 
-    history, _, T, lag = _flow_histories(speed, rows, f, t)
-    numbers = functools.cache(number)
-
+    history, _, T, lag = _flow_histories(speed, speeds, rows, f, t)
     # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
-    # value changes keyed by x's numerator over P = lcm(lag) (histories
-    # hold no equal neighbours)
-    P = math.lcm(*lag.values())
-    changes: dict = {}
+    # value changes keyed by x's numerator over P = lcm(lag), 0 among them
+    # (histories hold no equal neighbours); each pair, in lowest terms, read once
+    exact, memo, changes, P = number is Fraction, {}, {}, math.lcm(*set(lag.values()))
+    read = coprime_fraction if exact else number
     for j in speed:
         scale = P // lag[j]
         for s, v in _window(*history[j], T, T + lag[j]):
-            changes.setdefault((s - T) * scale, []).append((j, numbers(*v)))
-
+            x = memo.get(v)
+            if x is None:
+                x = memo[v] = read(*v)
+            changes.setdefault((s - T) * scale, []).append((j, x))
     del history  # the pieces below need only the changes
-    bps = sorted(changes.keys() | {0})
-    # the answer's entries, each piece's support summed
-    support, entries = set(), 0
+    bps = sorted(changes)
+    if len(bps) * len(speed) > MAX_ANSWER_ENTRIES:  # count each piece's support
+        support, entries = set(), 0
+        for x in bps:
+            for j, v in changes[x]:
+                (support.add if v else support.discard)(j)
+            entries += len(support)
+        if entries > MAX_ANSWER_ENTRIES:
+            changed = collections.Counter(j for c in changes.values() for j, _ in c)
+            raise WidthOverflowError(f"the answer's {entries} entries exceed {MAX_ANSWER_ENTRIES}",
+                                     edges=[j for j, _ in changed.most_common(4)])
+    current, pieces = {}, []
     for x in bps:
-        for j, v in changes.get(x, ()):
-            (support.add if v else support.discard)(j)
-        entries += len(support)
-    if entries > MAX_ANSWER_ENTRIES:
-        changed = collections.Counter(j for c in changes.values() for j, _ in c)
-        raise WidthOverflowError(f"the answer's {entries} entries exceed {MAX_ANSWER_ENTRIES}",
-                                 edges=[j for j, _ in changed.most_common(4)])
-    current: dict = {}
-    pieces = []
-    for x in bps:
-        for j, v in changes.get(x, ()):
+        for j, v in changes[x]:
             if v:
                 current[j] = v
             else:
                 current.pop(j, None)
         pieces.append(SparseVector._from_nonzero(dict(current)))
-    return NetworkState([Fraction(x, P) for x in bps] + [Fraction(1)], pieces)
+    bps = [coprime_fraction(x // g, P // g) for x in bps for g in (math.gcd(x, P),)]
+    return (NetworkState._canonical if exact else NetworkState)((*bps, Fraction(1)), tuple(pieces))
 
 
 class AbsorptionProfile:
@@ -831,7 +831,7 @@ def evolve_absorbing(
     """
     if grid < 1:
         raise ValueError(f"output grid must be >= 1, got {grid}")
-    t, speed, rows, _ = _network(g, vel, f, t)
+    t, speed, rows, speeds, _ = _network(g, vel, f, t)
     if not exact_values(f):
         raise NotRationalError("evolve_absorbing needs exact rational state values")
     qs = q.as_state()
@@ -854,14 +854,13 @@ def evolve_absorbing(
         profile[j], Q[j] = pieces, area
 
     def drain(j):
-        return [(y, _ExpSum({((area - b * y) / speed[j], b): v}) if v else 0)
+        return [_ExpSum({((area - b * y) / speed[j], b): v}) if v else 0
                 for y, (v, b, area) in zip(starts, profile[j])]
 
     def delay(j, v):
         return _ExpSum({(beta + (Q[j] - b) / speed[j], b): r for (beta, b), r in v.items()})
 
-    history, D, T, _ = _histories(speed, rows, t, math.lcm(*(b.denominator for b in cuts)),
-                                  drain, delay)
+    history, D, T, _ = _histories(speed, speeds, rows, t, cuts, drain, delay)
     array, error_bound = _absorbing_read(speed, grid, cuts, profile, history, D, T)
     return AbsorbingResult(SampledState.from_array(speed, array), error_bound)
 

@@ -9,7 +9,12 @@ numbers you store, and all operations that can stay exact do.
 
 States are kept canonical: adjacent pieces with equal vectors are merged
 and zero vector entries are never stored, so equality of canonical forms
-is semantic equality almost everywhere.
+is semantic equality almost everywhere.  The public constructor trusts
+nothing: it reads every breakpoint exactly, checks that they increase and
+merges equal neighbours.  NetworkState._canonical trusts all of that and
+stores its parts as given; only the exact flows' readers call it, on
+answers that are canonical by construction (its docstring says why), so
+a small answer pays for no second look at what its kernel just built.
 
 SampledState is the floating counterpart: values on the uniform grid
 s_m = m/M, held as one vector per grid point (exact values) or as one
@@ -78,6 +83,27 @@ class NetworkState:
                 out_bps.append(b_next)
         self.breakpoints = tuple(out_bps)
         self.values = tuple(out_vals)
+
+    @classmethod
+    def _canonical(cls, breakpoints: tuple, values: tuple) -> "NetworkState":
+        """A state from parts already in canonical form, stored as given:
+        Fraction breakpoints from 0 to 1, strictly increasing, and a tuple
+        of zero-free SparseVectors, no two neighbours equal.  Nothing is
+        checked, so only a caller that owns that proof may call it.
+
+        The exact flows' answers read with the Fraction reader own it.
+        Each breakpoint but 0 is where some edge's head history changes
+        value, and the histories hold no equal neighbours, so the pieces on
+        either side differ on that edge.  The values are read from
+        numerator pairs over one denominator (the array kernel) or in
+        lowest terms (the per-edge read), so distinct pairs give distinct
+        Fractions, and zero entries are left out.  A rounded reader can map
+        distinct pairs to one float, so float answers, and the unit kernel's
+        B^n v, which can equal its neighbour B^(n+1) v', take the checking
+        constructor."""
+        self = object.__new__(cls)
+        self.breakpoints, self.values = breakpoints, values
+        return self
 
     @classmethod
     def constant(cls, vec) -> "NetworkState":
@@ -406,14 +432,18 @@ def predual_norm(g: NetworkState):
     return total
 
 
-def grid_pieces(breakpoints: Sequence, grid: int) -> list:
+def grid_pieces(breakpoints: Sequence, grid: int, items: Sequence | None = None) -> list:
     """The piece each sample s = m / grid, m = 0..grid, lies in, right-open:
     piece p, from a_p to b_p, holds the m with ceil(a_p grid) <= m <
-    ceil(b_p grid), and s = 1 lies in the last piece."""
+    ceil(b_p grid), and s = 1 lies in the last piece.  Given `items`, one
+    per piece, each sample's item instead of its piece's index."""
+    if items is None:
+        items = range(len(breakpoints) - 1)
     out: list = []
-    for p, b in enumerate(breakpoints[1:]):
-        out += [p] * (-(-b.numerator * grid // b.denominator) - len(out))
-    return out + [len(breakpoints) - 2]
+    for b, x in zip(breakpoints[1:], items):
+        out += [x] * (-(-b.numerator * grid // b.denominator) - len(out))
+    out.append(items[-1])
+    return out
 
 
 def sample(f: NetworkState, M: int) -> SampledState:
@@ -421,9 +451,14 @@ def sample(f: NetworkState, M: int) -> SampledState:
 
     The sample at 1 is the left trace, matching how a transported state
     is about to leave the edge.  Every point of a piece holds the piece's
-    own vector object.
+    own vector object.  The rows are f's own SparseVectors, so the
+    SampledState is built from them as they are, without the public
+    constructor's per-row check and count; a grid below 1 is refused.
     """
     M = int(M)
     if M < 1:
         raise MalformedInputError(f"grid size must be >= 1, got {M}")
-    return SampledState(M, [f.values[p] for p in grid_pieces(f.breakpoints, M)])
+    out = object.__new__(SampledState)
+    out.grid_size, out.edges, out.array = M, None, None
+    out._samples = tuple(grid_pieces(f.breakpoints, M, f.values))
+    return out

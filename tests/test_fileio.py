@@ -452,7 +452,7 @@ def _closed_form(g, f, t):
     """The unit closed form, semigroup._unit_flow, of f on g to time t,
     however small the flow: on a finite graph's edges, or a lazy one's
     forward cone."""
-    t, speed, rows, _ = semigroup._network(g, semigroup._UNIT, f, t)
+    t, speed, rows, *_ = semigroup._network(g, semigroup._UNIT, f, t)
     return semigroup._unit_flow(semigroup._steps(g, speed, rows), f, t, F)
 
 

@@ -994,7 +994,7 @@ class TestOneWalk:
                          (random_lazy_tree(seed), [(0,), (0, 0, 0)])):
             f = NetworkState.constant(SparseVector(dict.fromkeys(seeds, F(1))))
             for t in (F(0), F(1, 2), F(1), F(rng.randint(4, 17), 3)):
-                _, speed, _, _ = semigroup._network(g, semigroup._UNIT, f, t)
+                _, speed, *_ = semigroup._network(g, semigroup._UNIT, f, t)
                 edges = resolvent_module._routing(g, sorted(seeds, key=repr), math.ceil(t))[0]
                 assert tuple(speed) == edges
 
@@ -1187,8 +1187,8 @@ class TestRoutingReadOnce:
 
     def test_speeds_are_read_once_per_profile(self, monkeypatch):
         # three profiles take turns on one graph, as in a benchmark round:
-        # each keeps its float speeds, matched by the kept routing's edge
-        # tuple; a new graph, or a lazy one, reads them afresh
+        # the graph keeps each one's float speeds on its kept routing's
+        # edges; a new graph reads its own once, a lazy one on every solve
         g = regular_style_graph(random.Random(52), 30, 3)
         f = checks.random_state(random.Random(53), g, 6)
         ones = VelocityProfile({j: F(1) for j in g.edge_ids})
@@ -1198,7 +1198,7 @@ class TestRoutingReadOnce:
                   lambda lam: resolvent_general(g, ones, f, lam, grid=16),
                   lambda lam: resolvent_general(g, mixed, f, lam, grid=16)]
         cold = [solve(0.5).state.array.tobytes() for solve in solves]
-        ones._float_speeds = mixed._float_speeds = semigroup._UNIT._float_speeds = None
+        g._float_speeds = None
         reads = []
         speed_table = resolvent_module._speed_table
 
@@ -1211,20 +1211,49 @@ class TestRoutingReadOnce:
             got = [solve(lam).state.array.tobytes() for solve in solves]
         assert got == cold
         assert reads == [semigroup._UNIT, ones, mixed]
-        edges = g._float_routing[0][0]
-        for vel in (ones, mixed):
-            assert vel._float_speeds[0] is edges and not vel._float_speeds[1].flags.writeable
+        for vel in (semigroup._UNIT, ones, mixed):
+            assert not g._float_speeds[vel].flags.writeable
         reads.clear()
         other = regular_style_graph(random.Random(54), 30, 3)
         resolvent_general(other, mixed, checks.random_state(random.Random(55), other, 3), 0.5)
         resolvent_general(g, mixed, f, 0.5, grid=16)
-        assert reads == [mixed, mixed]
+        assert reads == [mixed]
         reads.clear()
         lazy_vel = VelocityProfile({1: F(2)}, default=F(1))
         pulse = NetworkState.constant(SparseVector({0: F(1)}))
+        lazy = lazy_path()
         for _ in range(2):
-            resolvent_general(lazy_path(), lazy_vel, pulse, 0.5)
-        assert reads == [lazy_vel, lazy_vel] and lazy_vel._float_speeds is None
+            resolvent_general(lazy, lazy_vel, pulse, 0.5)
+        assert reads == [lazy_vel, lazy_vel]
+
+    def test_unit_speeds_are_kept_per_graph(self, monkeypatch):
+        # the unit profile serves every graph: solving on g_a, then g_b,
+        # then g_a again builds each graph's table once, and the first
+        # table is still g_a's
+        g_a = regular_style_graph(random.Random(56), 30, 3)
+        g_b = regular_style_graph(random.Random(57), 12, 3)
+        states = {id(g): checks.random_state(random.Random(58), g, 4) for g in (g_a, g_b)}
+        reads = []
+        speed_table = resolvent_module._speed_table
+
+        def counted(vel, edges):
+            reads.append((vel, edges))
+            return speed_table(vel, edges)
+
+        monkeypatch.setattr(resolvent_module, "_speed_table", counted)
+        bits = [resolvent_unit(build_adjacency(g), states[id(g)], 0.5, grid=8).state.array.tobytes()
+                for g in (g_a, g_b, g_a)]
+        assert reads == [(semigroup._UNIT, g._float_routing[0][0]) for g in (g_a, g_b)]
+        assert bits[0] == bits[2]
+        table = g_a._float_speeds[semigroup._UNIT]
+        assert not table.flags.writeable and list(table) == [1.0] * len(g_a)
+        # a table is dropped with its profile
+        vel = VelocityProfile({j: F(2) for j in g_a.edge_ids})
+        resolvent_general(g_a, vel, states[id(g_a)], 0.5, grid=8)
+        assert vel in g_a._float_speeds
+        reads.clear()
+        del vel
+        assert len(g_a._float_speeds) == 1
 
     def test_a_new_state_profile_or_graph_reads_its_own(self):
         # f lives on edges 0 and 1; `wider` puts edge -1 before them, so a

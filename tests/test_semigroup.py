@@ -232,7 +232,7 @@ def route_exact(g, vecs, powers):
     vectors' supports to time max(powers): every edge of a finite graph,
     and on a lazy one the forward cone, max(powers) deep."""
     f = NetworkState.constant(SparseVector({j: 1 for v in vecs for j in v.support()}))
-    _, speed, rows, _ = semigroup._network(g, semigroup._UNIT, f, F(max(powers)))
+    _, speed, rows, *_ = semigroup._network(g, semigroup._UNIT, f, F(max(powers)))
     return semigroup._route_exact(semigroup._steps(g, speed, rows), vecs, powers)
 
 
@@ -1014,8 +1014,8 @@ def g5_mixed():
 
 
 def flow_histories(g, vel, f, t):
-    _, speed, rows, _ = semigroup._network(g, vel, f, t)
-    return semigroup._flow_histories(speed, rows, f, t)[0]
+    _, speed, rows, speeds, _ = semigroup._network(g, vel, f, t)
+    return semigroup._flow_histories(speed, speeds, rows, f, t)[0]
 
 
 def assert_reduced_histories(g, vel, f, t):
@@ -1291,6 +1291,70 @@ class TestAnswerValues:
             assert_rounded_exact_flow(g, vel, h, F(7, 3))
         # the reference flows of Fraction(f) take the exact path beside them
         assert {number for _, number, _ in answers} == {"rounded", "Fraction"}
+
+
+class TestCanonicalAnswers:
+    """An exact answer read with Fraction is built canonical by
+    NetworkState._canonical, which checks nothing; it must equal what the
+    checking constructor makes of its own parts, piece for piece, with
+    Fraction breakpoints and values."""
+
+    @staticmethod
+    def assert_canonical(h):
+        again = NetworkState(h.breakpoints, h.values)
+        assert again == h and len(again.values) == len(h.values)
+        assert type(h.breakpoints) is tuple and type(h.values) is tuple
+        assert all(type(b) is F for b in h.breakpoints)
+        assert all(type(x) is F for v in h.values for x in v.values())
+
+    def test_random_flows(self, kernels):
+        # 400 seeded flows, 100 of each kind: several speeds on up to 10
+        # edges (the per-edge read), on 64 (the arrays), one speed to times
+        # up to 24 (the unit closed form past the per-edge work), and the
+        # lazy cones of a path and a binary tree at listed speeds; every
+        # fifth at t = 0 and every fifth at t below 1/c_max
+        rng = random.Random("canonical-answers")
+        path = lazy_path()
+        tree, tree_vel = binary_tree(), tree_case()[0]
+        path_vel = VelocityProfile({1: F(2), 2: F(1, 2)}, default=F(1))
+        for trial in range(400):
+            kind = trial % 4
+            if kind == 3:
+                g, vel = (path, path_vel) if trial % 8 == 3 else (tree, tree_vel)
+                f = random_state(rng, range(3), rng.randint(1, 6))
+            else:
+                g = checks.random_graph(rng, 64, vertices=32) if kind == 1 else checks.random_graph(rng, 10)
+                vel = (VelocityProfile({}, default=rng.choice([F(1), F(3, 2)])) if kind == 2
+                       else checks.random_velocities(rng, g))
+                f = checks.random_state(rng, g, 8)
+            c_max = max(vel.values.values(), default=vel.default)
+            if trial % 5 == 0:
+                t = F(0)
+            elif trial % 5 == 1:
+                t = F(rng.randint(1, 9), 10) / c_max
+            else:
+                t = checks.random_time(rng, 3) * (8 if kind == 2 else 1)
+            self.assert_canonical(evolve_rational(g, vel, f, t))
+            if kind == 2:
+                self.assert_canonical(evolve_unit(build_adjacency(g), f, t))
+        assert {"per edge", "arrays", "closed form"} <= set(kernels)
+
+    @pytest.mark.parametrize("work", [None, -1], ids=["per-edge", "arrays"])
+    def test_rounded_neighbours_are_merged(self, monkeypatch, work):
+        # edge 1 of g5 takes in H_4 + H_5: 1 + 1e-300 and then 1 + 2e-300,
+        # two exact values that round to the same float 1.0, so the float
+        # answer is one piece where the exact one is two, on the per-edge
+        # read and on the arrays (at two speeds, past the per-edge work)
+        if work is not None:
+            monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", work)
+        vel = VelocityProfile({2: F(2), 3: F(2)}, default=F(1))
+        f = NetworkState([F(0), F(1, 2), F(1)], [SparseVector({4: 1.0, 5: 1e-300}),
+                                                 SparseVector({4: 1.0, 5: 2e-300})])
+        got = evolve_rational(g5(), vel, f, F(1))
+        assert got == NetworkState.constant(SparseVector({1: 1.0}))
+        assert len(got.breakpoints) == 2 and type(got.values[0].get(1)) is float
+        exact = evolve_rational(g5(), vel, entrywise(F, f), F(1))
+        assert len(exact.values) == 2 and entrywise(float, exact) == got
 
 
 def random_absorbing_case(seed):

@@ -306,6 +306,27 @@ class TestSampling:
         s.totals(), s.sup_sample_norm()
         assert len(calls) == 2 * len({id(v) for v in s.samples}) < len(s.samples)
 
+    @pytest.mark.parametrize("grid", [0, -1, 0.5])
+    def test_grid_below_one_refused(self, grid):
+        # sample builds its rows without SampledState's constructor, and
+        # still refuses what the constructor refuses
+        with pytest.raises(MalformedInputError, match="grid size must be >= 1"):
+            sample(two_piece(), grid)
+        with pytest.raises(MalformedInputError, match="grid size must be >= 1"):
+            SampledState(int(grid), [])
+
+    def test_rows_are_the_state_s_own_vectors(self):
+        # the direct build gives what the constructor gives, row object for
+        # row object
+        rng = random.Random(12)
+        for f in [NetworkState.zero(), two_piece()] + [random_state(rng) for _ in range(20)]:
+            for M in (1, 2, 7, 64):
+                s = sample(f, M)
+                rows = [f.values[p] for p in semigroup.grid_pieces(f.breakpoints, M)]
+                assert s == SampledState(M, rows) and s.grid_size == M
+                assert type(s.samples) is tuple and s.edges is None and s.array is None
+                assert all(a is b for a, b in zip(s.samples, rows)) and len(s.samples) == M + 1
+
     def test_distance_is_max_l1(self):
         a = SampledState(2, [SparseVector({1: F(1)})] * 3)
         b = SampledState(2, [SparseVector({1: F(1)}), SparseVector({2: F(1)}), SparseVector({})])
