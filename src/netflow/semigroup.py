@@ -507,20 +507,19 @@ def _distinct(speeds) -> dict:
 def _histories(speed: Mapping, speeds: list, rows, t: Fraction, cuts, drain, delay=None):
     """Head outflows H_j on [0, t + 1/c_j) of the edges in `speed`, of
     distinct speeds `speeds`, in ticks of 1/D.  Edge j at x leaves the head
-    at t + x/c_j, so H_j there is the answer at x, up to the rate picked up.
+    at t + x/c_j, so H_j there is the answer at x, up to the rate picked up on the way.
 
-    `drain(j)` gives edge j's outflow while its initial profile drains, one
-    value a piece y_m <= y < y_m+1 of the `cuts` of [0, 1], from y_m / c_j
-    on.  After draining, H_j is the tail
-    inflow sum_k (c_k / c_j) w_jk H_k over the feeders k in `rows(j)`
-    1/c_j earlier: exact (n, d) pairs summed by _inflow, or _ExpSum values
-    summed by _loose_inflow and passed through `delay(j, value)` when one
-    is given.  All histories grow together in stages of the shortest
-    traversal time, each stage reading only what earlier stages
-    built.  Past MAX_HISTORY_BREAKPOINTS they are refused, counting a
-    delayed (absorbing) value by its terms and any other by one.
-    Returns (history, D, T, lag): H_j as (start ticks, values), the
-    ticks per time unit, and t and every 1/c_j in ticks.
+    `drain(j)` gives edge j's outflow while its initial profile drains: one
+    value a piece [y_m, y_m+1) of the `cuts` 0 = y_0 < ... < 1, from time
+    y_m / c_j on.  After draining, H_j is the tail inflow sum_k (c_k / c_j)
+    w_jk H_k over the feeders k in `rows(j)` 1/c_j earlier: exact (n, d)
+    pairs summed by _inflow, or _ExpSum values summed by _loose_inflow and
+    passed through `delay(j, value)` when one is given.  All histories
+    grow together in stages of the shortest traversal time, each stage
+    reading only what earlier stages built.  Past MAX_HISTORY_BREAKPOINTS
+    they are refused, counting a delayed (absorbing) value by its terms
+    and any other by one.  Returns (history, D, T, lag): H_j as (start
+    ticks, values), the ticks per time unit, and t and every 1/c_j in ticks.
     """
     ids = list(speed)
     den = math.lcm(*(y.denominator for y in cuts))
