@@ -179,6 +179,22 @@ def _int_steps(edges: list, rows) -> tuple:
             np.array([index[j] for row in rows for j in row], dtype=np.intp), w, starts, L, growth)
 
 
+def _kept_steps(g) -> tuple:
+    """_int_steps of the finite graph g over its feeders, kept read-only in
+    its store from its first flow."""
+    if "steps" not in g._kept:
+        g._kept["steps"] = _frozen(*_int_steps(g.edge_ids, g.feeders))
+    return g._kept["steps"]
+
+
+def _frozen(*parts) -> tuple:
+    """`parts`, each ndarray among them made read-only, as a graph's store keeps them."""
+    for a in parts:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return parts
+
+
 def _spans(first, count) -> tuple:
     """first[i] .. first[i] + count[i] - 1 for every i, in one array, and
     where each i's run starts in it."""

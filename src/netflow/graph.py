@@ -31,9 +31,8 @@ from .errors import (
     MalformedGraphError,
     MissingVelocityError,
     NotRationalError,
-    WidthOverflowError,
 )
-from .exact import as_exact, float_or_inf, is_rational, to_float
+from .exact import as_exact, float_or_inf, is_rational
 
 __all__ = [
     "SparseVector",
@@ -202,9 +201,9 @@ class MetricGraph:
         if self._sinks and not allow_sinks:
             head, eid = next(iter(self._sinks.items()))
             raise MalformedGraphError(f"vertex {head!r} (head of edge {eid!r}) has no outgoing edge")
-        self._float_routing = None  # keeper [routing, f, f's table], on first solve
-        self._float_speeds = None  # the resolvent's float speeds on it by profile, on first solve
-        self._int_steps = None  # the exact flows' int64 steps over its feeders, on first flow
+        # tables its solvers build on first use, each read-only and kept by
+        # the one function that builds it; a lazy graph keeps none
+        self._kept = {}
         return self
 
     @classmethod
@@ -303,15 +302,6 @@ class MetricGraph:
                     heapq.heappush(heap, (out + lag(i), len(seen), i))
         return read
 
-    def _kept_routing(self) -> tuple:
-        """The one routing of a finite graph, read-only: _routing over all edges."""
-        if self._float_routing is None:
-            routing = _routing(self, self.edge_ids, 1)
-            for a in routing[1:]:
-                a.flags.writeable = False
-            self._float_routing = [routing, None, None]
-        return self._float_routing[0]
-
     def _check_lazy_column(self, j, col) -> dict:
         if not isinstance(col, (list, tuple)):
             raise MalformedGraphError(
@@ -369,31 +359,6 @@ class MetricGraph:
         if self._lazy:
             return f"MetricGraph(lazy, name={self.name!r})"
         return f"MetricGraph({len(self._edges)} edges, name={self.name!r})"
-
-
-def _routing(g: MetricGraph, seeds: list, depth: int, budget=math.inf) -> tuple:
-    """B's nonzero entries as index arrays (edges, rows, cols, weights), by
-    MetricGraph._walk at lag 1: `edges` the distinct `seeds`, then every
-    edge within `depth` applications of B, breadth first; each entry w_ij
-    of the columns of the edges reached in fewer is weights[k] =
-    float(w_ij) at rows[k], cols[k], the positions of i and j in `edges`.
-    An edge past `budget` raises WidthOverflowError."""
-    # here, not at the top: numpy imported with graph.py, ahead of the
-    # modules that use it, raised peak RSS on the resolvent workload by 2 MB
-    import numpy as np
-
-    pos = {j: k for k, j in enumerate(seeds)}
-
-    def lag(i):
-        if len(pos) >= budget:
-            raise WidthOverflowError(f"routing closure exceeds {budget} edges", edges=(i,))
-        pos[i] = len(pos)
-        return 1
-
-    read = g._walk(seeds, lag, depth)
-    return (tuple(pos), np.array([pos[i] for _, col in read for i in col], dtype=np.intp),
-            np.array([pos[j] for j, col in read for _ in col], dtype=np.intp),
-            np.array([to_float(w) for _, col in read for w in col.values()], dtype=float))
 
 
 class VelocityProfile:

@@ -24,19 +24,18 @@ in sorted-id order; B alone fixes those arrays, so they are read once
 per graph, on its first solve, and scaled by the speeds into a copy.
 What a solve reads from f alone, its entries as flat positions and float
 values on that edge tuple and its piece widths, is f's table, and one
-reader, _state_table, builds it.  The graph keeps both, read-only, in
-one keeper [routing, f, f's table]: the table of the last f solved
-there, matched by `kept f is f`.  So the solves at other lambdas or
-speeds that a convergence ladder makes for one f on one graph read f
-once.  The float speeds on that edge tuple are kept on the graph too,
-one table per profile and weakly keyed by it (_kept_speeds), so
-profiles that take turns on one graph, and one profile that serves many
-graphs (the unit speed), read each table once.  A lazy graph, at any speeds, gives the
-routing closure of supp f, read with f and the speeds on every solve, as
-many applications of B deep as the tolerance can need, by the exact
-flows' walk; it is stochastic by construction, so the columns the
-closure leaves unread sum to one, and its q and c_min come from the
-profile.
+reader, _state_table, builds it.  _kept keeps both in the graph's
+store, read-only, with the float speeds on that edge tuple: the table
+of the last f solved there, matched by `kept f is f`, and one speed
+table per profile, weakly keyed by it.  So the solves at other lambdas
+or speeds that a convergence ladder makes for one f on one graph read f
+once, and profiles that take turns on one graph, and one profile that
+serves many graphs (the unit speed), read each speed table once.  A
+lazy graph keeps nothing: at any speeds it gives the routing closure of
+supp f, read with f and the speeds on every solve, as many applications
+of B deep as the tolerance can need, by the exact flows' walk; it is
+stochastic by construction, so the columns the closure leaves unread
+sum to one, and its q and c_min come from the profile.
 
 f's values and its piece integrals are pieces x edges arrays, so the
 backward recurrence over the pieces runs on contiguous rows.  The
@@ -75,16 +74,18 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._arrays import _frozen
 from .errors import (
     ContractionViolationError,
     MalformedGraphError,
     NotRationalError,
     PrecisionError,
     TruncationError,
+    WidthOverflowError,
     WrongOperatorError,
 )
 from .exact import as_exact, exact_values, to_float
-from .graph import AdjacencyOperator, MetricGraph, VelocityProfile, _routing
+from .graph import AdjacencyOperator, MetricGraph, VelocityProfile
 from . import semigroup
 from .states import NetworkState, SampledState, boundary_residual, grid_pieces
 
@@ -142,19 +143,6 @@ def _state_table(f: NetworkState, edges) -> tuple:
 def _speed_table(vel: VelocityProfile, edges) -> np.ndarray:
     """The float speeds of `edges`."""
     return np.array([to_float(vel.velocity(j)) for j in edges])
-
-
-def _kept_speeds(g: MetricGraph, vel: VelocityProfile, edges: tuple) -> np.ndarray:
-    """_speed_table of the finite graph g's kept routing edges, read-only
-    and kept on g by profile, with the profile as a weak key: a table
-    lives as long as its graph and its profile both do."""
-    if g._float_speeds is None:
-        g._float_speeds = weakref.WeakKeyDictionary()
-    table = g._float_speeds.get(vel)
-    if table is None:
-        table = g._float_speeds[vel] = _speed_table(vel, edges)
-        table.flags.writeable = False
-    return table
 
 
 def _scatter(flat: np.ndarray, vals: np.ndarray, n: int, pieces: int, dtype) -> np.ndarray:
@@ -228,20 +216,42 @@ def _route(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     return np.bincount(rows, weights * v[cols], minlength=len(v))
 
 
-def _kept(g: MetricGraph, f: NetworkState) -> tuple:
-    """(routing, table) of the finite graph g: the routing g keeps
-    (MetricGraph._kept_routing) and f's _state_table on its edges, both
-    read-only and kept in g's keeper [routing, f, f's table]: the table of
-    the last f solved there, matched by `kept f is f` (the keeper holds f,
-    so no other state can take its address)."""
-    g._kept_routing()
-    keeper = g._float_routing
-    if keeper[1] is not f:
-        table = _state_table(f, keeper[0][0])
-        for a in table:
-            a.flags.writeable = False
-        keeper[1:] = f, table
-    return keeper[0], keeper[2]
+def _routing(g: MetricGraph, seeds: list, depth: int, budget=math.inf) -> tuple:
+    """B's nonzero entries as index arrays (edges, rows, cols, weights), by
+    MetricGraph._walk at lag 1: `edges` the distinct `seeds`, then every
+    edge within `depth` applications of B, breadth first; each entry w_ij
+    of the columns of the edges reached in fewer is weights[k] =
+    float(w_ij) at rows[k], cols[k], the positions of i and j in `edges`.
+    An edge past `budget` raises WidthOverflowError."""
+    pos = {j: k for k, j in enumerate(seeds)}
+
+    def lag(i):
+        if len(pos) >= budget:
+            raise WidthOverflowError(f"routing closure exceeds {budget} edges", edges=(i,))
+        pos[i] = len(pos)
+        return 1
+
+    read = g._walk(seeds, lag, depth)
+    return (tuple(pos), np.array([pos[i] for _, col in read for i in col], dtype=np.intp),
+            np.array([pos[j] for j, col in read for _ in col], dtype=np.intp),
+            np.array([to_float(w) for _, col in read for w in col.values()], dtype=float))
+
+
+def _kept(g: MetricGraph, f: NetworkState, vel: VelocityProfile) -> tuple:
+    """(routing, f's table, speeds) of the finite graph g, built on first
+    use and kept read-only in its store, as the module docstring says: the
+    store holds the last f solved on g, so no other state can take its
+    address, and a speed table lives as long as its graph and profile."""
+    kept = g._kept
+    if "routing" not in kept:
+        kept["routing"] = _frozen(*_routing(g, g.edge_ids, 1))
+        kept["speeds"] = weakref.WeakKeyDictionary()
+    routing, speeds = kept["routing"], kept["speeds"]
+    if kept.get("table", (None,))[0] is not f:
+        kept["table"] = _frozen(f, *_state_table(f, routing[0]))
+    if vel not in speeds:
+        speeds[vel] = _frozen(_speed_table(vel, routing[0]))[0]
+    return routing, kept["table"][1:], speeds[vel]
 
 
 def _terms_needed(first: float, rate: float, tol: float) -> int:
@@ -280,9 +290,9 @@ def _lazy_bounds(vel: VelocityProfile, re: float) -> tuple:
 def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
             lam, grid: int, tol: float) -> ResolventResult:
     """Both resolvents at the speeds `vel`, by the series and stop rule of
-    the module docstring.  A finite graph reads every column on its first
-    solve and f's entries on the first solve of that f on it (_kept), and
-    fills V from the kept entries with one scatter.  A lazy one reads the
+    the module docstring.  A finite graph reads its columns, f's entries
+    and a profile's speeds once, through _kept, and fills V from the kept
+    entries with one scatter.  A lazy one reads the
     closure of supp f, and the dropped terms reach edges it
     never read, so q and c_min are the profile's (_lazy_bounds) unless
     rounding puts the closure's past them.  Its depth suffices: c_j |d_j|
@@ -303,7 +313,7 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
             raise ValueError("graph has no edges")
         q, c_min, c_max = 0.0, math.inf, 0.0
         try:
-            (edges, rows, cols, weights), (flat, vals, widths) = _kept(g, f)
+            (edges, rows, cols, weights), (flat, vals, widths), c = _kept(g, f, vel)
         except KeyError as err:
             raise MalformedGraphError(f"unknown edge {err.args[0]!r}") from None
         V = _scatter(flat, vals, len(edges), len(f.values), type(lam_num))
@@ -327,12 +337,12 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
         # the seeds lead the closure, and f is zero on the columns past them
         V = np.zeros((len(f.values), len(edges)), dtype=type(lam_num))
         V[:, :len(seeds)] = F
+        c = _speed_table(vel, edges)
     # numpy takes f / l in place; a Python float division first reads inf,
     # not a warning, and for real l it rounds as numpy's does
     if float(max(vals.max(initial=0.0), -vals.min(initial=0.0))) / abs(lam_num) == math.inf:
         raise PrecisionError(f"f / lambda at lambda {lam_num} is beyond float range")
     n = len(edges)
-    c = _kept_speeds(g, vel, edges) if g.is_finite else _speed_table(vel, edges)
     c_min, c_max = min(c_min, c.min(initial=math.inf)), max(c_max, c.max(initial=0.0))
     mu = lam_num / c
 

@@ -81,7 +81,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import _INT64_MAX, _array_flow, _int_steps, _route_exact
+from ._arrays import _INT64_MAX, _array_flow, _int_steps, _kept_steps, _route_exact
 from .errors import (
     MalformedGraphError,
     NotRationalError,
@@ -172,11 +172,8 @@ def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkSta
 
 
 def _steps(g: MetricGraph, speed: Mapping, rows) -> tuple:
-    """_int_steps of a lazy graph's forward cone, as _network read it, or of
-    a finite graph, kept with it from its first flow."""
-    if g.is_finite and g._int_steps is None:
-        g._int_steps = _int_steps(g.edge_ids, g.feeders)
-    return g._int_steps if g.is_finite else _int_steps(list(speed), rows)
+    """_int_steps of a lazy graph's forward cone, as _network read it, or _kept_steps."""
+    return _kept_steps(g) if g.is_finite else _int_steps(list(speed), rows)
 
 
 # The paper's subdivision, the tests' oracle for evolve_rational.  It stays

@@ -453,11 +453,12 @@ def sample(f: NetworkState, M: int) -> SampledState:
     is about to leave the edge.  Every point of a piece holds the piece's
     own vector object.  The rows are f's own SparseVectors, so the
     SampledState is built from them as they are, without the public
-    constructor's per-row check and count; a grid below 1 is refused.
+    constructor's per-row check and count; a grid that is not an integer
+    >= 1 is refused.
     """
+    if not isinstance(M, (int, np.integer)) or M < 1:
+        raise MalformedInputError(f"grid size must be an integer >= 1, got {M!r}")
     M = int(M)
-    if M < 1:
-        raise MalformedInputError(f"grid size must be >= 1, got {M}")
     out = object.__new__(SampledState)
     out.grid_size, out.edges, out.array = M, None, None
     out._samples = tuple(grid_pieces(f.breakpoints, M, f.values))

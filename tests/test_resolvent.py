@@ -475,7 +475,7 @@ class TestPerSpeedSampler:
 
     def assert_matches_per_edge(self, monkeypatch, g, f, solve):
         fast = solve()
-        keeper = g._float_routing if g.is_finite else None
+        kept = g._kept if g.is_finite else None
         reads = []
 
         def per_edge_state_table(f, edges):
@@ -483,17 +483,17 @@ class TestPerSpeedSampler:
             return oracles.per_edge_state_table(f, edges)
 
         with monkeypatch.context() as m:
-            # the reference bypasses the keeper the fast solve filled, so it
-            # reads f entry by entry, and leaves that keeper as it found it
-            if keeper is not None:
-                m.setattr(g, "_float_routing", None)
+            # the reference bypasses the store the fast solve filled, so it
+            # reads f entry by entry, and leaves that store as it found it
+            if kept is not None:
+                m.setattr(g, "_kept", {})
             m.setattr(resolvent_module, "_state_table", per_edge_state_table)
             m.setattr(resolvent_module, "_piece_integrals", oracles.per_edge_piece_integrals)
             m.setattr(resolvent_module, "_sample", oracles.per_edge_sample)
             ref = solve()
         assert len(reads) == 1
-        if keeper is not None:
-            assert g._float_routing is keeper and keeper[1] is f
+        if kept is not None:
+            assert g._kept is kept and kept["table"][0] is f
         assert fast.state.edges == ref.state.edges
         assert fast.state.array.dtype == ref.state.array.dtype
         assert fast.state.array.tobytes() == ref.state.array.tobytes()
@@ -985,7 +985,7 @@ class TestOneWalk:
         self.assert_breadth_first(g, rng.sample(g.edge_ids, 2), rng.randint(1, 5))
         # the kept routing of a finite graph: its sorted edges, one deep
         resolvent_unit(build_adjacency(g), checks.random_state(rng, g, 3), 1.0, grid=4)
-        self.assert_breadth_first(g, g.edge_ids, 1, g._float_routing[0])
+        self.assert_breadth_first(g, g.edge_ids, 1, g._kept["routing"])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unit_cone_is_the_closure_ceil_t_deep(self, seed):
@@ -1054,8 +1054,9 @@ def test_one_full_size_array_per_solve(lam):
 
 class TestRoutingReadOnce:
     """A finite graph's B is read into float index arrays on its first
-    solve and kept in the graph's keeper [routing, f, f's table], with
-    the table of the last f solved there; a lazy solve reads f every time."""
+    solve and kept in the graph's store, with the table of the last f
+    solved there and one speed table per profile; a lazy graph keeps
+    nothing, and its solves read f every time."""
 
     @staticmethod
     def counting_columns(monkeypatch, g):
@@ -1149,7 +1150,7 @@ class TestRoutingReadOnce:
             # each closure is a new tuple, and the check reads on it once
             assert [len(e) for e in f_reads[::2]] == [2, 2, 2] and len(f_reads) == 6
         else:
-            assert f_reads == [g._float_routing[0][0]] * 3
+            assert f_reads == [g._kept["routing"][0]] * 3
 
     def test_unit_solves_read_once(self, monkeypatch):
         g = regular_style_graph(random.Random(50), 20, 3)
@@ -1161,7 +1162,7 @@ class TestRoutingReadOnce:
             res = resolvent_unit(op, f, lam, grid=16)
             resolvent_identity_check(op, f, lam, result=res)
         # the solves read nothing; each check reads f once on the result's edges
-        assert f_reads == [g._float_routing[0][0]] * 3
+        assert f_reads == [g._kept["routing"][0]] * 3
 
     def test_lazy_solves_and_checks_leave_the_kept_table(self, monkeypatch):
         # f solved on a finite graph, then on a lazy one: the lazy solve and
@@ -1172,18 +1173,18 @@ class TestRoutingReadOnce:
         vel = VelocityProfile({1: math.sqrt(3)}, default=F(1))
         finite, lazy = cycle(5), lazy_path()
         resolvent_general(finite, vel, f, 2.0, grid=8)
-        keeper = finite._float_routing
-        routing, kept_f, kept = keeper
-        assert kept_f is f and len(kept) == 3
+        kept = finite._kept
+        routing, table = kept["routing"], kept["table"]
+        assert table[0] is f and len(table) == 4
         f_reads = self.counting_f_reads(monkeypatch)
         res = resolvent_general(lazy, vel, f, 1 + 1j, grid=8)
         resolvent_identity_check(build_adjacency(lazy, vel), f, 1 + 1j, result=res, vel=vel)
-        assert len(f_reads) == 2
-        assert finite._float_routing is keeper
-        assert keeper[0] is routing and keeper[1] is f and keeper[2] is kept
+        assert len(f_reads) == 2 and not hasattr(lazy, "_kept")
+        assert finite._kept is kept
+        assert kept["routing"] is routing and kept["table"] is table
         f_reads.clear()
         resolvent_general(finite, vel, f, 0.5, grid=8)
-        assert f_reads == [] and keeper[2] is kept
+        assert f_reads == [] and kept["table"] is table
 
     def test_speeds_are_read_once_per_profile(self, monkeypatch):
         # three profiles take turns on one graph, as in a benchmark round:
@@ -1198,7 +1199,7 @@ class TestRoutingReadOnce:
                   lambda lam: resolvent_general(g, ones, f, lam, grid=16),
                   lambda lam: resolvent_general(g, mixed, f, lam, grid=16)]
         cold = [solve(0.5).state.array.tobytes() for solve in solves]
-        g._float_speeds = None
+        g._kept["speeds"].clear()
         reads = []
         speed_table = resolvent_module._speed_table
 
@@ -1212,7 +1213,7 @@ class TestRoutingReadOnce:
         assert got == cold
         assert reads == [semigroup._UNIT, ones, mixed]
         for vel in (semigroup._UNIT, ones, mixed):
-            assert not g._float_speeds[vel].flags.writeable
+            assert not g._kept["speeds"][vel].flags.writeable
         reads.clear()
         other = regular_style_graph(random.Random(54), 30, 3)
         resolvent_general(other, mixed, checks.random_state(random.Random(55), other, 3), 0.5)
@@ -1243,17 +1244,17 @@ class TestRoutingReadOnce:
         monkeypatch.setattr(resolvent_module, "_speed_table", counted)
         bits = [resolvent_unit(build_adjacency(g), states[id(g)], 0.5, grid=8).state.array.tobytes()
                 for g in (g_a, g_b, g_a)]
-        assert reads == [(semigroup._UNIT, g._float_routing[0][0]) for g in (g_a, g_b)]
+        assert reads == [(semigroup._UNIT, g._kept["routing"][0]) for g in (g_a, g_b)]
         assert bits[0] == bits[2]
-        table = g_a._float_speeds[semigroup._UNIT]
+        table = g_a._kept["speeds"][semigroup._UNIT]
         assert not table.flags.writeable and list(table) == [1.0] * len(g_a)
         # a table is dropped with its profile
         vel = VelocityProfile({j: F(2) for j in g_a.edge_ids})
         resolvent_general(g_a, vel, states[id(g_a)], 0.5, grid=8)
-        assert vel in g_a._float_speeds
+        assert vel in g_a._kept["speeds"]
         reads.clear()
         del vel
-        assert len(g_a._float_speeds) == 1
+        assert len(g_a._kept["speeds"]) == 1
 
     def test_a_new_state_profile_or_graph_reads_its_own(self):
         # f lives on edges 0 and 1; `wider` puts edge -1 before them, so a
@@ -1298,12 +1299,40 @@ class TestRoutingReadOnce:
         f = random_state(random.Random(52), g.edge_ids, pieces=4)
         vel = VelocityProfile({j: [F(1, 2), math.sqrt(2)][j % 2] for j in g.edge_ids})
         resolvent_general(g, vel, f, 1 + 1j, grid=8)
-        routing, kept_f, table = g._float_routing
-        assert kept_f is f and routing[0] == tuple(g.edge_ids)
-        kept = [*routing[1:], *table]
-        assert len(kept) == 6
+        routing, table = g._kept["routing"], g._kept["table"]
+        assert table[0] is f and routing[0] == tuple(g.edge_ids)
+        kept = [*routing[1:], *table[1:], g._kept["speeds"][vel]]
+        assert len(kept) == 7
         for a in kept:
             assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_store_holds_four_read_only_tables(self, monkeypatch):
+        # a flow at three speeds past EDGE_FLOW_WORK runs the array kernel
+        # on the graph's kept int steps; with a resolvent solve beside it
+        # the store holds exactly its four tables, and none of their
+        # arrays, the exact steps included, takes a write
+        g = regular_style_graph(random.Random(60), 20, 3)
+        f = random_state(random.Random(61), g.edge_ids, pieces=6)
+        vel = VelocityProfile({j: [F(1, 2), F(1), F(2)][j % 3] for j in g.edge_ids})
+        runs = []
+        array_flow = semigroup._array_flow
+
+        def counted(steps, *args):
+            runs.append(steps)
+            return array_flow(steps, *args)
+
+        monkeypatch.setattr(semigroup, "_array_flow", counted)
+        semigroup.evolve_rational(g, vel, f, F(4, 3))
+        resolvent_general(g, vel, f, 2.0, grid=8)
+        kept = g._kept
+        assert set(kept) == {"routing", "table", "speeds", "steps"}
+        assert runs == [kept["steps"]] and kept["table"][0] is f
+        parts = (kept["routing"], kept["table"], kept["steps"], kept["speeds"].values())
+        arrays = [a for part in parts for a in part if isinstance(a, np.ndarray)]
+        assert len(arrays) == 11
+        for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = 0
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import netflow.graph as graph_module
+import netflow._arrays as arrays_module
+import netflow.resolvent as resolvent_module
 import oracles
 from netflow import (
     AbsorbingResult,
@@ -397,21 +398,21 @@ class TestUnitKernel:
             resolvent_unit(build_adjacency(g), f, 2.0, grid=8)
         want = evolve_rational(g, vel, f, F(9))
         if first == "flow":
-            assert g._float_routing is None
+            assert "routing" not in g._kept
             resolvent_unit(build_adjacency(g), f, 2.0, grid=8)
-        routing, steps = g._float_routing[0], g._int_steps
+        routing, steps = g._kept["routing"], g._kept["steps"]
         assert routing[0] == tuple(g.edge_ids) == tuple(steps[0])
 
         def refuse(*_):
             raise AssertionError("built the routing or its int steps again")
 
-        monkeypatch.setattr(graph_module, "_routing", refuse)
-        monkeypatch.setattr(semigroup, "_int_steps", refuse)
+        monkeypatch.setattr(resolvent_module, "_routing", refuse)
+        monkeypatch.setattr(arrays_module, "_int_steps", refuse)
         assert evolve_rational(g, vel, f, F(9)) == want
         assert evolve_unit(build_adjacency(g), f, F(27, 2)) == want
         assert evolve_rational(g, VelocityProfile({}, default=F(2)), f, F(27, 4)) == want
         resolvent_unit(build_adjacency(g), f, 0.5, grid=8)
-        assert g._float_routing[0] is routing and g._int_steps is steps
+        assert g._kept["routing"] is routing and g._kept["steps"] is steps
 
     def test_lazy_graph_reads_each_column_once(self):
         # a lazy graph routes on the closure of each call, and reads each

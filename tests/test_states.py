@@ -306,14 +306,16 @@ class TestSampling:
         s.totals(), s.sup_sample_norm()
         assert len(calls) == 2 * len({id(v) for v in s.samples}) < len(s.samples)
 
-    @pytest.mark.parametrize("grid", [0, -1, 0.5])
+    @pytest.mark.parametrize("grid", [0, -1, 0.5, 2.5, "3"])
     def test_grid_below_one_refused(self, grid):
         # sample builds its rows without SampledState's constructor, and
-        # still refuses what the constructor refuses
-        with pytest.raises(MalformedInputError, match="grid size must be >= 1"):
+        # still refuses what the constructor refuses; a grid that is not an
+        # integer is refused, not rounded to one
+        with pytest.raises(MalformedInputError, match="grid size must be an integer >= 1"):
             sample(two_piece(), grid)
-        with pytest.raises(MalformedInputError, match="grid size must be >= 1"):
-            SampledState(int(grid), [])
+        if not isinstance(grid, str) and grid < 1:
+            with pytest.raises(MalformedInputError, match="grid size must be >= 1"):
+                SampledState(int(grid), [])
 
     def test_rows_are_the_state_s_own_vectors(self):
         # the direct build gives what the constructor gives, row object for
