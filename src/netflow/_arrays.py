@@ -2,10 +2,13 @@
 _route_exact at one speed, over the steps _int_steps builds from a flow's
 feeders, and _array_flow at several.  Both run in int64 under a running
 bound and in Python ints past it, and _answer builds both answers.  An
-exact answer keeps its integer form, which row_cells places on the
-CSV columns of fileio.emit_plotdata.  They live apart from semigroup.py because
-compiling that module at import sets the peak memory of a short run,
-which grows in 1 MB steps with its size.
+exact answer is its integer form, a _Rows table, until a value is read:
+row_cells places it on the CSV columns of fileio.emit_plotdata,
+_unit_answer merges the closed form's equal neighbours from it, and its
+dicts of Fractions are built on the first read of any entry.  The
+kernels live apart from semigroup.py because compiling that module at
+import sets the peak memory of a short run, which grows in 1 MB steps
+with its size.
 """
 
 from __future__ import annotations
@@ -71,54 +74,150 @@ def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> 
 
 def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
     """`count` SparseVectors of the nonzero entries nums / D of an int table
-    at `rows` (ascending) and `cols` (in `ids`, ascending in a row),
-    number(x, D) once for each numerator x; a float that underflows to 0
-    is dropped.  Exact int64 numerators over D <= 2^63 - 1 take one np.gcd
-    with D for all of them, and each value is the coprime pair (x // g,
-    D // g) as Python ints from tolist, D // g > 0, built by
-    coprime_fraction without a gcd or type check of its own.
+    at `rows` (ascending) and `cols` (in `ids`, ascending in a row).
 
-    An exact answer's vectors also keep their integer form, one _Rows
-    shared by all of them, as `_row` = (that form, the vector's row): for
-    each entry its key, row times the ids plus column, and its distinct
-    numerator's index, int32 where they fit, and the distinct numerators
-    over D.  The table lives as long as any of its vectors, so a state
-    that keeps one vector of a wide answer keeps the whole table.  Each
-    dict value is built from the same distinct numerator, and vectors are
-    never mutated, so the kept row always equals the dict.  A rounded
-    answer keeps none: its dict drops a value that underflows to 0."""
+    Read with Fraction, the answer is its integer form, one _Rows shared
+    by its vectors, each of which holds only `_row` = (that form, its
+    row): no value and no dict is built until some vector's entries are
+    read, and then _Rows.dicts builds every row's at once.  The table
+    lives as long as any of its vectors, so a state that keeps one vector
+    of a wide answer keeps the whole table.  Read with another `number`,
+    the dicts are built here, number(x, D) once for each distinct
+    numerator x, and a float that underflows to 0 is dropped, so a
+    rounded answer keeps no row: its dict and row could differ."""
     distinct, inverse = np.unique(nums, return_inverse=True)
-    if number is Fraction and distinct.dtype != object and D <= _INT64_MAX:
-        g = np.gcd(distinct, D)
-        built = np.array(list(map(coprime_fraction, (distinct // g).tolist(), (D // g).tolist())),
-                         dtype=object)
-    else:
-        built = np.array([number(x, D) for x in distinct.tolist()], dtype=object)
-    keys, values = ids[cols].tolist(), built[inverse].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
     if number is not Fraction:
-        return [SparseVector(dict(zip(keys[a:b], values[a:b])))
-                for a, b in zip([0, *ends], ends)]
+        built = np.array([number(x, D) for x in distinct.tolist()], dtype=object)
+        return [SparseVector(d) for d in _split(ids, rows, cols, inverse, built, count)]
     small = np.int32 if max(count * len(ids), len(distinct)) < 2**31 else np.intp
-    table = _Rows(ids, (rows * len(ids) + cols).astype(small), inverse.astype(small), distinct, D)
+    table = _Rows(ids, (rows * len(ids) + cols).astype(small), inverse.astype(small),
+                  distinct, D, count)
     out = []
-    for k, (a, b) in enumerate(zip([0, *ends], ends)):
-        v = SparseVector._from_nonzero(dict(zip(keys[a:b], values[a:b])))
+    for k in range(count):
+        v = object.__new__(SparseVector)
         v._row = (table, k)
         out.append(v)
     return out
 
 
+def _split(ids, rows, cols, which, built, count: int) -> list:
+    """The `count` dicts of a table's rows: the entries at `rows`
+    (ascending) and `cols` (in `ids`, ascending in a row), each value
+    built[which] of its distinct numerator."""
+    keys, values = ids[cols].tolist(), built[which].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip([0, *ends], ends)]
+
+
 class _Rows:
     """The integer form of one exact _answer: the kernel's `ids`, its
     columns; per entry, ascending, its key row * len(ids) + column and its
-    numerator's index in `distinct`; and the distinct numerators (int64,
-    or Python ints past it) over D."""
+    numerator's index in `distinct`, int32 where they fit; the distinct
+    numerators (int64, or Python ints past it) over D; and its `count`
+    rows.  Its vectors' values are read from it: row_cells writes them,
+    _unit_answer compares them, and dicts builds them, once, on the first
+    read of any vector's entries (SparseVector.__getattr__)."""
 
-    __slots__ = ("ids", "keys", "which", "distinct", "D")
+    __slots__ = ("ids", "keys", "which", "distinct", "D", "count", "_dicts")
 
-    def __init__(self, ids, keys, which, distinct, D: int):
+    def __init__(self, ids, keys, which, distinct, D: int, count: int):
         self.ids, self.keys, self.which, self.distinct, self.D = ids, keys, which, distinct, D
+        self.count, self._dicts = count, None
+
+    def dicts(self) -> list:
+        """Every row's dict of Fractions, built on the first call and kept:
+        each distinct numerator x read once, and shared by every row that
+        holds it.  Int64 numerators over D <= 2^63 - 1 take one np.gcd with
+        D for all of them, and each value is the coprime pair (x // g,
+        D // g) as Python ints from tolist, D // g > 0, built by
+        coprime_fraction without a gcd or type check of its own; others
+        take Fraction(x, D).  Keys come in column order, as the kernel
+        holds them.  Nothing here reads a missing attribute: an
+        AttributeError would pass for a missing `_entries`."""
+        if self._dicts is None:
+            distinct, D = self.distinct, self.D
+            if distinct.dtype != object and D <= _INT64_MAX:
+                g = np.gcd(distinct, D)
+                built = list(map(coprime_fraction, (distinct // g).tolist(), (D // g).tolist()))
+            else:
+                built = [Fraction(x, D) for x in distinct.tolist()]
+            rows, cols = np.divmod(self.keys, len(self.ids))
+            self._dicts = _split(self.ids, rows, cols, self.which,
+                                 np.array(built, dtype=object), self.count)
+        return self._dicts
+
+    def span(self, k: int) -> tuple:
+        """Where row k's entries lie in keys and which: lo, hi."""
+        width = len(self.ids)
+        lo, hi = np.searchsorted(self.keys, [k * width, (k + 1) * width]).tolist()
+        return lo, hi
+
+    def equal_next(self) -> list:
+        """For each row k but the last, whether row k + 1 holds the same
+        entries: only rows of one entry count are compared, all of them at
+        once, by their columns and their distinct numerators' indices."""
+        width = len(self.ids)
+        bounds = np.searchsorted(self.keys, np.arange(self.count + 1) * width)
+        lo, size = bounds[:-1], np.diff(bounds)
+        k = np.flatnonzero(size[1:] == size[:-1])
+        a, b = _spans(lo[k], size[k])[0], _spans(lo[k + 1], size[k])[0]
+        differ = (self.keys[b] - self.keys[a] != width) | (self.which[b] != self.which[a])
+        out = np.zeros(max(self.count - 1, 0), dtype=bool)
+        out[k] = np.bincount(np.repeat(np.arange(len(k)), size[k])[differ], minlength=len(k)) == 0
+        return out.tolist()
+
+
+def _unit_answer(bps: list, values: list, powers: list) -> NetworkState:
+    """_unit_flow's exact answer, the pieces `values` = B^n v, n their entry
+    of `powers` (ascending), on `bps`, with equal neighbours merged as the
+    checking constructor merges them, into NetworkState._canonical, and no
+    kernel table's dicts built.  Two pieces at power 0 are f's own
+    neighbours, which differ.  Two rows of one table are compared by
+    _Rows.equal_next, one pass a table; any other pair (across the
+    junction of two tables, or a row against a piece of f at power 0) by
+    _same."""
+    nexts: dict = {}
+    out_bps, out = list(bps[:2]), [values[0]]
+    for k in range(1, len(values)):
+        if powers[k] and _same(values[k - 1], values[k], nexts):
+            out_bps[-1] = bps[k + 1]
+        else:
+            out.append(values[k])
+            out_bps.append(bps[k + 1])
+    return NetworkState._canonical(tuple(out_bps), tuple(out))
+
+
+def _same(u: SparseVector, v: SparseVector, nexts: dict) -> bool:
+    """u == v, read from their kernel rows where they have them: the next
+    row of one table from its _Rows.equal_next (kept in `nexts`), else
+    the entry counts, then the keys, then the values, each numerator
+    times the other's denominator."""
+    ru, rv = getattr(u, "_row", None), getattr(v, "_row", None)
+    if ru is not None and rv is not None and ru[0] is rv[0] and rv[1] == ru[1] + 1:
+        if ru[0] not in nexts:
+            nexts[ru[0]] = ru[0].equal_next()
+        return nexts[ru[0]][ru[1]]
+    su, sv = _span(u, ru), _span(v, rv)
+    if su[1] - su[0] != sv[1] - sv[0]:
+        return False
+    (a, A), (b, B) = _over(u, ru, su), _over(v, rv, sv)
+    return a.keys() == b.keys() and all(x * B == b[j] * A for j, x in a.items())
+
+
+def _span(v: SparseVector, row) -> tuple:
+    """Where v's entries lie in its kernel row's table, or (0, len(v))
+    for a vector with no row (`row` None)."""
+    return (0, len(v)) if row is None else row[0].span(row[1])
+
+
+def _over(v: SparseVector, row, span: tuple) -> tuple:
+    """(edge id -> numerator, their denominator) of v's entries at `span`
+    of its kernel row's table; a vector with no row is its own dict over 1."""
+    if row is None:
+        return v._entries, 1
+    (table, k), (lo, hi) = row, span
+    cols = table.keys[lo:hi] - k * len(table.ids)
+    return dict(zip(table.ids[cols].tolist(), table.distinct[table.which[lo:hi]].tolist())), table.D
 
 
 def row_cells(vectors: dict, columns: dict) -> list:

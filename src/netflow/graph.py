@@ -55,11 +55,13 @@ class SparseVector:
     exactly when their dictionaries are.  Values may be Fraction, int,
     float or complex; exactness is a property of what you put in.
 
-    A vector an exact array kernel built also keeps its row of the
-    kernel's integer form in `_row` (see _arrays._answer), which
-    fileio.emit_plotdata writes from; every other vector leaves the slot
-    unset.  The row is built from the same numerators as the dict, and no
-    vector is ever mutated, so the two always hold the same values.
+    A vector an exact array kernel built holds its row of the kernel's
+    integer form in `_row` (see _arrays._Rows), which fileio.emit_plotdata
+    writes from, and no dict: the first read of its entries has the table
+    build every row's dict, and the vector adopts its own.  Every other
+    vector has its dict from the start and leaves `_row` unset.  The dict
+    is built from the row's numerators, and no vector is ever mutated, so
+    the two always hold the same values.
     """
 
     __slots__ = ("_entries", "_row")
@@ -69,6 +71,19 @@ class SparseVector:
             entries = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         self._entries = {j: v for j, v in items if v != 0}
+
+    def __getattr__(self, name):
+        # only reached for an unset slot: a kernel vector's `_entries`
+        # come from its row's table; any other name is missing
+        if name == "_entries":
+            try:
+                table, k = self._row
+            except AttributeError:
+                pass
+            else:
+                self._entries = entries = table.dicts()[k]
+                return entries
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def _from_nonzero(cls, entries: dict) -> "SparseVector":

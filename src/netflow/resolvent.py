@@ -87,7 +87,7 @@ from .errors import (
 from .exact import as_exact, exact_values, to_float
 from .graph import AdjacencyOperator, MetricGraph, VelocityProfile
 from . import semigroup
-from .states import NetworkState, SampledState, boundary_residual, grid_pieces
+from .states import NetworkState, SampledState, boundary_residual, checked_grid, grid_pieces
 
 __all__ = [
     "ResolventResult",
@@ -303,8 +303,7 @@ def _series(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     deep, and one more covers rounding in the rule.  f is read once, on
     the seeds, for |f|_L1 and V alike."""
     lam = _require_right_half_plane(lam)
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
+    grid = checked_grid(grid)
     re = lam.real
     # real arithmetic throughout when lambda is real
     lam_num = re if lam.imag == 0 else lam
@@ -463,8 +462,9 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     """
     lam = _require_right_half_plane(lam)
     t_max = as_exact(t_max, what="t_max")
-    if t_max <= 0 or grid < 1:
-        raise ValueError(f"need t_max > 0 and grid >= 1, got {t_max} and {grid}")
+    if t_max <= 0:
+        raise ValueError(f"need t_max > 0, got {t_max}")
+    grid = checked_grid(grid)
     if not exact_values(f):
         raise NotRationalError("laplace_oracle needs exact rational state values")
     g, re, vel = op.graph, lam.real, op.scaling or semigroup._UNIT

@@ -31,8 +31,11 @@ int64 arrays over one denominator and runs each stage as one pass; its
 numerators may start past 2^63, as a float's do, and go on in Python
 ints, but a flow whose numerators grow past it goes back to the per-edge
 histories.  Each distinct answer value is built once: a Fraction, or
-for float f a float rounded once, correctly, and an answer of more than
-MAX_ANSWER_ENTRIES entries is refused before it is built.
+for float f a float rounded once, correctly.  An array kernel's exact
+answer holds its integer rows and builds its Fractions, and its dicts,
+on the first read of any entry, so a caller that only samples and
+writes it builds neither.  An answer of more than MAX_ANSWER_ENTRIES
+entries is refused before it is built.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
@@ -81,7 +84,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import _INT64_MAX, _array_flow, _int_steps, _kept_steps, _route_exact
+from ._arrays import (_INT64_MAX, _array_flow, _int_steps, _kept_steps, _route_exact,
+                      _unit_answer)
 from .errors import (
     MalformedGraphError,
     NotRationalError,
@@ -98,7 +102,7 @@ from .graph import (
     VelocityProfile,
     build_adjacency,
 )
-from .states import NetworkState, SampledState, _refine, grid_pieces, sample
+from .states import NetworkState, SampledState, _refine, checked_grid, grid_pieces, sample
 
 __all__ = [
     "evolve_unit",
@@ -151,7 +155,9 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
 def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkState:
     """T(t) f at unit speed, for exact t >= 0, on the edges of `steps`: B^n
     of f's pieces as `number`s, routed at once by _route_exact, in int64 up
-    to 2^63 - 1 and in Python ints past it."""
+    to 2^63 - 1 and in Python ints past it.  An exact answer merges its
+    equal neighbours from the kernel's rows (_unit_answer); a rounded one
+    takes the checking constructor."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -168,7 +174,10 @@ def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkSta
                + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
-    return NetworkState(bps, _route_exact(steps, values, powers, number))
+    values = _route_exact(steps, values, powers, number)
+    if number is Fraction:
+        return _unit_answer(bps, values, powers)
+    return NetworkState(bps, values)
 
 
 def _steps(g: MetricGraph, speed: Mapping, rows) -> tuple:
@@ -825,8 +834,7 @@ def evolve_absorbing(
     coefficient exact until its one rounding.  Histories past
     MAX_HISTORY_BREAKPOINTS terms raise WidthOverflowError.
     """
-    if grid < 1:
-        raise ValueError(f"output grid must be >= 1, got {grid}")
+    grid = checked_grid(grid)
     t, speed, rows, speeds, _ = _network(g, vel, f, t)
     if not exact_values(f):
         raise NotRationalError("evolve_absorbing needs exact rational state values")

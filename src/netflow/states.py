@@ -14,7 +14,7 @@ nothing: it reads every breakpoint exactly, checks that they increase and
 merges equal neighbours.  NetworkState._canonical trusts all of that and
 stores its parts as given; only the exact flows' readers call it, on
 answers that are canonical by construction (its docstring says why), so
-a small answer pays for no second look at what its kernel just built.
+an answer pays for no second look at what its kernel just built.
 
 SampledState is the floating counterpart: values on the uniform grid
 s_m = m/M, held as one vector per grid point (exact values) or as one
@@ -97,10 +97,11 @@ class NetworkState:
         either side differ on that edge.  The values are read from
         numerator pairs over one denominator (the array kernel) or in
         lowest terms (the per-edge read), so distinct pairs give distinct
-        Fractions, and zero entries are left out.  A rounded reader can map
-        distinct pairs to one float, so float answers, and the unit kernel's
-        B^n v, which can equal its neighbour B^(n+1) v', take the checking
-        constructor."""
+        Fractions, and zero entries are left out.  The unit kernel's
+        B^n v can equal its neighbour B^n v' or B^(n+1) v', so
+        _arrays._unit_answer merges those from the kernel's rows first, as
+        the constructor would.  A rounded reader can map distinct pairs to
+        one float, so float answers take the checking constructor."""
         self = object.__new__(cls)
         self.breakpoints, self.values = breakpoints, values
         return self
@@ -227,8 +228,7 @@ class SampledState:
     __slots__ = ("grid_size", "edges", "array", "_samples")
 
     def __init__(self, grid_size: int, samples: Sequence[SparseVector]):
-        if grid_size < 1:
-            raise MalformedInputError(f"grid size must be >= 1, got {grid_size}")
+        grid_size = checked_grid(grid_size)
         samples = tuple(v if isinstance(v, SparseVector) else SparseVector(v) for v in samples)
         if len(samples) != grid_size + 1:
             raise MalformedInputError(
@@ -259,6 +259,7 @@ class SampledState:
 
     @classmethod
     def zeros(cls, grid_size: int) -> "SampledState":
+        grid_size = checked_grid(grid_size)
         return cls(grid_size, tuple(SparseVector() for _ in range(grid_size + 1)))
 
     @property
@@ -446,6 +447,16 @@ def grid_pieces(breakpoints: Sequence, grid: int, items: Sequence | None = None)
     return out
 
 
+def checked_grid(grid) -> int:
+    """`grid`, the cells of a uniform sample grid, as a plain int: every
+    grid reader's one check.  An int (a bool reads as 0 or 1) or numpy
+    integer >= 1 passes; anything else, a float or a string among them,
+    and a grid below 1, raise MalformedInputError."""
+    if not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise MalformedInputError(f"grid size must be an integer >= 1, got {grid!r}")
+    return int(grid)
+
+
 def sample(f: NetworkState, M: int) -> SampledState:
     """Point samples on the uniform M-grid, right-open convention.
 
@@ -453,12 +464,9 @@ def sample(f: NetworkState, M: int) -> SampledState:
     is about to leave the edge.  Every point of a piece holds the piece's
     own vector object.  The rows are f's own SparseVectors, so the
     SampledState is built from them as they are, without the public
-    constructor's per-row check and count; a grid that is not an integer
-    >= 1 is refused.
+    constructor's per-row check and count; checked_grid reads M.
     """
-    if not isinstance(M, (int, np.integer)) or M < 1:
-        raise MalformedInputError(f"grid size must be an integer >= 1, got {M!r}")
-    M = int(M)
+    M = checked_grid(M)
     out = object.__new__(SampledState)
     out.grid_size, out.edges, out.array = M, None, None
     out._samples = tuple(grid_pieces(f.breakpoints, M, f.values))

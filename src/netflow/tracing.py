@@ -37,7 +37,7 @@ from fractions import Fraction
 from .errors import PrecisionError, WidthOverflowError
 from .exact import by_value_kind, is_rational
 from .graph import MetricGraph, SparseVector, VelocityProfile
-from .states import NetworkState, SampledState
+from .states import NetworkState, SampledState, checked_grid
 
 __all__ = ["trace_value", "trace_samples"]
 
@@ -148,8 +148,7 @@ def trace_samples(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     (default: all edges of a finite graph), read by _read: one bisect a
     sample.  The final sample takes the left limit, matching
     NetworkState.sample's convention at 1."""
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
+    grid = checked_grid(grid)
     edges = g.edge_ids if edges is None else edges
     marks = list(enumerate(["right"] * grid + ["left"]))
     out = _read(g, vel, f, t, grid, edges, marks, True)

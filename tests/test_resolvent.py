@@ -17,6 +17,7 @@ import oracles
 from netflow import (
     ContractionViolationError,
     MalformedGraphError,
+    MalformedInputError,
     MetricGraph,
     NetworkState,
     NotRationalError,
@@ -725,7 +726,7 @@ class TestLaplaceOracle:
                 laplace_oracle(op, f, 1.0, t_max=t_max)
         with pytest.raises(ValueError):
             laplace_oracle(op, f, 0.0, t_max=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInputError, match="grid size must be an integer >= 1"):
             laplace_oracle(op, f, 1.0, t_max=4, grid=0)
         # a lazy graph is stochastic by construction: a column summing to
         # 1/2 is refused on first read

@@ -1,8 +1,10 @@
 """Exact transport evolution: unit, rational along characteristics, subdivided, and absorbing."""
 
+import copy
 import importlib.util
 import itertools
 import math
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -23,6 +25,7 @@ from netflow import (
     AdjacencyOperator,
     ApproximationSchedule,
     MalformedGraphError,
+    MalformedInputError,
     MetricGraph,
     MissingVelocityError,
     NetworkState,
@@ -34,6 +37,7 @@ from netflow import (
     WrongOperatorError,
     boundary_residual,
     build_adjacency,
+    emit_plotdata,
     evolve_absorbing,
     evolve_rational,
     evolve_unit,
@@ -1358,6 +1362,196 @@ class TestCanonicalAnswers:
         assert len(exact.values) == 2 and entrywise(float, exact) == got
 
 
+class TestLazyAnswers:
+    """An exact answer of the array kernels holds only its kernel rows
+    until some entry is read; the first read builds its whole table's
+    dicts, which are the eager answer's, in the kernel's column order."""
+
+    @staticmethod
+    def tables(h) -> dict:
+        """The kernel tables of h's pieces, each with its vectors in piece order."""
+        out: dict = {}
+        for v in h.values:
+            row = getattr(v, "_row", None)
+            if row is not None:
+                out.setdefault(row[0], []).append(v)
+        return out
+
+    @pytest.mark.parametrize("kernel", ["closed form", "arrays"])
+    def test_random_flows_build_the_eager_dicts(self, kernels, monkeypatch, kernel):
+        # 200 seeded flows on each array kernel, on graphs of up to 10 and
+        # of up to 64 edges, against the per-edge read of the same flow
+        rng = random.Random(f"lazy-answers:{kernel}")
+        built = 0
+        while kernels.count(kernel) < 200:
+            g = (checks.random_graph(rng, 10) if rng.random() < 0.5
+                 else checks.random_graph(rng, 64, vertices=32))
+            vel = (VelocityProfile({}, default=rng.choice([F(1), F(3, 2)]))
+                   if kernel == "closed form" else checks.random_velocities(rng, g))
+            f, t = checks.random_state(rng, g, 8), checks.random_time(rng, 3)
+            monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
+            got = evolve_rational(g, vel, f, t)
+            tables = self.tables(got)
+            assert all(table._dicts is None for table in tables)
+            monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", math.inf)
+            want = evolve_rational(g, vel, f, t)
+            assert got == want and got.breakpoints == want.breakpoints
+            for table, vectors in tables.items():
+                at = {j: k for k, j in enumerate(table.ids.tolist())}
+                shared: dict = {}
+                for v in vectors:
+                    assert v._entries is table._dicts[v._row[1]]
+                    assert list(v) == sorted(v, key=at.__getitem__)
+                    for x in v.values():
+                        assert type(x) is F and shared.setdefault(x, x) is x
+                built += 1
+        assert built > 100
+
+    def unbuilt(self):
+        """A piece of a fresh closed-form answer on g5 that has built no
+        dict, and the plain vector it equals, read from a second answer."""
+        f = NetworkState([F(0), F(1, 3), F(1)],
+                         [SparseVector({1: F(1, 3), 4: F(-2)}), SparseVector({2: F(5, 7)})])
+        v, w = (semigroup._unit_flow(_arrays._kept_steps(g5()), f, F(7, 2), F).values[1]
+                for _ in range(2))
+        assert v._row[0] is not w._row[0] and v._row[0]._dicts is None
+        return v, SparseVector(dict(w.items()))
+
+    def test_copies_pickles_and_hashes_of_unbuilt_vectors(self):
+        for use in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            v, want = self.unbuilt()
+            assert use(v) == want and type(use(v)) is SparseVector
+        v, want = self.unbuilt()
+        assert hash(v) == hash(want) and v == want
+        v, want = self.unbuilt()
+        assert repr(v) == repr(want) and len(v) == len(want) and v.total() == want.total()
+
+    def test_only_entries_are_built(self):
+        # any other missing name raises AttributeError as before, and a
+        # vector with neither slot set has no entries
+        v, _ = self.unbuilt()
+        assert hasattr(v, "_row") and not hasattr(SparseVector({1: 1}), "_row")
+        with pytest.raises(AttributeError, match="'SparseVector' object has no attribute 'nope'"):
+            v.nope
+        assert getattr(v, "__deepcopy__", None) is None and v._row[0]._dicts is None
+        with pytest.raises(AttributeError, match="no attribute '_entries'"):
+            object.__new__(SparseVector)._entries
+
+    def test_evolve_sample_emit_builds_no_answer_value(self, monkeypatch):
+        # the benchmark's unit-wide shape: 600 edges, 64 pieces of 32
+        # edges; no table builds its dicts and no answer Fraction is made
+        # until an entry is read, and then each table builds its dicts once
+        rng = random.Random("lazy-pipeline")
+        out_of = {v: [(3 * v + k, v, (v + step) % 200) for k, step in enumerate((1, 7, 31))]
+                  for v in range(200)}
+        edges = [e for v in range(200) for e in out_of[v]]
+        g = MetricGraph.finite(edges, {(i, j): F(1, 3) for j, _, head in edges
+                                       for i, _, _ in out_of[head]})
+        f = NetworkState([F(k, 64) for k in range(65)],
+                         [SparseVector({e: F(rng.randint(1, 9), rng.randint(1, 4))
+                                        for e in rng.sample(g.edge_ids, 32)}) for _ in range(64)])
+        splits, fractions = [], []
+        split, coprime = _arrays._split, _arrays.coprime_fraction
+        monkeypatch.setattr(_arrays, "_split", lambda *a: splits.append(a) or split(*a))
+        monkeypatch.setattr(_arrays, "coprime_fraction",
+                            lambda *a: fractions.append(a) or coprime(*a))
+        h = evolve_unit(build_adjacency(g), f, F(7, 3))
+        text = emit_plotdata(sample(h, 256), edges=g.edge_ids)
+        tables = self.tables(h)
+        assert len(tables) == 2 and sum(map(len, tables.values())) == len(h.values) > 60
+        assert splits == fractions == [] and all(t._dicts is None for t in tables)
+        first, second = tables
+        tables[first][3].items()
+        assert len(splits) == 1 and first._dicts is not None and second._dicts is None
+        assert len(fractions) == len(first.distinct)
+        for v in tables[first]:
+            v.items()
+        assert len(splits) == 1
+        assert text == oracles.plotdata_reference(sample(h, 256), g.edge_ids)
+
+
+class TestUnitRowMerge:
+    """The closed form merges equal neighbours B^n v = B^n' v' from the
+    kernel's rows; it must give what the checking constructor gives of
+    the unmerged pieces, breakpoints included, and build no dict."""
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        """(unmerged state, answer) of each exact closed-form answer,
+        checked to have built no table's dicts."""
+        log = []
+        unit_answer = semigroup._unit_answer
+
+        def merged(bps, values, powers):
+            out = unit_answer(bps, values, powers)
+            assert all(v._row[0]._dicts is None for v in values[powers.count(0):])
+            log.append((NetworkState(bps, [v.to_dict() for v in values]), out, len(values)))
+            return out
+
+        monkeypatch.setattr(semigroup, "_unit_answer", merged)
+        monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
+        return log
+
+    def check(self, merges, g, f, t, merged=True):
+        got = evolve_unit(build_adjacency(g), f, t)
+        want, out, pieces = merges[-1]
+        assert out is got and got == want and got.breakpoints == want.breakpoints
+        assert type(got.breakpoints) is tuple and type(got.values) is tuple
+        assert (len(got.values) < pieces) is merged
+
+    def test_equal_images_in_one_table(self, merges):
+        # B e4 = B e5 = e1 on g5: two pieces of f with equal images
+        f = NetworkState([F(0), F(1, 4), F(1, 2), F(3, 4), F(1)],
+                         [SparseVector({2: F(1)}), SparseVector({4: F(3, 2)}),
+                          SparseVector({5: F(3, 2)}), SparseVector({3: F(-1)})])
+        for t in (F(1), F(3), F(9, 8)):
+            self.check(merges, g5(), f, t)
+        self.check(merges, g5(), f, F(1, 8), merged=False)  # both at power 0
+
+    def test_invariant_state_across_the_junction(self, merges):
+        # a B-invariant v on a cycle: B^n0 v meets B^(n0 + 1) v at the
+        # junction of two tables, and at n0 = 0 f's own v meets B v
+        v, w = SparseVector({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}), SparseVector({1: F(2)})
+        f = NetworkState([F(0), F(1, 3), F(2, 3), F(1)], [v, w, v])
+        for t in (F(1, 2), F(3, 2), F(7, 2)):
+            self.check(merges, cycle(3), f, t)
+        self.check(merges, cycle(3), f, F(2), merged=False)
+
+    def test_input_piece_at_power_zero(self, merges):
+        # f's last piece, at power 0, against the first wrapped piece, B f_0,
+        # both as a plain vector and as a row of an earlier answer
+        f = NetworkState([F(0), F(1, 2), F(1)], [SparseVector({2: F(1)}), SparseVector({1: F(1)})])
+        self.check(merges, g2(), f, F(1, 4))
+        h = evolve_unit(build_adjacency(g2()), f, F(2))
+        assert all(hasattr(v, "_row") for v in h.values)
+        self.check(merges, g2(), h, F(1, 4))
+
+    def test_random_flows(self, merges):
+        # one edge out of each vertex, a cycle and trees into it, so B maps
+        # edges to edges, many to one: pieces drawn from a few unit
+        # vectors have equal neighbours in one table, across the junction
+        # and against f's pieces at power 0, at times on both sides of 1
+        rng = random.Random("unit-row-merge")
+        merged = 0
+        for trial in range(150):
+            k, c = rng.randint(3, 9), rng.randint(1, 3)
+            heads = [(v + 1) % c if v < c else rng.randrange(v) for v in range(k)]
+            g = MetricGraph.finite([(v, v, heads[v]) for v in range(k)],
+                                   {(heads[v], v): F(1) for v in range(k)})
+            pool = [SparseVector({j: F(1)}) for j in rng.sample(range(k), 3)]
+            pool.append(pool[0] + pool[1])
+            cuts = sorted(rng.sample(range(1, 12), rng.randint(1, 6)))
+            f = NetworkState([F(0), *(F(c, 12) for c in cuts), F(1)],
+                             [rng.choice(pool) for _ in range(len(cuts) + 1)])
+            t = (F(rng.randint(1, 11), 12) if trial % 2
+                 else F(rng.randint(1, 40), rng.choice([1, 2, 3, 8])))
+            got = evolve_unit(build_adjacency(g), f, t)
+            want, out, pieces = merges[-1]
+            assert out is got and got == want and got.breakpoints == want.breakpoints
+            merged += len(got.values) < pieces
+        assert merged > 40
+
+
 def random_absorbing_case(seed):
     """(g, vel, rates state, f, t) on a random 5-vertex graph at mixed speeds."""
     rng = random.Random(f"absorb-bound:{seed}")
@@ -1435,7 +1629,7 @@ class TestEvolveAbsorbing:
         q = AbsorptionProfile.zero()
         with pytest.raises(ValueError):
             evolve_absorbing(g, vel, q, f, F(-1))
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInputError, match="grid size must be an integer >= 1"):
             evolve_absorbing(g, vel, q, f, F(1), grid=0)
 
     def test_float_overflow_is_a_precision_error(self):

@@ -23,7 +23,7 @@ from netflow import (
     predual_norm,
     sample,
 )
-from netflow import checks, semigroup
+from netflow import checks, resolvent, semigroup, tracing
 
 
 def two_piece():
@@ -306,16 +306,35 @@ class TestSampling:
         s.totals(), s.sup_sample_norm()
         assert len(calls) == 2 * len({id(v) for v in s.samples}) < len(s.samples)
 
-    @pytest.mark.parametrize("grid", [0, -1, 0.5, 2.5, "3"])
+    @pytest.mark.parametrize("grid", [0, -1, False, 0.5, 2.5, 3.0, "3", None])
     def test_grid_below_one_refused(self, grid):
-        # sample builds its rows without SampledState's constructor, and
-        # still refuses what the constructor refuses; a grid that is not an
-        # integer is refused, not rounded to one
-        with pytest.raises(MalformedInputError, match="grid size must be an integer >= 1"):
-            sample(two_piece(), grid)
-        if not isinstance(grid, str) and grid < 1:
-            with pytest.raises(MalformedInputError, match="grid size must be >= 1"):
-                SampledState(int(grid), [])
+        # every grid reader refuses a grid below 1 or not an integer with
+        # one typed error, before anything is built; none rounds it
+        g = MetricGraph.finite([(1, "a", "b"), (2, "b", "a")], {(2, 1): 1, (1, 2): 1})
+        unit, op, f = VelocityProfile({}, default=1), build_adjacency(g), two_piece()
+        readers = [
+            lambda M: sample(f, M),
+            lambda M: SampledState(M, []),
+            lambda M: SampledState.zeros(M),
+            lambda M: tracing.trace_samples(g, unit, f, F(1, 3), M),
+            lambda M: semigroup.evolve_absorbing(g, unit, semigroup.AbsorptionProfile.zero(),
+                                                 f, F(1, 3), grid=M),
+            lambda M: resolvent.resolvent_unit(op, f, 1.0, grid=M),
+            lambda M: resolvent.resolvent_general(g, unit, f, 1.0, grid=M),
+            lambda M: resolvent.laplace_oracle(op, f, 1.0, t_max=4, grid=M),
+        ]
+        for read in readers:
+            with pytest.raises(MalformedInputError, match="grid size must be an integer >= 1"):
+                read(grid)
+
+    def test_grid_is_read_as_a_plain_int(self):
+        # a bool or numpy integer grid passes, and the state's grid_size is an int
+        g = MetricGraph.finite([(1, "a", "b"), (2, "b", "a")], {(2, 1): 1, (1, 2): 1})
+        unit = VelocityProfile({}, default=1)
+        for grid, want in ((True, 1), (np.int64(3), 3)):
+            for s in (sample(two_piece(), grid), SampledState.zeros(grid),
+                      tracing.trace_samples(g, unit, two_piece(), F(1, 3), grid)):
+                assert type(s.grid_size) is int and s.grid_size == want
 
     def test_rows_are_the_state_s_own_vectors(self):
         # the direct build gives what the constructor gives, row object for

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from netflow import (
     MalformedGraphError,
+    MalformedInputError,
     MetricGraph,
     NetworkState,
     PrecisionError,
@@ -143,7 +144,7 @@ class TestTraceSamples:
 
     def test_grid_check(self):
         vel = VelocityProfile({1: F(1), 2: F(1)})
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInputError, match="grid size must be an integer >= 1"):
             trace_samples(g2(), vel, NetworkState.zero(), F(1), 0)
 
 
