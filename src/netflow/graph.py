@@ -73,8 +73,8 @@ class SparseVector:
         self._entries = {j: v for j, v in items if v != 0}
 
     def __getattr__(self, name):
-        # only reached for an unset slot: a kernel vector's `_entries`
-        # come from its row's table; any other name is missing
+        # reached only when normal lookup fails: a kernel vector's unset
+        # `_entries` come from its row's table; any other name is missing
         if name == "_entries":
             try:
                 table, k = self._row

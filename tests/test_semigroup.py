@@ -1420,7 +1420,8 @@ class TestLazyAnswers:
     def test_copies_pickles_and_hashes_of_unbuilt_vectors(self):
         for use in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
             v, want = self.unbuilt()
-            assert use(v) == want and type(use(v)) is SparseVector
+            copied = use(v)
+            assert copied == want and type(copied) is SparseVector
         v, want = self.unbuilt()
         assert hash(v) == hash(want) and v == want
         v, want = self.unbuilt()
