@@ -1,14 +1,13 @@
 """The exact flows' int64 array kernels, chosen by semigroup._exact_flow:
 _route_exact at one speed, over the steps _int_steps builds from a flow's
-feeders, and _array_flow at several.  Both run in int64 under a running
-bound and in Python ints past it, and _answer builds both answers.  An
-exact answer is its integer form, a _Rows table, until a value is read:
-row_cells places it on the CSV columns of fileio.emit_plotdata,
-_unit_answer merges the closed form's equal neighbours from it, and its
-dicts of Fractions are built on the first read of any entry.  The
-kernels live apart from semigroup.py because compiling that module at
-import sets the peak memory of a short run, which grows in 1 MB steps
-with its size.
+feeders, and _array_flow at several.  Both read their input as each
+vector's integer numerators over its denominator, run in int64 under a
+running bound and in Python ints past it, and _answer builds both
+answers: one exact SparseVector a row, its numerators and denominator
+brought to lowest terms by one np.gcd.reduceat over the rows, so no
+Fraction is built until an entry is read.  The kernels live apart from
+semigroup.py because compiling that module at import sets the peak
+memory of a short run, which grows in 1 MB steps with its size.
 """
 
 from __future__ import annotations
@@ -28,25 +27,27 @@ _INT64_MAX = 2**63 - 1
 
 
 def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> list:
-    """B^n v for each v of `vectors`, of exact entries (int, Fraction or
-    finite float, read by as_integer_ratio) on the edges of `steps`, n its
-    entry of `powers` >= 0, as `number`s; B^0 v is v itself if number is
-    Fraction.  The vectors are the rows of one numerator array V over one
-    D, a step one gather-multiply and one reduceat over _int_steps.  V is
+    """B^n v for each v of `vectors`, of exact entries (an exact vector's
+    numerators, or ints, Fractions and finite floats read by
+    SparseVector._ratios) on the edges of `steps`, n its entry of `powers`
+    >= 0, as `number`s; B^0 v is v itself if number is Fraction.  The
+    vectors are the rows of one numerator array V over one D, the lcm of
+    their denominators, a step one gather-multiply and one reduceat over
+    _int_steps.  V is
     int64 while a running bound, max|V| times growth a step, stays within
     2^63 - 1; where a step could pass it, D and V shed their gcd, max|V|
     is read afresh, and if that is still too large V goes on in Python
     ints, as it starts past int64."""
+    parts = [v._ratios() for v in vectors]
     out = list(vectors) if number is Fraction else [SparseVector(
-        {j: number(*x.as_integer_ratio()) for j, x in v.items()}) for v in vectors]
+        zip(v.support(), [number(n, d) for n in nums])) for v, (nums, d) in zip(vectors, parts)]
     active = sorted((k for k, n in enumerate(powers) if n), key=powers.__getitem__)
     if not active:
         return out
     ids, index, src, w, starts, L, growth = steps
-    pairs = [x.as_integer_ratio() for k in active for x in vectors[k].values()]
-    D = math.lcm(*{d for _, d in pairs})
+    D = math.lcm(*{parts[k][1] for k in active})
     at = [r * len(ids) + index[j] for r, k in enumerate(active) for j in vectors[k].support()]
-    nums = [n * (D // d) for n, d in pairs]
+    nums = [n * scale for k in active for scale in (D // parts[k][1],) for n in parts[k][0]]
     bound = max(map(abs, nums), default=0)
     V = np.zeros((len(active), len(ids)), dtype=np.int64 if bound <= _INT64_MAX else object)
     V.flat[at] = nums
@@ -74,190 +75,33 @@ def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> 
 
 def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
     """`count` SparseVectors of the nonzero entries nums / D of an int table
-    at `rows` (ascending) and `cols` (in `ids`, ascending in a row).
-
-    Read with Fraction, the answer is its integer form, one _Rows shared
-    by its vectors, each of which holds only `_row` = (that form, its
-    row): no value and no dict is built until some vector's entries are
-    read, and then _Rows.dicts builds every row's at once.  The table
-    lives as long as any of its vectors, so a state that keeps one vector
-    of a wide answer keeps the whole table.  Read with another `number`,
-    the dicts are built here, number(x, D) once for each distinct
-    numerator x, and a float that underflows to 0 is dropped, so a
-    rounded answer keeps no row: its dict and row could differ."""
-    distinct, inverse = np.unique(nums, return_inverse=True)
+    at `rows` (ascending) and `cols` (in `ids`, ascending in a row), each
+    row's entries in column order.  Read with Fraction, row r is the exact
+    vector of its numerators over D, both divided by g_r, the gcd of D and
+    of the row's numerators, found by one np.gcd.reduceat over the rows;
+    the ids and numerators come from one tolist each, sliced by row.  Read
+    with another `number`, number(x, D) is built once for each distinct
+    numerator x, and a float that underflows to 0 is dropped."""
+    size = np.bincount(rows, minlength=count)
+    ends = np.cumsum(size)
+    starts = (ends - size).tolist()
+    keys, ends = tuple(ids[cols].tolist()), ends.tolist()
     if number is not Fraction:
-        built = np.array([number(x, D) for x in distinct.tolist()], dtype=object)
-        return [SparseVector(d) for d in _split(ids, rows, cols, inverse, built, count)]
-    small = np.int32 if max(count * len(ids), len(distinct)) < 2**31 else np.intp
-    table = _Rows(ids, (rows * len(ids) + cols).astype(small), inverse.astype(small),
-                  distinct, D, count)
-    out = []
-    for k in range(count):
-        v = object.__new__(SparseVector)
-        v._row = (table, k)
-        out.append(v)
-    return out
-
-
-def _split(ids, rows, cols, which, built, count: int) -> list:
-    """The `count` dicts of a table's rows: the entries at `rows`
-    (ascending) and `cols` (in `ids`, ascending in a row), each value
-    built[which] of its distinct numerator."""
-    keys, values = ids[cols].tolist(), built[which].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
-    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip([0, *ends], ends)]
-
-
-class _Rows:
-    """The integer form of one exact _answer: the kernel's `ids`, its
-    columns; per entry, ascending, its key row * len(ids) + column and its
-    numerator's index in `distinct`, int32 where they fit; the distinct
-    numerators (int64, or Python ints past it) over D; and its `count`
-    rows.  Its vectors' values are read from it: row_cells writes them,
-    _unit_answer compares them, and dicts builds them, once, on the first
-    read of any vector's entries (SparseVector.__getattr__)."""
-
-    __slots__ = ("ids", "keys", "which", "distinct", "D", "count", "_dicts")
-
-    def __init__(self, ids, keys, which, distinct, D: int, count: int):
-        self.ids, self.keys, self.which, self.distinct, self.D = ids, keys, which, distinct, D
-        self.count, self._dicts = count, None
-
-    def dicts(self) -> list:
-        """Every row's dict of Fractions, built on the first call and kept:
-        each distinct numerator x read once, and shared by every row that
-        holds it.  Int64 numerators over D <= 2^63 - 1 take one np.gcd with
-        D for all of them, and each value is the coprime pair (x // g,
-        D // g) as Python ints from tolist, D // g > 0, built by
-        coprime_fraction without a gcd or type check of its own; others
-        take Fraction(x, D).  Keys come in column order, as the kernel
-        holds them.  Nothing here reads a missing attribute: an
-        AttributeError would pass for a missing `_entries`."""
-        if self._dicts is None:
-            distinct, D = self.distinct, self.D
-            if distinct.dtype != object and D <= _INT64_MAX:
-                g = np.gcd(distinct, D)
-                built = list(map(coprime_fraction, (distinct // g).tolist(), (D // g).tolist()))
-            else:
-                built = [Fraction(x, D) for x in distinct.tolist()]
-            rows, cols = np.divmod(self.keys, len(self.ids))
-            self._dicts = _split(self.ids, rows, cols, self.which,
-                                 np.array(built, dtype=object), self.count)
-        return self._dicts
-
-    def span(self, k: int) -> tuple:
-        """Where row k's entries lie in keys and which: lo, hi."""
-        width = len(self.ids)
-        lo, hi = np.searchsorted(self.keys, [k * width, (k + 1) * width]).tolist()
-        return lo, hi
-
-    def equal_next(self) -> list:
-        """For each row k but the last, whether row k + 1 holds the same
-        entries: only rows of one entry count are compared, all of them at
-        once, by their columns and their distinct numerators' indices."""
-        width = len(self.ids)
-        bounds = np.searchsorted(self.keys, np.arange(self.count + 1) * width)
-        lo, size = bounds[:-1], np.diff(bounds)
-        k = np.flatnonzero(size[1:] == size[:-1])
-        a, b = _spans(lo[k], size[k])[0], _spans(lo[k + 1], size[k])[0]
-        differ = (self.keys[b] - self.keys[a] != width) | (self.which[b] != self.which[a])
-        out = np.zeros(max(self.count - 1, 0), dtype=bool)
-        out[k] = np.bincount(np.repeat(np.arange(len(k)), size[k])[differ], minlength=len(k)) == 0
-        return out.tolist()
-
-
-def _unit_answer(bps: list, values: list, powers: list) -> NetworkState:
-    """_unit_flow's exact answer, the pieces `values` = B^n v, n their entry
-    of `powers` (ascending), on `bps`, with equal neighbours merged as the
-    checking constructor merges them, into NetworkState._canonical, and no
-    kernel table's dicts built.  Two pieces at power 0 are f's own
-    neighbours, which differ.  Two rows of one table are compared by
-    _Rows.equal_next, one pass a table; any other pair (across the
-    junction of two tables, or a row against a piece of f at power 0) by
-    _same."""
-    nexts: dict = {}
-    out_bps, out = list(bps[:2]), [values[0]]
-    for k in range(1, len(values)):
-        if powers[k] and _same(values[k - 1], values[k], nexts):
-            out_bps[-1] = bps[k + 1]
-        else:
-            out.append(values[k])
-            out_bps.append(bps[k + 1])
-    return NetworkState._canonical(tuple(out_bps), tuple(out))
-
-
-def _same(u: SparseVector, v: SparseVector, nexts: dict) -> bool:
-    """u == v, read from their kernel rows where they have them: the next
-    row of one table from its _Rows.equal_next (kept in `nexts`), else
-    the entry counts, then the keys, then the values, each numerator
-    times the other's denominator."""
-    ru, rv = getattr(u, "_row", None), getattr(v, "_row", None)
-    if ru is not None and rv is not None and ru[0] is rv[0] and rv[1] == ru[1] + 1:
-        if ru[0] not in nexts:
-            nexts[ru[0]] = ru[0].equal_next()
-        return nexts[ru[0]][ru[1]]
-    su, sv = _span(u, ru), _span(v, rv)
-    if su[1] - su[0] != sv[1] - sv[0]:
-        return False
-    (a, A), (b, B) = _over(u, ru, su), _over(v, rv, sv)
-    return a.keys() == b.keys() and all(x * B == b[j] * A for j, x in a.items())
-
-
-def _span(v: SparseVector, row) -> tuple:
-    """Where v's entries lie in its kernel row's table, or (0, len(v))
-    for a vector with no row (`row` None)."""
-    return (0, len(v)) if row is None else row[0].span(row[1])
-
-
-def _over(v: SparseVector, row, span: tuple) -> tuple:
-    """(edge id -> numerator, their denominator) of v's entries at `span`
-    of its kernel row's table; a vector with no row is its own dict over 1."""
-    if row is None:
-        return v._entries, 1
-    (table, k), (lo, hi) = row, span
-    cols = table.keys[lo:hi] - k * len(table.ids)
-    return dict(zip(table.ids[cols].tolist(), table.distinct[table.which[lo:hi]].tolist())), table.D
-
-
-def row_cells(vectors: dict, columns: dict) -> list:
-    """The cells of each vector of `vectors` (key -> a vector that kept
-    its kernel row, see _answer) on `columns` (edge id -> its column,
-    0 .. len - 1), as integers, one (keys, cells, values) a kernel table:
-    cells[i, c] is 0 where the i-th key's vector has no entry on column
-    c's edge, else k for the value values[k - 1], the float x / D of a
-    distinct numerator x its rows use (int true division rounds it as
-    the reduced Fraction's numerator / denominator).  Ids may come in any
-    order or be absent from the kernel.  One table's rows are placed at
-    once, by one gather of their entries, so the scratch is a few ints
-    per entry of the rows written, per kernel column and per cell."""
-    groups: dict = {}
-    for key, v in vectors.items():
-        table, k = v._row
-        keys, rows = groups.setdefault(table, ([], []))
-        keys.append(key)
-        rows.append(k)
-    out = []
-    for table, (keys, rows) in groups.items():
-        width = len(table.ids)
-        # kernel column -> its column, or -1
-        column = np.array([columns.get(e, -1) for e in table.ids.tolist()], dtype=np.intp)
-        first = np.array(rows, dtype=table.keys.dtype) * width
-        lo = np.searchsorted(table.keys, first)
-        count = np.searchsorted(table.keys, first + width) - lo
-        seg = _spans(lo, count)[0]
-        row, at = np.repeat(np.arange(len(rows)), count), column[table.keys[seg] % width]
-        kept = at >= 0
-        row, at, which = row[kept], at[kept], table.which[seg[kept]]
-        # the numerators written, each once, numbered from 1 in order
-        mark = np.zeros(len(table.distinct), dtype=bool)
-        mark[which] = True
-        used = np.flatnonzero(mark)
-        cells = np.zeros((len(rows), len(columns)), dtype=table.which.dtype)
-        cells[row, at] = np.cumsum(mark)[which]
-        D = table.D
-        out.append((keys, cells, [x / D for x in table.distinct[used].tolist()]))
-    return out
+        distinct, inverse = np.unique(nums, return_inverse=True)
+        built = [number(x, D) for x in distinct.tolist()]
+        values = [built[k] for k in inverse.tolist()]
+        return [SparseVector(zip(keys[a:b], values[a:b])) for a, b in zip(starts, ends)]
+    g = np.ones(count, dtype=nums.dtype)
+    live = size > 0
+    if live.any():
+        g[live] = np.gcd.reduceat(nums, np.flatnonzero(np.diff(rows, prepend=-1)))
+    g = [math.gcd(x, D) for x in g.tolist()]
+    if any(x > 1 for x in g):
+        nums = nums // np.repeat(np.array(g, dtype=nums.dtype), size)
+    nums = nums.tolist()
+    # an empty row, the zero vector, is over 1
+    return [SparseVector._of(keys[a:b], nums[a:b], D // x if b > a else 1)
+            for a, b, x in zip(starts, ends, g)]
 
 
 def _int_steps(edges: list, rows) -> tuple:
@@ -335,14 +179,13 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     grow = max(2 * max(np.add.reduceat(A.astype(object), starts).tolist()), Lq)
 
     # edge j drains f_j(c_j s): piece m from tick b_m lag_j, equal neighbours merged
-    entries = [(index[j] * pieces + m, *x.as_integer_ratio())
-               for m, v in enumerate(f.values) for j, x in v.items()]
-    Q = math.lcm(*{d for _, _, d in entries})
-    nums = [n * (Q // d) for _, n, d in entries]
+    parts = [v._ratios() for v in f.values]
+    Q = math.lcm(*{d for _, d in parts})
+    nums = [x * scale for ns, d in parts for scale in (Q // d,) for x in ns]
     bound = max(map(abs, nums), default=0)
     V = np.zeros(n * pieces, dtype=object if max(bound, grow) > _INT64_MAX or A.dtype == object
                  else np.int64)
-    V[[k for k, _, _ in entries]] = nums
+    V[[index[j] * pieces + m for m, v in enumerate(f.values) for j in v.support()]] = nums
     V, bps = V.reshape(n, pieces), f.breakpoints[:-1]
     new = np.ones((n, pieces), dtype=bool)
     new[:, 1:] = V[:, 1:] != V[:, :-1]

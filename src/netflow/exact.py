@@ -72,8 +72,9 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def exact_values(f) -> bool:
-    """Whether the state f holds only ints and Fractions."""
-    return {type(x) for v in f.values for x in v.values()} <= _EXACT_TYPES
+    """Whether the state f holds only ints and Fractions: every vector of
+    the exact kind (see graph.SparseVector), read without its values."""
+    return all(v._den is not None for v in f.values)
 
 
 def by_value_kind(f, run, exact: bool = True):
@@ -82,14 +83,16 @@ def by_value_kind(f, run, exact: bool = True):
     Fraction if `exact` (no other input was a float), else with `rounded`,
     each finite float being a dyadic rational, so each value is within half
     an ulp of the exact one.  Complex f runs as two real runs joined as
-    re + im.scale(1j); nan or inf in f raise PrecisionError."""
+    re + im.scale(1j); nan or inf in f raise PrecisionError.  Only f's
+    vectors of values are read value by value."""
     if exact and exact_values(f):
         return run(f, Fraction)
-    for v in f.values:
+    loose = [v for v in f.values if v._den is None]
+    for v in loose:
         for j, x in v.items():
             if isinstance(x, (float, complex)) and not cmath.isfinite(x):
                 raise PrecisionError(f"state value {x!r} on edge {j!r} is not finite")
-    if not any(isinstance(x, complex) for v in f.values for x in v.values()):
+    if not any(isinstance(x, complex) for v in loose for x in v.values()):
         return run(f, rounded)
     re, im = (run(f.map_values(lambda v: type(v)({j: getattr(x, part) for j, x in v.items()})),
                   rounded) for part in ("real", "imag"))

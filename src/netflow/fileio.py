@@ -35,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import row_cells
 from .errors import MalformedGraphError, MalformedInputError, NetflowError
 from .exact import float_or_inf, parse_rational, parse_real
 from .graph import MetricGraph, SparseVector, VelocityProfile
@@ -255,8 +254,8 @@ def write_state_text(state: NetworkState, name: str = "state") -> str:
     out = [f"state {name}"]
     out.append("bp " + " ".join(_number_token(b) for b in state.breakpoints))
     for idx, v in enumerate(state.values):
-        for e in sorted(v.support(), key=repr):
-            out.append(f"v {idx} {_check_token(e, 'edge id')} {_number_token(v.get(e))}")
+        for e, x in sorted(v.items(), key=lambda kv: repr(kv[0])):
+            out.append(f"v {idx} {_check_token(e, 'edge id')} {_number_token(x)}")
     return "\n".join(out) + "\n"
 
 
@@ -303,15 +302,30 @@ def _row_cells(distinct: dict, columns: dict, order, is_complex: bool):
     """The CSV row of each vector of `distinct` (id -> vector) on
     `columns` (edge id -> its column), joined by _join, keyed as
     `distinct`; None, in real mode, at the first complex value, also one
-    on an edge not written.  Each value object is formatted once, keyed
-    by its id: vectors share them (routing memoises them), and `distinct`
-    holds each one while this runs."""
+    on an edge not written.  An exact vector's cell is its numerator over
+    its denominator, x / D, which int true division rounds as the reduced
+    Fraction's numerator / denominator, formatted once for each distinct
+    (x, D) pair.  Any other value is formatted once, keyed by its id:
+    vectors share them, and `distinct` holds each one while this runs."""
     blank = ["0,0" if is_complex else "0"] * len(columns)
+    texts: dict = {}  # denominator -> {numerator: cell}
     by_id: dict = {}
     cells = {}
     for key, v in distinct.items():
         row = blank.copy()
-        for e, x in v.items():
+        D = v._den
+        if D is not None:
+            text = texts.setdefault(D, {})
+            for e, x in zip(v._ids, v._nums):
+                k = columns.get(e)
+                if k is not None:
+                    cell = text.get(x)
+                    if cell is None:
+                        cell = text[x] = ("%.17g,0" if is_complex else "%.17g") % (x / D)
+                    row[k] = cell
+            cells[key] = _join(row, order)
+            continue
+        for e, x in zip(v._ids, v._nums):
             k = columns.get(e)
             if k is None:
                 if not is_complex and isinstance(x, complex):
@@ -351,17 +365,11 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     An array state is formatted from its array, a zero entry written as
     `0` as the rows drop it.  A row state writes each distinct vector
     once, keyed by its id while the state holds it (`sample` hands one
-    vector object to every grid point of a piece).  A vector an exact
-    array kernel built is written from its kept integer row, which
-    _arrays.row_cells places on the columns with one gather per kernel
-    call: the row is built from the same numerators as the dict and
-    vectors are never mutated, so the cells are the dict's, with x / D
-    rounded as the reduced Fraction's numerator / denominator is, each
-    distinct one formatted once.  Every other vector goes through
-    _row_cells, one pass that starts real and restarts every vector in
-    complex mode at the first complex value (complex rows are rare).
-    Both join their cells by _join, and the text is one join of its
-    parts."""
+    vector object to every grid point of a piece), by _row_cells: one
+    pass that starts real and restarts every vector in complex mode at the
+    first complex value (complex rows are rare).  An exact vector is
+    written from its numerators over its denominator, with no Fraction
+    built.  The text is one join of its parts."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
@@ -376,15 +384,10 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
         columns = {e: k for k, e in enumerate(dict.fromkeys(edges))}
         order = None if len(columns) == len(edges) else [columns[e] for e in edges]
         distinct = {id(v): v for v in state.samples}
-        kept = {k: v for k, v in distinct.items() if hasattr(v, "_row")}
-        cells = _row_cells({k: v for k, v in distinct.items() if k not in kept},
-                           columns, order, False)
+        cells = _row_cells(distinct, columns, order, False)
         is_complex = cells is None
         if is_complex:
             cells = _row_cells(distinct, columns, order, True)
-        for keys, table, values in [] if is_complex else row_cells(kept, columns):
-            text = np.array(["0", *["%.17g" % x for x in values]], dtype=object)
-            cells.update(zip(keys, [_join(text[r].tolist(), order) for r in table]))
     if is_complex:
         header = "s," + ",".join([f"edge_{e}_re,edge_{e}_im" for e in edges])
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -32,7 +34,7 @@ from .errors import (
     MissingVelocityError,
     NotRationalError,
 )
-from .exact import as_exact, float_or_inf, is_rational
+from .exact import _EXACT_TYPES, as_exact, coprime_fraction, float_or_inf, is_rational
 
 __all__ = [
     "SparseVector",
@@ -51,107 +53,177 @@ MAX_LAZY_COLUMN = 100_000
 class SparseVector:
     """Finitely supported edge-id -> value map.
 
-    Zero entries are dropped at construction, so two vectors are equal
-    exactly when their dictionaries are.  Values may be Fraction, int,
-    float or complex; exactness is a property of what you put in.
-
-    A vector an exact array kernel built holds its row of the kernel's
-    integer form in `_row` (see _arrays._Rows), which fileio.emit_plotdata
-    writes from, and no dict: the first read of its entries has the table
-    build every row's dict, and the vector adopts its own.  Every other
-    vector has its dict from the start and leaves `_row` unset.  The dict
-    is built from the row's numerators, and no vector is ever mutated, so
-    the two always hold the same values.
+    A vector holds its edge ids in items() order and one number per id,
+    zero entries dropped at construction.  An exact vector, every value an
+    int or a Fraction, holds integer numerators over one positive
+    denominator in lowest terms (no prime divides it and every numerator),
+    so two exact vectors that list their ids in one order are equal exactly
+    when their numerators and denominators are.  Its Fractions are built
+    only when an entry is read (get, items, values); l1, total, +, -,
+    scale by an exact number, == and hash work on the integers.  Any other
+    vector (a float, a complex or any other value among them) holds its
+    values as given, with denominator None, and its algebra reads them.
+    Both kinds share this class, and no vector is ever mutated.
     """
 
-    __slots__ = ("_entries", "_row")
+    __slots__ = ("_ids", "_nums", "_den", "_at")
 
     def __init__(self, entries: Mapping | Iterable | None = None):
         if entries is None:
             entries = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
-        self._entries = {j: v for j, v in items if v != 0}
-
-    def __getattr__(self, name):
-        # reached only when normal lookup fails: a kernel vector's unset
-        # `_entries` come from its row's table; any other name is missing
-        if name == "_entries":
-            try:
-                table, k = self._row
-            except AttributeError:
-                pass
-            else:
-                self._entries = entries = table.dicts()[k]
-                return entries
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = {j: v for j, v in items if v != 0}
+        self._ids, self._at = tuple(values), None
+        if {type(v) for v in values.values()} <= _EXACT_TYPES:
+            self._nums, self._den = _over_one(values.values())
+        else:
+            self._nums, self._den = list(values.values()), None
 
     @classmethod
-    def _from_nonzero(cls, entries: dict) -> "SparseVector":
-        """Adopt a dict whose values are already all nonzero, without a copy."""
+    def _of(cls, ids: tuple, nums: list, den) -> "SparseVector":
+        """The vector of parts as given: distinct ids and nonzero numerators
+        over den > 0 in lowest terms, or nonzero values and den None.
+        Nothing is checked, so the caller owns that proof."""
         self = object.__new__(cls)
-        self._entries = entries
+        self._ids, self._nums, self._den, self._at = ids, nums, den, None
         return self
 
+    @classmethod
+    def _reduced(cls, entries: dict, den: int) -> "SparseVector":
+        """The exact vector of integer `entries` (id -> numerator) over den > 0,
+        zeros dropped and brought to lowest terms."""
+        entries = {j: n for j, n in entries.items() if n}
+        nums, g = list(entries.values()), math.gcd(den, *entries.values())
+        if g > 1:
+            nums, den = [n // g for n in nums], den // g
+        return cls._of(tuple(entries), nums, den)
+
+    def _ratios(self) -> tuple:
+        """(numerators, denominator) of the values read as exact rationals
+        over one denominator: an exact vector's own parts; any other's ints,
+        Fractions and finite floats (a float is the dyadic rational it
+        holds) by as_integer_ratio, not in lowest terms."""
+        if self._den is not None:
+            return self._nums, self._den
+        return _over_one(self._nums)
+
     def get(self, j, default=0):
-        return self._entries.get(j, default)
+        if self._at is None:
+            self._at = dict(zip(self._ids, range(len(self._ids))))
+        k = self._at.get(j)
+        if k is None:
+            return default
+        return self._nums[k] if self._den is None else _fraction(self._nums[k], self._den)
 
     def items(self):
-        return self._entries.items()
+        return list(zip(self._ids, self.values()))
 
     def values(self):
-        return self._entries.values()
+        den = self._den
+        if den is None:
+            return list(self._nums)
+        return [_fraction(n, den) for n in self._nums]
 
     def support(self):
-        return self._entries.keys()
+        return self._ids
 
     def to_dict(self) -> dict:
-        return dict(self._entries)
+        return dict(self.items())
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._ids
 
     def l1(self):
-        """The l1 norm, sum of absolute values over the support."""
-        return sum(abs(v) for v in self._entries.values())
+        """The l1 norm, sum of absolute values over the support (int 0 if empty)."""
+        if self._den is None or not self._nums:
+            return sum(abs(v) for v in self._nums)
+        return _fraction(sum(map(abs, self._nums)), self._den)
 
     def total(self):
         """Signed sum of the entries (the mass functional on vectors)."""
-        return sum(self._entries.values())
+        if self._den is None or not self._nums:
+            return sum(self._nums)
+        return _fraction(sum(self._nums), self._den)
 
     def scale(self, a) -> "SparseVector":
         if a == 0:
             return SparseVector()
-        return SparseVector({j: a * v for j, v in self._entries.items()})
+        if self._den is not None and type(a) in _EXACT_TYPES:
+            p, q = a.as_integer_ratio()
+            return SparseVector._reduced(dict(zip(self._ids, [n * p for n in self._nums])),
+                                         self._den * q)
+        return SparseVector({j: a * v for j, v in self.items()})
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
-        out = dict(self._entries)
-        for j, v in other._entries.items():
-            out[j] = out.get(j, 0) + v
-        return SparseVector(out)
+        return self._plus(other, operator.add)
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
-        out = dict(self._entries)
-        for j, v in other._entries.items():
-            out[j] = out.get(j, 0) - v
-        return SparseVector(out)
+        return self._plus(other, operator.sub)
+
+    def _plus(self, other: "SparseVector", op) -> "SparseVector":
+        """op(self, other) entrywise, in integers over the lcm of two exact
+        vectors' denominators; any other pair adds or subtracts its values."""
+        a, b = self._den, other._den
+        if a is None or b is None:
+            out = dict(self.items())
+            for j, v in other.items():
+                out[j] = op(out.get(j, 0), v)
+            return SparseVector(out)
+        den = math.lcm(a, b)
+        out = dict(zip(self._ids, self._nums if den == a else [n * (den // a) for n in self._nums]))
+        scale = op(0, den // b)
+        for j, n in zip(other._ids, other._nums):
+            out[j] = out.get(j, 0) + n * scale
+        return SparseVector._reduced(out, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return self._entries == other._entries
+        if len(self._ids) != len(other._ids):
+            return False
+        if self._den is None or other._den is None:
+            return dict(self.items()) == dict(other.items())
+        if self._den != other._den:
+            return False
+        if self._ids == other._ids:
+            return self._nums == other._nums
+        return dict(zip(self._ids, self._nums)) == dict(zip(other._ids, other._nums))
 
     def __hash__(self):
-        return hash(frozenset(self._entries.items()))
+        # hash(frozenset(self.items())), each Fraction's hash read from its
+        # numerator times the modular inverse of the denominator, as
+        # Fraction.__hash__ computes it
+        if self._den is None:
+            return hash(frozenset(zip(self._ids, self._nums)))
+        try:
+            inv = pow(self._den, -1, sys.hash_info.modulus)
+        except ValueError:  # no inverse: hash each value as a Fraction
+            return hash(frozenset(self.items()))
+        return hash(frozenset(zip(self._ids, [hash(n * inv) for n in self._nums])))
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._ids)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._ids)
 
     def __repr__(self):
-        inner = ", ".join(f"{j}: {v}" for j, v in sorted(self._entries.items(), key=lambda kv: repr(kv[0])))
+        inner = ", ".join(f"{j}: {v}" for j, v in sorted(self.items(), key=lambda kv: repr(kv[0])))
         return f"SparseVector({{{inner}}})"
+
+
+def _over_one(values) -> tuple:
+    """(numerators, denominator) of exact `values` over their least common
+    denominator; values in lowest terms give a vector in lowest terms."""
+    pairs = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n / d for ints n and d > 0, reduced by one gcd."""
+    g = math.gcd(n, d)
+    return coprime_fraction(n // g, d // g)
 
 
 class MetricGraph:
@@ -427,21 +499,36 @@ class VelocityProfile:
 
 def _couple(g: MetricGraph, vel: VelocityProfile | None, v: SparseVector) -> SparseVector:
     """C v for C_ij = (c_j / c_i) w_ij at the speeds `vel` (None: C = B),
-    read from the columns of supp v only.  The multiply-add loop takes any
-    values, so exact vectors stay exact.  A profile of one exact speed
-    reads B; any other takes the product for every column, which at equal
-    exact speeds is w_ij itself and at float speeds carries its rounding."""
+    read from the columns of supp v only.  An exact v at exact speeds sums
+    each term n w_ij c_j / c_i, n its numerator, in integers over the lcm of
+    the terms' denominators; any other takes a multiply-add loop over its
+    values.  A profile of one exact speed reads B; any other takes the
+    product for every column, which at float speeds carries its rounding."""
     if vel is not None and not vel.values and is_rational(vel.default):
         vel = None
     out: dict = {}
-    for j, a in v.items():
-        col = g.column(j)
-        if vel is not None:
-            c_j = vel.velocity(j)
-            col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
-        for i, w in col.items():
-            out[i] = out.get(i, 0) + w * a
-    return SparseVector(out)
+    if v._den is None or not (vel is None or vel.is_rational()):
+        for j, a in v.items():
+            col = g.column(j)
+            if vel is not None:
+                c_j = vel.velocity(j)
+                col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
+            for i, w in col.items():
+                out[i] = out.get(i, 0) + w * a
+        return SparseVector(out)
+    terms = []
+    for j, n in zip(v._ids, v._nums):
+        c_j = vel.velocity(j) if vel is not None else None
+        for i, w in g.column(j).items():
+            p, q = n * w.numerator, w.denominator
+            if c_j is not None:
+                c_i = vel.velocity(i)
+                p, q = p * c_j.numerator * c_i.denominator, q * c_j.denominator * c_i.numerator
+            terms.append((i, p, q))
+    L = math.lcm(*{q for _, _, q in terms})
+    for i, p, q in terms:
+        out[i] = out.get(i, 0) + p * (L // q)
+    return SparseVector._reduced(out, L * v._den)
 
 
 class AdjacencyOperator:

@@ -30,12 +30,11 @@ fits in int64, _array_flow (in _arrays) holds every history as flat
 int64 arrays over one denominator and runs each stage as one pass; its
 numerators may start past 2^63, as a float's do, and go on in Python
 ints, but a flow whose numerators grow past it goes back to the per-edge
-histories.  Each distinct answer value is built once: a Fraction, or
-for float f a float rounded once, correctly.  An array kernel's exact
-answer holds its integer rows and builds its Fractions, and its dicts,
-on the first read of any entry, so a caller that only samples and
-writes it builds neither.  An answer of more than MAX_ANSWER_ENTRIES
-entries is refused before it is built.
+histories.  Every kernel builds an exact answer's vectors as integer
+numerators over one denominator each, in lowest terms, so a caller that
+only samples, writes and measures it builds no Fraction; for float f each
+distinct answer value is a float rounded once, correctly.  An answer of
+more than MAX_ANSWER_ENTRIES entries is refused before it is built.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
@@ -84,8 +83,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import (_INT64_MAX, _array_flow, _int_steps, _kept_steps, _route_exact,
-                      _unit_answer)
+from ._arrays import _INT64_MAX, _array_flow, _int_steps, _kept_steps, _route_exact
 from .errors import (
     MalformedGraphError,
     NotRationalError,
@@ -155,9 +153,9 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
 def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkState:
     """T(t) f at unit speed, for exact t >= 0, on the edges of `steps`: B^n
     of f's pieces as `number`s, routed at once by _route_exact, in int64 up
-    to 2^63 - 1 and in Python ints past it.  An exact answer merges its
-    equal neighbours from the kernel's rows (_unit_answer); a rounded one
-    takes the checking constructor."""
+    to 2^63 - 1 and in Python ints past it.  B^n v can equal its neighbour
+    B^n v' or B^(n+1) v', so the answer takes the checking constructor,
+    which merges equal neighbours by the vectors' own ==."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -174,10 +172,7 @@ def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkSta
                + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
-    values = _route_exact(steps, values, powers, number)
-    if number is Fraction:
-        return _unit_answer(bps, values, powers)
-    return NetworkState(bps, values)
+    return NetworkState(bps, _route_exact(steps, values, powers, number))
 
 
 def _steps(g: MetricGraph, speed: Mapping, rows) -> tuple:
@@ -597,15 +592,18 @@ def _flow_histories(speed: Mapping, speeds: list, rows, f: NetworkState, t: Frac
     edge j drains as f_j(c_j s).
 
     Every history value is exact, held as a (numerator, denominator) pair
-    in lowest terms, f's from as_integer_ratio: _inflow sums a window on
+    in lowest terms, f's each numerator over its vector's denominator
+    (SparseVector._ratios) reduced by one gcd: _inflow sums a window on
     ints over the lcm of the denominators it reads and cancels it again,
     so a value is never larger than the Fraction it stands for.
     """
     zero = [(0, 1)] * len(f.values)
     drains = {j: zero.copy() for j in f.support()}
     for m, v in enumerate(f.values):
-        for j, x in v.items():
-            drains[j][m] = x.as_integer_ratio()
+        nums, d = v._ratios()
+        for j, n in zip(v.support(), nums):
+            g = math.gcd(n, d)
+            drains[j][m] = (n // g, d // g)
     return _histories(speed, speeds, rows, t, f.breakpoints, lambda j: drains.get(j, zero))
 
 
@@ -663,36 +661,44 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
     history, _, T, lag = _flow_histories(speed, speeds, rows, f, t)
     # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
     # value changes keyed by x's numerator over P = lcm(lag), 0 among them
-    # (histories hold no equal neighbours); each pair, in lowest terms, read once
+    # (histories hold no equal neighbours): exact (n, d) pairs in lowest
+    # terms, or for a rounded read each pair's number(n, d), built once
     exact, memo, changes, P = number is Fraction, {}, {}, math.lcm(*set(lag.values()))
-    read = coprime_fraction if exact else number
     for j in speed:
         scale = P // lag[j]
         for s, v in _window(*history[j], T, T + lag[j]):
-            x = memo.get(v)
-            if x is None:
-                x = memo[v] = read(*v)
-            changes.setdefault((s - T) * scale, []).append((j, x))
+            if not exact:
+                if v not in memo:
+                    memo[v] = number(*v)
+                v = memo[v]
+            changes.setdefault((s - T) * scale, []).append((j, v))
     del history  # the pieces below need only the changes
+    zero = (0, 1) if exact else 0
     bps = sorted(changes)
     if len(bps) * len(speed) > MAX_ANSWER_ENTRIES:  # count each piece's support
         support, entries = set(), 0
         for x in bps:
             for j, v in changes[x]:
-                (support.add if v else support.discard)(j)
+                (support.add if v != zero else support.discard)(j)
             entries += len(support)
         if entries > MAX_ANSWER_ENTRIES:
             changed = collections.Counter(j for c in changes.values() for j, _ in c)
             raise WidthOverflowError(f"the answer's {entries} entries exceed {MAX_ANSWER_ENTRIES}",
                                      edges=[j for j, _ in changed.most_common(4)])
+    # each exact piece over the lcm of its pairs' denominators, so in lowest terms
     current, pieces = {}, []
     for x in bps:
         for j, v in changes[x]:
-            if v:
+            if v != zero:
                 current[j] = v
             else:
                 current.pop(j, None)
-        pieces.append(SparseVector._from_nonzero(dict(current)))
+        if exact:
+            D = math.lcm(*{d for _, d in current.values()})
+            nums = [n * (D // d) for n, d in current.values()]
+            pieces.append(SparseVector._of(tuple(current), nums, D))
+        else:
+            pieces.append(SparseVector(current))
     bps = [coprime_fraction(x // g, P // g) for x in bps for g in (math.gcd(x, P),)]
     return (NetworkState._canonical if exact else NetworkState)((*bps, Fraction(1)), tuple(pieces))
 
@@ -720,8 +726,7 @@ class AbsorptionProfile:
         # order the edges were read; the rows' supports are disjoint
         bps, aligned = _refine(rows)
         self._state = NetworkState(bps, [
-            SparseVector._from_nonzero({j: r for v in piece for j, r in v.items()})
-            for piece in zip(*aligned)
+            SparseVector({j: r for v in piece for j, r in v.items()}) for piece in zip(*aligned)
         ])
 
     @classmethod

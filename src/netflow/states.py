@@ -27,6 +27,7 @@ integrates the max-abs entry rather than the l1 norm.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -52,8 +53,49 @@ def _dot(u: SparseVector, v: SparseVector):
     return sum(a * v.get(j) for j, a in u.items())
 
 
+def _int_dot(u: SparseVector, v: SparseVector) -> tuple:
+    """_dot of two exact vectors as (numerator, denominator) ints."""
+    at = dict(zip(v._ids, v._nums))
+    return sum(n * at.get(j, 0) for j, n in zip(u._ids, u._nums)), u._den * v._den
+
+
 def _hadamard(u: SparseVector, q: SparseVector) -> SparseVector:
     return SparseVector({j: a * q.get(j) for j, a in u.items()})
+
+
+def _exact(vectors) -> bool:
+    """Whether every vector of `vectors` is of the exact kind."""
+    return all(v._den is not None for v in vectors)
+
+
+def _ratio_sum(terms) -> Fraction:
+    """The sum of n / d over the (n, d) int pairs `terms`, d > 0, in
+    integers over their lcm: one Fraction."""
+    L = math.lcm(*{d for _, d in terms})
+    return Fraction(sum(n * (L // d) for n, d in terms), L)
+
+
+def _integral(bps: Sequence, heights) -> Fraction:
+    """The integral of the step function of height n / d, one (n, d) int
+    pair of `heights` a piece between breakpoints `bps`: _ratio_sum of
+    (b - a) n / d with each width read from a's and b's own parts."""
+    return _ratio_sum([((b.numerator * a.denominator - a.numerator * b.denominator) * n,
+                        a.denominator * b.denominator * d)
+                       for a, b, (n, d) in zip(bps, bps[1:], heights)])
+
+
+def _largest_l1(vectors: Sequence):
+    """max of v.l1() over `vectors`: exact vectors compare their sums of
+    |numerator| over their denominators by cross-multiplying, and build
+    one Fraction, of the largest (int 0 if every vector is empty)."""
+    if not _exact(vectors):
+        return max(v.l1() for v in vectors)
+    n, d = 0, 1
+    for v in vectors:
+        size = sum(map(abs, v._nums))
+        if size * d > n * v._den:
+            n, d = size, v._den
+    return Fraction(n, d) if n else 0
 
 
 class NetworkState:
@@ -146,7 +188,8 @@ class NetworkState:
         return all(v.is_zero() for v in self.values)
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for v in self.values for _, x in v.items())
+        # a numerator has its value's sign, the denominator being positive
+        return all(x >= 0 for v in self.values for x in v._nums)
 
     # -- algebra ----------------------------------------------------------
 
@@ -173,10 +216,13 @@ class NetworkState:
 
     def sup_norm(self):
         """ess-sup over s of the l1 norm of f(s); exact for exact values."""
-        return max(v.l1() for v in self.values)
+        return _largest_l1(self.values)
 
     def total_mass(self):
-        """Signed integral over [0,1] of the entry sum."""
+        """Signed integral over [0,1] of the entry sum: for exact values
+        one integer sum over one denominator."""
+        if _exact(self.values):
+            return _integral(self.breakpoints, [(sum(v._nums), v._den) for v in self.values])
         return sum((b2 - b1) * v.total() for b1, b2, v in self.pieces())
 
     def __eq__(self, other) -> bool:
@@ -266,19 +312,15 @@ class SampledState:
     def samples(self) -> tuple:
         """One SparseVector per grid point, zero entries dropped."""
         if self._samples is None:
-            edges = self.edges
-            rows = [dict(zip(edges, col)) for col in self.array.T.tolist()]
-            for k, m in zip(*(a.tolist() for a in np.nonzero(self.array == 0))):
-                del rows[m][edges[k]]
-            self._samples = tuple(SparseVector._from_nonzero(v) for v in rows)
+            self._samples = tuple(SparseVector(zip(self.edges, col))
+                                  for col in self.array.T.tolist())
         return self._samples
 
     def point(self, m: int) -> SparseVector:
         """samples[m], built alone from the array form."""
         if self._samples is not None:
             return self._samples[m]
-        col = self.array[:, m].tolist()
-        return SparseVector._from_nonzero({e: x for e, x in zip(self.edges, col) if x != 0})
+        return SparseVector(zip(self.edges, self.array[:, m].tolist()))
 
     def totals(self) -> list:
         """The signed sum of the entries at each grid point."""
@@ -299,13 +341,13 @@ class SampledState:
         if self.array is not None:
             return float(_column_sums(_abs(self.array)).max())
         # each vector object once (`sample` repeats one per piece); repeats never move a max
-        return max(v.l1() for v in {id(v): v for v in self.samples}.values())
+        return _largest_l1(list({id(v): v for v in self.samples}.values()))
 
     def distance(self, other: "SampledState"):
         """Sup over the grid of the l1 distance; grids must match."""
         self._check_grid(other)
         if self.array is None or other.array is None:
-            return max((u - v).l1() for u, v in zip(self.samples, other.samples))
+            return _largest_l1([u - v for u, v in zip(self.samples, other.samples)])
         # the rows' u - v holds u's nonzero entries in u's order, then v's
         # entries where u is zero in v's order: add them in that order
         a = self.array
@@ -408,6 +450,8 @@ def pair(f, g):
     """
     if isinstance(f, NetworkState) and isinstance(g, NetworkState):
         bps, (fv, gv) = _refine((f, g))
+        if _exact(fv) and _exact(gv):
+            return _integral(bps, list(map(_int_dot, fv, gv)))
         return sum(
             (bps[m + 1] - bps[m]) * _dot(fv[m], gv[m]) for m in range(len(bps) - 1)
         )
@@ -415,6 +459,10 @@ def pair(f, g):
         gs = g if isinstance(g, SampledState) else sample(g, f.grid_size)
         f._check_grid(gs)
         M = f.grid_size
+        if _exact(f.samples) and _exact(gs.samples):
+            dots = map(_int_dot, f.samples, gs.samples)
+            return _ratio_sum([(n, d * M * (2 if m in (0, M) else 1))
+                               for m, (n, d) in enumerate(dots)])
         acc = 0
         for m in range(M + 1):
             w = Fraction(1, 2) if m in (0, M) else 1
@@ -426,6 +474,9 @@ def pair(f, g):
 def predual_norm(g: NetworkState):
     """Integral over [0,1] of max_j |g_j(s)|: the size of g as a test
     function in L^1([0,1], c_0)."""
+    if _exact(g.values):
+        return _integral(g.breakpoints,
+                         [(max(map(abs, v._nums), default=0), v._den) for v in g.values])
     total = 0
     for b1, b2, v in g.pieces():
         m = max((abs(x) for _, x in v.items()), default=0)

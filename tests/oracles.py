@@ -515,3 +515,92 @@ def fv_absorb(g, q_state, f_state, t: Fraction, cells: int) -> dict:
         for j in ids:
             u[j] *= growth[j]
     return u
+
+
+class DictVector:
+    """The dict-of-values vector algebra SparseVector had before its exact
+    vectors held integer numerators over one denominator, kept unchanged
+    as the reference: one dict of values, zero entries dropped, and every
+    operation on the values themselves."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries=None):
+        if entries is None:
+            entries = {}
+        items = entries.items() if hasattr(entries, "items") else entries
+        self._entries = {j: v for j, v in items if v != 0}
+
+    def get(self, j, default=0):
+        return self._entries.get(j, default)
+
+    def items(self):
+        return self._entries.items()
+
+    def values(self):
+        return self._entries.values()
+
+    def l1(self):
+        return sum(abs(v) for v in self._entries.values())
+
+    def total(self):
+        return sum(self._entries.values())
+
+    def scale(self, a):
+        if a == 0:
+            return DictVector()
+        return DictVector({j: a * v for j, v in self._entries.items()})
+
+    def __add__(self, other):
+        out = dict(self._entries)
+        for j, v in other._entries.items():
+            out[j] = out.get(j, 0) + v
+        return DictVector(out)
+
+    def __sub__(self, other):
+        out = dict(self._entries)
+        for j, v in other._entries.items():
+            out[j] = out.get(j, 0) - v
+        return DictVector(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, DictVector):
+            return NotImplemented
+        return self._entries == other._entries
+
+    def __hash__(self):
+        return hash(frozenset(self._entries.items()))
+
+
+def readings_reference(f) -> dict:
+    """sup_norm, total_mass and predual_norm of a NetworkState, summed one
+    value at a time as the library summed them before its exact readings
+    worked in integers."""
+    pieces = [(b2 - b1, DictVector(v.items())) for b1, b2, v in f.pieces()]
+    return {
+        "sup_norm": max(v.l1() for _, v in pieces),
+        "total_mass": sum(w * v.total() for w, v in pieces),
+        "predual_norm": sum(w * max((abs(x) for x in v.values()), default=0) for w, v in pieces),
+    }
+
+
+def pair_reference(f, g):
+    """The weak-* pairing of two NetworkStates on their common refinement,
+    one product at a time."""
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    total = 0
+    for a, b in zip(bps, bps[1:]):
+        u, v = f.value_at(a), g.value_at(a)
+        total += (b - a) * sum(x * v.get(j) for j, x in u.items())
+    return total
+
+
+def residual_reference(f, g, vel=None):
+    """boundary_residual of a NetworkState, C f(0) built one weight at a
+    time over the graph's columns."""
+    out: dict = {}
+    for j, a in f.values[0].items():
+        for i, w in g.column(j).items():
+            c = w if vel is None else w * vel.velocity(j) / vel.velocity(i)
+            out[i] = out.get(i, 0) + c * a
+    return (DictVector(f.values[-1].items()) - DictVector(out)).l1()

@@ -28,7 +28,8 @@ from netflow import (
     write_graph_text,
     write_state_text,
 )
-from netflow import _arrays, checks, fileio, semigroup
+import netflow.graph as graph_module
+from netflow import checks, fileio, semigroup
 from netflow.states import NetworkState
 
 G2_TEXT = """\
@@ -457,21 +458,28 @@ def _closed_form(g, f, t):
 
 
 class TestKernelRows:
-    """Exact answers of the array kernels keep their integer rows, and
-    emit_plotdata writes them from those (_arrays.row_cells), byte for
-    byte as the per-cell reference writes their dicts."""
+    """Exact answers of every kernel are integer numerators over one
+    denominator per vector, and emit_plotdata writes them from those
+    (fileio._row_cells) without building a Fraction, byte for byte as the
+    per-cell reference writes their values."""
 
     @pytest.fixture
     def written(self, monkeypatch):
-        """The count of vectors each emit wrote from kernel rows."""
+        """The count of exact vectors each pass of _row_cells wrote, with
+        any read of an exact entry as a Fraction refused while it runs."""
         counts = []
-        cells = _arrays.row_cells
+        cells = fileio._row_cells
 
-        def counted(vectors, columns):
-            counts.append(len(vectors))
-            return cells(vectors, columns)
+        def refuse(*_):
+            raise AssertionError("an exact entry was read as a Fraction")
 
-        monkeypatch.setattr(fileio, "row_cells", counted)
+        def counted(distinct, *args):
+            counts.append(sum(v._den is not None for v in distinct.values()))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_module, "_fraction", refuse)
+                return cells(distinct, *args)
+
+        monkeypatch.setattr(fileio, "_row_cells", counted)
         return counts
 
     @staticmethod
@@ -534,8 +542,8 @@ class TestKernelRows:
                 text = emit_plotdata(s, edges=edges)
                 assert text == oracles.plotdata_reference(s, edges), (trial, kind, edges)
                 kinds[kind] = kinds.get(kind, 0) + sum(written)
-        # every kind but t = 0 wrote rows from the kernels
-        assert kinds.pop("zero") == 0 and min(kinds.values()) > 100, kinds
+        # every kind wrote exact vectors, t = 0 the input's own
+        assert min(kinds.values()) > 100, kinds
 
     def test_several_answers_and_input_vectors_in_one_state(self, written):
         rng = random.Random("kernel-rows-mixed")
@@ -544,7 +552,7 @@ class TestKernelRows:
         f = checks.random_state(rng, g, 6)
         a, b = _closed_form(g, f, F(5, 2)), _closed_form(g, f, F(1, 3))
         rows = [*sample(a, 8).samples, *sample(b, 8).samples, *f.values]
-        assert len({v._row[0] for v in rows if hasattr(v, "_row")}) >= 3
+        assert all(v._den is not None for v in rows) and len({v._den for v in rows}) >= 3
         s = SampledState(len(rows) - 1, rows)
         for edges in self.edge_shapes(rng, g.edge_ids, 99):
             assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges)
@@ -555,7 +563,7 @@ class TestKernelRows:
         g = parse_graph_file(checks.fixture_path("g5.graph")).graph
         f = parse_state_file(checks.fixture_path("g5_mixed.state")).state.scale(F(3**50, 7))
         out = evolve_unit(build_adjacency(g), f, F(200))
-        assert all(v._row[0].distinct.dtype == object for v in out.values)
+        assert all(max(map(abs, v._nums)) > 2**63 for v in out.values)
         s = sample(out, 64)
         for edges in (None, g.edge_ids, [5, 4, 4, 1, 9]):
             assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges)
@@ -570,7 +578,7 @@ class TestKernelRows:
                   f.map_values(lambda v: SparseVector({j: x * (1 - 2j) for j, x in v.items()}))):
             for out in (evolve_unit(build_adjacency(g), h, F(7, 3)),
                         evolve_rational(g, vel, h, F(5, 4))):
-                assert not any(hasattr(v, "_row") for v in out.values)
+                assert all(v._den is None for v in out.values)
                 s = sample(out, 16)
                 for edges in (None, g.edge_ids):
                     assert emit_plotdata(s, edges=edges) == oracles.plotdata_reference(s, edges)
@@ -583,25 +591,26 @@ class TestKernelRows:
         rows = [*sample(out, 4).samples, SparseVector({9: 0.5j})]
         s = SampledState(len(rows) - 1, rows)
         for edges in (None, g.edge_ids, [1, 9]):
+            del written[:]
             text = emit_plotdata(s, edges=edges)
             assert "_re," in text and text == oracles.plotdata_reference(s, edges)
-        assert sum(written) == 0
+            # the real pass stops at the complex value; the complex pass
+            # writes every exact vector from its numerators
+            assert written[-1] == len({id(v) for v in rows}) - 1
 
     def test_overflow_raises_as_the_dict_path(self):
         g = parse_graph_file(checks.fixture_path("g5.graph")).graph
         f = NetworkState.constant(SparseVector({1: F(10**400)}))
         s = sample(_closed_form(g, f, F(3, 2)), 4)
-        assert any(hasattr(v, "_row") for v in s.samples)
+        assert all(v._den is not None for v in s.samples)
         for write in (emit_plotdata, oracles.plotdata_reference):
             with pytest.raises(OverflowError):
                 write(s, g.edge_ids)
 
-    def test_wide_unit_answers_are_written_from_kernel_rows(self, written, monkeypatch):
+    def test_wide_unit_answers_are_written_from_kernel_rows(self, written):
         # the shape of the benchmark's unit-wide solves: 64 pieces on a
-        # wide graph, routed at least once, every row from the kernel
-        fallback = []
-        cells = fileio._row_cells
-        monkeypatch.setattr(fileio, "_row_cells", lambda d, *a: fallback.append(len(d)) or cells(d, *a))
+        # wide graph, routed at least once, every row exact and written
+        # from its numerators in one real pass
         rng = random.Random("kernel-rows-wide")
         g = checks.random_graph(rng, 64, vertices=32)
         bps = [F(k, 64) for k in range(65)]
@@ -612,4 +621,5 @@ class TestKernelRows:
             s = sample(evolve_unit(build_adjacency(g), f, t), 256)
             text = emit_plotdata(s, edges=g.edge_ids)
             assert text == oracles.plotdata_reference(s, g.edge_ids)
-            assert written[-1] == len({id(v) for v in s.samples}) > 60 and fallback[-1] == 0
+            assert written == [len({id(v) for v in s.samples})] and written[0] > 60
+            del written[:]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -455,3 +456,80 @@ class TestVelocityProfile:
         for j in (3, 4, 5):
             with pytest.raises(NotRationalError):
                 vel.exact(j)
+
+
+class TestExactForm:
+    """An exact SparseVector holds integer numerators over one denominator,
+    in lowest terms; its algebra must agree with the dict-of-values
+    reference (oracles.DictVector) entry for entry, in items() order, with
+    equal hashes, on exact, float, complex and mixed vectors."""
+
+    @staticmethod
+    def random_values(rng, kind):
+        ids = rng.sample([1, 2, 3, 4, 5, "a", (6, 0)], rng.randint(0, 6))
+        pick = {
+            "exact": lambda: rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 12)),
+                                         F(rng.randint(-2**70, 2**70), rng.randint(1, 2**66))]),
+            "float": lambda: rng.choice([rng.uniform(-3, 3), rng.randint(-4, 4) / 8, 0.0]),
+            "complex": lambda: complex(rng.randint(-3, 3) / 4, rng.randint(-3, 3) / 4),
+        }
+        kinds = [kind] if kind != "mixed" else ["exact", "float"]
+        return {j: pick[rng.choice(kinds)]() for j in ids}
+
+    @staticmethod
+    def assert_agrees(got, want):
+        assert isinstance(got, SparseVector) and isinstance(want, oracles.DictVector)
+        assert list(got.items()) == list(want.items())
+        # an exact value reads back as a Fraction from an exact vector, and
+        # may as an int from any other; every other value bit for bit
+        for (_, x), (_, y) in zip(got.items(), want.items()):
+            if type(y) in (int, F):
+                assert x == y and type(x) in ((F,) if got._den is not None else (int, F))
+            else:
+                assert repr(x) == repr(y)
+        assert hash(got) == hash(want)
+        for read in ("l1", "total"):
+            x, y = getattr(got, read)(), getattr(want, read)()
+            assert x == y and (type(y) in (int, F) or repr(x) == repr(y))
+        if got._den is not None:
+            assert got._den > 0 and math.gcd(got._den, *got._nums) == 1
+            assert all(type(x) in (int, F) for _, x in want.items())
+
+    def test_random_algebra_against_the_dict_reference(self):
+        rng = random.Random("exact-form")
+        kinds = ["exact", "exact", "exact", "float", "complex", "mixed"]
+        for trial in range(600):
+            a, b = (self.random_values(rng, rng.choice(kinds)) for _ in range(2))
+            if trial % 5 == 0:  # shared ids, so sums cancel entries
+                b = {j: -x for j, x in a.items()} | dict(list(b.items())[:1])
+            u, v, U, V = SparseVector(a), SparseVector(b), oracles.DictVector(a), oracles.DictVector(b)
+            self.assert_agrees(u, U)
+            self.assert_agrees(u + v, U + V)
+            self.assert_agrees(u - v, U - V)
+            for c in (0, 3, F(-2, 3), F(5, 4), 0.5, 1j):
+                self.assert_agrees(u.scale(c), U.scale(c))
+            assert (u == v) == (U == V) and (u == SparseVector(a)) and u != a
+            # the same entries listed in another order are equal, with equal hashes
+            w = SparseVector(dict(reversed(list(a.items()))))
+            assert w == u and hash(w) == hash(u)
+
+    def test_exact_and_float_vectors_of_equal_values(self):
+        half = SparseVector({1: 0.5})
+        assert half == SparseVector({1: F(1, 2)}) and hash(half) == hash(SparseVector({1: F(1, 2)}))
+        assert SparseVector({1: 2, 2: F(1, 3)}) == SparseVector({2: F(1, 3), 1: F(2)})
+        assert SparseVector({1: 1.0, 2: 0.25}) == SparseVector({1: 1, 2: F(1, 4)})
+        assert SparseVector({1: 0.1}) != SparseVector({1: F(1, 10)})
+        # a denominator with no inverse modulo the hash modulus
+        p = sys.hash_info.modulus
+        big = SparseVector({1: F(1, p), 2: F(3, 2 * p)})
+        assert hash(big) == hash(frozenset({1: F(1, p), 2: F(3, 2 * p)}.items()))
+
+    def test_parts_in_lowest_terms(self):
+        v = SparseVector({3: F(2, 6), 1: F(-4, 3), 2: 5})
+        assert (v._ids, v._nums, v._den) == ((3, 1, 2), [1, -4, 15], 3)
+        assert (v + v)._nums == [2, -8, 30] and (v + v)._den == 3
+        assert (v - v).is_zero() and (v - v)._den == 1
+        assert v.scale(F(3, 2))._nums == [1, -4, 15] and v.scale(F(3, 2))._den == 2
+        assert SparseVector()._den == 1 and SparseVector({1: 0.5})._den is None
+        assert v.get(1) == F(-4, 3) and v.get(9) == 0 and v.get(9, None) is None
+        assert type(v.get(2)) is F and list(v) == [3, 1, 2] and len(v) == 3

@@ -1492,7 +1492,7 @@ def zero_dropped_rows(state):
     """The rows an array state stands for: one vector per grid point in the
     order of state.edges, zero entries dropped, built cell by cell."""
     return tuple(
-        SparseVector._from_nonzero({e: x for e, x in zip(state.edges, col) if x != 0})
+        SparseVector({e: x for e, x in zip(state.edges, col) if x != 0})
         for col in state.array.T.tolist()
     )
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netflow._arrays as arrays_module
+import netflow.graph as graph_module
 import netflow.resolvent as resolvent_module
 import oracles
 from netflow import (
@@ -42,6 +43,8 @@ from netflow import (
     evolve_rational,
     evolve_unit,
     laplace_oracle,
+    pair,
+    predual_norm,
     resolvent_identity_check,
     resolvent_unit,
     sample,
@@ -997,7 +1000,7 @@ class TestArrayFlow:
         def refuse(*_):
             raise AssertionError("a piece was built")
 
-        monkeypatch.setattr(SparseVector, "_from_nonzero", refuse)
+        monkeypatch.setattr(SparseVector, "_of", refuse)
         monkeypatch.setattr(_arrays, "_answer", refuse)
         monkeypatch.setattr(semigroup, "MAX_ANSWER_ENTRIES", entries - 1)
         with pytest.raises(WidthOverflowError,
@@ -1299,10 +1302,10 @@ class TestAnswerValues:
 
 
 class TestCanonicalAnswers:
-    """An exact answer read with Fraction is built canonical by
-    NetworkState._canonical, which checks nothing; it must equal what the
-    checking constructor makes of its own parts, piece for piece, with
-    Fraction breakpoints and values."""
+    """An exact answer of the per-edge read or the arrays is built canonical
+    by NetworkState._canonical, which checks nothing; it must equal what
+    the checking constructor makes of its own parts, piece for piece, with
+    Fraction breakpoints and every piece an exact vector in lowest terms."""
 
     @staticmethod
     def assert_canonical(h):
@@ -1311,6 +1314,7 @@ class TestCanonicalAnswers:
         assert type(h.breakpoints) is tuple and type(h.values) is tuple
         assert all(type(b) is F for b in h.breakpoints)
         assert all(type(x) is F for v in h.values for x in v.values())
+        assert_lowest_terms(h)
 
     def test_random_flows(self, kernels):
         # 400 seeded flows, 100 of each kind: several speeds on up to 10
@@ -1362,20 +1366,46 @@ class TestCanonicalAnswers:
         assert len(exact.values) == 2 and entrywise(float, exact) == got
 
 
-class TestLazyAnswers:
-    """An exact answer of the array kernels holds only its kernel rows
-    until some entry is read; the first read builds its whole table's
-    dicts, which are the eager answer's, in the kernel's column order."""
+def assert_lowest_terms(h, edge_ids=None):
+    """Every piece of the exact answer h holds integer numerators over one
+    positive denominator in lowest terms, and with `edge_ids` its ids in
+    their order (the array kernels' column order)."""
+    at = {j: k for k, j in enumerate(edge_ids or ())}
+    for v in h.values:
+        assert v._den is not None and v._den > 0 and math.gcd(v._den, *v._nums) == 1
+        assert all(type(n) is int and n for n in v._nums) and type(v._ids) is tuple
+        assert edge_ids is None or list(v) == sorted(v, key=at.__getitem__)
 
-    @staticmethod
-    def tables(h) -> dict:
-        """The kernel tables of h's pieces, each with its vectors in piece order."""
-        out: dict = {}
-        for v in h.values:
-            row = getattr(v, "_row", None)
-            if row is not None:
-                out.setdefault(row[0], []).append(v)
-        return out
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A count of the Fractions built while it runs: every Fraction.__new__,
+    and every coprime_fraction the library calls, by kind: "value" for an
+    entry read from an exact vector (graph._fraction), "other" for the rest
+    (breakpoints, times, readings)."""
+    count = {"value": 0, "other": 0}
+    new = F.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        count["other"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted_new)
+    for module in (_arrays, semigroup):
+        coprime = module.coprime_fraction
+        monkeypatch.setattr(module, "coprime_fraction",
+                            lambda *a, c=coprime: count.__setitem__("other", count["other"] + 1) or c(*a))
+    fraction = graph_module._fraction
+    monkeypatch.setattr(graph_module, "_fraction",
+                        lambda *a: count.__setitem__("value", count["value"] + 1) or fraction(*a))
+    return count
+
+
+class TestLazyAnswers:
+    """Every kernel builds an exact answer as integer numerators over one
+    denominator per vector, in lowest terms and in the kernel's column
+    order, and no Fraction is built until an entry is read; reading
+    entries gives the eager answer's values."""
 
     @pytest.mark.parametrize("kernel", ["closed form", "arrays"])
     def test_random_flows_build_the_eager_dicts(self, kernels, monkeypatch, kernel):
@@ -1391,30 +1421,25 @@ class TestLazyAnswers:
             f, t = checks.random_state(rng, g, 8), checks.random_time(rng, 3)
             monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
             got = evolve_rational(g, vel, f, t)
-            tables = self.tables(got)
-            assert all(table._dicts is None for table in tables)
             monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", math.inf)
             want = evolve_rational(g, vel, f, t)
             assert got == want and got.breakpoints == want.breakpoints
-            for table, vectors in tables.items():
-                at = {j: k for k, j in enumerate(table.ids.tolist())}
-                shared: dict = {}
-                for v in vectors:
-                    assert v._entries is table._dicts[v._row[1]]
-                    assert list(v) == sorted(v, key=at.__getitem__)
-                    for x in v.values():
-                        assert type(x) is F and shared.setdefault(x, x) is x
+            if t and kernels[-2] == kernel:
+                assert_lowest_terms(got, g.edge_ids)
+                assert_lowest_terms(want)
+                for v, w in zip(got.values, want.values):
+                    assert v.to_dict() == w.to_dict() and all(type(x) is F for x in v.values())
                 built += 1
         assert built > 100
 
     def unbuilt(self):
-        """A piece of a fresh closed-form answer on g5 that has built no
-        dict, and the plain vector it equals, read from a second answer."""
+        """A piece of a fresh closed-form answer on g5, and the plain
+        vector it equals, built from a second answer's entries."""
         f = NetworkState([F(0), F(1, 3), F(1)],
                          [SparseVector({1: F(1, 3), 4: F(-2)}), SparseVector({2: F(5, 7)})])
         v, w = (semigroup._unit_flow(_arrays._kept_steps(g5()), f, F(7, 2), F).values[1]
                 for _ in range(2))
-        assert v._row[0] is not w._row[0] and v._row[0]._dicts is None
+        assert v is not w and v._den > 1 and v._at is None
         return v, SparseVector(dict(w.items()))
 
     def test_copies_pickles_and_hashes_of_unbuilt_vectors(self):
@@ -1422,26 +1447,33 @@ class TestLazyAnswers:
             v, want = self.unbuilt()
             copied = use(v)
             assert copied == want and type(copied) is SparseVector
+            assert (copied._ids, copied._nums, copied._den) == (v._ids, v._nums, v._den)
         v, want = self.unbuilt()
-        assert hash(v) == hash(want) and v == want
+        assert hash(v) == hash(want) == hash(frozenset(want.items())) and v == want
         v, want = self.unbuilt()
         assert repr(v) == repr(want) and len(v) == len(want) and v.total() == want.total()
 
-    def test_only_entries_are_built(self):
-        # any other missing name raises AttributeError as before, and a
-        # vector with neither slot set has no entries
+    def test_only_entries_are_built(self, fractions_built):
+        # one read builds one value, items() one a entry, and a missing
+        # name raises AttributeError as before
         v, _ = self.unbuilt()
-        assert hasattr(v, "_row") and not hasattr(SparseVector({1: 1}), "_row")
+        fractions_built.update(value=0)
+        j = next(iter(v))
+        assert type(v.get(j)) is F and fractions_built["value"] == 1
+        v.items()
+        assert fractions_built["value"] == 1 + len(v)
         with pytest.raises(AttributeError, match="'SparseVector' object has no attribute 'nope'"):
             v.nope
-        assert getattr(v, "__deepcopy__", None) is None and v._row[0]._dicts is None
-        with pytest.raises(AttributeError, match="no attribute '_entries'"):
-            object.__new__(SparseVector)._entries
+        with pytest.raises(AttributeError, match="_ids"):
+            len(object.__new__(SparseVector))
 
-    def test_evolve_sample_emit_builds_no_answer_value(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", ["closed form", "arrays"])
+    def test_evolve_sample_emit_builds_no_answer_value(self, fractions_built, kernels, kernel):
         # the benchmark's unit-wide shape: 600 edges, 64 pieces of 32
-        # edges; no table builds its dicts and no answer Fraction is made
-        # until an entry is read, and then each table builds its dicts once
+        # edges, at one speed (the closed form) or at three (the arrays):
+        # evolve builds only its breakpoints, sample and emit build no
+        # Fraction, each reading builds its one result and totals one a
+        # distinct vector, and the CSV is the per-cell reference's
         rng = random.Random("lazy-pipeline")
         out_of = {v: [(3 * v + k, v, (v + step) % 200) for k, step in enumerate((1, 7, 31))]
                   for v in range(200)}
@@ -1451,56 +1483,74 @@ class TestLazyAnswers:
         f = NetworkState([F(k, 64) for k in range(65)],
                          [SparseVector({e: F(rng.randint(1, 9), rng.randint(1, 4))
                                         for e in rng.sample(g.edge_ids, 32)}) for _ in range(64)])
-        splits, fractions = [], []
-        split, coprime = _arrays._split, _arrays.coprime_fraction
-        monkeypatch.setattr(_arrays, "_split", lambda *a: splits.append(a) or split(*a))
-        monkeypatch.setattr(_arrays, "coprime_fraction",
-                            lambda *a: fractions.append(a) or coprime(*a))
-        h = evolve_unit(build_adjacency(g), f, F(7, 3))
-        text = emit_plotdata(sample(h, 256), edges=g.edge_ids)
-        tables = self.tables(h)
-        assert len(tables) == 2 and sum(map(len, tables.values())) == len(h.values) > 60
-        assert splits == fractions == [] and all(t._dicts is None for t in tables)
-        first, second = tables
-        tables[first][3].items()
-        assert len(splits) == 1 and first._dicts is not None and second._dicts is None
-        assert len(fractions) == len(first.distinct)
-        for v in tables[first]:
-            v.items()
-        assert len(splits) == 1
-        assert text == oracles.plotdata_reference(sample(h, 256), g.edge_ids)
+        vel = (VelocityProfile({}, default=F(1)) if kernel == "closed form"
+               else VelocityProfile({j: rng.choice([F(1, 2), F(1), F(2)]) for j in g.edge_ids}))
+        t = F(7, 3) if kernel == "closed form" else F(2, 3)
+        fractions_built.update(value=0, other=0)
+        h = evolve_rational(g, vel, f, t)
+        assert kernels == [kernel] and fractions_built["value"] == 0
+        assert fractions_built["other"] <= 3 * len(h.breakpoints) + 16
+        assert sum(map(len, h.values)) > 40 * len(h.values) > 2000
+        fractions_built.update(other=0)
+        s = sample(h, 256)
+        text = emit_plotdata(s, edges=g.edge_ids)
+        assert fractions_built == {"value": 0, "other": 0}
+        test = NetworkState.constant(SparseVector({e: F(1, 2) for e in g.edge_ids[::5]}))
+        readings = {
+            "sup_norm": h.sup_norm, "total_mass": h.total_mass,
+            "predual_norm": lambda: predual_norm(h), "pair": lambda: pair(h, test),
+            "boundary_residual": lambda: boundary_residual(h, g, vel),
+            "sup_sample_norm": s.sup_sample_norm, "sampled pair": lambda: pair(s, test),
+            "sampled residual": lambda: boundary_residual(s, g, vel),
+        }
+        for name, read in readings.items():
+            fractions_built.update(value=0, other=0)
+            read()
+            assert sum(fractions_built.values()) <= 1, name
+        fractions_built.update(value=0, other=0)
+        s.totals()
+        assert sum(fractions_built.values()) <= len({id(v) for v in s.samples})
+        assert text == oracles.plotdata_reference(s, g.edge_ids)
+        assert h.total_mass() == oracles.readings_reference(h)["total_mass"]
 
 
 class TestUnitRowMerge:
-    """The closed form merges equal neighbours B^n v = B^n' v' from the
-    kernel's rows; it must give what the checking constructor gives of
-    the unmerged pieces, breakpoints included, and build no dict."""
+    """The closed form's B^n v can equal its neighbour B^n v' or
+    B^(n+1) v', and the checking constructor merges them by the vectors'
+    own ==: the answer must equal the per-edge read, breakpoints
+    included, and build no Fraction value."""
 
     @pytest.fixture
-    def merges(self, monkeypatch):
-        """(unmerged state, answer) of each exact closed-form answer,
-        checked to have built no table's dicts."""
+    def merges(self, monkeypatch, fractions_built):
+        """The piece count of each closed-form answer before merging."""
         log = []
-        unit_answer = semigroup._unit_answer
+        route = semigroup._route_exact
 
-        def merged(bps, values, powers):
-            out = unit_answer(bps, values, powers)
-            assert all(v._row[0]._dicts is None for v in values[powers.count(0):])
-            log.append((NetworkState(bps, [v.to_dict() for v in values]), out, len(values)))
+        def routed(*a):
+            out = route(*a)
+            log.append(len(out))
             return out
 
-        monkeypatch.setattr(semigroup, "_unit_answer", merged)
+        monkeypatch.setattr(semigroup, "_route_exact", routed)
         monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
         return log
 
+    @staticmethod
+    def per_edge(g, f, t):
+        old, semigroup.EDGE_FLOW_WORK = semigroup.EDGE_FLOW_WORK, math.inf
+        try:
+            return evolve_unit(build_adjacency(g), f, t)
+        finally:
+            semigroup.EDGE_FLOW_WORK = old
+
     def check(self, merges, g, f, t, merged=True):
         got = evolve_unit(build_adjacency(g), f, t)
-        want, out, pieces = merges[-1]
-        assert out is got and got == want and got.breakpoints == want.breakpoints
+        pieces, want = merges[-1], self.per_edge(g, f, t)
+        assert got == want and got.breakpoints == want.breakpoints
         assert type(got.breakpoints) is tuple and type(got.values) is tuple
         assert (len(got.values) < pieces) is merged
 
-    def test_equal_images_in_one_table(self, merges):
+    def test_equal_images_in_one_table(self, merges, fractions_built):
         # B e4 = B e5 = e1 on g5: two pieces of f with equal images
         f = NetworkState([F(0), F(1, 4), F(1, 2), F(3, 4), F(1)],
                          [SparseVector({2: F(1)}), SparseVector({4: F(3, 2)}),
@@ -1508,30 +1558,34 @@ class TestUnitRowMerge:
         for t in (F(1), F(3), F(9, 8)):
             self.check(merges, g5(), f, t)
         self.check(merges, g5(), f, F(1, 8), merged=False)  # both at power 0
+        assert fractions_built["value"] == 0
 
-    def test_invariant_state_across_the_junction(self, merges):
+    def test_invariant_state_across_the_junction(self, merges, fractions_built):
         # a B-invariant v on a cycle: B^n0 v meets B^(n0 + 1) v at the
-        # junction of two tables, and at n0 = 0 f's own v meets B v
+        # junction of the shifted and the wrapped pieces, and at n0 = 0
+        # f's own v meets B v
         v, w = SparseVector({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}), SparseVector({1: F(2)})
         f = NetworkState([F(0), F(1, 3), F(2, 3), F(1)], [v, w, v])
         for t in (F(1, 2), F(3, 2), F(7, 2)):
             self.check(merges, cycle(3), f, t)
         self.check(merges, cycle(3), f, F(2), merged=False)
+        assert fractions_built["value"] == 0
 
-    def test_input_piece_at_power_zero(self, merges):
+    def test_input_piece_at_power_zero(self, merges, fractions_built):
         # f's last piece, at power 0, against the first wrapped piece, B f_0,
-        # both as a plain vector and as a row of an earlier answer
+        # both as a plain vector and as a piece of an earlier answer
         f = NetworkState([F(0), F(1, 2), F(1)], [SparseVector({2: F(1)}), SparseVector({1: F(1)})])
         self.check(merges, g2(), f, F(1, 4))
         h = evolve_unit(build_adjacency(g2()), f, F(2))
-        assert all(hasattr(v, "_row") for v in h.values)
         self.check(merges, g2(), h, F(1, 4))
+        assert fractions_built["value"] == 0
 
     def test_random_flows(self, merges):
         # one edge out of each vertex, a cycle and trees into it, so B maps
         # edges to edges, many to one: pieces drawn from a few unit
-        # vectors have equal neighbours in one table, across the junction
-        # and against f's pieces at power 0, at times on both sides of 1
+        # vectors have equal neighbours among the shifted pieces, across
+        # the junction and against f's pieces at power 0, at times on both
+        # sides of 1
         rng = random.Random("unit-row-merge")
         merged = 0
         for trial in range(150):
@@ -1547,8 +1601,8 @@ class TestUnitRowMerge:
             t = (F(rng.randint(1, 11), 12) if trial % 2
                  else F(rng.randint(1, 40), rng.choice([1, 2, 3, 8])))
             got = evolve_unit(build_adjacency(g), f, t)
-            want, out, pieces = merges[-1]
-            assert out is got and got == want and got.breakpoints == want.breakpoints
+            pieces, want = merges[-1], self.per_edge(g, f, t)
+            assert got == want and got.breakpoints == want.breakpoints
             merged += len(got.values) < pieces
         assert merged > 40
 

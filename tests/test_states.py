@@ -23,7 +23,7 @@ from netflow import (
     predual_norm,
     sample,
 )
-from netflow import checks, resolvent, semigroup, tracing
+from netflow import checks, resolvent, semigroup, states, tracing
 
 
 def two_piece():
@@ -289,19 +289,19 @@ class TestSampling:
 
     def test_row_norms_compute_each_vector_once(self, monkeypatch):
         rng = random.Random(9)
-        states = [NetworkState.zero()]
-        states += [random_state(rng, rng.sample(range(6), rng.randint(1, 6))) for _ in range(20)]
-        for f in states:
+        cases = [NetworkState.zero()]
+        cases += [random_state(rng, rng.sample(range(6), rng.randint(1, 6))) for _ in range(20)]
+        for f in cases:
             s = sample(f, rng.choice([1, 5, 37, 128]))
             assert s.totals() == [v.total() for v in s.samples]
             assert s.sup_sample_norm() == max(v.l1() for v in s.samples)
 
+        # totals takes each vector's total once, and the sup norm compares
+        # each vector's l1 once, in integers (states._largest_l1)
         calls = []
-        for name in ("l1", "total"):
-            def counted(v, fn=getattr(SparseVector, name)):
-                calls.append(v)
-                return fn(v)
-            monkeypatch.setattr(SparseVector, name, counted)
+        total, largest = SparseVector.total, states._largest_l1
+        monkeypatch.setattr(SparseVector, "total", lambda v: calls.append(v) or total(v))
+        monkeypatch.setattr(states, "_largest_l1", lambda vs: calls.extend(vs) or largest(vs))
         s = sample(random_state(rng), 128)
         s.totals(), s.sup_sample_norm()
         assert len(calls) == 2 * len({id(v) for v in s.samples}) < len(s.samples)
