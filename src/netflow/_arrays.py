@@ -27,17 +27,15 @@ _INT64_MAX = 2**63 - 1
 
 
 def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> list:
-    """B^n v for each v of `vectors`, of exact entries (an exact vector's
-    numerators, or ints, Fractions and finite floats read by
-    SparseVector._ratios) on the edges of `steps`, n its entry of `powers`
-    >= 0, as `number`s; B^0 v is v itself if number is Fraction.  The
-    vectors are the rows of one numerator array V over one D, the lcm of
-    their denominators, a step one gather-multiply and one reduceat over
-    _int_steps.  V is
-    int64 while a running bound, max|V| times growth a step, stays within
-    2^63 - 1; where a step could pass it, D and V shed their gcd, max|V|
-    is read afresh, and if that is still too large V goes on in Python
-    ints, as it starts past int64."""
+    """B^n v for each v of `vectors` on the edges of `steps`, n its entry of
+    `powers` >= 0, as `number`s; B^0 v is v itself if number is Fraction.
+    The vectors, read by SparseVector._ratios, are the rows of one
+    numerator array V over D, the lcm of their denominators, a step one
+    gather-multiply and one reduceat over _int_steps.  V is int64 while a
+    running bound, max|V| times growth a step, stays within 2^63 - 1; where
+    a step could pass it, D and V shed their gcd, max|V| is read afresh,
+    and if that is still too large V goes on in Python ints, as it starts
+    past int64."""
     parts = [v._ratios() for v in vectors]
     out = list(vectors) if number is Fraction else [SparseVector(
         zip(v.support(), [number(n, d) for n in nums])) for v, (nums, d) in zip(vectors, parts)]
@@ -92,9 +90,7 @@ def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
         values = [built[k] for k in inverse.tolist()]
         return [SparseVector(zip(keys[a:b], values[a:b])) for a, b in zip(starts, ends)]
     g = np.ones(count, dtype=nums.dtype)
-    live = size > 0
-    if live.any():
-        g[live] = np.gcd.reduceat(nums, np.flatnonzero(np.diff(rows, prepend=-1)))
+    g[size > 0] = np.gcd.reduceat(nums, np.flatnonzero(np.diff(rows, prepend=-1)))
     g = [math.gcd(x, D) for x in g.tolist()]
     if any(x > 1 for x in g):
         nums = nums // np.repeat(np.array(g, dtype=nums.dtype), size)

@@ -68,12 +68,8 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
 def exact_values(f) -> bool:
-    """Whether the state f holds only ints and Fractions: every vector of
-    the exact kind (see graph.SparseVector), read without its values."""
+    """Whether the state f holds only ints and Fractions: exact vectors."""
     return all(v._den is not None for v in f.values)
 
 
@@ -83,8 +79,7 @@ def by_value_kind(f, run, exact: bool = True):
     Fraction if `exact` (no other input was a float), else with `rounded`,
     each finite float being a dyadic rational, so each value is within half
     an ulp of the exact one.  Complex f runs as two real runs joined as
-    re + im.scale(1j); nan or inf in f raise PrecisionError.  Only f's
-    vectors of values are read value by value."""
+    re + im.scale(1j); nan or inf in f raise PrecisionError."""
     if exact and exact_values(f):
         return run(f, Fraction)
     loose = [v for v in f.values if v._den is None]

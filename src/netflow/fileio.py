@@ -302,47 +302,34 @@ def _row_cells(distinct: dict, columns: dict, order, is_complex: bool):
     """The CSV row of each vector of `distinct` (id -> vector) on
     `columns` (edge id -> its column), joined by _join, keyed as
     `distinct`; None, in real mode, at the first complex value, also one
-    on an edge not written.  An exact vector's cell is its numerator over
-    its denominator, x / D, which int true division rounds as the reduced
-    Fraction's numerator / denominator, formatted once for each distinct
-    (x, D) pair.  Any other value is formatted once, keyed by its id:
-    vectors share them, and `distinct` holds each one while this runs."""
+    on an edge not written.  An exact vector's cell is its numerator x over
+    its denominator D, x / D, which int true division rounds as the
+    reduced Fraction's numerator / denominator, formatted once a distinct
+    (x, D); any other value is formatted once, keyed by its id: vectors
+    share them, and `distinct` holds each one while this runs."""
     blank = ["0,0" if is_complex else "0"] * len(columns)
-    texts: dict = {}  # denominator -> {numerator: cell}
-    by_id: dict = {}
+    texts: dict = {}  # a denominator's {numerator: cell}, or None's {id: cell}
     cells = {}
     for key, v in distinct.items():
-        row = blank.copy()
-        D = v._den
-        if D is not None:
-            text = texts.setdefault(D, {})
-            for e, x in zip(v._ids, v._nums):
-                k = columns.get(e)
+        row, D = blank.copy(), v._den
+        text = texts.setdefault(D, {})
+        for e, x in zip(v._ids, v._nums):
+            k = columns.get(e)
+            if D is not None:
                 if k is not None:
                     cell = text.get(x)
                     if cell is None:
                         cell = text[x] = ("%.17g,0" if is_complex else "%.17g") % (x / D)
                     row[k] = cell
-            cells[key] = _join(row, order)
-            continue
-        for e, x in zip(v._ids, v._nums):
-            k = columns.get(e)
-            if k is None:
-                if not is_complex and isinstance(x, complex):
-                    return None
                 continue
-            cell = by_id.get(id(x))
+            if not is_complex and isinstance(x, complex):
+                return None
+            if k is None:
+                continue
+            cell = text.get(id(x))
             if cell is None:
-                if is_complex:
-                    z = complex(x)
-                    cell = "%.17g,%.17g" % (z.real, z.imag)
-                elif type(x) is Fraction:  # exact.to_float inlined
-                    cell = "%.17g" % (x.numerator / x.denominator)
-                elif isinstance(x, complex):
-                    return None
-                else:
-                    cell = "%.17g" % float(x)
-                by_id[id(x)] = cell
+                z = complex(x) if is_complex else float(x)
+                cell = text[id(x)] = "%.17g,%.17g" % (z.real, z.imag) if is_complex else "%.17g" % z
             row[k] = cell
         cells[key] = _join(row, order)
     return cells

@@ -34,7 +34,7 @@ from .errors import (
     MissingVelocityError,
     NotRationalError,
 )
-from .exact import _EXACT_TYPES, as_exact, coprime_fraction, float_or_inf, is_rational
+from .exact import as_exact, coprime_fraction, float_or_inf, is_rational
 
 __all__ = [
     "SparseVector",
@@ -48,30 +48,28 @@ __all__ = [
 
 # Lazy columns longer than this are treated as a runaway callback.
 MAX_LAZY_COLUMN = 100_000
+# The value types an exact vector holds.
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 class SparseVector:
-    """Finitely supported edge-id -> value map.
+    """Finitely supported edge-id -> value map, its ids in items() order.
 
-    A vector holds its edge ids in items() order and one number per id,
-    zero entries dropped at construction.  An exact vector, every value an
-    int or a Fraction, holds integer numerators over one positive
-    denominator in lowest terms (no prime divides it and every numerator),
-    so two exact vectors that list their ids in one order are equal exactly
-    when their numerators and denominators are.  Its Fractions are built
-    only when an entry is read (get, items, values); l1, total, +, -,
-    scale by an exact number, == and hash work on the integers.  Any other
-    vector (a float, a complex or any other value among them) holds its
-    values as given, with denominator None, and its algebra reads them.
-    Both kinds share this class, and no vector is ever mutated.
+    Zero entries are dropped at construction, and no vector is mutated.
+    An exact vector, every value an int or a Fraction, holds integer
+    numerators over one positive denominator in lowest terms, so two that
+    list their ids in one order are equal exactly when their parts are.
+    Its Fractions are built only when an entry is read (get, items,
+    values); l1, total, +, -, scale by an exact number, == and hash work
+    on the integers.  Any other vector, of floats, complex numbers or a
+    mix, shares the class: it holds its values as given, with denominator
+    None, and its algebra reads them.
     """
 
     __slots__ = ("_ids", "_nums", "_den", "_at")
 
     def __init__(self, entries: Mapping | Iterable | None = None):
-        if entries is None:
-            entries = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        items = entries.items() if isinstance(entries, Mapping) else entries or ()
         values = {j: v for j, v in items if v != 0}
         self._ids, self._at = tuple(values), None
         if {type(v) for v in values.values()} <= _EXACT_TYPES:
@@ -81,35 +79,28 @@ class SparseVector:
 
     @classmethod
     def _of(cls, ids: tuple, nums: list, den) -> "SparseVector":
-        """The vector of parts as given: distinct ids and nonzero numerators
-        over den > 0 in lowest terms, or nonzero values and den None.
-        Nothing is checked, so the caller owns that proof."""
+        """The vector of its parts as given, unchecked: distinct ids, and
+        nonzero numerators over den > 0 in lowest terms or values over None."""
         self = object.__new__(cls)
         self._ids, self._nums, self._den, self._at = ids, nums, den, None
         return self
 
     @classmethod
     def _reduced(cls, entries: dict, den: int) -> "SparseVector":
-        """The exact vector of integer `entries` (id -> numerator) over den > 0,
-        zeros dropped and brought to lowest terms."""
+        """The exact vector of int `entries` (id -> numerator) over den > 0."""
         entries = {j: n for j, n in entries.items() if n}
-        nums, g = list(entries.values()), math.gcd(den, *entries.values())
-        if g > 1:
-            nums, den = [n // g for n in nums], den // g
-        return cls._of(tuple(entries), nums, den)
+        g = math.gcd(den, *entries.values())
+        return cls._of(tuple(entries), [n // g for n in entries.values()], den // g)
 
     def _ratios(self) -> tuple:
-        """(numerators, denominator) of the values read as exact rationals
-        over one denominator: an exact vector's own parts; any other's ints,
-        Fractions and finite floats (a float is the dyadic rational it
-        holds) by as_integer_ratio, not in lowest terms."""
-        if self._den is not None:
-            return self._nums, self._den
-        return _over_one(self._nums)
+        """(numerators, denominator) of the values over one denominator: an
+        exact vector's parts, any other's ints, Fractions and finite floats
+        (each the dyadic rational it holds) by as_integer_ratio."""
+        return (self._nums, self._den) if self._den is not None else _over_one(self._nums)
 
     def get(self, j, default=0):
         if self._at is None:
-            self._at = dict(zip(self._ids, range(len(self._ids))))
+            self._at = {j: k for k, j in enumerate(self._ids)}
         k = self._at.get(j)
         if k is None:
             return default
@@ -119,10 +110,9 @@ class SparseVector:
         return list(zip(self._ids, self.values()))
 
     def values(self):
-        den = self._den
-        if den is None:
+        if self._den is None:
             return list(self._nums)
-        return [_fraction(n, den) for n in self._nums]
+        return [_fraction(n, self._den) for n in self._nums]
 
     def support(self):
         return self._ids
@@ -134,25 +124,25 @@ class SparseVector:
         return not self._ids
 
     def l1(self):
-        """The l1 norm, sum of absolute values over the support (int 0 if empty)."""
-        if self._den is None or not self._nums:
-            return sum(abs(v) for v in self._nums)
-        return _fraction(sum(map(abs, self._nums)), self._den)
+        """The l1 norm, sum of absolute values over the support."""
+        return self._sum(map(abs, self._nums))
 
     def total(self):
         """Signed sum of the entries (the mass functional on vectors)."""
-        if self._den is None or not self._nums:
-            return sum(self._nums)
-        return _fraction(sum(self._nums), self._den)
+        return self._sum(self._nums)
+
+    def _sum(self, nums):
+        """sum(nums), over the denominator of a nonempty exact vector."""
+        total = sum(nums)
+        return total if self._den is None or not self._ids else _fraction(total, self._den)
 
     def scale(self, a) -> "SparseVector":
         if a == 0:
             return SparseVector()
-        if self._den is not None and type(a) in _EXACT_TYPES:
-            p, q = a.as_integer_ratio()
-            return SparseVector._reduced(dict(zip(self._ids, [n * p for n in self._nums])),
-                                         self._den * q)
-        return SparseVector({j: a * v for j, v in self.items()})
+        if self._den is None or type(a) not in _EXACT_TYPES:
+            return SparseVector({j: a * v for j, v in self.items()})
+        p, q = a.as_integer_ratio()
+        return SparseVector._reduced(dict(zip(self._ids, [n * p for n in self._nums])), self._den * q)
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         return self._plus(other, operator.add)
@@ -161,43 +151,39 @@ class SparseVector:
         return self._plus(other, operator.sub)
 
     def _plus(self, other: "SparseVector", op) -> "SparseVector":
-        """op(self, other) entrywise, in integers over the lcm of two exact
-        vectors' denominators; any other pair adds or subtracts its values."""
+        """op(self, other) entrywise: two exact vectors' numerators over the
+        lcm of their denominators, any other pair's values."""
         a, b = self._den, other._den
         if a is None or b is None:
-            out = dict(self.items())
-            for j, v in other.items():
-                out[j] = op(out.get(j, 0), v)
-            return SparseVector(out)
-        den = math.lcm(a, b)
-        out = dict(zip(self._ids, self._nums if den == a else [n * (den // a) for n in self._nums]))
-        scale = op(0, den // b)
-        for j, n in zip(other._ids, other._nums):
-            out[j] = out.get(j, 0) + n * scale
-        return SparseVector._reduced(out, den)
+            mine, theirs = self.items(), other.items()
+        else:
+            den = math.lcm(a, b)
+            mine = zip(self._ids, [n * (den // a) for n in self._nums])
+            theirs = zip(other._ids, [n * (den // b) for n in other._nums])
+        out = dict(mine)
+        for j, v in theirs:
+            out[j] = op(out.get(j, 0), v)
+        return SparseVector(out) if a is None or b is None else SparseVector._reduced(out, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        if len(self._ids) != len(other._ids):
-            return False
         if self._den is None or other._den is None:
             return dict(self.items()) == dict(other.items())
-        if self._den != other._den:
+        if self._den != other._den or len(self._ids) != len(other._ids):
             return False
         if self._ids == other._ids:
             return self._nums == other._nums
         return dict(zip(self._ids, self._nums)) == dict(zip(other._ids, other._nums))
 
     def __hash__(self):
-        # hash(frozenset(self.items())), each Fraction's hash read from its
-        # numerator times the modular inverse of the denominator, as
-        # Fraction.__hash__ computes it
+        # hash(frozenset(self.items())): a Fraction n / d hashes as n times
+        # the inverse of d modulo the hash modulus, or as inf without one
         if self._den is None:
             return hash(frozenset(zip(self._ids, self._nums)))
         try:
             inv = pow(self._den, -1, sys.hash_info.modulus)
-        except ValueError:  # no inverse: hash each value as a Fraction
+        except ValueError:
             return hash(frozenset(self.items()))
         return hash(frozenset(zip(self._ids, [hash(n * inv) for n in self._nums])))
 
@@ -213,15 +199,15 @@ class SparseVector:
 
 
 def _over_one(values) -> tuple:
-    """(numerators, denominator) of exact `values` over their least common
-    denominator; values in lowest terms give a vector in lowest terms."""
+    """(numerators, lcm of the denominators) of exact `values`, in lowest
+    terms when each value is."""
     pairs = [x.as_integer_ratio() for x in values]
     den = math.lcm(*[q for _, q in pairs])
     return [p * (den // q) for p, q in pairs], den
 
 
 def _fraction(n: int, d: int) -> Fraction:
-    """The Fraction n / d for ints n and d > 0, reduced by one gcd."""
+    """The Fraction n / d of ints n and d > 0, reduced by one gcd."""
     g = math.gcd(n, d)
     return coprime_fraction(n // g, d // g)
 
@@ -499,32 +485,27 @@ class VelocityProfile:
 
 def _couple(g: MetricGraph, vel: VelocityProfile | None, v: SparseVector) -> SparseVector:
     """C v for C_ij = (c_j / c_i) w_ij at the speeds `vel` (None: C = B),
-    read from the columns of supp v only.  An exact v at exact speeds sums
-    each term n w_ij c_j / c_i, n its numerator, in integers over the lcm of
-    the terms' denominators; any other takes a multiply-add loop over its
-    values.  A profile of one exact speed reads B; any other takes the
-    product for every column, which at float speeds carries its rounding."""
+    read from the columns of supp v only.  An exact v at exact speeds adds
+    each term n w_ij c_j / c_i, n its numerator, as ints over the lcm of the
+    terms' denominators; any other adds the products of its values.  A
+    profile of one exact speed reads B; any other takes the product for
+    every column, which at float speeds carries its rounding."""
     if vel is not None and not vel.values and is_rational(vel.default):
         vel = None
     out: dict = {}
     if v._den is None or not (vel is None or vel.is_rational()):
         for j, a in v.items():
-            col = g.column(j)
-            if vel is not None:
-                c_j = vel.velocity(j)
-                col = {i: w * c_j / vel.velocity(i) for i, w in col.items()}
-            for i, w in col.items():
+            c_j = None if vel is None else vel.velocity(j)
+            for i, w in g.column(j).items():
+                w = w if c_j is None else w * c_j / vel.velocity(i)
                 out[i] = out.get(i, 0) + w * a
         return SparseVector(out)
     terms = []
     for j, n in zip(v._ids, v._nums):
-        c_j = vel.velocity(j) if vel is not None else None
+        a, b = (1, 1) if vel is None else vel.velocity(j).as_integer_ratio()
         for i, w in g.column(j).items():
-            p, q = n * w.numerator, w.denominator
-            if c_j is not None:
-                c_i = vel.velocity(i)
-                p, q = p * c_j.numerator * c_i.denominator, q * c_j.denominator * c_i.numerator
-            terms.append((i, p, q))
+            c, d = (1, 1) if vel is None else vel.velocity(i).as_integer_ratio()
+            terms.append((i, n * w.numerator * a * d, w.denominator * b * c))
     L = math.lcm(*{q for _, _, q in terms})
     for i, p, q in terms:
         out[i] = out.get(i, 0) + p * (L // q)

@@ -70,7 +70,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -132,10 +131,10 @@ def _state_table(f: NetworkState, edges) -> tuple:
     raises KeyError."""
     n = len(edges)
     at = {e: k for k, e in enumerate(edges)}
-    # exact.to_float inlined: this loop reads every entry of f
     flat = [at[e] + p * n for p, v in enumerate(f.values) for e in v.support()]
-    vals = [x.numerator / x.denominator if type(x) is Fraction else float(x)
-            for v in f.values for x in v.values()]
+    # an exact value is its numerator over its vector's denominator, read
+    # by int true division as exact.to_float reads the reduced Fraction
+    vals = [x / d if d else float(x) for v in f.values for d in (v._den,) for x in v._nums]
     widths = [float(b - a) for a, b in zip(f.breakpoints, f.breakpoints[1:])]
     return np.array(flat, dtype=np.intp), np.array(vals, dtype=float), np.array(widths)
 

@@ -31,10 +31,10 @@ int64 arrays over one denominator and runs each stage as one pass; its
 numerators may start past 2^63, as a float's do, and go on in Python
 ints, but a flow whose numerators grow past it goes back to the per-edge
 histories.  Every kernel builds an exact answer's vectors as integer
-numerators over one denominator each, in lowest terms, so a caller that
-only samples, writes and measures it builds no Fraction; for float f each
-distinct answer value is a float rounded once, correctly.  An answer of
-more than MAX_ANSWER_ENTRIES entries is refused before it is built.
+numerators over one denominator each, so a caller that only samples,
+writes and measures it builds no Fraction; for float f each distinct
+answer value is a float rounded once, correctly.  An answer of more than
+MAX_ANSWER_ENTRIES entries is refused before it is built.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
@@ -592,10 +592,9 @@ def _flow_histories(speed: Mapping, speeds: list, rows, f: NetworkState, t: Frac
     edge j drains as f_j(c_j s).
 
     Every history value is exact, held as a (numerator, denominator) pair
-    in lowest terms, f's each numerator over its vector's denominator
-    (SparseVector._ratios) reduced by one gcd: _inflow sums a window on
-    ints over the lcm of the denominators it reads and cancels it again,
-    so a value is never larger than the Fraction it stands for.
+    in lowest terms, f's by one gcd of SparseVector._ratios: _inflow sums a
+    window on ints over the lcm of the denominators it reads and cancels it
+    again, so a value is never larger than the Fraction it stands for.
     """
     zero = [(0, 1)] * len(f.values)
     drains = {j: zero.copy() for j in f.support()}
@@ -632,7 +631,7 @@ def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkSt
 def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
                 f: NetworkState, t: Fraction, number) -> NetworkState:
     """The flow from f over _network's edges, f's values read exactly by
-    as_integer_ratio, each answer value number(numerator, denominator), and
+    SparseVector._ratios, each answer value number(numerator, denominator), and
     the one place a kernel is chosen, by predicted work.  The per-edge
     _histories take the edges times f's pieces times the ceil(t c_max)
     stages in steps; they run while that is at most EDGE_FLOW_WORK times
@@ -661,42 +660,42 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
     history, _, T, lag = _flow_histories(speed, speeds, rows, f, t)
     # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
     # value changes keyed by x's numerator over P = lcm(lag), 0 among them
-    # (histories hold no equal neighbours): exact (n, d) pairs in lowest
-    # terms, or for a rounded read each pair's number(n, d), built once
-    exact, memo, changes, P = number is Fraction, {}, {}, math.lcm(*set(lag.values()))
+    # (histories hold no equal neighbours); each distinct pair (n, d), in
+    # lowest terms, read once: as n over Q, the lcm of the answer's
+    # denominators, or as number(n, d)
+    memo, changes, P = {}, {}, math.lcm(*set(lag.values()))
     for j in speed:
         scale = P // lag[j]
         for s, v in _window(*history[j], T, T + lag[j]):
-            if not exact:
-                if v not in memo:
-                    memo[v] = number(*v)
-                v = memo[v]
+            memo[v] = None
             changes.setdefault((s - T) * scale, []).append((j, v))
     del history  # the pieces below need only the changes
-    zero = (0, 1) if exact else 0
+    exact, Q = number is Fraction, math.lcm(*{d for _, d in memo})
+    memo = {v: v[0] * (Q // v[1]) if exact else number(*v) for v in memo}
     bps = sorted(changes)
     if len(bps) * len(speed) > MAX_ANSWER_ENTRIES:  # count each piece's support
         support, entries = set(), 0
         for x in bps:
             for j, v in changes[x]:
-                (support.add if v != zero else support.discard)(j)
+                (support.add if memo[v] else support.discard)(j)
             entries += len(support)
         if entries > MAX_ANSWER_ENTRIES:
             changed = collections.Counter(j for c in changes.values() for j, _ in c)
             raise WidthOverflowError(f"the answer's {entries} entries exceed {MAX_ANSWER_ENTRIES}",
                                      edges=[j for j, _ in changed.most_common(4)])
-    # each exact piece over the lcm of its pairs' denominators, so in lowest terms
+    # an exact piece over Q, divided by its gcd: over the lcm of its own denominators
     current, pieces = {}, []
     for x in bps:
         for j, v in changes[x]:
-            if v != zero:
-                current[j] = v
+            if memo[v]:
+                current[j] = memo[v]
             else:
                 current.pop(j, None)
         if exact:
-            D = math.lcm(*{d for _, d in current.values()})
-            nums = [n * (D // d) for n, d in current.values()]
-            pieces.append(SparseVector._of(tuple(current), nums, D))
+            nums = list(current.values())
+            g = math.gcd(Q, *nums)
+            pieces.append(SparseVector._of(tuple(current), [n // g for n in nums] if g > 1 else nums,
+                                           Q // g))
         else:
             pieces.append(SparseVector(current))
     bps = [coprime_fraction(x // g, P // g) for x in bps for g in (math.gcd(x, P),)]

@@ -8,13 +8,13 @@ value on its right.  Breakpoints are exact rationals; values are whatever
 numbers you store, and all operations that can stay exact do.
 
 States are kept canonical: adjacent pieces with equal vectors are merged
-and zero vector entries are never stored, so equality of canonical forms
-is semantic equality almost everywhere.  The public constructor trusts
-nothing: it reads every breakpoint exactly, checks that they increase and
-merges equal neighbours.  NetworkState._canonical trusts all of that and
-stores its parts as given; only the exact flows' readers call it, on
-answers that are canonical by construction (its docstring says why), so
-an answer pays for no second look at what its kernel just built.
+and zero entries are never stored, so equality of canonical forms is
+semantic equality almost everywhere.  The public constructor checks every
+breakpoint and merges equal neighbours; NetworkState._canonical stores an
+exact answer that is canonical by construction as it is.  The readings of
+exact states (sup_norm, total_mass, pair, predual_norm, boundary_residual)
+sum their vectors' integer numerators over one denominator and build one
+Fraction; states of other values sum the values.
 
 SampledState is the floating counterpart: values on the uniform grid
 s_m = m/M, held as one vector per grid point (exact values) or as one
@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,38 +64,29 @@ def _hadamard(u: SparseVector, q: SparseVector) -> SparseVector:
 
 
 def _exact(vectors) -> bool:
-    """Whether every vector of `vectors` is of the exact kind."""
     return all(v._den is not None for v in vectors)
 
 
-def _ratio_sum(terms) -> Fraction:
-    """The sum of n / d over the (n, d) int pairs `terms`, d > 0, in
-    integers over their lcm: one Fraction."""
+def _over_lcm(terms, fold=sum) -> Fraction:
+    """fold of n / d over the int pairs (n, d > 0) of `terms`: the
+    numerators over the lcm of the denominators, folded as ints."""
     L = math.lcm(*{d for _, d in terms})
-    return Fraction(sum(n * (L // d) for n, d in terms), L)
+    return Fraction(fold(n * (L // d) for n, d in terms), L)
 
 
 def _integral(bps: Sequence, heights) -> Fraction:
-    """The integral of the step function of height n / d, one (n, d) int
-    pair of `heights` a piece between breakpoints `bps`: _ratio_sum of
-    (b - a) n / d with each width read from a's and b's own parts."""
-    return _ratio_sum([((b.numerator * a.denominator - a.numerator * b.denominator) * n,
-                        a.denominator * b.denominator * d)
-                       for a, b, (n, d) in zip(bps, bps[1:], heights)])
+    """The integral of the step function of height n / d, one (n, d) of
+    `heights` a piece of `bps`, each width read from its ends' parts."""
+    return _over_lcm([((b.numerator * a.denominator - a.numerator * b.denominator) * n,
+                       a.denominator * b.denominator * d)
+                      for a, b, (n, d) in zip(bps, bps[1:], heights)])
 
 
 def _largest_l1(vectors: Sequence):
-    """max of v.l1() over `vectors`: exact vectors compare their sums of
-    |numerator| over their denominators by cross-multiplying, and build
-    one Fraction, of the largest (int 0 if every vector is empty)."""
+    """max(v.l1() for v in vectors), over one denominator when all are exact."""
     if not _exact(vectors):
         return max(v.l1() for v in vectors)
-    n, d = 0, 1
-    for v in vectors:
-        size = sum(map(abs, v._nums))
-        if size * d > n * v._den:
-            n, d = size, v._den
-    return Fraction(n, d) if n else 0
+    return _over_lcm([(sum(map(abs, v._nums)), v._den) for v in vectors], max) or 0
 
 
 class NetworkState:
@@ -130,20 +121,16 @@ class NetworkState:
     def _canonical(cls, breakpoints: tuple, values: tuple) -> "NetworkState":
         """A state from parts already in canonical form, stored as given:
         Fraction breakpoints from 0 to 1, strictly increasing, and a tuple
-        of zero-free SparseVectors, no two neighbours equal.  Nothing is
-        checked, so only a caller that owns that proof may call it.
+        of SparseVectors, no two neighbours equal.  Nothing is checked, so
+        only a caller that owns that proof may call it.
 
-        The exact flows' answers read with the Fraction reader own it.
+        The exact answers of the per-edge read and of _array_flow own it.
         Each breakpoint but 0 is where some edge's head history changes
         value, and the histories hold no equal neighbours, so the pieces on
-        either side differ on that edge.  The values are read from
-        numerator pairs over one denominator (the array kernel) or in
-        lowest terms (the per-edge read), so distinct pairs give distinct
-        Fractions, and zero entries are left out.  The unit kernel's
-        B^n v can equal its neighbour B^n v' or B^(n+1) v', so
-        _arrays._unit_answer merges those from the kernel's rows first, as
-        the constructor would.  A rounded reader can map distinct pairs to
-        one float, so float answers take the checking constructor."""
+        either side differ on that edge, and exact vectors in lowest terms
+        that differ in a value compare unequal.  The unit closed form's
+        B^n v can equal a neighbour, and a rounded read can map distinct
+        values to one float, so those take the checking constructor."""
         self = object.__new__(cls)
         self.breakpoints, self.values = breakpoints, values
         return self
@@ -461,8 +448,7 @@ def pair(f, g):
         M = f.grid_size
         if _exact(f.samples) and _exact(gs.samples):
             dots = map(_int_dot, f.samples, gs.samples)
-            return _ratio_sum([(n, d * M * (2 if m in (0, M) else 1))
-                               for m, (n, d) in enumerate(dots)])
+            return _over_lcm([(n, d * M * (2 if m in (0, M) else 1)) for m, (n, d) in enumerate(dots)])
         acc = 0
         for m in range(M + 1):
             w = Fraction(1, 2) if m in (0, M) else 1
