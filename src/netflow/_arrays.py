@@ -26,19 +26,17 @@ from .states import NetworkState
 _INT64_MAX = 2**63 - 1
 
 
-def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> list:
-    """B^n v for each v of `vectors` on the edges of `steps`, n its entry of
-    `powers` >= 0, as `number`s; B^0 v is v itself if number is Fraction.
-    The vectors, read by SparseVector._ratios, are the rows of one
+def _route_exact(steps: tuple, vectors: list, powers: list) -> list:
+    """B^n v, exact, for each v of `vectors` on the edges of `steps`, n its
+    entry of `powers` >= 0; B^0 v is v itself.  The vectors, read by
+    SparseVector._ratios, are the rows of one
     numerator array V over D, the lcm of their denominators, a step one
     gather-multiply and one reduceat over _int_steps.  V is int64 while a
     running bound, max|V| times growth a step, stays within 2^63 - 1; where
     a step could pass it, D and V shed their gcd, max|V| is read afresh,
     and if that is still too large V goes on in Python ints, as it starts
     past int64."""
-    parts = [v._ratios() for v in vectors]
-    out = list(vectors) if number is Fraction else [SparseVector(
-        zip(v.support(), [number(n, d) for n in nums])) for v, (nums, d) in zip(vectors, parts)]
+    parts, out = [v._ratios() for v in vectors], list(vectors)
     active = sorted((k for k, n in enumerate(powers) if n), key=powers.__getitem__)
     if not active:
         return out
@@ -64,40 +62,30 @@ def _route_exact(steps: tuple, vectors: list, powers: list, number=Fraction) -> 
         last = bisect.bisect_right(levels, step)
         if last > done:
             rows, cols = np.nonzero(V[:last - done])
-            answer = _answer(ids, rows, cols, V[rows, cols], D, last - done, number)
+            answer = _answer(ids, rows, cols, V[rows, cols], D, last - done)
             for k, v in zip(active[done:last], answer):
                 out[k] = v
             V, done = V[last - done:], last
     return out
 
 
-def _answer(ids, rows, cols, nums, D: int, count: int, number) -> list:
-    """`count` SparseVectors of the nonzero entries nums / D of an int table
-    at `rows` (ascending) and `cols` (in `ids`, ascending in a row), each
-    row's entries in column order.  Read with Fraction, row r is the exact
-    vector of its numerators over D, both divided by g_r, the gcd of D and
-    of the row's numerators, found by one np.gcd.reduceat over the rows;
-    the ids and numerators come from one tolist each, sliced by row.  Read
-    with another `number`, number(x, D) is built once for each distinct
-    numerator x, and a float that underflows to 0 is dropped."""
+def _answer(ids, rows, cols, nums, D: int, count: int) -> list:
+    """`count` exact SparseVectors of the nonzero entries nums / D of an int
+    table at `rows` (ascending) and `cols` (in `ids`, ascending in a row),
+    each row's entries in column order: row r's numerators and D divided
+    by g_r, the gcd of D and of the row's numerators, found by one
+    np.gcd.reduceat over the rows; the ids and numerators come from one
+    tolist each, sliced by row."""
     size = np.bincount(rows, minlength=count)
-    ends = np.cumsum(size)
-    starts = (ends - size).tolist()
-    keys, ends = tuple(ids[cols].tolist()), ends.tolist()
-    if number is not Fraction:
-        distinct, inverse = np.unique(nums, return_inverse=True)
-        built = [number(x, D) for x in distinct.tolist()]
-        values = [built[k] for k in inverse.tolist()]
-        return [SparseVector(zip(keys[a:b], values[a:b])) for a, b in zip(starts, ends)]
+    bounds = np.concatenate(([0], np.cumsum(size))).tolist()
     g = np.ones(count, dtype=nums.dtype)
     g[size > 0] = np.gcd.reduceat(nums, np.flatnonzero(np.diff(rows, prepend=-1)))
     g = [math.gcd(x, D) for x in g.tolist()]
-    if any(x > 1 for x in g):
-        nums = nums // np.repeat(np.array(g, dtype=nums.dtype), size)
-    nums = nums.tolist()
+    keys = tuple(ids[cols].tolist())
+    nums = (nums // np.repeat(np.array(g, dtype=nums.dtype), size)).tolist()
     # an empty row, the zero vector, is over 1
     return [SparseVector._of(keys[a:b], nums[a:b], D // x if b > a else 1)
-            for a, b, x in zip(starts, ends, g)]
+            for a, b, x in zip(bounds, bounds[1:], g)]
 
 
 def _int_steps(edges: list, rows) -> tuple:
@@ -143,7 +131,7 @@ def _spans(first, count) -> tuple:
 
 
 def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
-                caps: tuple, number) -> NetworkState | None:
+                caps: tuple) -> NetworkState | None:
     """_flow's histories and read for f, its values read and the answer's
     built as in _route_exact, on the edges of `steps`, one array pass a
     stage; T is t and lag each 1/c_j in ticks, P = lcm(lag).  A segment of
@@ -258,10 +246,9 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     rows = _spans(lo, span)[0]
     order = np.argsort(rows, kind="stable")
     pieces = _answer(ids, rows[order], np.repeat(j[nz], span)[order],
-                     np.repeat(N[seg][nz], span)[order], Q, len(xs), number)
-    # each breakpoint x / P from its coprime pair, as _answer builds values
+                     np.repeat(N[seg][nz], span)[order], Q, len(xs))
+    # each breakpoint x / P from its coprime pair; canonical as built (see
+    # NetworkState._canonical)
     g = np.gcd(xs, P)
-    bps = [*map(coprime_fraction, (xs // g).tolist(), (P // g).tolist()), Fraction(1)]
-    if number is Fraction:  # canonical as built: see NetworkState._canonical
-        return NetworkState._canonical(tuple(bps), tuple(pieces))
-    return NetworkState(bps, pieces)
+    bps = (*map(coprime_fraction, (xs // g).tolist(), (P // g).tolist()), Fraction(1))
+    return NetworkState._canonical(bps, tuple(pieces))

@@ -68,30 +68,41 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def exact_values(f) -> bool:
-    """Whether the state f holds only ints and Fractions: exact vectors."""
-    return all(v._den is not None for v in f.values)
+def exact_values(vectors) -> bool:
+    """Whether every SparseVector of `vectors` holds only ints and Fractions."""
+    return all(v._den is not None for v in vectors)
 
 
 def by_value_kind(f, run, exact: bool = True):
-    """run(h, number), an exact real-linear computation on the state h that
-    reads each answer value (n, d) as number(n, d): on exact f with
-    Fraction if `exact` (no other input was a float), else with `rounded`,
-    each finite float being a dyadic rational, so each value is within half
-    an ulp of the exact one.  Complex f runs as two real runs joined as
-    re + im.scale(1j); nan or inf in f raise PrecisionError."""
-    if exact and exact_values(f):
-        return run(f, Fraction)
+    """run(h), an exact real-linear computation on the state h: on exact f
+    as it is if `exact` (no other input was a float), else with each finite
+    float read as the dyadic rational it holds and the answer rounded once
+    by _rounded, so each value is within half an ulp of the exact one.
+    Complex f runs as two real runs joined as re + im.scale(1j); nan or inf
+    in f raise PrecisionError."""
+    if exact and exact_values(f.values):
+        return run(f)
     loose = [v for v in f.values if v._den is None]
     for v in loose:
         for j, x in v.items():
             if isinstance(x, (float, complex)) and not cmath.isfinite(x):
                 raise PrecisionError(f"state value {x!r} on edge {j!r} is not finite")
     if not any(isinstance(x, complex) for v in loose for x in v.values()):
-        return run(f, rounded)
-    re, im = (run(f.map_values(lambda v: type(v)({j: getattr(x, part) for j, x in v.items()})),
-                  rounded) for part in ("real", "imag"))
+        return _rounded(run(f))
+    re, im = (_rounded(run(f.map_values(lambda v: type(v)({j: getattr(x, part)
+                                                            for j, x in v.items()}))))
+              for part in ("real", "imag"))
     return re + im.scale(1j)
+
+
+def _rounded(h):
+    """An exact answer h, a state or a SparseVector, each value rounded by
+    `rounded`; a state's constructor merges neighbours that round equal,
+    and a vector's drops a value that underflows to 0."""
+    if hasattr(h, "breakpoints"):
+        return type(h)(h.breakpoints, [_rounded(v) for v in h.values])
+    nums, d = h._ratios()
+    return type(h)(zip(h.support(), [rounded(n, d) for n in nums]))
 
 
 def coprime_fraction(n: int, d: int) -> Fraction:

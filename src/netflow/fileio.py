@@ -301,36 +301,29 @@ def _real_header(edges) -> str:
 def _row_cells(distinct: dict, columns: dict, order, is_complex: bool):
     """The CSV row of each vector of `distinct` (id -> vector) on
     `columns` (edge id -> its column), joined by _join, keyed as
-    `distinct`; None, in real mode, at the first complex value, also one
-    on an edge not written.  An exact vector's cell is its numerator x over
-    its denominator D, x / D, which int true division rounds as the
-    reduced Fraction's numerator / denominator, formatted once a distinct
-    (x, D); any other value is formatted once, keyed by its id: vectors
-    share them, and `distinct` holds each one while this runs."""
+    `distinct`; None, in real mode, at a complex value.  An exact vector's
+    cell is its numerator x over its denominator D, x / D, which int true
+    division rounds as the reduced Fraction's numerator / denominator,
+    formatted once a distinct (x, D); any other value is formatted once,
+    keyed by its id: vectors share them, and `distinct` holds each one
+    while this runs."""
     blank = ["0,0" if is_complex else "0"] * len(columns)
     texts: dict = {}  # a denominator's {numerator: cell}, or None's {id: cell}
     cells = {}
     for key, v in distinct.items():
         row, D = blank.copy(), v._den
+        if D is None and not is_complex and any(isinstance(x, complex) for x in v._nums):
+            return None
         text = texts.setdefault(D, {})
         for e, x in zip(v._ids, v._nums):
             k = columns.get(e)
-            if D is not None:
-                if k is not None:
-                    cell = text.get(x)
-                    if cell is None:
-                        cell = text[x] = ("%.17g,0" if is_complex else "%.17g") % (x / D)
-                    row[k] = cell
-                continue
-            if not is_complex and isinstance(x, complex):
-                return None
-            if k is None:
-                continue
-            cell = text.get(id(x))
-            if cell is None:
-                z = complex(x) if is_complex else float(x)
-                cell = text[id(x)] = "%.17g,%.17g" % (z.real, z.imag) if is_complex else "%.17g" % z
-            row[k] = cell
+            if k is not None:
+                cell = text.get(x if D else id(x))
+                if cell is None:
+                    z = complex(x / D if D else x)
+                    cell = text[x if D else id(x)] = ("%.17g,%.17g" % (z.real, z.imag) if is_complex
+                                                      else "%.17g" % z.real)
+                row[k] = cell
         cells[key] = _join(row, order)
     return cells
 

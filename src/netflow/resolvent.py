@@ -464,7 +464,7 @@ def laplace_oracle(op: AdjacencyOperator, f: NetworkState, lam, *,
     if t_max <= 0:
         raise ValueError(f"need t_max > 0, got {t_max}")
     grid = checked_grid(grid)
-    if not exact_values(f):
+    if not exact_values(f.values):
         raise NotRationalError("laplace_oracle needs exact rational state values")
     g, re, vel = op.graph, lam.real, op.scaling or semigroup._UNIT
     _, speed, rows, speeds, _ = semigroup._network(g, vel, f, t_max)

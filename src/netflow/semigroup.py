@@ -30,11 +30,11 @@ fits in int64, _array_flow (in _arrays) holds every history as flat
 int64 arrays over one denominator and runs each stage as one pass; its
 numerators may start past 2^63, as a float's do, and go on in Python
 ints, but a flow whose numerators grow past it goes back to the per-edge
-histories.  Every kernel builds an exact answer's vectors as integer
+histories.  Every kernel builds only exact answers, their vectors integer
 numerators over one denominator each, so a caller that only samples,
-writes and measures it builds no Fraction; for float f each distinct
-answer value is a float rounded once, correctly.  An answer of more than
-MAX_ANSWER_ENTRIES entries is refused before it is built.
+writes and measures one builds no Fraction; for float f by_value_kind
+rounds each value of the exact answer once, correctly.  An answer of more
+than MAX_ANSWER_ENTRIES entries is refused before it is built.
 
 The three exact verbs share one front, _network: t an exact time >= 0,
 rational speeds, and the edges the answer needs: all of a finite graph,
@@ -150,10 +150,10 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
     return _flow(op.graph, _UNIT, f, t)
 
 
-def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkState:
+def _unit_flow(steps: tuple, f: NetworkState, t: Fraction) -> NetworkState:
     """T(t) f at unit speed, for exact t >= 0, on the edges of `steps`: B^n
-    of f's pieces as `number`s, routed at once by _route_exact, in int64 up
-    to 2^63 - 1 and in Python ints past it.  B^n v can equal its neighbour
+    of f's pieces, routed at once by _route_exact, in int64 up to 2^63 - 1
+    and in Python ints past it.  B^n v can equal its neighbour
     B^n v' or B^(n+1) v', so the answer takes the checking constructor,
     which merges equal neighbours by the vectors' own ==."""
     n0 = t.numerator // t.denominator
@@ -172,7 +172,7 @@ def _unit_flow(steps: tuple, f: NetworkState, t: Fraction, number) -> NetworkSta
                + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
-    return NetworkState(bps, _route_exact(steps, values, powers, number))
+    return NetworkState(bps, _route_exact(steps, values, powers))
 
 
 def _steps(g: MetricGraph, speed: Mapping, rows) -> tuple:
@@ -625,14 +625,13 @@ def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkSt
     """evolve_rational, and evolve_unit at c = 1, on the graph alone; float
     and complex f run exactly and are rounded once by by_value_kind."""
     t, speed, rows, speeds, stages = _network(g, vel, f, t)
-    return by_value_kind(f, lambda h, n: _exact_flow(g, speed, rows, speeds, stages, h, t, n))
+    return by_value_kind(f, lambda h: _exact_flow(g, speed, rows, speeds, stages, h, t))
 
 
 def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
-                f: NetworkState, t: Fraction, number) -> NetworkState:
-    """The flow from f over _network's edges, f's values read exactly by
-    SparseVector._ratios, each answer value number(numerator, denominator), and
-    the one place a kernel is chosen, by predicted work.  The per-edge
+                f: NetworkState, t: Fraction) -> NetworkState:
+    """The exact flow from f over _network's edges, f's values read exactly
+    by SparseVector._ratios, and the one place a kernel is chosen, by predicted work.  The per-edge
     _histories take the edges times f's pieces times the ceil(t c_max)
     stages in steps; they run while that is at most EDGE_FLOW_WORK times
     the numpy passes of the array kernel in their place: one for the closed
@@ -648,12 +647,12 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
     passes = 1 if len(speeds) == 1 else 1 + stages
     if len(speed) * len(f.values) * stages > EDGE_FLOW_WORK * passes:
         if len(speeds) == 1:
-            return _unit_flow(_steps(g, speed, rows), f, speeds[0] * t, number)
+            return _unit_flow(_steps(g, speed, rows), f, speeds[0] * t)
         _, T, lag = _ticks(speed, speeds, t, math.lcm(*(b.denominator for b in f.breakpoints)))
         P = math.lcm(*set(lag.values()))
         if max(len(speed) * (T + max(lag.values())), P) <= _INT64_MAX:
             out = _array_flow(_steps(g, speed, rows), f, T, list(lag.values()), P,
-                              (MAX_HISTORY_BREAKPOINTS, MAX_ANSWER_ENTRIES), number)
+                              (MAX_HISTORY_BREAKPOINTS, MAX_ANSWER_ENTRIES))
             if out is not None:
                 return out
 
@@ -661,8 +660,7 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
     # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
     # value changes keyed by x's numerator over P = lcm(lag), 0 among them
     # (histories hold no equal neighbours); each distinct pair (n, d), in
-    # lowest terms, read once: as n over Q, the lcm of the answer's
-    # denominators, or as number(n, d)
+    # lowest terms, read once as n over Q, the lcm of the answer's denominators
     memo, changes, P = {}, {}, math.lcm(*set(lag.values()))
     for j in speed:
         scale = P // lag[j]
@@ -670,8 +668,8 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
             memo[v] = None
             changes.setdefault((s - T) * scale, []).append((j, v))
     del history  # the pieces below need only the changes
-    exact, Q = number is Fraction, math.lcm(*{d for _, d in memo})
-    memo = {v: v[0] * (Q // v[1]) if exact else number(*v) for v in memo}
+    Q = math.lcm(*{d for _, d in memo})
+    memo = {v: v[0] * (Q // v[1]) for v in memo}
     bps = sorted(changes)
     if len(bps) * len(speed) > MAX_ANSWER_ENTRIES:  # count each piece's support
         support, entries = set(), 0
@@ -683,7 +681,7 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
             changed = collections.Counter(j for c in changes.values() for j, _ in c)
             raise WidthOverflowError(f"the answer's {entries} entries exceed {MAX_ANSWER_ENTRIES}",
                                      edges=[j for j, _ in changed.most_common(4)])
-    # an exact piece over Q, divided by its gcd: over the lcm of its own denominators
+    # each piece over Q, reduced: over the lcm of its own denominators
     current, pieces = {}, []
     for x in bps:
         for j, v in changes[x]:
@@ -691,15 +689,12 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
                 current[j] = memo[v]
             else:
                 current.pop(j, None)
-        if exact:
-            nums = list(current.values())
-            g = math.gcd(Q, *nums)
-            pieces.append(SparseVector._of(tuple(current), [n // g for n in nums] if g > 1 else nums,
-                                           Q // g))
-        else:
-            pieces.append(SparseVector(current))
+        nums = list(current.values())
+        g = math.gcd(Q, *nums)
+        nums = [n // g for n in nums] if g > 1 else nums
+        pieces.append(SparseVector._of(tuple(current), nums, Q // g))
     bps = [coprime_fraction(x // g, P // g) for x in bps for g in (math.gcd(x, P),)]
-    return (NetworkState._canonical if exact else NetworkState)((*bps, Fraction(1)), tuple(pieces))
+    return NetworkState._canonical((*bps, Fraction(1)), tuple(pieces))
 
 
 class AbsorptionProfile:
@@ -840,7 +835,7 @@ def evolve_absorbing(
     """
     grid = checked_grid(grid)
     t, speed, rows, speeds, _ = _network(g, vel, f, t)
-    if not exact_values(f):
+    if not exact_values(f.values):
         raise NotRationalError("evolve_absorbing needs exact rational state values")
     qs = q.as_state()
     if g.is_finite:

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedInputError
-from .exact import as_exact
+from .exact import as_exact, exact_values
 from .graph import MetricGraph, SparseVector, VelocityProfile, _couple
 
 __all__ = [
@@ -63,10 +63,6 @@ def _hadamard(u: SparseVector, q: SparseVector) -> SparseVector:
     return SparseVector({j: a * q.get(j) for j, a in u.items()})
 
 
-def _exact(vectors) -> bool:
-    return all(v._den is not None for v in vectors)
-
-
 def _over_lcm(terms, fold=sum) -> Fraction:
     """fold of n / d over the int pairs (n, d > 0) of `terms`: the
     numerators over the lcm of the denominators, folded as ints."""
@@ -84,7 +80,7 @@ def _integral(bps: Sequence, heights) -> Fraction:
 
 def _largest_l1(vectors: Sequence):
     """max(v.l1() for v in vectors), over one denominator when all are exact."""
-    if not _exact(vectors):
+    if not exact_values(vectors):
         return max(v.l1() for v in vectors)
     return _over_lcm([(sum(map(abs, v._nums)), v._den) for v in vectors], max) or 0
 
@@ -124,13 +120,13 @@ class NetworkState:
         of SparseVectors, no two neighbours equal.  Nothing is checked, so
         only a caller that owns that proof may call it.
 
-        The exact answers of the per-edge read and of _array_flow own it.
-        Each breakpoint but 0 is where some edge's head history changes
-        value, and the histories hold no equal neighbours, so the pieces on
-        either side differ on that edge, and exact vectors in lowest terms
-        that differ in a value compare unequal.  The unit closed form's
-        B^n v can equal a neighbour, and a rounded read can map distinct
-        values to one float, so those take the checking constructor."""
+        The answers of the per-edge read and of _array_flow own it.  Each
+        breakpoint but 0 is where some edge's head history changes value,
+        and the histories hold no equal neighbours, so the pieces on either
+        side differ on that edge, and exact vectors in lowest terms that
+        differ in a value compare unequal.  The unit closed form's B^n v can
+        equal a neighbour, and rounding can map distinct values to one
+        float, so those answers take the checking constructor."""
         self = object.__new__(cls)
         self.breakpoints, self.values = breakpoints, values
         return self
@@ -208,7 +204,7 @@ class NetworkState:
     def total_mass(self):
         """Signed integral over [0,1] of the entry sum: for exact values
         one integer sum over one denominator."""
-        if _exact(self.values):
+        if exact_values(self.values):
             return _integral(self.breakpoints, [(sum(v._nums), v._den) for v in self.values])
         return sum((b2 - b1) * v.total() for b1, b2, v in self.pieces())
 
@@ -437,7 +433,7 @@ def pair(f, g):
     """
     if isinstance(f, NetworkState) and isinstance(g, NetworkState):
         bps, (fv, gv) = _refine((f, g))
-        if _exact(fv) and _exact(gv):
+        if exact_values(fv) and exact_values(gv):
             return _integral(bps, list(map(_int_dot, fv, gv)))
         return sum(
             (bps[m + 1] - bps[m]) * _dot(fv[m], gv[m]) for m in range(len(bps) - 1)
@@ -446,7 +442,7 @@ def pair(f, g):
         gs = g if isinstance(g, SampledState) else sample(g, f.grid_size)
         f._check_grid(gs)
         M = f.grid_size
-        if _exact(f.samples) and _exact(gs.samples):
+        if exact_values(f.samples) and exact_values(gs.samples):
             dots = map(_int_dot, f.samples, gs.samples)
             return _over_lcm([(n, d * M * (2 if m in (0, M) else 1)) for m, (n, d) in enumerate(dots)])
         acc = 0
@@ -460,7 +456,7 @@ def pair(f, g):
 def predual_norm(g: NetworkState):
     """Integral over [0,1] of max_j |g_j(s)|: the size of g as a test
     function in L^1([0,1], c_0)."""
-    if _exact(g.values):
+    if exact_values(g.values):
         return _integral(g.breakpoints,
                          [(max(map(abs, v._nums), default=0), v._den) for v in g.values])
     total = 0

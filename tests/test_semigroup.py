@@ -1202,9 +1202,11 @@ class TestFloatStates:
 
 
 class TestAnswerValues:
-    """_arrays._answer builds each exact value from a pair reduced by one
-    np.gcd, through exact.coprime_fraction; every value must be the
-    Fraction(x, D) it stands for, in lowest terms, of Python ints."""
+    """_arrays._answer builds each exact vector in lowest terms by one
+    np.gcd.reduceat, and an entry read from it through
+    exact.coprime_fraction must be the Fraction(x, D) it stands for, in
+    lowest terms, of Python ints; a float state's answer is built the same
+    way and then rounded once."""
 
     @staticmethod
     def assert_same_fraction(got, want):
@@ -1239,27 +1241,22 @@ class TestAnswerValues:
 
     @pytest.fixture
     def answers(self, monkeypatch):
-        """The (dtype, number) of every _answer call, each checked entry by
-        entry against number(x, D): Fraction(x, D) for exact values,
-        rounded(x, D) (zeros dropped) for float ones."""
+        """The (dtype, D within int64) of every _answer call, each checked
+        entry by entry against Fraction(x, D), its vectors in lowest terms."""
         calls = []
         answer = _arrays._answer
 
-        def checked(ids, rows, cols, nums, D, count, number):
-            out = answer(ids, rows, cols, nums, D, count, number)
+        def checked(ids, rows, cols, nums, D, count):
+            out = answer(ids, rows, cols, nums, D, count)
             want = [{} for _ in range(count)]
             for r, c, x in zip(rows.tolist(), cols.tolist(), nums.tolist()):
-                y = number(int(x), D)
-                if y:
-                    want[r][ids[c]] = y
+                want[r][ids[c]] = F(int(x), D)
             assert [dict(v.items()) for v in out] == want
             for v, w in zip(out, want):
+                assert math.gcd(v._den, *v._nums) == 1
                 for j, x in v.items():
-                    if number is F:
-                        self.assert_same_fraction(x, w[j])
-                    else:
-                        assert type(x) is float and repr(x) == repr(w[j])
-            calls.append((nums.dtype.name, number.__name__, D.bit_length() < 64))
+                    self.assert_same_fraction(x, w[j])
+            calls.append((nums.dtype.name, D.bit_length() < 64))
             return out
 
         monkeypatch.setattr(_arrays, "_answer", checked)
@@ -1281,24 +1278,28 @@ class TestAnswerValues:
             f = checks.random_state(rng, g, 12 if kind % 2 else 5)
             t = checks.random_time(rng, 3) * (8 if kind % 2 == 0 else 1)
             evolve_rational(g, vel, f, t)
-        assert ("int64", "Fraction", True) in answers and len(answers) > 100
+        assert ("int64", True) in answers and len(answers) > 100
 
     def test_object_numerators_and_float_states(self, answers, kernels, monkeypatch):
         # g5 at t = 200 past the per-edge work: the arrays hand the flow to
         # the per-edge histories as its numerators outgrow int64, and the
         # subdivision oracle's unit closed form runs them in Python ints; a
-        # float state reads its answer with `rounded` on either array kernel
+        # float state's exact answer on either array kernel is rounded after
         g, f = g5(), g5_mixed()
         monkeypatch.setattr(semigroup, "EDGE_FLOW_WORK", -1)
         assert evolve_rational(g, G5_SPEEDS, f, F(200)) == subdivided_flow(g, G5_SPEEDS, f, F(200))
         assert kernels == ["handed off", "per edge", "closed form"]
-        assert any(dtype == "object" for dtype, _, _ in answers)
-        answers.clear()
-        h = entrywise(lambda x: float(x) / 7, f)
+        assert any(dtype == "object" for dtype, _ in answers)
+        rounded = exact.rounded
         for vel in (VelocityProfile({}, default=F(1)), G5_SPEEDS):
-            assert_rounded_exact_flow(g, vel, h, F(7, 3))
-        # the reference flows of Fraction(f) take the exact path beside them
-        assert {number for _, number, _ in answers} == {"rounded", "Fraction"}
+            answers.clear()
+            with monkeypatch.context() as mp:
+                calls = []
+                mp.setattr(exact, "rounded", lambda n, d: calls.append(d) or rounded(n, d))
+                evolve_rational(g, vel, entrywise(lambda x: float(x) / 7, f), F(7, 3))
+            assert answers and len(calls) >= sum(len(v) for v in
+                                                 evolve_rational(g, vel, f, F(7, 3)).values)
+            assert_rounded_exact_flow(g, vel, entrywise(lambda x: float(x) / 7, f), F(7, 3))
 
 
 class TestCanonicalAnswers:
@@ -1437,7 +1438,7 @@ class TestLazyAnswers:
         vector it equals, built from a second answer's entries."""
         f = NetworkState([F(0), F(1, 3), F(1)],
                          [SparseVector({1: F(1, 3), 4: F(-2)}), SparseVector({2: F(5, 7)})])
-        v, w = (semigroup._unit_flow(_arrays._kept_steps(g5()), f, F(7, 2), F).values[1]
+        v, w = (semigroup._unit_flow(_arrays._kept_steps(g5()), f, F(7, 2)).values[1]
                 for _ in range(2))
         assert v is not w and v._den > 1 and v._at is None
         return v, SparseVector(dict(w.items()))

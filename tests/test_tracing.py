@@ -332,10 +332,10 @@ class TestFloatInputs:
             if trial % 3 != 1:
                 f = entrywise(lambda x: float(x) / 7, f)
             t = rng.uniform(0, 3) if trial % 3 != 2 else checks.random_time(rng)
-            floats = not (vel.is_rational() and isinstance(t, F) and exact_values(f))
+            floats = not (vel.is_rational() and isinstance(t, F) and exact_values(f.values))
             kinds["speeds"] += not vel.is_rational()
             kinds["time"] += isinstance(t, float)
-            kinds["values"] += not exact_values(f)
+            kinds["values"] += not exact_values(f.values)
             exact = evolve_rational(g, exact_speeds(vel), entrywise(F, f), F(t))
             grid = rng.randint(1, 24)
             want = sample(entrywise(float, exact) if floats else exact, grid)
