@@ -71,11 +71,9 @@ def _route_exact(steps: tuple, vectors: list, powers: list) -> list:
 
 def _answer(ids, rows, cols, nums, D: int, count: int) -> list:
     """`count` exact SparseVectors of the nonzero entries nums / D of an int
-    table at `rows` (ascending) and `cols` (in `ids`, ascending in a row),
-    each row's entries in column order: row r's numerators and D divided
-    by g_r, the gcd of D and of the row's numerators, found by one
-    np.gcd.reduceat over the rows; the ids and numerators come from one
-    tolist each, sliced by row."""
+    table at `rows` (ascending) and `cols` (in `ids`, ascending in a row):
+    row r's numerators and D divided by the gcd of D and the row, found by
+    one np.gcd.reduceat, its ids and numerators sliced from one tolist."""
     size = np.bincount(rows, minlength=count)
     bounds = np.concatenate(([0], np.cumsum(size))).tolist()
     g = np.ones(count, dtype=nums.dtype)

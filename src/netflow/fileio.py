@@ -301,19 +301,16 @@ def _real_header(edges) -> str:
 def _row_cells(distinct: dict, columns: dict, order, is_complex: bool):
     """The CSV row of each vector of `distinct` (id -> vector) on
     `columns` (edge id -> its column), joined by _join, keyed as
-    `distinct`; None, in real mode, at a complex value.  An exact vector's
-    cell is its numerator x over its denominator D, x / D, which int true
-    division rounds as the reduced Fraction's numerator / denominator,
-    formatted once a distinct (x, D); any other value is formatted once,
-    keyed by its id: vectors share them, and `distinct` holds each one
-    while this runs."""
+    `distinct`, each cell a real or, if `is_complex`, an `_re,_im` pair.
+    An exact vector's cell x / D, its numerator over its denominator, is
+    rounded by int true division as the reduced Fraction's is, and
+    formatted once a distinct (x, D); any other value once, keyed by its
+    id, which `distinct` keeps alive while this runs."""
     blank = ["0,0" if is_complex else "0"] * len(columns)
     texts: dict = {}  # a denominator's {numerator: cell}, or None's {id: cell}
     cells = {}
     for key, v in distinct.items():
         row, D = blank.copy(), v._den
-        if D is None and not is_complex and any(isinstance(x, complex) for x in v._nums):
-            return None
         text = texts.setdefault(D, {})
         for e, x in zip(v._ids, v._nums):
             k = columns.get(e)
@@ -345,11 +342,10 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
     An array state is formatted from its array, a zero entry written as
     `0` as the rows drop it.  A row state writes each distinct vector
     once, keyed by its id while the state holds it (`sample` hands one
-    vector object to every grid point of a piece), by _row_cells: one
-    pass that starts real and restarts every vector in complex mode at the
-    first complex value (complex rows are rare).  An exact vector is
-    written from its numerators over its denominator, with no Fraction
-    built.  The text is one join of its parts."""
+    vector object to every grid point of a piece), by _row_cells, in
+    complex mode if any value, written or not, is complex.  An exact
+    vector is written from its numerators over its denominator, with no
+    Fraction built.  The text is one join of its parts."""
     if edges is None:
         edges = sorted(state.support(), key=repr)
     else:
@@ -364,10 +360,9 @@ def emit_plotdata(state: SampledState, edges=None) -> str:
         columns = {e: k for k, e in enumerate(dict.fromkeys(edges))}
         order = None if len(columns) == len(edges) else [columns[e] for e in edges]
         distinct = {id(v): v for v in state.samples}
-        cells = _row_cells(distinct, columns, order, False)
-        is_complex = cells is None
-        if is_complex:
-            cells = _row_cells(distinct, columns, order, True)
+        is_complex = any(isinstance(x, complex) for v in distinct.values() if v._den is None
+                         for x in v._nums)
+        cells = _row_cells(distinct, columns, order, is_complex)
     if is_complex:
         header = "s," + ",".join([f"edge_{e}_re,edge_{e}_im" for e in edges])
 

@@ -56,14 +56,11 @@ class SparseVector:
     """Finitely supported edge-id -> value map, its ids in items() order.
 
     Zero entries are dropped at construction, and no vector is mutated.
-    An exact vector, every value an int or a Fraction, holds integer
-    numerators over one positive denominator in lowest terms, so two that
-    list their ids in one order are equal exactly when their parts are.
-    Its Fractions are built only when an entry is read (get, items,
-    values); l1, total, +, -, scale by an exact number, == and hash work
-    on the integers.  Any other vector, of floats, complex numbers or a
-    mix, shares the class: it holds its values as given, with denominator
-    None, and its algebra reads them.
+    An exact vector (ints and Fractions) holds integer numerators over one
+    positive denominator in lowest terms: its Fractions are built only when
+    an entry is read (get, items, values), and l1, total, +, -, scale by an
+    exact number, == and hash work on the integers.  Any other vector, of
+    floats, complex numbers or a mix, holds its values over None.
     """
 
     __slots__ = ("_ids", "_nums", "_den", "_at")
@@ -93,9 +90,8 @@ class SparseVector:
         return cls._of(tuple(entries), [n // g for n in entries.values()], den // g)
 
     def _ratios(self) -> tuple:
-        """(numerators, denominator) of the values over one denominator: an
-        exact vector's parts, any other's ints, Fractions and finite floats
-        (each the dyadic rational it holds) by as_integer_ratio."""
+        """(numerators, denominator) of the values: an exact vector's parts, or
+        its finite values' as_integer_ratio (a float is a dyadic rational)."""
         return (self._nums, self._den) if self._den is not None else _over_one(self._nums)
 
     def get(self, j, default=0):
@@ -178,14 +174,11 @@ class SparseVector:
 
     def __hash__(self):
         # hash(frozenset(self.items())): a Fraction n / d hashes as n times
-        # the inverse of d modulo the hash modulus, or as inf without one
-        if self._den is None:
-            return hash(frozenset(zip(self._ids, self._nums)))
-        try:
+        # the inverse of d modulo the (prime) hash modulus, when d has one
+        if self._den is not None and self._den % sys.hash_info.modulus:
             inv = pow(self._den, -1, sys.hash_info.modulus)
-        except ValueError:
-            return hash(frozenset(self.items()))
-        return hash(frozenset(zip(self._ids, [hash(n * inv) for n in self._nums])))
+            return hash(frozenset(zip(self._ids, [hash(n * inv) for n in self._nums])))
+        return hash(frozenset(self.items()))
 
     def __len__(self):
         return len(self._ids)
@@ -199,8 +192,7 @@ class SparseVector:
 
 
 def _over_one(values) -> tuple:
-    """(numerators, lcm of the denominators) of exact `values`, in lowest
-    terms when each value is."""
+    """(numerators, lcm of denominators) of exact `values`, in lowest terms."""
     pairs = [x.as_integer_ratio() for x in values]
     den = math.lcm(*[q for _, q in pairs])
     return [p * (den // q) for p, q in pairs], den

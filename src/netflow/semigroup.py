@@ -153,9 +153,8 @@ def evolve_unit(op: AdjacencyOperator, f: NetworkState, t) -> NetworkState:
 def _unit_flow(steps: tuple, f: NetworkState, t: Fraction) -> NetworkState:
     """T(t) f at unit speed, for exact t >= 0, on the edges of `steps`: B^n
     of f's pieces, routed at once by _route_exact, in int64 up to 2^63 - 1
-    and in Python ints past it.  B^n v can equal its neighbour
-    B^n v' or B^(n+1) v', so the answer takes the checking constructor,
-    which merges equal neighbours by the vectors' own ==."""
+    and in Python ints past it.  B^n v can equal its neighbour B^n v' or
+    B^(n+1) v', and the checking constructor merges them by ==."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values

@@ -584,15 +584,27 @@ def readings_reference(f) -> dict:
     }
 
 
+def dot_reference(u, v):
+    """The dot product of two vectors, value by value over the shorter."""
+    u, v = DictVector(u.items()), DictVector(v.items())
+    if len(u._entries) > len(v._entries):
+        u, v = v, u
+    return sum(a * v.get(j) for j, a in u.items())
+
+
 def pair_reference(f, g):
-    """The weak-* pairing of two NetworkStates on their common refinement,
-    one product at a time."""
+    """The weak-* pairing of f, a NetworkState or a SampledState, with a
+    NetworkState g: on their common refinement, or by the trapezoid on f's
+    grid, one product at a time."""
+    if hasattr(f, "grid_size"):
+        M = f.grid_size
+        total = 0
+        for m, u in enumerate(f.samples):
+            v = g.value_at(Fraction(m, M)) if m < M else g.value_at(Fraction(1), side="left")
+            total += (Fraction(1, 2) if m in (0, M) else 1) * dot_reference(u, v)
+        return total / M
     bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    total = 0
-    for a, b in zip(bps, bps[1:]):
-        u, v = f.value_at(a), g.value_at(a)
-        total += (b - a) * sum(x * v.get(j) for j, x in u.items())
-    return total
+    return sum((b - a) * dot_reference(f.value_at(a), g.value_at(a)) for a, b in zip(bps, bps[1:]))
 
 
 def residual_reference(f, g, vel=None):

@@ -19,11 +19,13 @@ from netflow import (
     VelocityProfile,
     boundary_residual,
     build_adjacency,
+    evolve_unit,
     pair,
     predual_norm,
     sample,
 )
 from netflow import checks, resolvent, semigroup, states, tracing
+from netflow.exact import exact_values
 
 
 def two_piece():
@@ -412,3 +414,67 @@ class TestArrayForm:
             SampledState.from_array([1], np.zeros((1, 1)))
         with pytest.raises(MalformedInputError):
             SampledState.from_array([1], np.zeros((1, 3), dtype=object))
+
+
+class TestExactReadings:
+    """The readings of an exact state sum its vectors' integer numerators
+    over one denominator; each must be == the value-by-value sums of the
+    references in oracles on seeded states: the answers of every kernel,
+    of the per-edge read and of lazy cones, and float and complex states,
+    whose readings must also match bit for bit."""
+
+    @staticmethod
+    def cases(rng, kind):
+        """(state, graph, speeds) of one seeded case of `kind`."""
+        g = checks.random_graph(rng, rng.choice([6, 12, 24]))
+        vel = checks.random_velocities(rng, g)
+        f = checks.random_state(rng, g, 6)
+        t = checks.random_time(rng, 3)
+        if kind == "closed form":
+            vel = VelocityProfile({}, default=F(1))
+            return evolve_unit(build_adjacency(g), f, t), g, vel
+        if kind in ("arrays", "per edge"):
+            work = -1 if kind == "arrays" else math.inf
+            old, semigroup.EDGE_FLOW_WORK = semigroup.EDGE_FLOW_WORK, work
+            try:
+                return semigroup.evolve_rational(g, vel, f, t), g, vel
+            finally:
+                semigroup.EDGE_FLOW_WORK = old
+        if kind == "lazy":
+            tree = MetricGraph.lazy(lambda j: [(2 * j, F(1, 2)), (2 * j + 1, F(1, 2))],
+                                    lambda j: (j // 2, j))
+            vel = VelocityProfile({1: F(2), 3: F(1, 2)}, default=F(1))
+            f = random_state(rng, (1, 2, 3), 4)
+            return semigroup.evolve_rational(tree, vel, f, t), tree, vel
+        if kind == "float":
+            f = f.map_values(lambda v: SparseVector({j: float(x) / 7 for j, x in v.items()}))
+        else:
+            f = f.map_values(lambda v: SparseVector({j: complex(float(x), -float(x) / 3)
+                                                     for j, x in v.items()}))
+        return (f if rng.random() < 0.5 else semigroup.evolve_rational(g, vel, f, t)), g, vel
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want and (type(want) not in (float, complex) or repr(got) == repr(want))
+
+    def test_seeded_states(self):
+        rng = random.Random("exact-readings")
+        kinds = ["closed form", "arrays", "per edge", "lazy", "float", "complex"]
+        for trial in range(420):
+            kind = kinds[trial % len(kinds)]
+            h, g, vel = self.cases(rng, kind)
+            assert exact_values(h.values) == (kind not in ("float", "complex")) or h.is_zero()
+            want = oracles.readings_reference(h)
+            for name in ("sup_norm", "total_mass"):
+                self.assert_same(getattr(h, name)(), want[name])
+            self.assert_same(predual_norm(h), want["predual_norm"])
+            test = random_state(rng, sorted(h.support(), key=repr) or [1], 5)
+            self.assert_same(pair(h, test), oracles.pair_reference(h, test))
+            if g.is_finite:
+                self.assert_same(boundary_residual(h, g, vel), oracles.residual_reference(h, g, vel))
+            s = sample(h, rng.choice([1, 4, 16]))
+            rows = [oracles.DictVector(v.items()) for v in s.samples]
+            for got, want in zip(s.totals(), [v.total() for v in rows]):
+                self.assert_same(got, want)
+            self.assert_same(s.sup_sample_norm(), max(v.l1() for v in rows))
+            self.assert_same(pair(s, test), oracles.pair_reference(s, test))
