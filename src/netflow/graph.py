@@ -55,7 +55,7 @@ _EXACT_TYPES = frozenset((int, Fraction))
 class SparseVector:
     """Finitely supported edge-id -> value map, its ids in items() order.
 
-    Zero entries are dropped at construction, and no vector is mutated.
+    Zero entries are dropped at construction, and entries never change.
     An exact vector (ints and Fractions) holds integer numerators over one
     positive denominator in lowest terms: its Fractions are built only when
     an entry is read (get, items, values), and l1, total, +, -, scale by an
@@ -66,7 +66,9 @@ class SparseVector:
     __slots__ = ("_ids", "_nums", "_den", "_at")
 
     def __init__(self, entries: Mapping | Iterable | None = None):
-        items = entries.items() if isinstance(entries, Mapping) else entries or ()
+        if entries is None:
+            entries = {}
+        items = entries.items() if isinstance(entries, Mapping) else entries
         values = {j: v for j, v in items if v != 0}
         self._ids, self._at = tuple(values), None
         if {type(v) for v in values.values()} <= _EXACT_TYPES:
@@ -138,7 +140,7 @@ class SparseVector:
         if self._den is None or type(a) not in _EXACT_TYPES:
             return SparseVector({j: a * v for j, v in self.items()})
         p, q = a.as_integer_ratio()
-        return SparseVector._reduced(dict(zip(self._ids, [n * p for n in self._nums])), self._den * q)
+        return self._reduced({j: n * p for j, n in zip(self._ids, self._nums)}, self._den * q)
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         return self._plus(other, operator.add)

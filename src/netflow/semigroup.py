@@ -658,23 +658,21 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
     history, _, T, lag = _flow_histories(speed, speeds, rows, f, t)
     # H_j on [T, T + lag_j) is edge j at x = (s - T) / lag_j, collected as
     # value changes keyed by x's numerator over P = lcm(lag), 0 among them
-    # (histories hold no equal neighbours); each distinct pair (n, d), in
-    # lowest terms, read once as n over Q, the lcm of the answer's denominators
-    memo, changes, P = {}, {}, math.lcm(*set(lag.values()))
+    # (histories hold no equal neighbours); each value, an (n, d) pair in
+    # lowest terms, is read as n over Q, the lcm of the answer's denominators
+    changes, P = {}, math.lcm(*set(lag.values()))
     for j in speed:
         scale = P // lag[j]
         for s, v in _window(*history[j], T, T + lag[j]):
-            memo[v] = None
             changes.setdefault((s - T) * scale, []).append((j, v))
     del history  # the pieces below need only the changes
-    Q = math.lcm(*{d for _, d in memo})
-    memo = {v: v[0] * (Q // v[1]) for v in memo}
+    Q = math.lcm(*{d for c in changes.values() for _, (_, d) in c})
     bps = sorted(changes)
     if len(bps) * len(speed) > MAX_ANSWER_ENTRIES:  # count each piece's support
         support, entries = set(), 0
         for x in bps:
             for j, v in changes[x]:
-                (support.add if memo[v] else support.discard)(j)
+                (support.add if v[0] else support.discard)(j)
             entries += len(support)
         if entries > MAX_ANSWER_ENTRIES:
             changed = collections.Counter(j for c in changes.values() for j, _ in c)
@@ -683,9 +681,9 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
     # each piece over Q, reduced: over the lcm of its own denominators
     current, pieces = {}, []
     for x in bps:
-        for j, v in changes[x]:
-            if memo[v]:
-                current[j] = memo[v]
+        for j, (n, d) in changes[x]:
+            if n:
+                current[j] = n * (Q // d)
             else:
                 current.pop(j, None)
         nums = list(current.values())

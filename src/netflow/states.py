@@ -443,8 +443,8 @@ def pair(f, g):
         f._check_grid(gs)
         M = f.grid_size
         if exact_values(f.samples) and exact_values(gs.samples):
-            dots = map(_int_dot, f.samples, gs.samples)
-            return _over_lcm([(n, d * M * (2 if m in (0, M) else 1)) for m, (n, d) in enumerate(dots)])
+            return _over_lcm([(n, d * M * (2 if m in (0, M) else 1)) for m, (n, d)
+                              in enumerate(map(_int_dot, f.samples, gs.samples))])
         acc = 0
         for m in range(M + 1):
             w = Fraction(1, 2) if m in (0, M) else 1
