@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -28,22 +29,24 @@ _INT64_MAX = 2**63 - 1
 
 def _route_exact(steps: tuple, vectors: list, powers: list) -> list:
     """B^n v, exact, for each v of `vectors` on the edges of `steps`, n its
-    entry of `powers` >= 0; B^0 v is v itself.  The vectors, read by
-    SparseVector._ratios, are the rows of one
-    numerator array V over D, the lcm of their denominators, a step one
-    gather-multiply and one reduceat over _int_steps.  V is int64 while a
+    entry of `powers` >= 0; B^0 v is v itself.  The vectors' numerators
+    are the rows of one array V over D, the lcm of their denominators, a
+    step one gather-multiply and one reduceat over _int_steps.  V is int64 while a
     running bound, max|V| times growth a step, stays within 2^63 - 1; where
     a step could pass it, D and V shed their gcd, max|V| is read afresh,
     and if that is still too large V goes on in Python ints, as it starts
     past int64."""
-    parts, out = [v._ratios() for v in vectors], list(vectors)
+    out = list(vectors)
     active = sorted((k for k, n in enumerate(powers) if n), key=powers.__getitem__)
     if not active:
         return out
     ids, index, src, w, starts, L, growth = steps
-    D = math.lcm(*{parts[k][1] for k in active})
-    at = [r * len(ids) + index[j] for r, k in enumerate(active) for j in vectors[k].support()]
-    nums = [n * scale for k in active for scale in (D // parts[k][1],) for n in parts[k][0]]
+    vs = [vectors[k] for k in active]
+    D, sizes = math.lcm(*{v._den for v in vs}), list(map(len, vs))
+    at = np.fromiter(map(index.__getitem__, chain.from_iterable(v._ids for v in vs)),
+                     dtype=np.intp, count=sum(sizes))
+    at += np.repeat(np.arange(len(vs)) * len(ids), sizes)
+    nums = [n * scale for v in vs for scale in (D // v._den,) for n in v._nums]
     bound = max(map(abs, nums), default=0)
     V = np.zeros((len(active), len(ids)), dtype=np.int64 if bound <= _INT64_MAX else object)
     V.flat[at] = nums
@@ -161,9 +164,8 @@ def _array_flow(steps: tuple, f: NetworkState, T: int, lag: list, P: int,
     grow = max(2 * max(np.add.reduceat(A.astype(object), starts).tolist()), Lq)
 
     # edge j drains f_j(c_j s): piece m from tick b_m lag_j, equal neighbours merged
-    parts = [v._ratios() for v in f.values]
-    Q = math.lcm(*{d for _, d in parts})
-    nums = [x * scale for ns, d in parts for scale in (Q // d,) for x in ns]
+    Q = math.lcm(*{v._den for v in f.values})
+    nums = [x * scale for v in f.values for scale in (Q // v._den,) for x in v._nums]
     bound = max(map(abs, nums), default=0)
     V = np.zeros(n * pieces, dtype=object if max(bound, grow) > _INT64_MAX or A.dtype == object
                  else np.int64)

@@ -74,12 +74,12 @@ def exact_values(vectors) -> bool:
 
 
 def by_value_kind(f, run, exact: bool = True):
-    """run(h), an exact real-linear computation on the state h: on exact f
-    as it is if `exact` (no other input was a float), else with each finite
-    float read as the dyadic rational it holds and the answer rounded once
-    by _rounded, so each value is within half an ulp of the exact one.
-    Complex f runs as two real runs joined as re + im.scale(1j); nan or inf
-    in f raise PrecisionError."""
+    """run(h), an exact real-linear computation on an exact state h: on f
+    as it is if f is exact and `exact` (no other input was a float), else
+    on f with each finite float read as the dyadic rational it holds, the
+    answer rounded once by _rounded, so each value is within half an ulp
+    of the exact one.  Complex f runs as two real runs joined as
+    re + im.scale(1j); nan or inf in f raise PrecisionError."""
     if exact and exact_values(f.values):
         return run(f)
     loose = [v for v in f.values if v._den is None]
@@ -87,11 +87,13 @@ def by_value_kind(f, run, exact: bool = True):
         for j, x in v.items():
             if isinstance(x, (float, complex)) and not cmath.isfinite(x):
                 raise PrecisionError(f"state value {x!r} on edge {j!r} is not finite")
+
+    def exactly(part):
+        return f.map_values(lambda v: type(v)({j: Fraction(getattr(x, part)) for j, x in v.items()}))
+
     if not any(isinstance(x, complex) for v in loose for x in v.values()):
-        return _rounded(run(f))
-    re, im = (_rounded(run(f.map_values(lambda v: type(v)({j: getattr(x, part)
-                                                            for j, x in v.items()}))))
-              for part in ("real", "imag"))
+        return _rounded(run(exactly("real")))
+    re, im = (_rounded(run(exactly(part))) for part in ("real", "imag"))
     return re + im.scale(1j)
 
 
@@ -101,8 +103,7 @@ def _rounded(h):
     and a vector's drops a value that underflows to 0."""
     if hasattr(h, "breakpoints"):
         return type(h)(h.breakpoints, [_rounded(v) for v in h.values])
-    nums, d = h._ratios()
-    return type(h)(zip(h.support(), [rounded(n, d) for n in nums]))
+    return type(h)(zip(h.support(), [rounded(n, h._den) for n in h._nums]))
 
 
 def coprime_fraction(n: int, d: int) -> Fraction:

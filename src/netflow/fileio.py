@@ -303,23 +303,21 @@ def _row_cells(distinct: dict, columns: dict, order, is_complex: bool):
     `columns` (edge id -> its column), joined by _join, keyed as
     `distinct`, each cell a real or, if `is_complex`, an `_re,_im` pair.
     An exact vector's cell x / D, its numerator over its denominator, is
-    rounded by int true division as the reduced Fraction's is, and
-    formatted once a distinct (x, D); any other value once, keyed by its
-    id, which `distinct` keeps alive while this runs."""
+    rounded by int true division as the reduced Fraction's is; each
+    distinct x over a D, or value of any other vector (over None), is
+    formatted once."""
     blank = ["0,0" if is_complex else "0"] * len(columns)
-    texts: dict = {}  # a denominator's {numerator: cell}, or None's {id: cell}
+    texts: dict = {}  # a denominator's {numerator or value: cell}
     cells = {}
     for key, v in distinct.items():
         row, D = blank.copy(), v._den
         text = texts.setdefault(D, {})
         for e, x in zip(v._ids, v._nums):
-            k = columns.get(e)
-            if k is not None:
-                cell = text.get(x if D else id(x))
+            if (k := columns.get(e)) is not None:
+                cell = text.get(x)
                 if cell is None:
-                    z = complex(x / D if D else x)
-                    cell = text[x if D else id(x)] = ("%.17g,%.17g" % (z.real, z.imag) if is_complex
-                                                      else "%.17g" % z.real)
+                    y = x if D is None else x / D
+                    cell = text[x] = "%.17g,%.17g" % (y.real, y.imag) if is_complex else "%.17g" % y
                 row[k] = cell
         cells[key] = _join(row, order)
     return cells

@@ -91,11 +91,6 @@ class SparseVector:
         g = math.gcd(den, *entries.values())
         return cls._of(tuple(entries), [n // g for n in entries.values()], den // g)
 
-    def _ratios(self) -> tuple:
-        """(numerators, denominator) of the values: an exact vector's parts, or
-        its finite values' as_integer_ratio (a float is a dyadic rational)."""
-        return (self._nums, self._den) if self._den is not None else _over_one(self._nums)
-
     def get(self, j, default=0):
         if self._at is None:
             self._at = {j: k for k, j in enumerate(self._ids)}
@@ -479,11 +474,10 @@ class VelocityProfile:
 
 def _couple(g: MetricGraph, vel: VelocityProfile | None, v: SparseVector) -> SparseVector:
     """C v for C_ij = (c_j / c_i) w_ij at the speeds `vel` (None: C = B),
-    read from the columns of supp v only.  An exact v at exact speeds adds
-    each term n w_ij c_j / c_i, n its numerator, as ints over the lcm of the
-    terms' denominators; any other adds the products of its values.  A
-    profile of one exact speed reads B; any other takes the product for
-    every column, which at float speeds carries its rounding."""
+    read from the columns of supp v only: for an exact v at exact speeds in
+    ints over the lcm of the terms' denominators, else by multiply-adds of
+    its values.  A profile of one exact speed reads B; any other takes the
+    product for every column, which at float speeds carries its rounding."""
     if vel is not None and not vel.values and is_rational(vel.default):
         vel = None
     out: dict = {}

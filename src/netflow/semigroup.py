@@ -154,7 +154,7 @@ def _unit_flow(steps: tuple, f: NetworkState, t: Fraction) -> NetworkState:
     """T(t) f at unit speed, for exact t >= 0, on the edges of `steps`: B^n
     of f's pieces, routed at once by _route_exact, in int64 up to 2^63 - 1
     and in Python ints past it.  B^n v can equal its neighbour B^n v' or
-    B^(n+1) v', and the checking constructor merges them by ==."""
+    B^(n+1) v', and NetworkState._merged merges them by ==."""
     n0 = t.numerator // t.denominator
     theta = t - n0
     bps, values = f.breakpoints, f.values
@@ -171,7 +171,7 @@ def _unit_flow(steps: tuple, f: NetworkState, t: Fraction) -> NetworkState:
                + [b + rest for b in bps[1:wrapped]] + [Fraction(1)])
         values = values[first:] + values[:wrapped]
         powers = powers[first:] + [n0 + 1] * wrapped
-    return NetworkState(bps, _route_exact(steps, values, powers))
+    return NetworkState._merged(bps, _route_exact(steps, values, powers))
 
 
 def _steps(g: MetricGraph, speed: Mapping, rows) -> tuple:
@@ -591,17 +591,17 @@ def _flow_histories(speed: Mapping, speeds: list, rows, f: NetworkState, t: Frac
     edge j drains as f_j(c_j s).
 
     Every history value is exact, held as a (numerator, denominator) pair
-    in lowest terms, f's by one gcd of SparseVector._ratios: _inflow sums a
-    window on ints over the lcm of the denominators it reads and cancels it
-    again, so a value is never larger than the Fraction it stands for.
+    in lowest terms, f's by one gcd of its numerator and denominator:
+    _inflow sums a window on ints over the lcm of the denominators it reads
+    and cancels it again, so a value is never larger than the Fraction it
+    stands for.
     """
     zero = [(0, 1)] * len(f.values)
     drains = {j: zero.copy() for j in f.support()}
     for m, v in enumerate(f.values):
-        nums, d = v._ratios()
-        for j, n in zip(v.support(), nums):
-            g = math.gcd(n, d)
-            drains[j][m] = (n // g, d // g)
+        for j, n in zip(v.support(), v._nums):
+            g = math.gcd(n, v._den)
+            drains[j][m] = (n // g, v._den // g)
     return _histories(speed, speeds, rows, t, f.breakpoints, lambda j: drains.get(j, zero))
 
 
@@ -629,13 +629,13 @@ def _flow(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> NetworkSt
 
 def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
                 f: NetworkState, t: Fraction) -> NetworkState:
-    """The exact flow from f over _network's edges, f's values read exactly
-    by SparseVector._ratios, and the one place a kernel is chosen, by predicted work.  The per-edge
-    _histories take the edges times f's pieces times the ceil(t c_max)
-    stages in steps; they run while that is at most EDGE_FLOW_WORK times
-    the numpy passes of the array kernel in their place: one for the closed
-    form _unit_flow at one speed, and for _array_flow at several its set-up
-    and one a stage.  Past it, at one speed _unit_flow; at several
+    """The flow from exact f over _network's edges, and the one place a
+    kernel is chosen, by predicted work.  The per-edge _histories take
+    the edges times f's pieces times the ceil(t c_max) stages in steps;
+    they run while that is at most EDGE_FLOW_WORK times the numpy passes
+    of the array kernel in their place: one for the closed form _unit_flow
+    at one speed, and for _array_flow at several its set-up and one a
+    stage.  Past it, at one speed _unit_flow; at several
     _array_flow, if the edges times the ticks to t plus the slowest lag,
     and the lcm of the lags, fit in int64, and while its numerators do
     (they may start past int64, as a float's do, but not grow past it);

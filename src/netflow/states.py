@@ -101,7 +101,14 @@ class NetworkState:
             raise MalformedInputError(
                 f"{len(bps)} breakpoints need {len(bps) - 1} pieces, got {len(vals)}"
             )
-        # canonical form: merge equal neighbours
+        merged = NetworkState._merged(bps, vals)
+        self.breakpoints, self.values = merged.breakpoints, merged.values
+
+    @classmethod
+    def _merged(cls, bps: Sequence, vals: Sequence) -> "NetworkState":
+        """The canonical state of checked parts, Fraction breakpoints from 0
+        to 1, strictly increasing, and one SparseVector a piece: equal
+        neighbours merged by ==, nothing else checked."""
         out_bps = [bps[0]]
         out_vals: list = []
         for b_next, v in zip(bps[1:], vals):
@@ -110,8 +117,7 @@ class NetworkState:
             else:
                 out_vals.append(v)
                 out_bps.append(b_next)
-        self.breakpoints = tuple(out_bps)
-        self.values = tuple(out_vals)
+        return cls._canonical(tuple(out_bps), tuple(out_vals))
 
     @classmethod
     def _canonical(cls, breakpoints: tuple, values: tuple) -> "NetworkState":
@@ -125,8 +131,9 @@ class NetworkState:
         and the histories hold no equal neighbours, so the pieces on either
         side differ on that edge, and exact vectors in lowest terms that
         differ in a value compare unequal.  The unit closed form's B^n v can
-        equal a neighbour, and rounding can map distinct values to one
-        float, so those answers take the checking constructor."""
+        equal a neighbour, so its answer takes _merged, and rounding can map
+        distinct values to one float, so a rounded answer takes the checking
+        constructor."""
         self = object.__new__(cls)
         self.breakpoints, self.values = breakpoints, values
         return self

@@ -35,7 +35,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import PrecisionError, WidthOverflowError
-from .exact import by_value_kind, exact_values, is_rational
+from .exact import by_value_kind, is_rational
 from .graph import MetricGraph, SparseVector, VelocityProfile
 from .states import NetworkState, SampledState, checked_grid
 
@@ -82,8 +82,6 @@ def _read(g, vel, f, t, grid: int, edges, marks, exact: bool) -> SparseVector:
                               default=None if vel.default is None else Fraction(vel.default))
 
     def run(h):
-        if not exact_values(h.values):
-            h = h.map_values(lambda v: SparseVector({j: Fraction(x) for j, x in v.items()}))
         head, Tt, N = _histories(g, vel, h, T, grid)
         step = {j: int(N / vel.exact(j)) // grid for j in edges}
         return SparseVector({(j, m): head(j, max(Tt + m * step[j] - (side == "left"), 0))[2]

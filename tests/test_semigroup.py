@@ -1468,8 +1468,14 @@ class TestLazyAnswers:
         with pytest.raises(AttributeError, match="_ids"):
             len(object.__new__(SparseVector))
 
-    @pytest.mark.parametrize("kernel", ["closed form", "arrays"])
-    def test_evolve_sample_emit_builds_no_answer_value(self, fractions_built, kernels, kernel):
+    def test_evolve_sample_emit_builds_no_answer_value(self, fractions_built, kernels):
+        self.check_pipeline(fractions_built, kernels, "closed form")
+
+    def test_evolve_sample_emit_on_the_arrays_builds_no_answer_value(self, fractions_built, kernels):
+        self.check_pipeline(fractions_built, kernels, "arrays")
+
+    @staticmethod
+    def check_pipeline(fractions_built, kernels, kernel):
         # the benchmark's unit-wide shape: 600 edges, 64 pieces of 32
         # edges, at one speed (the closed form) or at three (the arrays):
         # evolve builds only its breakpoints, sample and emit build no
@@ -1517,8 +1523,8 @@ class TestLazyAnswers:
 
 class TestUnitRowMerge:
     """The closed form's B^n v can equal its neighbour B^n v' or
-    B^(n+1) v', and the checking constructor merges them by the vectors'
-    own ==: the answer must equal the per-edge read, breakpoints
+    B^(n+1) v', and NetworkState._merged merges them by the vectors' own
+    ==: the answer must equal the per-edge read, breakpoints
     included, and build no Fraction value."""
 
     @pytest.fixture
