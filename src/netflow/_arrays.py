@@ -31,11 +31,11 @@ def _route_exact(steps: tuple, vectors: list, powers: list) -> list:
     """B^n v, exact, for each v of `vectors` on the edges of `steps`, n its
     entry of `powers` >= 0; B^0 v is v itself.  The vectors' numerators
     are the rows of one array V over D, the lcm of their denominators, a
-    step one gather-multiply and one reduceat over _int_steps.  V is int64 while a
-    running bound, max|V| times growth a step, stays within 2^63 - 1; where
-    a step could pass it, D and V shed their gcd, max|V| is read afresh,
-    and if that is still too large V goes on in Python ints, as it starts
-    past int64."""
+    step one gather-multiply and one reduceat over _int_steps.  V is int64
+    while a running bound, max|V| times growth a step, stays within
+    2^63 - 1; where a step could pass it, D and V shed their gcd, max|V|
+    is read afresh, and if that is still too large V goes on in Python
+    ints, as it starts past int64."""
     out = list(vectors)
     active = sorted((k for k, n in enumerate(powers) if n), key=powers.__getitem__)
     if not active:

@@ -1455,8 +1455,8 @@ class TestLazyAnswers:
         assert repr(v) == repr(want) and len(v) == len(want) and v.total() == want.total()
 
     def test_only_entries_are_built(self, fractions_built):
-        # one read builds one value, items() one a entry, and a missing
-        # name raises AttributeError as before
+        # one read builds one value, items() one an entry, and a missing
+        # name raises AttributeError
         v, _ = self.unbuilt()
         fractions_built.update(value=0)
         j = next(iter(v))
