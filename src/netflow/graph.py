@@ -161,7 +161,7 @@ class SparseVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        if self._den is None or other._den is None:
+        if self._den != other._den and None in (self._den, other._den):
             return dict(self.items()) == dict(other.items())
         if self._den != other._den or len(self._ids) != len(other._ids):
             return False
