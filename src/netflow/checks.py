@@ -300,8 +300,8 @@ def _check_tracing(seed, trials) -> CheckResult:
     vel, t = VelocityProfile({1: 2, 2: 3, 4: Fraction(1, 2)}, default=1), Fraction(7, 3)
     if evolve_rational(g, vel, f, t) != evolve_rational(_cycle(12), vel, f, t):
         outcome.failures.append("listed-speed lazy path disagreed with a finite cycle")
-    # one-shot ride-alongs: the 2-cycle to t = 900, where the tracer takes
-    # a stack frame per crossing, and a flow at speeds 1/2, 1 and 2 on 32
+    # one-shot ride-alongs: the 2-cycle to t = 900, where the tracer reads
+    # 900 crossings off its work stack, and a flow at speeds 1/2, 1 and 2 on 32
     # to 64 edges, over 256 edges times pieces, which is past the per-edge
     # histories' work of a stage and runs as semigroup._array_flow
     rng = random.Random(f"{seed}:tracing-wide")

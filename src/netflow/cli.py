@@ -7,8 +7,8 @@ runs the randomized self-test suites, `validate` lints a graph file.
 
 Exit codes: 0 success; 1 domain failure (bad graph, missing velocities,
 failed report, wrong-operator use, and the WidthOverflowError refusals: a
-stage budget, a cone, a characteristic trace deeper than the interpreter
-stack); 2 numeric-tolerance failure (precision gates, series truncation,
+stage budget, a cone, a characteristic trace's kept segments); 2
+numeric-tolerance failure (precision gates, series truncation,
 contraction loss, a resolvent certificate q >= 1 or a series bound beyond
 float range, a float overflow in a solve or a run-log reading, named with
 its time); 3 malformed input (unparseable or unreadable files, a graph
@@ -41,7 +41,7 @@ from .approximation import (
 from .checks import SUITES, run_suite
 from .errors import (MalformedGraphError, MalformedInputError, MissingVelocityError,
                      NetflowError, PrecisionError)
-from .exact import float_or_inf, parse_rational, parse_real
+from .exact import exact_values, float_or_inf, parse_rational, parse_real
 from .fileio import (
     emit_plotdata,
     parse_graph_file,
@@ -53,7 +53,7 @@ from .fileio import (
 from .graph import MetricGraph, SparseVector, VelocityProfile, validate_graph
 from .resolvent import resolvent_general
 from .semigroup import _UNIT, AbsorptionProfile, evolve_absorbing, evolve_rational
-from .states import NetworkState, boundary_residual, sample
+from .states import NetworkState, _over_lcm, boundary_residual, sample
 
 
 # caps on flags whose larger values would run for minutes; MAX_SAMPLES
@@ -254,7 +254,10 @@ def _write(args, out: Path, name: str, g: MetricGraph, sampled, summary: str,
 
 
 def _sampled_mass(st) -> float:
-    # trapezoid analog of the signed-integral mass on the sample grid
+    # trapezoid analog of the signed-integral mass on the sample grid, exact rows over one lcm
+    if st.array is None and exact_values(st.samples):
+        return float(_over_lcm([(sum(v._nums), v._den * (2 if m in (0, st.grid_size) else 1))
+                                for m, v in enumerate(st.samples)])) / st.grid_size
     totals = st.totals()
     return float(sum(totals) - (totals[0] + totals[-1]) / 2) / st.grid_size
 

@@ -114,9 +114,9 @@ __all__ = [
 MAX_WIDTH = 2**63
 MAX_SUBEDGES = 2_000_000
 # Guard rails for runaway characteristic histories, counted as they grow:
-# one per breakpoint of a flow, the terms of every value of an absorbing
-# run; and the one work budget of both exact kernels, checked in _network:
-# stages (t times the flow's fastest speed) times the edges of the flow.
+# one per breakpoint of a flow or kept segment of a trace, the terms of
+# every value of an absorbing run; and the one work budget of the kernels
+# and the tracer, checked by _stage_budget: stages (t c_max) times edges.
 MAX_HISTORY_BREAKPOINTS = 1_000_000
 MAX_STAGE_EDGES = 2_000_000
 # And an exact flow's answer, counted before any piece is built: its
@@ -452,7 +452,7 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     edges that outflow before t are read, and rows keep only those.  There
     are `stages` = ceil(t c_max) stages of 1/c_max, c_max the fastest edge
     so far; all but the first times the edges past MAX_STAGE_EDGES are
-    refused, checked as edges join."""
+    refused by _stage_budget, and again as a lazy cone's edges join."""
     t = as_exact_time(t, "evolution time")
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
@@ -470,11 +470,7 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
     if len(listed) < len(speed):  # the default, or MissingVelocityError for the first unlisted seed
         c = vel.velocity(next(j for j in speed if j not in listed))
         speeds.setdefault(c.as_integer_ratio(), c)
-    stages = max((-(-t.numerator * n // (t.denominator * d)) for n, d in speeds), default=0) - 1
-    if stages * len(speed) > MAX_STAGE_EDGES:
-        fastest = sorted(speed, key=speed.get, reverse=True)[:4]
-        raise WidthOverflowError(f"{stages} stages over {len(speed)} edges exceed "
-                                 f"{MAX_STAGE_EDGES} stage-edges", edges=fastest)
+    stages = _stage_budget(t, speeds, speed)
     if g.is_finite:
         return t, speed, g.feeders, list(speeds.values()), stages + 1
     # outflow times in ticks of 1/N, N the lcm of the profile's exact speed
@@ -497,6 +493,15 @@ def _network(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t) -> tuple:
         for i, w in column.items():
             cone.setdefault(i, {})[j] = w
     return t, speed, cone.__getitem__, list(_distinct(speed.values()).values()), stages + 1
+
+
+def _stage_budget(t: Fraction, speeds, speed: Mapping) -> int:
+    """ceil(t c_max) - 1 stages over the edges of `speed`, refused past MAX_STAGE_EDGES."""
+    stages = max((-(-t.numerator * n // (t.denominator * d)) for n, d in speeds), default=0) - 1
+    if stages * len(speed) > MAX_STAGE_EDGES:
+        raise WidthOverflowError(f"{stages} stages over {len(speed)} edges exceed {MAX_STAGE_EDGES} "
+                                 "stage-edges", edges=sorted(speed, key=speed.get, reverse=True)[:4])
+    return stages
 
 
 def _distinct(speeds) -> dict:

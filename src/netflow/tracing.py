@@ -17,8 +17,8 @@ which it is constant.  A float time, position, speed or state value is
 read as the dyadic rational it holds, so the trace runs exactly at any
 positive speeds; when any input was a float, each value is rounded once,
 correctly.  Complex states run as two real traces.  nan and inf are
-refused with PrecisionError, a trace deeper than the interpreter stack
-with WidthOverflowError.
+refused with PrecisionError, and a trace past MAX_STAGE_EDGES stage-edges
+or MAX_HISTORY_BREAKPOINTS kept segments with WidthOverflowError.
 
 Two seam conventions are supported.  side="right" (default) matches the
 exact evolution formula: a characteristic landing exactly on the tail
@@ -34,6 +34,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
+from . import semigroup
 from .errors import PrecisionError, WidthOverflowError
 from .exact import by_value_kind, is_rational
 from .graph import MetricGraph, SparseVector, VelocityProfile
@@ -54,15 +55,6 @@ def trace_value(g: MetricGraph, vel: VelocityProfile, f: NetworkState,
     return _read(g, vel, f, t, grid, [edge], [(m, side)], is_rational(x)).get((edge, m))
 
 
-def _stack_bound(t, trace):
-    """trace(), refused when it crosses more edges than the stack holds."""
-    try:
-        return trace()
-    except RecursionError:
-        raise WidthOverflowError(f"tracing to t = {t} crosses more edges than the "
-                                 "interpreter stack holds") from None
-
-
 def _read(g, vel, f, t, grid: int, edges, marks, exact: bool) -> SparseVector:
     """{(j, m): value} of the flow after time t on each of `edges` at each
     mark (m, side), position m/grid: H_j of _histories at the tick
@@ -80,6 +72,8 @@ def _read(g, vel, f, t, grid: int, edges, marks, exact: bool) -> SparseVector:
     if not vel.is_rational():
         vel = VelocityProfile({j: Fraction(c) for j, c in vel.items()},
                               default=None if vel.default is None else Fraction(vel.default))
+    speed = {j: vel.exact(j) for j in (g.edge_ids if g.is_finite else f.support())}
+    semigroup._stage_budget(T, semigroup._distinct(speed.values()), speed)  # _network's budget
 
     def run(h):
         head, Tt, N = _histories(g, vel, h, T, grid)
@@ -87,7 +81,7 @@ def _read(g, vel, f, t, grid: int, edges, marks, exact: bool) -> SparseVector:
         return SparseVector({(j, m): head(j, max(Tt + m * step[j] - (side == "left"), 0))[2]
                              for m, side in marks for j in edges})
 
-    return _stack_bound(t, lambda: by_value_kind(f, run, exact))
+    return by_value_kind(f, run, exact)
 
 
 def _histories(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fraction, grid: int):
@@ -99,40 +93,48 @@ def _histories(g: MetricGraph, vel: VelocityProfile, f: NetworkState, t: Fractio
     [b_p L_k, b_{p+1} L_k) while T < L_k; from L_k on it is constant on the
     intersection of its feeders' segments, shifted by L_k, where it is the
     sum of (c_i / c_k) w_ki H_i(T - L_k) in feeder order, zeros skipped.
-    Each edge keeps the segments read so far, sorted: a read is one
-    bisect, and a miss reads the feeders only."""
+    Kept segments, sorted per edge and at most MAX_HISTORY_BREAKPOINTS in
+    all, make a read one bisect; a miss stacks its feeders' reads."""
     A = math.lcm(t.denominator, grid, *(b.denominator for b in f.breakpoints))
     M = math.lcm(*(c.numerator for c in [*vel.values.values(), vel.default] if c is not None))
     cuts = [b.numerator * (A // b.denominator) for b in f.breakpoints]  # in ticks of 1/A
-    kept = {}  # edge -> [los, his, values, L / A, L, feeders]
+    kept, size = {}, 0  # edge -> [los, his, values, L / A, L, feeders]; segments kept
 
     def head(k, T):
-        h = kept.get(k)
-        if h is None:
-            r = int(M / vel.exact(k))
-            h = kept[k] = [[], [], [], r, r * A, None]
-        los, his, vals, r, L, feeders = h
-        n = bisect_right(los, T)
-        if n and T < his[n - 1]:
-            return los[n - 1], his[n - 1], vals[n - 1]
-        if T < L:
-            p = bisect_right(cuts, T // r) - 1
-            lo, hi, val = cuts[p] * r, cuts[p + 1] * r, f.values[p].get(k)
-        else:
-            if feeders is None:
-                c = vel.exact(k)
-                feeders = h[5] = [(i, (vel.exact(i) / c) * w) for i, w in g.feeders(k).items()]
-            lo, hi, val = L, math.inf, 0
-            for i, coef in feeders:
-                a, b, v = head(i, T - L)
-                lo, hi = max(lo, a + L), min(hi, b + L)
-                if v != 0:
-                    val = val + coef * v
-            n = bisect_right(los, lo)  # a cycle may have read edge k on the way
-        los.insert(n, lo)
-        his.insert(n, hi)
-        vals.insert(n, val)
-        return lo, hi, val
+        nonlocal size
+        work, segs = [(k, T)], []  # reads (edge, tick) pending, (edge, None) joining the feeders'
+        while work:
+            k, T = work.pop()
+            if k not in kept:
+                r = int(M / vel.exact(k))
+                kept[k] = [[], [], [], r, r * A, None]
+            h = los, his, vals, r, L, feeders = kept[k]
+            if T is None:  # the feeders' reads are the last len(feeders) of segs
+                s, lo, hi, val = len(segs) - len(feeders), L, math.inf, 0
+                for (i, coef), (a, b, v) in zip(feeders, segs[s:]):
+                    lo, hi = max(lo, a + L), min(hi, b + L)
+                    if v != 0:
+                        val = val + coef * v
+                del segs[s:]
+                n = bisect_right(los, lo)  # a cycle may have read edge k on the way
+            elif (n := bisect_right(los, T)) and T < his[n - 1]:
+                segs.append((los[n - 1], his[n - 1], vals[n - 1]))
+                continue
+            elif T < L:
+                p = bisect_right(cuts, T // r) - 1
+                lo, hi, val = cuts[p] * r, cuts[p + 1] * r, f.values[p].get(k)
+            else:
+                if feeders is None:
+                    c = vel.exact(k)
+                    feeders = h[5] = [(i, (vel.exact(i) / c) * w) for i, w in g.feeders(k).items()]
+                work += [(k, None), *((i, T - L) for i, _ in reversed(feeders))]
+                continue
+            for xs, x in zip(h, (lo, hi, val)):
+                xs.insert(n, x)
+            segs.append((lo, hi, val))
+            if (size := size + 1) > semigroup.MAX_HISTORY_BREAKPOINTS:
+                raise WidthOverflowError(f"traced head histories exceed {size - 1} segments")
+        return segs[0]
 
     return head, t.numerator * (A // t.denominator) * M, A * M
 

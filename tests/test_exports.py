@@ -1,5 +1,6 @@
 """Every name a module exports exists: a stale `__all__` entry fails here."""
 
+import ast
 import importlib
 import json
 import os
@@ -60,3 +61,31 @@ def test_subdivision_is_not_exported():
     hidden = {"common_multiplier", "SubdivisionPlan", "subdivide", "lift_state", "project_state"}
     assert hidden.isdisjoint(dir(netflow))
     assert hidden.isdisjoint(netflow.semigroup.__all__)
+
+
+def test_no_module_leans_on_the_interpreter_stack():
+    # a reach set by the caller's stack depth is a hidden setting: no module
+    # catches RecursionError or moves the recursion limit
+    leans = []
+    for path in sorted(Path(netflow.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "RecursionError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}:
+                    leans.append(f"{path.name}:{node.lineno} catches RecursionError")
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name == "setrecursionlimit":
+                leans.append(f"{path.name}:{node.lineno} names sys.setrecursionlimit")
+    assert not leans, "; ".join(leans)
+
+
+def test_the_stack_guard_sees_both_leans(tmp_path, monkeypatch):
+    # the guard above on a module that does both, and imports the setter by name
+    (tmp_path / "leaning.py").write_text(
+        "from sys import setrecursionlimit\n"
+        "try:\n    setrecursionlimit(10**6)\nexcept (ValueError, RecursionError):\n    pass\n")
+    monkeypatch.setattr(netflow, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(AssertionError) as refused:
+        test_no_module_leans_on_the_interpreter_stack()
+    for lean in ("leaning.py:1 names sys.setrecursionlimit",
+                 "leaning.py:3 names sys.setrecursionlimit", "leaning.py:4 catches RecursionError"):
+        assert lean in str(refused.value)

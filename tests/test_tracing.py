@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -24,7 +25,7 @@ from netflow import (
     trace_samples,
     trace_value,
 )
-from netflow import checks
+from netflow import checks, semigroup
 from netflow.exact import exact_values
 
 
@@ -401,8 +402,10 @@ class TestFloatInputs:
 
 
 class TestStackReach:
-    """The segment reader takes one stack frame per tail crossing; past the
-    interpreter stack a trace is refused, not crashed."""
+    """The segment reader keeps its pending reads on a work stack, so its
+    reach is set by the exact flows' budgets, whatever the caller's stack:
+    MAX_STAGE_EDGES up front, MAX_HISTORY_BREAKPOINTS kept segments while
+    reading."""
 
     f = NetworkState([F(0), F(1, 2), F(1)],
                      [SparseVector({1: F(1), 2: F(2)}), SparseVector({1: F(3)})])
@@ -419,11 +422,47 @@ class TestStackReach:
         traced = trace_samples(g2(), vel, self.f, F(700), 4)
         assert len(traced.samples) == 5
 
+    def test_trace_past_the_interpreter_stack(self):
+        # 5,000 crossings, five times the default recursion limit
+        t = F(5000)
+        traced = trace_samples(g2(), self.unit, self.f, t, 4)
+        assert traced == sample(evolve_rational(g2(), self.unit, self.f, t), 4)
+        assert trace_value(g2(), self.unit, self.f, 1, F(1, 4), t) == traced.samples[1].get(1)
+
+    def test_reach_does_not_depend_on_the_caller(self):
+        # t = 986 passed only from a shallow stack while each crossing took a frame
+        t = F(986)
+        expected = sample(evolve_rational(g2(), self.unit, self.f, t), 4)
+
+        def deeper(n):
+            return deeper(n - 1) if n else trace_samples(g2(), self.unit, self.f, t, 4)
+
+        assert trace_samples(g2(), self.unit, self.f, t, 4) == expected
+        assert deeper(500) == expected
+
     @pytest.mark.parametrize("vel", [unit, VelocityProfile({1: 2 ** 0.5, 2: F(1)})],
                              ids=["unit", "sqrt2"])
     def test_deeper_trace_refused(self, vel):
-        message = "tracing to t = 5000 crosses more edges than the interpreter stack holds"
-        with pytest.raises(WidthOverflowError, match=message):
-            trace_samples(g2(), vel, self.f, F(5000), 4)
-        with pytest.raises(WidthOverflowError, match=message):
-            trace_value(g2(), vel, self.f, 1, F(1, 4), F(5000))
+        # ceil(t c_max) - 1 stages over g2's two edges pass MAX_STAGE_EDGES:
+        # refused before any read
+        stages = math.ceil(10**7 * F(vel.velocity(1))) - 1
+        message = f"{stages} stages over 2 edges exceed 2000000 stage-edges"
+        for trace in (lambda: trace_samples(g2(), vel, self.f, F(10**7), 4),
+                      lambda: trace_value(g2(), vel, self.f, 1, F(1, 4), 10**7)):
+            start = time.perf_counter()
+            with pytest.raises(WidthOverflowError, match=message):
+                trace()
+            assert time.perf_counter() - start < 0.1
+
+    def test_kept_segments_are_budgeted(self, monkeypatch):
+        # at x = 0 on the 2-cycle a constant state reads one segment a
+        # crossing, ten back to edge 1 at time 0: t = 10 keeps 11
+        f = NetworkState.constant(SparseVector({1: F(1), 2: F(2)}))
+        monkeypatch.setattr(semigroup, "MAX_HISTORY_BREAKPOINTS", 11)
+        assert trace_value(g2(), self.unit, f, 1, 0, F(10)) == 1
+        monkeypatch.setattr(semigroup, "MAX_HISTORY_BREAKPOINTS", 10)
+        for trace in (lambda: trace_value(g2(), self.unit, f, 1, 0, F(10)),
+                      lambda: trace_samples(g2(), self.unit, self.f, F(10), 4)):
+            with pytest.raises(WidthOverflowError, match="traced head histories exceed 10 "
+                               "segments"):
+                trace()
