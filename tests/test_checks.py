@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from netflow import CheckResult, MetricGraph, SampledState, run_suite
+from netflow import CheckResult, MetricGraph, SampledState, WidthOverflowError, run_suite
 from netflow import _arrays, checks, exact, semigroup
 from netflow.checks import SUITES, random_graph, random_velocities
 from netflow.graph import validate_graph
@@ -38,7 +38,7 @@ class TestRunSuite:
 
         def deep(g, vel, f, t, grid):
             if t == 900:
-                raise RecursionError("maximum recursion depth exceeded")
+                raise WidthOverflowError("traced head histories exceed 1000000 segments")
             return trace(g, vel, f, t, grid)
 
         monkeypatch.setattr(checks, "trace_samples", wrong)
@@ -46,8 +46,8 @@ class TestRunSuite:
         assert r.failures == ["tracing the 2-cycle to t = 900 disagreed with evolution"]
         monkeypatch.setattr(checks, "trace_samples", deep)
         (r,) = run_suite("tracing", seed=3, scale=0.1)
-        assert r.failures == ["tracing the 2-cycle to t = 900: RecursionError: "
-                              "maximum recursion depth exceeded"]
+        assert r.failures == ["tracing the 2-cycle to t = 900: WidthOverflowError: "
+                              "traced head histories exceed 1000000 segments"]
 
     def test_tracing_suite_runs_the_array_flow(self, monkeypatch):
         # the one-shot wide flow runs semigroup._array_flow against the
