@@ -52,7 +52,7 @@ from .fileio import (
 )
 from .graph import MetricGraph, SparseVector, VelocityProfile, validate_graph
 from .resolvent import resolvent_general
-from .semigroup import _UNIT, AbsorptionProfile, evolve_absorbing, evolve_rational
+from .semigroup import _UNIT, evolve_absorbing, evolve_rational
 from .states import NetworkState, _over_lcm, boundary_residual, sample
 
 
@@ -275,17 +275,9 @@ def _cmd_simulate(args) -> int:
                   sup_norm=last["sup_norm"], total_mass=last["total_mass"])
 
 
-def _rates_profile(path) -> AbsorptionProfile:
-    state = _read_state(path)
-    profiles = {}
-    for j in sorted(state.support(), key=repr):
-        profiles[j] = (list(state.breakpoints), [v.get(j) for v in state.values])
-    return AbsorptionProfile(profiles)
-
-
 def _cmd_absorb(args) -> int:
     name, g, vel, f, out = _front(args)
-    q = _rates_profile(args.rates)
+    q = _read_state(args.rates)
     t = _parse_time(args.t)
     result, entries = _run(
         t, args.log_steps, lambda tt: evolve_absorbing(g, vel, q, f, tt, grid=args.grid),

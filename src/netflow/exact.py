@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from .errors import MalformedInputError, NotRationalError, PrecisionError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: a Unicode \d would pass '١' or '１', which Fraction reads
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
 
 
 def as_exact(x, what: str = "value") -> Fraction:
@@ -39,14 +40,15 @@ def as_exact_time(t, what: str = "time") -> Fraction:
 
 
 def parse_rational(text: str, what: str = "value") -> Fraction:
-    """Parse a strict 'p/q' or integer literal.
+    """Parse a strict 'p/q' or integer literal in ASCII digits.
 
     Decimal notation is rejected on purpose: where the interfaces take
     rationals they take them exactly, and '0.1' is not the number most
-    people believe it is.
+    people believe it is.  Other digits ('١', '１', '²') and digit groups
+    ('1_0') are refused with MalformedInputError, as in ids.
     """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise MalformedInputError(
             f"{what} must be an integer or p/q rational literal, got {text!r}"
         )
@@ -54,14 +56,21 @@ def parse_rational(text: str, what: str = "value") -> Fraction:
 
 
 def parse_real(text: str, what: str = "value"):
-    """Parse a real literal: 'p/q' stays exact, decimal notation becomes float."""
+    """Parse a real literal: 'p/q' stays exact, decimal notation becomes float.
+
+    The text is ASCII with no '_', as in parse_rational: float() would
+    also read other digits ('١.٥' as 1.5) and digit groups ('1_0' as
+    10.0), and both are refused with MalformedInputError.
+    """
     text = text.strip()
-    if _RATIONAL_RE.match(text):
+    if _RATIONAL_RE.fullmatch(text):
         return Fraction(text)
     try:
-        return float(text)
+        if text.isascii() and "_" not in text:
+            return float(text)
     except ValueError:
-        raise MalformedInputError(f"{what} is not a number: {text!r}") from None
+        pass
+    raise MalformedInputError(f"{what} is not a number: {text!r}")
 
 
 def is_rational(x) -> bool:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -68,6 +69,10 @@ class GraphFile:
 class StateFile:
     name: str
     state: NetworkState
+
+
+# a piece index: ASCII digits, no '_', as in parse_rational; int() takes more
+_INDEX_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _token_id(tok: str):
@@ -186,10 +191,9 @@ def parse_state_text(text: str, origin: str = "<state>") -> StateFile:
         elif kind == "v":
             if len(parts) != 4:
                 _fail(origin, lineno, "`v` needs: v <piece-index> <edge-id> <value>")
-            try:
-                idx = int(parts[1])
-            except ValueError:
+            if not _INDEX_RE.fullmatch(parts[1]):
                 _fail(origin, lineno, f"piece index must be an integer, got {parts[1]!r}")
+            idx = int(parts[1])
             key = (idx, _token_id(parts[2]))
             if key in values:
                 _fail(origin, lineno,

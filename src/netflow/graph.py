@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -58,9 +57,10 @@ class SparseVector:
     Zero entries are dropped at construction, and entries never change.
     An exact vector (ints and Fractions) holds integer numerators over one
     positive denominator in lowest terms: its Fractions are built only when
-    an entry is read (get, items, values), and l1, total, +, -, scale by an
-    exact number, == and hash work on the integers.  Any other vector, of
-    floats, complex numbers or a mix, holds its values over None.
+    an entry is read (get, items, values, and hash, which hashes the
+    items), and l1, total, +, -, scale by an exact number and == work on
+    the integers.  Any other vector, of floats, complex numbers or a mix,
+    holds its values over None.
     """
 
     __slots__ = ("_ids", "_nums", "_den", "_at")
@@ -170,11 +170,6 @@ class SparseVector:
         return dict(zip(self._ids, self._nums)) == dict(zip(other._ids, other._nums))
 
     def __hash__(self):
-        # hash(frozenset(self.items())): a Fraction n / d hashes as n times
-        # the inverse of d modulo the (prime) hash modulus, when d has one
-        if self._den is not None and self._den % sys.hash_info.modulus:
-            inv = pow(self._den, -1, sys.hash_info.modulus)
-            return hash(frozenset(zip(self._ids, [hash(n * inv) for n in self._nums])))
         return hash(frozenset(self.items()))
 
     def __len__(self):

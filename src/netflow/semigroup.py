@@ -699,13 +699,17 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
     return NetworkState._canonical((*bps, Fraction(1)), tuple(pieces))
 
 
-class AbsorptionProfile:
-    """Per-edge absorption rates as step functions of the edge parameter.
-
-    Breakpoints and rates must be exact rationals, since every rate
-    integral stays exact until the answer is sampled; anything else
+class AbsorptionProfile(NetworkState):
+    """Absorption rates built from per-edge step functions of the edge
+    parameter: the NetworkState over the union of the edges' cuts whose
+    entry on edge j is j's rate.  evolve_absorbing takes any exact state
+    as its rates; this class only builds one from {edge: (breakpoints,
+    rates)}.  Breakpoints and rates must be exact rationals, since every
+    rate integral stays exact until the answer is sampled; anything else
     raises NotRationalError.  Edges not listed absorb nothing.
     """
+
+    __slots__ = ()
 
     def __init__(self, profiles: Mapping):
         rows = [NetworkState.zero()]
@@ -721,7 +725,7 @@ class AbsorptionProfile:
         # one state over the union of the cuts, each piece's rates in the
         # order the edges were read; the rows' supports are disjoint
         bps, aligned = _refine(rows)
-        self._state = NetworkState(bps, [
+        super().__init__(bps, [
             SparseVector({j: r for v in piece for j, r in v.items()}) for piece in zip(*aligned)
         ])
 
@@ -734,10 +738,10 @@ class AbsorptionProfile:
         return cls({})
 
     def as_state(self) -> NetworkState:
-        return self._state
+        return self
 
     def __repr__(self):
-        return f"AbsorptionProfile({len(self._state.support())} edges)"
+        return f"AbsorptionProfile({len(self.support())} edges)"
 
 
 @dataclass
@@ -812,7 +816,7 @@ def _float_sum(terms: list, m: int) -> tuple:
 def evolve_absorbing(
     g: MetricGraph,
     vel: VelocityProfile,
-    q: AbsorptionProfile,
+    q: NetworkState,
     f: NetworkState,
     t,
     grid: int = 128,
@@ -821,16 +825,18 @@ def evolve_absorbing(
 
     Samples, on the uniform grid, the flow whose generator is c d/ds + q:
     a positive rate grows mass (a constant q0 multiplies it by
-    exp(q0 t)), a negative one absorbs it.  _histories builds the head
-    outflows as sums r exp(beta + b s): edge j drains as f_j(c_j s)
-    exp((1/c_j) int_0^{c_j s} q_j), in windows cut at the breakpoints of
-    f_j and q_j, and crossing it multiplies by exp(Q_j / c_j), where
-    Q_j = int_0^1 q_j.  Edge j at x then reads H_j(t + x/c_j)
+    exp(q0 t)), a negative one absorbs it.  The rates q are any exact
+    NetworkState (an AbsorptionProfile is one), aligned with f by
+    _refine as the state algebra aligns two states.  _histories builds
+    the head outflows as sums r exp(beta + b s): edge j drains as
+    f_j(c_j s) exp((1/c_j) int_0^{c_j s} q_j), in windows cut at the
+    breakpoints of f and q, and crossing it multiplies by
+    exp(Q_j / c_j), where Q_j = int_0^1 q_j.  Edge j at x then reads H_j(t + x/c_j)
     exp(-(1/c_j) int_0^x q_j) (see _absorbing_read).  The edges come
     from _network, as in evolve_rational: a lazy graph runs on the
     forward cone of supp f.  A finite graph refuses f or rates on an edge
-    it lacks, at every t.  Velocities and the values of f must be exact
-    rationals (NotRationalError), even at t = 0, when the input is
+    it lacks, at every t.  Velocities and the values of f and q must be
+    exact rationals (NotRationalError), even at t = 0, when the input is
     returned sampled, with bound zero: the bound takes every history
     coefficient exact until its one rounding.  Histories past
     MAX_HISTORY_BREAKPOINTS terms raise WidthOverflowError.
@@ -839,22 +845,23 @@ def evolve_absorbing(
     t, speed, rows, speeds, _ = _network(g, vel, f, t)
     if not exact_values(f.values):
         raise NotRationalError("evolve_absorbing needs exact rational state values")
-    qs = q.as_state()
+    if not exact_values(q.values):
+        raise NotRationalError("evolve_absorbing needs exact rational rates")
     if g.is_finite:
-        for j in qs.support():
+        for j in q.support():
             g.column(j)  # rates on an edge the graph lacks raise MalformedGraphError
     if t == 0 or not speed:
         return AbsorbingResult(sample(f, grid), 0.0)
 
     # per edge and piece of the common grid: (f_j, q_j, int_0^start q_j)
-    cuts = sorted(set(f.breakpoints) | set(qs.breakpoints))
+    cuts, (fv, qv) = _refine((f, q))
     starts = cuts[:-1]
     profile, Q = {}, {}
     for j in speed:
         pieces, area = [], Fraction(0)
-        for lo, hi in zip(starts, cuts[1:]):
-            b = qs.value_at(lo).get(j)
-            pieces.append((f.value_at(lo).get(j), b, area))
+        for lo, hi, v, r in zip(starts, cuts[1:], fv, qv):
+            b = r.get(j)
+            pieces.append((v.get(j), b, area))
             area += b * (hi - lo)
         profile[j], Q[j] = pieces, area
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from netflow import (
-    AbsorptionProfile,
+    NetworkState,
     VelocityProfile,
     build_adjacency,
     evolve_absorbing,
@@ -194,6 +194,21 @@ class TestAbsorb:
         assert "tail_bound" not in meta and "quad_bound" not in meta
         assert (tmp_path / "absorb.csv").exists()
 
+
+    def test_rates_reach_the_solve_as_their_state(self, tmp_path, monkeypatch):
+        # every solve gets the parsed rates state itself, a plain NetworkState
+        seen = []
+        solve = cli.evolve_absorbing
+
+        def spy(g, vel, q, f, t, grid):
+            seen.append(q)
+            return solve(g, vel, q, f, t, grid=grid)
+
+        monkeypatch.setattr(cli, "evolve_absorbing", spy)
+        assert main(["absorb", "--graph", G2, "--state", PULSE, "--rates", RATES, "--t", "1/2",
+                     "--log-steps", "2", "--out", str(tmp_path)]) == 0
+        want = parse_state_file(RATES).state
+        assert len(seen) == 3 and all(type(q) is NetworkState and q == want for q in seen)
 
     def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
         # main builds its parser once per process: a flag given to one run
@@ -380,25 +395,39 @@ class TestFloatVerbBytes:
         want = oracles.plotdata_reference(res.state, gf.graph.edge_ids)
         assert (tmp_path / "resolvent.csv").read_text() == want
 
+    @staticmethod
+    def assert_absorb_bytes(out, graph, state, rates, t, steps):
+        """absorb's CSV and every log entry past t = 0 against evolve_absorbing
+        on the parsed rates state, its log's reductions added in the order
+        the rows would."""
+        gf = parse_graph_file(graph)
+        g, vel = gf.graph, gf.velocities or VelocityProfile({}, default=Fraction(1))
+        f, q = parse_state_file(state).state, parse_state_file(rates).state
+        entries = [json.loads(line) for line in (out / "absorb.log.jsonl").read_text().splitlines()]
+        assert [e["t"] for e in entries] == [str(t * Fraction(k, steps)) for k in range(steps + 1)]
+        for entry in entries[1:]:
+            res = evolve_absorbing(g, vel, q, f, Fraction(entry["t"]))
+            rows, M = res.state.samples, res.state.grid_size
+            assert entry["sup_norm"] == max(v.l1() for v in rows)
+            mass = sum(v.total() for v in rows) - (rows[0].total() + rows[M].total()) / 2
+            assert entry["total_mass"] == mass / M
+            routed = build_adjacency(g, vel).apply(rows[0])
+            assert entry["boundary_residual"] == (rows[M] - routed).l1()
+        assert (out / "absorb.csv").read_text() == oracles.plotdata_reference(res.state, g.edge_ids)
+
     def test_absorb_g2(self, tmp_path):
         assert main(["absorb", "--graph", G2, "--state", PULSE, "--rates", RATES,
                      "--t", "7/4", "--log-steps", "1", "--out", str(tmp_path)]) == 0
-        g = parse_graph_file(G2).graph
-        rates = parse_state_file(RATES).state
-        q = AbsorptionProfile({j: (rates.breakpoints, [v.get(j) for v in rates.values])
-                               for j in rates.support()})
-        unit = VelocityProfile({}, default=Fraction(1))
-        res = evolve_absorbing(g, unit, q, parse_state_file(PULSE).state, Fraction(7, 4))
-        want = oracles.plotdata_reference(res.state, g.edge_ids)
-        assert (tmp_path / "absorb.csv").read_text() == want
-        # the log's reductions add in the order the rows would
-        rows, M = res.state.samples, res.state.grid_size
-        last = json.loads((tmp_path / "absorb.log.jsonl").read_text().splitlines()[-1])
-        assert last["sup_norm"] == max(v.l1() for v in rows)
-        mass = sum(v.total() for v in rows) - (rows[0].total() + rows[M].total()) / 2
-        assert last["total_mass"] == mass / M
-        routed = build_adjacency(g, unit).apply(rows[0])
-        assert last["boundary_residual"] == (rows[M] - routed).l1()
+        self.assert_absorb_bytes(tmp_path, G2, PULSE, RATES, Fraction(7, 4), 1)
+
+    def test_absorb_g5(self, tmp_path):
+        # rates cut at 1/2 only, f at 1/4 and 1/2: evolve_absorbing aligns the two
+        rates = tmp_path / "g5_rates.state"
+        rates.write_text("state g5_rates\nbp 0 1/2 1\nv 0 1 1/2\nv 0 3 1/4\n"
+                         "v 1 2 1/4\nv 1 5 1/2\n")
+        assert main(["absorb", "--graph", G5, "--state", MIXED, "--rates", str(rates),
+                     "--t", "7/8", "--log-steps", "4", "--out", str(tmp_path)]) == 0
+        self.assert_absorb_bytes(tmp_path, G5, MIXED, rates, Fraction(7, 8), 4)
 
 
 class TestExitCodes:
@@ -676,6 +705,46 @@ class TestExitCodes:
                      "--out", str(tmp_path / "in")]) == 0
         assert ((tmp_path / "in" / "approx_semigroup.csv").read_bytes()
                 == (tmp_path / "approx_semigroup.csv").read_bytes())
+
+    # numerals int(), float() and Fraction() read but the file format does
+    # not have: another script's digit, a full-width digit, a digit group
+    # and a superscript digit
+    NUMERALS = pytest.mark.parametrize("numeral", ["١", "１/2", "1_0", "²"],
+                                       ids=["arabic-indic", "fullwidth", "underscore", "square"])
+
+    @NUMERALS
+    @pytest.mark.parametrize("kind, lineno, line", [
+        ("graph", 4, "w 1 2 {}"),
+        ("graph", 6, "c 1 {}"),
+        ("state", 2, "bp 0 {} 1"),
+        ("state", 3, "v {} 1 1"),
+        ("state", 3, "v 0 1 {}"),
+    ], ids=["w", "c", "bp", "v-index", "v-value"])
+    def test_numerals_in_files_are_ascii(self, tmp_path, capsys, numeral, kind, lineno, line):
+        lines = {"graph": ["graph g2", "edge 1 1 2", "edge 2 2 1", "w 1 2 1", "w 2 1 1",
+                           "c 1 1", "c 2 1"],
+                 "state": ["state s", "bp 0 1/2 1", "v 0 1 1", "v 1 2 1/2"]}
+        lines[kind][lineno - 1] = line.format(numeral)
+        paths = {k: tmp_path / f"in.{k}" for k in lines}
+        for k, text in lines.items():
+            paths[k].write_text("\n".join(text) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--graph", str(paths["graph"]), "--state", str(paths["state"]),
+                     "--t", "1/2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {paths[kind]}:{lineno}: ")
+        assert not out.exists()
+
+    @NUMERALS
+    @pytest.mark.parametrize("argv, why", [
+        (["simulate", "--t"], "t must be an integer or p/q rational literal, got"),
+        (["resolvent", "--lambda"], "lambda is not a number:"),
+    ], ids=["t", "lambda"])
+    def test_numerals_in_exact_flags_are_ascii(self, tmp_path, capsys, numeral, argv, why):
+        out = tmp_path / "out"
+        assert main([argv[0], "--graph", G2, "--state", PULSE, argv[1], numeral,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {why} {numeral!r}\n"
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         code = main([

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,3 +90,60 @@ def test_the_stack_guard_sees_both_leans(tmp_path, monkeypatch):
     for lean in ("leaning.py:1 names sys.setrecursionlimit",
                  "leaning.py:3 names sys.setrecursionlimit", "leaning.py:4 catches RecursionError"):
         assert lean in str(refused.value)
+
+
+# \d, \w or \s (or their negations) after an even run of backslashes
+UNICODE_CLASS = re.compile(r"(?<!\\)(?:\\\\)*\\[dwsDWS]")
+RE_CALLS = {"compile", "match", "fullmatch", "search", "sub", "subn", "split", "findall",
+            "finditer"}
+
+
+def test_no_pattern_reads_other_scripts():
+    # without re.ASCII, \d, \w and \s match any script's digits, letters and
+    # spaces, and int(), float() and Fraction() read such digits as numbers:
+    # every literal pattern passed to the re module that uses one of them
+    # must say re.ASCII (or re.A, or (?a) inline)
+    loose = []
+    for path in sorted(Path(netflow.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {a.asname or a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "re"
+                    for a in node.names if a.name in RE_CALLS}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            if not (isinstance(func, ast.Attribute) and func.attr in RE_CALLS
+                    and isinstance(func.value, ast.Name) and func.value.id == "re"
+                    or isinstance(func, ast.Name) and func.id in imported):
+                continue
+            pattern = node.args[0]
+            if not (isinstance(pattern, ast.Constant) and isinstance(pattern.value, str)):
+                continue
+            rest = [*node.args[1:], *(k.value for k in node.keywords)]
+            ascii_flag = any(isinstance(n, ast.Attribute) and n.attr in ("ASCII", "A")
+                             for arg in rest for n in ast.walk(arg))
+            if UNICODE_CLASS.search(pattern.value) and not ascii_flag \
+                    and "(?a" not in pattern.value:
+                loose.append(f"{path.name}:{node.lineno} matches Unicode classes")
+    assert not loose, "; ".join(loose)
+
+
+def test_the_pattern_guard_sees_each_form(tmp_path, monkeypatch):
+    # the guard above on a module with three loose patterns, one called by
+    # an imported name, and four that are fine
+    (tmp_path / "loose.py").write_text(
+        "import re\n"
+        "from re import compile as rx\n"
+        'DIGITS = re.compile(r"[+-]?\\d+")\n'
+        'WORD = rx(r"[a-z]\\w*")\n'
+        'PARTS = re.split(r"\\s+", "a b")\n'
+        'ASCII = re.compile(r"\\d+", re.ASCII)\n'
+        'SHORT = re.match(r"\\d", "1", flags=re.I | re.A)\n'
+        'INLINE = re.compile(r"(?a)\\w+")\n'
+        'ESCAPED = re.compile(r"\\\\d")\n')
+    monkeypatch.setattr(netflow, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(AssertionError) as refused:
+        test_no_pattern_reads_other_scripts()
+    found = str(refused.value).split("\n")[0].split("; ")
+    assert found == [f"loose.py:{n} matches Unicode classes" for n in (3, 4, 5)]

@@ -30,6 +30,7 @@ from netflow import (
 )
 import netflow.graph as graph_module
 from netflow import checks, fileio, semigroup
+from netflow.exact import parse_rational, parse_real
 from netflow.states import NetworkState
 
 G2_TEXT = """\
@@ -126,6 +127,23 @@ class TestGraphParsing:
                            "str cannot be sorted together$"):
             parse_graph_text("graph m\nedge 1 u v\nedge a v u\nw a 1 1\nw 1 a 1\n",
                              origin="bad.graph")
+
+    def test_numerals_are_ascii(self):
+        # float() reads '1_0' as 10.0 and '١.٥' as 1.5, and a Unicode \d
+        # let Fraction read '١/2'; all are refused where they are parsed
+        for text in ("١/2", "1/٢", "１/2", "1_0", "²", "١.٥", "1_0.5"):
+            with pytest.raises(MalformedInputError):
+                parse_real(text)
+            with pytest.raises(MalformedInputError):
+                parse_rational(text)
+        assert parse_real(" -3/4 ") == F(-3, 4) and parse_real("1.5") == 1.5
+        assert parse_real("1e3") == 1000.0 and parse_rational("+10") == F(10)
+        with pytest.raises(MalformedInputError,
+                           match=r"^bad\.graph:6: velocity is not a number: '1_0'$"):
+            parse_graph_text(G2_TEXT + "c 1 1_0\nc 2 1\n", origin="bad.graph")
+        assert parse_graph_text(G2_TEXT + "c 1 10\nc 2 1\n").velocities.values[1] == F(10)
+        with pytest.raises(MalformedInputError, match=r"^s:3: piece index -1 out of range"):
+            parse_state_text("state s\nbp 0 1\nv -1 1 1\n", origin="s")
 
     def test_error_carries_location(self):
         with pytest.raises(MalformedInputError, match="bad.graph:3"):

@@ -675,13 +675,6 @@ def subdivided_flow(g, vel, f, t):
     return project_state(plan, evolve_unit(plan.operator, lift_state(plan, f), plan.c * t))
 
 
-def rates_of(state):
-    """The AbsorptionProfile whose rates are the entries of a state."""
-    return AbsorptionProfile(
-        {j: (state.breakpoints, [v.get(j) for v in state.values]) for j in state.support()}
-    )
-
-
 class TestAbsorptionProfileState:
     """AbsorptionProfile builds its state in one pass over the union of the
     cuts; the running pairwise sum in oracles is the reference."""
@@ -1748,6 +1741,28 @@ class TestEvolveAbsorbing:
             AbsorptionProfile.constant({1: 0.25})
         with pytest.raises(NotRationalError):
             AbsorptionProfile({1: ([F(0), F(1, 2), F(1)], [F(1), 0.5])})
+        # a plain state of float rates is refused by the solve, at t = 0 too
+        q = NetworkState([F(0), F(1, 2), F(1)], [SparseVector({1: F(1)}), SparseVector({2: 0.5})])
+        for t in (F(0), F(1, 2)):
+            with pytest.raises(NotRationalError, match="exact rational rates"):
+                evolve_absorbing(g2(), VelocityProfile({1: F(1), 2: F(2)}), q, pulse_e1(), t)
+
+    def test_plain_rates_state_equals_its_profile(self):
+        # rates given as a state and as the AbsorptionProfile of its
+        # per-edge step functions give the same samples and bound
+        for seed in range(100):
+            g, vel, q, f, t = random_absorbing_case(seed)
+            profile = AbsorptionProfile(
+                {j: (q.breakpoints, [v.get(j) for v in q.values]) for j in q.support()})
+            assert type(q) is NetworkState and profile == q
+            plain, built = (evolve_absorbing(g, vel, r, f, t, grid=8) for r in (q, profile))
+            assert plain.state == built.state and plain.error_bound == built.error_bound
+
+    def test_profile_is_its_state(self):
+        q = AbsorptionProfile.constant({1: 1})
+        assert isinstance(q, NetworkState) and q.as_state() is q
+        assert q == NetworkState.constant(SparseVector({1: F(1)}))
+        assert AbsorptionProfile.zero() == NetworkState.zero()
 
     def test_mixed_velocities_constant_rate_growth(self):
         # a constant rate commutes with the transport at any velocities
@@ -1842,7 +1857,7 @@ class TestEvolveAbsorbing:
     @pytest.mark.parametrize("seed", range(24))
     def test_error_bound_holds_against_characteristics(self, seed):
         g, vel, q_state, f, t = random_absorbing_case(seed)
-        res = evolve_absorbing(g, vel, rates_of(q_state), f, t, grid=16)
+        res = evolve_absorbing(g, vel, q_state, f, t, grid=16)
         ref = oracles.characteristic_absorb(g, vel, q_state, f, t, 16)
         actual = max(
             sum(abs(Decimal(got.get(j)) - want[j]) for j in g.edge_ids)
@@ -2067,6 +2082,10 @@ class TestLazyCone:
             # rates on the stray edge, under a state the graph carries
             with pytest.raises(MalformedGraphError, match="unknown edge 99"):
                 evolve_absorbing(g2(), vel, AbsorptionProfile.constant({99: F(-5)}), pulse_e1(), t)
+            rates = NetworkState([F(0), F(1, 3), F(1)],
+                                 [SparseVector({1: F(1)}), SparseVector({99: F(-5)})])
+            with pytest.raises(MalformedGraphError, match="unknown edge 99"):
+                evolve_absorbing(g2(), vel, rates, pulse_e1(), t)
 
 
 class TestIntegerTickRead:
@@ -2100,7 +2119,7 @@ class TestIntegerTickRead:
     @pytest.mark.parametrize("seed", range(24))
     def test_random_graphs(self, seed):
         g, vel, q_state, f, t = random_absorbing_case(seed)
-        self.assert_same_as_fraction_read(g, vel, rates_of(q_state), f, t, 16)
+        self.assert_same_as_fraction_read(g, vel, q_state, f, t, 16)
 
     @pytest.mark.parametrize("t", [F(1, 3), F(7, 3), F(6)])
     def test_lazy_path(self, t):
