@@ -65,11 +65,11 @@ def parse_real(text: str, what: str = "value"):
     text = text.strip()
     if _RATIONAL_RE.fullmatch(text):
         return Fraction(text)
-    try:
-        if text.isascii() and "_" not in text:
+    if text.isascii() and "_" not in text:
+        try:
             return float(text)
-    except ValueError:
-        pass
+        except ValueError:
+            pass
     raise MalformedInputError(f"{what} is not a number: {text!r}")
 
 

@@ -700,13 +700,12 @@ def _exact_flow(g: MetricGraph, speed: Mapping, rows, speeds: list, stages: int,
 
 
 class AbsorptionProfile(NetworkState):
-    """Absorption rates built from per-edge step functions of the edge
-    parameter: the NetworkState over the union of the edges' cuts whose
-    entry on edge j is j's rate.  evolve_absorbing takes any exact state
-    as its rates; this class only builds one from {edge: (breakpoints,
-    rates)}.  Breakpoints and rates must be exact rationals, since every
-    rate integral stays exact until the answer is sampled; anything else
-    raises NotRationalError.  Edges not listed absorb nothing.
+    """Absorption rates from per-edge step functions of the edge
+    parameter: the NetworkState whose entry on edge j is j's rate, over
+    the union of the edges' cuts.  Breakpoints and rates must be exact
+    rationals, since every rate integral stays exact until the answer is
+    sampled; anything else raises NotRationalError.  Edges not listed
+    absorb nothing.
     """
 
     __slots__ = ()
@@ -823,30 +822,27 @@ def evolve_absorbing(
 ) -> AbsorbingResult:
     """Transport with pointwise absorption, in closed form along characteristics.
 
-    Samples, on the uniform grid, the flow whose generator is c d/ds + q:
-    a positive rate grows mass (a constant q0 multiplies it by
-    exp(q0 t)), a negative one absorbs it.  The rates q are any exact
-    NetworkState (an AbsorptionProfile is one), aligned with f by
-    _refine as the state algebra aligns two states.  _histories builds
-    the head outflows as sums r exp(beta + b s): edge j drains as
-    f_j(c_j s) exp((1/c_j) int_0^{c_j s} q_j), in windows cut at the
-    breakpoints of f and q, and crossing it multiplies by
-    exp(Q_j / c_j), where Q_j = int_0^1 q_j.  Edge j at x then reads H_j(t + x/c_j)
-    exp(-(1/c_j) int_0^x q_j) (see _absorbing_read).  The edges come
-    from _network, as in evolve_rational: a lazy graph runs on the
-    forward cone of supp f.  A finite graph refuses f or rates on an edge
-    it lacks, at every t.  Velocities and the values of f and q must be
-    exact rationals (NotRationalError), even at t = 0, when the input is
-    returned sampled, with bound zero: the bound takes every history
-    coefficient exact until its one rounding.  Histories past
-    MAX_HISTORY_BREAKPOINTS terms raise WidthOverflowError.
+    Samples, on the uniform grid, the flow whose generator is c d/ds + q,
+    the rates q any exact NetworkState (an AbsorptionProfile is one): a
+    positive rate grows mass (a constant q0 multiplies it by exp(q0 t)),
+    a negative one absorbs it.  _histories builds the head outflows as
+    sums r exp(beta + b s): edge j drains as f_j(c_j s)
+    exp((1/c_j) int_0^{c_j s} q_j), in windows cut where f or q steps
+    (f and q aligned by _refine), and crossing it multiplies by
+    exp(Q_j / c_j), where Q_j = int_0^1 q_j.  Edge j at x then reads
+    H_j(t + x/c_j) exp(-(1/c_j) int_0^x q_j) (see _absorbing_read).
+    The edges come from _network, as in evolve_rational: a lazy graph
+    runs on the forward cone of supp f.  A finite graph refuses f or
+    rates on an edge it lacks, at every t.  Velocities and the values of
+    f and q must be exact rationals (NotRationalError), even at t = 0,
+    when the input is returned sampled, with bound zero: the bound takes
+    every history coefficient exact until its one rounding.  Histories
+    past MAX_HISTORY_BREAKPOINTS terms raise WidthOverflowError.
     """
     grid = checked_grid(grid)
     t, speed, rows, speeds, _ = _network(g, vel, f, t)
-    if not exact_values(f.values):
-        raise NotRationalError("evolve_absorbing needs exact rational state values")
-    if not exact_values(q.values):
-        raise NotRationalError("evolve_absorbing needs exact rational rates")
+    if not (exact_values(f.values) and exact_values(q.values)):
+        raise NotRationalError("evolve_absorbing needs exact rational state values and rates")
     if g.is_finite:
         for j in q.support():
             g.column(j)  # rates on an edge the graph lacks raise MalformedGraphError

@@ -1744,7 +1744,7 @@ class TestEvolveAbsorbing:
         # a plain state of float rates is refused by the solve, at t = 0 too
         q = NetworkState([F(0), F(1, 2), F(1)], [SparseVector({1: F(1)}), SparseVector({2: 0.5})])
         for t in (F(0), F(1, 2)):
-            with pytest.raises(NotRationalError, match="exact rational rates"):
+            with pytest.raises(NotRationalError, match="exact rational state values and rates"):
                 evolve_absorbing(g2(), VelocityProfile({1: F(1), 2: F(2)}), q, pulse_e1(), t)
 
     def test_plain_rates_state_equals_its_profile(self):
