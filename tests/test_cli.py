@@ -403,7 +403,8 @@ class TestFloatVerbBytes:
         gf = parse_graph_file(graph)
         g, vel = gf.graph, gf.velocities or VelocityProfile({}, default=Fraction(1))
         f, q = parse_state_file(state).state, parse_state_file(rates).state
-        entries = [json.loads(line) for line in (out / "absorb.log.jsonl").read_text().splitlines()]
+        log = (out / "absorb.log.jsonl").read_text()
+        entries = [json.loads(line) for line in log.splitlines()]
         assert [e["t"] for e in entries] == [str(t * Fraction(k, steps)) for k in range(steps + 1)]
         for entry in entries[1:]:
             res = evolve_absorbing(g, vel, q, f, Fraction(entry["t"]))
